@@ -22,6 +22,7 @@ from .harness import (
     solve_reference_cli,
     sweep_p,
 )
+from .optimizers import ALGORITHMS, all_param_types
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,11 +40,18 @@ def _parse_synthetic(text: str) -> tuple[int, int, float]:
         )
 
 
-def _parse_seeds(text: str) -> list[int]:
-    try:
-        return [int(s) for s in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated seeds, got {text!r}")
+def _comma_list(convert, what: str):
+    """argparse type for a comma-separated list, e.g. _comma_list(int, "seeds")."""
+
+    def parse(text: str) -> list:
+        try:
+            return [convert(s) for s in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}"
+            )
+
+    return parse
 
 
 def _add_problem_flags(parser: argparse.ArgumentParser):
@@ -66,15 +74,10 @@ def _add_problem_flags(parser: argparse.ArgumentParser):
 
 
 def _add_run_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--alg", choices=("gd", "svrg", "l-svrg", "katyusha",
-                                          "l-katyusha"))
+    parser.add_argument("--alg", choices=ALGORITHMS)
     parser.add_argument("--preset", choices=("theory",))
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--p", type=float)
-    parser.add_argument("--theta1", type=float)
-    parser.add_argument("--theta2", type=float)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--step-size", type=float, dest="step_size")
+    for name, kind in all_param_types().items():
+        parser.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
     parser.add_argument("--epochs", type=float)
     parser.add_argument("--checkpoint-every", type=float, dest="checkpoint_every")
     parser.add_argument("--seed", type=int)
@@ -101,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_problem_flags(sweep)
     _add_run_flags(sweep)
-    sweep.add_argument("--grid", help="comma-separated loop lengths overriding "
+    sweep.add_argument("--grid", type=_comma_list(int, "loop lengths"),
+                       help="comma-separated loop lengths overriding "
                        "the default kappa grid")
 
     comp = sub.add_parser(
@@ -109,10 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_problem_flags(comp)
     _add_run_flags(comp)
-    comp.add_argument("--seeds", type=_parse_seeds, default=[0],
+    comp.add_argument("--seeds", type=_comma_list(int, "seeds"), default=[0],
                       metavar="S0,S1,...")
     comp.add_argument("--algs", help="comma-separated algorithm subset")
-    comp.add_argument("--thresholds", default="1e-4,1e-8",
+    comp.add_argument("--thresholds", type=_comma_list(float, "thresholds"),
+                      default="1e-4,1e-8",
                       help="comma-separated dist_sq thresholds")
 
     plot = sub.add_parser("plotdata", help="merge traces into long-format CSV")
@@ -129,11 +134,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_TO_FIELD = {
-    "alg": "algorithm",
-    "data": "dataset_path",
-}
-_PARAM_FLAGS = ("eta", "p", "theta1", "theta2", "m", "step_size")
+# RunConfig fields whose flag has another name; every other field's flag
+# (if it has one) carries the field's own name
+_FIELD_TO_FLAG = {"algorithm": "alg", "dataset_path": "data"}
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -151,7 +154,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
     params = dict(payload.get("params", {}))
     explicit_param = False
-    for name in _PARAM_FLAGS:
+    for name in all_param_types():
         value = getattr(args, name, None)
         if value is not None:
             params[name] = value
@@ -161,16 +164,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if explicit_param and getattr(args, "preset", None) is None:
         payload.setdefault("preset", None)
 
-    for flag, field in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            payload[field] = value
-    for field in (
-        "synthetic", "loss", "mu", "normalize", "preset", "epochs",
-        "checkpoint_every", "seed", "data_seed", "diagnostics", "tag",
-        "ref_tolerance", "ref_max_epochs",
-    ):
-        value = getattr(args, field, None)
+    for field in RunConfig.__dataclass_fields__:
+        value = getattr(args, _FIELD_TO_FLAG.get(field, field), None)
         if value is not None:
             payload[field] = value
 
@@ -189,20 +184,17 @@ def main(argv=None) -> int:
             path = run_experiment(config_from_args(args).validate(), args.out)
             print(path)
         elif args.command == "sweep-p":
-            grid = None
-            if args.grid:
-                grid = [int(x) for x in args.grid.split(",")]
-            for path in sweep_p(config_from_args(args).validate(), args.out, grid=grid):
+            for path in sweep_p(config_from_args(args).validate(), args.out,
+                                grid=args.grid):
                 print(path)
         elif args.command == "compare-all":
             algorithms = args.algs.split(",") if args.algs else None
-            thresholds = tuple(float(t) for t in args.thresholds.split(","))
             path = compare_all(
                 config_from_args(args).validate(),
                 args.out,
                 seeds=args.seeds,
                 algorithms=algorithms,
-                thresholds=thresholds,
+                thresholds=tuple(args.thresholds),
             )
             print(path)
         elif args.command == "plotdata":

@@ -210,10 +210,7 @@ def phi_contraction_rhs(state, ref: ReferenceSolution, oracle: Oracle) -> float:
 def _katyusha_branches(state, oracle: Oracle):
     x = state.interpolate()
     g = _estimator_table(x, state.w, state.grad_w, oracle)
-    eta_sigma = state.eta * state.sigma
-    z_next = (eta_sigma * x + state.z - (state.eta / oracle.L) * g) / (1.0 + eta_sigma)
-    y_next = x + state.theta1 * (z_next - state.z)
-    return x, g, z_next, y_next
+    return (x, g, *state.momentum_step(x, g))
 
 
 def exact_expected_psi_next(state, ref: ReferenceSolution, oracle: Oracle) -> float:
@@ -276,9 +273,8 @@ def verify_lemma_bounds(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
     when the state is consistent (grad_w == full_grad(w))."""
     _guard(oracle)
     _check_dims(state, ref, oracle)
-    if hasattr(state, "theta1"):
-        return _verify_katyusha_bounds(state, ref, oracle)
-    return _verify_svrg_bounds(state, ref, oracle)
+    verify = {"phi": _verify_svrg_bounds, "psi": _verify_katyusha_bounds}
+    return verify[state.potential[0]](state, ref, oracle)
 
 
 def _verify_svrg_bounds(state, ref, oracle) -> dict:

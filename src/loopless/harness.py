@@ -12,16 +12,16 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics, optimizers
+from . import diagnostics
 from .data import load_libsvm, normalize_rows, synthesize_quadratic
 from .diagnostics import ReferenceSolution, compute_phi, compute_psi, verify_lemma_bounds
 from .oracle import Oracle, make_oracle
-from .optimizers import ALGORITHMS, THEORY_PARAMS, TraceRecord, run
+from .optimizers import ALGORITHMS, TraceRecord, all_param_types, run
 from .rng import SplitMix64
 
 
@@ -33,10 +33,7 @@ class DataError(RuntimeError):
     """Dataset could not be read or parsed (CLI exit code 3)."""
 
 
-_SVRG_FAMILY = ("svrg", "l-svrg")
-_KATYUSHA_FAMILY = ("katyusha", "l-katyusha")
 _DIAGNOSTIC_LEVELS = ("none", "distance", "lyapunov", "lemmas")
-_PARAM_KEYS = ("eta", "p", "theta1", "theta2", "m", "step_size")
 
 
 @dataclass
@@ -82,14 +79,15 @@ class RunConfig:
                 f"unknown diagnostics level {self.diagnostics!r}; "
                 f"expected one of {_DIAGNOSTIC_LEVELS}"
             )
-        if self.diagnostics in ("lyapunov", "lemmas") and self.algorithm == "gd":
+        if (self.diagnostics in ("lyapunov", "lemmas")
+                and not ALGORITHMS[self.algorithm].potential):
             raise ConfigError("Lyapunov diagnostics are defined only for the "
-                              "SVRG/Katyusha families, not gd")
+                              f"SVRG/Katyusha families, not {self.algorithm}")
         if self.preset is None and not self.params:
             raise ConfigError("either a preset or explicit params are required")
         if self.preset is not None and self.preset != "theory":
             raise ConfigError(f"unknown preset {self.preset!r}")
-        unknown = set(self.params) - set(_PARAM_KEYS)
+        unknown = set(self.params) - set(all_param_types())
         if unknown:
             raise ConfigError(f"unknown params {sorted(unknown)}")
         return self
@@ -141,33 +139,32 @@ def build_problem(config: RunConfig) -> tuple[Oracle, np.ndarray | None]:
 
 
 def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
-    """Merge the preset with explicit overrides into constructor kwargs."""
-    params = dict(THEORY_PARAMS[config.algorithm](oracle)) if config.preset else {}
+    """Merge the preset with explicit overrides into constructor kwargs,
+    in constructor order and converted to the constructor's types."""
+    cls = ALGORITHMS[config.algorithm]
+    params = cls.theory_params(oracle) if config.preset else {}
     params.update(config.params)
-    expected = {
-        "gd": {"step_size"},
-        "svrg": {"eta", "m"},
-        "l-svrg": {"eta", "p"},
-        "katyusha": {"theta1", "theta2", "m"},
-        "l-katyusha": {"theta1", "theta2", "p"},
-    }[config.algorithm]
-    missing = expected - set(params)
+    types = cls.param_types
+    missing = set(types) - set(params)
     if missing:
         raise ConfigError(
             f"{config.algorithm} needs params {sorted(missing)} "
             "(pass them explicitly or use --preset theory)"
         )
-    extra = set(params) - expected
+    extra = set(params) - set(types)
     if extra:
         raise ConfigError(f"params {sorted(extra)} do not apply to {config.algorithm}")
-    if "m" in params:
-        params["m"] = int(params["m"])
-    return params
+    return {name: kind(params[name]) for name, kind in types.items()}
 
 
 def build_reference(config: RunConfig, oracle: Oracle, minimizer) -> ReferenceSolution | None:
     if config.diagnostics == "none":
         return None
+    return _reference(config, oracle, minimizer)
+
+
+def _reference(config: RunConfig, oracle: Oracle, minimizer) -> ReferenceSolution:
+    """The closed-form minimizer when there is one, else a certified solve."""
     if minimizer is not None:
         return ReferenceSolution.from_point(oracle, minimizer)
     return diagnostics.solve_reference(
@@ -184,7 +181,7 @@ def make_optimizer(config: RunConfig, oracle: Oracle, params: dict):
 
 def build_metrics(config: RunConfig, oracle: Oracle, ref: ReferenceSolution | None):
     level = config.diagnostics
-    svrg_family = config.algorithm in _SVRG_FAMILY
+    potential = ALGORITHMS[config.algorithm].potential
 
     def metrics(opt) -> dict:
         out = {}
@@ -194,11 +191,8 @@ def build_metrics(config: RunConfig, oracle: Oracle, ref: ReferenceSolution | No
         out["dist_sq"] = float(delta @ delta)
         out["f_gap"] = oracle.full_loss(opt.tracked_point) - ref.f_star
         if level in ("lyapunov", "lemmas"):
-            out["lyapunov"] = (
-                compute_phi(opt, ref, oracle)
-                if svrg_family
-                else compute_psi(opt, ref, oracle)
-            )
+            compute = {"phi": compute_phi, "psi": compute_psi}[potential[0]]
+            out["lyapunov"] = compute(opt, ref, oracle)
         if level == "lemmas":
             slacks = verify_lemma_bounds(opt, ref, oracle)
             out["lemma_slacks"] = {name: s.rel_slack for name, s in slacks.items()}
@@ -207,30 +201,15 @@ def build_metrics(config: RunConfig, oracle: Oracle, ref: ReferenceSolution | No
     return metrics
 
 
-def _lyapunov_columns(config: RunConfig) -> list[str]:
-    if config.diagnostics not in ("lyapunov", "lemmas"):
-        return []
-    return ["phi", "dk"] if config.algorithm in _SVRG_FAMILY else ["psi", "zk", "yk", "wk"]
-
-
-def _lemma_columns(config: RunConfig) -> list[str]:
-    if config.diagnostics != "lemmas":
-        return []
-    if config.algorithm in _SVRG_FAMILY:
-        names = ["iterate_distance", "estimator_second_moment",
-                 "grad_learning_decay", "phi_contraction"]
-    else:
-        names = ["estimator_variance", "z_update", "y_progress",
-                 "reference_recursion", "psi_contraction"]
-    return [f"slack_{name}" for name in names]
-
-
 def trace_columns(config: RunConfig) -> list[str]:
+    cls = ALGORITHMS[config.algorithm]
     cols = ["k", "oracle_calls", "epoch"]
     if config.diagnostics != "none":
         cols += ["dist_sq", "f_gap"]
-    cols += _lyapunov_columns(config)
-    cols += _lemma_columns(config)
+    if config.diagnostics in ("lyapunov", "lemmas"):
+        cols += cls.potential
+    if config.diagnostics == "lemmas":
+        cols += [f"slack_{name}" for name in cls.lemmas]
     cols.append("wall_ns")
     return cols
 
@@ -246,18 +225,16 @@ def _fmt(value) -> str:
 
 
 def _record_row(rec: TraceRecord, columns: list[str]) -> list[str]:
-    values: dict[str, object] = {
-        "k": rec.k,
-        "oracle_calls": rec.oracle_calls,
-        "epoch": rec.epoch,
-        "dist_sq": rec.dist_sq,
-        "f_gap": rec.f_gap,
-        "wall_ns": rec.wall_ns,
-    }
-    lyap = rec.lyapunov
-    if lyap is not None:
-        for name in ("phi", "dk", "psi", "zk", "yk", "wk"):
-            values[name] = getattr(lyap, name)
+    # potential columns come from the report; the record's own fields win
+    values = dict(vars(rec.lyapunov)) if rec.lyapunov is not None else {}
+    values.update(
+        k=rec.k,
+        oracle_calls=rec.oracle_calls,
+        epoch=rec.epoch,
+        dist_sq=rec.dist_sq,
+        f_gap=rec.f_gap,
+        wall_ns=rec.wall_ns,
+    )
     if rec.lemma_slacks:
         for name, slack in rec.lemma_slacks.items():
             values[f"slack_{name}"] = slack
@@ -318,17 +295,7 @@ def run_experiment(config: RunConfig, out_dir) -> Path:
         "normalize": config.normalize,
         "x0": "origin" if config.x0 is None else list(map(float, config.x0)),
     }
-    if config.algorithm in _SVRG_FAMILY:
-        p_eff = params.get("p", 1.0 / params["m"] if "m" in params else None)
-        sidecar["predicted_rate"] = optimizers.lsvrg_predicted_rate(
-            params["eta"], oracle.mu, p_eff
-        )
-    elif config.algorithm in _KATYUSHA_FAMILY:
-        sidecar["predicted_rate"] = optimizers.lkatyusha_predicted_rate(
-            oracle.mu / oracle.L, params["theta1"], oracle.n
-        )
-        sidecar["sigma"] = oracle.mu / oracle.L
-        sidecar["eta"] = optimizer.eta
+    sidecar.update(optimizer.theory_facts())
     if ref is not None:
         sidecar["reference"] = {
             "grad_norm": ref.grad_norm,
@@ -378,22 +345,13 @@ def sweep_p(base_config: RunConfig, out_dir, grid: list[int] | None = None) -> l
         grid = probability_grid(oracle.n, oracle.L / oracle.mu)
     else:
         grid = normalize_grid(grid)
-    eta = 1.0 / (6.0 * oracle.L)
     paths = []
     for ell in grid:
-        for algorithm, params in (
-            ("l-svrg", {"eta": eta, "p": 1.0 / ell}),
-            ("svrg", {"eta": eta, "m": ell}),
-        ):
-            config = RunConfig(
-                **{
-                    **asdict(base_config),
-                    "algorithm": algorithm,
-                    "params": params,
-                    "preset": None,
-                    "tag": f"loop{ell}",
-                }
-            )
+        for algorithm in ("l-svrg", "svrg"):
+            cls = ALGORITHMS[algorithm]
+            params = {**cls.theory_params(oracle), **cls.loop_params(ell)}
+            config = replace(base_config, algorithm=algorithm, params=params,
+                             preset=None, tag=f"loop{ell}")
             paths.append(run_experiment(config, out_dir))
     return paths
 
@@ -425,16 +383,8 @@ def compare_all(
     rows = []
     for algorithm in algorithms:
         for seed in seeds:
-            config = RunConfig(
-                **{
-                    **asdict(base_config),
-                    "algorithm": algorithm,
-                    "params": {},
-                    "preset": "theory",
-                    "seed": seed,
-                    "diagnostics": base_config.diagnostics,
-                }
-            )
+            config = replace(base_config, algorithm=algorithm, params={},
+                             preset="theory", seed=seed)
             csv_path = run_experiment(config, out_dir)
             trace = read_trace(csv_path)
             pairs = [(row["epoch"], row.get("dist_sq")) for row in trace]
@@ -549,12 +499,7 @@ def solve_reference_cli(config: RunConfig, out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     oracle, minimizer = build_problem(config)
-    if minimizer is not None:
-        ref = ReferenceSolution.from_point(oracle, minimizer)
-    else:
-        ref = diagnostics.solve_reference(
-            oracle, tolerance=config.ref_tolerance, max_epochs=config.ref_max_epochs
-        )
+    ref = _reference(config, oracle, minimizer)
     stem = f"{config.loss}_mu{config.mu}_seed{config.seed}_ref"
     npz_path = out_dir / f"{stem}.npz"
     np.savez(npz_path, x_star=ref.x_star, f_star=ref.f_star, grad_norm=ref.grad_norm)

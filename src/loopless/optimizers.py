@@ -2,7 +2,15 @@
 
 Five algorithms: gradient descent, SVRG and Katyusha with deterministic
 reference refresh every m inner steps, and their loopless variants where the
-refresh is triggered by a per-step Bernoulli(p) coin.
+refresh is triggered by a per-step Bernoulli(p) coin.  The loopy and loopless
+variant of a family share one step kernel and differ only in the refresh rule
+mixed into the class: a coin (_Coin) or a counter of period m (_Loop).
+
+Each class carries its own facts, which the harness, CLI and diagnostics read
+instead of restating: its registry `name`, its constructor parameters (the
+annotated signature after oracle and x0), its `theory_params` preset, and its
+family kernel, which fixes the Lyapunov `potential` columns, the `lemmas`
+slack names and the predicted contraction rate in `theory_facts`.
 
 Shared conventions:
   * every optimizer holds an immutable oracle and exposes step(rng),
@@ -20,6 +28,7 @@ Shared conventions:
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, field
@@ -48,24 +57,37 @@ def gd_step(x: np.ndarray, oracle: Oracle, step: float) -> np.ndarray:
     return x - step * oracle.full_grad(x)
 
 
-class GradientDescent:
-    """Full-gradient baseline; n oracle calls per step (and at init)."""
+class _Optimizer:
+    """Shared accounting (k, oracle_calls, epoch) and the per-class facts."""
 
-    name = "gd"
+    name: str
+    param_types: dict  # constructor parameters after (oracle, x0) -> type
+    potential: tuple[str, ...] = ()  # Lyapunov trace columns: phi or psi first
+    lemmas: tuple[str, ...] = ()  # one-step bounds, traced as slack_<name>
 
-    def __init__(self, oracle: Oracle, x0: np.ndarray, step_size: float):
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # read once from the annotated signature, so it cannot drift from it
+        signature = inspect.signature(cls, eval_str=True)
+        params = list(signature.parameters.values())[2:]
+        cls.param_types = {p.name: p.annotation for p in params}
+
+    def _start(self, oracle: Oracle, x0: np.ndarray):
+        """Zero the counters; returns a float copy of x0 and its full
+        gradient, the first n oracle calls."""
         self.oracle = oracle
-        self.step_size = _check_positive(step_size, "step_size")
-        self.x = np.array(x0, dtype=np.float64)
-        self.grad = oracle.full_grad(self.x)
         self.k = 0
         self.oracle_calls = oracle.n
+        x = np.array(x0, dtype=np.float64)
+        return x, oracle.full_grad(x)
 
-    def step(self, rng=None):
-        self.x = self.x - self.step_size * self.grad
-        self.grad = self.oracle.full_grad(self.x)
-        self.oracle_calls += self.oracle.n
-        self.k += 1
+    @classmethod
+    def theory(cls, oracle: Oracle, x0: np.ndarray):
+        return cls(oracle, x0, **cls.theory_params(oracle))
+
+    def theory_facts(self) -> dict:
+        """Predicted contraction rate and derived constants for the sidecar."""
+        return {}
 
     @property
     def tracked_point(self) -> np.ndarray:
@@ -76,25 +98,71 @@ class GradientDescent:
         return self.oracle_calls / self.oracle.n
 
 
-class LSVRG:
-    """Loopless SVRG: coin-triggered reference refresh, w^{k+1} = x^k."""
+class _Coin:
+    """Loopless refresh rule: a Bernoulli(p) coin drawn after the index."""
 
-    name = "l-svrg"
-
-    def __init__(self, oracle: Oracle, x0: np.ndarray, eta: float, p: float):
-        self.oracle = oracle
-        self.eta = _check_positive(eta, "eta")
+    def _init_rule(self, p: float):
         self.p = _check_prob(p)
-        self.x = np.array(x0, dtype=np.float64)
+
+    def _refresh_due(self, rng: SplitMix64) -> bool:
+        return rng.bernoulli(self.p)
+
+    @property
+    def refresh_prob(self) -> float:
+        return self.p
+
+    @staticmethod
+    def loop_params(length: int) -> dict:
+        """Parameters refreshing every `length` steps (in expectation)."""
+        return {"p": 1.0 / length}
+
+
+class _Loop:
+    """Loopy refresh rule: a counter j of period m that draws nothing."""
+
+    def _init_rule(self, m: int):
+        if m < 1:
+            raise ValueError(f"inner loop length m must be >= 1, got {m}")
+        self.m = int(m)
+        self.j = 0
+
+    def _refresh_due(self, rng: SplitMix64) -> bool:
+        self.j = (self.j + 1) % self.m
+        return self.j == 0
+
+    @property
+    def refresh_prob(self) -> float:
+        """Refreshes per step; stands in for p in the predicted rate."""
+        return 1.0 / self.m
+
+    @staticmethod
+    def loop_params(length: int) -> dict:
+        """Parameters refreshing every `length` steps."""
+        return {"m": length}
+
+
+class _SVRGFamily(_Optimizer):
+    """SVRG step on x; a refresh stores the pre-update iterate, w <- x^k."""
+
+    potential = ("phi", "dk")
+    lemmas = ("iterate_distance", "estimator_second_moment",
+              "grad_learning_decay", "phi_contraction")
+
+    def __init__(self, oracle: Oracle, x0: np.ndarray, eta: float, refresh):
+        self.eta = _check_positive(eta, "eta")
+        self._init_rule(refresh)
+        self.x, self.grad_w = self._start(oracle, x0)
         self.w = self.x
-        self.grad_w = oracle.full_grad(self.w)
-        self.k = 0
-        self.oracle_calls = oracle.n
 
     @classmethod
-    def theory(cls, oracle: Oracle, x0: np.ndarray) -> "LSVRG":
-        params = lsvrg_theory_params(oracle)
-        return cls(oracle, x0, **params)
+    def theory_params(cls, oracle: Oracle) -> dict:
+        # loop length n: p = 1/n for the coin, m = n for the loop
+        return {"eta": 1.0 / (6.0 * oracle.L), **cls.loop_params(oracle.n)}
+
+    def theory_facts(self) -> dict:
+        # per-step contraction factor of the L-SVRG Lyapunov bound
+        rate = max(1.0 - self.eta * self.oracle.mu, 1.0 - self.refresh_prob / 2.0)
+        return {"predicted_rate": rate}
 
     def step(self, rng: SplitMix64):
         oracle = self.oracle
@@ -104,33 +172,22 @@ class LSVRG:
         x_prev = self.x
         self.x = x_prev - self.eta * g
         self.oracle_calls += 2
-        if rng.bernoulli(self.p):
+        if self._refresh_due(rng):
             self.w = x_prev
             self.grad_w = oracle.full_grad(self.w)
             self.oracle_calls += oracle.n
         self.k += 1
 
-    @property
-    def tracked_point(self) -> np.ndarray:
-        return self.x
 
-    @property
-    def epoch(self) -> float:
-        return self.oracle_calls / self.oracle.n
+class _KatyushaFamily(_Optimizer):
+    """Katyusha step: negative momentum toward w; a refresh stores w <- y^k."""
 
-
-class LKatyusha:
-    """Loopless Katyusha: negative momentum toward w, coin refresh w^{k+1} = y^k."""
-
-    name = "l-katyusha"
+    potential = ("psi", "zk", "yk", "wk")
+    lemmas = ("estimator_variance", "z_update", "y_progress",
+              "reference_recursion", "psi_contraction")
 
     def __init__(
-        self,
-        oracle: Oracle,
-        x0: np.ndarray,
-        theta1: float,
-        theta2: float,
-        p: float,
+        self, oracle: Oracle, x0: np.ndarray, theta1: float, theta2: float, refresh
     ):
         _check_positive(theta1, "theta1")
         _check_positive(theta2, "theta2")
@@ -138,23 +195,26 @@ class LKatyusha:
             raise ValueError(
                 f"theta1 + theta2 must be <= 1, got {theta1} + {theta2}"
             )
-        self.oracle = oracle
         self.theta1 = float(theta1)
         self.theta2 = float(theta2)
-        self.p = _check_prob(p)
+        self._init_rule(refresh)
         self.sigma = oracle.mu / oracle.L
         self.eta = theta2 / ((1.0 + theta2) * theta1)
-        self.y = np.array(x0, dtype=np.float64)
+        self.y, self.grad_w = self._start(oracle, x0)
         self.z = self.y
         self.w = self.y
-        self.grad_w = oracle.full_grad(self.w)
-        self.k = 0
-        self.oracle_calls = oracle.n
 
     @classmethod
-    def theory(cls, oracle: Oracle, x0: np.ndarray) -> "LKatyusha":
-        params = lkatyusha_theory_params(oracle)
-        return cls(oracle, x0, **params)
+    def theory_params(cls, oracle: Oracle) -> dict:
+        sigma = oracle.mu / oracle.L
+        theta1 = min(math.sqrt(2.0 * sigma * oracle.n / 3.0), 0.5)
+        return {"theta1": theta1, "theta2": 0.5, **cls.loop_params(oracle.n)}
+
+    def theory_facts(self) -> dict:
+        # per-step contraction factor of the L-Katyusha Lyapunov bound
+        rate = 1.0 - min(self.sigma / (6.0 * self.theta1),
+                         self.theta1 / (2.0 * self.oracle.n))
+        return {"predicted_rate": rate, "sigma": self.sigma, "eta": self.eta}
 
     def interpolate(self) -> np.ndarray:
         """x^k = theta1 z + theta2 w + (1 - theta1 - theta2) y."""
@@ -164,19 +224,24 @@ class LKatyusha:
             + (1.0 - self.theta1 - self.theta2) * self.y
         )
 
+    def momentum_step(self, x: np.ndarray, g: np.ndarray):
+        """(z^{k+1}, y^{k+1}) from x^k and the estimator g; broadcasts over
+        the rows of a (n, d) table of g, one row per sample draw."""
+        eta_sigma = self.eta * self.sigma
+        z_next = (eta_sigma * x + self.z - (self.eta / self.oracle.L) * g) / (
+            1.0 + eta_sigma
+        )
+        return z_next, x + self.theta1 * (z_next - self.z)
+
     def step(self, rng: SplitMix64):
         oracle = self.oracle
         x = self.interpolate()
         i = rng.randbelow(oracle.n)
         correction = oracle.grad_i(i, self.w) - self.grad_w
         g = oracle.grad_i(i, x) - correction
-        eta_sigma = self.eta * self.sigma
-        z_next = (eta_sigma * x + self.z - (self.eta / oracle.L) * g) / (
-            1.0 + eta_sigma
-        )
-        y_next = x + self.theta1 * (z_next - self.z)
+        z_next, y_next = self.momentum_step(x, g)
         self.oracle_calls += 2
-        if rng.bernoulli(self.p):
+        if self._refresh_due(rng):
             self.w = self.y
             self.grad_w = oracle.full_grad(self.w)
             self.oracle_calls += oracle.n
@@ -188,186 +253,88 @@ class LKatyusha:
     def tracked_point(self) -> np.ndarray:
         return self.y
 
-    @property
-    def epoch(self) -> float:
-        return self.oracle_calls / self.oracle.n
+
+# Each class binds `step` in its own body, so instrumentation can wrap one
+# class's step without touching the shared kernel.
 
 
-class LoopySVRG:
+class GradientDescent(_Optimizer):
+    """Full-gradient baseline; n oracle calls per step (and at init)."""
+
+    name = "gd"
+
+    def __init__(self, oracle: Oracle, x0: np.ndarray, step_size: float):
+        self.step_size = _check_positive(step_size, "step_size")
+        self.x, self.grad = self._start(oracle, x0)
+
+    @staticmethod
+    def theory_params(oracle: Oracle) -> dict:
+        return {"step_size": 1.0 / oracle.L}
+
+    def step(self, rng=None):
+        self.x = self.x - self.step_size * self.grad
+        self.grad = self.oracle.full_grad(self.x)
+        self.oracle_calls += self.oracle.n
+        self.k += 1
+
+
+class LSVRG(_SVRGFamily, _Coin):
+    """Loopless SVRG: coin-triggered reference refresh, w^{k+1} = x^k."""
+
+    name = "l-svrg"
+    step = _SVRGFamily.step
+
+    def __init__(self, oracle: Oracle, x0: np.ndarray, eta: float, p: float):
+        super().__init__(oracle, x0, eta, p)
+
+
+class LoopySVRG(_SVRGFamily, _Loop):
     """Original SVRG loop structure: refresh w <- x^k every m steps."""
 
     name = "svrg"
+    step = _SVRGFamily.step
 
     def __init__(self, oracle: Oracle, x0: np.ndarray, eta: float, m: int):
-        if m < 1:
-            raise ValueError(f"inner loop length m must be >= 1, got {m}")
-        self.oracle = oracle
-        self.eta = _check_positive(eta, "eta")
-        self.m = int(m)
-        self.j = 0
-        self.x = np.array(x0, dtype=np.float64)
-        self.w = self.x
-        self.grad_w = oracle.full_grad(self.w)
-        self.k = 0
-        self.oracle_calls = oracle.n
-
-    @classmethod
-    def theory(cls, oracle: Oracle, x0: np.ndarray) -> "LoopySVRG":
-        params = loopy_svrg_theory_params(oracle)
-        return cls(oracle, x0, **params)
-
-    def step(self, rng: SplitMix64):
-        oracle = self.oracle
-        i = rng.randbelow(oracle.n)
-        correction = oracle.grad_i(i, self.w) - self.grad_w
-        g = oracle.grad_i(i, self.x) - correction
-        x_prev = self.x
-        self.x = x_prev - self.eta * g
-        self.oracle_calls += 2
-        self.j += 1
-        if self.j == self.m:
-            self.w = x_prev
-            self.grad_w = oracle.full_grad(self.w)
-            self.oracle_calls += oracle.n
-            self.j = 0
-        self.k += 1
-
-    @property
-    def tracked_point(self) -> np.ndarray:
-        return self.x
-
-    @property
-    def epoch(self) -> float:
-        return self.oracle_calls / self.oracle.n
+        super().__init__(oracle, x0, eta, m)
 
 
-class LoopyKatyusha:
+class LKatyusha(_KatyushaFamily, _Coin):
+    """Loopless Katyusha: negative momentum toward w, coin refresh w^{k+1} = y^k."""
+
+    name = "l-katyusha"
+    step = _KatyushaFamily.step
+
+    def __init__(
+        self, oracle: Oracle, x0: np.ndarray, theta1: float, theta2: float, p: float
+    ):
+        super().__init__(oracle, x0, theta1, theta2, p)
+
+
+class LoopyKatyusha(_KatyushaFamily, _Loop):
     """Katyusha with a deterministic loop: refresh w <- y^k every m steps."""
 
     name = "katyusha"
+    step = _KatyushaFamily.step
 
     def __init__(
-        self,
-        oracle: Oracle,
-        x0: np.ndarray,
-        theta1: float,
-        theta2: float,
-        m: int,
+        self, oracle: Oracle, x0: np.ndarray, theta1: float, theta2: float, m: int
     ):
-        _check_positive(theta1, "theta1")
-        _check_positive(theta2, "theta2")
-        if theta1 + theta2 > 1.0:
-            raise ValueError(
-                f"theta1 + theta2 must be <= 1, got {theta1} + {theta2}"
-            )
-        if m < 1:
-            raise ValueError(f"inner loop length m must be >= 1, got {m}")
-        self.oracle = oracle
-        self.theta1 = float(theta1)
-        self.theta2 = float(theta2)
-        self.m = int(m)
-        self.j = 0
-        self.sigma = oracle.mu / oracle.L
-        self.eta = theta2 / ((1.0 + theta2) * theta1)
-        self.y = np.array(x0, dtype=np.float64)
-        self.z = self.y
-        self.w = self.y
-        self.grad_w = oracle.full_grad(self.w)
-        self.k = 0
-        self.oracle_calls = oracle.n
-
-    @classmethod
-    def theory(cls, oracle: Oracle, x0: np.ndarray) -> "LoopyKatyusha":
-        params = loopy_katyusha_theory_params(oracle)
-        return cls(oracle, x0, **params)
-
-    def interpolate(self) -> np.ndarray:
-        return (
-            self.theta1 * self.z
-            + self.theta2 * self.w
-            + (1.0 - self.theta1 - self.theta2) * self.y
-        )
-
-    def step(self, rng: SplitMix64):
-        oracle = self.oracle
-        x = self.interpolate()
-        i = rng.randbelow(oracle.n)
-        correction = oracle.grad_i(i, self.w) - self.grad_w
-        g = oracle.grad_i(i, x) - correction
-        eta_sigma = self.eta * self.sigma
-        z_next = (eta_sigma * x + self.z - (self.eta / oracle.L) * g) / (
-            1.0 + eta_sigma
-        )
-        y_next = x + self.theta1 * (z_next - self.z)
-        self.oracle_calls += 2
-        self.j += 1
-        if self.j == self.m:
-            self.w = self.y
-            self.grad_w = oracle.full_grad(self.w)
-            self.oracle_calls += oracle.n
-            self.j = 0
-        self.z = z_next
-        self.y = y_next
-        self.k += 1
-
-    @property
-    def tracked_point(self) -> np.ndarray:
-        return self.y
-
-    @property
-    def epoch(self) -> float:
-        return self.oracle_calls / self.oracle.n
-
-
-def lsvrg_theory_params(oracle: Oracle) -> dict:
-    return {"eta": 1.0 / (6.0 * oracle.L), "p": 1.0 / oracle.n}
-
-
-def lkatyusha_theory_params(oracle: Oracle) -> dict:
-    sigma = oracle.mu / oracle.L
-    theta1 = min(math.sqrt(2.0 * sigma * oracle.n / 3.0), 0.5)
-    return {"theta1": theta1, "theta2": 0.5, "p": 1.0 / oracle.n}
-
-
-def loopy_svrg_theory_params(oracle: Oracle) -> dict:
-    # matched comparison: m = ceil(1/p) at the loopless preset p = 1/n
-    return {"eta": 1.0 / (6.0 * oracle.L), "m": oracle.n}
-
-
-def loopy_katyusha_theory_params(oracle: Oracle) -> dict:
-    params = lkatyusha_theory_params(oracle)
-    return {"theta1": params["theta1"], "theta2": params["theta2"], "m": oracle.n}
-
-
-def gd_theory_params(oracle: Oracle) -> dict:
-    return {"step_size": 1.0 / oracle.L}
-
-
-def lsvrg_predicted_rate(eta: float, mu: float, p: float) -> float:
-    """Per-step contraction factor of the L-SVRG Lyapunov bound."""
-    return max(1.0 - eta * mu, 1.0 - p / 2.0)
-
-
-def lkatyusha_predicted_rate(sigma: float, theta1: float, n: int) -> float:
-    """Per-step contraction factor of the L-Katyusha Lyapunov bound."""
-    return 1.0 - min(sigma / (6.0 * theta1), theta1 / (2.0 * n))
+        super().__init__(oracle, x0, theta1, theta2, m)
 
 
 ALGORITHMS = {
-    "gd": GradientDescent,
-    "svrg": LoopySVRG,
-    "l-svrg": LSVRG,
-    "katyusha": LoopyKatyusha,
-    "l-katyusha": LKatyusha,
+    cls.name: cls
+    for cls in (GradientDescent, LoopySVRG, LSVRG, LoopyKatyusha, LKatyusha)
 }
 
-THEORY_PARAMS = {
-    "gd": gd_theory_params,
-    "svrg": loopy_svrg_theory_params,
-    "l-svrg": lsvrg_theory_params,
-    "katyusha": loopy_katyusha_theory_params,
-    "l-katyusha": lkatyusha_theory_params,
-}
+lsvrg_theory_params = LSVRG.theory_params
+lkatyusha_theory_params = LKatyusha.theory_params
+loopy_svrg_theory_params = LoopySVRG.theory_params
+
+
+def all_param_types() -> dict:
+    """Union of every registered algorithm's constructor parameters."""
+    return {k: v for cls in ALGORITHMS.values() for k, v in cls.param_types.items()}
 
 
 @dataclass

@@ -3,7 +3,22 @@ import json
 
 import pytest
 
-from loopless.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_REFERENCE, main
+from loopless.cli import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_REFERENCE,
+    build_parser,
+    main,
+)
+from loopless.harness import (
+    RunConfig,
+    build_problem,
+    read_trace,
+    resolve_params,
+    trace_columns,
+)
+from loopless.optimizers import ALGORITHMS, LSVRG
 
 
 def run_cli(*argv):
@@ -181,3 +196,60 @@ def test_normalize_flag(tmp_path):
     assert sidecar["normalize"] is True
     # unit rows + mu=0.5 -> L = 0.25 + 0.5
     assert sidecar["L"] == pytest.approx(0.75, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("sweep-p", "--grid", "1,abc"), ("compare-all", "--thresholds", "1e-4,x")],
+)
+def test_malformed_list_flags_exit_with_config_code(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--synthetic", "10,4,25", "--out", str(tmp_path))
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "expected comma-separated" in err and "Traceback" not in err
+
+
+class DampedLSVRG(LSVRG):
+    """A sixth algorithm defined only here: L-SVRG with a damped step size."""
+
+    name = "l-svrg-damped"
+    step = LSVRG.step
+
+    def __init__(self, oracle, x0, eta: float, p: float, damping: float):
+        super().__init__(oracle, x0, eta * damping, p)
+
+    @classmethod
+    def theory_params(cls, oracle):
+        return {**super().theory_params(oracle), "damping": 0.5}
+
+
+def test_algorithm_facts_come_from_the_class(tmp_path, monkeypatch):
+    monkeypatch.setitem(ALGORITHMS, DampedLSVRG.name, DampedLSVRG)
+    oracle, _ = build_problem(
+        RunConfig(algorithm="gd", synthetic=(10, 4, 25.0), loss="ridge", mu=1.0)
+    )
+    for name, cls in ALGORITHMS.items():
+        assert cls.name == name
+        assert build_parser().parse_args(["run", "--alg", name]).alg == name
+        config = RunConfig(algorithm=name, synthetic=(10, 4, 25.0), loss="ridge",
+                           mu=1.0, diagnostics="lemmas" if cls.potential else "distance")
+        params = resolve_params(config, oracle)
+        assert list(params) == list(cls.param_types)
+        assert set(cls.theory_params(oracle)) == set(params)
+        assert trace_columns(config) == (
+            ["k", "oracle_calls", "epoch", "dist_sq", "f_gap", *cls.potential]
+            + [f"slack_{lemma}" for lemma in cls.lemmas] + ["wall_ns"]
+        )
+
+    # the new class's own parameter gets a flag, and its runs trace its family
+    code = run_cli(
+        "run", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1.0",
+        "--alg", "l-svrg-damped", "--eta", "0.01", "--p", "0.5", "--damping", "0.5",
+        "--epochs", "2", "--diagnostics", "lemmas", "--out", str(tmp_path),
+    )
+    assert code == EXIT_OK
+    sidecar = json.loads((tmp_path / "l-svrg-damped_ridge_seed0.json").read_text())
+    assert sidecar["params"] == {"eta": 0.01, "p": 0.5, "damping": 0.5}
+    trace = read_trace(tmp_path / "l-svrg-damped_ridge_seed0.csv")
+    assert all(row["slack_phi_contraction"] >= -1e-10 for row in trace)

@@ -6,6 +6,7 @@ import pytest
 from loopless.data import parse_libsvm, synthesize_quadratic
 from loopless.oracle import make_oracle
 from loopless.optimizers import (
+    ALGORITHMS,
     GradientDescent,
     LKatyusha,
     LoopyKatyusha,
@@ -340,3 +341,34 @@ def test_epoch_accounting_matches_calls(ridge10):
         opt.step(rng)
     assert opt.epoch == opt.oracle_calls / oracle.n
     assert opt.oracle_calls >= oracle.n + 2 * 37
+
+
+# Checkpoint (k, oracle_calls) and final squared distance of every algorithm
+# at its theory preset, recorded from the separate per-class step
+# implementations that the shared family kernels replaced.  The integers pin
+# the draw order (index, then coin) and the refresh schedule on any platform.
+PINNED_TRAJECTORIES = {
+    "gd": ([0, 1, 2, 3, 4, 5, 6, 7], [12, 24, 36, 48, 60, 72, 84, 96],
+           0.0019287953105964367),
+    "svrg": ([0, 6, 12, 18, 24, 30], [12, 24, 48, 60, 84, 96],
+             0.004092529409750922),
+    "l-svrg": ([0, 6, 9, 11, 12, 18, 24, 25], [12, 24, 42, 58, 60, 72, 84, 98],
+               0.005724639978528628),
+    "katyusha": ([0, 6, 12, 18, 24, 30], [12, 24, 48, 60, 84, 96],
+                 0.0002618348516641864),
+    "l-katyusha": ([0, 6, 9, 11, 12, 18, 24, 25], [12, 24, 42, 58, 60, 72, 84, 98],
+                   0.0021454751786395055),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRAJECTORIES))
+def test_trajectory_regression_pin(name):
+    dataset, x_star = synthesize_quadratic(12, 4, 30.0, seed=1, mu=1.0)
+    oracle = make_oracle(dataset, "ridge", 1.0)
+    opt = ALGORITHMS[name].theory(oracle, np.zeros(oracle.d))
+    records = run(opt, SplitMix64(1), epochs=8.0)
+    ks, calls, dist_sq = PINNED_TRAJECTORIES[name]
+    assert [r.k for r in records] == ks
+    assert [r.oracle_calls for r in records] == calls
+    delta = opt.tracked_point - x_star
+    assert float(delta @ delta) == pytest.approx(dist_sq, rel=1e-12)
