@@ -1,13 +1,18 @@
 """Sparse datasets: LIBSVM text parsing/writing and synthetic instances.
 
-A dataset is n sparse feature rows with labels in {-1, +1}.  File indices are
-1-based (LIBSVM convention) and are shifted to 0-based internally.
+A dataset is n sparse feature rows with labels in {-1, +1}, stored once in
+CSR form: ``indptr`` (row i owns entries indptr[i]:indptr[i+1]), ``indices``
+(0-based, strictly increasing within a row) and ``values`` (nonzero).  File
+indices are 1-based (LIBSVM convention) and are shifted to 0-based when
+parsed.  ``Dataset.rows`` hands out ``SparseRow`` views into those arrays.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -60,27 +65,88 @@ class SparseRow:
         return out
 
 
-@dataclass
+def _frozen(a, dtype) -> np.ndarray:
+    """A read-only view (the caller's array itself stays writable)."""
+    view = np.asarray(a, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
 class Dataset:
-    """Immutable-by-convention bundle of rows, labels, and dimensions."""
+    """n sparse rows in CSR arrays, their labels and the dimension d.
 
-    rows: list[SparseRow]
-    labels: np.ndarray
-    d: int
-    n: int = field(init=False)
+    ``Dataset(rows, labels, d)`` builds the arrays from a list of SparseRow;
+    ``Dataset.from_csr`` wraps ready arrays (int64 and float64 ones are not
+    copied).  The arrays are read-only, so oracles share them instead of
+    copying, and ``rows`` hands out SparseRow views into them.
+    """
 
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.float64)
-        self.n = len(self.rows)
+    def __init__(self, rows: Iterable[SparseRow], labels, d: int):
+        rows = list(rows)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([row.nnz for row in rows], out=indptr[1:])
+        indices = np.concatenate([r.indices for r in rows] + [np.empty(0, np.int64)])
+        values = np.concatenate([r.values for r in rows] + [np.empty(0)])
+        self._init_csr(indptr, indices, values, labels, d)
+
+    @classmethod
+    def from_csr(cls, indptr, indices, values, labels, d: int) -> "Dataset":
+        dataset = cls.__new__(cls)
+        dataset._init_csr(indptr, indices, values, labels, d)
+        return dataset
+
+    def _init_csr(self, indptr, indices, values, labels, d):
+        self.indptr = _frozen(indptr, np.int64)
+        self.indices = _frozen(indices, np.int64)
+        self.values = _frozen(values, np.float64)
+        self.labels = _frozen(labels, np.float64)
+        self.d = int(d)
+        self.n = self.indptr.size - 1
         if self.n < 1:
             raise ValueError("dataset needs at least one row")
         if self.labels.shape != (self.n,):
             raise ValueError("labels and rows must have equal length")
         if not np.isin(self.labels, (-1.0, 1.0)).all():
             raise ValueError("labels must be -1 or +1")
-        max_index = max((int(r.indices[-1]) for r in self.rows if r.nnz), default=-1)
+        nnz = self.indices.size
+        counts = np.diff(self.indptr)
+        if (self.indptr[0] != 0 or (counts < 0).any() or self.indptr[-1] != nnz
+                or self.values.shape != (nnz,)):
+            raise ValueError("indptr, indices and values do not describe CSR rows")
+        within_row = np.ones(max(nnz - 1, 0), dtype=bool)
+        boundaries = self.indptr[1:-1]
+        within_row[boundaries[(boundaries > 0) & (boundaries < nnz)] - 1] = False
+        if (np.diff(self.indices)[within_row] <= 0).any():
+            raise ValueError("indices must be strictly increasing within a row")
+        if nnz and self.indices.min() < 0:
+            raise ValueError("indices must be nonnegative")
+        if (self.values == 0.0).any():
+            raise ValueError("stored values must be nonzero")
+        max_index = int(self.indices.max()) if nnz else -1
         if self.d < max_index + 1:
             raise ValueError(f"d={self.d} smaller than max feature index {max_index}")
+        # row sums skip empty rows: reduceat cannot express an empty segment
+        self._nonempty = counts > 0
+        self._starts = self.indptr[:-1][self._nonempty]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indices.size)
+
+    @property
+    def rows(self) -> "_Rows":
+        return _Rows(self)
+
+    def row_sums(self, entries: np.ndarray) -> np.ndarray:
+        """Sum per-entry values over each row, along the last axis (nnz -> n).
+
+        Empty rows sum to 0.  ``entries`` may carry leading batch axes.
+        """
+        if self._starts.size == self.n:
+            return np.add.reduceat(entries, self._starts, axis=-1)
+        out = np.zeros(entries.shape[:-1] + (self.n,))
+        out[..., self._nonempty] = np.add.reduceat(entries, self._starts, axis=-1)
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -88,8 +154,35 @@ class Dataset:
         return (
             self.d == other.d
             and np.array_equal(self.labels, other.labels)
-            and self.rows == other.rows
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+            and np.array_equal(self.values, other.values)
         )
+
+    def __repr__(self) -> str:
+        return f"Dataset(n={self.n}, d={self.d}, nnz={self.nnz})"
+
+
+class _Rows(Sequence):
+    """A dataset's rows as SparseRow views, made on access and never stored."""
+
+    def __init__(self, dataset: Dataset):
+        self._dataset = dataset
+
+    def __len__(self) -> int:
+        return self._dataset.n
+
+    def __getitem__(self, i: int) -> SparseRow:
+        ds = self._dataset
+        if i < 0:
+            i += ds.n
+        if not 0 <= i < ds.n:
+            raise IndexError(f"row {i} out of range [0, {ds.n})")
+        lo, hi = ds.indptr[i], ds.indptr[i + 1]
+        # a view over arrays the dataset validated: skip SparseRow's checks
+        row = SparseRow.__new__(SparseRow)
+        row.indices, row.values = ds.indices[lo:hi], ds.values[lo:hi]
+        return row
 
 
 def _as_lines(source: str | TextIO | Iterable[str]) -> Iterable[str]:
@@ -98,13 +191,12 @@ def _as_lines(source: str | TextIO | Iterable[str]) -> Iterable[str]:
     return source
 
 
-def _remap_labels(raw: list[float]) -> np.ndarray:
-    distinct = sorted(set(raw))
+def _remap_labels(raw: np.ndarray) -> np.ndarray:
+    distinct = sorted(set(raw.tolist()))
     if all(v in (-1.0, 1.0) for v in distinct):
-        return np.asarray(raw)
+        return raw
     if len(distinct) == 2:
-        lo, hi = distinct
-        return np.asarray([-1.0 if v == lo else 1.0 for v in raw])
+        return np.where(raw == distinct[0], -1.0, 1.0)
     raise ParseError(
         f"cannot map labels {distinct} onto {{-1,+1}}: need two distinct values "
         "(or values already in {-1,+1})"
@@ -123,9 +215,11 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
     Raises ParseError (with the offending line number) on malformed tokens,
     non-increasing indices within a line, unmappable labels, or empty input.
     """
-    rows: list[SparseRow] = []
-    raw_labels: list[float] = []
-    max_index = -1
+    # typed arrays grow in place: 16 bytes per stored entry, no per-row objects
+    indptr = array("q", [0])
+    indices = array("q")
+    values = array("d")
+    raw_labels = array("d")
 
     for lineno, line in enumerate(_as_lines(source), start=1):
         line = line.split("#", 1)[0].strip()
@@ -137,8 +231,6 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
         except ValueError:
             raise ParseError(f"bad label {tokens[0]!r}", lineno) from None
 
-        idx: list[int] = []
-        val: list[float] = []
         prev = 0
         for tok in tokens[1:]:
             part = tok.split(":")
@@ -158,23 +250,24 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
             prev = j
             if v == 0.0:
                 continue
-            idx.append(j - 1)
-            val.append(v)
-        if idx:
-            max_index = max(max_index, idx[-1])
-        rows.append(SparseRow(np.array(idx, dtype=np.int64), np.array(val)))
+            indices.append(j - 1)
+            values.append(v)
+        indptr.append(len(indices))
         raw_labels.append(label)
 
-    if not rows:
+    if not raw_labels:
         raise ParseError("empty dataset")
-    labels = _remap_labels(raw_labels)
+    labels = _remap_labels(np.frombuffer(raw_labels))
+    indices = np.frombuffer(indices, dtype=np.int64)
 
-    d = max_index + 1
+    d = int(indices.max()) + 1 if indices.size else 0
     if dim is not None:
         if dim < d:
             raise ParseError(f"dim override {dim} smaller than max index + 1 = {d}")
         d = dim
-    return Dataset(rows, labels, d)
+    return Dataset.from_csr(
+        np.frombuffer(indptr, dtype=np.int64), indices, np.frombuffer(values), labels, d
+    )
 
 
 def load_libsvm(path, dim: int | None = None) -> Dataset:
@@ -197,11 +290,15 @@ def write_libsvm(dataset: Dataset) -> str:
     parse_libsvm(write_libsvm(ds)) == ds whenever ds.d is the tight dimension;
     a padded dimension must be re-applied via parse_libsvm(..., dim=ds.d).
     """
+    indptr = dataset.indptr.tolist()
+    indices = (dataset.indices + 1).tolist()
+    values = dataset.values.tolist()
     lines = []
-    for row, label in zip(dataset.rows, dataset.labels):
+    for i, label in enumerate(dataset.labels.tolist()):
+        lo, hi = indptr[i], indptr[i + 1]
         parts = ["+1" if label > 0 else "-1"]
         parts.extend(
-            f"{j + 1}:{_format_value(v)}" for j, v in zip(row.indices, row.values)
+            f"{j}:{_format_value(v)}" for j, v in zip(indices[lo:hi], values[lo:hi])
         )
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
@@ -214,22 +311,19 @@ def save_libsvm(dataset: Dataset, path) -> None:
 
 def normalize_rows(dataset: Dataset) -> Dataset:
     """Scale every nonempty row to unit Euclidean norm (new dataset)."""
-    rows = []
-    for row in dataset.rows:
-        if row.nnz:
-            norm = float(np.linalg.norm(row.values))
-            rows.append(SparseRow(row.indices.copy(), row.values / norm))
-        else:
-            rows.append(SparseRow(row.indices.copy(), row.values.copy()))
-    return Dataset(rows, dataset.labels.copy(), dataset.d)
+    norms = np.sqrt(dataset.row_sums(dataset.values * dataset.values))
+    counts = np.diff(dataset.indptr)
+    values = dataset.values / np.repeat(norms, counts)
+    return Dataset.from_csr(
+        dataset.indptr, dataset.indices, values, dataset.labels, dataset.d
+    )
 
 
-def _dense_to_rows(A: np.ndarray) -> list[SparseRow]:
-    rows = []
-    for i in range(A.shape[0]):
-        nz = np.nonzero(A[i])[0]
-        rows.append(SparseRow(nz.astype(np.int64), A[i, nz].copy()))
-    return rows
+def _dense_to_csr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rows, indices = np.nonzero(A)
+    indptr = np.zeros(A.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=A.shape[0]), out=indptr[1:])
+    return indptr, indices, A[rows, indices]
 
 
 def synthesize_quadratic(
@@ -286,5 +380,5 @@ def synthesize_quadratic(
     H = A.T @ A / n + mu * np.eye(d)
     x_star = np.linalg.solve(H, A.T @ b / n)
 
-    dataset = Dataset(_dense_to_rows(A), b, d)
+    dataset = Dataset.from_csr(*_dense_to_csr(A), b, d)
     return dataset, x_star

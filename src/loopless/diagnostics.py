@@ -137,20 +137,23 @@ def _check_dims(state, ref: ReferenceSolution, oracle: Oracle):
         raise ValueError("reference per-sample gradient table does not match oracle")
 
 
-def _dk_at(point, state, ref: ReferenceSolution, oracle: Oracle) -> float:
-    table = oracle.grad_table(point)
+def _dk(table: np.ndarray, state, ref: ReferenceSolution, oracle: Oracle) -> float:
+    """dk with the per-sample gradients at the reference point given as a table."""
     diff = table - ref.grad_i_star
     coef = 4.0 * state.eta**2 / (state.p * oracle.n)
     return coef * float(np.einsum("ij,ij->", diff, diff))
 
 
+def _phi_report(state, ref: ReferenceSolution, dk: float) -> LyapunovReport:
+    delta = state.x - ref.x_star
+    dist_sq = float(delta @ delta)
+    return LyapunovReport(phi=dist_sq + dk, dist_sq=dist_sq, dk=dk)
+
+
 def compute_phi(state, ref: ReferenceSolution, oracle: Oracle) -> LyapunovReport:
     """Evaluate the SVRG-family potential at the current state."""
     _check_dims(state, ref, oracle)
-    delta = state.x - ref.x_star
-    dist_sq = float(delta @ delta)
-    dk = _dk_at(state.w, state, ref, oracle)
-    return LyapunovReport(phi=dist_sq + dk, dist_sq=dist_sq, dk=dk)
+    return _phi_report(state, ref, _dk(oracle.grad_table(state.w), state, ref, oracle))
 
 
 def _psi_coefs(state, oracle: Oracle) -> tuple[float, float, float]:
@@ -160,15 +163,22 @@ def _psi_coefs(state, oracle: Oracle) -> tuple[float, float, float]:
     return cz, cy, cw
 
 
-def compute_psi(state, ref: ReferenceSolution, oracle: Oracle) -> LyapunovReport:
-    """Evaluate the Katyusha-family potential at the current state."""
-    _check_dims(state, ref, oracle)
+def _psi_report(state, ref: ReferenceSolution, oracle: Oracle, f_y: float,
+                f_w: float) -> LyapunovReport:
     cz, cy, cw = _psi_coefs(state, oracle)
     dz = state.z - ref.x_star
     zk = cz * float(dz @ dz)
-    yk = cy * (oracle.full_loss(state.y) - ref.f_star)
-    wk = cw * (oracle.full_loss(state.w) - ref.f_star)
+    yk = cy * (f_y - ref.f_star)
+    wk = cw * (f_w - ref.f_star)
     return LyapunovReport(psi=zk + yk + wk, zk=zk, yk=yk, wk=wk)
+
+
+def compute_psi(state, ref: ReferenceSolution, oracle: Oracle) -> LyapunovReport:
+    """Evaluate the Katyusha-family potential at the current state."""
+    _check_dims(state, ref, oracle)
+    return _psi_report(
+        state, ref, oracle, oracle.full_loss(state.y), oracle.full_loss(state.w)
+    )
 
 
 def _guard(oracle: Oracle):
@@ -178,67 +188,104 @@ def _guard(oracle: Oracle):
         )
 
 
-def _estimator_table(x, w, grad_w, oracle: Oracle) -> np.ndarray:
-    """All n realizations of g = grad_i(x) - (grad_i(w) - grad_w)."""
-    out = np.empty((oracle.n, oracle.d))
-    for i in range(oracle.n):
-        out[i] = oracle.grad_i(i, x) - (oracle.grad_i(i, w) - grad_w)
-    return out
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+@dataclass
+class _SVRGStep:
+    """What the SVRG-family one-step analysis reads at a state, computed from
+    one gradient table at x and one at w."""
+
+    report: LyapunovReport  # phi at the state (dk at w)
+    dk_heads: float  # dk after a refresh, w <- x
+    g: np.ndarray  # (n, d): the estimator for every sample draw
+    mean_dist_next: float  # mean ||x_next - x*||^2 over the n draws
+    expected_phi_next: float
+
+
+def _svrg_step(state, ref: ReferenceSolution, oracle: Oracle) -> _SVRGStep:
+    table_x = oracle.grad_table(state.x)
+    table_w = oracle.grad_table(state.w)
+    report = _phi_report(state, ref, _dk(table_w, state, ref, oracle))
+    dk_heads = _dk(table_x, state, ref, oracle)
+    # the estimator table from the two tables dk needs anyway
+    g = table_x - (table_w - state.grad_w)
+    diff = state.x - state.eta * g - ref.x_star
+    mean_dist = float(np.einsum("ij,ij->", diff, diff)) / oracle.n
+    expected = mean_dist + state.p * dk_heads + (1.0 - state.p) * report.dk
+    return _SVRGStep(report, dk_heads, g, mean_dist, expected)
+
+
+def _phi_rhs(report: LyapunovReport, state, oracle: Oracle) -> float:
+    return (1.0 - state.eta * oracle.mu) * report.dist_sq + (
+        1.0 - state.p / 2.0
+    ) * report.dk
 
 
 def exact_expected_phi_next(state, ref: ReferenceSolution, oracle: Oracle) -> float:
     """E[phi at the next step], enumerating all n draws and both coins."""
     _guard(oracle)
     _check_dims(state, ref, oracle)
-    g = _estimator_table(state.x, state.w, state.grad_w, oracle)
-    x_next = state.x - state.eta * g
-    diff = x_next - ref.x_star
-    mean_dist = float(np.einsum("ij,ij->", diff, diff)) / oracle.n
-    dk_tails = _dk_at(state.w, state, ref, oracle)
-    dk_heads = _dk_at(state.x, state, ref, oracle)
-    return mean_dist + state.p * dk_heads + (1.0 - state.p) * dk_tails
+    return _svrg_step(state, ref, oracle).expected_phi_next
 
 
 def phi_contraction_rhs(state, ref: ReferenceSolution, oracle: Oracle) -> float:
     """One-step bound (1 - eta mu) dist + (1 - p/2) dk; needs eta <= 1/(6L)."""
-    report = compute_phi(state, ref, oracle)
-    return (1.0 - state.eta * oracle.mu) * report.dist_sq + (
-        1.0 - state.p / 2.0
-    ) * report.dk
+    return _phi_rhs(compute_phi(state, ref, oracle), state, oracle)
 
 
-def _katyusha_branches(state, oracle: Oracle):
+@dataclass
+class _KatyushaStep:
+    """What the Katyusha-family one-step analysis reads at a state, each
+    piece computed once: every sample draw's branch and f at its y_next."""
+
+    x: np.ndarray  # the interpolated point x^k
+    g: np.ndarray  # (n, d): the estimator for every sample draw
+    z_next: np.ndarray  # (n, d)
+    f_y_next: np.ndarray  # (n,): f(y_next) per draw
+    f_y: float
+    f_w: float
+    report: LyapunovReport  # psi at the state
+    expected_psi_next: float
+
+
+def _katyusha_step(state, ref: ReferenceSolution, oracle: Oracle) -> _KatyushaStep:
+    cz, cy, cw = _psi_coefs(state, oracle)
     x = state.interpolate()
-    g = _estimator_table(x, state.w, state.grad_w, oracle)
-    return (x, g, *state.momentum_step(x, g))
+    g = oracle.estimator_table(x, state.w, state.grad_w)
+    z_next, y_next = state.momentum_step(x, g)
+    f_y_next = oracle.full_loss_many(y_next)
+    f_y = oracle.full_loss(state.y)
+    f_w = oracle.full_loss(state.w)
+    report = _psi_report(state, ref, oracle, f_y, f_w)
+    dz = z_next - ref.x_star
+    mean_z = cz * float(np.einsum("ij,ij->", dz, dz)) / oracle.n
+    mean_y = cy * float(np.sum(f_y_next - ref.f_star)) / oracle.n
+    # a refresh moves w to y (heads); otherwise w, and its term, stay (tails)
+    w_heads = cw * (f_y - ref.f_star)
+    expected = mean_z + mean_y + state.p * w_heads + (1.0 - state.p) * report.wk
+    return _KatyushaStep(x, g, z_next, f_y_next, f_y, f_w, report, expected)
+
+
+def _psi_rhs(report: LyapunovReport, state) -> float:
+    return (
+        report.zk / (1.0 + state.eta * state.sigma)
+        + (1.0 - state.theta1 * (1.0 - state.theta2)) * report.yk
+        + (1.0 - state.p * state.theta1 / (1.0 + state.theta1)) * report.wk
+    )
 
 
 def exact_expected_psi_next(state, ref: ReferenceSolution, oracle: Oracle) -> float:
     """E[psi at the next step], enumerating all n draws and both coins."""
     _guard(oracle)
     _check_dims(state, ref, oracle)
-    cz, cy, cw = _psi_coefs(state, oracle)
-    _, _, z_next, y_next = _katyusha_branches(state, oracle)
-    dz = z_next - ref.x_star
-    mean_z = cz * float(np.einsum("ij,ij->", dz, dz)) / oracle.n
-    mean_y = (
-        cy
-        * sum(oracle.full_loss(y_next[i]) - ref.f_star for i in range(oracle.n))
-        / oracle.n
-    )
-    w_tails = cw * (oracle.full_loss(state.w) - ref.f_star)
-    w_heads = cw * (oracle.full_loss(state.y) - ref.f_star)
-    return mean_z + mean_y + state.p * w_heads + (1.0 - state.p) * w_tails
+    return _katyusha_step(state, ref, oracle).expected_psi_next
 
 
 def psi_contraction_rhs(state, ref: ReferenceSolution, oracle: Oracle) -> float:
     """One-step bound Z/(1+eta sigma) + (1-theta1(1-theta2)) Y + (1-p theta1/(1+theta1)) W."""
-    report = compute_psi(state, ref, oracle)
-    return (
-        report.zk / (1.0 + state.eta * state.sigma)
-        + (1.0 - state.theta1 * (1.0 - state.theta2)) * report.yk
-        + (1.0 - state.p * state.theta1 / (1.0 + state.theta1)) * report.wk
-    )
+    return _psi_rhs(compute_psi(state, ref, oracle), state)
 
 
 @dataclass
@@ -280,20 +327,15 @@ def verify_lemma_bounds(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
 def _verify_svrg_bounds(state, ref, oracle) -> dict:
     n, mu, L = oracle.n, oracle.mu, oracle.L
     eta, p = state.eta, state.p
-    f_x = oracle.full_loss(state.x)
-    gap = f_x - ref.f_star
-    report = compute_phi(state, ref, oracle)
-    g = _estimator_table(state.x, state.w, state.grad_w, oracle)
-    second_moment = float(np.einsum("ij,ij->", g, g)) / n
-
-    x_next = state.x - eta * g
-    diff = x_next - ref.x_star
-    mean_dist_next = float(np.einsum("ij,ij->", diff, diff)) / n
+    gap = oracle.full_loss(state.x) - ref.f_star
+    step = _svrg_step(state, ref, oracle)
+    report = step.report
+    second_moment = float(np.einsum("ij,ij->", step.g, step.g)) / n
 
     checks = [
         _upper(
             "iterate_distance",
-            mean_dist_next,
+            step.mean_dist_next,
             (1.0 - eta * mu) * report.dist_sq - 2.0 * eta * gap
             + eta**2 * second_moment,
         ),
@@ -304,13 +346,13 @@ def _verify_svrg_bounds(state, ref, oracle) -> dict:
         ),
         _upper(
             "grad_learning_decay",
-            (1.0 - p) * report.dk + p * _dk_at(state.x, state, ref, oracle),
+            (1.0 - p) * report.dk + p * step.dk_heads,
             (1.0 - p) * report.dk + 8.0 * L * eta**2 * gap,
         ),
         _upper(
             "phi_contraction",
-            exact_expected_phi_next(state, ref, oracle),
-            phi_contraction_rhs(state, ref, oracle),
+            step.expected_phi_next,
+            _phi_rhs(report, state, oracle),
         ),
     ]
     return {c.name: c for c in checks}
@@ -322,57 +364,44 @@ def _verify_katyusha_bounds(state, ref, oracle) -> dict:
     theta1, theta2, sigma = state.theta1, state.theta2, state.sigma
     cz, cy, cw = _psi_coefs(state, oracle)
 
-    x, g, z_next, y_next = _katyusha_branches(state, oracle)
+    step = _katyusha_step(state, ref, oracle)
+    x, g, z_next, report = step.x, step.g, step.z_next, step.report
     grad_x = oracle.full_grad(x)
     f_x = oracle.full_loss(x)
-    f_y = oracle.full_loss(state.y)
-    f_w = oracle.full_loss(state.w)
-    report = compute_psi(state, ref, oracle)
 
     dev = g - grad_x
-    variance = float(np.einsum("ij,ij->", dev, dev)) / n
-    bregman = f_w - f_x - float(grad_x @ (state.w - x))
+    dev_sq = _rowdot(dev, dev)
+    variance = float(dev_sq.sum()) / n
+    bregman = step.f_w - f_x - float(grad_x @ (state.w - x))
 
     dx = x - ref.x_star
     dist_x = float(dx @ dx)
-    z_cur = cz * float((state.z - ref.x_star) @ (state.z - ref.x_star))
 
-    # per-realization bounds: report the worst sample draw
-    z_slack = np.inf
-    y_slack = np.inf
-    z_lhs = z_rhs = y_lhs = y_rhs = 0.0
-    for i in range(n):
-        dz_step = z_next[i] - state.z
-        z_next_pot = cz * float((z_next[i] - ref.x_star) @ (z_next[i] - ref.x_star))
-        lhs = float(g[i] @ (ref.x_star - z_next[i])) + 0.5 * mu * dist_x
-        rhs = (
-            L / (2.0 * eta) * float(dz_step @ dz_step)
-            + z_next_pot
-            - z_cur / (1.0 + eta * sigma)
-        )
-        if lhs - rhs < z_slack:
-            z_slack, z_lhs, z_rhs = lhs - rhs, lhs, rhs
-
-        lhs_y = (oracle.full_loss(y_next[i]) - f_x) / theta1 - theta2 / (
-            2.0 * L * theta1
-        ) * float(dev[i] @ dev[i])
-        rhs_y = L / (2.0 * eta) * float(dz_step @ dz_step) + float(g[i] @ dz_step)
-        if rhs_y - lhs_y < y_slack:
-            y_slack, y_lhs, y_rhs = rhs_y - lhs_y, lhs_y, rhs_y
+    # per-realization bounds, one entry per sample draw; report the worst
+    dz_step = z_next - state.z
+    step_sq = _rowdot(dz_step, dz_step)
+    dz_next = z_next - ref.x_star
+    z_lhs = _rowdot(g, ref.x_star - z_next) + 0.5 * mu * dist_x
+    z_rhs = (
+        L / (2.0 * eta) * step_sq
+        + cz * _rowdot(dz_next, dz_next)
+        - report.zk / (1.0 + eta * sigma)
+    )
+    y_lhs = (step.f_y_next - f_x) / theta1 - theta2 / (2.0 * L * theta1) * dev_sq
+    y_rhs = L / (2.0 * eta) * step_sq + _rowdot(g, dz_step)
+    z_slack = z_lhs - z_rhs
+    y_slack = y_rhs - y_lhs
+    iz, iy = int(np.argmin(z_slack)), int(np.argmin(y_slack))
 
     checks = [
         _upper("estimator_variance", variance, 2.0 * L * bregman),
-        BoundSlack("z_update", z_lhs, z_rhs, z_slack),
-        BoundSlack("y_progress", y_lhs, y_rhs, y_slack),
+        BoundSlack("z_update", float(z_lhs[iz]), float(z_rhs[iz]), float(z_slack[iz])),
+        BoundSlack("y_progress", float(y_lhs[iy]), float(y_rhs[iy]), float(y_slack[iy])),
         _equality(
             "reference_recursion",
-            (1.0 - p) * report.wk + p * cw * (f_y - ref.f_star),
+            (1.0 - p) * report.wk + p * cw * (step.f_y - ref.f_star),
             (1.0 - p) * report.wk + theta2 * (1.0 + theta1) * report.yk,
         ),
-        _upper(
-            "psi_contraction",
-            exact_expected_psi_next(state, ref, oracle),
-            psi_contraction_rhs(state, ref, oracle),
-        ),
+        _upper("psi_contraction", step.expected_psi_next, _psi_rhs(report, state)),
     ]
     return {c.name: c for c in checks}

@@ -154,7 +154,15 @@ def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
     extra = set(params) - set(types)
     if extra:
         raise ConfigError(f"params {sorted(extra)} do not apply to {config.algorithm}")
-    return {name: kind(params[name]) for name, kind in types.items()}
+    resolved = {}
+    for name, kind in types.items():
+        try:
+            resolved[name] = kind(params[name])
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"param {name}={params[name]!r} is not a valid {kind.__name__}"
+            ) from None
+    return resolved
 
 
 def build_reference(config: RunConfig, oracle: Oracle, minimizer) -> ReferenceSolution | None:
@@ -176,7 +184,10 @@ def make_optimizer(config: RunConfig, oracle: Oracle, params: dict):
     x0 = np.zeros(oracle.d) if config.x0 is None else np.asarray(config.x0, float)
     if x0.shape != (oracle.d,):
         raise ConfigError(f"x0 has shape {x0.shape}, expected ({oracle.d},)")
-    return ALGORITHMS[config.algorithm](oracle, x0, **params)
+    try:
+        return ALGORITHMS[config.algorithm](oracle, x0, **params)
+    except ValueError as exc:  # a parameter out of range, e.g. eta <= 0 or p > 1
+        raise ConfigError(str(exc)) from None
 
 
 def build_metrics(config: RunConfig, oracle: Oracle, ref: ReferenceSolution | None):
@@ -493,14 +504,26 @@ def emit_plotdata(trace_paths, out_path, metrics: list[str] | None = None) -> Pa
     return out_path
 
 
+def _reference_source(config: RunConfig) -> str:
+    """Names the data a reference solves: the file's stem, or the synthetic
+    shape and data seed (the optimizer seed does not change the problem)."""
+    if config.synthetic is not None:
+        n, d, kappa = config.synthetic
+        source = f"synthetic{n}x{d}k{kappa:g}_data{config.data_seed}"
+    else:
+        source = Path(config.dataset_path).stem
+    return source + ("_normalized" if config.normalize else "")
+
+
 def solve_reference_cli(config: RunConfig, out_dir) -> Path:
-    """Standalone reference solve; writes <run_id>_ref.npz and a JSON summary."""
+    """Standalone reference solve; writes
+    <source>_<loss>_mu<mu>_ref.npz and a JSON summary beside it."""
     config.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     oracle, minimizer = build_problem(config)
     ref = _reference(config, oracle, minimizer)
-    stem = f"{config.loss}_mu{config.mu}_seed{config.seed}_ref"
+    stem = f"{_reference_source(config)}_{config.loss}_mu{config.mu}_ref"
     npz_path = out_dir / f"{stem}.npz"
     np.savez(npz_path, x_star=ref.x_star, f_star=ref.f_star, grad_norm=ref.grad_norm)
     with open(out_dir / f"{stem}.json", "w", encoding="utf-8") as fh:

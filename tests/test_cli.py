@@ -184,6 +184,22 @@ def test_solve_ref_subcommand(tmp_path):
     assert summary["grad_norm"] <= summary["tolerance"]
 
 
+def test_solve_ref_names_the_data_seed(tmp_path, capsys):
+    f_stars = []
+    for data_seed in ("1", "2"):
+        code = run_cli(
+            "solve-ref", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1.0",
+            "--data-seed", data_seed, "--out", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        npz = capsys.readouterr().out.strip()
+        assert f"_data{data_seed}_" in npz
+        summary = json.loads((tmp_path / npz).with_suffix(".json").read_text())
+        f_stars.append(summary["f_star"])
+    assert len(list(tmp_path.glob("*_ref.npz"))) == 2
+    assert f_stars[0] != f_stars[1]
+
+
 def test_normalize_flag(tmp_path):
     data = tmp_path / "tiny.svm"
     data.write_text("+1 1:3 2:4\n-1 1:1\n", encoding="utf-8")
@@ -208,6 +224,23 @@ def test_malformed_list_flags_exit_with_config_code(tmp_path, capsys, argv):
     assert exc.value.code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "expected comma-separated" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [({"eta": "abc", "p": 0.5}, "param eta='abc' is not a valid float"),
+     ({"eta": 0.1, "p": [0.5]}, "param p=[0.5] is not a valid float"),
+     ({"eta": -1.0, "p": 0.5}, "eta must be positive")],
+)
+def test_bad_param_values_exit_with_config_code(tmp_path, capsys, params, message):
+    config = {"algorithm": "l-svrg", "synthetic": [10, 4, 25.0], "loss": "ridge",
+              "mu": 1.0, "params": params, "preset": None}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path)) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: ") and message in err
+    assert "\n" not in err and "Traceback" not in err
 
 
 class DampedLSVRG(LSVRG):

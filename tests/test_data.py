@@ -142,6 +142,55 @@ def test_dataset_invariants():
         Dataset([], np.array([]), 1)
 
 
+def test_dataset_is_csr_with_rows_as_views():
+    ds = parse_libsvm("+1 1:0.5 3:-2\n-1 1:0\n-1 2:1", dim=5)
+    assert ds.indptr.tolist() == [0, 2, 2, 3]
+    assert ds.indices.tolist() == [0, 2, 1]
+    assert ds.values.tolist() == [0.5, -2.0, 1.0]
+    assert ds.nnz == 3 and ds.d == 5
+    rows = ds.rows
+    assert len(rows) == 3 and rows[1].nnz == 0
+    assert rows[-1] == rows[2] == SparseRow(np.array([1]), np.array([1.0]))
+    with pytest.raises(IndexError):
+        rows[3]
+    # views into the shared, read-only arrays
+    assert np.shares_memory(rows[0].values, ds.values)
+    for array in (ds.indptr, ds.indices, ds.values, ds.labels, rows[0].values):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    # the row-list constructor builds the same arrays
+    assert Dataset(list(rows), ds.labels, ds.d) == ds
+    assert Dataset.from_csr(ds.indptr, ds.indices, ds.values, ds.labels, ds.d) == ds
+    # normalizing keeps the empty row empty
+    unit = normalize_rows(ds)
+    assert unit.indptr.tolist() == ds.indptr.tolist()
+    assert unit.values.tolist() == pytest.approx([0.5 / 4.25**0.5, -2.0 / 4.25**0.5, 1.0])
+
+
+def test_dataset_keeps_the_callers_arrays_writable():
+    labels = np.array([1.0, -1.0])
+    ds = Dataset([SparseRow([0], [1.0]), SparseRow([], [])], labels, 1)
+    labels[0] = -1.0
+    assert ds.labels[0] == -1.0  # shared, not copied
+    assert labels.flags.writeable and not ds.labels.flags.writeable
+
+
+def test_from_csr_invariants():
+    labels = np.array([1.0, -1.0])
+    # decreasing across a row boundary is fine, within a row it is not
+    Dataset.from_csr([0, 1, 2], [3, 0], [1.0, 1.0], labels, 4)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Dataset.from_csr([0, 2, 2], [3, 0], [1.0, 1.0], labels, 4)
+    with pytest.raises(ValueError, match="CSR"):
+        Dataset.from_csr([0, 1, 3], [3, 0], [1.0, 1.0], labels, 4)
+    with pytest.raises(ValueError, match="nonzero"):
+        Dataset.from_csr([0, 1, 2], [3, 0], [1.0, 0.0], labels, 4)
+    with pytest.raises(ValueError, match="nonnegative"):
+        Dataset.from_csr([0, 1, 2], [-1, 0], [1.0, 1.0], labels, 4)
+    with pytest.raises(ValueError, match="smaller than max"):
+        Dataset.from_csr([0, 1, 2], [3, 0], [1.0, 1.0], labels, 3)
+
+
 def test_normalize_rows_unit_norm():
     ds = parse_libsvm("+1 1:3 2:4\n-1 1:1")
     out = normalize_rows(ds)

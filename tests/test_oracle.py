@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loopless.data import parse_libsvm, synthesize_quadratic
+from loopless.data import Dataset, SparseRow, parse_libsvm, synthesize_quadratic
 from loopless.oracle import LogisticOracle, RidgeOracle, make_oracle
 
 from conftest import random_dataset
@@ -106,6 +106,113 @@ def test_single_sample_full_grad_is_bitwise_grad_i():
     for _ in range(20):
         x = rng.normal(size=oracle.d)
         assert np.array_equal(oracle.full_grad(x), oracle.grad_i(0, x))
+
+
+# -- the vectorized full-data paths against a per-row scalar reference -------
+
+
+def scalar_reference(oracle, x):
+    """Per-row losses and gradients of f_i at x, row by row in Python floats."""
+    x = x.tolist()
+    losses, grads = [], []
+    for row, b in zip(oracle.dataset.rows, oracle.labels.tolist()):
+        pairs = list(zip(row.indices.tolist(), row.values.tolist()))
+        m = math.fsum(v * x[j] for j, v in pairs)
+        if oracle.loss_kind == "logistic":
+            t = -b * m
+            phi = max(t, 0.0) + math.log1p(math.exp(-abs(t)))
+            e = math.exp(-abs(t))
+            dphi = -b * (1.0 / (1.0 + e) if t >= 0.0 else e / (1.0 + e))
+        else:
+            phi, dphi = 0.5 * (m - b) ** 2, m - b
+        losses.append(phi + 0.5 * oracle.mu * math.fsum(xj * xj for xj in x))
+        g = [oracle.mu * xj for xj in x]
+        for j, v in pairs:
+            g[j] += dphi * v
+        grads.append(g)
+    return np.array(losses), np.array(grads).reshape(oracle.n, oracle.d)
+
+
+def property_dataset(rng, n, d, density, pad):
+    """Every fourth row (from the second on) empty, d padded by `pad` unused
+    columns; the other rows hold about density * d entries, at least one."""
+    rows = []
+    for i in range(n):
+        mask = rng.random(d) < density
+        if i % 4 == 1:
+            mask[:] = False
+        elif not mask.any():
+            mask[rng.integers(d)] = True
+        idx = np.flatnonzero(mask)
+        val = rng.normal(size=idx.size)
+        val[val == 0.0] = 1.0
+        rows.append(SparseRow(idx, val))
+    return Dataset(rows, rng.choice([-1.0, 1.0], size=n), d + pad)
+
+
+def assert_close(got, want):
+    """Relative agreement to 1e-12, norm-wise over the last axis (per gradient)."""
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.shape == want.shape
+    err = np.linalg.norm(np.atleast_2d(got - want), axis=-1)
+    scale = np.linalg.norm(np.atleast_2d(want), axis=-1)
+    assert (err <= 1e-12 * scale).all(), (err, scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+@pytest.mark.parametrize("density", [0.1, 0.6])
+@pytest.mark.parametrize("loss", ["logistic", "ridge"])
+@pytest.mark.parametrize("margin", [None, 800.0])
+def test_full_data_paths_match_scalar_reference(loss, density, n, margin):
+    rng = np.random.default_rng([n, int(10 * density), len(loss), int(margin or 0)])
+    dataset = property_dataset(rng, n, d=12, density=density, pad=3)
+    oracle = make_oracle(dataset, loss, 0.3)
+    # the storage actually taken on each side of the 0.25 density threshold
+    assert (oracle._dense is not None) == (dataset.nnz >= 0.25 * n * dataset.d)
+    points = rng.normal(size=(4, oracle.d))
+    if margin is not None:
+        # scale each point so its largest |a_i^T x| is the given margin
+        A = np.stack([row.to_dense(oracle.d) for row in dataset.rows])
+        top = np.abs(points @ A.T).max(axis=1, keepdims=True)
+        points *= margin / np.where(top > 0.0, top, 1.0)
+    x, w = points[0], points[1]
+    losses_x, table_x = scalar_reference(oracle, x)
+    _, table_w = scalar_reference(oracle, w)
+    grad_w = table_w.mean(axis=0)
+    with np.errstate(all="raise"):
+        full_loss = oracle.full_loss(x)
+        full_grad = oracle.full_grad(x)
+        grad_table = oracle.grad_table(x)
+        many = oracle.full_loss_many(points)
+        estimators = oracle.estimator_table(x, w, grad_w)
+    np.testing.assert_allclose(full_loss, losses_x.mean(), rtol=1e-12)
+    many_want = [scalar_reference(oracle, y)[0].mean() for y in points]
+    np.testing.assert_allclose(many, many_want, rtol=1e-12)
+    assert_close(full_grad, table_x.mean(axis=0))
+    assert_close(grad_table, table_x)
+    assert_close(estimators, table_x - (table_w - grad_w))
+
+
+def test_full_loss_many_spans_several_blocks():
+    rng = np.random.default_rng(9)
+    for density in (0.1, 0.6):
+        dataset = property_dataset(rng, 30, 12, density, pad=3)
+        oracle = make_oracle(dataset, "logistic", 0.3)
+        # more points than two blocks of 2**14 margins hold at n = 30
+        points = rng.normal(size=(1200, oracle.d))
+        want = [scalar_reference(oracle, y)[0].mean() for y in points]
+        np.testing.assert_allclose(oracle.full_loss_many(points), want, rtol=1e-12)
+
+
+def test_oracle_shares_the_dataset_csr_arrays():
+    rng = np.random.default_rng(5)
+    for density in (0.1, 0.6):
+        dataset = property_dataset(rng, 20, 10, density, pad=0)
+        oracle = make_oracle(dataset, "logistic", 0.1)
+        assert np.shares_memory(oracle._indptr, dataset.indptr)
+        assert np.shares_memory(oracle._indices, dataset.indices)
+        assert np.shares_memory(oracle._values, dataset.values)
+        assert np.shares_memory(oracle.labels, dataset.labels)
 
 
 def test_smoothness_constant_formulas():
