@@ -2,7 +2,8 @@
 
 Subcommands: run, sweep-p, compare-all, plotdata, solve-ref.
 Exit codes: 0 success, 2 invalid configuration, 3 data error,
-4 reference solve failure.
+4 reference solve failure, 5 divergence (a run's iterate stopped being
+finite; its trace and sidecar are still written, see the README).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .diagnostics import ReferenceSolveError
 from .harness import (
     ConfigError,
     DataError,
+    DivergenceError,
     RunConfig,
     compare_all,
     emit_plotdata,
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_REFERENCE = 4
+EXIT_DIVERGED = 5
 
 
 def _parse_synthetic(text: str) -> tuple[int, int, float]:
@@ -152,7 +155,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if not isinstance(payload, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
 
-    params = dict(payload.get("params", {}))
+    params = payload.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"params must be a JSON object, got {params!r}")
+    params = dict(params)
     explicit_param = False
     for name in all_param_types():
         value = getattr(args, name, None)
@@ -217,6 +223,11 @@ def main(argv=None) -> int:
     except ReferenceSolveError as exc:
         print(f"reference solve failed: {exc}", file=sys.stderr)
         return EXIT_REFERENCE
+    except DivergenceError as exc:
+        for path in exc.paths:
+            print(path)
+        print(f"divergence: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     return EXIT_OK
 
 

@@ -24,6 +24,11 @@ Shared conventions:
   * the variance-reduced direction is formed as
         g = grad_i(x) - (grad_i(w) - grad_w)
     so the correction vanishes exactly (bitwise) when n == 1 and at w == x.
+
+run() drives one optimizer through step().  run_lanes() drives SVRG-family
+optimizers that share an oracle as one batch: each refresh rule's schedule()
+draws a block of steps' indices and refreshes at once (the draws do not
+depend on the iterate), and one batched update advances every lane.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .oracle import Oracle
-from .rng import SplitMix64
+from .rng import SplitMix64, step_draws
 
 
 def _check_prob(p: float) -> float:
@@ -107,6 +112,14 @@ class _Coin:
     def _refresh_due(self, rng: SplitMix64) -> bool:
         return rng.bernoulli(self.p)
 
+    def schedule(self, rng: SplitMix64, steps: int):
+        """(sample indices, refresh mask) of the next `steps` steps, drawn as
+        step() draws them (index, then the coin; no coin word at p = 1) and
+        leaving rng where those steps leave it."""
+        coin = self.p < 1.0
+        indices, uniforms = step_draws(rng, self.oracle.n, steps, coin)
+        return indices, uniforms < self.p if coin else np.ones(steps, dtype=bool)
+
     @property
     def refresh_prob(self) -> float:
         return self.p
@@ -129,6 +142,14 @@ class _Loop:
     def _refresh_due(self, rng: SplitMix64) -> bool:
         self.j = (self.j + 1) % self.m
         return self.j == 0
+
+    def schedule(self, rng: SplitMix64, steps: int):
+        """(sample indices, refresh mask) of the next `steps` steps, leaving
+        rng and the counter j where those steps leave them."""
+        indices, _ = step_draws(rng, self.oracle.n, steps, coin=False)
+        refresh = (self.j + 1 + np.arange(steps)) % self.m == 0
+        self.j = (self.j + steps) % self.m
+        return indices, refresh
 
     @property
     def refresh_prob(self) -> float:
@@ -352,6 +373,52 @@ class TraceRecord:
     extras: dict = field(default_factory=dict)
 
 
+def _check_budget(epochs: float, checkpoint_every: float):
+    if epochs < 0:
+        raise ValueError(f"epoch budget must be >= 0, got {epochs}")
+    if checkpoint_every <= 0:
+        raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
+
+
+def _first_mark(epoch: float, every: float) -> float:
+    return (math.floor(epoch / every) + 1) * every
+
+
+def _advance_mark(mark: float, epoch: float, every: float) -> float:
+    while mark <= epoch:
+        mark += every
+    return mark
+
+
+class _Recorder:
+    """Makes checkpoint records whose wall_ns is optimizer time: the time
+    since the recorder started, less the time spent in metrics and hooks."""
+
+    def __init__(self):
+        self.start_ns = time.perf_counter_ns()
+        self.diag_ns = 0
+
+    def record(self, optimizer, metrics=None, hook=None) -> TraceRecord | None:
+        """The optimizer's checkpoint record, or None when its tracked point
+        is not finite: the run has diverged and stops without the record."""
+        now = time.perf_counter_ns()
+        if not np.isfinite(optimizer.tracked_point).all():
+            return None
+        rec = TraceRecord(
+            k=optimizer.k,
+            oracle_calls=optimizer.oracle_calls,
+            epoch=optimizer.epoch,
+            wall_ns=now - self.start_ns - self.diag_ns,
+        )
+        if metrics is not None:
+            for key, value in metrics(optimizer).items():
+                setattr(rec, key, value)
+        if hook is not None:
+            hook(optimizer)
+        self.diag_ns += time.perf_counter_ns() - now
+        return rec
+
+
 def run(
     optimizer,
     rng: SplitMix64 | None,
@@ -367,35 +434,166 @@ def run(
     counter crosses a multiple of checkpoint_every (and at the final step).
     metrics(optimizer) may return a dict of TraceRecord field overrides;
     hook(optimizer) is called with the live optimizer at every checkpoint and
-    must treat it as read-only.  Deterministic given (optimizer state, rng).
+    must treat it as read-only.  wall_ns leaves out the time spent in both.
+    At the first checkpoint whose tracked point is not finite the run stops
+    without recording it, leaving the optimizer in that state; the caller
+    sees the divergence there.  Deterministic given (optimizer state, rng).
     """
-    if epochs < 0:
-        raise ValueError(f"epoch budget must be >= 0, got {epochs}")
-    if checkpoint_every <= 0:
-        raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
-
-    t0 = time.perf_counter_ns()
-
-    def record() -> TraceRecord:
-        rec = TraceRecord(
-            k=optimizer.k,
-            oracle_calls=optimizer.oracle_calls,
-            epoch=optimizer.epoch,
-            wall_ns=time.perf_counter_ns() - t0,
-        )
-        if metrics is not None:
-            for key, value in metrics(optimizer).items():
-                setattr(rec, key, value)
-        if hook is not None:
-            hook(optimizer)
-        return rec
-
-    records = [record()]
-    next_mark = (math.floor(optimizer.epoch / checkpoint_every) + 1) * checkpoint_every
+    _check_budget(epochs, checkpoint_every)
+    recorder = _Recorder()
+    records = []
+    if (rec := recorder.record(optimizer, metrics, hook)) is None:
+        return records
+    records.append(rec)
+    next_mark = _first_mark(optimizer.epoch, checkpoint_every)
     while optimizer.epoch < epochs:
         optimizer.step(rng)
         if optimizer.epoch >= next_mark or optimizer.epoch >= epochs:
-            records.append(record())
-            while next_mark <= optimizer.epoch:
-                next_mark += checkpoint_every
+            if (rec := recorder.record(optimizer, metrics, hook)) is None:
+                break
+            records.append(rec)
+            next_mark = _advance_mark(next_mark, optimizer.epoch, checkpoint_every)
     return records
+
+
+# steps per schedule block: bounds each lane's schedule arrays, whatever the
+# epoch budget, while keeping the per-block draws a small share of the steps
+_LANE_BLOCK = 512
+
+
+def run_lanes(
+    optimizers,
+    rngs,
+    *,
+    epochs: float,
+    checkpoint_every: float = 1.0,
+    metrics=None,
+) -> list[list[TraceRecord]]:
+    """Drive SVRG-family optimizers that share one oracle as one batch of lanes.
+
+    Lane s gives the records run(optimizers[s], rngs[s], metrics=metrics[s])
+    would give and leaves optimizers[s] in the state run leaves it in: k,
+    oracle_calls, epoch and j exactly, x, w and grad_w to rounding (the row
+    dots of oracle.grad_many are not bitwise those of grad_i).
+
+    The lanes step together on (S, d) arrays.  Each follows its own schedule
+    of sample indices and refreshes, drawn a block of steps at a time by its
+    refresh rule, and drops out when its budget is spent or, as in run, at
+    its first checkpoint with a non-finite tracked point.  Before each of a
+    lane's checkpoints its state (x, w, grad_w, k, oracle_calls, j) is
+    written back to its optimizer, so metrics sees an ordinary optimizer.
+    wall_ns is the batch's optimizer time so far, shared by its lanes.  A
+    lane's rng ends at the end of its last block, past where run leaves it.
+    """
+    _check_budget(epochs, checkpoint_every)
+    lanes = list(optimizers)
+    metrics = [None] * len(lanes) if metrics is None else list(metrics)
+    if not lanes:
+        return []
+    oracle = lanes[0].oracle
+    for opt in lanes:
+        if not isinstance(opt, _SVRGFamily) or opt.oracle is not oracle:
+            raise ValueError("lanes must be SVRG-family optimizers on one oracle")
+    recorder = _Recorder()
+    traces: list[list[TraceRecord]] = [[] for _ in lanes]
+
+    def checkpoint(s: int) -> bool:
+        """Record lane s; False if it has diverged."""
+        rec = recorder.record(lanes[s], metrics[s])
+        if rec is not None:
+            traces[s].append(rec)
+        return rec is not None
+
+    marks = [0.0] * len(lanes)
+    live = []
+    for s, opt in enumerate(lanes):
+        if checkpoint(s) and opt.epoch < epochs:
+            marks[s] = _first_mark(opt.epoch, checkpoint_every)
+            live.append(s)
+    while live:
+        live = _lane_block(lanes, rngs, live, marks, epochs, checkpoint_every,
+                           checkpoint)
+    return traces
+
+
+def _checkpoint_steps(epochs_after: np.ndarray, mark: float, epochs: float,
+                      every: float) -> tuple[list[int], float, int | None]:
+    """The steps of a block after which a lane records, given the epoch after
+    each step, decided as run() decides them.  Returns them, the lane's next
+    mark, and the step it ends at (None if it runs past the block)."""
+    steps, t = [], 0
+    while (due := np.flatnonzero(epochs_after[t:] >= min(mark, epochs))).size:
+        t += int(due[0])
+        steps.append(t)
+        epoch = float(epochs_after[t])
+        if epoch >= epochs:
+            return steps, mark, t
+        mark = _advance_mark(mark, epoch, every)
+        t += 1
+    return steps, mark, None
+
+
+def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int]:
+    """Step the live lanes through one block; returns the lanes still live."""
+    opts = [lanes[s] for s in live]
+    oracle, n, width = opts[0].oracle, opts[0].oracle.n, len(opts)
+    phase0 = [getattr(opt, "j", None) for opt in opts]  # loop counters
+    drawn = [opt.schedule(rngs[s], _LANE_BLOCK) for s, opt in zip(live, opts)]
+    refresh = np.stack([r for _, r in drawn])
+    calls = (np.array([[opt.oracle_calls] for opt in opts])
+             + 2 * np.arange(1, _LANE_BLOCK + 1) + n * np.cumsum(refresh, axis=1))
+    epochs_after = calls / n  # each step's epoch, as opt.epoch computes it
+
+    events: dict[int, list[int]] = {}  # step -> lanes that record after it
+    refreshes: dict[int, list[int]] = {}  # step -> lanes that refresh in it
+    final = []  # the step each lane ends at, None if it runs past the block
+    length = 0  # the steps the block runs: until its last lane ends
+    for b, s in enumerate(live):
+        steps, marks[s], end = _checkpoint_steps(epochs_after[b], marks[s],
+                                                 epochs, every)
+        final.append(end)
+        span = _LANE_BLOCK if end is None else end + 1
+        length = max(length, span)
+        for t in steps:
+            events.setdefault(t, []).append(b)
+        for t in np.flatnonzero(refresh[b, :span]):
+            refreshes.setdefault(int(t), []).append(b)
+
+    xw = np.concatenate([np.stack([opt.x for opt in opts]),
+                         np.stack([opt.w for opt in opts])])
+    grad_w = np.stack([opt.grad_w for opt in opts])
+    eta = np.array([[opt.eta] for opt in opts])
+    # row t: step t's samples for the x rows, then for the w rows
+    samples = np.concatenate([np.stack([i for i, _ in drawn])] * 2).T.copy()
+    k0 = [opt.k for opt in opts]
+    stopped = set()
+
+    def write_back(b: int, t: int):
+        opt = opts[b]
+        opt.x, opt.w, opt.grad_w = xw[b].copy(), xw[width + b].copy(), grad_w[b].copy()
+        opt.k = k0[b] + t + 1
+        opt.oracle_calls = int(calls[b, t])
+        if phase0[b] is not None:  # the loop counter j counts steps mod m
+            opt.j = (phase0[b] + t + 1) % opt.m
+
+    for t in range(length):
+        g_both = oracle.grad_many(samples[t], xw)
+        g = g_both[:width] - (g_both[width:] - grad_w)
+        fresh = [b for b in refreshes.get(t, ()) if b not in stopped]
+        x_prev = xw[fresh] if fresh else ()
+        xw[:width] -= eta * g
+        for b, x in zip(fresh, x_prev):  # w <- x^k, the pre-update iterate
+            xw[width + b] = x
+            grad_w[b] = oracle.full_grad(x)
+        for b in events.get(t, ()):
+            if b in stopped:
+                continue
+            write_back(b, t)
+            if not checkpoint(live[b]) or t == final[b]:
+                stopped.add(b)
+    still = []
+    for b, s in enumerate(live):
+        if b not in stopped:
+            write_back(b, _LANE_BLOCK - 1)
+            still.append(s)
+    return still

@@ -143,6 +143,31 @@ class Oracle:
             out[idx] += self._dphi(m, self.labels[i]) * val
         return out
 
+    def grad_many(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """grad_i(idx[s], X[s]) for every row s, (S,) and (S, d) -> (S, d).
+
+        The batched per-sample gradient of lane-batched runs.  Its row dots
+        (einsum, or bincount over the gathered CSR entries) and elementwise
+        loss kernel agree with grad_i's to rounding, not bitwise.
+        """
+        out = self.mu * X
+        labels = self.labels[idx]
+        if self._dense is not None:
+            rows = self._dense[idx]
+            margins = np.einsum("ij,ij->i", rows, X)
+            out += self._dphis(margins, labels)[:, np.newaxis] * rows
+            return out
+        starts, counts = self._indptr[idx], self._counts[idx]
+        lane = np.repeat(np.arange(len(idx)), counts)
+        # position of each gathered entry in the CSR arrays
+        entry = np.arange(lane.size) + np.repeat(starts - np.cumsum(counts) + counts,
+                                                 counts)
+        cols, vals = self._indices[entry], self._values[entry]
+        margins = np.bincount(lane, weights=vals * X[lane, cols], minlength=len(idx))
+        # a row's indices are distinct, so no (lane, col) pair repeats
+        out[lane, cols] += self._dphis(margins, labels)[lane] * vals
+        return out
+
     def _margins(self, X: np.ndarray) -> np.ndarray:
         """a_i^T x for every row i, for x of shape (d,) or a stack (k, d)."""
         if self._dense is not None:
@@ -226,6 +251,9 @@ class LogisticOracle(Oracle):
 
     def _curvature_bound(self):
         return 0.25
+
+    # np.exp underflows where grad_i's math.exp flushes to 0 silently
+    grad_many = _quiet_underflow(Oracle.grad_many)
 
 
 class RidgeOracle(Oracle):

@@ -14,9 +14,19 @@ splitmix64, which is small enough to specify bit-exactly:
 Floats in [0, 1) take the top 53 bits of an output word; integer draws use
 rejection sampling on the smallest covering bit mask, so they are exactly
 uniform and consume a data-dependent (but seed-deterministic) number of words.
+
+The generator is counter-based: word k after state s is mix(s + k * gamma),
+a function of the counter alone (Steele, Lea & Flood, OOPSLA 2014).  So a
+block of words can be computed at once with numpy's wrapping uint64
+arithmetic (next_words), and step_draws turns a block into the sample indices
+and coins of many steps, consuming exactly the words the scalar draws would.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -38,6 +48,21 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def next_words(self, count: int) -> np.ndarray:
+        """The next `count` words as a uint64 array: the same words, and the
+        same end state, as `count` calls of next_uint64."""
+        if count < 0:
+            raise ValueError(f"word count must be >= 0, got {count}")
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        return z
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 random bits."""
@@ -64,3 +89,54 @@ class SplitMix64:
         if p >= 1.0:
             return True
         return self.random() < p
+
+
+def step_draws(
+    rng: SplitMix64, n: int, steps: int, coin: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The draws of `steps` serial steps that each take rng.randbelow(n) and
+    then, if `coin`, one rng.random() for a coin.
+
+    Returns the sample indices (int64) and the coin uniforms (float64, None
+    without a coin).  rng advances past exactly the words those serial calls
+    consume, rejected index words included.
+    """
+    if n <= 0:
+        raise ValueError(f"randbelow requires n >= 1, got {n}")
+    if n == 1:  # randbelow(1) draws no word
+        indices = np.zeros(steps, dtype=np.int64)
+        return indices, _uniforms(rng.next_words(steps)) if coin else None
+    span = 1 << (n - 1).bit_length()
+    mask = np.uint64(span - 1)
+    # read ahead on a copy of the stream, a little past the expected count
+    # (an index takes span / n words on average), then advance rng exactly
+    ahead = SplitMix64(rng._state)
+    expected = steps * (span / n + coin)
+    chunk = int(expected + 4.0 * math.sqrt(expected)) + 8
+    words = np.empty(0, dtype=np.uint64)
+    while True:
+        words = np.concatenate((words, ahead.next_words(chunk)))
+        accepted = (words & mask) < n
+        if coin:
+            # a run of accepted words after a rejected one (or the start)
+            # alternates index, coin, index, ...: a coin follows every accepted
+            # index whatever its value, and every rejected word ends a run
+            pos = np.arange(words.size)
+            last_rejected = np.maximum.accumulate(np.where(accepted, -1, pos))
+            run_length = pos - 1 - np.concatenate(([-1], last_rejected[:-1]))
+            is_coin = run_length % 2 == 1
+            index_at = np.flatnonzero(accepted & ~is_coin)[:steps]
+            coin_at = np.flatnonzero(is_coin)[:steps]
+        else:
+            index_at = coin_at = np.flatnonzero(accepted)[:steps]
+        if coin_at.size == steps:
+            break
+    used = int(coin_at[-1]) + 1 if steps else 0
+    rng._state = (rng._state + used * _GAMMA) & _MASK64
+    indices = (words[index_at] & mask).astype(np.int64)
+    return indices, _uniforms(words[coin_at]) if coin else None
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """SplitMix64.random() of each word: its top 53 bits scaled to [0, 1)."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53

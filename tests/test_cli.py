@@ -1,11 +1,13 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from loopless.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_DIVERGED,
     EXIT_OK,
     EXIT_REFERENCE,
     build_parser,
@@ -241,6 +243,67 @@ def test_bad_param_values_exit_with_config_code(tmp_path, capsys, params, messag
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error: ") and message in err
     assert "\n" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [({"synthetic": [10, 4]}, "synthetic=[10, 4] is not [n, d, kappa]"),
+     ({"mu": "abc"}, "mu must be float, got 'abc'"),
+     ({"epochs": "5"}, "epochs must be float, got '5'")],
+)
+def test_config_fields_of_the_wrong_type_exit_with_config_code(tmp_path, capsys,
+                                                               field, message):
+    config = {"algorithm": "l-svrg", "synthetic": [10, 4, 25.0], "loss": "ridge",
+              "mu": 1.0, **field}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path)) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err == f"config error: {message}"
+
+
+def test_diverging_run_exits_with_divergence_code(tmp_path, capsys):
+    with pytest.warns(RuntimeWarning):  # numpy reports the overflow
+        code = run_cli(
+            "run", "--synthetic", "100,20,1e4", "--loss", "ridge", "--mu", "1.0",
+            "--alg", "l-svrg", "--eta", "10", "--p", "0.02", "--epochs", "5",
+            "--out", str(tmp_path),
+        )
+    assert code == EXIT_DIVERGED
+    out, err = capsys.readouterr()
+    assert out.strip().endswith("l-svrg_ridge_seed0.csv")
+    assert err.startswith("divergence: ") and "Traceback" not in err
+    sidecar = json.loads((tmp_path / "l-svrg_ridge_seed0.json").read_text())
+    trace = read_trace(tmp_path / "l-svrg_ridge_seed0.csv")
+    # the rows before the first non-finite checkpoint are kept
+    assert trace and trace[-1]["k"] < sidecar["diverged_at_k"]
+    assert all(row["epoch"] < 5.0 for row in trace)
+
+
+def test_diverging_sweep_writes_every_run_then_exits_with_divergence_code(
+        tmp_path, capsys):
+    # an iterate next to the largest double overflows on the first step
+    config = {"synthetic": [10, 4, 25.0], "loss": "ridge", "mu": 1.0,
+              "epochs": 4.0, "x0": [1e308] * 4}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with pytest.warns(RuntimeWarning):
+        code = run_cli("sweep-p", "--config", str(path), "--grid", "2,5",
+                       "--out", str(tmp_path / "out"))
+    assert code == EXIT_DIVERGED
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 4
+    for csv_path in printed:
+        sidecar = json.loads(Path(csv_path).with_suffix(".json").read_text())
+        assert sidecar["diverged_at_k"] >= 1
+        assert [row["k"] for row in read_trace(csv_path)] == [0]
+
+
+def test_finished_runs_record_no_divergence(tmp_path):
+    assert run_cli("run", "--synthetic", "10,4,25", "--loss", "ridge",
+                   "--epochs", "2", "--out", str(tmp_path)) == EXIT_OK
+    sidecar = json.loads((tmp_path / "l-svrg_ridge_seed0.json").read_text())
+    assert sidecar["diverged_at_k"] is None
 
 
 class DampedLSVRG(LSVRG):

@@ -1,6 +1,7 @@
 import csv
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -74,6 +75,35 @@ def test_config_validation_errors(overrides, pattern):
 def test_config_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         RunConfig.from_dict({"algorithm": "gd", "synthetic": (1, 1, 1), "foo": 2})
+
+
+@pytest.mark.parametrize(
+    "overrides, pattern",
+    [
+        (dict(mu="abc"), "mu must be float, got 'abc'"),
+        (dict(epochs="5"), "epochs must be float"),
+        (dict(seed=1.5), "seed must be int"),
+        (dict(data_seed=True), "data_seed must be int"),
+        (dict(synthetic=(10, 4)), "synthetic must be"),
+        (dict(synthetic=(10, 4, "x")), "synthetic must be"),
+        (dict(diagnostics=None), "diagnostics must be str"),
+        (dict(params=[1.0]), "params must be dict"),
+    ],
+)
+def test_config_fields_of_the_wrong_type(overrides, pattern):
+    with pytest.raises(ConfigError, match=pattern):
+        synthetic_config(**overrides).validate()
+
+
+@pytest.mark.parametrize("synthetic", [[10, 4], 10, ["a", 4, 25]])
+def test_config_from_dict_rejects_a_malformed_synthetic_shape(synthetic):
+    with pytest.raises(ConfigError, match=r"synthetic=.* is not \[n, d, kappa\]"):
+        RunConfig.from_dict({"algorithm": "gd", "synthetic": synthetic})
+
+
+def test_make_optimizer_rejects_a_non_numeric_x0(tmp_path):
+    with pytest.raises(ConfigError, match="x0"):
+        run_experiment(synthetic_config(x0=[1.0, "a", 0.0, 0.0]), tmp_path)
 
 
 def test_resolve_params_theory_values():
@@ -233,6 +263,29 @@ def test_sweep_p_writes_pairs(tmp_path):
     assert lsvrg_sidecar["params"]["p"] == 0.2
     assert svrg_sidecar["params"]["m"] == 5
     assert lsvrg_sidecar["params"]["eta"] == svrg_sidecar["params"]["eta"]
+
+
+def test_sweep_p_is_deterministic_and_writes_run_experiment_outputs(tmp_path):
+    config = synthetic_config(epochs=6.0, checkpoint_every=0.5)
+    first = sweep_p(config, tmp_path / "a", grid=[2, 7])
+    second = sweep_p(config, tmp_path / "b", grid=[2, 7])
+    for a, b in zip(first, second):
+        assert strip_wall(read_csv_lines(a)) == strip_wall(read_csv_lines(b))
+    for path in first:
+        sidecar = json.loads(path.with_suffix(".json").read_text())
+        single = replace(config, algorithm=sidecar["algorithm"],
+                         params=sidecar["params"], preset=None,
+                         tag=path.stem.rsplit("_", 1)[1])
+        alone = run_experiment(single, tmp_path / "alone")
+        assert alone.name == path.name
+        assert (alone.with_suffix(".json").read_bytes()
+                == path.with_suffix(".json").read_bytes())
+        lanes, serial = read_trace(path), read_trace(alone)
+        assert [(r["k"], r["oracle_calls"], r["epoch"]) for r in lanes] == [
+            (r["k"], r["oracle_calls"], r["epoch"]) for r in serial]
+        for a, b in zip(lanes, serial):
+            assert a["dist_sq"] == pytest.approx(b["dist_sq"], rel=1e-12)
+            assert a["f_gap"] == pytest.approx(b["f_gap"], rel=1e-12)
 
 
 # ------------------------------------------------------------------- compare

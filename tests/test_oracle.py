@@ -193,6 +193,27 @@ def test_full_data_paths_match_scalar_reference(loss, density, n, margin):
     assert_close(estimators, table_x - (table_w - grad_w))
 
 
+@pytest.mark.parametrize("density", [0.1, 0.6])
+@pytest.mark.parametrize("loss", ["logistic", "ridge"])
+@pytest.mark.parametrize("margin", [None, 800.0])
+def test_grad_many_matches_grad_i(loss, density, margin):
+    rng = np.random.default_rng([int(10 * density), len(loss), int(margin or 0)])
+    dataset = property_dataset(rng, 30, d=12, density=density, pad=3)
+    oracle = make_oracle(dataset, loss, 0.3)
+    assert (oracle._dense is not None) == (density > 0.25)
+    # every row once (every fourth is empty), then repeats
+    idx = np.concatenate([np.arange(oracle.n), rng.integers(oracle.n, size=10)])
+    X = rng.normal(size=(idx.size, oracle.d))
+    if margin is not None:
+        # scale each point so its sample's |a_i^T x| is the given margin
+        A = np.stack([row.to_dense(oracle.d) for row in dataset.rows])
+        top = np.abs(np.einsum("ij,ij->i", A[idx], X))[:, np.newaxis]
+        X *= margin / np.where(top > 0.0, top, 1.0)
+    with np.errstate(all="raise"):
+        got = oracle.grad_many(idx, X)
+    assert_close(got, np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)]))
+
+
 def test_full_loss_many_spans_several_blocks():
     rng = np.random.default_rng(9)
     for density in (0.1, 0.6):

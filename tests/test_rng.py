@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loopless.rng import SplitMix64
+from loopless.rng import SplitMix64, step_draws
 
 
 def test_same_seed_same_stream():
@@ -69,3 +69,45 @@ def test_bernoulli_frequency():
     rng = SplitMix64(13)
     hits = sum(rng.bernoulli(0.3) for _ in range(100000))
     assert abs(hits / 100000 - 0.3) < 0.01
+
+
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [0, 2**64 - 1, (-3 * _GAMMA) % 2**64],  # the last wraps to state 0 at word 3
+)
+def test_next_words_match_next_uint64(seed):
+    block, serial = SplitMix64(seed), SplitMix64(seed)
+    for count in (0, 1, 2, 64, 1000, 7):
+        words = block.next_words(count)
+        assert words.dtype == np.uint64
+        assert [int(w) for w in words] == [serial.next_uint64() for _ in range(count)]
+        assert block._state == serial._state
+
+
+def test_step_draws_rejects_nonpositive_n():
+    with pytest.raises(ValueError):
+        step_draws(SplitMix64(0), 0, 3, coin=False)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 100, 129])
+@pytest.mark.parametrize("coin", [False, True])
+def test_step_draws_consume_the_serial_words(n, coin):
+    # blocks of several sizes continue one serial stream of
+    # randbelow(n) (then random() with a coin) calls
+    block, serial = SplitMix64(2024 + n), SplitMix64(2024 + n)
+    for steps in (0, 1, 300, 17):
+        indices, uniforms = step_draws(block, n, steps, coin)
+        expected_idx, expected_u = [], []
+        for _ in range(steps):
+            expected_idx.append(serial.randbelow(n))
+            if coin:
+                expected_u.append(serial.random())
+        assert indices.tolist() == expected_idx
+        if coin:
+            assert uniforms.tolist() == expected_u
+        else:
+            assert uniforms is None
+        assert block._state == serial._state
