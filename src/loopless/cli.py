@@ -1,6 +1,15 @@
 """Command-line experiment runner.
 
-Subcommands: run, sweep-p, compare-all, plotdata, solve-ref.
+Subcommands and the flags each reads:
+  run          problem and budget flags, --alg, --preset, the parameter flags
+               (--eta --p --m --theta1 --theta2 --step-size), --seed, --tag
+  sweep-p      problem and budget flags, --seed, --grid
+  compare-all  problem and budget flags, --tag, --seeds, --algs, --thresholds
+  plotdata     trace files, --metrics, --out
+  solve-ref    problem flags, --seed
+Problem flags: --data or --synthetic, --loss, --mu, --normalize, --data-seed,
+--ref-tolerance, --ref-max-epochs, --config, --out.  Budget flags: --epochs,
+--checkpoint-every, --diagnostics.  Flags are spelled in full.
 Exit codes: 0 success, 2 invalid configuration, 3 data error,
 4 reference solve failure, 5 divergence (a run's iterate stopped being
 finite; its trace and sidecar are still written, see the README).
@@ -71,24 +80,19 @@ def _add_problem_flags(parser: argparse.ArgumentParser):
                         help="scale rows to unit Euclidean norm before training")
     parser.add_argument("--data-seed", type=int, dest="data_seed",
                         help="seed for synthetic instance generation")
+    parser.add_argument("--ref-tolerance", type=float, dest="ref_tolerance")
+    parser.add_argument("--ref-max-epochs", type=int, dest="ref_max_epochs")
     parser.add_argument("--config", help="JSON file with RunConfig fields "
                         "(explicit flags override it)")
     parser.add_argument("--out", default="traces", help="output directory")
 
 
-def _add_run_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--alg", choices=ALGORITHMS)
-    parser.add_argument("--preset", choices=("theory",))
-    for name, kind in all_param_types().items():
-        parser.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
+def _add_budget_flags(parser: argparse.ArgumentParser):
+    """Flags that run, sweep-p and compare-all all read."""
     parser.add_argument("--epochs", type=float)
     parser.add_argument("--checkpoint-every", type=float, dest="checkpoint_every")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--diagnostics",
                         choices=("none", "distance", "lyapunov", "lemmas"))
-    parser.add_argument("--ref-tolerance", type=float, dest="ref_tolerance")
-    parser.add_argument("--ref-max-epochs", type=int, dest="ref_max_epochs")
-    parser.add_argument("--tag", help="suffix for the trace file name")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,13 +104,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="one algorithm, one trace file")
     _add_problem_flags(run_p)
-    _add_run_flags(run_p)
+    _add_budget_flags(run_p)
+    # the batch commands choose each run's algorithm and params themselves
+    run_p.add_argument("--alg", choices=ALGORITHMS)
+    run_p.add_argument("--preset", choices=("theory",))
+    for name, kind in all_param_types().items():
+        run_p.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
+    run_p.add_argument("--seed", type=int)
+    run_p.add_argument("--tag", help="suffix for the trace file name")
 
     sweep = sub.add_parser(
         "sweep-p", help="L-SVRG vs loopy SVRG over the five-point loop-length grid"
     )
     _add_problem_flags(sweep)
-    _add_run_flags(sweep)
+    _add_budget_flags(sweep)
+    sweep.add_argument("--seed", type=int)
     sweep.add_argument("--grid", type=_comma_list(int, "loop lengths"),
                        help="comma-separated loop lengths overriding "
                        "the default kappa grid")
@@ -115,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compare-all", help="all algorithms at theory presets over a seed set"
     )
     _add_problem_flags(comp)
-    _add_run_flags(comp)
+    _add_budget_flags(comp)
+    comp.add_argument("--tag", help="suffix for the trace file names")
     comp.add_argument("--seeds", type=_comma_list(int, "seeds"), default=[0],
                       metavar="S0,S1,...")
     comp.add_argument("--algs", help="comma-separated algorithm subset")
@@ -131,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     ref = sub.add_parser("solve-ref", help="solve and store a reference solution")
     _add_problem_flags(ref)
     ref.add_argument("--seed", type=int)
-    ref.add_argument("--ref-tolerance", type=float, dest="ref_tolerance")
-    ref.add_argument("--ref-max-epochs", type=int, dest="ref_max_epochs")
 
+    for command in sub.choices.values():  # or sweep-p --m would mean --mu
+        command.allow_abbrev = False
     return parser
 
 
@@ -175,8 +188,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             payload[field] = value
 
-    if "algorithm" not in payload:
-        payload["algorithm"] = "l-svrg"
+    payload.setdefault("algorithm", "l-svrg")
     try:
         return RunConfig.from_dict(payload)
     except TypeError as exc:
@@ -187,33 +199,25 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            path = run_experiment(config_from_args(args).validate(), args.out)
-            print(path)
+            paths = [run_experiment(config_from_args(args), args.out)]
         elif args.command == "sweep-p":
-            for path in sweep_p(config_from_args(args).validate(), args.out,
-                                grid=args.grid):
-                print(path)
+            paths = sweep_p(config_from_args(args), args.out, grid=args.grid)
         elif args.command == "compare-all":
             algorithms = args.algs.split(",") if args.algs else None
-            path = compare_all(
-                config_from_args(args).validate(),
+            paths = [compare_all(
+                config_from_args(args),
                 args.out,
                 seeds=args.seeds,
                 algorithms=algorithms,
                 thresholds=tuple(args.thresholds),
-            )
-            print(path)
+            )]
         elif args.command == "plotdata":
             metrics = args.metrics.split(",") if args.metrics is not None else None
             if args.metrics == "":
                 metrics = []
-            path = emit_plotdata(args.traces, args.out, metrics=metrics)
-            print(path)
-        elif args.command == "solve-ref":
-            path = solve_reference_cli(config_from_args(args).validate(), args.out)
-            print(path)
-        else:  # pragma: no cover - argparse enforces the choices
-            return EXIT_CONFIG
+            paths = [emit_plotdata(args.traces, args.out, metrics=metrics)]
+        else:  # solve-ref, the last command argparse allows
+            paths = [solve_reference_cli(config_from_args(args), args.out)]
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -228,6 +232,8 @@ def main(argv=None) -> int:
             print(path)
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    for path in paths:
+        print(path)
     return EXIT_OK
 
 

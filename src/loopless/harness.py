@@ -322,19 +322,51 @@ def run_experiment(config: RunConfig, out_dir) -> Path:
     """
     config.validate()
     oracle, minimizer = build_problem(config)
-    params = resolve_params(config, oracle)
-    ref = build_reference(config, oracle, minimizer)
-    optimizer = make_optimizer(config, oracle, params)
-    records = run(
-        optimizer,
-        SplitMix64(config.seed),
-        epochs=config.epochs,
-        checkpoint_every=config.checkpoint_every,
-        metrics=build_metrics(config, oracle, ref),
-    )
-    csv_path = write_run(config, params, optimizer, ref, records, out_dir)
-    _check_divergence([config], [optimizer], [csv_path])
-    return csv_path
+    paths, _ = _run_batch([config], oracle, minimizer, out_dir)
+    return paths[0]
+
+
+def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
+               out_dir) -> tuple[list[Path], list[list[TraceRecord]]]:
+    """Run validated configs that share one problem (oracle, minimizer) and
+    one epoch budget, building the reference once; write each run's trace
+    and sidecar, and return the CSV paths and the records in config order.
+
+    The SVRG-family runs go through run_lanes as one batch when there are
+    at least two of them (a lane's trace is run's, its floats to rounding),
+    every other run through run.  Raises DivergenceError, after writing
+    every run, if any diverged."""
+    if not configs:
+        return [], []
+    resolved = [resolve_params(config, oracle) for config in configs]
+    ref = build_reference(configs[0], oracle, minimizer)
+    optimizers = [make_optimizer(c, oracle, p) for c, p in zip(configs, resolved)]
+    metrics = [build_metrics(config, oracle, ref) for config in configs]
+    epochs, every = configs[0].epochs, configs[0].checkpoint_every
+    lanes = [s for s, opt in enumerate(optimizers) if opt.in_lanes]
+    by_run = {}
+    if len(lanes) >= 2:
+        by_run = dict(zip(lanes, run_lanes(
+            [optimizers[s] for s in lanes], [SplitMix64(configs[s].seed) for s in lanes],
+            epochs=epochs, checkpoint_every=every, metrics=[metrics[s] for s in lanes],
+        )))
+    for s, config in enumerate(configs):
+        if s not in by_run:
+            by_run[s] = run(optimizers[s], SplitMix64(config.seed), epochs=epochs,
+                            checkpoint_every=every, metrics=metrics[s])
+    traces = [by_run[s] for s in range(len(configs))]
+    paths = [write_run(c, p, opt, ref, records, out_dir)
+             for c, p, opt, records in zip(configs, resolved, optimizers, traces)]
+    diverged = [f"{config.run_id()} at k={opt.k}"
+                for config, opt in zip(configs, optimizers)
+                if _diverged_at(opt) is not None]
+    if diverged:
+        raise DivergenceError(
+            f"diverged: {', '.join(diverged)}; each trace stops at its last "
+            "finite checkpoint",
+            paths,
+        )
+    return paths, traces
 
 
 def write_run(config: RunConfig, params: dict, optimizer, ref: ReferenceSolution | None,
@@ -384,19 +416,6 @@ def _diverged_at(optimizer) -> int | None:
     return None if np.isfinite(optimizer.tracked_point).all() else optimizer.k
 
 
-def _check_divergence(configs, optimizers, paths: list[Path]):
-    """Raise DivergenceError if any of the written runs diverged."""
-    diverged = [f"{config.run_id()} at k={opt.k}"
-                for config, opt in zip(configs, optimizers)
-                if _diverged_at(opt) is not None]
-    if diverged:
-        raise DivergenceError(
-            f"diverged: {', '.join(diverged)}; each trace stops at its last "
-            "finite checkpoint",
-            paths,
-        )
-
-
 def normalize_grid(values) -> list[int]:
     """Round loop lengths to integers, clamp to >= 1 (with a warning), and
     deduplicate preserving order."""
@@ -427,41 +446,32 @@ def probability_grid(n: int, kappa: float) -> list[int]:
 
 def sweep_p(base_config: RunConfig, out_dir, grid: list[int] | None = None) -> list[Path]:
     """Figure-3 protocol: L-SVRG with p = 1/l and loopy SVRG with m = l for
-    every loop length l in the grid (default: the five-point kappa grid).
+    every loop length l in the grid (default: the five-point kappa grid),
+    each at its theory preset otherwise.
 
-    Builds the problem and the reference once and runs all 2 x |grid| runs
-    as one batch of lanes (optimizers.run_lanes); each run's trace and
-    sidecar are those run_experiment writes for its config, its floats to
-    rounding.  Raises DivergenceError, after writing every run, if any
-    diverged.
+    One batch on one problem (see _run_batch): each run's trace and sidecar
+    are those run_experiment writes for its config, its floats to rounding.
+    Raises DivergenceError, after writing every run, if any diverged.
     """
-    base_config.validate()
+    _check_batch_base(base_config, "sweep-p")
     oracle, minimizer = build_problem(base_config)
     if grid is None:
         grid = probability_grid(oracle.n, oracle.L / oracle.mu)
     else:
         grid = normalize_grid(grid)
-    configs = []
-    for ell in grid:
-        for algorithm in ("l-svrg", "svrg"):
-            cls = ALGORITHMS[algorithm]
-            params = {**cls.theory_params(oracle), **cls.loop_params(ell)}
-            configs.append(replace(base_config, algorithm=algorithm, params=params,
-                                   preset=None, tag=f"loop{ell}").validate())
-    resolved = [resolve_params(config, oracle) for config in configs]
-    ref = build_reference(base_config, oracle, minimizer)
-    optimizers = [make_optimizer(c, oracle, p) for c, p in zip(configs, resolved)]
-    traces = run_lanes(
-        optimizers,
-        [SplitMix64(config.seed) for config in configs],
-        epochs=base_config.epochs,
-        checkpoint_every=base_config.checkpoint_every,
-        metrics=[build_metrics(config, oracle, ref) for config in configs],
-    )
-    paths = [write_run(config, p, opt, ref, records, out_dir)
-             for config, p, opt, records in zip(configs, resolved, optimizers, traces)]
-    _check_divergence(configs, optimizers, paths)
-    return paths
+    configs = [replace(base_config, algorithm=algorithm, preset="theory",
+                       params=ALGORITHMS[algorithm].loop_params(ell),
+                       tag=f"loop{ell}").validate()
+               for ell in grid for algorithm in ("l-svrg", "svrg")]
+    return _run_batch(configs, oracle, minimizer, out_dir)[0]
+
+
+def _check_batch_base(base_config: RunConfig, command: str):
+    """A batch command sets each run's params, so its base carries none."""
+    base_config.validate()
+    if base_config.params:
+        raise ConfigError(f"{command} sets every run's params itself; remove "
+                          f"params {sorted(base_config.params)} from the config")
 
 
 def epochs_to_threshold(records_or_rows, threshold: float) -> float:
@@ -479,46 +489,30 @@ def compare_all(
     algorithms: list[str] | None = None,
     thresholds: tuple[float, ...] = (1e-4, 1e-8),
 ) -> Path:
-    """Run every algorithm at its theory preset over a shared seed set and
-    summarize epochs-to-threshold (on dist_sq) per (algorithm, seed, threshold)."""
-    base_config.validate()
+    """Run every algorithm at its theory preset over a shared seed set, as
+    one batch on one problem (see _run_batch), and summarize
+    epochs-to-threshold (on dist_sq) per (algorithm, seed, threshold) in
+    summary.csv.  Raises DivergenceError, after writing every run and before
+    the summary, if any diverged."""
+    _check_batch_base(base_config, "compare-all")
     if base_config.diagnostics == "none":
         raise ConfigError("compare-all needs distance diagnostics to measure thresholds")
-    algorithms = list(algorithms) if algorithms else list(ALGORITHMS)
+    configs = [replace(base_config, algorithm=alg, preset="theory", seed=seed).validate()
+               for alg in algorithms or ALGORITHMS for seed in seeds]
+    oracle, minimizer = build_problem(base_config)
+    _, traces = _run_batch(configs, oracle, minimizer, out_dir)
+
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows = []
-    for algorithm in algorithms:
-        for seed in seeds:
-            config = replace(base_config, algorithm=algorithm, params={},
-                             preset="theory", seed=seed)
-            csv_path = run_experiment(config, out_dir)
-            trace = read_trace(csv_path)
-            pairs = [(row["epoch"], row.get("dist_sq")) for row in trace]
-            for threshold in thresholds:
-                rows.append(
-                    {
-                        "algorithm": algorithm,
-                        "seed": seed,
-                        "threshold": threshold,
-                        "epochs_to_threshold": epochs_to_threshold(pairs, threshold),
-                    }
-                )
-
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "seed", "threshold", "epochs_to_threshold"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["algorithm"],
-                    row["seed"],
-                    _fmt(row["threshold"]),
-                    _fmt(row["epochs_to_threshold"]),
-                ]
-            )
+        for config, records in zip(configs, traces):
+            pairs = [(rec.epoch, rec.dist_sq) for rec in records]
+            for threshold in thresholds:
+                writer.writerow([config.algorithm, config.seed, _fmt(threshold),
+                                 _fmt(epochs_to_threshold(pairs, threshold))])
     return summary_path
 
 

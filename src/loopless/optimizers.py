@@ -36,7 +36,7 @@ from __future__ import annotations
 import inspect
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,6 +69,7 @@ class _Optimizer:
     param_types: dict  # constructor parameters after (oracle, x0) -> type
     potential: tuple[str, ...] = ()  # Lyapunov trace columns: phi or psi first
     lemmas: tuple[str, ...] = ()  # one-step bounds, traced as slack_<name>
+    in_lanes = False  # whether run_lanes can drive it (the SVRG family)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -168,6 +169,7 @@ class _SVRGFamily(_Optimizer):
     potential = ("phi", "dk")
     lemmas = ("iterate_distance", "estimator_second_moment",
               "grad_learning_decay", "phi_contraction")
+    in_lanes = True
 
     def __init__(self, oracle: Oracle, x0: np.ndarray, eta: float, refresh):
         self.eta = _check_positive(eta, "eta")
@@ -370,7 +372,6 @@ class TraceRecord:
     lyapunov: object | None = None
     lemma_slacks: dict | None = None
     wall_ns: int = 0
-    extras: dict = field(default_factory=dict)
 
 
 def _check_budget(epochs: float, checkpoint_every: float):
@@ -492,7 +493,7 @@ def run_lanes(
         return []
     oracle = lanes[0].oracle
     for opt in lanes:
-        if not isinstance(opt, _SVRGFamily) or opt.oracle is not oracle:
+        if not opt.in_lanes or opt.oracle is not oracle:
             raise ValueError("lanes must be SVRG-family optimizers on one oracle")
     recorder = _Recorder()
     traces: list[list[TraceRecord]] = [[] for _ in lanes]

@@ -227,9 +227,6 @@ class Oracle:
         """All n realizations of g = grad_i(x) - (grad_i(w) - grad_w), as (n, d)."""
         return self.grad_table(x) - (self.grad_table(w) - grad_w)
 
-    def smoothness_constant(self) -> float:
-        return self.L
-
 
 class LogisticOracle(Oracle):
     loss_kind = "logistic"

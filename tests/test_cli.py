@@ -299,6 +299,61 @@ def test_diverging_sweep_writes_every_run_then_exits_with_divergence_code(
         assert [row["k"] for row in read_trace(csv_path)] == [0]
 
 
+def test_diverging_compare_all_writes_every_run_then_exits_without_a_summary(
+        tmp_path, capsys):
+    config = {"synthetic": [10, 4, 25.0], "loss": "ridge", "mu": 1.0,
+              "epochs": 4.0, "x0": [1e308] * 4}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with pytest.warns(RuntimeWarning):
+        code = run_cli("compare-all", "--config", str(path), "--seeds", "0,1",
+                       "--out", str(tmp_path / "out"))
+    assert code == EXIT_DIVERGED
+    printed = capsys.readouterr().out.split()
+    assert sorted(Path(p).name for p in printed) == sorted(
+        f"{alg}_ridge_seed{seed}.csv" for alg in ALGORITHMS for seed in (0, 1))
+    for csv_path in printed:
+        sidecar = json.loads(Path(csv_path).with_suffix(".json").read_text())
+        assert sidecar["diverged_at_k"] >= 1
+    assert not (tmp_path / "out" / "summary.csv").exists()
+
+
+# flags each batch command would otherwise accept and ignore: it chooses every
+# run's algorithm and params, sweep-p names its runs by loop length, and
+# compare-all takes its seeds from --seeds
+_PARAM_FLAGS = [("--alg", "katyusha"), ("--preset", "theory"), ("--eta", "10"),
+                ("--p", "0.5"), ("--m", "3"), ("--theta1", "0.1"), ("--theta2", "0.5"),
+                ("--step-size", "0.1")]
+_IGNORED = {"sweep-p": [*_PARAM_FLAGS, ("--tag", "mine")],
+            "compare-all": [*_PARAM_FLAGS, ("--seed", "7")]}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [pytest.param(command, flag, id=f"{command}:{flag[0] if flag else 'params'}")
+     for command, flags in _IGNORED.items() for flag in [*flags, None]],
+)
+def test_batch_commands_reject_flags_and_params_they_would_ignore(
+        tmp_path, capsys, command, flag):
+    config = {"synthetic": [10, 4, 25.0], "loss": "ridge", "mu": 1.0, "epochs": 1.0}
+    if flag is None:  # params from a config file
+        config["params"] = {"eta": 10.0}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = (command, "--config", str(path), "--out", str(tmp_path / "out"))
+    if flag is None:
+        assert run_cli(*argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error: ") and "['eta']" in err
+        assert "\n" not in err
+    else:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, *flag)
+        assert exc.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_finished_runs_record_no_divergence(tmp_path):
     assert run_cli("run", "--synthetic", "10,4,25", "--loss", "ridge",
                    "--epochs", "2", "--out", str(tmp_path)) == EXIT_OK

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from loopless import diagnostics, harness
 from loopless.harness import (
     ConfigError,
     DataError,
@@ -265,25 +266,39 @@ def test_sweep_p_writes_pairs(tmp_path):
     assert lsvrg_sidecar["params"]["eta"] == svrg_sidecar["params"]["eta"]
 
 
-def test_sweep_p_is_deterministic_and_writes_run_experiment_outputs(tmp_path):
+def compare_runs(config, out_dir):
+    """compare_all over gd, l-svrg and l-katyusha with two seeds; its run CSVs."""
+    compare_all(config, out_dir, seeds=[0, 1], algorithms=["gd", "l-svrg", "l-katyusha"])
+    return sorted(p for p in out_dir.glob("*.csv") if p.name != "summary.csv")
+
+
+@pytest.mark.parametrize(
+    "batch, runs",
+    [(lambda config, out_dir: sweep_p(config, out_dir, grid=[2, 7]), 4),
+     (compare_runs, 6)],
+    ids=["sweep_p", "compare_all"],
+)
+def test_batch_is_deterministic_and_writes_run_experiment_outputs(tmp_path, batch, runs):
     config = synthetic_config(epochs=6.0, checkpoint_every=0.5)
-    first = sweep_p(config, tmp_path / "a", grid=[2, 7])
-    second = sweep_p(config, tmp_path / "b", grid=[2, 7])
+    first = batch(config, tmp_path / "a")
+    second = batch(config, tmp_path / "b")
+    assert len(first) == len(second) == runs
     for a, b in zip(first, second):
         assert strip_wall(read_csv_lines(a)) == strip_wall(read_csv_lines(b))
     for path in first:
         sidecar = json.loads(path.with_suffix(".json").read_text())
-        single = replace(config, algorithm=sidecar["algorithm"],
+        run_id = f"{sidecar['algorithm']}_{sidecar['loss']}_seed{sidecar['seed']}"
+        single = replace(config, algorithm=sidecar["algorithm"], seed=sidecar["seed"],
                          params=sidecar["params"], preset=None,
-                         tag=path.stem.rsplit("_", 1)[1])
+                         tag=path.stem.removeprefix(run_id).lstrip("_"))
         alone = run_experiment(single, tmp_path / "alone")
         assert alone.name == path.name
         assert (alone.with_suffix(".json").read_bytes()
                 == path.with_suffix(".json").read_bytes())
-        lanes, serial = read_trace(path), read_trace(alone)
-        assert [(r["k"], r["oracle_calls"], r["epoch"]) for r in lanes] == [
+        batched, serial = read_trace(path), read_trace(alone)
+        assert [(r["k"], r["oracle_calls"], r["epoch"]) for r in batched] == [
             (r["k"], r["oracle_calls"], r["epoch"]) for r in serial]
-        for a, b in zip(lanes, serial):
+        for a, b in zip(batched, serial):
             assert a["dist_sq"] == pytest.approx(b["dist_sq"], rel=1e-12)
             assert a["f_gap"] == pytest.approx(b["f_gap"], rel=1e-12)
 
@@ -325,6 +340,28 @@ def test_compare_all_single_algorithm_group(tmp_path):
     with open(summary, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert [r["algorithm"] for r in rows] == ["gd"]
+
+
+def test_compare_all_builds_the_problem_and_reference_once(tmp_path, monkeypatch):
+    data = tmp_path / "tiny.svm"
+    data.write_text("+1 1:1 2:0.5\n-1 1:-1\n+1 2:2\n-1 1:0.3 2:-1\n", encoding="utf-8")
+    calls = {"build_problem": 0, "solve_reference": 0}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(harness, "build_problem")
+    counted(diagnostics, "solve_reference")
+    config = synthetic_config(synthetic=None, dataset_path=str(data), loss="logistic",
+                              mu=0.3, epochs=2.0)
+    compare_all(config, tmp_path / "out", seeds=[0, 1], algorithms=["gd", "l-svrg"])
+    assert calls == {"build_problem": 1, "solve_reference": 1}
 
 
 def test_compare_all_requires_distance(tmp_path):
