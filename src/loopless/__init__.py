@@ -36,8 +36,6 @@ from .optimizers import (
     LoopySVRG,
     TraceRecord,
     gd_step,
-    lkatyusha_theory_params,
-    lsvrg_theory_params,
     run,
 )
 from .rng import SplitMix64
@@ -68,9 +66,7 @@ __all__ = [
     "exact_expected_phi_next",
     "exact_expected_psi_next",
     "gd_step",
-    "lkatyusha_theory_params",
     "load_libsvm",
-    "lsvrg_theory_params",
     "make_oracle",
     "normalize_rows",
     "parse_libsvm",

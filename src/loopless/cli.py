@@ -6,13 +6,14 @@ Subcommands and the flags each reads:
   sweep-p      problem and budget flags, --seed, --grid
   compare-all  problem and budget flags, --tag, --seeds, --algs, --thresholds
   plotdata     trace files, --metrics, --out
-  solve-ref    problem flags, --seed
+  solve-ref    problem flags
 Problem flags: --data or --synthetic, --loss, --mu, --normalize, --data-seed,
 --ref-tolerance, --ref-max-epochs, --config, --out.  Budget flags: --epochs,
 --checkpoint-every, --diagnostics.  Flags are spelled in full.
 Exit codes: 0 success, 2 invalid configuration, 3 data error,
-4 reference solve failure, 5 divergence (a run's iterate stopped being
-finite; its trace and sidecar are still written, see the README).
+4 reference solve failure, 5 divergence (a run's iterate or its metrics
+stopped being finite; its trace and sidecar are still written, see the
+README).
 """
 
 from __future__ import annotations
@@ -143,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ref = sub.add_parser("solve-ref", help="solve and store a reference solution")
     _add_problem_flags(ref)
-    ref.add_argument("--seed", type=int)
 
     for command in sub.choices.values():  # or sweep-p --m would mean --mu
         command.allow_abbrev = False
@@ -153,6 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
 # RunConfig fields whose flag has another name; every other field's flag
 # (if it has one) carries the field's own name
 _FIELD_TO_FLAG = {"algorithm": "alg", "dataset_path": "data"}
+
+# RunConfig fields a batch command sets for each of its runs, so a --config
+# file may not set them (params are rejected by the harness)
+_BATCH_FIELDS = {"sweep-p": ("algorithm", "tag"), "compare-all": ("algorithm", "seed")}
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -167,6 +171,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
+        command = getattr(args, "command", None)
+        fixed = [name for name in _BATCH_FIELDS.get(command, ()) if name in payload]
+        if fixed:
+            raise ConfigError(f"{command} sets every run's {' and '.join(fixed)} "
+                              f"itself; remove {fixed} from the config")
 
     params = payload.get("params", {})
     if not isinstance(params, dict):

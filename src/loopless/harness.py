@@ -37,9 +37,10 @@ class DataError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """A run's tracked point stopped being finite (CLI exit code 5).  Raised
-    after every trace and sidecar is written: each trace keeps its rows up to
-    the last finite checkpoint, and each sidecar records diverged_at_k."""
+    """A run's tracked point or metrics stopped being finite (CLI exit code
+    5).  Raised after every trace and sidecar is written: each trace keeps
+    its rows up to the last finite checkpoint, and each sidecar records
+    diverged_at_k."""
 
     def __init__(self, message: str, paths: list[Path]):
         super().__init__(message)
@@ -359,7 +360,7 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
              for c, p, opt, records in zip(configs, resolved, optimizers, traces)]
     diverged = [f"{config.run_id()} at k={opt.k}"
                 for config, opt in zip(configs, optimizers)
-                if _diverged_at(opt) is not None]
+                if opt.diverged_at is not None]
     if diverged:
         raise DivergenceError(
             f"diverged: {', '.join(diverged)}; each trace stops at its last "
@@ -403,17 +404,11 @@ def write_run(config: RunConfig, params: dict, optimizer, ref: ReferenceSolution
             "f_star": ref.f_star,
             "tolerance": ref.tolerance,
         }
-    sidecar["diverged_at_k"] = _diverged_at(optimizer)
+    sidecar["diverged_at_k"] = optimizer.diverged_at
     with open(out_dir / f"{config.run_id()}.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
         fh.write("\n")
     return csv_path
-
-
-def _diverged_at(optimizer) -> int | None:
-    """k of the checkpoint a run stopped at for a non-finite tracked point
-    (run and run_lanes leave the optimizer there), or None."""
-    return None if np.isfinite(optimizer.tracked_point).all() else optimizer.k
 
 
 def normalize_grid(values) -> list[int]:

@@ -70,6 +70,7 @@ class _Optimizer:
     potential: tuple[str, ...] = ()  # Lyapunov trace columns: phi or psi first
     lemmas: tuple[str, ...] = ()  # one-step bounds, traced as slack_<name>
     in_lanes = False  # whether run_lanes can drive it (the SVRG family)
+    diverged_at: int | None = None  # k of the checkpoint run or run_lanes stopped at
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -350,10 +351,6 @@ ALGORITHMS = {
     for cls in (GradientDescent, LoopySVRG, LSVRG, LoopyKatyusha, LKatyusha)
 }
 
-lsvrg_theory_params = LSVRG.theory_params
-lkatyusha_theory_params = LKatyusha.theory_params
-loopy_svrg_theory_params = LoopySVRG.theory_params
-
 
 def all_param_types() -> dict:
     """Union of every registered algorithm's constructor parameters."""
@@ -400,20 +397,26 @@ class _Recorder:
         self.diag_ns = 0
 
     def record(self, optimizer, metrics=None, hook=None) -> TraceRecord | None:
-        """The optimizer's checkpoint record, or None when its tracked point
-        is not finite: the run has diverged and stops without the record."""
+        """The optimizer's checkpoint record, or None when its tracked point,
+        dist_sq or f_gap is not finite: the run has diverged and stops
+        without the record, and optimizer.diverged_at is set to its k."""
         now = time.perf_counter_ns()
-        if not np.isfinite(optimizer.tracked_point).all():
-            return None
         rec = TraceRecord(
             k=optimizer.k,
             oracle_calls=optimizer.oracle_calls,
             epoch=optimizer.epoch,
             wall_ns=now - self.start_ns - self.diag_ns,
         )
-        if metrics is not None:
-            for key, value in metrics(optimizer).items():
-                setattr(rec, key, value)
+        finite = np.isfinite(optimizer.tracked_point).all()
+        if finite and metrics is not None:
+            # overflow here means divergence, which is reported once, below
+            with np.errstate(over="ignore", invalid="ignore"):
+                for key, value in metrics(optimizer).items():
+                    setattr(rec, key, value)
+            finite = all(v is None or math.isfinite(v) for v in (rec.dist_sq, rec.f_gap))
+        if not finite:
+            optimizer.diverged_at = optimizer.k
+            return None
         if hook is not None:
             hook(optimizer)
         self.diag_ns += time.perf_counter_ns() - now
@@ -436,9 +439,9 @@ def run(
     metrics(optimizer) may return a dict of TraceRecord field overrides;
     hook(optimizer) is called with the live optimizer at every checkpoint and
     must treat it as read-only.  wall_ns leaves out the time spent in both.
-    At the first checkpoint whose tracked point is not finite the run stops
-    without recording it, leaving the optimizer in that state; the caller
-    sees the divergence there.  Deterministic given (optimizer state, rng).
+    At the first checkpoint whose tracked point, dist_sq or f_gap is not
+    finite the run stops without recording it, leaving the optimizer in that
+    state with diverged_at = k.  Deterministic given (optimizer state, rng).
     """
     _check_budget(epochs, checkpoint_every)
     recorder = _Recorder()
@@ -480,9 +483,9 @@ def run_lanes(
     The lanes step together on (S, d) arrays.  Each follows its own schedule
     of sample indices and refreshes, drawn a block of steps at a time by its
     refresh rule, and drops out when its budget is spent or, as in run, at
-    its first checkpoint with a non-finite tracked point.  Before each of a
-    lane's checkpoints its state (x, w, grad_w, k, oracle_calls, j) is
-    written back to its optimizer, so metrics sees an ordinary optimizer.
+    its first checkpoint with a non-finite tracked point or metric.  Before
+    each of a lane's checkpoints its state (x, w, grad_w, k, oracle_calls, j)
+    is written back to its optimizer, so metrics sees an ordinary optimizer.
     wall_ns is the batch's optimizer time so far, shared by its lanes.  A
     lane's rng ends at the end of its last block, past where run leaves it.
     """

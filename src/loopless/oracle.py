@@ -12,7 +12,7 @@ norm, scaled by the loss curvature bound, plus mu).
 Per-sample calls (grad_i, loss_i) run one row through a scalar kernel on
 Python floats, which is the optimizers' per-step hot path.  Full-data calls
 (full_grad, full_loss, grad_table and their batched forms) run all rows at
-once with numpy: A @ x and r @ A on a dense copy, reduceat/bincount on the
+once with numpy: A @ x and r @ A on a dense copy, reduceat and add.at on the
 dataset's CSR arrays otherwise.  Their sums are ordered differently from a
 row-by-row loop, so they agree with it to rounding, not bitwise; only at
 n == 1 does full_grad take the scalar kernel, so that full_grad(x) equals
@@ -207,7 +207,10 @@ class Oracle:
         else:
             per_entry = np.repeat(r, self._counts)
             per_entry *= self._values
-            data = np.bincount(self._indices, weights=per_entry, minlength=self.d)
+            # np.bincount would sum in the same order but copy the read-only
+            # indices first (nnz x 8 bytes, on every call)
+            data = np.zeros(self.d)
+            np.add.at(data, self._indices, per_entry)
         return data / self.n + self.mu * x
 
     @_quiet_underflow

@@ -27,8 +27,6 @@ from loopless.optimizers import (
     LoopyKatyusha,
     LoopySVRG,
     LSVRG,
-    lkatyusha_theory_params,
-    lsvrg_theory_params,
 )
 from loopless.rng import SplitMix64
 
@@ -96,7 +94,7 @@ def test_criterion_2_phi_contraction():
     oracle, ref = _ridge10()
     worst = np.inf
 
-    state = LSVRG(oracle, np.ones(4), **lsvrg_theory_params(oracle))
+    state = LSVRG(oracle, np.ones(4), **LSVRG.theory_params(oracle))
     rng = SplitMix64(42)
     for _ in range(200):
         lhs = exact_expected_phi_next(state, ref, oracle)
@@ -106,7 +104,7 @@ def test_criterion_2_phi_contraction():
 
     draws = np.random.default_rng(102)
     for _ in range(100):
-        state = LSVRG(oracle, draws.normal(size=4), **lsvrg_theory_params(oracle))
+        state = LSVRG(oracle, draws.normal(size=4), **LSVRG.theory_params(oracle))
         state.w = draws.normal(size=4)
         state.grad_w = oracle.full_grad(state.w)
         lhs = exact_expected_phi_next(state, ref, oracle)
@@ -126,7 +124,7 @@ def test_criterion_3_psi_contraction():
     oracle, ref = _ridge10()
     worst = np.inf
 
-    state = LKatyusha(oracle, np.ones(4), **lkatyusha_theory_params(oracle))
+    state = LKatyusha(oracle, np.ones(4), **LKatyusha.theory_params(oracle))
     rng = SplitMix64(43)
     for _ in range(200):
         lhs = exact_expected_psi_next(state, ref, oracle)
@@ -136,7 +134,7 @@ def test_criterion_3_psi_contraction():
 
     draws = np.random.default_rng(103)
     for _ in range(100):
-        state = LKatyusha(oracle, draws.normal(size=4), **lkatyusha_theory_params(oracle))
+        state = LKatyusha(oracle, draws.normal(size=4), **LKatyusha.theory_params(oracle))
         state.y = draws.normal(size=4)
         state.z = draws.normal(size=4)
         state.w = draws.normal(size=4)
@@ -160,14 +158,14 @@ def test_criterion_4_one_step_bounds():
     worst_eq = 0.0
     svrg_names = {"iterate_distance", "estimator_second_moment", "grad_learning_decay"}
     for _ in range(100):
-        state = LSVRG(oracle, draws.normal(size=4), **lsvrg_theory_params(oracle))
+        state = LSVRG(oracle, draws.normal(size=4), **LSVRG.theory_params(oracle))
         state.w = draws.normal(size=4)
         state.grad_w = oracle.full_grad(state.w)
         checks = verify_lemma_bounds(state, ref, oracle)
         for name in svrg_names:
             worst_rel = min(worst_rel, checks[name].rel_slack)
 
-        kstate = LKatyusha(oracle, draws.normal(size=4), **lkatyusha_theory_params(oracle))
+        kstate = LKatyusha(oracle, draws.normal(size=4), **LKatyusha.theory_params(oracle))
         kstate.y = draws.normal(size=4)
         kstate.z = draws.normal(size=4)
         kstate.w = draws.normal(size=4)
@@ -193,7 +191,7 @@ def test_criterion_5_lsvrg_rate_bound():
 
     calls = []
     for seed in SEEDS:
-        opt = LSVRG(oracle, np.zeros(20), **lsvrg_theory_params(oracle))
+        opt = LSVRG(oracle, np.zeros(20), **LSVRG.theory_params(oracle))
         target = 1e-6 * compute_phi(opt, ref, oracle).phi
         rng = SplitMix64(seed)
         reached = float("inf")
@@ -322,7 +320,7 @@ def test_criterion_8_reductions_and_fixed_points():
         GradientDescent(oracle, x_star, step_size=eta),
         LSVRG(oracle, x_star, eta=eta, p=0.2),
         LoopySVRG(oracle, x_star, eta=eta, m=7),
-        LKatyusha(oracle, x_star, **lkatyusha_theory_params(oracle)),
+        LKatyusha(oracle, x_star, **LKatyusha.theory_params(oracle)),
         LoopyKatyusha(oracle, x_star, theta1=0.4, theta2=0.5, m=7),
     ]
     rng = SplitMix64(5)

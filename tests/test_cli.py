@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -263,7 +264,8 @@ def test_config_fields_of_the_wrong_type_exit_with_config_code(tmp_path, capsys,
 
 
 def test_diverging_run_exits_with_divergence_code(tmp_path, capsys):
-    with pytest.warns(RuntimeWarning):  # numpy reports the overflow
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = run_cli(
             "run", "--synthetic", "100,20,1e4", "--loss", "ridge", "--mu", "1.0",
             "--alg", "l-svrg", "--eta", "10", "--p", "0.02", "--epochs", "5",
@@ -278,6 +280,9 @@ def test_diverging_run_exits_with_divergence_code(tmp_path, capsys):
     # the rows before the first non-finite checkpoint are kept
     assert trace and trace[-1]["k"] < sidecar["diverged_at_k"]
     assert all(row["epoch"] < 5.0 for row in trace)
+    # the overflowing metrics stop the run without an inf row or a numpy warning
+    assert sidecar["diverged_at_k"] == 50 and [row["k"] for row in trace] == [0]
+    assert err.count("\n") == 1 and not caught
 
 
 def test_diverging_sweep_writes_every_run_then_exits_with_divergence_code(
@@ -287,7 +292,7 @@ def test_diverging_sweep_writes_every_run_then_exits_with_divergence_code(
               "epochs": 4.0, "x0": [1e308] * 4}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning):  # the first full gradient, at x0
         code = run_cli("sweep-p", "--config", str(path), "--grid", "2,5",
                        "--out", str(tmp_path / "out"))
     assert code == EXIT_DIVERGED
@@ -295,8 +300,9 @@ def test_diverging_sweep_writes_every_run_then_exits_with_divergence_code(
     assert len(printed) == 4
     for csv_path in printed:
         sidecar = json.loads(Path(csv_path).with_suffix(".json").read_text())
-        assert sidecar["diverged_at_k"] >= 1
-        assert [row["k"] for row in read_trace(csv_path)] == [0]
+        # the initial distance already overflows: no row is finite
+        assert sidecar["diverged_at_k"] == 0
+        assert read_trace(csv_path) == []
 
 
 def test_diverging_compare_all_writes_every_run_then_exits_without_a_summary(
@@ -305,7 +311,7 @@ def test_diverging_compare_all_writes_every_run_then_exits_without_a_summary(
               "epochs": 4.0, "x0": [1e308] * 4}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    with pytest.warns(RuntimeWarning):
+    with pytest.warns(RuntimeWarning):  # the first full gradient, at x0
         code = run_cli("compare-all", "--config", str(path), "--seeds", "0,1",
                        "--out", str(tmp_path / "out"))
     assert code == EXIT_DIVERGED
@@ -314,7 +320,7 @@ def test_diverging_compare_all_writes_every_run_then_exits_without_a_summary(
         f"{alg}_ridge_seed{seed}.csv" for alg in ALGORITHMS for seed in (0, 1))
     for csv_path in printed:
         sidecar = json.loads(Path(csv_path).with_suffix(".json").read_text())
-        assert sidecar["diverged_at_k"] >= 1
+        assert sidecar["diverged_at_k"] == 0
     assert not (tmp_path / "out" / "summary.csv").exists()
 
 
@@ -352,6 +358,41 @@ def test_batch_commands_reject_flags_and_params_they_would_ignore(
         assert exc.value.code == EXIT_CONFIG
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _run_batch_with_config(tmp_path, capsys, command, fields):
+    config = {"synthetic": [10, 4, 25.0], "loss": "ridge", "mu": 1.0, "epochs": 1.0,
+              **fields}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = run_cli(command, "--config", str(path), "--out", str(tmp_path / "out"))
+    return code, capsys.readouterr().err.strip()
+
+
+def test_sweep_p_rejects_a_config_algorithm_or_tag(tmp_path, capsys):
+    code, err = _run_batch_with_config(tmp_path, capsys, "sweep-p",
+                                       {"algorithm": "katyusha", "tag": "mine"})
+    assert code == EXIT_CONFIG
+    assert err == ("config error: sweep-p sets every run's algorithm and tag "
+                   "itself; remove ['algorithm', 'tag'] from the config")
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_all_rejects_a_config_algorithm_or_seed(tmp_path, capsys):
+    code, err = _run_batch_with_config(tmp_path, capsys, "compare-all",
+                                       {"algorithm": "gd", "seed": 7})
+    assert code == EXIT_CONFIG
+    assert err == ("config error: compare-all sets every run's algorithm and seed "
+                   "itself; remove ['algorithm', 'seed'] from the config")
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_ref_takes_no_seed(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve-ref", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1.0",
+                "--seed", "5", "--out", str(tmp_path))
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 def test_finished_runs_record_no_divergence(tmp_path):

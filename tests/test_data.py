@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+from loopless import data
 from loopless.data import (
     Dataset,
     ParseError,
@@ -250,3 +253,116 @@ def test_synthesize_validates_arguments():
         synthesize_quadratic(3, 0, 10.0, seed=0)
     with pytest.raises(ValueError):
         synthesize_quadratic(3, 3, 0.5, seed=0)
+
+
+# -- the block fast path against the scalar parser ---------------------------
+
+
+def _outcome(source, dim=None):
+    """parse_libsvm's result as comparable bytes, or its error."""
+    try:
+        ds = parse_libsvm(source, dim=dim)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "line", None)
+    return (ds.d, *(a.tobytes() for a in (ds.indptr, ds.indices, ds.values, ds.labels)))
+
+
+def _assert_fast_matches_scalar(monkeypatch, source, dim=None):
+    """source: text, or a list of lines (each one line, whatever it holds)."""
+    fast = _outcome(source, dim)
+    with monkeypatch.context() as m:
+        m.setattr(data, "_parse_block_fast", lambda lines: None)
+        scalar = _outcome(source, dim)
+    assert fast == scalar, str(source)[:200]
+    return fast
+
+
+def _random_number(rng, integral=False) -> str:
+    pick = int(rng.choice([0, 1, 2]) if integral else rng.integers(7))
+    if pick == 0:
+        return str(rng.integers(-5, 6))
+    if pick == 1:
+        return f"+{rng.integers(0, 100)}"
+    if pick == 2:  # about the exact-integer limit of 15 digits
+        return str(rng.integers(0, 10 ** int(rng.integers(14, 19))))
+    if pick == 3:
+        return repr(float(rng.normal() * 10.0 ** rng.integers(-30, 30)))
+    if pick == 4:  # overflows and underflows included
+        return f"{rng.integers(1, 10)}e{rng.integers(-400, 400)}"
+    return str(rng.choice(["0", "0.0", "-0", "+0.000", ".5", "5.", "-.25E-1", "1E+2"]))
+
+
+def _random_libsvm(rng, rows: int, comments=False, integral=False) -> str:
+    labels = [["+1", "-1"], ["0", "1"], ["1", "2"], ["1.0", "-1.0"]][rng.integers(4)]
+    lines = []
+    for _ in range(rows):
+        sep = str(rng.choice([" ", "  ", "\t", " \t"]))
+        idx = np.sort(rng.choice(200, size=int(rng.integers(0, 8)), replace=False)) + 1
+        tokens = [str(rng.choice(labels))]
+        tokens += [f"{'0' * int(rng.integers(2))}{j}:{_random_number(rng, integral)}"
+                   for j in idx]
+        line = sep.join(tokens)
+        if rng.random() < 0.1:
+            line = f" {line} "
+        if comments and rng.random() < 0.1:
+            line += " # note"
+        lines.append(line)
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(["", "  ", "# comment" if comments else ""])))
+    newline = "\r\n" if rng.random() < 0.3 else "\n"
+    return newline.join(lines) + newline
+
+
+def test_fast_parse_matches_scalar_on_random_valid_files(monkeypatch):
+    rng = np.random.default_rng(2024)
+    for case in range(80):
+        comments = case % 3 == 0
+        # all-integer files take the exact-integer conversion
+        text = _random_libsvm(rng, int(rng.integers(1, 40)), comments, case % 4 == 1)
+        dim = None if rng.random() < 0.7 else int(rng.integers(150, 250))
+        source = text.split("\n") if case % 5 == 1 else text
+        _assert_fast_matches_scalar(monkeypatch, source, dim)
+        if not comments:
+            # the fast path itself takes the (single) block
+            assert data._parse_block_fast(io.StringIO(text).readlines()) is not None
+
+
+def test_fast_parse_matches_scalar_across_blocks(monkeypatch):
+    rng = np.random.default_rng(7)
+    lines = _random_libsvm(rng, 3 * data._BLOCK_LINES // 2).splitlines()
+    text = "\n".join(lines) + "\n"
+    assert isinstance(_assert_fast_matches_scalar(monkeypatch, text)[0], int)
+    for bad in ("+1 3:1 2:1", "+1 1:1 99", "x 1:1", "+1 0:1", "+1 1:1:2"):
+        lineno = int(rng.integers(data._BLOCK_LINES + 1, len(lines) + 1))
+        broken = lines[: lineno - 1] + [bad] + lines[lineno:]
+        outcome = _assert_fast_matches_scalar(monkeypatch, "\n".join(broken))
+        assert outcome[0] is ParseError and outcome[2] == lineno
+
+
+def test_fast_parse_matches_scalar_on_malformed_strings(monkeypatch):
+    rng = np.random.default_rng(99)
+    pieces = list("0123456789:.e+- \n") + [
+        "1.2.3", "1e", "+1:1", "1:1:2", "1_0", "nan", "\u0663", "1:1", " 2:3",
+        " 1:-0", "-1", "1e400", "\t", "\r\n", "#", "0:1",
+    ]
+    parsed = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(pieces, size=int(rng.integers(0, 14))))
+        if rng.random() < 0.5:
+            text = rng.choice(["+1 ", "-1 ", "1 1:1\n"]) + text
+        parsed += isinstance(_assert_fast_matches_scalar(monkeypatch, text)[0], int)
+    # one to three random edits of a valid file
+    for _ in range(2000):
+        text = _random_libsvm(rng, int(rng.integers(1, 4)), integral=rng.random() < 0.5)
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(len(text) + 1))
+            cut = int(rng.integers(2))
+            text = text[:at] + str(rng.choice(pieces[:17])) * int(rng.integers(2)) \
+                + text[at + cut:]
+        parsed += isinstance(_assert_fast_matches_scalar(monkeypatch, text)[0], int)
+    assert parsed > 500
+    for text in ("+1 9007199254740993:1", "+1 1 :2", "+1 1: 2", "+1 1:1 :2", "+1 +1:1"):
+        _assert_fast_matches_scalar(monkeypatch, text)
+    # a list element is one line, even with a newline inside it
+    for lines in (["+1 1:1\n-1 2:1"], ["+1 1:1\n", "\n-1 2:1"], ["+1", " 1:1"]):
+        _assert_fast_matches_scalar(monkeypatch, lines)

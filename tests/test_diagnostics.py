@@ -18,8 +18,6 @@ from loopless.oracle import make_oracle
 from loopless.optimizers import (
     LKatyusha,
     LSVRG,
-    lkatyusha_theory_params,
-    lsvrg_theory_params,
 )
 from loopless.rng import SplitMix64
 
@@ -27,7 +25,7 @@ from conftest import ridge_instance
 
 
 def random_lsvrg_state(oracle, rng, eta=None, p=None):
-    params = lsvrg_theory_params(oracle)
+    params = LSVRG.theory_params(oracle)
     state = LSVRG(
         oracle,
         rng.normal(size=oracle.d),
@@ -40,7 +38,7 @@ def random_lsvrg_state(oracle, rng, eta=None, p=None):
 
 
 def random_lkatyusha_state(oracle, rng):
-    state = LKatyusha(oracle, rng.normal(size=oracle.d), **lkatyusha_theory_params(oracle))
+    state = LKatyusha(oracle, rng.normal(size=oracle.d), **LKatyusha.theory_params(oracle))
     state.y = rng.normal(size=oracle.d)
     state.z = rng.normal(size=oracle.d)
     state.w = rng.normal(size=oracle.d)
@@ -138,7 +136,7 @@ def test_phi_dominates_distance():
 
 def test_psi_zero_at_minimizer():
     oracle, ref = ridge_instance(10, 4, 25.0, seed=2)
-    state = LKatyusha(oracle, ref.x_star, **lkatyusha_theory_params(oracle))
+    state = LKatyusha(oracle, ref.x_star, **LKatyusha.theory_params(oracle))
     report = compute_psi(state, ref, oracle)
     assert report.psi == pytest.approx(0.0, abs=1e-15)
     assert report.zk == 0.0
@@ -194,7 +192,7 @@ def test_dimension_mismatch_rejected():
 
 def test_expected_phi_next_zero_at_fixed_point():
     oracle, ref = ridge_instance(10, 4, 25.0, seed=2)
-    state = LSVRG(oracle, ref.x_star, **lsvrg_theory_params(oracle))
+    state = LSVRG(oracle, ref.x_star, **LSVRG.theory_params(oracle))
     assert exact_expected_phi_next(state, ref, oracle) < 1e-25
 
 
@@ -234,7 +232,7 @@ def test_expected_phi_next_agrees_with_monte_carlo():
 
 def test_expected_psi_next_zero_at_fixed_point():
     oracle, ref = ridge_instance(10, 4, 25.0, seed=2)
-    state = LKatyusha(oracle, ref.x_star, **lkatyusha_theory_params(oracle))
+    state = LKatyusha(oracle, ref.x_star, **LKatyusha.theory_params(oracle))
     assert abs(exact_expected_psi_next(state, ref, oracle)) < 1e-14
 
 
@@ -279,7 +277,7 @@ def test_expected_psi_next_single_branch_when_deterministic():
 
 def test_contraction_holds_along_real_runs():
     oracle, ref = ridge_instance(10, 4, 25.0, seed=2)
-    state = LSVRG(oracle, np.zeros(4), **lsvrg_theory_params(oracle))
+    state = LSVRG(oracle, np.zeros(4), **LSVRG.theory_params(oracle))
     rng = SplitMix64(30)
     for _ in range(200):
         lhs = exact_expected_phi_next(state, ref, oracle)
@@ -287,7 +285,7 @@ def test_contraction_holds_along_real_runs():
         assert lhs <= rhs + 1e-10
         state.step(rng)
 
-    kstate = LKatyusha(oracle, np.zeros(4), **lkatyusha_theory_params(oracle))
+    kstate = LKatyusha(oracle, np.zeros(4), **LKatyusha.theory_params(oracle))
     for _ in range(200):
         lhs = exact_expected_psi_next(kstate, ref, oracle)
         rhs = psi_contraction_rhs(kstate, ref, oracle)
@@ -298,7 +296,7 @@ def test_contraction_holds_along_real_runs():
 def test_psi_controls_tracked_distance():
     # strong convexity turns the y-component into a distance bound
     oracle, ref = ridge_instance(10, 4, 25.0, seed=2)
-    state = LKatyusha(oracle, np.zeros(4), **lkatyusha_theory_params(oracle))
+    state = LKatyusha(oracle, np.zeros(4), **LKatyusha.theory_params(oracle))
     rng = SplitMix64(31)
     for _ in range(300):
         state.step(rng)
@@ -339,7 +337,7 @@ def test_lemma_bounds_hold_at_random_states():
 
 def test_lemma_bounds_trivial_at_minimizer():
     oracle, ref = ridge_instance(10, 4, 25.0, seed=2)
-    state = LSVRG(oracle, ref.x_star, **lsvrg_theory_params(oracle))
+    state = LSVRG(oracle, ref.x_star, **LSVRG.theory_params(oracle))
     checks = verify_lemma_bounds(state, ref, oracle)
     second = checks["estimator_second_moment"]
     assert abs(second.lhs) < 1e-25 and abs(second.rhs) < 1e-25

@@ -189,12 +189,15 @@ def test_run_lanes_rejects_other_families_and_oracles():
 def test_run_stops_at_the_first_non_finite_checkpoint():
     oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
     opt = LSVRG(oracle, np.ones(5), eta=10.0, p=0.05)
-    with np.errstate(over="ignore", invalid="ignore"):
-        records = run(opt, SplitMix64(0), epochs=40.0,
-                      metrics=distance_metrics(ref.x_star))
-    assert not np.isfinite(opt.x).all()
+    metrics = distance_metrics(ref.x_star)
+    records = run(opt, SplitMix64(0), epochs=40.0, metrics=metrics)
+    # it stopped where the point or its distance first overflowed
+    assert opt.diverged_at == opt.k
+    with np.errstate(over="ignore"):
+        assert not np.isfinite([*opt.x, metrics(opt)["dist_sq"]]).all()
     # every kept row is a finite checkpoint before the one that stopped it
     assert records and records[-1].k < opt.k
+    assert all(np.isfinite(r.dist_sq) for r in records)
     assert records[-1].epoch < 40.0
     finite = LSVRG(oracle, np.ones(5), eta=10.0, p=0.05)
     again = run(finite, SplitMix64(0), epochs=records[-1].epoch)

@@ -13,9 +13,6 @@ from loopless.optimizers import (
     LoopySVRG,
     LSVRG,
     gd_step,
-    lkatyusha_theory_params,
-    loopy_svrg_theory_params,
-    lsvrg_theory_params,
     run,
 )
 from loopless.rng import SplitMix64
@@ -62,7 +59,7 @@ def test_lkatyusha_theory_preset_arithmetic():
     ds = parse_libsvm("+1 1:1\n-1 1:-1")
     oracle = make_oracle(ds, "ridge", 3.0)  # L = 1 + 3, mu = 3 -> sigma = 3/4
     assert oracle.mu / oracle.L == pytest.approx(0.75)
-    params = lkatyusha_theory_params(oracle)
+    params = LKatyusha.theory_params(oracle)
     assert params["theta1"] == pytest.approx(0.5)
     assert params["theta2"] == 0.5
     assert params["p"] == 0.5
@@ -146,7 +143,7 @@ def test_fixed_point_at_minimizer(ridge10):
 
 def test_estimator_is_unbiased_along_trajectory(ridge10):
     oracle, _ = ridge10
-    opt = LSVRG(oracle, np.ones(4), **lsvrg_theory_params(oracle))
+    opt = LSVRG(oracle, np.ones(4), **LSVRG.theory_params(oracle))
     rng = SplitMix64(17)
     for _ in range(50):
         opt.step(rng)
@@ -184,8 +181,8 @@ def test_loopy_m1_matches_loopless_p1(ridge10):
 
 def test_loopy_theory_preset_matches_inverse_probability(ridge10):
     oracle, _ = ridge10
-    params = loopy_svrg_theory_params(oracle)
-    assert params["m"] == oracle.n == math.ceil(1.0 / lsvrg_theory_params(oracle)["p"])
+    params = LoopySVRG.theory_params(oracle)
+    assert params["m"] == oracle.n == math.ceil(1.0 / LSVRG.theory_params(oracle)["p"])
 
 
 def test_loopy_oracle_call_pattern(ridge10):
@@ -272,7 +269,7 @@ def test_run_rejects_negative_budget_and_bad_stride(ridge10):
 
 def test_run_checkpoints_cover_budget(ridge10):
     oracle, _ = ridge10
-    opt = LSVRG(oracle, np.zeros(4), **lsvrg_theory_params(oracle))
+    opt = LSVRG(oracle, np.zeros(4), **LSVRG.theory_params(oracle))
     records = run(opt, SplitMix64(4), epochs=6.0, checkpoint_every=1.0)
     epochs = [r.epoch for r in records]
     assert epochs[0] == 1.0
@@ -286,7 +283,7 @@ def test_run_is_deterministic(ridge10):
     oracle, x_star = ridge10
 
     def once():
-        opt = LSVRG(oracle, np.zeros(4), **lsvrg_theory_params(oracle))
+        opt = LSVRG(oracle, np.zeros(4), **LSVRG.theory_params(oracle))
         recs = run(opt, SplitMix64(21), epochs=10.0)
         return [(r.k, r.oracle_calls, r.epoch) for r in recs], opt.x
 
@@ -318,7 +315,7 @@ def test_lsvrg_theory_rate_on_synthetic():
     budget = 4.0 * (oracle.n + oracle.L / oracle.mu) * math.log(1e8)
     calls = []
     for seed in range(10):
-        opt = LSVRG(oracle, np.zeros(20), **lsvrg_theory_params(oracle))
+        opt = LSVRG(oracle, np.zeros(20), **LSVRG.theory_params(oracle))
         d0 = float((opt.x - x_star) @ (opt.x - x_star))
         rng = SplitMix64(seed)
         reached = float("inf")
@@ -335,7 +332,7 @@ def test_lsvrg_theory_rate_on_synthetic():
 
 def test_epoch_accounting_matches_calls(ridge10):
     oracle, _ = ridge10
-    opt = LKatyusha(oracle, np.zeros(4), **lkatyusha_theory_params(oracle))
+    opt = LKatyusha(oracle, np.zeros(4), **LKatyusha.theory_params(oracle))
     rng = SplitMix64(6)
     for _ in range(37):
         opt.step(rng)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,22 @@ def test_oracle_shares_the_dataset_csr_arrays():
         assert np.shares_memory(oracle._indices, dataset.indices)
         assert np.shares_memory(oracle._values, dataset.values)
         assert np.shares_memory(oracle.labels, dataset.labels)
+
+
+def test_csr_full_grad_does_not_copy_the_dataset_arrays():
+    rng = np.random.default_rng(6)
+    dataset = property_dataset(rng, 200, 2000, 0.2, pad=0)
+    oracle = make_oracle(dataset, "logistic", 0.1)
+    x = rng.normal(size=oracle.d)
+    oracle.full_grad(x)
+    tracemalloc.start()
+    try:
+        oracle.full_grad(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one per-entry temporary; np.bincount would add a copy of the indices
+    assert peak < 1.5 * dataset.nnz * 8
 
 
 def test_smoothness_constant_formulas():
