@@ -195,8 +195,10 @@ def _as_lines(source: str | TextIO | Iterable[str]) -> Iterable[str]:
 
 def _remap_labels(raw: np.ndarray) -> np.ndarray:
     # sorted with every NaN distinct and last: an order that NaN's identity-based
-    # hash cannot change between runs
-    distinct = np.unique(raw, equal_nan=False).tolist()
+    # hash cannot change between runs (np.unique gives it too, but its first
+    # call raises peak memory by about 1.5 MB)
+    values = raw.tolist()
+    distinct = sorted({v for v in values if v == v}) + [v for v in values if v != v]
     if all(v in (-1.0, 1.0) for v in distinct):
         return raw
     if len(distinct) == 2:
@@ -213,15 +215,16 @@ def _remap_labels(raw: np.ndarray) -> np.ndarray:
 # benchmark's peak RSS by 6-11%.
 _BLOCK_LINES = 128
 
-# byte classes for the block fast path: _NUMBER is a number's other bytes,
-# and class 0 (``#``, letters, other whitespace, ...) sends the block to the
+# the bytes of a plain block, in classes for the block fast path; any other
+# byte (``#``, ``.``, letters, other whitespace, ...) sends the block to the
 # scalar parser
-_SPACE, _COLON, _DIGIT, _NUMBER = 1, 2, 3, 4
+_PLAIN_BYTES = b" \t\r\n:0123456789+-"
+_SPACE, _COLON, _DIGIT, _SIGN = 1, 2, 3, 4
 _CLASS = np.zeros(256, dtype=np.uint8)
 _CLASS[list(b" \t\r\n")] = _SPACE
 _CLASS[ord(":")] = _COLON
 _CLASS[list(b"0123456789")] = _DIGIT
-_CLASS[list(b".eE+-")] = _NUMBER
+_CLASS[list(b"+-")] = _SIGN
 _PLAIN_DIGITS = 15  # 10**15 < 2**53: such integers are exact doubles
 _TENS = np.array([10**k for k in range(_PLAIN_DIGITS)], dtype=np.float64)
 
@@ -278,18 +281,20 @@ def _parse_block_fast(lines: list[str]):
     """``_parse_block``'s result computed on the block's bytes, or None.
 
     Accepts only blocks whose every line is plain: a label, then features
-    ``digits:number``, each number over ``0-9 . e E + -``.  The numbers are
-    converted in bulk.  Any other block, and any failed check, gives None,
-    so the scalar parser decides (and reports the error).
+    ``index:value``, each number ``[+-]digits`` of at most _PLAIN_DIGITS
+    digits.  The numbers are converted in bulk.  Any other block, and any
+    failed check, gives None, so the scalar parser decides (and reports the
+    error).
     """
     # "\n" after each line keeps its tokens apart, as line.split() does
     text = "\n".join(lines) + "\n"
     if not text.isascii():
         return None
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    kind = _CLASS[raw]
-    if not kind.all():
+    raw = text.encode("ascii")
+    if raw.translate(None, _PLAIN_BYTES):  # a byte that is not plain
         return None
+    raw = np.frombuffer(raw, dtype=np.uint8)
+    kind = _CLASS[raw]
     # fields are runs of number bytes: field f spans [starts[f], stops[f])
     edges = np.diff((kind >= _DIGIT).view(np.int8), prepend=0)
     starts = np.flatnonzero(edges == 1)
@@ -315,24 +320,15 @@ def _parse_block_fast(lines: list[str]):
     # a label stands alone; every other field is an index or a value, not both
     if not np.where(is_label, ~is_index, is_index ^ is_value).all():
         return None
-    # an index is digits only
-    others = np.flatnonzero(kind == _NUMBER)
-    if is_index[field_of[others]].any():
-        return None
 
-    numbers = _plain_numbers(raw, kind, starts, stops, field_of, others)
+    numbers = _plain_numbers(raw, kind, starts, stops, field_of)
     if numbers is None:
-        try:
-            numbers = np.fromstring(text.replace(":", " "), sep=" ")
-        except ValueError:  # a field that is not a number
-            return None
-        if numbers.size != starts.size:  # older numpy stops there instead
-            return None
+        return None
     j, v = numbers[is_index], numbers[is_value]
     row = (np.cumsum(is_label) - 1)[is_index]
-    # digits-only indices are integers, and exact as doubles below 2**53
+    # plain numbers are exact integers, as int() reads them (signs included)
     ascending = (np.diff(j) > 0) | (np.diff(row) != 0)
-    if not ((j >= 1) & (j < 2.0**53)).all() or not ascending.all():
+    if not (j >= 1).all() or not ascending.all():
         return None
 
     keep = v != 0.0
@@ -341,11 +337,11 @@ def _parse_block_fast(lines: list[str]):
             j[keep].astype(np.int64) - 1, v[keep])
 
 
-def _plain_numbers(raw, kind, starts, stops, field_of, others):
+def _plain_numbers(raw, kind, starts, stops, field_of):
     """Each field's value when all are [+-]digits of at most _PLAIN_DIGITS
     digits (exact as doubles, so equal to float()), else None."""
     signed = (raw[starts] == ord("+")) | (raw[starts] == ord("-"))
-    if others.size != signed.sum():  # a number byte other than a leading sign
+    if np.count_nonzero(kind == _SIGN) != signed.sum():  # a sign inside a field
         return None
     count = stops - starts - signed
     if count.min() < 1 or count.max() > _PLAIN_DIGITS:

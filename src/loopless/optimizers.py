@@ -414,12 +414,12 @@ class _Recorder:
                 for key, value in metrics(optimizer).items():
                     setattr(rec, key, value)
             finite = all(v is None or math.isfinite(v) for v in (rec.dist_sq, rec.f_gap))
+        if finite and hook is not None:
+            hook(optimizer)
+        self.diag_ns += time.perf_counter_ns() - now
         if not finite:
             optimizer.diverged_at = optimizer.k
             return None
-        if hook is not None:
-            hook(optimizer)
-        self.diag_ns += time.perf_counter_ns() - now
         return rec
 
 

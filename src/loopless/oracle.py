@@ -12,11 +12,12 @@ norm, scaled by the loss curvature bound, plus mu).
 Per-sample calls (grad_i, loss_i) run one row through a scalar kernel on
 Python floats, which is the optimizers' per-step hot path.  Full-data calls
 (full_grad, full_loss, grad_table and their batched forms) run all rows at
-once with numpy: A @ x and r @ A on a dense copy, reduceat and add.at on the
-dataset's CSR arrays otherwise.  Their sums are ordered differently from a
-row-by-row loop, so they agree with it to rounding, not bitwise; only at
-n == 1 does full_grad take the scalar kernel, so that full_grad(x) equals
-grad_i(0, x) bitwise there (np.exp and math.exp can differ in the last bit).
+once with numpy: A @ x and r @ A on a dense copy, reduceat and bincount (or
+add.at) on the dataset's CSR arrays otherwise.  Their sums are ordered
+differently from a row-by-row loop, so they agree with it to rounding, not
+bitwise; only at n == 1 does full_grad take the scalar kernel, so that
+full_grad(x) equals grad_i(0, x) bitwise there (np.exp and math.exp can
+differ in the last bit).
 """
 
 from __future__ import annotations
@@ -44,6 +45,13 @@ def _sigmoid(t: float) -> float:
 # full_loss_many computes at most this many margins at once: about 128 KB per
 # temporary, so a lemma report's n x n evaluations do not raise peak memory
 _MARGINS_PER_BLOCK = 1 << 14
+
+# full_grad sums up to this many CSR entries with np.bincount and more with
+# np.add.at.  Both sum in entry order, so the results are bitwise equal, but
+# np.bincount copies the read-only indices on every call (8 bytes an entry):
+# cheap and faster on small data, slower and a peak-memory cost on a9a-sized
+# data.  np.add.at is fast only from numpy 1.25, the floor in pyproject.toml.
+_BINCOUNT_MAX_NNZ = 1 << 16
 
 
 def _quiet_underflow(method):
@@ -207,10 +215,11 @@ class Oracle:
         else:
             per_entry = np.repeat(r, self._counts)
             per_entry *= self._values
-            # np.bincount would sum in the same order but copy the read-only
-            # indices first (nnz x 8 bytes, on every call)
-            data = np.zeros(self.d)
-            np.add.at(data, self._indices, per_entry)
+            if self._indices.size <= _BINCOUNT_MAX_NNZ:
+                data = np.bincount(self._indices, weights=per_entry, minlength=self.d)
+            else:
+                data = np.zeros(self.d)
+                np.add.at(data, self._indices, per_entry)
         return data / self.n + self.mu * x
 
     @_quiet_underflow

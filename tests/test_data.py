@@ -277,14 +277,15 @@ def _assert_fast_matches_scalar(monkeypatch, source, dim=None):
     return fast
 
 
-def _random_number(rng, integral=False) -> str:
-    pick = int(rng.choice([0, 1, 2]) if integral else rng.integers(7))
+def _random_number(rng, digits=None) -> str:
+    """A value token; with ``digits``, an integer of at most that many digits."""
+    pick = int(rng.choice([0, 1, 2]) if digits else rng.integers(7))
     if pick == 0:
         return str(rng.integers(-5, 6))
     if pick == 1:
         return f"+{rng.integers(0, 100)}"
     if pick == 2:  # about the exact-integer limit of 15 digits
-        return str(rng.integers(0, 10 ** int(rng.integers(14, 19))))
+        return str(rng.integers(0, 10 ** int(rng.integers(14, (digits or 18) + 1))))
     if pick == 3:
         return repr(float(rng.normal() * 10.0 ** rng.integers(-30, 30)))
     if pick == 4:  # overflows and underflows included
@@ -292,14 +293,15 @@ def _random_number(rng, integral=False) -> str:
     return str(rng.choice(["0", "0.0", "-0", "+0.000", ".5", "5.", "-.25E-1", "1E+2"]))
 
 
-def _random_libsvm(rng, rows: int, comments=False, integral=False) -> str:
-    labels = [["+1", "-1"], ["0", "1"], ["1", "2"], ["1.0", "-1.0"]][rng.integers(4)]
+def _random_libsvm(rng, rows: int, comments=False, digits=None) -> str:
+    labels = [["+1", "-1"], ["0", "1"], ["1", "2"], ["1.0", "-1.0"]]
+    labels = labels[rng.integers(3 if digits else 4)]
     lines = []
     for _ in range(rows):
         sep = str(rng.choice([" ", "  ", "\t", " \t"]))
         idx = np.sort(rng.choice(200, size=int(rng.integers(0, 8)), replace=False)) + 1
         tokens = [str(rng.choice(labels))]
-        tokens += [f"{'0' * int(rng.integers(2))}{j}:{_random_number(rng, integral)}"
+        tokens += [f"{'0' * int(rng.integers(2))}{j}:{_random_number(rng, digits)}"
                    for j in idx]
         line = sep.join(tokens)
         if rng.random() < 0.1:
@@ -317,12 +319,13 @@ def test_fast_parse_matches_scalar_on_random_valid_files(monkeypatch):
     rng = np.random.default_rng(2024)
     for case in range(80):
         comments = case % 3 == 0
-        # all-integer files take the exact-integer conversion
-        text = _random_libsvm(rng, int(rng.integers(1, 40)), comments, case % 4 == 1)
+        # all-integer files, half of them within the fast path's 15 digits
+        digits = {1: 15, 5: 18}.get(case % 8)
+        text = _random_libsvm(rng, int(rng.integers(1, 40)), comments, digits)
         dim = None if rng.random() < 0.7 else int(rng.integers(150, 250))
         source = text.split("\n") if case % 5 == 1 else text
         _assert_fast_matches_scalar(monkeypatch, source, dim)
-        if not comments:
+        if digits == 15 and not comments:
             # the fast path itself takes the (single) block
             assert data._parse_block_fast(io.StringIO(text).readlines()) is not None
 
@@ -353,7 +356,7 @@ def test_fast_parse_matches_scalar_on_malformed_strings(monkeypatch):
         parsed += isinstance(_assert_fast_matches_scalar(monkeypatch, text)[0], int)
     # one to three random edits of a valid file
     for _ in range(2000):
-        text = _random_libsvm(rng, int(rng.integers(1, 4)), integral=rng.random() < 0.5)
+        text = _random_libsvm(rng, int(rng.integers(1, 4)), digits=18 if rng.random() < 0.5 else None)
         for _ in range(int(rng.integers(1, 4))):
             at = int(rng.integers(len(text) + 1))
             cut = int(rng.integers(2))

@@ -267,3 +267,23 @@ def test_run_lanes_wall_ns_leaves_out_metrics(monkeypatch):
     # the batch's clock, read once per record of any lane: 1, 2, 3, ...
     stamps = sorted(r.wall_ns for trace in traces for r in trace)
     assert stamps == list(range(1, len(stamps) + 1))
+
+
+def test_run_lanes_wall_ns_leaves_out_a_diverged_lanes_metrics(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(time, "perf_counter_ns", clock)
+    oracle = ridge_oracle(10)
+    lanes = [LSVRG(oracle, np.zeros(oracle.d), eta=0.01, p=0.2),
+             LSVRG(oracle, np.zeros(oracle.d), eta=0.01, p=0.5)]
+
+    def diverging(o):  # slow metrics whose f_gap turns infinite at epoch 3
+        clock.advance(10**6)
+        return {"f_gap": np.inf} if o.epoch >= 3.0 else {}
+
+    traces = run_lanes(lanes, [SplitMix64(3), SplitMix64(4)], epochs=6.0,
+                       metrics=[lambda o: clock.advance(10**6) or {}, diverging])
+    assert lanes[1].diverged_at is not None and lanes[0].diverged_at is None
+    assert traces[0][-1].epoch >= 6.0 > traces[1][-1].epoch
+    # one clock reading per record of any lane, the diverged one's included
+    stamps = sorted(r.wall_ns for trace in traces for r in trace)
+    assert stamps[-1] == len(stamps) + 1

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from loopless.data import Dataset, SparseRow, parse_libsvm, synthesize_quadratic
+from loopless import oracle as oracle_module
 from loopless.oracle import LogisticOracle, RidgeOracle, make_oracle
 
 from conftest import random_dataset
@@ -239,7 +240,8 @@ def test_oracle_shares_the_dataset_csr_arrays():
 
 def test_csr_full_grad_does_not_copy_the_dataset_arrays():
     rng = np.random.default_rng(6)
-    dataset = property_dataset(rng, 200, 2000, 0.2, pad=0)
+    dataset = property_dataset(rng, 400, 2000, 0.2, pad=0)
+    assert dataset.nnz > oracle_module._BINCOUNT_MAX_NNZ
     oracle = make_oracle(dataset, "logistic", 0.1)
     x = rng.normal(size=oracle.d)
     oracle.full_grad(x)
@@ -251,6 +253,20 @@ def test_csr_full_grad_does_not_copy_the_dataset_arrays():
         tracemalloc.stop()
     # one per-entry temporary; np.bincount would add a copy of the indices
     assert peak < 1.5 * dataset.nnz * 8
+
+
+@pytest.mark.parametrize("loss", ["logistic", "ridge"])
+def test_csr_full_grad_sums_alike_either_side_of_the_bincount_limit(monkeypatch, loss):
+    rng = np.random.default_rng(8)
+    for case in range(20):
+        dataset = property_dataset(rng, int(rng.integers(2, 60)), 40, 0.1, pad=2)
+        oracle = make_oracle(dataset, loss, 0.1)
+        assert oracle._dense is None
+        x = rng.normal(size=oracle.d) * 3.0
+        small = oracle.full_grad(x)
+        monkeypatch.setattr(oracle_module, "_BINCOUNT_MAX_NNZ", -1)
+        assert oracle.full_grad(x).tobytes() == small.tobytes()
+        monkeypatch.undo()
 
 
 def test_smoothness_constant_formulas():
