@@ -488,10 +488,12 @@ def synthesize_quadratic(
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    if condition_number < 1:
-        raise ValueError(f"condition_number must be >= 1, got {condition_number}")
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not 1 <= condition_number < np.inf:  # NaN fails too
+        raise ValueError(
+            f"condition_number must be finite and >= 1, got {condition_number}"
+        )
+    if not 0 < mu < np.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
 
     rng = np.random.default_rng(seed)
     rho_sq = (condition_number - 1.0) * mu

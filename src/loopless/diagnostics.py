@@ -83,15 +83,14 @@ def solve_reference(
     oracle: Oracle,
     tolerance: float | None = None,
     max_epochs: int = 100_000,
-    x0=None,
 ) -> ReferenceSolution:
-    """Gradient descent with step 1/L until ||grad f(x)|| <= tolerance.
+    """Gradient descent from 0 with step 1/L until ||grad f(x)|| <= tolerance.
 
     tolerance=None uses 1e-10 * L * (1 + ||x||), evaluated at the current
     iterate.  Raises ReferenceSolveError carrying the best achieved gradient
     norm if the epoch budget runs out first.
     """
-    x = np.zeros(oracle.d) if x0 is None else np.array(x0, dtype=np.float64)
+    x = np.zeros(oracle.d)
     step = 1.0 / oracle.L
     best_norm = np.inf
     best_x = x

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import types
 import typing
@@ -86,12 +87,15 @@ class RunConfig:
             raise ConfigError("exactly one of dataset_path or synthetic is required")
         if self.loss not in ("logistic", "ridge"):
             raise ConfigError(f"unknown loss {self.loss!r}")
-        if self.mu <= 0:
-            raise ConfigError(f"mu must be positive, got {self.mu}")
-        if self.epochs <= 0:
-            raise ConfigError(f"epochs must be positive, got {self.epochs}")
-        if self.checkpoint_every <= 0:
-            raise ConfigError("checkpoint_every must be positive")
+        for name in ("mu", "epochs", "checkpoint_every", "ref_tolerance"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if self.ref_max_epochs < 0:
+            raise ConfigError(f"ref_max_epochs must be >= 0, got {self.ref_max_epochs}")
+        if self.x0 is not None and not all(
+                _has_type(v, float) and math.isfinite(v) for v in self.x0):
+            raise ConfigError(f"x0={self.x0!r} is not a list of finite numbers")
         if self.diagnostics not in _DIAGNOSTIC_LEVELS:
             raise ConfigError(
                 f"unknown diagnostics level {self.diagnostics!r}; "
@@ -177,9 +181,12 @@ def build_problem(config: RunConfig) -> tuple[Oracle, np.ndarray | None]:
             raise DataError(f"cannot parse {config.dataset_path}: {exc}") from exc
     else:
         n, d, kappa = config.synthetic
-        dataset, x_star = synthesize_quadratic(
-            n, d, kappa, seed=config.data_seed, mu=config.mu
-        )
+        try:
+            dataset, x_star = synthesize_quadratic(
+                n, d, kappa, seed=config.data_seed, mu=config.mu
+            )
+        except ValueError as exc:
+            raise ConfigError(f"synthetic={config.synthetic}: {exc}") from None
         if config.loss == "ridge" and not config.normalize:
             minimizer = x_star
     if config.normalize:
@@ -231,10 +238,7 @@ def _reference(config: RunConfig, oracle: Oracle, minimizer) -> ReferenceSolutio
 
 
 def make_optimizer(config: RunConfig, oracle: Oracle, params: dict):
-    try:
-        x0 = np.zeros(oracle.d) if config.x0 is None else np.asarray(config.x0, float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"x0={config.x0!r} is not a list of numbers") from None
+    x0 = np.zeros(oracle.d) if config.x0 is None else np.asarray(config.x0, float)
     if x0.shape != (oracle.d,):
         raise ConfigError(f"x0 has shape {x0.shape}, expected ({oracle.d},)")
     try:
@@ -333,24 +337,29 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
     one epoch budget, building the reference once; write each run's trace
     and sidecar, and return the CSV paths and the records in config order.
 
-    The SVRG-family runs go through run_lanes as one batch when there are
-    at least two of them (a lane's trace is run's, its floats to rounding),
-    every other run through run.  Raises DivergenceError, after writing
-    every run, if any diverged."""
+    The runs of one family (SVRG or Katyusha) go through run_lanes as one
+    batch when there are at least two of them (a lane's trace is run's, its
+    floats to rounding), every other run through run.  Raises
+    DivergenceError, after writing every run, if any diverged."""
     if not configs:
         return [], []
     resolved = [resolve_params(config, oracle) for config in configs]
     ref = build_reference(configs[0], oracle, minimizer)
-    optimizers = [make_optimizer(c, oracle, p) for c, p in zip(configs, resolved)]
+    # overflow at a huge x0 is reported once, as divergence at k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        optimizers = [make_optimizer(c, oracle, p) for c, p in zip(configs, resolved)]
     metrics = [build_metrics(config, oracle, ref) for config in configs]
     epochs, every = configs[0].epochs, configs[0].checkpoint_every
-    lanes = [s for s, opt in enumerate(optimizers) if opt.in_lanes]
+    families: dict = {}  # a family's move -> its runs
+    for s, opt in enumerate(optimizers):
+        families.setdefault(getattr(type(opt), "move", None), []).append(s)
     by_run = {}
-    if len(lanes) >= 2:
-        by_run = dict(zip(lanes, run_lanes(
-            [optimizers[s] for s in lanes], [SplitMix64(configs[s].seed) for s in lanes],
-            epochs=epochs, checkpoint_every=every, metrics=[metrics[s] for s in lanes],
-        )))
+    for move, lanes in families.items():
+        if move is not None and len(lanes) >= 2:
+            by_run.update(zip(lanes, run_lanes(
+                [optimizers[s] for s in lanes], [SplitMix64(configs[s].seed) for s in lanes],
+                epochs=epochs, checkpoint_every=every, metrics=[metrics[s] for s in lanes],
+            )))
     for s, config in enumerate(configs):
         if s not in by_run:
             by_run[s] = run(optimizers[s], SplitMix64(config.seed), epochs=epochs,

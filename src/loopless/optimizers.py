@@ -2,15 +2,18 @@
 
 Five algorithms: gradient descent, SVRG and Katyusha with deterministic
 reference refresh every m inner steps, and their loopless variants where the
-refresh is triggered by a per-step Bernoulli(p) coin.  The loopy and loopless
-variant of a family share one step kernel and differ only in the refresh rule
-mixed into the class: a coin (_Coin) or a counter of period m (_Loop).
+refresh is triggered by a per-step Bernoulli(p) coin.  The four
+variance-reduced classes share one step (_VarianceReduced.step).  A family
+(_SVRGFamily, _KatyushaFamily) supplies only the point the estimator is taken
+at and the move it makes with it; the loopy and loopless variants of a family
+differ only in the refresh rule mixed into the class: a coin (_Coin) or every
+m-th step (_Loop).
 
 Each class carries its own facts, which the harness, CLI and diagnostics read
 instead of restating: its registry `name`, its constructor parameters (the
 annotated signature after oracle and x0), its `theory_params` preset, and its
-family kernel, which fixes the Lyapunov `potential` columns, the `lemmas`
-slack names and the predicted contraction rate in `theory_facts`.
+family, which fixes the Lyapunov `potential` columns, the `lemmas` slack
+names and the predicted contraction rate in `theory_facts`.
 
 Shared conventions:
   * every optimizer holds an immutable oracle and exposes step(rng),
@@ -25,14 +28,16 @@ Shared conventions:
         g = grad_i(x) - (grad_i(w) - grad_w)
     so the correction vanishes exactly (bitwise) when n == 1 and at w == x.
 
-run() drives one optimizer through step().  run_lanes() drives SVRG-family
-optimizers that share an oracle as one batch: each refresh rule's schedule()
-draws a block of steps' indices and refreshes at once (the draws do not
-depend on the iterate), and one batched update advances every lane.
+run() drives one optimizer through step().  run_lanes() drives optimizers of
+one family that share an oracle as one batch of lanes: each refresh rule's
+schedule() draws a block of steps' indices and refreshes at once (the draws
+do not depend on the iterate), and the family's point() and move(), called
+on a stacked instance with one row per lane, advance every lane at once.
 """
 
 from __future__ import annotations
 
+import copy
 import inspect
 import math
 import time
@@ -51,8 +56,8 @@ def _check_prob(p: float) -> float:
 
 
 def _check_positive(value: float, name: str) -> float:
-    if value <= 0.0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not 0.0 < value < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return float(value)
 
 
@@ -69,7 +74,6 @@ class _Optimizer:
     param_types: dict  # constructor parameters after (oracle, x0) -> type
     potential: tuple[str, ...] = ()  # Lyapunov trace columns: phi or psi first
     lemmas: tuple[str, ...] = ()  # one-step bounds, traced as slack_<name>
-    in_lanes = False  # whether run_lanes can drive it (the SVRG family)
     diverged_at: int | None = None  # k of the checkpoint run or run_lanes stopped at
 
     def __init_subclass__(cls, **kwargs):
@@ -133,25 +137,21 @@ class _Coin:
 
 
 class _Loop:
-    """Loopy refresh rule: a counter j of period m that draws nothing."""
+    """Loopy refresh rule: every m-th step refreshes; draws nothing."""
 
     def _init_rule(self, m: int):
         if m < 1:
             raise ValueError(f"inner loop length m must be >= 1, got {m}")
         self.m = int(m)
-        self.j = 0
 
     def _refresh_due(self, rng: SplitMix64) -> bool:
-        self.j = (self.j + 1) % self.m
-        return self.j == 0
+        return (self.k + 1) % self.m == 0
 
     def schedule(self, rng: SplitMix64, steps: int):
-        """(sample indices, refresh mask) of the next `steps` steps, leaving
-        rng and the counter j where those steps leave them."""
+        """(sample indices, refresh mask) of the next `steps` steps from step
+        k on, leaving rng where those steps leave it."""
         indices, _ = step_draws(rng, self.oracle.n, steps, coin=False)
-        refresh = (self.j + 1 + np.arange(steps)) % self.m == 0
-        self.j = (self.j + steps) % self.m
-        return indices, refresh
+        return indices, (self.k + 1 + np.arange(steps)) % self.m == 0
 
     @property
     def refresh_prob(self) -> float:
@@ -164,13 +164,40 @@ class _Loop:
         return {"m": length}
 
 
-class _SVRGFamily(_Optimizer):
+class _VarianceReduced(_Optimizer):
+    """The step both families share: the estimator at the family's point(),
+    its move(x, g), then a refresh w <- the pre-update tracked point.  A
+    family's point() and move() broadcast over rows, and it names its state
+    arrays (lane_state) and the floats they read (lane_params), so run_lanes
+    can step lanes as (S, d) rows with (S, 1) parameter columns."""
+
+    def point(self) -> np.ndarray:
+        return self.tracked_point
+
+    def step(self, rng: SplitMix64):
+        oracle = self.oracle
+        x = self.point()
+        i = rng.randbelow(oracle.n)
+        correction = oracle.grad_i(i, self.w) - self.grad_w
+        g = oracle.grad_i(i, x) - correction
+        w_next = self.tracked_point
+        self.move(x, g)
+        self.oracle_calls += 2
+        if self._refresh_due(rng):
+            self.w = w_next
+            self.grad_w = oracle.full_grad(w_next)
+            self.oracle_calls += oracle.n
+        self.k += 1
+
+
+class _SVRGFamily(_VarianceReduced):
     """SVRG step on x; a refresh stores the pre-update iterate, w <- x^k."""
 
     potential = ("phi", "dk")
     lemmas = ("iterate_distance", "estimator_second_moment",
               "grad_learning_decay", "phi_contraction")
-    in_lanes = True
+    lane_state = ("x", "w", "grad_w")
+    lane_params = ("eta",)
 
     def __init__(self, oracle: Oracle, x0: np.ndarray, eta: float, refresh):
         self.eta = _check_positive(eta, "eta")
@@ -188,27 +215,18 @@ class _SVRGFamily(_Optimizer):
         rate = max(1.0 - self.eta * self.oracle.mu, 1.0 - self.refresh_prob / 2.0)
         return {"predicted_rate": rate}
 
-    def step(self, rng: SplitMix64):
-        oracle = self.oracle
-        i = rng.randbelow(oracle.n)
-        correction = oracle.grad_i(i, self.w) - self.grad_w
-        g = oracle.grad_i(i, self.x) - correction
-        x_prev = self.x
-        self.x = x_prev - self.eta * g
-        self.oracle_calls += 2
-        if self._refresh_due(rng):
-            self.w = x_prev
-            self.grad_w = oracle.full_grad(self.w)
-            self.oracle_calls += oracle.n
-        self.k += 1
+    def move(self, x: np.ndarray, g: np.ndarray):
+        self.x = x - self.eta * g
 
 
-class _KatyushaFamily(_Optimizer):
+class _KatyushaFamily(_VarianceReduced):
     """Katyusha step: negative momentum toward w; a refresh stores w <- y^k."""
 
     potential = ("psi", "zk", "yk", "wk")
     lemmas = ("estimator_variance", "z_update", "y_progress",
               "reference_recursion", "psi_contraction")
+    lane_state = ("z", "y", "w", "grad_w")
+    lane_params = ("theta1", "theta2", "eta")
 
     def __init__(
         self, oracle: Oracle, x0: np.ndarray, theta1: float, theta2: float, refresh
@@ -248,6 +266,8 @@ class _KatyushaFamily(_Optimizer):
             + (1.0 - self.theta1 - self.theta2) * self.y
         )
 
+    point = interpolate
+
     def momentum_step(self, x: np.ndarray, g: np.ndarray):
         """(z^{k+1}, y^{k+1}) from x^k and the estimator g; broadcasts over
         the rows of a (n, d) table of g, one row per sample draw."""
@@ -257,21 +277,8 @@ class _KatyushaFamily(_Optimizer):
         )
         return z_next, x + self.theta1 * (z_next - self.z)
 
-    def step(self, rng: SplitMix64):
-        oracle = self.oracle
-        x = self.interpolate()
-        i = rng.randbelow(oracle.n)
-        correction = oracle.grad_i(i, self.w) - self.grad_w
-        g = oracle.grad_i(i, x) - correction
-        z_next, y_next = self.momentum_step(x, g)
-        self.oracle_calls += 2
-        if self._refresh_due(rng):
-            self.w = self.y
-            self.grad_w = oracle.full_grad(self.w)
-            self.oracle_calls += oracle.n
-        self.z = z_next
-        self.y = y_next
-        self.k += 1
+    def move(self, x: np.ndarray, g: np.ndarray):
+        self.z, self.y = self.momentum_step(x, g)
 
     @property
     def tracked_point(self) -> np.ndarray:
@@ -279,7 +286,7 @@ class _KatyushaFamily(_Optimizer):
 
 
 # Each class binds `step` in its own body, so instrumentation can wrap one
-# class's step without touching the shared kernel.
+# class's step without touching the shared one.
 
 
 class GradientDescent(_Optimizer):
@@ -306,7 +313,7 @@ class LSVRG(_SVRGFamily, _Coin):
     """Loopless SVRG: coin-triggered reference refresh, w^{k+1} = x^k."""
 
     name = "l-svrg"
-    step = _SVRGFamily.step
+    step = _VarianceReduced.step
 
     def __init__(self, oracle: Oracle, x0: np.ndarray, eta: float, p: float):
         super().__init__(oracle, x0, eta, p)
@@ -316,7 +323,7 @@ class LoopySVRG(_SVRGFamily, _Loop):
     """Original SVRG loop structure: refresh w <- x^k every m steps."""
 
     name = "svrg"
-    step = _SVRGFamily.step
+    step = _VarianceReduced.step
 
     def __init__(self, oracle: Oracle, x0: np.ndarray, eta: float, m: int):
         super().__init__(oracle, x0, eta, m)
@@ -326,7 +333,7 @@ class LKatyusha(_KatyushaFamily, _Coin):
     """Loopless Katyusha: negative momentum toward w, coin refresh w^{k+1} = y^k."""
 
     name = "l-katyusha"
-    step = _KatyushaFamily.step
+    step = _VarianceReduced.step
 
     def __init__(
         self, oracle: Oracle, x0: np.ndarray, theta1: float, theta2: float, p: float
@@ -338,7 +345,7 @@ class LoopyKatyusha(_KatyushaFamily, _Loop):
     """Katyusha with a deterministic loop: refresh w <- y^k every m steps."""
 
     name = "katyusha"
-    step = _KatyushaFamily.step
+    step = _VarianceReduced.step
 
     def __init__(
         self, oracle: Oracle, x0: np.ndarray, theta1: float, theta2: float, m: int
@@ -390,13 +397,13 @@ def _advance_mark(mark: float, epoch: float, every: float) -> float:
 
 class _Recorder:
     """Makes checkpoint records whose wall_ns is optimizer time: the time
-    since the recorder started, less the time spent in metrics and hooks."""
+    since the recorder started, less the time spent in metrics."""
 
     def __init__(self):
         self.start_ns = time.perf_counter_ns()
         self.diag_ns = 0
 
-    def record(self, optimizer, metrics=None, hook=None) -> TraceRecord | None:
+    def record(self, optimizer, metrics=None) -> TraceRecord | None:
         """The optimizer's checkpoint record, or None when its tracked point,
         dist_sq or f_gap is not finite: the run has diverged and stops
         without the record, and optimizer.diverged_at is set to its k."""
@@ -414,8 +421,6 @@ class _Recorder:
                 for key, value in metrics(optimizer).items():
                     setattr(rec, key, value)
             finite = all(v is None or math.isfinite(v) for v in (rec.dist_sq, rec.f_gap))
-        if finite and hook is not None:
-            hook(optimizer)
         self.diag_ns += time.perf_counter_ns() - now
         if not finite:
             optimizer.diverged_at = optimizer.k
@@ -430,15 +435,14 @@ def run(
     epochs: float,
     checkpoint_every: float = 1.0,
     metrics=None,
-    hook=None,
 ) -> list[TraceRecord]:
     """Drive an optimizer until its epoch counter reaches the budget.
 
     Records the initial state and then one TraceRecord each time the epoch
     counter crosses a multiple of checkpoint_every (and at the final step).
-    metrics(optimizer) may return a dict of TraceRecord field overrides;
-    hook(optimizer) is called with the live optimizer at every checkpoint and
-    must treat it as read-only.  wall_ns leaves out the time spent in both.
+    metrics(optimizer) may return a dict of TraceRecord field overrides; it
+    sees the live optimizer and must treat it as read-only.  wall_ns leaves
+    out the time spent in it.
     At the first checkpoint whose tracked point, dist_sq or f_gap is not
     finite the run stops without recording it, leaving the optimizer in that
     state with diverged_at = k.  Deterministic given (optimizer state, rng).
@@ -446,14 +450,14 @@ def run(
     _check_budget(epochs, checkpoint_every)
     recorder = _Recorder()
     records = []
-    if (rec := recorder.record(optimizer, metrics, hook)) is None:
+    if (rec := recorder.record(optimizer, metrics)) is None:
         return records
     records.append(rec)
     next_mark = _first_mark(optimizer.epoch, checkpoint_every)
     while optimizer.epoch < epochs:
         optimizer.step(rng)
         if optimizer.epoch >= next_mark or optimizer.epoch >= epochs:
-            if (rec := recorder.record(optimizer, metrics, hook)) is None:
+            if (rec := recorder.record(optimizer, metrics)) is None:
                 break
             records.append(rec)
             next_mark = _advance_mark(next_mark, optimizer.epoch, checkpoint_every)
@@ -473,19 +477,21 @@ def run_lanes(
     checkpoint_every: float = 1.0,
     metrics=None,
 ) -> list[list[TraceRecord]]:
-    """Drive SVRG-family optimizers that share one oracle as one batch of lanes.
+    """Drive optimizers of one family (SVRG or Katyusha) that share one
+    oracle as one batch of lanes.
 
     Lane s gives the records run(optimizers[s], rngs[s], metrics=metrics[s])
     would give and leaves optimizers[s] in the state run leaves it in: k,
-    oracle_calls, epoch and j exactly, x, w and grad_w to rounding (the row
-    dots of oracle.grad_many are not bitwise those of grad_i).
+    oracle_calls and epoch exactly, its lane_state arrays to rounding (the
+    row dots of oracle.grad_many are not bitwise those of grad_i).
 
-    The lanes step together on (S, d) arrays.  Each follows its own schedule
-    of sample indices and refreshes, drawn a block of steps at a time by its
-    refresh rule, and drops out when its budget is spent or, as in run, at
-    its first checkpoint with a non-finite tracked point or metric.  Before
-    each of a lane's checkpoints its state (x, w, grad_w, k, oracle_calls, j)
-    is written back to its optimizer, so metrics sees an ordinary optimizer.
+    The lanes step together through the family's point() and move() on one
+    stacked instance.  Each lane follows its own schedule of sample indices
+    and refreshes, drawn a block of steps at a time by its refresh rule, and
+    drops out when its budget is spent or, as in run, at its first
+    checkpoint with a non-finite tracked point or metric.  Before each of a
+    lane's checkpoints its state and counters are written back to its
+    optimizer, so metrics sees an ordinary optimizer.
     wall_ns is the batch's optimizer time so far, shared by its lanes.  A
     lane's rng ends at the end of its last block, past where run leaves it.
     """
@@ -494,10 +500,11 @@ def run_lanes(
     metrics = [None] * len(lanes) if metrics is None else list(metrics)
     if not lanes:
         return []
-    oracle = lanes[0].oracle
-    for opt in lanes:
-        if not opt.in_lanes or opt.oracle is not oracle:
-            raise ValueError("lanes must be SVRG-family optimizers on one oracle")
+    move = getattr(type(lanes[0]), "move", None)
+    if move is None or any(getattr(type(opt), "move", None) is not move
+                           or opt.oracle is not lanes[0].oracle for opt in lanes):
+        raise ValueError("lanes must be optimizers of one family (SVRG-family "
+                         "or Katyusha-family) on one oracle")
     recorder = _Recorder()
     traces: list[list[TraceRecord]] = [[] for _ in lanes]
 
@@ -541,7 +548,6 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
     """Step the live lanes through one block; returns the lanes still live."""
     opts = [lanes[s] for s in live]
     oracle, n, width = opts[0].oracle, opts[0].oracle.n, len(opts)
-    phase0 = [getattr(opt, "j", None) for opt in opts]  # loop counters
     drawn = [opt.schedule(rngs[s], _LANE_BLOCK) for s, opt in zip(live, opts)]
     refresh = np.stack([r for _, r in drawn])
     calls = (np.array([[opt.oracle_calls] for opt in opts])
@@ -563,32 +569,40 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
         for t in np.flatnonzero(refresh[b, :span]):
             refreshes.setdefault(int(t), []).append(b)
 
-    xw = np.concatenate([np.stack([opt.x for opt in opts]),
-                         np.stack([opt.w for opt in opts])])
-    grad_w = np.stack([opt.grad_w for opt in opts])
-    eta = np.array([[opt.eta] for opt in opts])
-    # row t: step t's samples for the x rows, then for the w rows
+    # a copy of the first lane holding every lane's state as (S, d) rows and
+    # parameters as (S, 1) columns: its point() and move() step all lanes
+    stack = copy.copy(opts[0])
+    for name in (*stack.lane_state, *stack.lane_params):
+        setattr(stack, name, np.stack([np.atleast_1d(getattr(o, name)) for o in opts]))
+    # one buffer for grad_many: the points' rows, then the w rows
+    xw = np.concatenate([stack.point(), stack.w])
+    stack.w = xw[width:]
+    # row t: step t's samples for the point rows, then for the w rows
     samples = np.concatenate([np.stack([i for i, _ in drawn])] * 2).T.copy()
     k0 = [opt.k for opt in opts]
     stopped = set()
 
     def write_back(b: int, t: int):
         opt = opts[b]
-        opt.x, opt.w, opt.grad_w = xw[b].copy(), xw[width + b].copy(), grad_w[b].copy()
+        for name in opt.lane_state:
+            setattr(opt, name, getattr(stack, name)[b].copy())
         opt.k = k0[b] + t + 1
         opt.oracle_calls = int(calls[b, t])
-        if phase0[b] is not None:  # the loop counter j counts steps mod m
-            opt.j = (phase0[b] + t + 1) % opt.m
 
     for t in range(length):
+        x = stack.point()
+        xw[:width] = x
         g_both = oracle.grad_many(samples[t], xw)
-        g = g_both[:width] - (g_both[width:] - grad_w)
+        # g = grad_i(x) - (grad_i(w) - grad_w), formed in g_both's rows
+        g, correction = g_both[:width], g_both[width:]
+        correction -= stack.grad_w
+        g -= correction
         fresh = [b for b in refreshes.get(t, ()) if b not in stopped]
-        x_prev = xw[fresh] if fresh else ()
-        xw[:width] -= eta * g
-        for b, x in zip(fresh, x_prev):  # w <- x^k, the pre-update iterate
-            xw[width + b] = x
-            grad_w[b] = oracle.full_grad(x)
+        w_next = stack.tracked_point[fresh] if fresh else ()
+        stack.move(x, g)
+        for b, w in zip(fresh, w_next):  # w <- the pre-update tracked point
+            xw[width + b] = w
+            stack.grad_w[b] = oracle.full_grad(w)
         for b in events.get(t, ()):
             if b in stopped:
                 continue

@@ -263,6 +263,40 @@ def test_config_fields_of_the_wrong_type_exit_with_config_code(tmp_path, capsys,
     assert err == f"config error: {message}"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(("--synthetic", "0,5,10"), "need n >= 1 and d >= 1"),
+     (("--synthetic", "10,0,10"), "need n >= 1 and d >= 1"),
+     (("--synthetic", "10,5,0.5"), "condition_number must be finite and >= 1"),
+     (("--synthetic", "10,5,nan"), "condition_number must be finite and >= 1"),
+     (("--synthetic", "10,5,inf"), "condition_number must be finite and >= 1"),
+     (("--checkpoint-every", "nan"), "checkpoint_every must be positive and finite"),
+     (("--epochs", "inf"), "epochs must be positive and finite"),
+     (("--epochs", "nan"), "epochs must be positive and finite"),
+     (("--mu", "nan"), "mu must be positive and finite"),
+     (("--eta", "nan", "--p", "0.1"), "eta must be positive and finite"),
+     (("--eta", "inf", "--p", "0.1"), "eta must be positive and finite"),
+     (("--ref-tolerance", "nan"), "ref_tolerance must be positive and finite"),
+     (("--ref-tolerance", "-1"), "ref_tolerance must be positive and finite"),
+     (("--ref-max-epochs", "-1"), "ref_max_epochs must be >= 0"),
+     ({"x0": [0.0, float("nan"), 0.0, 0.0]}, "is not a list of finite numbers")],
+)
+def test_bad_numbers_exit_with_config_code(tmp_path, capsys, flags, message):
+    if isinstance(flags, dict):  # a field without a flag, from a config file
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(flags), encoding="utf-8")
+        flags = ("--config", str(path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("run", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1",
+                       "--epochs", "5", *flags, "--out", str(tmp_path))
+    assert code == EXIT_CONFIG and not caught
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: ") and message in err
+    assert "\n" not in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_diverging_run_exits_with_divergence_code(tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -292,11 +326,14 @@ def test_diverging_sweep_writes_every_run_then_exits_with_divergence_code(
               "epochs": 4.0, "x0": [1e308] * 4}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    with pytest.warns(RuntimeWarning):  # the first full gradient, at x0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = run_cli("sweep-p", "--config", str(path), "--grid", "2,5",
                        "--out", str(tmp_path / "out"))
-    assert code == EXIT_DIVERGED
-    printed = capsys.readouterr().out.split()
+    assert code == EXIT_DIVERGED and not caught
+    out, err = capsys.readouterr()
+    assert err.startswith("divergence: ") and err.count("\n") == 1
+    printed = out.split()
     assert len(printed) == 4
     for csv_path in printed:
         sidecar = json.loads(Path(csv_path).with_suffix(".json").read_text())
@@ -311,11 +348,14 @@ def test_diverging_compare_all_writes_every_run_then_exits_without_a_summary(
               "epochs": 4.0, "x0": [1e308] * 4}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    with pytest.warns(RuntimeWarning):  # the first full gradient, at x0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = run_cli("compare-all", "--config", str(path), "--seeds", "0,1",
                        "--out", str(tmp_path / "out"))
-    assert code == EXIT_DIVERGED
-    printed = capsys.readouterr().out.split()
+    assert code == EXIT_DIVERGED and not caught
+    out, err = capsys.readouterr()
+    assert err.startswith("divergence: ") and err.count("\n") == 1
+    printed = out.split()
     assert sorted(Path(p).name for p in printed) == sorted(
         f"{alg}_ridge_seed{seed}.csv" for alg in ALGORITHMS for seed in (0, 1))
     for csv_path in printed:

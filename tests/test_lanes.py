@@ -11,7 +11,8 @@ import pytest
 from loopless.data import Dataset, SparseRow, synthesize_quadratic
 from loopless.harness import RunConfig, build_metrics
 from loopless.oracle import make_oracle
-from loopless.optimizers import LKatyusha, LoopySVRG, LSVRG, run, run_lanes
+from loopless.optimizers import (GradientDescent, LKatyusha, LoopyKatyusha, LoopySVRG,
+                                 LSVRG, run, run_lanes)
 from loopless.rng import SplitMix64
 
 from conftest import ridge_instance
@@ -46,14 +47,15 @@ def test_schedule_matches_serial_draws(cls, n, param):
     rng_block, rng_serial = SplitMix64(77), SplitMix64(77)
     for steps in (0, 1, 37, 600):
         indices, refresh = scheduled.schedule(rng_block, steps)
+        scheduled.k += steps
         want_idx, want_refresh = [], []
         for _ in range(steps):  # the draws of step(), in its order
             want_idx.append(rng_serial.randbelow(n))
             want_refresh.append(serial._refresh_due(rng_serial))
+            serial.k += 1
         assert indices.tolist() == want_idx
         assert refresh.dtype == bool and refresh.tolist() == want_refresh
         assert rng_block._state == rng_serial._state
-        assert getattr(scheduled, "j", None) == getattr(serial, "j", None)
 
 
 # ---------------------------------------------------------------- run_lanes
@@ -73,7 +75,7 @@ def sparse_logistic_oracle(n=24, d=15, seed=3):
 
 def distance_metrics(x_star):
     def metrics(opt):
-        delta = opt.x - x_star
+        delta = opt.tracked_point - x_star
         return {"dist_sq": float(delta @ delta)}
 
     return metrics
@@ -96,8 +98,7 @@ def assert_same_records(lane, serial):
 def assert_same_state(lane, serial):
     assert (lane.k, lane.oracle_calls, lane.epoch) == (
         serial.k, serial.oracle_calls, serial.epoch)
-    assert getattr(lane, "j", None) == getattr(serial, "j", None)
-    for name in ("x", "w", "grad_w"):
+    for name in serial.lane_state:
         np.testing.assert_allclose(getattr(lane, name), getattr(serial, name),
                                    rtol=1e-12, atol=1e-15)
 
@@ -162,6 +163,55 @@ def test_run_lanes_matches_run_with_lsvrg_diagnostics(level):
     assert all(rec.lyapunov is not None for trace in traces for rec in trace)
 
 
+def test_run_lanes_matches_run_for_both_katyusha_classes_on_dense_ridge():
+    oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
+    theta1 = LKatyusha.theory_params(oracle)["theta1"]
+
+    def make_lanes():
+        return [
+            LKatyusha.theory(oracle, np.zeros(5)),
+            LoopyKatyusha(oracle, np.zeros(5), theta1=theta1, theta2=0.5, m=20),
+            LKatyusha(oracle, np.zeros(5), theta1=0.4, theta2=0.5, p=1.0),
+            LoopyKatyusha(oracle, np.zeros(5), theta1=0.2, theta2=0.3, m=1000),
+            LKatyusha(oracle, np.ones(5), theta1=0.3, theta2=0.5, p=0.3),
+        ]
+
+    metrics = [distance_metrics(ref.x_star)] * 5
+    traces = compare_lanes_with_runs(make_lanes, [0, 1, 2, 3, 4], metrics,
+                                     epochs=70.0, checkpoint_every=2.5)
+    # past one schedule block, and the lanes end after different numbers of steps
+    assert max(trace[-1].k for trace in traces) > 512
+    assert len({trace[-1].k for trace in traces}) > 1
+
+
+def test_run_lanes_matches_run_for_both_katyusha_classes_on_csr_logistic():
+    oracle = sparse_logistic_oracle()
+    x_star = np.zeros(oracle.d)
+
+    def make_lanes():
+        return [LKatyusha(oracle, np.zeros(oracle.d), theta1=0.3, theta2=0.5, p=0.1),
+                LoopyKatyusha(oracle, np.zeros(oracle.d), theta1=0.3, theta2=0.5, m=7)]
+
+    compare_lanes_with_runs(make_lanes, [5, 6], [distance_metrics(x_star)] * 2,
+                            epochs=30.0, checkpoint_every=3.0)
+
+
+@pytest.mark.parametrize("level", ["lyapunov", "lemmas"])
+def test_run_lanes_matches_run_with_lkatyusha_diagnostics(level):
+    oracle, ref = ridge_instance(n=10, d=4, kappa=25.0, seed=2)
+    config = RunConfig(algorithm="l-katyusha", synthetic=(10, 4, 25.0), loss="ridge",
+                       mu=1.0, diagnostics=level)
+
+    def make_lanes():
+        return [LKatyusha.theory(oracle, np.zeros(4)),
+                LKatyusha(oracle, np.zeros(4), theta1=0.2, theta2=0.4, p=0.5)]
+
+    traces = compare_lanes_with_runs(make_lanes, [8, 9],
+                                     [build_metrics(config, oracle, ref)] * 2,
+                                     epochs=12.0, checkpoint_every=2.0)
+    assert all(rec.lyapunov is not None for trace in traces for rec in trace)
+
+
 def test_run_lanes_zero_budget_and_no_lanes():
     oracle = ridge_oracle(10)
     opt = LSVRG(oracle, np.zeros(oracle.d), eta=0.01, p=0.1)
@@ -175,6 +225,9 @@ def test_run_lanes_rejects_other_families_and_oracles():
     lsvrg = LSVRG(oracle, np.zeros(3), eta=0.01, p=0.1)
     with pytest.raises(ValueError, match="SVRG-family"):
         run_lanes([lsvrg, LKatyusha.theory(oracle, np.zeros(3))],
+                  [SplitMix64(0)] * 2, epochs=2.0)
+    with pytest.raises(ValueError, match="one family"):
+        run_lanes([lsvrg, GradientDescent(oracle, np.zeros(3), step_size=0.1)],
                   [SplitMix64(0)] * 2, epochs=2.0)
     with pytest.raises(ValueError, match="one oracle"):
         run_lanes([lsvrg, LSVRG(other, np.zeros(3), eta=0.01, p=0.1)],
@@ -249,9 +302,8 @@ def test_run_wall_ns_is_optimizer_time_without_metrics(monkeypatch):
 
     opt.step = timed_step
     records = run(opt, SplitMix64(3), epochs=6.0,
-                  metrics=lambda o: clock.advance(10**6) or {},
-                  hook=lambda o: clock.advance(10**6))
-    # 100 ns a step plus one clock reading per record; no metrics or hook time
+                  metrics=lambda o: clock.advance(10**6) or {})
+    # 100 ns a step plus one clock reading per record; no metrics time
     assert [r.wall_ns for r in records] == [100 * r.k + i + 1
                                             for i, r in enumerate(records)]
 

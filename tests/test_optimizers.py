@@ -296,13 +296,12 @@ def test_run_metrics_and_hook(ridge10):
     oracle, x_star = ridge10
     opt = LSVRG(oracle, np.zeros(4), eta=0.01, p=0.1)
     seen = []
-    records = run(
-        opt,
-        SplitMix64(1),
-        epochs=3.0,
-        metrics=lambda o: {"dist_sq": float((o.x - x_star) @ (o.x - x_star))},
-        hook=lambda o: seen.append(o.k),
-    )
+
+    def metrics(o):
+        seen.append(o.k)
+        return {"dist_sq": float((o.x - x_star) @ (o.x - x_star))}
+
+    records = run(opt, SplitMix64(1), epochs=3.0, metrics=metrics)
     assert all(r.dist_sq is not None for r in records)
     assert len(seen) == len(records)
 
