@@ -19,10 +19,6 @@ from .diagnostics import (
     ReferenceSolveError,
     compute_phi,
     compute_psi,
-    exact_expected_phi_next,
-    exact_expected_psi_next,
-    phi_contraction_rhs,
-    psi_contraction_rhs,
     solve_reference,
     verify_lemma_bounds,
 )
@@ -35,7 +31,6 @@ from .optimizers import (
     LoopyKatyusha,
     LoopySVRG,
     TraceRecord,
-    gd_step,
     run,
 )
 from .rng import SplitMix64
@@ -63,15 +58,10 @@ __all__ = [
     "TraceRecord",
     "compute_phi",
     "compute_psi",
-    "exact_expected_phi_next",
-    "exact_expected_psi_next",
-    "gd_step",
     "load_libsvm",
     "make_oracle",
     "normalize_rows",
     "parse_libsvm",
-    "phi_contraction_rhs",
-    "psi_contraction_rhs",
     "run",
     "save_libsvm",
     "solve_reference",

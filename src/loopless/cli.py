@@ -212,7 +212,7 @@ def main(argv=None) -> int:
         elif args.command == "sweep-p":
             paths = sweep_p(config_from_args(args), args.out, grid=args.grid)
         elif args.command == "compare-all":
-            algorithms = args.algs.split(",") if args.algs else None
+            algorithms = args.algs.split(",") if args.algs is not None else None
             paths = [compare_all(
                 config_from_args(args),
                 args.out,

@@ -5,6 +5,11 @@ CSR form: ``indptr`` (row i owns entries indptr[i]:indptr[i+1]), ``indices``
 (0-based, strictly increasing within a row) and ``values`` (nonzero).  File
 indices are 1-based (LIBSVM convention) and are shifted to 0-based when
 parsed.  ``Dataset.rows`` hands out ``SparseRow`` views into those arrays.
+
+Every way of building a Dataset (parsing, ``Dataset.from_csr``, the
+row-list constructor) ends in one check of these invariants over the whole
+arrays; a ``SparseRow`` converts its two arrays and checks only that they
+are equally long.
 """
 
 from __future__ import annotations
@@ -31,7 +36,9 @@ class ParseError(ValueError):
 
 @dataclass
 class SparseRow:
-    """One sample: strictly increasing 0-based indices with nonzero values."""
+    """One sample: 0-based indices and their values, as equally long 1-d
+    arrays.  A Dataset checks that the indices strictly increase and are
+    nonnegative and that the values are nonzero, for all rows at once."""
 
     indices: np.ndarray
     values: np.ndarray
@@ -39,15 +46,9 @@ class SparseRow:
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
+        # checked here: the concatenated arrays no longer show a row's length
         if self.indices.shape != self.values.shape or self.indices.ndim != 1:
             raise ValueError("indices and values must be 1-d and equally long")
-        if self.indices.size:
-            if (np.diff(self.indices) <= 0).any():
-                raise ValueError("indices must be strictly increasing")
-            if self.indices[0] < 0:
-                raise ValueError("indices must be nonnegative")
-        if (self.values == 0.0).any():
-            raise ValueError("stored values must be nonzero")
 
     @property
     def nnz(self) -> int:
@@ -181,7 +182,7 @@ class _Rows(Sequence):
         if not 0 <= i < ds.n:
             raise IndexError(f"row {i} out of range [0, {ds.n})")
         lo, hi = ds.indptr[i], ds.indptr[i + 1]
-        # a view over arrays the dataset validated: skip SparseRow's checks
+        # a view over the dataset's arrays: skip SparseRow's conversion
         row = SparseRow.__new__(SparseRow)
         row.indices, row.values = ds.indices[lo:hi], ds.values[lo:hi]
         return row

@@ -12,11 +12,14 @@ and for the Katyusha family
     yk  = (f(y) - f*) / theta1,
     wk  = theta2 (1 + theta1) / (p theta1) * (f(w) - f*).
 
-Both potentials contract in conditional expectation each step; the checkers
-here evaluate those expectations *exactly* by enumerating all n sample draws
-and both coin outcomes, so the one-step bounds can be verified numerically at
-any state.  Diagnostics cost oracle calls but are never charged to the
-optimizer's accounting.
+compute_phi and compute_psi evaluate a potential at a state.  Both
+potentials contract in conditional expectation each step;
+verify_lemma_bounds evaluates those expectations *exactly*, by enumerating
+all n sample draws and both coin outcomes, and reports every one-step bound
+of the state's family as a BoundSlack (lhs, rhs, slack).  The contraction
+itself is its phi_contraction or psi_contraction entry: lhs is E[phi] or
+E[psi] at the next step, rhs the bound.  Diagnostics cost oracle calls but
+are never charged to the optimizer's accounting.
 """
 
 from __future__ import annotations
@@ -59,12 +62,12 @@ class ReferenceSolution:
     tolerance: float
 
     @classmethod
-    def from_point(cls, oracle: Oracle, x, tolerance: float | None = None):
-        """Freeze a reference at a known minimizer (e.g. a closed-form solve)."""
+    def from_point(cls, oracle: Oracle, x):
+        """Freeze a reference at a known minimizer (e.g. a closed-form solve),
+        certified at solve_reference's default tolerance."""
         x = np.asarray(x, dtype=np.float64)
         grad_norm = float(np.linalg.norm(oracle.full_grad(x)))
-        if tolerance is None:
-            tolerance = default_reference_tolerance(oracle, x)
+        tolerance = default_reference_tolerance(oracle, x)
         if grad_norm > tolerance:
             raise ValueError(
                 f"point is not a minimizer: ||grad|| = {grad_norm:.3e} "
@@ -192,102 +195,6 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class _SVRGStep:
-    """What the SVRG-family one-step analysis reads at a state, computed from
-    one gradient table at x and one at w."""
-
-    report: LyapunovReport  # phi at the state (dk at w)
-    dk_heads: float  # dk after a refresh, w <- x
-    g: np.ndarray  # (n, d): the estimator for every sample draw
-    mean_dist_next: float  # mean ||x_next - x*||^2 over the n draws
-    expected_phi_next: float
-
-
-def _svrg_step(state, ref: ReferenceSolution, oracle: Oracle) -> _SVRGStep:
-    table_x = oracle.grad_table(state.x)
-    table_w = oracle.grad_table(state.w)
-    report = _phi_report(state, ref, _dk(table_w, state, ref, oracle))
-    dk_heads = _dk(table_x, state, ref, oracle)
-    # the estimator table from the two tables dk needs anyway
-    g = table_x - (table_w - state.grad_w)
-    diff = state.x - state.eta * g - ref.x_star
-    mean_dist = float(np.einsum("ij,ij->", diff, diff)) / oracle.n
-    expected = mean_dist + state.p * dk_heads + (1.0 - state.p) * report.dk
-    return _SVRGStep(report, dk_heads, g, mean_dist, expected)
-
-
-def _phi_rhs(report: LyapunovReport, state, oracle: Oracle) -> float:
-    return (1.0 - state.eta * oracle.mu) * report.dist_sq + (
-        1.0 - state.p / 2.0
-    ) * report.dk
-
-
-def exact_expected_phi_next(state, ref: ReferenceSolution, oracle: Oracle) -> float:
-    """E[phi at the next step], enumerating all n draws and both coins."""
-    _guard(oracle)
-    _check_dims(state, ref, oracle)
-    return _svrg_step(state, ref, oracle).expected_phi_next
-
-
-def phi_contraction_rhs(state, ref: ReferenceSolution, oracle: Oracle) -> float:
-    """One-step bound (1 - eta mu) dist + (1 - p/2) dk; needs eta <= 1/(6L)."""
-    return _phi_rhs(compute_phi(state, ref, oracle), state, oracle)
-
-
-@dataclass
-class _KatyushaStep:
-    """What the Katyusha-family one-step analysis reads at a state, each
-    piece computed once: every sample draw's branch and f at its y_next."""
-
-    x: np.ndarray  # the interpolated point x^k
-    g: np.ndarray  # (n, d): the estimator for every sample draw
-    z_next: np.ndarray  # (n, d)
-    f_y_next: np.ndarray  # (n,): f(y_next) per draw
-    f_y: float
-    f_w: float
-    report: LyapunovReport  # psi at the state
-    expected_psi_next: float
-
-
-def _katyusha_step(state, ref: ReferenceSolution, oracle: Oracle) -> _KatyushaStep:
-    cz, cy, cw = _psi_coefs(state, oracle)
-    x = state.interpolate()
-    g = oracle.estimator_table(x, state.w, state.grad_w)
-    z_next, y_next = state.momentum_step(x, g)
-    f_y_next = oracle.full_loss_many(y_next)
-    f_y = oracle.full_loss(state.y)
-    f_w = oracle.full_loss(state.w)
-    report = _psi_report(state, ref, oracle, f_y, f_w)
-    dz = z_next - ref.x_star
-    mean_z = cz * float(np.einsum("ij,ij->", dz, dz)) / oracle.n
-    mean_y = cy * float(np.sum(f_y_next - ref.f_star)) / oracle.n
-    # a refresh moves w to y (heads); otherwise w, and its term, stay (tails)
-    w_heads = cw * (f_y - ref.f_star)
-    expected = mean_z + mean_y + state.p * w_heads + (1.0 - state.p) * report.wk
-    return _KatyushaStep(x, g, z_next, f_y_next, f_y, f_w, report, expected)
-
-
-def _psi_rhs(report: LyapunovReport, state) -> float:
-    return (
-        report.zk / (1.0 + state.eta * state.sigma)
-        + (1.0 - state.theta1 * (1.0 - state.theta2)) * report.yk
-        + (1.0 - state.p * state.theta1 / (1.0 + state.theta1)) * report.wk
-    )
-
-
-def exact_expected_psi_next(state, ref: ReferenceSolution, oracle: Oracle) -> float:
-    """E[psi at the next step], enumerating all n draws and both coins."""
-    _guard(oracle)
-    _check_dims(state, ref, oracle)
-    return _katyusha_step(state, ref, oracle).expected_psi_next
-
-
-def psi_contraction_rhs(state, ref: ReferenceSolution, oracle: Oracle) -> float:
-    """One-step bound Z/(1+eta sigma) + (1-theta1(1-theta2)) Y + (1-p theta1/(1+theta1)) W."""
-    return _psi_rhs(compute_psi(state, ref, oracle), state)
-
-
-@dataclass
 class BoundSlack:
     """One verified inequality (or equality): slack >= 0 means it holds."""
 
@@ -295,14 +202,10 @@ class BoundSlack:
     lhs: float
     rhs: float
     slack: float
-    equality: bool = False
 
     @property
     def rel_slack(self) -> float:
         return self.slack / max(1.0, abs(self.lhs), abs(self.rhs))
-
-    def ok(self, rel_tol: float = 1e-10) -> bool:
-        return self.rel_slack >= -rel_tol
 
 
 def _upper(name, lhs, rhs) -> BoundSlack:
@@ -310,7 +213,8 @@ def _upper(name, lhs, rhs) -> BoundSlack:
 
 
 def _equality(name, lhs, rhs) -> BoundSlack:
-    return BoundSlack(name, lhs, rhs, -abs(rhs - lhs), equality=True)
+    # a difference either way is a violation
+    return BoundSlack(name, lhs, rhs, -abs(rhs - lhs))
 
 
 def verify_lemma_bounds(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
@@ -327,14 +231,22 @@ def _verify_svrg_bounds(state, ref, oracle) -> dict:
     n, mu, L = oracle.n, oracle.mu, oracle.L
     eta, p = state.eta, state.p
     gap = oracle.full_loss(state.x) - ref.f_star
-    step = _svrg_step(state, ref, oracle)
-    report = step.report
-    second_moment = float(np.einsum("ij,ij->", step.g, step.g)) / n
+    table_x = oracle.grad_table(state.x)
+    table_w = oracle.grad_table(state.w)
+    report = _phi_report(state, ref, _dk(table_w, state, ref, oracle))
+    dk_heads = _dk(table_x, state, ref, oracle)  # dk after a refresh, w <- x
+    # the estimator for every sample draw, from the two tables dk needs anyway
+    g = table_x - (table_w - state.grad_w)
+    diff = state.x - eta * g - ref.x_star
+    mean_dist_next = float(np.einsum("ij,ij->", diff, diff)) / n
+    second_moment = float(np.einsum("ij,ij->", g, g)) / n
+    # E[phi at the next step], over all n draws and both coins
+    expected_phi_next = mean_dist_next + p * dk_heads + (1.0 - p) * report.dk
 
     checks = [
         _upper(
             "iterate_distance",
-            step.mean_dist_next,
+            mean_dist_next,
             (1.0 - eta * mu) * report.dist_sq - 2.0 * eta * gap
             + eta**2 * second_moment,
         ),
@@ -345,13 +257,14 @@ def _verify_svrg_bounds(state, ref, oracle) -> dict:
         ),
         _upper(
             "grad_learning_decay",
-            (1.0 - p) * report.dk + p * step.dk_heads,
+            (1.0 - p) * report.dk + p * dk_heads,
             (1.0 - p) * report.dk + 8.0 * L * eta**2 * gap,
         ),
+        # needs eta <= 1/(6L)
         _upper(
             "phi_contraction",
-            step.expected_phi_next,
-            _phi_rhs(report, state, oracle),
+            expected_phi_next,
+            (1.0 - eta * mu) * report.dist_sq + (1.0 - p / 2.0) * report.dk,
         ),
     ]
     return {c.name: c for c in checks}
@@ -363,15 +276,29 @@ def _verify_katyusha_bounds(state, ref, oracle) -> dict:
     theta1, theta2, sigma = state.theta1, state.theta2, state.sigma
     cz, cy, cw = _psi_coefs(state, oracle)
 
-    step = _katyusha_step(state, ref, oracle)
-    x, g, z_next, report = step.x, step.g, step.z_next, step.report
+    # every sample draw's branch, one row each: the estimator g, z_next and
+    # f at y_next
+    x = state.interpolate()
+    g = oracle.grad_table(x) - (oracle.grad_table(state.w) - state.grad_w)
+    z_next, y_next = state.momentum_step(x, g)
+    f_y_next = oracle.full_loss_many(y_next)
+    f_y = oracle.full_loss(state.y)
+    f_w = oracle.full_loss(state.w)
+    report = _psi_report(state, ref, oracle, f_y, f_w)
     grad_x = oracle.full_grad(x)
     f_x = oracle.full_loss(x)
+
+    dz_next = z_next - ref.x_star
+    mean_z = cz * float(np.einsum("ij,ij->", dz_next, dz_next)) / n
+    mean_y = cy * float(np.sum(f_y_next - ref.f_star)) / n
+    # a refresh moves w to y (heads); otherwise w, and its term, stay (tails)
+    w_heads = cw * (f_y - ref.f_star)
+    expected_psi_next = mean_z + mean_y + p * w_heads + (1.0 - p) * report.wk
 
     dev = g - grad_x
     dev_sq = _rowdot(dev, dev)
     variance = float(dev_sq.sum()) / n
-    bregman = step.f_w - f_x - float(grad_x @ (state.w - x))
+    bregman = f_w - f_x - float(grad_x @ (state.w - x))
 
     dx = x - ref.x_star
     dist_x = float(dx @ dx)
@@ -379,14 +306,13 @@ def _verify_katyusha_bounds(state, ref, oracle) -> dict:
     # per-realization bounds, one entry per sample draw; report the worst
     dz_step = z_next - state.z
     step_sq = _rowdot(dz_step, dz_step)
-    dz_next = z_next - ref.x_star
     z_lhs = _rowdot(g, ref.x_star - z_next) + 0.5 * mu * dist_x
     z_rhs = (
         L / (2.0 * eta) * step_sq
         + cz * _rowdot(dz_next, dz_next)
         - report.zk / (1.0 + eta * sigma)
     )
-    y_lhs = (step.f_y_next - f_x) / theta1 - theta2 / (2.0 * L * theta1) * dev_sq
+    y_lhs = (f_y_next - f_x) / theta1 - theta2 / (2.0 * L * theta1) * dev_sq
     y_rhs = L / (2.0 * eta) * step_sq + _rowdot(g, dz_step)
     z_slack = z_lhs - z_rhs
     y_slack = y_rhs - y_lhs
@@ -398,9 +324,15 @@ def _verify_katyusha_bounds(state, ref, oracle) -> dict:
         BoundSlack("y_progress", float(y_lhs[iy]), float(y_rhs[iy]), float(y_slack[iy])),
         _equality(
             "reference_recursion",
-            (1.0 - p) * report.wk + p * cw * (step.f_y - ref.f_star),
+            (1.0 - p) * report.wk + p * cw * (f_y - ref.f_star),
             (1.0 - p) * report.wk + theta2 * (1.0 + theta1) * report.yk,
         ),
-        _upper("psi_contraction", step.expected_psi_next, _psi_rhs(report, state)),
+        _upper(
+            "psi_contraction",
+            expected_psi_next,
+            report.zk / (1.0 + eta * sigma)
+            + (1.0 - theta1 * (1.0 - theta2)) * report.yk
+            + (1.0 - p * theta1 / (1.0 + theta1)) * report.wk,
+        ),
     ]
     return {c.name: c for c in checks}

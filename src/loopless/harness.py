@@ -119,13 +119,11 @@ class RunConfig:
         payload = dict(payload)
         synthetic = payload.get("synthetic")
         if synthetic is not None:
-            try:
-                n, d, kappa = synthetic
-                payload["synthetic"] = (int(n), int(d), float(kappa))
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"synthetic={synthetic!r} is not [n, d, kappa]"
-                ) from None
+            # the raw entries are type-checked, then converted
+            if not _has_type(synthetic, _FIELD_TYPES["synthetic"]):
+                raise ConfigError(f"synthetic={synthetic!r} is not [n, d, kappa]")
+            n, d, kappa = synthetic
+            payload["synthetic"] = (int(n), int(d), float(kappa))
         fields = {f for f in cls.__dataclass_fields__}
         unknown = set(payload) - fields
         if unknown:
@@ -338,11 +336,18 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
     and sidecar, and return the CSV paths and the records in config order.
 
     The runs of one family (SVRG or Katyusha) go through run_lanes as one
-    batch when there are at least two of them (a lane's trace is run's, its
-    floats to rounding), every other run through run.  Raises
-    DivergenceError, after writing every run, if any diverged."""
+    batch when there are at least three of them (a lane's trace is run's,
+    its floats to rounding; fewer lanes lose to run on CSR data), every
+    other run through run.  Raises ConfigError before any run if two runs
+    would write the same files, and DivergenceError, after writing every
+    run, if any diverged."""
     if not configs:
         return [], []
+    run_ids = [config.run_id() for config in configs]
+    shared = sorted({i for i in run_ids if run_ids.count(i) > 1})
+    if shared:
+        raise ConfigError(f"runs {shared} would share one trace file; "
+                          "list each seed and algorithm once")
     resolved = [resolve_params(config, oracle) for config in configs]
     ref = build_reference(configs[0], oracle, minimizer)
     # overflow at a huge x0 is reported once, as divergence at k = 0
@@ -355,7 +360,7 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
         families.setdefault(getattr(type(opt), "move", None), []).append(s)
     by_run = {}
     for move, lanes in families.items():
-        if move is not None and len(lanes) >= 2:
+        if move is not None and len(lanes) >= 3:
             by_run.update(zip(lanes, run_lanes(
                 [optimizers[s] for s in lanes], [SplitMix64(configs[s].seed) for s in lanes],
                 epochs=epochs, checkpoint_every=every, metrics=[metrics[s] for s in lanes],
@@ -522,21 +527,28 @@ def compare_all(
 
 def read_trace(path) -> list[dict]:
     """Load a trace CSV back into a list of {column: float|int|None} dicts."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            header, rows = reader.fieldnames, list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty trace file")
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError(f"{path}: empty trace file")
-        for row in reader:
-            parsed = {}
-            for key, value in row.items():
-                if value == "" or value is None:
-                    parsed[key] = None
-                elif key in ("k", "oracle_calls", "wall_ns"):
-                    parsed[key] = int(value)
-                else:
-                    parsed[key] = float(value)
-            out.append(parsed)
+    for line, row in enumerate(rows, start=2):
+        parsed = {}
+        for key, value in row.items():
+            if value == "" or value is None:
+                parsed[key] = None
+                continue
+            try:
+                parsed[key] = (int if key in ("k", "oracle_calls", "wall_ns")
+                               else float)(value)
+            except (TypeError, ValueError):  # TypeError: a surplus cell
+                raise DataError(f"{path}: {key}={value!r} on line {line} "
+                                "is not a number") from None
+        out.append(parsed)
     return out
 
 
@@ -562,8 +574,12 @@ def emit_plotdata(trace_paths, out_path, metrics: list[str] | None = None) -> Pa
         sidecar_path = path.with_suffix(".json")
         if not sidecar_path.exists():
             raise DataError(f"missing sidecar {sidecar_path}")
-        with open(sidecar_path, "r", encoding="utf-8") as fh:
-            sidecar = json.load(fh)
+        try:
+            with open(sidecar_path, "r", encoding="utf-8") as fh:
+                sidecar = json.load(fh)
+            run_id, algorithm = sidecar["run_id"], sidecar["algorithm"]
+        except (OSError, ValueError, TypeError, KeyError) as exc:  # ValueError: not JSON
+            raise DataError(f"cannot read {sidecar_path} as a run sidecar: {exc!r}") from None
         trace = read_trace(path)
         if not trace:
             raise DataError(f"{path}: no records")
@@ -584,10 +600,7 @@ def emit_plotdata(trace_paths, out_path, metrics: list[str] | None = None) -> Pa
             for metric in wanted:
                 if record[metric] is None:
                     continue
-                rows.append(
-                    (sidecar["run_id"], sidecar["algorithm"], record["epoch"], metric,
-                     record[metric])
-                )
+                rows.append((run_id, algorithm, record["epoch"], metric, record[metric]))
 
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)

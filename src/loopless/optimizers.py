@@ -61,12 +61,6 @@ def _check_positive(value: float, name: str) -> float:
     return float(value)
 
 
-def gd_step(x: np.ndarray, oracle: Oracle, step: float) -> np.ndarray:
-    """One full-gradient descent step x - step * grad f(x)."""
-    _check_positive(step, "step")
-    return x - step * oracle.full_grad(x)
-
-
 class _Optimizer:
     """Shared accounting (k, oracle_calls, epoch) and the per-class facts."""
 

@@ -71,8 +71,6 @@ class Oracle:
     """Shared machinery; subclasses define the per-sample loss, as a scalar
     kernel (_phi, _dphi) and an elementwise numpy one (_phis, _dphis)."""
 
-    loss_kind = "?"
-
     def __init__(self, dataset: Dataset, mu: float):
         if mu <= 0.0:
             raise ValueError(f"mu must be positive (strong convexity), got {mu}")
@@ -124,18 +122,15 @@ class Oracle:
         """The row of every stored entry (nnz,)."""
         return np.repeat(np.arange(self.n), self._counts)
 
-    def margin(self, i: int, x: np.ndarray) -> float:
-        if self._dense is not None:
-            return float(self._dense[i] @ x)
-        idx, val = self._row(i)
-        return float(val @ x[idx]) if idx.size else 0.0
-
     def loss_i(self, i: int, x: np.ndarray) -> float:
         if not 0 <= i < self.n:
             raise IndexError(f"sample index {i} out of range [0, {self.n})")
-        return self._phi(self.margin(i, x), self.labels[i]) + 0.5 * self.mu * float(
-            x @ x
-        )
+        if self._dense is not None:
+            m = float(self._dense[i] @ x)
+        else:
+            idx, val = self._row(i)
+            m = float(val @ x[idx]) if idx.size else 0.0
+        return self._phi(m, self.labels[i]) + 0.5 * self.mu * float(x @ x)
 
     def grad_i(self, i: int, x: np.ndarray) -> np.ndarray:
         if not 0 <= i < self.n:
@@ -233,16 +228,8 @@ class Oracle:
         out[rows, self._indices] += r[rows] * self._values
         return out
 
-    def estimator_table(
-        self, x: np.ndarray, w: np.ndarray, grad_w: np.ndarray
-    ) -> np.ndarray:
-        """All n realizations of g = grad_i(x) - (grad_i(w) - grad_w), as (n, d)."""
-        return self.grad_table(x) - (self.grad_table(w) - grad_w)
-
 
 class LogisticOracle(Oracle):
-    loss_kind = "logistic"
-
     def _phi(self, m, b):
         return _softplus(-b * m)
 
@@ -266,8 +253,6 @@ class LogisticOracle(Oracle):
 
 
 class RidgeOracle(Oracle):
-    loss_kind = "ridge"
-
     def _phi(self, m, b):
         r = m - b
         return 0.5 * r * r

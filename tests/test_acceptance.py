@@ -13,10 +13,6 @@ from loopless.data import ParseError, parse_libsvm, synthesize_quadratic, write_
 from loopless.diagnostics import (
     ReferenceSolution,
     compute_phi,
-    exact_expected_phi_next,
-    exact_expected_psi_next,
-    phi_contraction_rhs,
-    psi_contraction_rhs,
     verify_lemma_bounds,
 )
 from loopless.harness import RunConfig, compare_all, run_experiment
@@ -97,9 +93,8 @@ def test_criterion_2_phi_contraction():
     state = LSVRG(oracle, np.ones(4), **LSVRG.theory_params(oracle))
     rng = SplitMix64(42)
     for _ in range(200):
-        lhs = exact_expected_phi_next(state, ref, oracle)
-        rhs = phi_contraction_rhs(state, ref, oracle)
-        worst = min(worst, rhs - lhs)
+        bound = verify_lemma_bounds(state, ref, oracle)["phi_contraction"]
+        worst = min(worst, bound.slack)
         state.step(rng)
 
     draws = np.random.default_rng(102)
@@ -107,9 +102,8 @@ def test_criterion_2_phi_contraction():
         state = LSVRG(oracle, draws.normal(size=4), **LSVRG.theory_params(oracle))
         state.w = draws.normal(size=4)
         state.grad_w = oracle.full_grad(state.w)
-        lhs = exact_expected_phi_next(state, ref, oracle)
-        rhs = phi_contraction_rhs(state, ref, oracle)
-        worst = min(worst, rhs - lhs)
+        bound = verify_lemma_bounds(state, ref, oracle)["phi_contraction"]
+        worst = min(worst, bound.slack)
 
     elapsed = time.perf_counter() - t0
     _report(
@@ -127,9 +121,8 @@ def test_criterion_3_psi_contraction():
     state = LKatyusha(oracle, np.ones(4), **LKatyusha.theory_params(oracle))
     rng = SplitMix64(43)
     for _ in range(200):
-        lhs = exact_expected_psi_next(state, ref, oracle)
-        rhs = psi_contraction_rhs(state, ref, oracle)
-        worst = min(worst, rhs - lhs)
+        bound = verify_lemma_bounds(state, ref, oracle)["psi_contraction"]
+        worst = min(worst, bound.slack)
         state.step(rng)
 
     draws = np.random.default_rng(103)
@@ -139,9 +132,8 @@ def test_criterion_3_psi_contraction():
         state.z = draws.normal(size=4)
         state.w = draws.normal(size=4)
         state.grad_w = oracle.full_grad(state.w)
-        lhs = exact_expected_psi_next(state, ref, oracle)
-        rhs = psi_contraction_rhs(state, ref, oracle)
-        worst = min(worst, rhs - lhs)
+        bound = verify_lemma_bounds(state, ref, oracle)["psi_contraction"]
+        worst = min(worst, bound.slack)
 
     _report(
         3,

@@ -250,7 +250,10 @@ def test_bad_param_values_exit_with_config_code(tmp_path, capsys, params, messag
     "field, message",
     [({"synthetic": [10, 4]}, "synthetic=[10, 4] is not [n, d, kappa]"),
      ({"mu": "abc"}, "mu must be float, got 'abc'"),
-     ({"epochs": "5"}, "epochs must be float, got '5'")],
+     ({"epochs": "5"}, "epochs must be float, got '5'"),
+     ({"synthetic": [30.9, 5, 10]}, "synthetic=[30.9, 5, 10] is not [n, d, kappa]"),
+     ({"synthetic": [30, "5", 10]}, "synthetic=[30, '5', 10] is not [n, d, kappa]"),
+     ({"synthetic": [30, 5, True]}, "synthetic=[30, 5, True] is not [n, d, kappa]")],
 )
 def test_config_fields_of_the_wrong_type_exit_with_config_code(tmp_path, capsys,
                                                                field, message):
@@ -261,6 +264,53 @@ def test_config_fields_of_the_wrong_type_exit_with_config_code(tmp_path, capsys,
     assert run_cli("run", "--config", str(path), "--out", str(tmp_path)) == EXIT_CONFIG
     err = capsys.readouterr().err.strip()
     assert err == f"config error: {message}"
+
+
+def test_config_synthetic_is_converted_after_its_type_check(tmp_path):
+    config = {"algorithm": "l-svrg", "synthetic": [30, 5, 10], "loss": "ridge",
+              "mu": 1.0, "epochs": 1.0}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path)) == EXIT_OK
+    sidecar = json.loads((tmp_path / "l-svrg_ridge_seed0.json").read_text())
+    assert sidecar["dataset"] == "synthetic(30, 5, 10.0)"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(("--seeds", "0,0"), "runs ['l-svrg_ridge_seed0'] would share one trace file"),
+     (("--algs", "l-svrg,l-svrg"), "runs ['l-svrg_ridge_seed0'] would share one trace file"),
+     (("--algs", ""), "unknown algorithm ''")],
+    ids=["repeated-seed", "repeated-algorithm", "empty-algs"],
+)
+def test_compare_all_rejects_runs_that_share_files(tmp_path, capsys, flags, message):
+    argv = ["compare-all", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1.0",
+            "--epochs", "1", "--algs", "l-svrg", *flags, "--out", str(tmp_path)]
+    assert run_cli(*argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"config error: {message}") and "\n" not in err
+    assert not list(tmp_path.iterdir())  # rejected before any run
+
+
+@pytest.mark.parametrize(
+    "breaks, message",
+    [(lambda csv, sidecar: sidecar.write_text("{not json"), "as a run sidecar"),
+     (lambda csv, sidecar: sidecar.write_text("[1, 2]"), "as a run sidecar"),
+     (lambda csv, sidecar: csv.write_text(csv.read_text().replace("\n0,", "\nzero,", 1)),
+      "is not a number"),
+     (lambda csv, sidecar: csv.unlink(), "cannot read")],
+    ids=["sidecar-not-json", "sidecar-a-list", "cell-not-a-number", "trace-missing"],
+)
+def test_plotdata_bad_input_exits_with_data_code(tmp_path, capsys, breaks, message):
+    assert run_cli("run", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1.0",
+                   "--epochs", "2", "--out", str(tmp_path)) == EXIT_OK
+    trace = tmp_path / "l-svrg_ridge_seed0.csv"
+    breaks(trace, trace.with_suffix(".json"))
+    capsys.readouterr()
+    assert run_cli("plotdata", str(trace), "--out", str(tmp_path / "plot.csv")) == EXIT_DATA
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data error: ") and message in err and "\n" not in err
+    assert "l-svrg_ridge_seed0." in err  # names the file
 
 
 @pytest.mark.parametrize(

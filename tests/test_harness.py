@@ -23,6 +23,7 @@ from loopless.harness import (
     sweep_p,
     trace_columns,
 )
+from loopless.optimizers import ALGORITHMS, run_lanes
 
 
 def synthetic_config(**overrides):
@@ -267,15 +268,17 @@ def test_sweep_p_writes_pairs(tmp_path):
 
 
 def compare_runs(config, out_dir):
-    """compare_all over gd, l-svrg and l-katyusha with two seeds; its run CSVs."""
-    compare_all(config, out_dir, seeds=[0, 1], algorithms=["gd", "l-svrg", "l-katyusha"])
+    """compare_all over gd, l-svrg and l-katyusha with three seeds (so each
+    family runs as lanes); its run CSVs."""
+    compare_all(config, out_dir, seeds=[0, 1, 2],
+                algorithms=["gd", "l-svrg", "l-katyusha"])
     return sorted(p for p in out_dir.glob("*.csv") if p.name != "summary.csv")
 
 
 @pytest.mark.parametrize(
     "batch, runs",
     [(lambda config, out_dir: sweep_p(config, out_dir, grid=[2, 7]), 4),
-     (compare_runs, 6)],
+     (compare_runs, 9)],
     ids=["sweep_p", "compare_all"],
 )
 def test_batch_is_deterministic_and_writes_run_experiment_outputs(tmp_path, batch, runs):
@@ -301,6 +304,37 @@ def test_batch_is_deterministic_and_writes_run_experiment_outputs(tmp_path, batc
         for a, b in zip(batched, serial):
             assert a["dist_sq"] == pytest.approx(b["dist_sq"], rel=1e-12)
             assert a["f_gap"] == pytest.approx(b["f_gap"], rel=1e-12)
+
+
+def test_a_family_runs_as_lanes_from_three_runs(tmp_path, monkeypatch):
+    reached = []  # the algorithms of each run_lanes batch
+
+    def recording(optimizers, rngs, **budget):
+        reached.append([opt.name for opt in optimizers])
+        return run_lanes(optimizers, rngs, **budget)
+
+    monkeypatch.setattr(harness, "run_lanes", recording)
+    config = synthetic_config(epochs=2.0)
+    # a default compare-all: two runs of each family, each made by run
+    compare_all(config, tmp_path / "one", seeds=[0])
+    assert reached == []
+    compare_all(config, tmp_path / "three", seeds=[0, 1, 2],
+                algorithms=["gd", "l-svrg", "katyusha"])
+    assert reached == [["l-svrg"] * 3, ["katyusha"] * 3]
+    reached.clear()
+    sweep_p(config, tmp_path / "sweep", grid=[2])  # one l-svrg and one svrg run
+    assert reached == []
+
+
+def test_default_compare_all_writes_the_traces_run_writes(tmp_path):
+    config = synthetic_config(epochs=3.0, checkpoint_every=0.5)
+    compare_all(config, tmp_path / "batch", seeds=[4])
+    for name in ALGORITHMS:
+        alone = run_experiment(replace(config, algorithm=name, seed=4), tmp_path / "alone")
+        batched = tmp_path / "batch" / alone.name
+        assert strip_wall(read_csv_lines(batched)) == strip_wall(read_csv_lines(alone))
+        assert (batched.with_suffix(".json").read_bytes()
+                == alone.with_suffix(".json").read_bytes())
 
 
 # ------------------------------------------------------------------- compare

@@ -12,7 +12,6 @@ from loopless.optimizers import (
     LoopyKatyusha,
     LoopySVRG,
     LSVRG,
-    gd_step,
     run,
 )
 from loopless.rng import SplitMix64
@@ -222,6 +221,13 @@ def test_expected_oracle_calls_per_step(ridge10):
     assert abs(per_step - expected) <= 0.05 * expected
 
 
+def gd_step(x, oracle, step):
+    """One GradientDescent step from x."""
+    opt = GradientDescent(oracle, x, step_size=step)
+    opt.step()
+    return opt.x
+
+
 def test_gd_step_closed_form_scalar():
     # 1-d ridge: f'(x) = (a^2 + mu) x - a b
     oracle = make_oracle(parse_libsvm("+1 1:2"), "ridge", 0.5)
@@ -235,19 +241,20 @@ def test_gd_step_closed_form_scalar():
 def test_gd_fixed_point_and_descent(ridge10):
     oracle, x_star = ridge10
     assert np.allclose(gd_step(x_star, oracle, 1.0 / oracle.L), x_star, atol=1e-14)
-    x = np.ones(4) * 3.0
-    prev = oracle.full_loss(x)
+    opt = GradientDescent(oracle, np.ones(4) * 3.0, step_size=1.0 / oracle.L)
+    prev = oracle.full_loss(opt.x)
     for _ in range(100):
-        x = gd_step(x, oracle, 1.0 / oracle.L)
-        cur = oracle.full_loss(x)
+        opt.step()
+        cur = oracle.full_loss(opt.x)
         assert cur <= prev + 1e-15
         prev = cur
 
 
 def test_gd_step_requires_positive_step(ridge10):
     oracle, _ = ridge10
-    with pytest.raises(ValueError):
-        gd_step(np.zeros(4), oracle, 0.0)
+    for step in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step_size must be positive"):
+            GradientDescent(oracle, np.zeros(4), step_size=step)
 
 
 def test_run_zero_budget_returns_initial_record(ridge10):

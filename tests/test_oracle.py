@@ -120,7 +120,7 @@ def scalar_reference(oracle, x):
     for row, b in zip(oracle.dataset.rows, oracle.labels.tolist()):
         pairs = list(zip(row.indices.tolist(), row.values.tolist()))
         m = math.fsum(v * x[j] for j, v in pairs)
-        if oracle.loss_kind == "logistic":
+        if isinstance(oracle, LogisticOracle):
             t = -b * m
             phi = max(t, 0.0) + math.log1p(math.exp(-abs(t)))
             e = math.exp(-abs(t))
@@ -177,22 +177,18 @@ def test_full_data_paths_match_scalar_reference(loss, density, n, margin):
         A = np.stack([row.to_dense(oracle.d) for row in dataset.rows])
         top = np.abs(points @ A.T).max(axis=1, keepdims=True)
         points *= margin / np.where(top > 0.0, top, 1.0)
-    x, w = points[0], points[1]
+    x = points[0]
     losses_x, table_x = scalar_reference(oracle, x)
-    _, table_w = scalar_reference(oracle, w)
-    grad_w = table_w.mean(axis=0)
     with np.errstate(all="raise"):
         full_loss = oracle.full_loss(x)
         full_grad = oracle.full_grad(x)
         grad_table = oracle.grad_table(x)
         many = oracle.full_loss_many(points)
-        estimators = oracle.estimator_table(x, w, grad_w)
     np.testing.assert_allclose(full_loss, losses_x.mean(), rtol=1e-12)
     many_want = [scalar_reference(oracle, y)[0].mean() for y in points]
     np.testing.assert_allclose(many, many_want, rtol=1e-12)
     assert_close(full_grad, table_x.mean(axis=0))
     assert_close(grad_table, table_x)
-    assert_close(estimators, table_x - (table_w - grad_w))
 
 
 @pytest.mark.parametrize("density", [0.1, 0.6])
@@ -343,4 +339,3 @@ def test_oracle_kinds():
     ds = parse_libsvm("+1 1:1")
     assert isinstance(make_oracle(ds, "logistic", 1.0), LogisticOracle)
     assert isinstance(make_oracle(ds, "ridge", 1.0), RidgeOracle)
-    assert make_oracle(ds, "ridge", 1.0).loss_kind == "ridge"
