@@ -126,7 +126,7 @@ def test_round_trip_fifty_by_twenty():
     assert parse_libsvm(write_libsvm(ds)) == ds
 
 
-def test_dataset_invariants():
+def test_sparse_row_invariants():
     row = SparseRow(np.array([0]), np.array([1.0]))
     # the row-list constructor checks its rows' entries on the CSR arrays
     for bad, match in [(([2, 1], [1.0, 1.0]), "strictly increasing"),
@@ -137,7 +137,13 @@ def test_dataset_invariants():
     # each row's lengths are checked on their own: here the two errors
     # cancel in the concatenated arrays and would shift values silently
     with pytest.raises(ValueError, match="equally long"):
+        SparseRow(np.array([0, 1]), np.array([1.0]))
+    with pytest.raises(ValueError, match="equally long"):
         Dataset([SparseRow([0, 1], [1.0]), SparseRow([0], [2.0, 3.0])], np.ones(2), 2)
+
+
+def test_dataset_invariants():
+    row = SparseRow(np.array([0]), np.array([1.0]))
     with pytest.raises(ValueError, match="labels must be"):
         Dataset([row], np.array([2.0]), 1)
     with pytest.raises(ValueError, match="smaller than max"):
