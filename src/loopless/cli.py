@@ -198,10 +198,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             payload[field] = value
 
     payload.setdefault("algorithm", "l-svrg")
-    try:
-        return RunConfig.from_dict(payload)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig.from_dict(payload)
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,7 @@ and gradient descent, y for the Katyusha family.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -25,7 +26,7 @@ from . import diagnostics
 from .data import load_libsvm, normalize_rows, synthesize_quadratic
 from .diagnostics import ReferenceSolution, compute_phi, compute_psi, verify_lemma_bounds
 from .oracle import Oracle, make_oracle
-from .optimizers import ALGORITHMS, TraceRecord, all_param_types, run, run_lanes
+from .optimizers import ALGORITHMS, TraceRecord, all_param_types, check_budget, run, run_lanes
 from .rng import SplitMix64
 
 
@@ -34,7 +35,7 @@ class ConfigError(ValueError):
 
 
 class DataError(RuntimeError):
-    """Dataset could not be read or parsed (CLI exit code 3)."""
+    """Input could not be read or parsed, or output written (CLI exit code 3)."""
 
 
 class DivergenceError(RuntimeError):
@@ -91,6 +92,10 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:  # NaN fails too
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
+        try:
+            check_budget(self.epochs, self.checkpoint_every)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.ref_max_epochs < 0:
             raise ConfigError(f"ref_max_epochs must be >= 0, got {self.ref_max_epochs}")
         if self.x0 is not None and not all(
@@ -307,6 +312,18 @@ def _record_row(rec: TraceRecord, columns: list[str]) -> list[str]:
     return [_fmt(values.get(col)) for col in columns]
 
 
+@contextlib.contextmanager
+def _output_dir(path):
+    """Make the output directory path and yield it as a Path, for a block
+    that makes outputs in it; an OSError becomes a DataError naming path."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        yield path
+    except OSError as exc:
+        raise DataError(f"cannot write to {path}: {exc}") from None
+
+
 def write_trace(records: list[TraceRecord], columns: list[str], path: Path):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -342,36 +359,37 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
     would write the same files, and DivergenceError, after writing every
     run, if any diverged."""
     if not configs:
-        return [], []
+        raise ConfigError("empty batch: no seed, algorithm or loop length to run")
     run_ids = [config.run_id() for config in configs]
     shared = sorted({i for i in run_ids if run_ids.count(i) > 1})
     if shared:
         raise ConfigError(f"runs {shared} would share one trace file; "
                           "list each seed and algorithm once")
     resolved = [resolve_params(config, oracle) for config in configs]
-    ref = build_reference(configs[0], oracle, minimizer)
-    # overflow at a huge x0 is reported once, as divergence at k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        optimizers = [make_optimizer(c, oracle, p) for c, p in zip(configs, resolved)]
-    metrics = [build_metrics(config, oracle, ref) for config in configs]
-    epochs, every = configs[0].epochs, configs[0].checkpoint_every
-    families: dict = {}  # a family's move -> its runs
-    for s, opt in enumerate(optimizers):
-        families.setdefault(getattr(type(opt), "move", None), []).append(s)
-    by_run = {}
-    for move, lanes in families.items():
-        if move is not None and len(lanes) >= 3:
-            by_run.update(zip(lanes, run_lanes(
-                [optimizers[s] for s in lanes], [SplitMix64(configs[s].seed) for s in lanes],
-                epochs=epochs, checkpoint_every=every, metrics=[metrics[s] for s in lanes],
-            )))
-    for s, config in enumerate(configs):
-        if s not in by_run:
-            by_run[s] = run(optimizers[s], SplitMix64(config.seed), epochs=epochs,
-                            checkpoint_every=every, metrics=metrics[s])
-    traces = [by_run[s] for s in range(len(configs))]
-    paths = [write_run(c, p, opt, ref, records, out_dir)
-             for c, p, opt, records in zip(configs, resolved, optimizers, traces)]
+    with _output_dir(out_dir) as out_dir:
+        ref = build_reference(configs[0], oracle, minimizer)
+        # overflow at a huge x0 is reported once, as divergence at k = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            optimizers = [make_optimizer(c, oracle, p) for c, p in zip(configs, resolved)]
+        metrics = [build_metrics(config, oracle, ref) for config in configs]
+        epochs, every = configs[0].epochs, configs[0].checkpoint_every
+        families: dict = {}  # a family's move -> its runs
+        for s, opt in enumerate(optimizers):
+            families.setdefault(getattr(type(opt), "move", None), []).append(s)
+        by_run = {}
+        for move, lanes in families.items():
+            if move is not None and len(lanes) >= 3:
+                by_run.update(zip(lanes, run_lanes(
+                    [optimizers[s] for s in lanes],
+                    [SplitMix64(configs[s].seed) for s in lanes], epochs=epochs,
+                    checkpoint_every=every, metrics=[metrics[s] for s in lanes])))
+        for s, config in enumerate(configs):
+            if s not in by_run:
+                by_run[s] = run(optimizers[s], SplitMix64(config.seed), epochs=epochs,
+                                checkpoint_every=every, metrics=metrics[s])
+        traces = [by_run[s] for s in range(len(configs))]
+        paths = [write_run(c, p, opt, ref, records, out_dir)
+                 for c, p, opt, records in zip(configs, resolved, optimizers, traces)]
     diverged = [f"{config.run_id()} at k={opt.k}"
                 for config, opt in zip(configs, optimizers)
                 if opt.diverged_at is not None]
@@ -387,8 +405,6 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
 def write_run(config: RunConfig, params: dict, optimizer, ref: ReferenceSolution | None,
               records: list[TraceRecord], out_dir) -> Path:
     """Write one run's <run_id>.csv and <run_id>.json; returns the CSV path."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.run_id()}.csv"
     write_trace(records, trace_columns(config), csv_path)
 
@@ -506,15 +522,15 @@ def compare_all(
     _check_batch_base(base_config, "compare-all")
     if base_config.diagnostics == "none":
         raise ConfigError("compare-all needs distance diagnostics to measure thresholds")
+    if not thresholds or not all(0 < t < math.inf for t in thresholds):
+        raise ConfigError(f"need thresholds, each positive and finite; got {list(thresholds)}")
     configs = [replace(base_config, algorithm=alg, preset="theory", seed=seed).validate()
-               for alg in algorithms or ALGORITHMS for seed in seeds]
+               for alg in (ALGORITHMS if algorithms is None else algorithms) for seed in seeds]
     oracle, minimizer = build_problem(base_config)
     _, traces = _run_batch(configs, oracle, minimizer, out_dir)
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
+    summary_path = Path(out_dir) / "summary.csv"
+    with _output_dir(out_dir), open(summary_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "seed", "threshold", "epochs_to_threshold"])
         for config, records in zip(configs, traces):
@@ -603,8 +619,7 @@ def emit_plotdata(trace_paths, out_path, metrics: list[str] | None = None) -> Pa
                 rows.append((run_id, algorithm, record["epoch"], metric, record[metric]))
 
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with _output_dir(out_path.parent), open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run_id", "algorithm", "epoch", "metric", "value"])
         for run_id, algorithm, epoch, metric, value in rows:
@@ -627,26 +642,25 @@ def solve_reference_cli(config: RunConfig, out_dir) -> Path:
     """Standalone reference solve; writes
     <source>_<loss>_mu<mu>_ref.npz and a JSON summary beside it."""
     config.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    oracle, minimizer = build_problem(config)
-    ref = _reference(config, oracle, minimizer)
-    stem = f"{_reference_source(config)}_{config.loss}_mu{config.mu}_ref"
-    npz_path = out_dir / f"{stem}.npz"
-    np.savez(npz_path, x_star=ref.x_star, f_star=ref.f_star, grad_norm=ref.grad_norm)
-    with open(out_dir / f"{stem}.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "f_star": ref.f_star,
-                "grad_norm": ref.grad_norm,
-                "tolerance": ref.tolerance,
-                "n": oracle.n,
-                "d": oracle.d,
-                "L": oracle.L,
-                "mu": oracle.mu,
-            },
-            fh,
-            indent=2,
-        )
-        fh.write("\n")
+    with _output_dir(out_dir) as out_dir:
+        oracle, minimizer = build_problem(config)
+        ref = _reference(config, oracle, minimizer)
+        stem = f"{_reference_source(config)}_{config.loss}_mu{config.mu}_ref"
+        npz_path = out_dir / f"{stem}.npz"
+        np.savez(npz_path, x_star=ref.x_star, f_star=ref.f_star, grad_norm=ref.grad_norm)
+        with open(out_dir / f"{stem}.json", "w", encoding="utf-8") as fh:
+            json.dump(
+                {
+                    "f_star": ref.f_star,
+                    "grad_norm": ref.grad_norm,
+                    "tolerance": ref.tolerance,
+                    "n": oracle.n,
+                    "d": oracle.d,
+                    "L": oracle.L,
+                    "mu": oracle.mu,
+                },
+                fh,
+                indent=2,
+            )
+            fh.write("\n")
     return npz_path

@@ -372,11 +372,15 @@ class TraceRecord:
     wall_ns: int = 0
 
 
-def _check_budget(epochs: float, checkpoint_every: float):
+def check_budget(epochs: float, checkpoint_every: float):
     if epochs < 0:
         raise ValueError(f"epoch budget must be >= 0, got {epochs}")
     if checkpoint_every <= 0:
         raise ValueError(f"checkpoint_every must be positive, got {checkpoint_every}")
+    # past this the mark, advanced by repeated addition, can stop moving
+    if epochs / checkpoint_every > 1e7:
+        raise ValueError(f"checkpoint_every={checkpoint_every} gives more than 1e7 "
+                         f"checkpoints in {epochs} epochs")
 
 
 def _first_mark(epoch: float, every: float) -> float:
@@ -441,7 +445,7 @@ def run(
     finite the run stops without recording it, leaving the optimizer in that
     state with diverged_at = k.  Deterministic given (optimizer state, rng).
     """
-    _check_budget(epochs, checkpoint_every)
+    check_budget(epochs, checkpoint_every)
     recorder = _Recorder()
     records = []
     if (rec := recorder.record(optimizer, metrics)) is None:
@@ -489,7 +493,7 @@ def run_lanes(
     wall_ns is the batch's optimizer time so far, shared by its lanes.  A
     lane's rng ends at the end of its last block, past where run leaves it.
     """
-    _check_budget(epochs, checkpoint_every)
+    check_budget(epochs, checkpoint_every)
     lanes = list(optimizers)
     metrics = [None] * len(lanes) if metrics is None else list(metrics)
     if not lanes:
@@ -521,23 +525,6 @@ def run_lanes(
     return traces
 
 
-def _checkpoint_steps(epochs_after: np.ndarray, mark: float, epochs: float,
-                      every: float) -> tuple[list[int], float, int | None]:
-    """The steps of a block after which a lane records, given the epoch after
-    each step, decided as run() decides them.  Returns them, the lane's next
-    mark, and the step it ends at (None if it runs past the block)."""
-    steps, t = [], 0
-    while (due := np.flatnonzero(epochs_after[t:] >= min(mark, epochs))).size:
-        t += int(due[0])
-        steps.append(t)
-        epoch = float(epochs_after[t])
-        if epoch >= epochs:
-            return steps, mark, t
-        mark = _advance_mark(mark, epoch, every)
-        t += 1
-    return steps, mark, None
-
-
 def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int]:
     """Step the live lanes through one block; returns the lanes still live."""
     opts = [lanes[s] for s in live]
@@ -548,20 +535,20 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
              + 2 * np.arange(1, _LANE_BLOCK + 1) + n * np.cumsum(refresh, axis=1))
     epochs_after = calls / n  # each step's epoch, as opt.epoch computes it
 
-    events: dict[int, list[int]] = {}  # step -> lanes that record after it
+    checkpoints: dict[int, list[int]] = {}  # step -> lanes that record after it
     refreshes: dict[int, list[int]] = {}  # step -> lanes that refresh in it
-    final = []  # the step each lane ends at, None if it runs past the block
-    length = 0  # the steps the block runs: until its last lane ends
-    for b, s in enumerate(live):
-        steps, marks[s], end = _checkpoint_steps(epochs_after[b], marks[s],
-                                                 epochs, every)
-        final.append(end)
-        span = _LANE_BLOCK if end is None else end + 1
-        length = max(length, span)
-        for t in steps:
-            events.setdefault(t, []).append(b)
-        for t in np.flatnonzero(refresh[b, :span]):
-            refreshes.setdefault(int(t), []).append(b)
+    for b, t in zip(*np.nonzero(refresh)):
+        refreshes.setdefault(int(t), []).append(int(b))
+    running = set(range(width))  # the lanes before their last checkpoint
+
+    def find_checkpoint(b: int, t: int):
+        """File lane b under its next checkpoint, found by run()'s test: the first
+        step from t on with epoch >= min(mark, epochs) (its epochs are sorted)."""
+        t += int(np.searchsorted(epochs_after[b, t:], min(marks[live[b]], epochs)))
+        checkpoints.setdefault(t, []).append(b)
+
+    for b in range(width):
+        find_checkpoint(b, 0)
 
     # a copy of the first lane holding every lane's state as (S, d) rows and
     # parameters as (S, 1) columns: its point() and move() step all lanes
@@ -574,7 +561,6 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
     # row t: step t's samples for the point rows, then for the w rows
     samples = np.concatenate([np.stack([i for i, _ in drawn])] * 2).T.copy()
     k0 = [opt.k for opt in opts]
-    stopped = set()
 
     def write_back(b: int, t: int):
         opt = opts[b]
@@ -583,7 +569,7 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
         opt.k = k0[b] + t + 1
         opt.oracle_calls = int(calls[b, t])
 
-    for t in range(length):
+    for t in range(_LANE_BLOCK):
         x = stack.point()
         xw[:width] = x
         g_both = oracle.grad_many(samples[t], xw)
@@ -591,21 +577,22 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
         g, correction = g_both[:width], g_both[width:]
         correction -= stack.grad_w
         g -= correction
-        fresh = [b for b in refreshes.get(t, ()) if b not in stopped]
+        fresh = [b for b in refreshes.get(t, ()) if b in running]
         w_next = stack.tracked_point[fresh] if fresh else ()
         stack.move(x, g)
         for b, w in zip(fresh, w_next):  # w <- the pre-update tracked point
             xw[width + b] = w
             stack.grad_w[b] = oracle.full_grad(w)
-        for b in events.get(t, ()):
-            if b in stopped:
-                continue
+        for b in checkpoints.pop(t, ()):
             write_back(b, t)
-            if not checkpoint(live[b]) or t == final[b]:
-                stopped.add(b)
-    still = []
-    for b, s in enumerate(live):
-        if b not in stopped:
-            write_back(b, _LANE_BLOCK - 1)
-            still.append(s)
-    return still
+            epoch = float(epochs_after[b, t])
+            if checkpoint(live[b]) and epoch < epochs:
+                marks[live[b]] = _advance_mark(marks[live[b]], epoch, every)
+                find_checkpoint(b, t + 1)
+            else:
+                running.remove(b)
+                if not running:
+                    return []
+    for b in running:
+        write_back(b, _LANE_BLOCK - 1)
+    return [live[b] for b in sorted(running)]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from loopless import harness
 from loopless.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -329,7 +330,9 @@ def test_plotdata_bad_input_exits_with_data_code(tmp_path, capsys, breaks, messa
      (("--ref-tolerance", "nan"), "ref_tolerance must be positive and finite"),
      (("--ref-tolerance", "-1"), "ref_tolerance must be positive and finite"),
      (("--ref-max-epochs", "-1"), "ref_max_epochs must be >= 0"),
-     ({"x0": [0.0, float("nan"), 0.0, 0.0]}, "is not a list of finite numbers")],
+     ({"x0": [0.0, float("nan"), 0.0, 0.0]}, "is not a list of finite numbers"),
+     (("--checkpoint-every", "1e-17"), "gives more than 1e7 checkpoints in 5.0 epochs"),
+     (("--checkpoint-every", "1e-300"), "gives more than 1e7 checkpoints in 5.0 epochs")],
 )
 def test_bad_numbers_exit_with_config_code(tmp_path, capsys, flags, message):
     if isinstance(flags, dict):  # a field without a flag, from a config file
@@ -345,6 +348,42 @@ def test_bad_numbers_exit_with_config_code(tmp_path, capsys, flags, message):
     assert err.startswith("config error: ") and message in err
     assert "\n" not in err and "Traceback" not in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-p", "compare-all", "solve-ref", "plotdata"])
+def test_an_output_that_cannot_be_written_exits_with_data_code(tmp_path, capsys, monkeypatch,
+                                                                command):
+    problem = ["--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1.0"]
+    trace = tmp_path / "traces" / "l-svrg_ridge_seed0.csv"
+    assert run_cli("run", *problem, "--epochs", "1", "--out", str(trace.parent)) == EXIT_OK
+    (tmp_path / "afile").write_text("", encoding="utf-8")
+
+    def not_before_the_output(*args, **kwargs):
+        raise AssertionError("ran before the output directory was made")
+
+    for name in ("run", "run_lanes", "_reference"):
+        monkeypatch.setattr(harness, name, not_before_the_output)
+    out = str(tmp_path / "afile" / "x")
+    argv = {"solve-ref": ["solve-ref", *problem, "--out", out],
+            "plotdata": ["plotdata", str(trace), "--out", out]}.get(
+        command, [command, *problem, "--epochs", "1", "--out", out])
+    capsys.readouterr()
+    assert run_cli(*argv) == EXIT_DATA
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("data error: cannot write to ") and "afile" in err
+    assert "\n" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("thresholds", ["nan,-1", "0", "inf", "1e-4,-1e-8"])
+def test_compare_all_rejects_thresholds_that_are_not_positive_and_finite(
+        tmp_path, capsys, thresholds):
+    argv = ["compare-all", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1.0",
+            "--epochs", "1", "--thresholds", thresholds, "--out", str(tmp_path)]
+    assert run_cli(*argv) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: need thresholds, each positive and finite")
+    assert "\n" not in err
+    assert not list(tmp_path.iterdir())  # rejected before any run
 
 
 def test_diverging_run_exits_with_divergence_code(tmp_path, capsys):

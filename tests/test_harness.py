@@ -404,6 +404,21 @@ def test_compare_all_requires_distance(tmp_path):
         compare_all(config, tmp_path, seeds=[0])
 
 
+@pytest.mark.parametrize(
+    "batch, message",
+    [(lambda config, out: compare_all(config, out, seeds=[]), "empty batch"),
+     (lambda config, out: compare_all(config, out, seeds=[0], algorithms=[]), "empty batch"),
+     (lambda config, out: sweep_p(config, out, grid=[]), "empty batch"),
+     (lambda config, out: compare_all(config, out, seeds=[0], thresholds=()),
+      "need thresholds")],
+    ids=["no-seeds", "no-algorithms", "no-loop-lengths", "no-thresholds"],
+)
+def test_an_empty_batch_is_a_config_error(tmp_path, batch, message):
+    with pytest.raises(ConfigError, match=message):
+        batch(synthetic_config(), tmp_path / "out")
+    assert not (tmp_path / "out").exists()  # nothing run or written
+
+
 # ------------------------------------------------------------------ plotdata
 
 

@@ -212,6 +212,62 @@ def test_run_lanes_matches_run_with_lkatyusha_diagnostics(level):
     assert all(rec.lyapunov is not None for trace in traces for rec in trace)
 
 
+def test_run_lanes_matches_run_on_random_batches():
+    """Seeded random batches of either family and both refresh rules, each
+    lane checked against run() as compare_lanes_with_runs checks it, with
+    diverged_at.  The batches take intervals below one step's epoch increment
+    (2/n), budgets at which a lane ends at k = 512, the first block's last
+    step, and lanes that diverge mid-block (their f_gap turns infinite past
+    a random epoch: a real overflow would amplify the last-bit differences
+    between the paths past the 1e-12 the floats are checked to)."""
+    rng = np.random.default_rng(11)
+    seen = set()
+    for trial in range(50):
+        n = int(rng.integers(1, 31))
+        oracle, ref = ridge_instance(n=n, d=3, kappa=20.0, seed=trial)
+        rules = [{"m": int(rng.integers(1, 2 * n + 2))}, {"m": 1000},
+                 {"p": float(rng.uniform(0.01, 1.0))}, {"p": 1.0}]
+        rules = [rules[i] for i in rng.choice(4, size=int(rng.integers(1, 5)))]
+        if trial % 5 == 0:  # m = 1000 never refreshes in 512 steps of 2 calls
+            rules.append({"m": 1000})
+            epochs = (n + 2 * 512) / n
+        else:
+            epochs = float(rng.uniform(0.0, 2200 / n))
+        every = float(rng.choice([rng.uniform(0.05, 1.0) * 2 / n,
+                                  rng.uniform(0.2, 3.0), 1.0]))
+        cutoffs = [float(rng.uniform(0.0, epochs)) if rng.random() < 0.25 else np.inf
+                   for _ in rules]
+
+        def make_lanes(rules=rules, oracle=oracle, katyusha=trial % 2 == 1):
+            if katyusha:
+                return [(LoopyKatyusha if "m" in rule else LKatyusha)(
+                    oracle, np.ones(3), theta1=0.3, theta2=0.5, **rule) for rule in rules]
+            return [(LoopySVRG if "m" in rule else LSVRG)(
+                oracle, np.ones(3), eta=1.0 / (6.0 * oracle.L), **rule) for rule in rules]
+
+        def metrics(cutoff, distance=distance_metrics(ref.x_star)):
+            return lambda o: {**distance(o), "f_gap": np.inf if o.epoch >= cutoff else 0.0}
+
+        seeds = [100 * trial + s for s in range(len(rules))]
+        lanes, serials = make_lanes(), make_lanes()
+        traces = run_lanes(lanes, [SplitMix64(s) for s in seeds], epochs=epochs,
+                           checkpoint_every=every, metrics=map(metrics, cutoffs))
+        for lane, serial, seed, trace, cutoff in zip(lanes, serials, seeds, traces, cutoffs):
+            want = run(serial, SplitMix64(seed), epochs=epochs, checkpoint_every=every,
+                       metrics=metrics(cutoff))
+            assert_same_records(trace, want)
+            assert_same_state(lane, serial)
+            assert lane.diverged_at == serial.diverged_at
+            if lane.diverged_at is not None and lane.diverged_at % 512:
+                seen.add("diverged mid-block")
+            if lane.k == 512 and lane.epoch == epochs:
+                seen.add("ended at a block's last step")
+        if every < 2 / n and any(len(trace) > 2 for trace in traces):
+            seen.add("interval below a step")
+    assert seen == {"diverged mid-block", "ended at a block's last step",
+                    "interval below a step"}
+
+
 def test_run_lanes_zero_budget_and_no_lanes():
     oracle = ridge_oracle(10)
     opt = LSVRG(oracle, np.zeros(oracle.d), eta=0.01, p=0.1)
