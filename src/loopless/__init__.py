@@ -30,7 +30,6 @@ from .optimizers import (
     LSVRG,
     LoopyKatyusha,
     LoopySVRG,
-    TraceRecord,
     run,
 )
 from .rng import SplitMix64
@@ -55,7 +54,6 @@ __all__ = [
     "RidgeOracle",
     "SparseRow",
     "SplitMix64",
-    "TraceRecord",
     "compute_phi",
     "compute_psi",
     "load_libsvm",

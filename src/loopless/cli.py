@@ -24,6 +24,7 @@ import sys
 
 from .diagnostics import ReferenceSolveError
 from .harness import (
+    _DIAGNOSTIC_LEVELS,
     ConfigError,
     DataError,
     DivergenceError,
@@ -92,8 +93,7 @@ def _add_budget_flags(parser: argparse.ArgumentParser):
     """Flags that run, sweep-p and compare-all all read."""
     parser.add_argument("--epochs", type=float)
     parser.add_argument("--checkpoint-every", type=float, dest="checkpoint_every")
-    parser.add_argument("--diagnostics",
-                        choices=("none", "distance", "lyapunov", "lemmas"))
+    parser.add_argument("--diagnostics", choices=_DIAGNOSTIC_LEVELS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -125,6 +125,9 @@ class Dataset:
             raise ValueError("indices must be nonnegative")
         if (self.values == 0.0).any():
             raise ValueError("stored values must be nonzero")
+        # min and max propagate NaN: no nnz-sized temporary
+        if nnz and not np.isfinite([self.values.min(), self.values.max()]).all():
+            raise ValueError("values must be finite")
         max_index = int(self.indices.max()) if nnz else -1
         if self.d < max_index + 1:
             raise ValueError(f"d={self.d} smaller than max feature index {max_index}")
@@ -195,11 +198,11 @@ def _as_lines(source: str | TextIO | Iterable[str]) -> Iterable[str]:
 
 
 def _remap_labels(raw: np.ndarray) -> np.ndarray:
-    # sorted with every NaN distinct and last: an order that NaN's identity-based
-    # hash cannot change between runs (np.unique gives it too, but its first
-    # call raises peak memory by about 1.5 MB)
-    values = raw.tolist()
-    distinct = sorted({v for v in values if v == v}) + [v for v in values if v != v]
+    finite = np.isfinite(raw)
+    if not finite.all():
+        raise ParseError(f"labels must be finite, got {raw[~finite][0]}")
+    # not np.unique: its first call raises peak memory by about 1.5 MB
+    distinct = sorted(set(raw.tolist()))
     if all(v in (-1.0, 1.0) for v in distinct):
         return raw
     if len(distinct) == 2:
@@ -382,7 +385,8 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
     which gives the same result, or the error with its line number.
 
     Raises ParseError (with the offending line number) on malformed tokens,
-    non-increasing indices within a line, unmappable labels, or empty input.
+    non-increasing indices within a line, unmappable or non-finite labels,
+    or empty input, and ValueError on values that are not finite.
     """
     # typed arrays grow in place: 16 bytes per stored entry, no per-row objects
     indptr = array("q", [0])

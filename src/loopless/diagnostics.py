@@ -68,7 +68,7 @@ class ReferenceSolution:
         x = np.asarray(x, dtype=np.float64)
         grad_norm = float(np.linalg.norm(oracle.full_grad(x)))
         tolerance = default_reference_tolerance(oracle, x)
-        if grad_norm > tolerance:
+        if not grad_norm <= tolerance:  # NaN fails too
             raise ValueError(
                 f"point is not a minimizer: ||grad|| = {grad_norm:.3e} "
                 f"> tolerance {tolerance:.3e}"

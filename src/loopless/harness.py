@@ -26,7 +26,7 @@ from . import diagnostics
 from .data import load_libsvm, normalize_rows, synthesize_quadratic
 from .diagnostics import ReferenceSolution, compute_phi, compute_psi, verify_lemma_bounds
 from .oracle import Oracle, make_oracle
-from .optimizers import ALGORITHMS, TraceRecord, all_param_types, check_budget, run, run_lanes
+from .optimizers import ALGORITHMS, all_param_types, check_budget, run, run_lanes
 from .rng import SplitMix64
 
 
@@ -255,18 +255,19 @@ def build_metrics(config: RunConfig, oracle: Oracle, ref: ReferenceSolution | No
     potential = ALGORITHMS[config.algorithm].potential
 
     def metrics(opt) -> dict:
-        out = {}
+        """The diagnostics columns of opt's trace row (trace_columns)."""
         if ref is None:
-            return out
+            return {}
         delta = opt.tracked_point - ref.x_star
-        out["dist_sq"] = float(delta @ delta)
-        out["f_gap"] = oracle.full_loss(opt.tracked_point) - ref.f_star
+        out = {"dist_sq": float(delta @ delta),
+               "f_gap": oracle.full_loss(opt.tracked_point) - ref.f_star}
         if level in ("lyapunov", "lemmas"):
             compute = {"phi": compute_phi, "psi": compute_psi}[potential[0]]
-            out["lyapunov"] = compute(opt, ref, oracle)
+            report = compute(opt, ref, oracle)
+            out.update((name, getattr(report, name)) for name in potential)
         if level == "lemmas":
             slacks = verify_lemma_bounds(opt, ref, oracle)
-            out["lemma_slacks"] = {name: s.rel_slack for name, s in slacks.items()}
+            out.update((f"slack_{name}", s.rel_slack) for name, s in slacks.items())
         return out
 
     return metrics
@@ -295,23 +296,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _record_row(rec: TraceRecord, columns: list[str]) -> list[str]:
-    # potential columns come from the report; the record's own fields win
-    values = dict(vars(rec.lyapunov)) if rec.lyapunov is not None else {}
-    values.update(
-        k=rec.k,
-        oracle_calls=rec.oracle_calls,
-        epoch=rec.epoch,
-        dist_sq=rec.dist_sq,
-        f_gap=rec.f_gap,
-        wall_ns=rec.wall_ns,
-    )
-    if rec.lemma_slacks:
-        for name, slack in rec.lemma_slacks.items():
-            values[f"slack_{name}"] = slack
-    return [_fmt(values.get(col)) for col in columns]
-
-
 @contextlib.contextmanager
 def _output_dir(path):
     """Make the output directory path and yield it as a Path, for a block
@@ -324,12 +308,13 @@ def _output_dir(path):
         raise DataError(f"cannot write to {path}: {exc}") from None
 
 
-def write_trace(records: list[TraceRecord], columns: list[str], path: Path):
+def write_trace(records: list[dict], columns: list[str], path: Path):
+    """One CSV row per {column: value} record; a column it lacks is blank."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for rec in records:
-            writer.writerow(_record_row(rec, columns))
+            writer.writerow([_fmt(rec.get(col)) for col in columns])
 
 
 def run_experiment(config: RunConfig, out_dir) -> Path:
@@ -347,7 +332,7 @@ def run_experiment(config: RunConfig, out_dir) -> Path:
 
 
 def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
-               out_dir) -> tuple[list[Path], list[list[TraceRecord]]]:
+               out_dir) -> tuple[list[Path], list[list[dict]]]:
     """Run validated configs that share one problem (oracle, minimizer) and
     one epoch budget, building the reference once; write each run's trace
     and sidecar, and return the CSV paths and the records in config order.
@@ -403,7 +388,7 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
 
 
 def write_run(config: RunConfig, params: dict, optimizer, ref: ReferenceSolution | None,
-              records: list[TraceRecord], out_dir) -> Path:
+              records: list[dict], out_dir) -> Path:
     """Write one run's <run_id>.csv and <run_id>.json; returns the CSV path."""
     csv_path = out_dir / f"{config.run_id()}.csv"
     write_trace(records, trace_columns(config), csv_path)
@@ -534,7 +519,7 @@ def compare_all(
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "seed", "threshold", "epochs_to_threshold"])
         for config, records in zip(configs, traces):
-            pairs = [(rec.epoch, rec.dist_sq) for rec in records]
+            pairs = [(rec["epoch"], rec["dist_sq"]) for rec in records]
             for threshold in thresholds:
                 writer.writerow([config.algorithm, config.seed, _fmt(threshold),
                                  _fmt(epochs_to_threshold(pairs, threshold))])

@@ -41,7 +41,6 @@ import copy
 import inspect
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -358,20 +357,6 @@ def all_param_types() -> dict:
     return {k: v for cls in ALGORITHMS.values() for k, v in cls.param_types.items()}
 
 
-@dataclass
-class TraceRecord:
-    """Metrics snapshot at one checkpoint."""
-
-    k: int
-    oracle_calls: int
-    epoch: float
-    dist_sq: float | None = None
-    f_gap: float | None = None
-    lyapunov: object | None = None
-    lemma_slacks: dict | None = None
-    wall_ns: int = 0
-
-
 def check_budget(epochs: float, checkpoint_every: float):
     if epochs < 0:
         raise ValueError(f"epoch budget must be >= 0, got {epochs}")
@@ -394,31 +379,31 @@ def _advance_mark(mark: float, epoch: float, every: float) -> float:
 
 
 class _Recorder:
-    """Makes checkpoint records whose wall_ns is optimizer time: the time
-    since the recorder started, less the time spent in metrics."""
+    """Makes checkpoint records, each the {column: value} dict of its trace
+    row, whose wall_ns is optimizer time: the time since the recorder
+    started, less the time spent in metrics."""
 
     def __init__(self):
         self.start_ns = time.perf_counter_ns()
         self.diag_ns = 0
 
-    def record(self, optimizer, metrics=None) -> TraceRecord | None:
-        """The optimizer's checkpoint record, or None when its tracked point,
-        dist_sq or f_gap is not finite: the run has diverged and stops
-        without the record, and optimizer.diverged_at is set to its k."""
+    def record(self, optimizer, metrics=None) -> dict | None:
+        """The optimizer's checkpoint record: k, oracle_calls, epoch, what
+        metrics returns, then wall_ns.  None when its tracked point, dist_sq
+        or f_gap is not finite: the run has diverged and stops without the
+        record, and optimizer.diverged_at is set to its k."""
         now = time.perf_counter_ns()
-        rec = TraceRecord(
-            k=optimizer.k,
-            oracle_calls=optimizer.oracle_calls,
-            epoch=optimizer.epoch,
-            wall_ns=now - self.start_ns - self.diag_ns,
-        )
+        rec = {"k": optimizer.k, "oracle_calls": optimizer.oracle_calls,
+               "epoch": optimizer.epoch}
+        wall_ns = now - self.start_ns - self.diag_ns
         finite = np.isfinite(optimizer.tracked_point).all()
         if finite and metrics is not None:
             # overflow here means divergence, which is reported once, below
             with np.errstate(over="ignore", invalid="ignore"):
-                for key, value in metrics(optimizer).items():
-                    setattr(rec, key, value)
-            finite = all(v is None or math.isfinite(v) for v in (rec.dist_sq, rec.f_gap))
+                rec.update(metrics(optimizer))
+            finite = all(v is None or math.isfinite(v)
+                         for v in (rec.get("dist_sq"), rec.get("f_gap")))
+        rec["wall_ns"] = wall_ns
         self.diag_ns += time.perf_counter_ns() - now
         if not finite:
             optimizer.diverged_at = optimizer.k
@@ -433,14 +418,15 @@ def run(
     epochs: float,
     checkpoint_every: float = 1.0,
     metrics=None,
-) -> list[TraceRecord]:
+) -> list[dict]:
     """Drive an optimizer until its epoch counter reaches the budget.
 
-    Records the initial state and then one TraceRecord each time the epoch
+    Records the initial state and then one record each time the epoch
     counter crosses a multiple of checkpoint_every (and at the final step).
-    metrics(optimizer) may return a dict of TraceRecord field overrides; it
-    sees the live optimizer and must treat it as read-only.  wall_ns leaves
-    out the time spent in it.
+    A record is the {column: value} dict of its trace row (_Recorder.record):
+    metrics(optimizer) may return a dict of further columns; it sees the
+    live optimizer and must treat it as read-only.  wall_ns leaves out the
+    time spent in it.
     At the first checkpoint whose tracked point, dist_sq or f_gap is not
     finite the run stops without recording it, leaving the optimizer in that
     state with diverged_at = k.  Deterministic given (optimizer state, rng).
@@ -474,7 +460,7 @@ def run_lanes(
     epochs: float,
     checkpoint_every: float = 1.0,
     metrics=None,
-) -> list[list[TraceRecord]]:
+) -> list[list[dict]]:
     """Drive optimizers of one family (SVRG or Katyusha) that share one
     oracle as one batch of lanes.
 
@@ -504,7 +490,7 @@ def run_lanes(
         raise ValueError("lanes must be optimizers of one family (SVRG-family "
                          "or Katyusha-family) on one oracle")
     recorder = _Recorder()
-    traces: list[list[TraceRecord]] = [[] for _ in lanes]
+    traces: list[list[dict]] = [[] for _ in lanes]
 
     def checkpoint(s: int) -> bool:
         """Record lane s; False if it has diverged."""

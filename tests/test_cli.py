@@ -100,6 +100,24 @@ def test_malformed_data_exit_code(tmp_path):
     assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("command", ["run", "solve-ref"])
+@pytest.mark.parametrize("text, message", [
+    ("1 1:1\nnan 1:2\n", "labels must be finite, got nan"),
+    ("1 1:1\ninf 1:2\n", "labels must be finite, got inf"),
+    ("1 1:nan 2:1\n-1 1:2\n", "values must be finite"),
+    ("1 1:inf 2:1\n-1 1:2\n", "values must be finite"),
+])
+def test_non_finite_data_exits_with_data_code(tmp_path, capsys, command, text, message):
+    data = tmp_path / "bad.svm"
+    data.write_text(text, encoding="utf-8")
+    code = run_cli(command, "--data", str(data), "--loss", "logistic",
+                   "--out", str(tmp_path / "out"))
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"data error: cannot parse {data}: ") and message in err
+    assert "\n" not in err and "Traceback" not in err
+
+
 def test_reference_failure_exit_code(tmp_path):
     # logistic has no closed form; one epoch of GD cannot hit the tolerance
     code = run_cli(

@@ -86,6 +86,20 @@ def test_parse_rejects_more_than_two_label_values():
         parse_libsvm("0 1:1\n1 1:1\n2 1:1")
 
 
+@pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_labels(label):
+    with pytest.raises(ParseError, match="labels must be finite"):
+        parse_libsvm(f"1 1:1\n{label} 1:2")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_datasets_reject_non_finite_values(value):
+    with pytest.raises(ValueError, match="values must be finite"):
+        parse_libsvm(f"1 1:{value} 2:1\n-1 1:2")
+    with pytest.raises(ValueError, match="values must be finite"):
+        Dataset.from_csr([0, 2], [0, 1], [1.0, float(value)], [1.0], 2)
+
+
 def test_dim_override_pads_but_never_truncates():
     ds = parse_libsvm("+1 3:1", dim=10)
     assert ds.d == 10
@@ -295,8 +309,8 @@ def _random_number(rng, digits=None) -> str:
         return str(rng.integers(0, 10 ** int(rng.integers(14, (digits or 18) + 1))))
     if pick == 3:
         return repr(float(rng.normal() * 10.0 ** rng.integers(-30, 30)))
-    if pick == 4:  # overflows and underflows included
-        return f"{rng.integers(1, 10)}e{rng.integers(-400, 400)}"
+    if pick == 4:  # underflows; overflows: test_datasets_reject_non_finite_values
+        return f"{rng.integers(1, 10)}e{rng.integers(-400, 308)}"
     return str(rng.choice(["0", "0.0", "-0", "+0.000", ".5", "5.", "-.25E-1", "1E+2"]))
 
 

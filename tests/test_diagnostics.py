@@ -97,6 +97,8 @@ def test_reference_from_point_rejects_non_minimizer():
     oracle, ref = ridge_instance(10, 4, 25.0, seed=2)
     with pytest.raises(ValueError, match="not a minimizer"):
         ReferenceSolution.from_point(oracle, ref.x_star + 1.0)
+    with pytest.raises(ValueError, match="not a minimizer"):
+        ReferenceSolution.from_point(oracle, np.full(4, np.nan))
 
 
 # ---------------------------------------------------------------- potentials

@@ -10,7 +10,9 @@ from loopless import diagnostics, harness
 from loopless.harness import (
     ConfigError,
     DataError,
+    _DIAGNOSTIC_LEVELS,
     RunConfig,
+    _run_batch,
     build_problem,
     compare_all,
     emit_plotdata,
@@ -183,6 +185,37 @@ def test_trace_columns_by_diagnostics_level():
     assert {"psi", "zk", "yk", "wk"} <= set(cols)
     lemmas = trace_columns(synthetic_config(diagnostics="lemmas"))
     assert "slack_phi_contraction" in lemmas
+
+
+# every level each algorithm runs at; the loopy classes' Lyapunov levels end
+# in an AttributeError (their potentials read the coin's p), see ROADMAP
+_LEVELS = {"gd": ("none", "distance"), "svrg": ("none", "distance"),
+           "katyusha": ("none", "distance"), "l-svrg": _DIAGNOSTIC_LEVELS,
+           "l-katyusha": _DIAGNOSTIC_LEVELS}
+
+
+@pytest.mark.parametrize("runs", [1, 3])  # one run by run(), three as lanes
+@pytest.mark.parametrize("algorithm, level", [
+    (algorithm, level) for algorithm, levels in _LEVELS.items() for level in levels])
+def test_a_record_is_the_row_read_trace_reads_back(tmp_path, monkeypatch, algorithm,
+                                                   level, runs):
+    batches = []  # each run_lanes batch's size
+
+    def recording(optimizers, rngs, **budget):
+        batches.append(len(optimizers))
+        return run_lanes(optimizers, rngs, **budget)
+
+    monkeypatch.setattr(harness, "run_lanes", recording)
+    configs = [synthetic_config(algorithm=algorithm, diagnostics=level, seed=seed,
+                                epochs=3.0, checkpoint_every=0.7).validate()
+               for seed in range(runs)]
+    oracle, minimizer = build_problem(configs[0])
+    paths, traces = _run_batch(configs, oracle, minimizer, tmp_path)
+    assert batches == ([3] if runs == 3 and algorithm != "gd" else [])
+    for config, path, records in zip(configs, paths, traces):
+        assert len(records) > 2
+        assert read_trace(path) == records
+        assert all(list(rec) == trace_columns(config) for rec in records)
 
 
 def test_run_experiment_deterministic_modulo_wall(tmp_path):

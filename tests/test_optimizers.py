@@ -262,7 +262,7 @@ def test_run_zero_budget_returns_initial_record(ridge10):
     opt = LSVRG(oracle, np.zeros(4), eta=0.01, p=0.1)
     records = run(opt, SplitMix64(0), epochs=0.0)
     assert len(records) == 1
-    assert records[0].k == 0 and records[0].epoch == 1.0
+    assert records[0]["k"] == 0 and records[0]["epoch"] == 1.0
 
 
 def test_run_rejects_negative_budget_and_bad_stride(ridge10):
@@ -278,11 +278,11 @@ def test_run_checkpoints_cover_budget(ridge10):
     oracle, _ = ridge10
     opt = LSVRG(oracle, np.zeros(4), **LSVRG.theory_params(oracle))
     records = run(opt, SplitMix64(4), epochs=6.0, checkpoint_every=1.0)
-    epochs = [r.epoch for r in records]
+    epochs = [r["epoch"] for r in records]
     assert epochs[0] == 1.0
     assert epochs == sorted(epochs)
     assert epochs[-1] >= 6.0
-    ks = [r.k for r in records]
+    ks = [r["k"] for r in records]
     assert ks == sorted(ks)
 
 
@@ -292,7 +292,7 @@ def test_run_is_deterministic(ridge10):
     def once():
         opt = LSVRG(oracle, np.zeros(4), **LSVRG.theory_params(oracle))
         recs = run(opt, SplitMix64(21), epochs=10.0)
-        return [(r.k, r.oracle_calls, r.epoch) for r in recs], opt.x
+        return [(r["k"], r["oracle_calls"], r["epoch"]) for r in recs], opt.x
 
     (trace_a, xa), (trace_b, xb) = once(), once()
     assert trace_a == trace_b
@@ -309,7 +309,7 @@ def test_run_metrics_and_hook(ridge10):
         return {"dist_sq": float((o.x - x_star) @ (o.x - x_star))}
 
     records = run(opt, SplitMix64(1), epochs=3.0, metrics=metrics)
-    assert all(r.dist_sq is not None for r in records)
+    assert all(r["dist_sq"] is not None for r in records)
     assert len(seen) == len(records)
 
 
@@ -371,7 +371,7 @@ def test_trajectory_regression_pin(name):
     opt = ALGORITHMS[name].theory(oracle, np.zeros(oracle.d))
     records = run(opt, SplitMix64(1), epochs=8.0)
     ks, calls, dist_sq = PINNED_TRAJECTORIES[name]
-    assert [r.k for r in records] == ks
-    assert [r.oracle_calls for r in records] == calls
+    assert [r["k"] for r in records] == ks
+    assert [r["oracle_calls"] for r in records] == calls
     delta = opt.tracked_point - x_star
     assert float(delta @ delta) == pytest.approx(dist_sq, rel=1e-12)
