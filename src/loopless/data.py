@@ -501,7 +501,10 @@ def synthesize_quadratic(
         raise ValueError(f"mu must be positive and finite, got {mu}")
 
     rng = np.random.default_rng(seed)
-    rho_sq = (condition_number - 1.0) * mu
+    rho_sq = (float(condition_number) - 1.0) * float(mu)
+    if rho_sq == np.inf:
+        raise ValueError(f"squared row norm (condition_number - 1) * mu = "
+                         f"({condition_number} - 1) * {mu} overflows float64")
     rho = np.sqrt(rho_sq)
 
     if d == 1 or rho == 0.0:
@@ -526,8 +529,14 @@ def synthesize_quadratic(
         )
 
     b = rng.choice([-1.0, 1.0], size=n)
-    H = A.T @ A / n + mu * np.eye(d)
-    x_star = np.linalg.solve(H, A.T @ b / n)
+    # an overflow is reported below, once, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = A.T @ A / n + mu * np.eye(d)
+        if not np.isfinite(H).all():
+            raise ValueError("the Hessian A^T A / n + mu I overflows float64")
+        x_star = np.linalg.solve(H, A.T @ b / n)
+    if not np.isfinite(x_star).all():
+        raise ValueError("the minimizer overflows float64")
 
     dataset = Dataset.from_csr(*_dense_to_csr(A), b, d)
     return dataset, x_star

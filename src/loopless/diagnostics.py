@@ -24,6 +24,7 @@ are never charged to the optimizer's accounting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +65,12 @@ class ReferenceSolution:
     @classmethod
     def from_point(cls, oracle: Oracle, x):
         """Freeze a reference at a known minimizer (e.g. a closed-form solve),
-        certified at solve_reference's default tolerance."""
+        certified at solve_reference's default tolerance, which must be
+        finite."""
         x = np.asarray(x, dtype=np.float64)
         grad_norm = float(np.linalg.norm(oracle.full_grad(x)))
         tolerance = default_reference_tolerance(oracle, x)
-        if not grad_norm <= tolerance:  # NaN fails too
+        if not grad_norm <= tolerance < math.inf:  # NaN fails too
             raise ValueError(
                 f"point is not a minimizer: ||grad|| = {grad_norm:.3e} "
                 f"> tolerance {tolerance:.3e}"
@@ -90,8 +92,9 @@ def solve_reference(
     """Gradient descent from 0 with step 1/L until ||grad f(x)|| <= tolerance.
 
     tolerance=None uses 1e-10 * L * (1 + ||x||), evaluated at the current
-    iterate.  Raises ReferenceSolveError carrying the best achieved gradient
-    norm if the epoch budget runs out first.
+    iterate; a tolerance that is not finite certifies nothing.  Raises
+    ReferenceSolveError carrying the best achieved gradient norm if the
+    epoch budget runs out first.
     """
     x = np.zeros(oracle.d)
     step = 1.0 / oracle.L
@@ -105,7 +108,7 @@ def solve_reference(
         target = tolerance if tolerance is not None else default_reference_tolerance(
             oracle, x
         )
-        if gn <= target:
+        if gn <= target < math.inf:
             return ReferenceSolution(
                 x_star=x,
                 f_star=oracle.full_loss(x),

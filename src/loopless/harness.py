@@ -194,7 +194,12 @@ def build_problem(config: RunConfig) -> tuple[Oracle, np.ndarray | None]:
             minimizer = x_star
     if config.normalize:
         dataset = normalize_rows(dataset)
-    oracle = make_oracle(dataset, config.loss, config.mu)
+    try:
+        oracle = make_oracle(dataset, config.loss, config.mu)
+    except ValueError as exc:  # the config checks loss and mu, so L overflowed
+        if config.dataset_path is None:
+            raise ConfigError(f"synthetic={config.synthetic}: {exc}") from None
+        raise DataError(f"cannot use {config.dataset_path}: {exc}") from None
     return oracle, minimizer
 
 
@@ -627,8 +632,8 @@ def solve_reference_cli(config: RunConfig, out_dir) -> Path:
     """Standalone reference solve; writes
     <source>_<loss>_mu<mu>_ref.npz and a JSON summary beside it."""
     config.validate()
+    oracle, minimizer = build_problem(config)
     with _output_dir(out_dir) as out_dir:
-        oracle, minimizer = build_problem(config)
         ref = _reference(config, oracle, minimizer)
         stem = f"{_reference_source(config)}_{config.loss}_mu{config.mu}_ref"
         npz_path = out_dir / f"{stem}.npz"

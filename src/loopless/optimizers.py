@@ -437,20 +437,22 @@ def run(
     if (rec := recorder.record(optimizer, metrics)) is None:
         return records
     records.append(rec)
-    next_mark = _first_mark(optimizer.epoch, checkpoint_every)
-    while optimizer.epoch < epochs:
+    epoch = optimizer.epoch
+    next_mark = _first_mark(epoch, checkpoint_every)
+    while epoch < epochs:
         optimizer.step(rng)
-        if optimizer.epoch >= next_mark or optimizer.epoch >= epochs:
+        epoch = optimizer.epoch
+        if epoch >= next_mark or epoch >= epochs:
             if (rec := recorder.record(optimizer, metrics)) is None:
                 break
             records.append(rec)
-            next_mark = _advance_mark(next_mark, optimizer.epoch, checkpoint_every)
+            next_mark = _advance_mark(next_mark, epoch, checkpoint_every)
     return records
 
 
-# steps per schedule block: bounds each lane's schedule arrays, whatever the
-# epoch budget, while keeping the per-block draws a small share of the steps
-_LANE_BLOCK = 512
+# most steps in one schedule block: bounds each lane's schedule arrays, whatever
+# the epoch budget, while keeping the per-block set-up a small share of the steps
+_LANE_BLOCK = 1024
 
 
 def run_lanes(
@@ -515,16 +517,20 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
     """Step the live lanes through one block; returns the lanes still live."""
     opts = [lanes[s] for s in live]
     oracle, n, width = opts[0].oracle, opts[0].oracle.n, len(opts)
-    drawn = [opt.schedule(rngs[s], _LANE_BLOCK) for s, opt in zip(live, opts)]
+    # as many steps as a lane can still take (each costs at least 2 calls)
+    left = max(epochs * n - opt.oracle_calls for opt in opts)
+    steps = min(_LANE_BLOCK, max(1, math.ceil(left / 2)))
+    drawn = [opt.schedule(rngs[s], steps) for s, opt in zip(live, opts)]
     refresh = np.stack([r for _, r in drawn])
     calls = (np.array([[opt.oracle_calls] for opt in opts])
-             + 2 * np.arange(1, _LANE_BLOCK + 1) + n * np.cumsum(refresh, axis=1))
+             + 2 * np.arange(1, steps + 1) + n * np.cumsum(refresh, axis=1))
     epochs_after = calls / n  # each step's epoch, as opt.epoch computes it
 
     checkpoints: dict[int, list[int]] = {}  # step -> lanes that record after it
     refreshes: dict[int, list[int]] = {}  # step -> lanes that refresh in it
     for b, t in zip(*np.nonzero(refresh)):
         refreshes.setdefault(int(t), []).append(int(b))
+    event = refresh.any(axis=0).tolist()  # steps with a refresh or a checkpoint
     running = set(range(width))  # the lanes before their last checkpoint
 
     def find_checkpoint(b: int, t: int):
@@ -532,6 +538,8 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
         step from t on with epoch >= min(mark, epochs) (its epochs are sorted)."""
         t += int(np.searchsorted(epochs_after[b, t:], min(marks[live[b]], epochs)))
         checkpoints.setdefault(t, []).append(b)
+        if t < steps:
+            event[t] = True
 
     for b in range(width):
         find_checkpoint(b, 0)
@@ -555,20 +563,24 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
         opt.k = k0[b] + t + 1
         opt.oracle_calls = int(calls[b, t])
 
-    for t in range(_LANE_BLOCK):
-        x = stack.point()
+    point, move, grad_many, grad_w = stack.point, stack.move, oracle.grad_many, stack.grad_w
+    for t in range(steps):
+        x = point()
         xw[:width] = x
-        g_both = oracle.grad_many(samples[t], xw)
+        g_both = grad_many(samples[t], xw)
         # g = grad_i(x) - (grad_i(w) - grad_w), formed in g_both's rows
         g, correction = g_both[:width], g_both[width:]
-        correction -= stack.grad_w
+        correction -= grad_w
         g -= correction
+        if not event[t]:
+            move(x, g)
+            continue
         fresh = [b for b in refreshes.get(t, ()) if b in running]
-        w_next = stack.tracked_point[fresh] if fresh else ()
-        stack.move(x, g)
+        w_next = stack.tracked_point[fresh]
+        move(x, g)
         for b, w in zip(fresh, w_next):  # w <- the pre-update tracked point
             xw[width + b] = w
-            stack.grad_w[b] = oracle.full_grad(w)
+            grad_w[b] = oracle.full_grad(w)
         for b in checkpoints.pop(t, ()):
             write_back(b, t)
             epoch = float(epochs_after[b, t])
@@ -580,5 +592,5 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
                 if not running:
                     return []
     for b in running:
-        write_back(b, _LANE_BLOCK - 1)
+        write_back(b, steps - 1)
     return [live[b] for b in sorted(running)]

@@ -7,10 +7,14 @@ inside every f_i so each f_i is mu-strongly convex:
     ridge:     f_i(x) = (1/2)(a_i^T x - b_i)^2     + (mu/2)||x||^2
 
 L is a cheap upper bound on every f_i's smoothness constant (max squared row
-norm, scaled by the loss curvature bound, plus mu).
+norm, scaled by the loss curvature bound, plus mu).  An oracle is not built
+when L is not finite (a squared row norm past float64).
 
 Per-sample calls (grad_i, loss_i) run one row through a scalar kernel on
-Python floats, which is the optimizers' per-step hot path.  Full-data calls
+Python floats, which is the optimizers' per-step hot path.  They take the
+row dot with ndarray.dot, which gives the bits of `a @ x` at about half its
+call cost, read the label and the CSR row bounds as Python scalars (.item),
+and gather a CSR row's entries of x with take.  Full-data calls
 (full_grad, full_loss, grad_table and their batched forms) run all rows at
 once with numpy: A @ x and r @ A on a dense copy, reduceat and bincount (or
 add.at) on the dataset's CSR arrays otherwise.  Their sums are ordered
@@ -90,9 +94,14 @@ class Oracle:
         if dataset.nnz / max(1, self.n * self.d) >= 0.25:
             self._dense = np.zeros((self.n, self.d))
             self._dense[self._row_ids(), self._indices] = self._values
-        row_sq = dataset.row_sums(self._values * self._values)
+        # a squared row norm past float64 is reported below, not warned about
+        with np.errstate(over="ignore"):
+            row_sq = dataset.row_sums(self._values * self._values)
         self._max_row_sq = float(row_sq.max())
         self.L = self._curvature_bound() * self._max_row_sq + self.mu
+        if not self.L < math.inf:
+            raise ValueError(f"smoothness bound L = {self.L} is not finite: "
+                             "a squared row norm overflows float64")
         if self.L < self.mu:
             raise AssertionError("L >= mu must hold by construction")
 
@@ -114,10 +123,6 @@ class Oracle:
         """Upper bound on phi'' over all margins."""
         raise NotImplementedError
 
-    def _row(self, i: int):
-        lo, hi = self._indptr[i], self._indptr[i + 1]
-        return self._indices[lo:hi], self._values[lo:hi]
-
     def _row_ids(self) -> np.ndarray:
         """The row of every stored entry (nnz,)."""
         return np.repeat(np.arange(self.n), self._counts)
@@ -126,11 +131,11 @@ class Oracle:
         if not 0 <= i < self.n:
             raise IndexError(f"sample index {i} out of range [0, {self.n})")
         if self._dense is not None:
-            m = float(self._dense[i] @ x)
+            m = float(self._dense[i].dot(x))
         else:
-            idx, val = self._row(i)
-            m = float(val @ x[idx]) if idx.size else 0.0
-        return self._phi(m, self.labels[i]) + 0.5 * self.mu * float(x @ x)
+            lo, hi = self._indptr.item(i), self._indptr.item(i + 1)
+            m = float(self._values[lo:hi].dot(x.take(self._indices[lo:hi])))
+        return self._phi(m, self.labels.item(i)) + 0.5 * self.mu * float(x.dot(x))
 
     def grad_i(self, i: int, x: np.ndarray) -> np.ndarray:
         if not 0 <= i < self.n:
@@ -138,12 +143,13 @@ class Oracle:
         out = self.mu * x
         if self._dense is not None:
             a = self._dense[i]
-            out += self._dphi(float(a @ x), self.labels[i]) * a
+            out += self._dphi(float(a.dot(x)), self.labels.item(i)) * a
             return out
-        idx, val = self._row(i)
-        if idx.size:
-            m = float(val @ x[idx])
-            out[idx] += self._dphi(m, self.labels[i]) * val
+        lo, hi = self._indptr.item(i), self._indptr.item(i + 1)
+        if lo < hi:
+            idx, val = self._indices[lo:hi], self._values[lo:hi]
+            m = float(val.dot(x.take(idx)))
+            out[idx] += self._dphi(m, self.labels.item(i)) * val
         return out
 
     def grad_many(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -154,18 +160,18 @@ class Oracle:
         loss kernel agree with grad_i's to rounding, not bitwise.
         """
         out = self.mu * X
-        labels = self.labels[idx]
+        labels = self.labels.take(idx)
         if self._dense is not None:
-            rows = self._dense[idx]
+            rows = self._dense.take(idx, axis=0)
             margins = np.einsum("ij,ij->i", rows, X)
             out += self._dphis(margins, labels)[:, np.newaxis] * rows
             return out
-        starts, counts = self._indptr[idx], self._counts[idx]
+        starts, counts = self._indptr.take(idx), self._counts.take(idx)
         lane = np.repeat(np.arange(len(idx)), counts)
         # position of each gathered entry in the CSR arrays
         entry = np.arange(lane.size) + np.repeat(starts - np.cumsum(counts) + counts,
                                                  counts)
-        cols, vals = self._indices[entry], self._values[entry]
+        cols, vals = self._indices.take(entry), self._values.take(entry)
         margins = np.bincount(lane, weights=vals * X[lane, cols], minlength=len(idx))
         # a row's indices are distinct, so no (lane, col) pair repeats
         out[lane, cols] += self._dphis(margins, labels)[lane] * vals

@@ -14,6 +14,8 @@ splitmix64, which is small enough to specify bit-exactly:
 Floats in [0, 1) take the top 53 bits of an output word; integer draws use
 rejection sampling on the smallest covering bit mask, so they are exactly
 uniform and consume a data-dependent (but seed-deterministic) number of words.
+The scalar draws (next_uint64, randbelow, bernoulli) advance the state
+themselves and make one call per word, to the shared mixing rounds (_mix).
 
 The generator is counter-based: word k after state s is mix(s + k * gamma),
 a function of the counter alone (Steele, Lea & Flood, OOPSLA 2014).  So a
@@ -34,6 +36,14 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def _mix(state: int) -> int:
+    """The output word of an advanced state: splitmix64's three mixing
+    rounds, shared by every scalar draw."""
+    z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
 class SplitMix64:
     """Seeded splitmix64 stream."""
 
@@ -43,11 +53,8 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_uint64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        self._state = state = (self._state + _GAMMA) & _MASK64
+        return _mix(state)
 
     def next_words(self, count: int) -> np.ndarray:
         """The next `count` words as a uint64 array: the same words, and the
@@ -76,19 +83,21 @@ class SplitMix64:
             return 0
         mask = (1 << (n - 1).bit_length()) - 1
         while True:
-            r = self.next_uint64() & mask
+            self._state = state = (self._state + _GAMMA) & _MASK64
+            r = _mix(state) & mask
             if r < n:
                 return r
 
     def bernoulli(self, p: float) -> bool:
-        """Coin with success probability p.
+        """Coin with success probability p: random() < p.
 
         p >= 1 returns True without consuming a word, which keeps the draw
         stream of a probability-1 coin identical to a coinless one.
         """
         if p >= 1.0:
             return True
-        return self.random() < p
+        self._state = state = (self._state + _GAMMA) & _MASK64
+        return (_mix(state) >> 11) * 2.0**-53 < p
 
 
 def step_draws(

@@ -37,6 +37,18 @@ def ridge_instance(n, d, kappa, seed=0, mu=1.0):
     return oracle, ref
 
 
+def sparse_logistic_oracle(n=24, d=15, seed=3):
+    """CSR storage (density below 0.25), every fifth row empty."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        idx = [] if i % 5 == 2 else np.sort(rng.choice(d, size=2, replace=False))
+        rows.append(SparseRow(np.asarray(idx, dtype=np.int64), rng.normal(size=len(idx))))
+    oracle = make_oracle(Dataset(rows, rng.choice([-1.0, 1.0], size=n), d), "logistic", 0.1)
+    assert oracle._dense is None
+    return oracle
+
+
 @pytest.fixture
 def small_ridge():
     return ridge_instance(n=10, d=4, kappa=25.0, seed=2)

@@ -118,6 +118,42 @@ def test_non_finite_data_exits_with_data_code(tmp_path, capsys, command, text, m
     assert "\n" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [("run", "--alg", "l-svrg"), ("run", "--alg", "l-katyusha"),
+                                     ("run", "--alg", "gd"), ("solve-ref",)],
+                         ids=["run-l-svrg", "run-l-katyusha", "run-gd", "solve-ref"])
+def test_an_overflowing_row_norm_exits_with_data_code(tmp_path, capsys, command):
+    # 1e200 squared overflows, so L is not finite: no run and no reference
+    data = tmp_path / "big.svm"
+    data.write_text("1 1:1e200 2:1\n-1 1:2 2:3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(*command, "--data", str(data), "--loss", "ridge", "--mu", "1",
+                       "--out", str(out))
+    assert code == EXIT_DATA and not caught
+    err = capsys.readouterr().err.strip()
+    assert err == (f"data error: cannot use {data}: smoothness bound L = inf is not "
+                   "finite: a squared row norm overflows float64")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--synthetic", "2,2,1e308", "--mu", "1"), "the Hessian A^T A / n + mu I overflows"),
+    (("--synthetic", "50,5,10", "--mu", "1e308"), "(condition_number - 1) * mu"),
+])
+@pytest.mark.parametrize("command", ["run", "solve-ref"])
+def test_an_overflowing_synthetic_instance_exits_with_config_code(tmp_path, capsys, command,
+                                                                  flags, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(command, *flags, "--loss", "ridge", "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG and not caught
+    err = capsys.readouterr().err
+    assert err.startswith("config error: synthetic=") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_reference_failure_exit_code(tmp_path):
     # logistic has no closed form; one epoch of GD cannot hit the tolerance
     code = run_cli(

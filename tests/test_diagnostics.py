@@ -101,6 +101,20 @@ def test_reference_from_point_rejects_non_minimizer():
         ReferenceSolution.from_point(oracle, np.full(4, np.nan))
 
 
+def test_an_infinite_tolerance_certifies_nothing():
+    # an L that is not finite makes the default tolerance 1e-10 L (1 + ||x||)
+    # infinite, which every gradient norm, even an infinite one, would pass
+    oracle, ref = ridge_instance(10, 4, 25.0, seed=2)
+    oracle.L = np.inf
+    with pytest.raises(ValueError, match="not a minimizer"):
+        ReferenceSolution.from_point(oracle, ref.x_star)
+    with pytest.raises(ReferenceSolveError):
+        solve_reference(oracle, max_epochs=3)
+    with pytest.raises(ReferenceSolveError):
+        solve_reference(ridge_instance(10, 4, 25.0, seed=2)[0], tolerance=np.inf,
+                        max_epochs=3)
+
+
 # ---------------------------------------------------------------- potentials
 
 

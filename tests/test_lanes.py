@@ -3,19 +3,20 @@ step() path they replace, plus the checkpoint clock and divergence guard
 that run() and run_lanes share."""
 
 import copy
+import math
 import time
 
 import numpy as np
 import pytest
 
-from loopless.data import Dataset, SparseRow, synthesize_quadratic
+from loopless.data import synthesize_quadratic
 from loopless.harness import RunConfig, build_metrics
 from loopless.oracle import make_oracle
-from loopless.optimizers import (GradientDescent, LKatyusha, LoopyKatyusha, LoopySVRG,
-                                 LSVRG, run, run_lanes)
+from loopless.optimizers import (_LANE_BLOCK, GradientDescent, LKatyusha, LoopyKatyusha,
+                                 LoopySVRG, LSVRG, _Coin, _Loop, run, run_lanes)
 from loopless.rng import SplitMix64
 
-from conftest import ridge_instance
+from conftest import ridge_instance, sparse_logistic_oracle
 
 
 def ridge_oracle(n, d=3, kappa=20.0, seed=0):
@@ -59,18 +60,6 @@ def test_schedule_matches_serial_draws(cls, n, param):
 
 
 # ---------------------------------------------------------------- run_lanes
-
-
-def sparse_logistic_oracle(n=24, d=15, seed=3):
-    """CSR storage (density below 0.25), every fifth row empty."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for i in range(n):
-        idx = [] if i % 5 == 2 else np.sort(rng.choice(d, size=2, replace=False))
-        rows.append(SparseRow(np.asarray(idx, dtype=np.int64), rng.normal(size=len(idx))))
-    oracle = make_oracle(Dataset(rows, rng.choice([-1.0, 1.0], size=n), d), "logistic", 0.1)
-    assert oracle._dense is None
-    return oracle
 
 
 def distance_metrics(x_star):
@@ -209,14 +198,28 @@ def test_run_lanes_matches_run_with_lkatyusha_diagnostics(level):
     assert all(rec["psi"] is not None for trace in traces for rec in trace)
 
 
-def test_run_lanes_matches_run_on_random_batches():
+def record_blocks(monkeypatch) -> dict:
+    """{id(optimizer): [(its k at a block's start, the block's steps), ...]},
+    filled by every schedule() call: one per lane and block of run_lanes."""
+    blocks: dict = {}
+    for rule in (_Coin, _Loop):
+        def recorded(self, rng, steps, schedule=rule.schedule):
+            blocks.setdefault(id(self), []).append((self.k, steps))
+            return schedule(self, rng, steps)
+        monkeypatch.setattr(rule, "schedule", recorded)
+    return blocks
+
+
+def test_run_lanes_matches_run_on_random_batches(monkeypatch):
     """Seeded random batches of either family and both refresh rules, each
     lane checked against run() as compare_lanes_with_runs checks it, with
     diverged_at.  The batches take intervals below one step's epoch increment
-    (2/n), budgets at which a lane ends at k = 512, the first block's last
-    step, and lanes that diverge mid-block (their f_gap turns infinite past
-    a random epoch: a real overflow would amplify the last-bit differences
-    between the paths past the 1e-12 the floats are checked to)."""
+    (2/n), budgets at which a lane ends on a block's last step (at
+    k = _LANE_BLOCK, the longest block, among others), and lanes that
+    diverge mid-block (their f_gap turns infinite past a random epoch: a
+    real overflow would amplify the last-bit differences between the paths
+    past the 1e-12 the floats are checked to)."""
+    blocks = record_blocks(monkeypatch)
     rng = np.random.default_rng(11)
     seen = set()
     for trial in range(50):
@@ -225,9 +228,9 @@ def test_run_lanes_matches_run_on_random_batches():
         rules = [{"m": int(rng.integers(1, 2 * n + 2))}, {"m": 1000},
                  {"p": float(rng.uniform(0.01, 1.0))}, {"p": 1.0}]
         rules = [rules[i] for i in rng.choice(4, size=int(rng.integers(1, 5)))]
-        if trial % 5 == 0:  # m = 1000 never refreshes in 512 steps of 2 calls
-            rules.append({"m": 1000})
-            epochs = (n + 2 * 512) / n
+        if trial % 5 == 0:  # a lane that never refreshes spends its budget in one block
+            rules.append({"m": _LANE_BLOCK + 1})
+            epochs = (n + 2 * _LANE_BLOCK) / n
         else:
             epochs = float(rng.uniform(0.0, 2200 / n))
         every = float(rng.choice([rng.uniform(0.05, 1.0) * 2 / n,
@@ -247,6 +250,7 @@ def test_run_lanes_matches_run_on_random_batches():
 
         seeds = [100 * trial + s for s in range(len(rules))]
         lanes, serials = make_lanes(), make_lanes()
+        blocks.clear()  # keyed by id(), which a later trial's lanes may reuse
         traces = run_lanes(lanes, [SplitMix64(s) for s in seeds], epochs=epochs,
                            checkpoint_every=every, metrics=map(metrics, cutoffs))
         for lane, serial, seed, trace, cutoff in zip(lanes, serials, seeds, traces, cutoffs):
@@ -255,14 +259,75 @@ def test_run_lanes_matches_run_on_random_batches():
             assert_same_records(trace, want)
             assert_same_state(lane, serial)
             assert lane.diverged_at == serial.diverged_at
-            if lane.diverged_at is not None and lane.diverged_at % 512:
+            # the k after the last step of the lane's last block
+            block_end = sum(blocks.get(id(lane), [(0, 0)])[-1])
+            if lane.diverged_at is not None and lane.diverged_at < block_end:
                 seen.add("diverged mid-block")
-            if lane.k == 512 and lane.epoch == epochs:
+            if lane.k == block_end and lane.epoch == epochs:
                 seen.add("ended at a block's last step")
+                if lane.k == _LANE_BLOCK:
+                    seen.add("ended at the longest block's last step")
         if every < 2 / n and any(len(trace) > 2 for trace in traces):
             seen.add("interval below a step")
+        assert all(steps <= _LANE_BLOCK for lane in blocks.values() for _, steps in lane)
     assert seen == {"diverged mid-block", "ended at a block's last step",
-                    "interval below a step"}
+                    "ended at the longest block's last step", "interval below a step"}
+
+
+# The paper's cost model on the lane path: checkpoint (k, oracle_calls) of
+# three-lane batches of either family, at a budget inside one block (8
+# epochs, 50 steps a lane) and across several (600 epochs, up to 4,000
+# steps), and each lane's final squared distance to x*, recorded from
+# run_lanes with fixed 512-step blocks.  The checkpoints depend only on the
+# seeds and refresh rules, which both families share: the theory preset's
+# p = 1/n coin, its m = n loop, and a p = 0.3 coin.
+PINNED_LANE_CHECKPOINTS = {
+    8.0: [([0, 10, 20, 30, 50], [20, 40, 80, 120, 160]),
+          ([0, 10, 20, 40, 50], [20, 40, 80, 140, 160]),
+          ([0, 2, 9, 11, 20], [20, 44, 98, 122, 160])],
+    600.0: [([0, 660, 1321, 1980, 2544, 3192, 3840],
+             [20, 2020, 4002, 6000, 8008, 10004, 12000]),
+            ([0, 660, 1330, 2000, 2660, 3330, 4000],
+             [20, 2000, 4000, 6020, 8000, 10000, 12020]),
+            ([0, 263, 480, 740, 972, 1232, 1482],
+             [20, 2006, 4000, 6020, 8004, 10004, 12004])],
+}
+PINNED_LANE_DIST_SQ = {
+    ("svrg", 8.0): [9.810158506799774e-05, 9.805917550770157e-05, 9.828719557048689e-05],
+    ("svrg", 600.0): [7.758611221109094e-05, 7.678893984096642e-05, 8.977974270874033e-05],
+    ("katyusha", 8.0): [9.584034791442713e-05, 9.556515431481651e-05,
+                        9.726360984134758e-05],
+    ("katyusha", 600.0): [1.731443606343581e-05, 9.492883810570675e-06,
+                          2.2502409663394965e-06],
+}
+
+
+@pytest.mark.parametrize("family", ["svrg", "katyusha"])
+@pytest.mark.parametrize("epochs, every", [(8.0, 2.0), (600.0, 100.0)])
+def test_lane_trajectory_regression_pin(monkeypatch, family, epochs, every):
+    blocks = record_blocks(monkeypatch)
+    dataset, x_star = synthesize_quadratic(20, 4, 1e6, seed=3, mu=1.0)
+    oracle = make_oracle(dataset, "ridge", 1.0)
+    x0 = np.zeros(4)
+    if family == "svrg":
+        lanes = [LSVRG.theory(oracle, x0), LoopySVRG.theory(oracle, x0),
+                 LSVRG(oracle, x0, eta=1.0 / (6.0 * oracle.L), p=0.3)]
+    else:
+        lanes = [LKatyusha.theory(oracle, x0), LoopyKatyusha.theory(oracle, x0),
+                 LKatyusha(oracle, x0, theta1=0.05, theta2=0.5, p=0.3)]
+    traces = run_lanes(lanes, [SplitMix64(s) for s in (1, 2, 3)], epochs=epochs,
+                       checkpoint_every=every)
+    pins = zip(PINNED_LANE_CHECKPOINTS[epochs], PINNED_LANE_DIST_SQ[family, epochs])
+    for lane, trace, ((ks, calls), dist_sq) in zip(lanes, traces, pins):
+        assert [r["k"] for r in trace] == ks
+        assert [r["oracle_calls"] for r in trace] == calls
+        delta = lane.tracked_point - x_star
+        assert float(delta @ delta) == pytest.approx(dist_sq, rel=1e-12)
+    steps = [steps for _, steps in blocks[id(lanes[1])]]
+    if epochs == 8.0:  # one block, as long as the budget allows: 2 calls a step
+        assert steps == [math.ceil((epochs * oracle.n - oracle.n) / 2)]
+    else:
+        assert len(steps) > 1 and max(steps) == _LANE_BLOCK
 
 
 def test_run_lanes_zero_budget_and_no_lanes():

@@ -16,7 +16,7 @@ from loopless.optimizers import (
 )
 from loopless.rng import SplitMix64
 
-from conftest import ridge_instance
+from conftest import ridge_instance, sparse_logistic_oracle
 
 
 @pytest.fixture
@@ -375,3 +375,27 @@ def test_trajectory_regression_pin(name):
     assert [r["oracle_calls"] for r in records] == calls
     delta = opt.tracked_point - x_star
     assert float(delta @ delta) == pytest.approx(dist_sq, rel=1e-12)
+
+
+# The same pins for the loopless algorithms at their theory presets on CSR
+# logistic data (every fifth row empty), recorded from the step() that read
+# its rows with `@` and fancy indexing; the float is the final squared norm
+# of the tracked point.
+PINNED_CSR_TRAJECTORIES = {
+    "l-svrg": ([0, 12, 24, 28, 36, 48, 59, 60], [24, 48, 72, 104, 120, 144, 190, 192],
+               6.501798917883116),
+    "l-katyusha": ([0, 12, 24, 28, 36, 48, 59, 60], [24, 48, 72, 104, 120, 144, 190, 192],
+                   1.4882917359985124),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSR_TRAJECTORIES))
+def test_csr_trajectory_regression_pin(name):
+    oracle = sparse_logistic_oracle()
+    opt = ALGORITHMS[name].theory(oracle, np.ones(oracle.d))
+    records = run(opt, SplitMix64(1), epochs=8.0)
+    ks, calls, norm_sq = PINNED_CSR_TRAJECTORIES[name]
+    assert [r["k"] for r in records] == ks
+    assert [r["oracle_calls"] for r in records] == calls
+    x = opt.tracked_point
+    assert float(x @ x) == pytest.approx(norm_sq, rel=1e-12)

@@ -212,6 +212,42 @@ def test_grad_many_matches_grad_i(loss, density, margin):
     assert_close(got, np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)]))
 
 
+def scalar_row_reference(oracle, i, x):
+    """(loss_i, grad_i) as the scalar kernel computed them with `@` row
+    dots: mu*x + dphi(a @ x, b)*a on a dense row, the same on a CSR row's
+    entries."""
+    b = oracle.labels[i]
+    if oracle._dense is not None:
+        a = oracle._dense[i]
+        m = float(a @ x)
+        grad = oracle.mu * x + oracle._dphi(m, b) * a
+    else:
+        lo, hi = oracle.dataset.indptr[i], oracle.dataset.indptr[i + 1]
+        idx, val = oracle.dataset.indices[lo:hi], oracle.dataset.values[lo:hi]
+        m = float(val @ x[idx]) if idx.size else 0.0
+        grad = oracle.mu * x
+        if idx.size:
+            grad[idx] += oracle._dphi(m, b) * val
+    return oracle._phi(m, b) + 0.5 * oracle.mu * float(x @ x), grad
+
+
+@pytest.mark.parametrize("loss", ["logistic", "ridge"])
+@pytest.mark.parametrize("density", [0.1, 0.6])
+@pytest.mark.parametrize("n, d", [(1, 3), (1, 40), (9, 3), (30, 17), (12, 300)])
+def test_grad_i_and_loss_i_are_bitwise_the_scalar_reference(loss, density, n, d):
+    rng = np.random.default_rng([n, d, int(10 * density), len(loss)])
+    dataset = property_dataset(rng, n, d=d, density=density, pad=2)
+    oracle = make_oracle(dataset, loss, 0.3)
+    assert (oracle._dense is not None) == (dataset.nnz >= 0.25 * n * dataset.d)
+    for _ in range(20):
+        x = rng.normal(size=oracle.d) * rng.choice([1e-3, 1.0, 50.0])
+        for i in range(n):
+            want_loss, want_grad = scalar_row_reference(oracle, i, x)
+            got_grad = oracle.grad_i(i, x)
+            assert got_grad.tobytes() == want_grad.tobytes()
+            assert oracle.loss_i(i, x) == want_loss
+
+
 def test_full_loss_many_spans_several_blocks():
     rng = np.random.default_rng(9)
     for density in (0.1, 0.6):
@@ -328,6 +364,15 @@ def test_oracle_rejects_degenerate_mu():
     for bad in (0.0, -0.1):
         with pytest.raises(ValueError, match="mu must be positive"):
             make_oracle(ds, "logistic", bad)
+
+
+@pytest.mark.parametrize("loss", ["logistic", "ridge"])
+def test_oracle_rejects_a_row_norm_that_overflows(loss):
+    # 1e200 squared overflows float64, so no finite L bounds the smoothness;
+    # the filterwarnings setting turns any numpy warning into a failure
+    ds = parse_libsvm("1 1:1e200 2:1\n-1 1:2 2:3\n")
+    with pytest.raises(ValueError, match="L = inf is not finite"):
+        make_oracle(ds, loss, 1.0)
 
 
 def test_make_oracle_unknown_loss():

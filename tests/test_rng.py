@@ -111,3 +111,35 @@ def test_step_draws_consume_the_serial_words(n, coin):
         else:
             assert uniforms is None
         assert block._state == serial._state
+
+
+# -- the one-call draws against draws built on next_uint64 --------------------
+
+
+def reference_randbelow(rng, n):
+    """randbelow(n) on next_uint64: bit-mask rejection, no word at n = 1."""
+    if n == 1:
+        return 0
+    mask = (1 << (n - 1).bit_length()) - 1
+    while True:
+        r = rng.next_uint64() & mask
+        if r < n:
+            return r
+
+
+def reference_bernoulli(rng, p):
+    """bernoulli(p) on next_uint64: random() < p, no word at p >= 1."""
+    if p >= 1.0:
+        return True
+    return (rng.next_uint64() >> 11) * 2.0**-53 < p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 2**20, 2**20 + 1, 10**18, 2**63 + 1])
+@pytest.mark.parametrize("p", [0.0, 1e-300, 0.5, 1.0, 1.5])
+def test_draws_match_next_uint64_reference(n, p):
+    for seed in [0, 1, 2**64 - 1, *range(1000, 1040)]:
+        fast, slow = SplitMix64(seed), SplitMix64(seed)
+        for _ in range(25):  # a step's draws: the index, then the coin
+            assert fast.randbelow(n) == reference_randbelow(slow, n)
+            assert fast.bernoulli(p) is reference_bernoulli(slow, p)
+            assert fast._state == slow._state
