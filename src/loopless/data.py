@@ -216,21 +216,21 @@ def _remap_labels(raw: np.ndarray) -> np.ndarray:
 # lines per block: a block's numpy temporaries stay near 100 KB each at
 # a9a's 70 bytes a line.  Larger blocks parse up to 20% faster, but their
 # temporaries fragment the heap: 1024-line blocks raised the a9a-sparse
-# benchmark's peak RSS by 6-11%.
+# benchmark's peak RSS by 6-11%.  Longer lines (floats, dense rows) end a
+# block at about _BLOCK_CHARS characters, so its temporaries stay as small.
 _BLOCK_LINES = 128
+_BLOCK_CHARS = 1 << 14
 
-# the bytes of a plain block, in classes for the block fast path; any other
-# byte (``#``, ``.``, letters, other whitespace, ...) sends the block to the
-# scalar parser
-_PLAIN_BYTES = b" \t\r\n:0123456789+-"
-_SPACE, _COLON, _DIGIT, _SIGN = 1, 2, 3, 4
-_CLASS = np.zeros(256, dtype=np.uint8)
-_CLASS[list(b" \t\r\n")] = _SPACE
-_CLASS[ord(":")] = _COLON
-_CLASS[list(b"0123456789")] = _DIGIT
-_CLASS[list(b"+-")] = _SIGN
-_PLAIN_DIGITS = 15  # 10**15 < 2**53: such integers are exact doubles
-_TENS = np.array([10**k for k in range(_PLAIN_DIGITS)], dtype=np.float64)
+# the bytes of a plain block: any other byte (``#``, ``e``, other letters,
+# other whitespace, ...) sends the block to the scalar parser
+_PLAIN_BYTES = b" \t\r\n:+-.0123456789"
+# Clinger's fast path: an integer mantissa m < 2**53 and 10**k for k <= 22
+# are exact doubles, so m / 10**k is float()'s correctly rounded value
+_EXACT_MANTISSA = 2.0**53
+_EXACT_POWERS = 22
+# 10**k as doubles; a digit further up than 10**22 only has to make its
+# field's sum reach 2**53, which any nonzero one does
+_TENS = np.array([10**k for k in range(_EXACT_POWERS + 2)], dtype=np.float64)
 
 
 def _parse_block(lines: list[str], first: int):
@@ -267,6 +267,8 @@ def _parse_block(lines: list[str], first: int):
                 raise ParseError(f"bad feature token {tok!r}", lineno) from None
             if j < 1:
                 raise ParseError(f"feature index {j} not 1-based", lineno)
+            if j > 2**63:  # j - 1 is stored as an int64
+                raise ParseError(f"feature index {j} too large", lineno)
             if j <= prev:
                 raise ParseError(
                     f"feature index {j} not increasing (previous {prev})", lineno
@@ -285,76 +287,108 @@ def _parse_block_fast(lines: list[str]):
     """``_parse_block``'s result computed on the block's bytes, or None.
 
     Accepts only blocks whose every line is plain: a label, then features
-    ``index:value``, each number ``[+-]digits`` of at most _PLAIN_DIGITS
-    digits.  The numbers are converted in bulk.  Any other block, and any
-    failed check, gives None, so the scalar parser decides (and reports the
-    error).
+    ``index:value``, each number ``[+-]digits[.digits]`` (no exponent) and
+    each index an integer.  The numbers are converted in bulk.  Any other
+    block, and any failed check, gives None, so the scalar parser decides
+    (and reports the error).
     """
-    # "\n" after each line keeps its tokens apart, as line.split() does
-    text = "\n".join(lines) + "\n"
+    # "\n" around each line keeps its tokens apart, as line.split() does
+    text = "\n" + "\n".join(lines) + "\n"
     if not text.isascii():
         return None
-    raw = text.encode("ascii")
-    if raw.translate(None, _PLAIN_BYTES):  # a byte that is not plain
+    text = text.encode("ascii")
+    if text.translate(None, _PLAIN_BYTES):  # a byte that is not plain
         return None
-    raw = np.frombuffer(raw, dtype=np.uint8)
-    kind = _CLASS[raw]
-    # fields are runs of number bytes: field f spans [starts[f], stops[f])
-    edges = np.diff((kind >= _DIGIT).view(np.int8), prepend=0)
-    starts = np.flatnonzero(edges == 1)
-    stops = np.flatnonzero(edges == -1)
+    raw = np.frombuffer(text, dtype=np.uint8)
+    # fields are runs of number bytes, the plain bytes from "+" to "9" (uint8
+    # wraps below "+"); the text starts and ends in "\n", so field f spans
+    # [starts[f], stops[f]) and has a byte on either side
+    number = raw - ord("+") <= ord("9") - ord("+")
+    flips = np.flatnonzero(number[1:] != number[:-1]) + 1
+    starts, stops = flips[::2], flips[1::2]
     if not starts.size:
         return None
-    field_of = np.cumsum(edges == 1) - 1  # the field at or before each byte
+    # a ":" joins the fields on either side into one feature token
+    is_index = raw[stops] == ord(":")
+    is_value = raw[starts - 1] == ord(":")
+    colons = np.count_nonzero(raw == ord(":"))
+    if np.count_nonzero(is_index) != colons or np.count_nonzero(is_value) != colons:
+        return None  # a ":" without a number on either side
     # a line's first field is its label: the first field after a line's end
-    line_ends = np.cumsum([len(line) + 1 for line in lines]) - 1
+    line_ends = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1)
     is_label = np.zeros(starts.size + 1, dtype=bool)
     is_label[0] = True
-    is_label[field_of[line_ends] + 1] = True
+    is_label[np.searchsorted(starts, line_ends)] = True
     is_label = is_label[:-1]
-
-    # a ":" joins the fields on either side into one feature token
-    colons = np.flatnonzero(kind == _COLON)
-    if (kind[colons - 1] < _DIGIT).any() or (kind[colons + 1] < _DIGIT).any():
-        return None
-    is_index = np.zeros(starts.size, dtype=bool)
-    is_index[field_of[colons - 1]] = True
-    is_value = np.zeros(starts.size, dtype=bool)
-    is_value[field_of[colons + 1]] = True
     # a label stands alone; every other field is an index or a value, not both
     if not np.where(is_label, ~is_index, is_index ^ is_value).all():
         return None
 
-    numbers = _plain_numbers(raw, kind, starts, stops, field_of)
+    numbers = _plain_numbers(raw, starts, stops)
     if numbers is None:
         return None
-    j, v = numbers[is_index], numbers[is_value]
-    row = (np.cumsum(is_label) - 1)[is_index]
-    # plain numbers are exact integers, as int() reads them (signs included)
+    numbers, integral = numbers
+    if (is_index & ~integral).any():  # an index int() would not read exactly
+        return None
+    # each index field is followed by its value field
+    labels, indices = np.flatnonzero(is_label), np.flatnonzero(is_index)
+    j, v = numbers[indices], numbers[indices + 1]
+    row = np.searchsorted(labels, indices) - 1
     ascending = (np.diff(j) > 0) | (np.diff(row) != 0)
     if not (j >= 1).all() or not ascending.all():
         return None
 
     keep = v != 0.0
-    counts = np.bincount(row[keep], minlength=int(is_label.sum()))
-    return (numbers[is_label], np.cumsum(counts),
+    counts = np.bincount(row[keep], minlength=labels.size)
+    return (numbers[labels], np.cumsum(counts),
             j[keep].astype(np.int64) - 1, v[keep])
 
 
-def _plain_numbers(raw, kind, starts, stops, field_of):
-    """Each field's value when all are [+-]digits of at most _PLAIN_DIGITS
-    digits (exact as doubles, so equal to float()), else None."""
-    signed = (raw[starts] == ord("+")) | (raw[starts] == ord("-"))
-    if np.count_nonzero(kind == _SIGN) != signed.sum():  # a sign inside a field
+def _plain_numbers(raw, starts, stops):
+    """Each field's value, as float() reads it, when every field is
+    ``[+-]digits[.digits]`` with at least one digit; else None.
+
+    Returns (numbers, integral): ``integral`` marks the fields without a
+    point whose value is an exact integer below 2**53, as int() reads them.
+    A field's digits, without the point, sum to its mantissa m; with k
+    digits after the point, m < 2**53 and k <= 22 give m / 10**k, one
+    correctly rounded division of exact doubles.  Any other field goes
+    through float() on its own bytes.
+    """
+    first = raw[starts]
+    signed = (first == ord("+")) | (first == ord("-"))
+    points = np.flatnonzero(raw == ord("."))
+    field = np.searchsorted(starts, points, side="right") - 1
+    pointed = np.zeros(starts.size, dtype=bool)
+    pointed[field] = True
+    fraction = np.zeros(starts.size, dtype=np.int64)  # k: digits after the point
+    fraction[field] = stops[field] - 1 - points
+    digit = raw - ord("0")  # uint8 wraps below "0"
+    digits = np.compress(digit < 10, digit)
+    # a field may hold a leading sign, one point and digits; as a field has
+    # at least the sign and the point it is marked for, equal totals mean
+    # each holds exactly those
+    count = stops - starts - signed - pointed  # each field's digits
+    if count.min() < 1 or count.sum() != digits.size:
         return None
-    count = stops - starts - signed
-    if count.min() < 1 or count.max() > _PLAIN_DIGITS:
-        return None
-    digits = np.flatnonzero(kind == _DIGIT)
-    field = field_of[digits]
-    place = _TENS[stops[field] - 1 - digits]
-    magnitude = np.bincount(field, (raw[digits] - ord("0")) * place, stops.size)
-    return np.where(raw[starts] == ord("-"), -magnitude, magnitude)
+    # each digit's power of ten: the digits after it in its field (in place:
+    # a block holds two digit-sized arrays of 8 bytes at a time)
+    ends = np.cumsum(count)
+    place = np.repeat(ends - 1, count)
+    place -= np.arange(digits.size)
+    # each term and partial sum below 2**53 is an exact integer, and a sum
+    # that reaches 2**53 cannot round back below it, in any order
+    np.minimum(place, _EXACT_POWERS + 1, out=place)
+    terms = _TENS[place]
+    del place
+    terms *= digits
+    mantissa = np.add.reduceat(terms, ends - count)
+    exact = (mantissa < _EXACT_MANTISSA) & (fraction <= _EXACT_POWERS)
+    numbers = mantissa / _TENS[np.minimum(fraction, _EXACT_POWERS)]
+    for f in np.flatnonzero(~exact).tolist():
+        numbers[f] = abs(float(raw[starts[f]:stops[f]].tobytes()))
+    np.negative(numbers, out=numbers, where=first == ord("-"))
+    return numbers, exact & ~pointed
 
 
 def _bytes(a) -> memoryview:
@@ -363,11 +397,19 @@ def _bytes(a) -> memoryview:
 
 
 def _blocks(lines: Iterable[str]):
-    """Yield (first line number, list of up to _BLOCK_LINES lines)."""
+    """Yield (first line number, list of up to _BLOCK_LINES lines), a block
+    ending early where its lines pass _BLOCK_CHARS characters."""
     lines = iter(lines)
     first = 1
     while block := list(islice(lines, _BLOCK_LINES)):
-        yield first, block
+        start = chars = 0
+        if sum(map(len, block)) > _BLOCK_CHARS:
+            for k, line in enumerate(block):
+                chars += len(line)
+                if chars > _BLOCK_CHARS and k > start:
+                    yield first + start, block[start:k]
+                    start, chars = k, len(line)
+        yield first + start, block[start:]
         first += len(block)
 
 
@@ -380,7 +422,7 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
     Explicit zero values are dropped.  ``dim`` pads the feature dimension
     beyond the largest index seen (it must not truncate).
 
-    The text is read in blocks of _BLOCK_LINES lines.  A block of plain
+    The text is read in blocks of up to _BLOCK_LINES lines.  A block of plain
     tokens is parsed in bulk; any other block goes to the scalar parser,
     which gives the same result, or the error with its line number.
 
@@ -431,24 +473,48 @@ def _format_value(v: float) -> str:
     return s
 
 
+# pieces assembled per block: a block's temporaries stay near 1 MB (8 bytes
+# of piece id and at most one padded piece per piece) at any file size
+_WRITE_PIECES = 1 << 15
+
+
 def write_libsvm(dataset: Dataset) -> str:
     """Serialize to LIBSVM text (1-based indices, labels as +1/-1).
 
     parse_libsvm(write_libsvm(ds)) == ds whenever ds.d is the tight dimension;
     a padded dimension must be re-applied via parse_libsvm(..., dim=ds.d).
+
+    Each distinct value is formatted once (_format_value) and each distinct
+    column once (" j:"); the text is then assembled from that pool of byte
+    pieces, a block of rows at a time: row i is the piece "\n+1" or "\n-1",
+    then an index piece and a value piece per entry.
     """
-    indptr = dataset.indptr.tolist()
-    indices = (dataset.indices + 1).tolist()
-    values = dataset.values.tolist()
-    lines = []
-    for i, label in enumerate(dataset.labels.tolist()):
-        lo, hi = indptr[i], indptr[i + 1]
-        parts = ["+1" if label > 0 else "-1"]
-        parts.extend(
-            f"{j}:{_format_value(v)}" for j, v in zip(indices[lo:hi], values[lo:hi])
-        )
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    columns, column_piece = np.unique(dataset.indices, return_inverse=True)
+    values, value_piece = np.unique(dataset.values, return_inverse=True)
+    pool = np.array(
+        ["\n-1", "\n+1"]
+        + [f" {j + 1}:" for j in columns.tolist()]
+        + list(map(_format_value, values.tolist())),
+        dtype=np.bytes_,
+    )  # fixed-width bytes: shorter pieces are padded with NUL, dropped below
+    column_piece += 2
+    value_piece += 2 + columns.size
+    label_piece = (dataset.labels > 0).astype(np.int64)
+    indptr = dataset.indptr
+    # a block starts at the row that holds its first piece
+    first_piece = np.arange(dataset.n + 1) + 2 * indptr  # each row's label
+    starts = np.searchsorted(first_piece, np.arange(0, first_piece[-1], _WRITE_PIECES),
+                             side="right") - 1
+    bounds = np.unique(starts).tolist() + [dataset.n]
+    chunks = []
+    for r0, r1 in zip(bounds, bounds[1:]):
+        lo, hi = indptr[r0], indptr[r1]
+        entries = np.empty((hi - lo, 2), dtype=np.int64)
+        entries[:, 0] = column_piece[lo:hi]
+        entries[:, 1] = value_piece[lo:hi]
+        pieces = np.insert(entries.ravel(), 2 * (indptr[r0:r1] - lo), label_piece[r0:r1])
+        chunks.append(pool[pieces].tobytes().translate(None, b"\0"))
+    return b"".join(chunks)[1:].decode("ascii") + "\n"
 
 
 def save_libsvm(dataset: Dataset, path) -> None:

@@ -208,6 +208,13 @@ def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
     in constructor order and converted to the constructor's types."""
     cls = ALGORITHMS[config.algorithm]
     params = cls.theory_params(oracle) if config.preset else {}
+    for name in params.keys() - config.params.keys():
+        # e.g. eta = 1 / (6 L) is 0 once 6 L overflows, at L near float64's edge
+        if not 0.0 < params[name] < math.inf:
+            instance = (f"synthetic={config.synthetic}" if config.dataset_path is None
+                        else config.dataset_path)
+            raise ConfigError(f"{instance}: theory preset gives {name} = "
+                              f"{params[name]} at L = {oracle.L}")
     params.update(config.params)
     types = cls.param_types
     missing = set(types) - set(params)
@@ -343,11 +350,11 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
     and sidecar, and return the CSV paths and the records in config order.
 
     The runs of one family (SVRG or Katyusha) go through run_lanes as one
-    batch when there are at least three of them (a lane's trace is run's,
-    its floats to rounding; fewer lanes lose to run on CSR data), every
-    other run through run.  Raises ConfigError before any run if two runs
-    would write the same files, and DivergenceError, after writing every
-    run, if any diverged."""
+    batch when there are at least three of them (a lane's trace is run's:
+    bitwise on dense ridge data, its floats to rounding otherwise; fewer
+    lanes lose to run on CSR data), every other run through run.  Raises
+    ConfigError before any run if two runs would write the same files, and
+    DivergenceError, after writing every run, if any diverged."""
     if not configs:
         raise ConfigError("empty batch: no seed, algorithm or loop length to run")
     run_ids = [config.run_id() for config in configs]
@@ -465,7 +472,8 @@ def sweep_p(base_config: RunConfig, out_dir, grid: list[int] | None = None) -> l
     each at its theory preset otherwise.
 
     One batch on one problem (see _run_batch): each run's trace and sidecar
-    are those run_experiment writes for its config, its floats to rounding.
+    are those run_experiment writes for its config (bitwise on dense ridge
+    data, its floats to rounding otherwise).
     Raises DivergenceError, after writing every run, if any diverged.
     """
     _check_batch_base(base_config, "sweep-p")

@@ -468,8 +468,10 @@ def run_lanes(
 
     Lane s gives the records run(optimizers[s], rngs[s], metrics=metrics[s])
     would give and leaves optimizers[s] in the state run leaves it in: k,
-    oracle_calls and epoch exactly, its lane_state arrays to rounding (the
-    row dots of oracle.grad_many are not bitwise those of grad_i).
+    oracle_calls and epoch exactly; its lane_state arrays bitwise on a
+    dense ridge oracle, where oracle.grad_many is grad_i's arithmetic, and
+    to rounding otherwise (np.exp is not math.exp, and CSR row dots go
+    through bincount).
 
     The lanes step together through the family's point() and move() on one
     stacked instance.  Each lane follows its own schedule of sample indices

@@ -54,7 +54,7 @@ _MARGINS_PER_BLOCK = 1 << 14
 # np.add.at.  Both sum in entry order, so the results are bitwise equal, but
 # np.bincount copies the read-only indices on every call (8 bytes an entry):
 # cheap and faster on small data, slower and a peak-memory cost on a9a-sized
-# data.  np.add.at is fast only from numpy 1.25, the floor in pyproject.toml.
+# data.  np.add.at has been fast since numpy 1.25.
 _BINCOUNT_MAX_NNZ = 1 << 16
 
 
@@ -155,16 +155,18 @@ class Oracle:
     def grad_many(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
         """grad_i(idx[s], X[s]) for every row s, (S,) and (S, d) -> (S, d).
 
-        The batched per-sample gradient of lane-batched runs.  Its row dots
-        (einsum, or bincount over the gathered CSR entries) and elementwise
-        loss kernel agree with grad_i's to rounding, not bitwise.
+        The batched per-sample gradient of lane-batched runs.  On dense rows
+        the row dots (np.vecdot, numpy's kernel behind ndarray.dot) and the
+        update are grad_i's, so ridge gradients equal grad_i's bitwise; the
+        logistic kernel (np.exp, not math.exp) and CSR row dots (bincount
+        over the gathered entries) agree with grad_i's to rounding.
         """
         out = self.mu * X
         labels = self.labels.take(idx)
         if self._dense is not None:
             rows = self._dense.take(idx, axis=0)
-            margins = np.einsum("ij,ij->i", rows, X)
-            out += self._dphis(margins, labels)[:, np.newaxis] * rows
+            rows *= self._dphis(np.vecdot(rows, X), labels)[:, np.newaxis]
+            out += rows
             return out
         starts, counts = self._indptr.take(idx), self._counts.take(idx)
         lane = np.repeat(np.arange(len(idx)), counts)

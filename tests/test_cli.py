@@ -154,6 +154,19 @@ def test_an_overflowing_synthetic_instance_exits_with_config_code(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep-p", "compare-all"])
+def test_a_theory_preset_that_underflows_names_the_instance(tmp_path, capsys, command):
+    # L = mu = 1e308 (condition number 1: empty rows), so 6 L overflows and
+    # the preset's eta = 1 / (6 L) is 0
+    argv = [command, "--synthetic", "3,1,1", "--loss", "ridge", "--mu", "1e308",
+            "--out", str(tmp_path / "out")]
+    code = run_cli(*argv, *(["--alg", "l-svrg"] if command == "run" else []))
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: synthetic=(3, 1, 1.0): theory preset gives eta = 0.0 at L = 1e+308\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_reference_failure_exit_code(tmp_path):
     # logistic has no closed form; one epoch of GD cannot hit the tolerance
     code = run_cli(

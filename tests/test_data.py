@@ -346,7 +346,7 @@ def test_fast_parse_matches_scalar_on_random_valid_files(monkeypatch):
         dim = None if rng.random() < 0.7 else int(rng.integers(150, 250))
         source = text.split("\n") if case % 5 == 1 else text
         _assert_fast_matches_scalar(monkeypatch, source, dim)
-        if digits == 15 and not comments:
+        if digits and not comments:
             # the fast path itself takes the (single) block
             assert data._parse_block_fast(io.StringIO(text).readlines()) is not None
 
@@ -390,3 +390,167 @@ def test_fast_parse_matches_scalar_on_malformed_strings(monkeypatch):
     # a list element is one line, even with a newline inside it
     for lines in (["+1 1:1\n-1 2:1"], ["+1 1:1\n", "\n-1 2:1"], ["+1", " 1:1"]):
         _assert_fast_matches_scalar(monkeypatch, lines)
+
+
+# -- decimal tokens on the block fast path -----------------------------------
+
+
+def _decimal_token(rng) -> str:
+    """[+-]digits.digits: 1 to 17 significant digits, leading zeros, the
+    point anywhere (``.5`` and ``5.`` included), an optional sign."""
+    significant = int(rng.integers(1, 18))
+    digits = "0" * int(rng.integers(0, 4)) + str(
+        rng.integers(10 ** (significant - 1), 10**significant))
+    point = int(rng.integers(0, len(digits) + 1))
+    return str(rng.choice(["", "+", "-"])) + digits[:point] + "." + digits[point:]
+
+
+# about the edges of the exact conversion: mantissas at and above 2**53
+# (float() reads those), fractions of 22 digits and longer, 17-digit reprs
+_EDGE_DECIMALS = [
+    "9007199254740991", "9007199254740992", "9007199254740993", "-9007199254740993.",
+    "900719925474099.1", "900719925474099.3", ".9007199254740993", "4503599627370497.5",
+    "123456789012345678901234567890", "1" + "0" * 30 + ".5",
+    "0." + "0" * 21 + "1", "0." + "0" * 22 + "1", "1." + "0" * 25 + "1",
+    "+0." + "0" * 40 + "7", "0.1", "0.30000000000000004", "2.2250738585072014",
+    "1.7976931348623157", "5.", ".5", "-.5", "+5.", "0.0", "-0.0", "00000.000",
+]
+
+
+def test_fast_parse_reads_decimal_tokens_as_float_does(monkeypatch):
+    rng = np.random.default_rng(1990)
+    for case in range(60):
+        lines = []
+        for _ in range(int(rng.integers(1, 2 * data._BLOCK_LINES))):
+            idx = np.sort(rng.choice(300, size=int(rng.integers(0, 9)), replace=False)) + 1
+            values = [_decimal_token(rng) if rng.random() < 0.8 else
+                      str(rng.choice(_EDGE_DECIMALS)) for _ in idx]
+            label = str(rng.choice(["+1", "-1", "1.0", "-1.", "+1.000"]))
+            lines.append(" ".join([label] + [f"{j}:{v}" for j, v in zip(idx, values)]))
+        text = "\n".join(lines) + "\n"
+        outcome = _assert_fast_matches_scalar(monkeypatch, text)
+        assert isinstance(outcome[0], int)
+        # the fast path itself takes every block
+        for _, block in data._blocks(io.StringIO(text)):
+            assert data._parse_block_fast(block) is not None
+
+
+def test_fast_parse_values_equal_float_bitwise():
+    tokens = _EDGE_DECIMALS + [_decimal_token(np.random.default_rng(k)) for k in range(500)]
+    nonzero = [t for t in tokens if float(t) != 0.0]
+    line = "+1 " + " ".join(f"{j}:{t}" for j, t in enumerate(nonzero, start=1))
+    labels, ends, indices, values = data._parse_block_fast([line])
+    assert np.array_equal(values, [float(t) for t in nonzero])
+    assert values.tobytes() == np.array([float(t) for t in nonzero]).tobytes()
+    assert indices.tolist() == list(range(len(nonzero))) and ends.tolist() == [len(nonzero)]
+    # the signs of zeros survive in labels, where nothing drops them
+    for label in ("-0.0", "+0.0", "-.0", "0."):
+        got = data._parse_block_fast([f"{label} 1:1"])[0][0]
+        assert got == 0.0 and np.signbit(got) == label.startswith("-")
+
+
+@pytest.mark.parametrize("bad", ["1.0:2", "1.:2", ".5:2", "2:1.5.1", "2:.", "2:+.",
+                                 "2:1.-5", "2:1e", "2:--1", "2:1+"])
+def test_a_bad_decimal_gets_the_scalar_parsers_error(monkeypatch, bad):
+    rng = np.random.default_rng(5)
+    lines = [f"+1 1:{_decimal_token(rng)} 3:0.25" for _ in range(2 * data._BLOCK_LINES)]
+    lineno = data._BLOCK_LINES + 7
+    lines[lineno - 1] = f"-1 {bad} 9:1.5"
+    outcome = _assert_fast_matches_scalar(monkeypatch, "\n".join(lines))
+    assert outcome[0] is ParseError and outcome[2] == lineno
+    assert "bad feature token" in outcome[1]
+
+
+def test_long_lines_end_a_block_early(monkeypatch):
+    rng = np.random.default_rng(8)
+    lines = [" ".join(["+1"] + [f"{j}:{_decimal_token(rng)}" for j in
+                                range(1, int(rng.integers(1, 60)))]) for _ in range(300)]
+    blocks = list(data._blocks(lines))
+    assert [line for _, block in blocks for line in block] == lines
+    assert [first for first, _ in blocks] == np.cumsum(
+        [1] + [len(block) for _, block in blocks[:-1]]).tolist()
+    for _, block in blocks:
+        assert len(block) <= data._BLOCK_LINES
+        assert len(block) == 1 or sum(map(len, block)) <= data._BLOCK_CHARS
+    assert len(blocks) > 300 // data._BLOCK_LINES + 1
+    # errors keep their line numbers; a line longer than a block is a block
+    monkeypatch.setattr(data, "_BLOCK_CHARS", 500)
+    lines[200] = lines[200] + " 1:2"
+    outcome = _assert_fast_matches_scalar(monkeypatch, "\n".join(lines))
+    assert outcome[0] is ParseError and outcome[2] == 201
+
+
+# -- the writer against the per-entry reference ------------------------------
+
+
+def _reference_write(dataset: Dataset) -> str:
+    """One f-string per entry: the writer's specification."""
+    indptr = dataset.indptr.tolist()
+    indices = (dataset.indices + 1).tolist()
+    values = dataset.values.tolist()
+    lines = []
+    for i, label in enumerate(dataset.labels.tolist()):
+        lo, hi = indptr[i], indptr[i + 1]
+        parts = ["+1" if label > 0 else "-1"]
+        parts.extend(
+            f"{j}:{data._format_value(v)}" for j, v in zip(indices[lo:hi], values[lo:hi])
+        )
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def _csr(rows, d=None, seed=0):
+    """A Dataset from (indices, values) rows, with random labels."""
+    indptr = np.cumsum([0] + [len(idx) for idx, _ in rows])
+    indices = np.array([j for idx, _ in rows for j in idx], dtype=np.int64)
+    values = np.array([v for _, vals in rows for v in vals], dtype=np.float64)
+    labels = np.random.default_rng(seed).choice([-1.0, 1.0], size=len(rows))
+    top = int(indices.max()) + 1 if indices.size else 0
+    return Dataset.from_csr(indptr, indices, values, labels, top if d is None else d)
+
+
+def _writer_cases():
+    rng = np.random.default_rng(77)
+    idx = [0, 4, 122]
+    yield "integers", _csr([(idx, [1.0, 2.0, -3.0]), ([1, 2], [7.0, 123456789.0])])
+    yield "integral floats", _csr([(idx, [1e16, 1e22, -1e22]), ([5], [2.0**60]),
+                                   ([3], [1e300])])
+    yield "negatives", _csr([(idx, [-0.5, -1.0, -123.25])])
+    yield "exponent reprs", _csr([(idx, [1e-05, -2.5e-300, 5e-324]), ([0], [1.5e17])])
+    yield "distinct floats", _csr([(np.arange(50), rng.normal(size=50)) for _ in range(40)])
+    yield "empty rows", _csr([([], []), ([], []), ([2], [0.5]), ([], []), ([0, 1], [1.0, 0.1]),
+                              ([], [])])
+    yield "all rows empty", _csr([([], [])] * 3)
+    yield "padded d", _csr([([1], [1.0]), ([3], [0.25])], d=40)
+    for k in range(20):
+        yield f"random {k}", random_dataset(rng, max_n=30, max_d=40, tight=k % 2 == 0)
+
+
+@pytest.mark.parametrize("pieces", [1, 7, 1 << 15])
+def test_writer_matches_the_per_entry_reference(monkeypatch, pieces):
+    # small blocks: rows split over many blocks, and rows longer than a block
+    monkeypatch.setattr(data, "_WRITE_PIECES", pieces)
+    for name, dataset in _writer_cases():
+        text = write_libsvm(dataset)
+        assert text == _reference_write(dataset), name
+        assert parse_libsvm(text, dim=dataset.d) == dataset, name
+
+
+def test_writer_matches_the_reference_across_blocks():
+    rng = np.random.default_rng(12)
+    n, d = 3000, 60
+    nnz = rng.integers(0, 25, size=n)
+    rows = [(np.sort(rng.choice(d, size=k, replace=False)),
+             np.round(np.abs(rng.normal(size=k)), int(rng.integers(0, 6))) + 0.125) for k in nnz]
+    dataset = _csr(rows, d=d, seed=3)
+    assert dataset.nnz * 2 + n > 2 * data._WRITE_PIECES  # three blocks or more
+    assert write_libsvm(dataset) == _reference_write(dataset)
+
+
+def test_an_index_past_int64_is_a_parse_error(monkeypatch):
+    for index in ("9223372036854775809", "99999999999999999999"):
+        outcome = _assert_fast_matches_scalar(monkeypatch, f"+1 1:0.5\n-1 2:1 {index}:1.5\n")
+        assert outcome[:2] == (ParseError, f"line 2: feature index {index} too large")
+    # the largest index round-trips: the writer adds 1 in Python ints
+    largest = parse_libsvm("+1 9223372036854775808:1")
+    assert largest.d == 2**63 and write_libsvm(largest) == "+1 9223372036854775808:1\n"

@@ -209,7 +209,24 @@ def test_grad_many_matches_grad_i(loss, density, margin):
         X *= margin / np.where(top > 0.0, top, 1.0)
     with np.errstate(all="raise"):
         got = oracle.grad_many(idx, X)
-    assert_close(got, np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)]))
+    want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)])
+    assert_close(got, want)
+    if loss == "ridge" and oracle._dense is not None:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_dense_ridge_grad_many_is_grad_i_bitwise():
+    """np.vecdot takes ndarray.dot's row dots, so dense ridge lanes step as
+    run() does, on every shape."""
+    rng = np.random.default_rng(2465)
+    for _ in range(300):
+        n, d = int(rng.integers(1, 12)), int(rng.integers(1, 300))
+        dataset = property_dataset(rng, n, d, density=1.0, pad=0)
+        oracle = make_oracle(dataset, "ridge", float(rng.uniform(1e-3, 2.0)))
+        idx = rng.integers(n, size=int(rng.integers(1, 9)))
+        X = rng.normal(size=(idx.size, oracle.d)) * 10.0 ** rng.integers(-3, 4)
+        want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)])
+        assert oracle.grad_many(idx, X).tobytes() == want.tobytes()
 
 
 def scalar_row_reference(oracle, i, x):
