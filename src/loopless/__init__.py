@@ -14,7 +14,6 @@ from .data import (
 )
 from .diagnostics import (
     BoundSlack,
-    LyapunovReport,
     ReferenceSolution,
     ReferenceSolveError,
     compute_phi,
@@ -46,7 +45,6 @@ __all__ = [
     "LogisticOracle",
     "LoopyKatyusha",
     "LoopySVRG",
-    "LyapunovReport",
     "Oracle",
     "ParseError",
     "ReferenceSolution",

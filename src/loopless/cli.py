@@ -167,7 +167,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                 payload = json.load(fh)
         except OSError as exc:
             raise DataError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")

@@ -12,7 +12,8 @@ and for the Katyusha family
     yk  = (f(y) - f*) / theta1,
     wk  = theta2 (1 + theta1) / (p theta1) * (f(w) - f*).
 
-compute_phi and compute_psi evaluate a potential at a state.  Both
+compute_phi and compute_psi evaluate a potential at a state, as the
+family's trace columns ({"phi", "dk"} or {"psi", "zk", "yk", "wk"}).  Both
 potentials contract in conditional expectation each step;
 verify_lemma_bounds evaluates those expectations *exactly*, by enumerating
 all n sample draws and both coin outcomes, and reports every one-step bound
@@ -48,10 +49,6 @@ class ReferenceSolveError(RuntimeError):
         )
 
 
-def default_reference_tolerance(oracle: Oracle, x) -> float:
-    return 1e-10 * oracle.L * (1.0 + float(np.linalg.norm(x)))
-
-
 @dataclass
 class ReferenceSolution:
     """Frozen minimizer data: x*, f(x*), all grad_i(x*), and ||grad f(x*)||."""
@@ -67,47 +64,37 @@ class ReferenceSolution:
         """Freeze a reference at a known minimizer (e.g. a closed-form solve),
         certified at solve_reference's default tolerance, which must be
         finite."""
-        x = np.asarray(x, dtype=np.float64)
-        grad_norm = float(np.linalg.norm(oracle.full_grad(x)))
-        tolerance = default_reference_tolerance(oracle, x)
-        if not grad_norm <= tolerance < math.inf:  # NaN fails too
-            raise ValueError(
-                f"point is not a minimizer: ||grad|| = {grad_norm:.3e} "
-                f"> tolerance {tolerance:.3e}"
-            )
-        return cls(
-            x_star=x,
-            f_star=oracle.full_loss(x),
-            grad_i_star=oracle.grad_table(x),
-            grad_norm=grad_norm,
-            tolerance=tolerance,
-        )
+        try:
+            return solve_reference(oracle, max_epochs=0, x0=x)
+        except ReferenceSolveError as exc:
+            raise ValueError(f"point is not a minimizer: ||grad|| = "
+                             f"{exc.grad_norm:.3e} above tolerance") from None
 
 
 def solve_reference(
     oracle: Oracle,
     tolerance: float | None = None,
     max_epochs: int = 100_000,
+    x0=None,
 ) -> ReferenceSolution:
-    """Gradient descent from 0 with step 1/L until ||grad f(x)|| <= tolerance.
+    """Gradient descent from x0 (default 0) with step 1/L to ||grad f(x)|| <= tolerance.
 
     tolerance=None uses 1e-10 * L * (1 + ||x||), evaluated at the current
     iterate; a tolerance that is not finite certifies nothing.  Raises
     ReferenceSolveError carrying the best achieved gradient norm if the
     epoch budget runs out first.
     """
-    x = np.zeros(oracle.d)
+    x = np.zeros(oracle.d) if x0 is None else np.asarray(x0, dtype=np.float64)
     step = 1.0 / oracle.L
     best_norm = np.inf
     best_x = x
     for epoch in range(max_epochs + 1):
         g = oracle.full_grad(x)
         gn = float(np.linalg.norm(g))
-        if gn < best_norm:
+        if gn < best_norm or epoch == 0:  # a NaN start is reported as NaN
             best_norm, best_x = gn, x
-        target = tolerance if tolerance is not None else default_reference_tolerance(
-            oracle, x
-        )
+        target = (1e-10 * oracle.L * (1.0 + float(np.linalg.norm(x)))
+                  if tolerance is None else tolerance)
         if gn <= target < math.inf:
             return ReferenceSolution(
                 x_star=x,
@@ -118,19 +105,6 @@ def solve_reference(
             )
         x = x - step * g
     raise ReferenceSolveError(best_norm, best_x, max_epochs)
-
-
-@dataclass
-class LyapunovReport:
-    """Potential components; phi-side for SVRG states, psi-side for Katyusha."""
-
-    phi: float | None = None
-    dist_sq: float | None = None
-    dk: float | None = None
-    psi: float | None = None
-    zk: float | None = None
-    yk: float | None = None
-    wk: float | None = None
 
 
 def _check_dims(state, ref: ReferenceSolution, oracle: Oracle):
@@ -149,16 +123,16 @@ def _dk(table: np.ndarray, state, ref: ReferenceSolution, oracle: Oracle) -> flo
     return coef * float(np.einsum("ij,ij->", diff, diff))
 
 
-def _phi_report(state, ref: ReferenceSolution, dk: float) -> LyapunovReport:
-    delta = state.x - ref.x_star
-    dist_sq = float(delta @ delta)
-    return LyapunovReport(phi=dist_sq + dk, dist_sq=dist_sq, dk=dk)
+def _dist_sq(a: np.ndarray, b: np.ndarray) -> float:
+    delta = a - b
+    return float(delta @ delta)
 
 
-def compute_phi(state, ref: ReferenceSolution, oracle: Oracle) -> LyapunovReport:
-    """Evaluate the SVRG-family potential at the current state."""
+def compute_phi(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
+    """The SVRG-family potential columns (phi, dk) at the state."""
     _check_dims(state, ref, oracle)
-    return _phi_report(state, ref, _dk(oracle.grad_table(state.w), state, ref, oracle))
+    dk = _dk(oracle.grad_table(state.w), state, ref, oracle)
+    return {"phi": _dist_sq(state.x, ref.x_star) + dk, "dk": dk}
 
 
 def _psi_coefs(state, oracle: Oracle) -> tuple[float, float, float]:
@@ -169,17 +143,16 @@ def _psi_coefs(state, oracle: Oracle) -> tuple[float, float, float]:
 
 
 def _psi_report(state, ref: ReferenceSolution, oracle: Oracle, f_y: float,
-                f_w: float) -> LyapunovReport:
+                f_w: float) -> dict:
     cz, cy, cw = _psi_coefs(state, oracle)
-    dz = state.z - ref.x_star
-    zk = cz * float(dz @ dz)
+    zk = cz * _dist_sq(state.z, ref.x_star)
     yk = cy * (f_y - ref.f_star)
     wk = cw * (f_w - ref.f_star)
-    return LyapunovReport(psi=zk + yk + wk, zk=zk, yk=yk, wk=wk)
+    return {"psi": zk + yk + wk, "zk": zk, "yk": yk, "wk": wk}
 
 
-def compute_psi(state, ref: ReferenceSolution, oracle: Oracle) -> LyapunovReport:
-    """Evaluate the Katyusha-family potential at the current state."""
+def compute_psi(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
+    """The Katyusha-family potential columns (psi, zk, yk, wk) at the state."""
     _check_dims(state, ref, oracle)
     return _psi_report(
         state, ref, oracle, oracle.full_loss(state.y), oracle.full_loss(state.w)
@@ -236,7 +209,8 @@ def _verify_svrg_bounds(state, ref, oracle) -> dict:
     gap = oracle.full_loss(state.x) - ref.f_star
     table_x = oracle.grad_table(state.x)
     table_w = oracle.grad_table(state.w)
-    report = _phi_report(state, ref, _dk(table_w, state, ref, oracle))
+    dist_sq = _dist_sq(state.x, ref.x_star)
+    dk = _dk(table_w, state, ref, oracle)
     dk_heads = _dk(table_x, state, ref, oracle)  # dk after a refresh, w <- x
     # the estimator for every sample draw, from the two tables dk needs anyway
     g = table_x - (table_w - state.grad_w)
@@ -244,30 +218,30 @@ def _verify_svrg_bounds(state, ref, oracle) -> dict:
     mean_dist_next = float(np.einsum("ij,ij->", diff, diff)) / n
     second_moment = float(np.einsum("ij,ij->", g, g)) / n
     # E[phi at the next step], over all n draws and both coins
-    expected_phi_next = mean_dist_next + p * dk_heads + (1.0 - p) * report.dk
+    expected_phi_next = mean_dist_next + p * dk_heads + (1.0 - p) * dk
 
     checks = [
         _upper(
             "iterate_distance",
             mean_dist_next,
-            (1.0 - eta * mu) * report.dist_sq - 2.0 * eta * gap
+            (1.0 - eta * mu) * dist_sq - 2.0 * eta * gap
             + eta**2 * second_moment,
         ),
         _upper(
             "estimator_second_moment",
             second_moment,
-            4.0 * L * gap + p / (2.0 * eta**2) * report.dk,
+            4.0 * L * gap + p / (2.0 * eta**2) * dk,
         ),
         _upper(
             "grad_learning_decay",
-            (1.0 - p) * report.dk + p * dk_heads,
-            (1.0 - p) * report.dk + 8.0 * L * eta**2 * gap,
+            (1.0 - p) * dk + p * dk_heads,
+            (1.0 - p) * dk + 8.0 * L * eta**2 * gap,
         ),
         # needs eta <= 1/(6L)
         _upper(
             "phi_contraction",
             expected_phi_next,
-            (1.0 - eta * mu) * report.dist_sq + (1.0 - p / 2.0) * report.dk,
+            (1.0 - eta * mu) * dist_sq + (1.0 - p / 2.0) * dk,
         ),
     ]
     return {c.name: c for c in checks}
@@ -288,6 +262,7 @@ def _verify_katyusha_bounds(state, ref, oracle) -> dict:
     f_y = oracle.full_loss(state.y)
     f_w = oracle.full_loss(state.w)
     report = _psi_report(state, ref, oracle, f_y, f_w)
+    zk, yk, wk = report["zk"], report["yk"], report["wk"]
     grad_x = oracle.full_grad(x)
     f_x = oracle.full_loss(x)
 
@@ -296,15 +271,14 @@ def _verify_katyusha_bounds(state, ref, oracle) -> dict:
     mean_y = cy * float(np.sum(f_y_next - ref.f_star)) / n
     # a refresh moves w to y (heads); otherwise w, and its term, stay (tails)
     w_heads = cw * (f_y - ref.f_star)
-    expected_psi_next = mean_z + mean_y + p * w_heads + (1.0 - p) * report.wk
+    expected_psi_next = mean_z + mean_y + p * w_heads + (1.0 - p) * wk
 
     dev = g - grad_x
     dev_sq = _rowdot(dev, dev)
     variance = float(dev_sq.sum()) / n
     bregman = f_w - f_x - float(grad_x @ (state.w - x))
 
-    dx = x - ref.x_star
-    dist_x = float(dx @ dx)
+    dist_x = _dist_sq(x, ref.x_star)
 
     # per-realization bounds, one entry per sample draw; report the worst
     dz_step = z_next - state.z
@@ -313,7 +287,7 @@ def _verify_katyusha_bounds(state, ref, oracle) -> dict:
     z_rhs = (
         L / (2.0 * eta) * step_sq
         + cz * _rowdot(dz_next, dz_next)
-        - report.zk / (1.0 + eta * sigma)
+        - zk / (1.0 + eta * sigma)
     )
     y_lhs = (f_y_next - f_x) / theta1 - theta2 / (2.0 * L * theta1) * dev_sq
     y_rhs = L / (2.0 * eta) * step_sq + _rowdot(g, dz_step)
@@ -327,15 +301,15 @@ def _verify_katyusha_bounds(state, ref, oracle) -> dict:
         BoundSlack("y_progress", float(y_lhs[iy]), float(y_rhs[iy]), float(y_slack[iy])),
         _equality(
             "reference_recursion",
-            (1.0 - p) * report.wk + p * cw * (f_y - ref.f_star),
-            (1.0 - p) * report.wk + theta2 * (1.0 + theta1) * report.yk,
+            (1.0 - p) * wk + p * cw * (f_y - ref.f_star),
+            (1.0 - p) * wk + theta2 * (1.0 + theta1) * yk,
         ),
         _upper(
             "psi_contraction",
             expected_psi_next,
-            report.zk / (1.0 + eta * sigma)
-            + (1.0 - theta1 * (1.0 - theta2)) * report.yk
-            + (1.0 - p * theta1 / (1.0 + theta1)) * report.wk,
+            zk / (1.0 + eta * sigma)
+            + (1.0 - theta1 * (1.0 - theta2)) * yk
+            + (1.0 - p * theta1 / (1.0 + theta1)) * wk,
         ),
     ]
     return {c.name: c for c in checks}

@@ -172,7 +172,7 @@ def build_problem(config: RunConfig) -> tuple[Oracle, np.ndarray | None]:
     """Load or synthesize the dataset and construct the oracle.
 
     Returns the oracle and, for synthetic ridge instances whose mu matches the
-    run's mu, the closed-form minimizer (which lets the reference come free).
+    run's mu, the closed-form minimizer (where the reference solve starts).
     """
     minimizer = None
     if config.dataset_path is not None:
@@ -244,11 +244,10 @@ def build_reference(config: RunConfig, oracle: Oracle, minimizer) -> ReferenceSo
 
 
 def _reference(config: RunConfig, oracle: Oracle, minimizer) -> ReferenceSolution:
-    """The closed-form minimizer when there is one, else a certified solve."""
-    if minimizer is not None:
-        return ReferenceSolution.from_point(oracle, minimizer)
+    """A certified solve, from the closed-form minimizer when there is one."""
     return diagnostics.solve_reference(
-        oracle, tolerance=config.ref_tolerance, max_epochs=config.ref_max_epochs
+        oracle, tolerance=config.ref_tolerance, max_epochs=config.ref_max_epochs,
+        x0=minimizer,
     )
 
 
@@ -275,8 +274,7 @@ def build_metrics(config: RunConfig, oracle: Oracle, ref: ReferenceSolution | No
                "f_gap": oracle.full_loss(opt.tracked_point) - ref.f_star}
         if level in ("lyapunov", "lemmas"):
             compute = {"phi": compute_phi, "psi": compute_psi}[potential[0]]
-            report = compute(opt, ref, oracle)
-            out.update((name, getattr(report, name)) for name in potential)
+            out.update(compute(opt, ref, oracle))
         if level == "lemmas":
             slacks = verify_lemma_bounds(opt, ref, oracle)
             out.update((f"slack_{name}", s.rel_slack) for name, s in slacks.items())
@@ -363,11 +361,11 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
         raise ConfigError(f"runs {shared} would share one trace file; "
                           "list each seed and algorithm once")
     resolved = [resolve_params(config, oracle) for config in configs]
+    # overflow at a huge x0 is reported once, as divergence at k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        optimizers = [make_optimizer(c, oracle, p) for c, p in zip(configs, resolved)]
     with _output_dir(out_dir) as out_dir:
         ref = build_reference(configs[0], oracle, minimizer)
-        # overflow at a huge x0 is reported once, as divergence at k = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            optimizers = [make_optimizer(c, oracle, p) for c, p in zip(configs, resolved)]
         metrics = [build_metrics(config, oracle, ref) for config in configs]
         epochs, every = configs[0].epochs, configs[0].checkpoint_every
         families: dict = {}  # a family's move -> its runs

@@ -144,7 +144,10 @@ class _Loop:
         """(sample indices, refresh mask) of the next `steps` steps from step
         k on, leaving rng where those steps leave it."""
         indices, _ = step_draws(rng, self.oracle.n, steps, coin=False)
-        return indices, (self.k + 1 + np.arange(steps)) % self.m == 0
+        refresh = np.zeros(steps, dtype=bool)
+        # the steps j with (k + 1 + j) % m == 0, in Python ints: m may pass int64
+        refresh[-(self.k + 1) % self.m::self.m] = True
+        return indices, refresh
 
     @property
     def refresh_prob(self) -> float:

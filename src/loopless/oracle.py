@@ -16,8 +16,8 @@ row dot with ndarray.dot, which gives the bits of `a @ x` at about half its
 call cost, read the label and the CSR row bounds as Python scalars (.item),
 and gather a CSR row's entries of x with take.  Full-data calls
 (full_grad, full_loss, grad_table and their batched forms) run all rows at
-once with numpy: A @ x and r @ A on a dense copy, reduceat and bincount (or
-add.at) on the dataset's CSR arrays otherwise.  Their sums are ordered
+once with numpy: A @ x and r @ A on a dense copy, reduceat and add.at on
+the dataset's CSR arrays otherwise.  Their sums are ordered
 differently from a row-by-row loop, so they agree with it to rounding, not
 bitwise; only at n == 1 does full_grad take the scalar kernel, so that
 full_grad(x) equals grad_i(0, x) bitwise there (np.exp and math.exp can
@@ -49,13 +49,6 @@ def _sigmoid(t: float) -> float:
 # full_loss_many computes at most this many margins at once: about 128 KB per
 # temporary, so a lemma report's n x n evaluations do not raise peak memory
 _MARGINS_PER_BLOCK = 1 << 14
-
-# full_grad sums up to this many CSR entries with np.bincount and more with
-# np.add.at.  Both sum in entry order, so the results are bitwise equal, but
-# np.bincount copies the read-only indices on every call (8 bytes an entry):
-# cheap and faster on small data, slower and a peak-memory cost on a9a-sized
-# data.  np.add.at has been fast since numpy 1.25.
-_BINCOUNT_MAX_NNZ = 1 << 16
 
 
 def _quiet_underflow(method):
@@ -218,11 +211,9 @@ class Oracle:
         else:
             per_entry = np.repeat(r, self._counts)
             per_entry *= self._values
-            if self._indices.size <= _BINCOUNT_MAX_NNZ:
-                data = np.bincount(self._indices, weights=per_entry, minlength=self.d)
-            else:
-                data = np.zeros(self.d)
-                np.add.at(data, self._indices, per_entry)
+            # unlike np.bincount, add.at does not copy the read-only indices
+            data = np.zeros(self.d)
+            np.add.at(data, self._indices, per_entry)
         return data / self.n + self.mu * x
 
     @_quiet_underflow

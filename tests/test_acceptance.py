@@ -184,12 +184,12 @@ def test_criterion_5_lsvrg_rate_bound():
     calls = []
     for seed in SEEDS:
         opt = LSVRG(oracle, np.zeros(20), **LSVRG.theory_params(oracle))
-        target = 1e-6 * compute_phi(opt, ref, oracle).phi
+        target = 1e-6 * compute_phi(opt, ref, oracle)["phi"]
         rng = SplitMix64(seed)
         reached = float("inf")
         while opt.oracle_calls <= budget:
             opt.step(rng)
-            if opt.k % 20 == 0 and compute_phi(opt, ref, oracle).phi <= target:
+            if opt.k % 20 == 0 and compute_phi(opt, ref, oracle)["phi"] <= target:
                 reached = opt.oracle_calls
                 break
         calls.append(reached)

@@ -175,6 +175,30 @@ def test_reference_failure_exit_code(tmp_path):
         "--ref-tolerance", "1e-14", "--out", str(tmp_path),
     )
     assert code == EXIT_REFERENCE
+    # a synthetic ridge instance's closed form is held to the tolerance too
+    code = run_cli(
+        "run", "--synthetic", "50,5,100", "--loss", "ridge", "--mu", "1",
+        "--alg", "l-svrg", "--epochs", "2", "--ref-max-epochs", "1",
+        "--ref-tolerance", "1e-30", "--out", str(tmp_path),
+    )
+    assert code == EXIT_REFERENCE
+
+
+@pytest.mark.parametrize("command", ["run", "solve-ref"])
+def test_a_closed_form_reference_records_the_tolerance_asked_for(tmp_path, command):
+    problem = ["--synthetic", "50,5,100", "--loss", "ridge", "--mu", "1"]
+    argv = [command, *problem, *(["--alg", "l-svrg"] if command == "run" else [])]
+    assert run_cli(*argv, "--out", str(tmp_path / "default")) == EXIT_OK
+    assert run_cli(*argv, "--ref-tolerance", "0.001",
+                   "--out", str(tmp_path / "loose")) == EXIT_OK
+    references = []
+    for out in ("default", "loose"):
+        sidecar = json.loads(next((tmp_path / out).glob("*.json")).read_text())
+        references.append(sidecar.get("reference", sidecar))
+    default, loose = references
+    assert default["tolerance"] < 1e-7 and default["grad_norm"] <= default["tolerance"]
+    assert loose["tolerance"] == 0.001
+    assert loose["grad_norm"] == default["grad_norm"]  # the closed form, as before
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -194,10 +218,27 @@ def test_config_file_with_flag_override(tmp_path):
     assert (tmp_path / "l-svrg_ridge_seed9.csv").exists()
 
 
-def test_invalid_config_file(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text("not json", encoding="utf-8")
-    assert run_cli("run", "--config", str(path), "--out", str(tmp_path)) == EXIT_CONFIG
+def test_invalid_config_file(tmp_path, capsys):
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    # the second file is UTF-16 with its byte-order mark, not UTF-8
+    for content, message in ((b"not json", "Expecting value"),
+                             (b"\xff\xfe" + '{"mu": 1.0}'.encode("utf-16-le"),
+                              "can't decode byte 0xff")):
+        path.write_bytes(content)
+        assert run_cli("run", "--config", str(path), "--out", str(out)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config {path} is not valid JSON: ")
+        assert message in err and "Traceback" not in err and not out.exists()
+
+
+def test_a_loop_length_past_int64_runs(tmp_path):
+    huge = str(10**20)
+    problem = ["--synthetic", "20,4,100", "--loss", "ridge", "--mu", "1", "--epochs", "2"]
+    assert run_cli("sweep-p", *problem, "--grid", f"5,{huge}",
+                   "--out", str(tmp_path / "sweep")) == EXIT_OK
+    assert (tmp_path / "sweep" / f"svrg_ridge_seed0_loop{huge}.csv").exists()
+    assert run_cli("run", *problem, "--alg", "svrg", "--preset", "theory", "--m", huge,
+                   "--out", str(tmp_path / "run")) == EXIT_OK
 
 
 def test_sweep_p_subcommand(tmp_path):
@@ -399,7 +440,8 @@ def test_plotdata_bad_input_exits_with_data_code(tmp_path, capsys, breaks, messa
      (("--ref-max-epochs", "-1"), "ref_max_epochs must be >= 0"),
      ({"x0": [0.0, float("nan"), 0.0, 0.0]}, "is not a list of finite numbers"),
      (("--checkpoint-every", "1e-17"), "gives more than 1e7 checkpoints in 5.0 epochs"),
-     (("--checkpoint-every", "1e-300"), "gives more than 1e7 checkpoints in 5.0 epochs")],
+     (("--checkpoint-every", "1e-300"), "gives more than 1e7 checkpoints in 5.0 epochs"),
+     (("--eta", "-1", "--p", "0.5"), "eta must be positive and finite, got -1.0")],
 )
 def test_bad_numbers_exit_with_config_code(tmp_path, capsys, flags, message):
     if isinstance(flags, dict):  # a field without a flag, from a config file
@@ -409,12 +451,12 @@ def test_bad_numbers_exit_with_config_code(tmp_path, capsys, flags, message):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = run_cli("run", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1",
-                       "--epochs", "5", *flags, "--out", str(tmp_path))
+                       "--epochs", "5", *flags, "--out", str(tmp_path / "out"))
     assert code == EXIT_CONFIG and not caught
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error: ") and message in err
     assert "\n" not in err and "Traceback" not in err
-    assert not list(tmp_path.glob("*.csv"))
+    assert not (tmp_path / "out").exists()  # the optimizers' own checks included
 
 
 @pytest.mark.parametrize("command", ["run", "sweep-p", "compare-all", "solve-ref", "plotdata"])

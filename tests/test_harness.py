@@ -339,6 +339,22 @@ def test_batch_is_deterministic_and_writes_run_experiment_outputs(tmp_path, batc
             assert a["f_gap"] == pytest.approx(b["f_gap"], rel=1e-12)
 
 
+def test_a_loop_length_past_int64_gives_the_traces_run_experiment_writes(tmp_path):
+    huge = 10**20  # a loop length numpy's int64 cannot hold
+    config = synthetic_config(epochs=3.0, checkpoint_every=0.5)
+    paths = sweep_p(config, tmp_path / "sweep", grid=[5, huge])  # four lanes
+    assert len(paths) == 4
+    for algorithm in ("l-svrg", "svrg"):
+        alone = run_experiment(
+            replace(config, algorithm=algorithm, tag=f"loop{huge}",
+                    params=ALGORITHMS[algorithm].loop_params(huge)), tmp_path / "alone")
+        batched = tmp_path / "sweep" / alone.name
+        assert batched in paths
+        assert strip_wall(read_csv_lines(batched)) == strip_wall(read_csv_lines(alone))
+        assert (batched.with_suffix(".json").read_bytes()
+                == alone.with_suffix(".json").read_bytes())
+
+
 def test_a_family_runs_as_lanes_from_three_runs(tmp_path, monkeypatch):
     reached = []  # the algorithms of each run_lanes batch
 

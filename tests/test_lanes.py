@@ -39,6 +39,8 @@ def ridge_oracle(n, d=3, kappa=20.0, seed=0):
         (LoopySVRG, 100, 10_000),  # a loop longer than the run
         (LoopySVRG, 1, 3),
         (LoopySVRG, 37, 7),
+        (LoopySVRG, 37, 600),  # one refresh, inside the last block
+        (LoopySVRG, 100, 10**20),  # a loop length past int64
     ],
 )
 def test_schedule_matches_serial_draws(cls, n, param):
