@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import math
 import numbers
@@ -309,13 +310,26 @@ def _fmt(value) -> str:
 @contextlib.contextmanager
 def _output_dir(path):
     """Make the output directory path and yield it as a Path, for a block
-    that makes outputs in it; an OSError becomes a DataError naming path."""
+    that makes outputs in it; an OSError becomes a DataError naming path.
+
+    The directory is made before the block's work, so an unwritable path
+    fails first; if the block raises, the directories made here are removed
+    again while empty, so a failed reference solve (exit 4) leaves none."""
     path = Path(path)
+    made = []
     try:
-        path.mkdir(parents=True, exist_ok=True)
-        yield path
-    except OSError as exc:
-        raise DataError(f"cannot write to {path}: {exc}") from None
+        try:
+            made = list(itertools.takewhile(lambda p: not p.exists(),
+                                            (path, *path.parents)))
+            path.mkdir(parents=True, exist_ok=True)
+            yield path
+        except OSError as exc:
+            raise DataError(f"cannot write to {path}: {exc}") from None
+    except BaseException:
+        for directory in made:  # deepest first; one that is not empty stays
+            with contextlib.suppress(OSError):
+                directory.rmdir()
+        raise
 
 
 def write_trace(records: list[dict], columns: list[str], path: Path):
@@ -428,6 +442,7 @@ def write_run(config: RunConfig, params: dict, optimizer, ref: ReferenceSolution
             "grad_norm": ref.grad_norm,
             "f_star": ref.f_star,
             "tolerance": ref.tolerance,
+            "epochs": ref.epochs,
         }
     sidecar["diverged_at_k"] = optimizer.diverged_at
     with open(out_dir / f"{config.run_id()}.json", "w", encoding="utf-8") as fh:
@@ -650,6 +665,7 @@ def solve_reference_cli(config: RunConfig, out_dir) -> Path:
                     "f_star": ref.f_star,
                     "grad_norm": ref.grad_norm,
                     "tolerance": ref.tolerance,
+                    "epochs": ref.epochs,
                     "n": oracle.n,
                     "d": oracle.d,
                     "L": oracle.L,

@@ -17,11 +17,14 @@ call cost, read the label and the CSR row bounds as Python scalars (.item),
 and gather a CSR row's entries of x with take.  Full-data calls
 (full_grad, full_loss, grad_table and their batched forms) run all rows at
 once with numpy: A @ x and r @ A on a dense copy, reduceat and add.at on
-the dataset's CSR arrays otherwise.  Their sums are ordered
-differently from a row-by-row loop, so they agree with it to rounding, not
-bitwise; only at n == 1 does full_grad take the scalar kernel, so that
-full_grad(x) equals grad_i(0, x) bitwise there (np.exp and math.exp can
-differ in the last bit).
+the dataset's CSR arrays otherwise.  Their logistic weight phi'(m) =
+-b / (1 + e^{b m}) takes one in-place exp per margin, with no branch on the
+margin's sign: where e^{b m} overflows to inf the weight is -0, its limit,
+and where the scalar kernel's e/(1 + e) is subnormal it may be 0 instead.
+Their sums are ordered differently from a row-by-row loop, so they agree
+with it to rounding, not bitwise; only at n == 1 does full_grad take the
+scalar kernel, so that full_grad(x) equals grad_i(0, x) bitwise there
+(np.exp and math.exp can differ in the last bit).
 """
 
 from __future__ import annotations
@@ -51,14 +54,15 @@ def _sigmoid(t: float) -> float:
 _MARGINS_PER_BLOCK = 1 << 14
 
 
-def _quiet_underflow(method):
-    """Run a full-data method with numpy underflow ignored: the scalar kernel's
-    math.exp and float arithmetic flush to 0 silently, and so must the same
-    sums over all rows, whatever np.errstate the caller has set."""
+def _quiet_range(method):
+    """Run a full-data method with numpy overflow and underflow ignored,
+    whatever np.errstate the caller has set: the scalar kernel's math.exp and
+    float arithmetic flush to 0 silently, and so must the same sums over all
+    rows; the logistic weight's e^{b m} overflows to inf by design."""
 
     @functools.wraps(method)
     def quiet(*args, **kwargs):
-        with np.errstate(under="ignore"):
+        with np.errstate(over="ignore", under="ignore"):
             return method(*args, **kwargs)
 
     return quiet
@@ -188,7 +192,7 @@ class Oracle:
     def full_loss(self, x: np.ndarray) -> float:
         return float(self.full_loss_many(x[np.newaxis])[0])
 
-    @_quiet_underflow
+    @_quiet_range
     def full_loss_many(self, Y: np.ndarray) -> np.ndarray:
         """f at every row of Y, (k, d) -> (k,).  Points go through the data a
         block at a time, so the (block, n) margin temporaries stay small."""
@@ -200,7 +204,7 @@ class Oracle:
             data[lo : lo + step] = self._phis(block, self.labels).sum(axis=1)
         return data / self.n + 0.5 * self.mu * np.einsum("ij,ij->i", Y, Y)
 
-    @_quiet_underflow
+    @_quiet_range
     def full_grad(self, x: np.ndarray) -> np.ndarray:
         """(1/n) sum_i grad_i(i, x); costs n gradient calls in the accounting."""
         if self.n == 1:
@@ -214,9 +218,11 @@ class Oracle:
             # unlike np.bincount, add.at does not copy the read-only indices
             data = np.zeros(self.d)
             np.add.at(data, self._indices, per_entry)
-        return data / self.n + self.mu * x
+        data /= self.n
+        data += self.mu * x
+        return data
 
-    @_quiet_underflow
+    @_quiet_range
     def grad_table(self, x: np.ndarray) -> np.ndarray:
         """All per-sample gradients as an (n, d) array (diagnostics helper)."""
         r = self._weights(x)
@@ -240,15 +246,19 @@ class LogisticOracle(Oracle):
         return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
     def _dphis(self, m, b):
-        t = -b * m
-        e = np.exp(-np.abs(t))
-        return -b * np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        # -b sigmoid(-b m) = -b / (1 + e^{b m}), in place
+        w = np.multiply(b, m)
+        np.exp(w, out=w)
+        w += 1.0
+        np.divide(b, w, out=w)
+        return np.negative(w, out=w)
 
     def _curvature_bound(self):
         return 0.25
 
-    # np.exp underflows where grad_i's math.exp flushes to 0 silently
-    grad_many = _quiet_underflow(Oracle.grad_many)
+    # np.exp overflows by design, and underflows where grad_i's math.exp
+    # flushes to 0 silently
+    grad_many = _quiet_range(Oracle.grad_many)
 
 
 class RidgeOracle(Oracle):

@@ -168,20 +168,24 @@ def test_a_theory_preset_that_underflows_names_the_instance(tmp_path, capsys, co
 
 
 def test_reference_failure_exit_code(tmp_path):
-    # logistic has no closed form; one epoch of GD cannot hit the tolerance
-    code = run_cli(
-        "run", "--synthetic", "10,4,25", "--loss", "logistic", "--mu", "0.1",
-        "--alg", "l-svrg", "--epochs", "2", "--ref-max-epochs", "1",
-        "--ref-tolerance", "1e-14", "--out", str(tmp_path),
-    )
-    assert code == EXIT_REFERENCE
-    # a synthetic ridge instance's closed form is held to the tolerance too
-    code = run_cli(
-        "run", "--synthetic", "50,5,100", "--loss", "ridge", "--mu", "1",
-        "--alg", "l-svrg", "--epochs", "2", "--ref-max-epochs", "1",
-        "--ref-tolerance", "1e-30", "--out", str(tmp_path),
-    )
-    assert code == EXIT_REFERENCE
+    for command in ("run", "solve-ref"):
+        run_args = ["--alg", "l-svrg", "--epochs", "2"] if command == "run" else []
+        # logistic has no closed form; one epoch of GD cannot hit the tolerance
+        code = run_cli(
+            command, "--synthetic", "10,4,25", "--loss", "logistic", "--mu", "0.1",
+            *run_args, "--ref-max-epochs", "1",
+            "--ref-tolerance", "1e-14", "--out", str(tmp_path / "logistic"),
+        )
+        assert code == EXIT_REFERENCE
+        # a synthetic ridge instance's closed form is held to the tolerance too
+        code = run_cli(
+            command, "--synthetic", "50,5,100", "--loss", "ridge", "--mu", "1",
+            *run_args, "--ref-max-epochs", "1",
+            "--ref-tolerance", "1e-30", "--out", str(tmp_path / "ridge" / "nested"),
+        )
+        assert code == EXIT_REFERENCE
+        # a failed solve leaves none of the output directories it made
+        assert list(tmp_path.iterdir()) == [], command
 
 
 @pytest.mark.parametrize("command", ["run", "solve-ref"])
@@ -199,6 +203,8 @@ def test_a_closed_form_reference_records_the_tolerance_asked_for(tmp_path, comma
     assert default["tolerance"] < 1e-7 and default["grad_norm"] <= default["tolerance"]
     assert loose["tolerance"] == 0.001
     assert loose["grad_norm"] == default["grad_norm"]  # the closed form, as before
+    # the closed form is certified by the solve's first full-gradient pass
+    assert default["epochs"] == loose["epochs"] == 1
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loopless.data import Dataset, SparseRow, parse_libsvm, synthesize_quadratic
+from loopless.data import Dataset, SparseRow, normalize_rows, parse_libsvm, synthesize_quadratic
 from loopless.diagnostics import (
     ReferenceSolution,
     ReferenceSolveError,
@@ -10,7 +10,7 @@ from loopless.diagnostics import (
     solve_reference,
     verify_lemma_bounds,
 )
-from loopless.oracle import make_oracle
+from loopless.oracle import Oracle, make_oracle
 from loopless.optimizers import (
     LKatyusha,
     LSVRG,
@@ -93,6 +93,40 @@ def test_solve_reference_logistic_binary_features():
     assert np.linalg.norm(oracle.full_grad(ref.x_star)) <= 1e-10
 
 
+def a9a_like_logistic(n, d, nnz, seed, mu):
+    """A logistic oracle on normalized a9a-shaped rows: nnz distinct binary
+    features per row, low columns favoured (uniform draw / (j + 1)), labels
+    from a planted model; built from uniform draws and basic float arithmetic."""
+    rng = np.random.default_rng(seed)
+    scores = rng.random((n, d)) / np.arange(1.0, d + 1.0)
+    idx = np.sort(np.argsort(-scores, axis=1, kind="stable")[:, :nnz], axis=1)
+    theta = rng.random(d) - 0.5
+    margins = theta[idx].sum(axis=1) + (rng.random(n) - 0.5)
+    labels = np.where(margins > np.median(margins), 1.0, -1.0)
+    indptr = np.arange(0, n * nnz + 1, nnz)
+    ones = np.ones(n * nnz)
+    return make_oracle(normalize_rows(Dataset.from_csr(indptr, idx.ravel(), ones, labels, d)),
+                       "logistic", mu)
+
+
+def test_a_reference_records_its_full_gradient_passes(monkeypatch):
+    oracle = a9a_like_logistic(800, 123, 14, seed=1, mu=1e-2)
+    assert oracle._dense is None
+    calls = []
+    full_grad = Oracle.full_grad
+
+    def counted(self, x):
+        calls.append(1)
+        return full_grad(self, x)
+
+    monkeypatch.setattr(Oracle, "full_grad", counted)
+    ref = solve_reference(oracle)
+    # gradient descent's pass count on this instance, pinned: a full-data
+    # kernel whose rounding changes how long the solve takes fails here
+    assert ref.epochs == len(calls) == 426
+    assert ref.grad_norm <= ref.tolerance
+
+
 def test_reference_from_point_rejects_non_minimizer():
     oracle, ref = ridge_instance(10, 4, 25.0, seed=2)
     with pytest.raises(ValueError, match="not a minimizer"):
@@ -117,6 +151,7 @@ def test_from_point_is_a_solve_of_no_epochs_from_the_point(loss, density):
             getattr(want, name)).tobytes(), name
     # the values a point's reference has always held
     assert got.x_star is x
+    assert got.epochs == 1
     assert got.f_star == oracle.full_loss(x)
     assert got.grad_i_star.tobytes() == oracle.grad_table(x).tobytes()
     assert got.grad_norm == float(np.linalg.norm(oracle.full_grad(x)))

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loopless.data import Dataset, SparseRow, parse_libsvm, synthesize_quadratic
+from loopless.data import Dataset, SparseRow, _dense_to_csr, parse_libsvm, synthesize_quadratic
 from loopless.oracle import LogisticOracle, RidgeOracle, make_oracle
 
 from conftest import random_dataset
@@ -212,6 +212,55 @@ def test_grad_many_matches_grad_i(loss, density, margin):
     assert_close(got, want)
     if loss == "ridge" and oracle._dense is not None:
         assert got.tobytes() == want.tobytes()
+
+
+def assert_within_ulps(got, want, ulps=4):
+    """Elementwise: a few ulp relative where want is a normal double, at most
+    the smallest normal double (about 2.2e-308) absolute where it is
+    subnormal or zero."""
+    tiny = np.finfo(np.float64).tiny
+    err = np.abs(got - want)
+    normal = np.abs(want) >= tiny
+    assert (err[normal] <= ulps * np.finfo(np.float64).eps * np.abs(want[normal])).all()
+    assert (err[~normal] <= 2.3e-308).all()
+
+
+@pytest.mark.parametrize("filler", [0, 20], ids=["csr", "dense"])
+def test_logistic_weights_match_the_scalar_kernel_at_extreme_margins(filler):
+    """full_grad, grad_table and grad_many take the one-exp weight; each row
+    reads its weight out in a column of its own, where x is 0, so the
+    gradient entry there is phi'(m_i) itself (full_grad: phi'(m_i) / n)."""
+    rng = np.random.default_rng(filler)
+    special = np.array([0.0, 30.0, 700.0, 709.8, 745.0, 800.0])
+    bm = np.concatenate([special, -special[1:], rng.normal(scale=50.0, size=20),
+                         rng.uniform(-800.0, 800.0, size=20)])
+    n = bm.size
+    b = rng.choice([-1.0, 1.0], size=n)
+    # row i: the margin b_i bm_i in column 0 (x_0 = 1), a 1 in its readout
+    # column 1 + i, and `filler` ones in shared columns past those (x = 0)
+    A = np.zeros((n, 1 + n + filler))
+    A[:, 0] = b * bm
+    A[np.arange(n), 1 + np.arange(n)] = 1.0
+    A[:, 1 + n:] = 1.0
+    oracle = make_oracle(Dataset.from_csr(*_dense_to_csr(A), b, A.shape[1]), "logistic", 0.3)
+    assert (oracle._dense is not None) == (filler > 0)
+    x = np.zeros(oracle.d)
+    x[0] = 1.0
+    idx = np.concatenate([np.arange(n), rng.integers(n, size=10)])
+    with np.errstate(all="raise"):
+        full_grad = oracle.full_grad(x)
+        grad_table = oracle.grad_table(x)
+        grad_many = oracle.grad_many(idx, np.tile(x, (idx.size, 1)))
+    table = np.stack([oracle.grad_i(i, x) for i in range(n)])
+    readout = 1 + np.arange(n)
+    weights = table[np.arange(n), readout]
+    assert np.array_equal(weights, [oracle._dphi(b_i * m, b_i) for b_i, m in zip(b, bm)])
+    assert_within_ulps(grad_table[np.arange(n), readout], weights)
+    assert_within_ulps(grad_many[np.arange(idx.size), readout[idx]], weights[idx])
+    assert_within_ulps(full_grad[readout], table.mean(axis=0)[readout])
+    assert_close(grad_table, table)
+    assert_close(grad_many, table[idx])
+    assert_close(full_grad, table.mean(axis=0))
 
 
 def test_dense_ridge_grad_many_is_grad_i_bitwise():
