@@ -1,0 +1,205 @@
+"""Golden CLI artifacts: each case runs one `loopless` command in a fresh
+directory and compares what it returns, prints and leaves behind with the
+copy checked in under tests/golden/<case>/.
+
+expected.json holds the command, its exit code, its stdout and stderr lines
+and the tree of paths it left (the inputs copied to in/ aside); out/ holds
+those files.  Keys, integers and strings compare exactly, floats to 1e-12
+relative (or 1e-15 absolute, for a cell that is rounding noise, such as an
+equality slack); the wall_ns column is not compared.  The temporary
+directory's path is written as {tmp}.
+
+After an intended change of output, regenerate the cases it changes with
+
+    PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
+
+(no case name: every case and the inputs) and name the files that changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import math
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from loopless.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+_RIDGE = ["--synthetic", "12,4,25", "--loss", "ridge", "--mu", "1"]
+_CSR = ["--data", "{tmp}/in/csr_logistic.svm", "--loss", "logistic", "--mu", "0.1"]
+_OUT = ["--out", "{tmp}/out"]
+
+CASES = {
+    "run_gd_distance": ["run", *_RIDGE, "--alg", "gd", "--epochs", "3", *_OUT],
+    "run_svrg_distance": ["run", *_RIDGE, "--alg", "svrg", "--epochs", "3",
+                          "--checkpoint-every", "0.5", "--seed", "4", *_OUT],
+    "run_katyusha_distance": ["run", *_CSR, "--alg", "katyusha", "--epochs", "3",
+                              "--seed", "2", *_OUT],
+    "run_l-svrg_lyapunov": ["run", *_RIDGE, "--alg", "l-svrg", "--epochs", "3",
+                            "--diagnostics", "lyapunov", "--seed", "1", *_OUT],
+    "run_l-svrg_lemmas_csr": ["run", *_CSR, "--alg", "l-svrg", "--epochs", "2",
+                              "--diagnostics", "lemmas", "--seed", "3", *_OUT],
+    "run_l-katyusha_lyapunov": ["run", *_CSR, "--alg", "l-katyusha", "--epochs", "3",
+                                "--diagnostics", "lyapunov", "--seed", "5", *_OUT],
+    "run_l-katyusha_lemmas": ["run", *_RIDGE, "--alg", "l-katyusha", "--epochs", "2",
+                              "--diagnostics", "lemmas", "--seed", "6", *_OUT],
+    "sweep-p": ["sweep-p", *_RIDGE, "--epochs", "3", "--grid", "2,5", *_OUT],
+    "compare-all_ridge": ["compare-all", *_RIDGE, "--epochs", "4", "--seeds", "0,1,2",
+                          "--thresholds", "1e-2,1e-4", *_OUT],
+    "compare-all_csr_logistic": ["compare-all", *_CSR, "--epochs", "3",
+                                 "--seeds", "0,1,2", "--thresholds", "1e-2,1e-4", *_OUT],
+    "solve-ref": ["solve-ref", *_CSR, "--normalize", *_OUT],
+    "exit2_config": ["run", *_RIDGE, "--alg", "l-svrg", "--epochs", "nan", *_OUT],
+    "exit3_data": ["run", "--data", "{tmp}/in/unsorted.svm", "--alg", "gd", *_OUT],
+    "exit4_run": ["run", "--synthetic", "10,4,25", "--loss", "logistic", "--mu", "0.1",
+                  "--alg", "l-svrg", "--epochs", "2", "--ref-max-epochs", "1",
+                  "--ref-tolerance", "1e-14", *_OUT],
+    "exit4_solve-ref": ["solve-ref", *_CSR, "--ref-max-epochs", "1",
+                        "--ref-tolerance", "1e-14", *_OUT],
+    "exit5_divergence": ["run", "--config", "{tmp}/in/huge_x0.json", "--alg", "l-svrg",
+                         *_OUT],
+}
+
+
+def write_inputs(directory: Path):
+    """The input files the cases read: a LIBSVM file stored as CSR (3 of 20
+    features per row), one with unsorted indices, and a config whose x0
+    overflows."""
+    directory.mkdir(parents=True)
+    rng = np.random.default_rng(16)
+    lines = []
+    for i in range(30):
+        columns = np.sort(rng.choice(20, size=3, replace=False)) + 1
+        values = np.round(rng.normal(size=3), 3)
+        label = "+1" if i % 3 else "-1"
+        lines.append(label + "".join(f" {j}:{v!r}"
+                                     for j, v in zip(columns.tolist(), values.tolist())))
+    (directory / "csr_logistic.svm").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (directory / "unsorted.svm").write_text("+1 2:1 1:3\n", encoding="utf-8")
+    config = {"synthetic": [10, 4, 25.0], "loss": "ridge", "mu": 1.0, "epochs": 2.0,
+              "x0": [1e308] * 4}
+    (directory / "huge_x0.json").write_text(json.dumps(config) + "\n", encoding="utf-8")
+
+
+def run_case(name: str, tmp: Path) -> dict:
+    """Run a case in tmp (inputs copied to tmp/in) and return its expected.json
+    record; its outputs are left in tmp."""
+    shutil.copytree(INPUTS, tmp / "in")
+    argv = [arg.replace("{tmp}", str(tmp)) for arg in CASES[name]]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    tree = sorted(str(p.relative_to(tmp)) + ("/" if p.is_dir() else "")
+                  for p in tmp.rglob("*") if p.relative_to(tmp).parts[0] != "in")
+    return {"argv": CASES[name], "exit": code,
+            "stdout": _untmp(stdout.getvalue(), tmp).splitlines(),
+            "stderr": _untmp(stderr.getvalue(), tmp).splitlines(), "tree": tree}
+
+
+def _untmp(text: str, tmp: Path) -> str:
+    return text.replace(str(tmp), "{tmp}")
+
+
+def _same_float(a: float, b: float) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=1e-12,
+                                                              abs_tol=1e-15)
+
+
+def _same_cell(got: str, want: str) -> bool:
+    try:
+        return int(got) == int(want)
+    except ValueError:
+        pass
+    try:
+        return _same_float(float(got), float(want))
+    except ValueError:
+        return got == want
+
+
+def _same_json(got, want) -> bool:
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(key == "wall_ns" or _same_json(got[key], want[key]) for key in want))
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(map(_same_json, got, want)))
+    if type(got) is not type(want):  # 1 and 1.0 differ
+        return False
+    return _same_float(got, want) if isinstance(want, float) else got == want
+
+
+def _compare_file(got: Path, want: Path, tmp: Path):
+    if want.suffix == ".npz":
+        with np.load(got) as a, np.load(want) as b:
+            assert sorted(a.files) == sorted(b.files)
+            for key in b.files:
+                assert a[key].dtype == b[key].dtype and a[key].shape == b[key].shape, key
+                assert all(map(_same_float, a[key].ravel().tolist(),
+                               b[key].ravel().tolist())), key
+        return
+    text = _untmp(got.read_text(encoding="utf-8"), tmp)
+    expected = want.read_text(encoding="utf-8")
+    if want.suffix == ".json":
+        assert _same_json(json.loads(text), json.loads(expected))
+    elif want.suffix == ".csv":
+        rows, expected_rows = list(csv.reader(io.StringIO(text))), list(
+            csv.reader(io.StringIO(expected)))
+        assert len(rows) == len(expected_rows) and rows[0] == expected_rows[0]
+        header = expected_rows[0]
+        for line, (row, expected_row) in enumerate(zip(rows, expected_rows), start=1):
+            assert len(row) == len(expected_row), line
+            for column, a, b in zip(header, row, expected_row):
+                assert column == "wall_ns" or _same_cell(a, b), (line, column, a, b)
+    else:
+        assert text == expected
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_its_golden_copy(tmp_path, name):
+    expected = json.loads((GOLDEN / name / "expected.json").read_text(encoding="utf-8"))
+    got = run_case(name, tmp_path)
+    assert got == expected
+    for path in expected["tree"]:
+        if not path.endswith("/"):
+            _compare_file(tmp_path / path, GOLDEN / name / path, tmp_path)
+
+
+def regenerate(names: list[str]):
+    """Rewrite the named cases, or every case and the inputs when none is named."""
+    if not names:
+        shutil.rmtree(GOLDEN, ignore_errors=True)
+        write_inputs(INPUTS)
+    for name in names or CASES:
+        shutil.rmtree(GOLDEN / name, ignore_errors=True)
+        with tempfile.TemporaryDirectory() as scratch:
+            tmp = Path(scratch)
+            record = run_case(name, tmp)
+            case = GOLDEN / name
+            case.mkdir()
+            for path in record["tree"]:
+                target = case / path
+                if path.endswith("/"):
+                    target.mkdir(parents=True, exist_ok=True)
+                elif target.suffix == ".npz":
+                    shutil.copyfile(tmp / path, target)
+                else:
+                    target.write_text(_untmp((tmp / path).read_text(encoding="utf-8"), tmp),
+                                      encoding="utf-8")
+            (case / "expected.json").write_text(json.dumps(record, indent=2) + "\n",
+                                                encoding="utf-8")
+        print(f"{name}: exit {record['exit']}, {len(record['tree'])} paths")
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate(sys.argv[1:]))
