@@ -21,6 +21,13 @@ of the state's family as a BoundSlack (lhs, rhs, slack).  The contraction
 itself is its phi_contraction or psi_contraction entry: lhs is E[phi] or
 E[psi] at the next step, rhs the bound.  Diagnostics cost oracle calls but
 are never charged to the optimizer's accounting.
+
+The reference x* is the point of one gradient-descent solve certified by
+its gradient norm (solve_reference), and a ReferenceSolution is that
+solve's record; a failed solve raises ReferenceSolveError with the same
+record for its best point.  The record holds nothing per sample: dk reads
+grad_i(x*) from oracle.grad_table(x*) where it is computed, so a reference
+costs O(d) memory at any n.
 """
 
 from __future__ import annotations
@@ -37,26 +44,25 @@ ENUMERATION_GUARD = 1000
 
 
 class ReferenceSolveError(RuntimeError):
-    """Reference solve ran out of budget; carries the best point reached."""
+    """Reference solve ran out of budget; best is the record of the point
+    with the least gradient norm it reached."""
 
-    def __init__(self, grad_norm: float, x, epochs_used: int):
-        self.grad_norm = grad_norm
-        self.x = x
-        self.epochs_used = epochs_used
+    def __init__(self, best: ReferenceSolution):
+        self.best = best
         super().__init__(
-            f"reference solve exhausted {epochs_used} epochs with "
-            f"||grad|| = {grad_norm:.3e} still above tolerance"
+            f"reference solve made {best.epochs} full-gradient passes with "
+            f"||grad|| = {best.grad_norm:.3e} still above tolerance"
         )
 
 
 @dataclass
 class ReferenceSolution:
-    """Frozen minimizer data: x*, f(x*), all grad_i(x*), ||grad f(x*)||, and
-    the number of full-gradient passes the solve made."""
+    """The record of one reference solve: its point x*, f(x*), ||grad f(x*)||,
+    the tolerance it was held to and the full-gradient passes it made.  It
+    holds nothing per sample: dk takes grad_i(x*) from oracle.grad_table."""
 
     x_star: np.ndarray
     f_star: float
-    grad_i_star: np.ndarray  # (n, d)
     grad_norm: float
     tolerance: float
     epochs: int
@@ -70,7 +76,7 @@ class ReferenceSolution:
             return solve_reference(oracle, max_epochs=0, x0=x)
         except ReferenceSolveError as exc:
             raise ValueError(f"point is not a minimizer: ||grad|| = "
-                             f"{exc.grad_norm:.3e} above tolerance") from None
+                             f"{exc.best.grad_norm:.3e} above tolerance") from None
 
 
 def solve_reference(
@@ -82,47 +88,39 @@ def solve_reference(
     """Gradient descent from x0 (default 0) with step 1/L to ||grad f(x)|| <= tolerance.
 
     tolerance=None uses 1e-10 * L * (1 + ||x||), evaluated at the current
-    iterate; a tolerance that is not finite certifies nothing.  Raises
-    ReferenceSolveError carrying the best achieved gradient norm if the
-    epoch budget runs out first.
+    iterate; a tolerance that is not finite certifies nothing.  Makes at most
+    max_epochs + 1 full-gradient passes, then raises ReferenceSolveError
+    carrying the record of the best point reached.
     """
     x = np.zeros(oracle.d) if x0 is None else np.asarray(x0, dtype=np.float64)
     step = 1.0 / oracle.L
-    best_norm = np.inf
-    best_x = x
-    for epoch in range(max_epochs + 1):
+    best = None
+    for passes in range(1, max_epochs + 2):
         g = oracle.full_grad(x)
         # bit for bit np.linalg.norm of a real vector, at less call cost
         gn = math.sqrt(g.dot(g))
-        if gn < best_norm or epoch == 0:  # a NaN start is reported as NaN
-            best_norm, best_x = gn, x
         target = (1e-10 * oracle.L * (1.0 + math.sqrt(x.dot(x)))
                   if tolerance is None else tolerance)
+        if best is None or gn < best[1]:  # a NaN start is reported as NaN
+            best = (x, gn, target)
         if gn <= target < math.inf:
-            return ReferenceSolution(
-                x_star=x,
-                f_star=oracle.full_loss(x),
-                grad_i_star=oracle.grad_table(x),
-                grad_norm=gn,
-                tolerance=target,
-                epochs=epoch + 1,
-            )
+            return ReferenceSolution(x, oracle.full_loss(x), gn, target, passes)
         x = x - step * g
-    raise ReferenceSolveError(best_norm, best_x, max_epochs)
+    x, gn, target = best
+    raise ReferenceSolveError(
+        ReferenceSolution(x, oracle.full_loss(x), gn, target, max_epochs + 1))
 
 
-def _check_dims(state, ref: ReferenceSolution, oracle: Oracle):
+def _check_dims(ref: ReferenceSolution, oracle: Oracle):
     if ref.x_star.shape != (oracle.d,):
         raise ValueError(
             f"reference dimension {ref.x_star.shape} does not match oracle d={oracle.d}"
         )
-    if ref.grad_i_star.shape != (oracle.n, oracle.d):
-        raise ValueError("reference per-sample gradient table does not match oracle")
 
 
-def _dk(table: np.ndarray, state, ref: ReferenceSolution, oracle: Oracle) -> float:
-    """dk with the per-sample gradients at the reference point given as a table."""
-    diff = table - ref.grad_i_star
+def _dk(table: np.ndarray, table_star: np.ndarray, state, oracle: Oracle) -> float:
+    """dk from the per-sample gradient tables at w and at x*."""
+    diff = table - table_star
     coef = 4.0 * state.eta**2 / (state.p * oracle.n)
     return coef * float(np.einsum("ij,ij->", diff, diff))
 
@@ -134,8 +132,8 @@ def _dist_sq(a: np.ndarray, b: np.ndarray) -> float:
 
 def compute_phi(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
     """The SVRG-family potential columns (phi, dk) at the state."""
-    _check_dims(state, ref, oracle)
-    dk = _dk(oracle.grad_table(state.w), state, ref, oracle)
+    _check_dims(ref, oracle)
+    dk = _dk(oracle.grad_table(state.w), oracle.grad_table(ref.x_star), state, oracle)
     return {"phi": _dist_sq(state.x, ref.x_star) + dk, "dk": dk}
 
 
@@ -157,7 +155,7 @@ def _psi_report(state, ref: ReferenceSolution, oracle: Oracle, f_y: float,
 
 def compute_psi(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
     """The Katyusha-family potential columns (psi, zk, yk, wk) at the state."""
-    _check_dims(state, ref, oracle)
+    _check_dims(ref, oracle)
     return _psi_report(
         state, ref, oracle, oracle.full_loss(state.y), oracle.full_loss(state.w)
     )
@@ -202,7 +200,7 @@ def verify_lemma_bounds(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
     algorithm family.  All slacks are nonnegative up to floating-point noise
     when the state is consistent (grad_w == full_grad(w))."""
     _guard(oracle)
-    _check_dims(state, ref, oracle)
+    _check_dims(ref, oracle)
     verify = {"phi": _verify_svrg_bounds, "psi": _verify_katyusha_bounds}
     return verify[state.potential[0]](state, ref, oracle)
 
@@ -213,9 +211,10 @@ def _verify_svrg_bounds(state, ref, oracle) -> dict:
     gap = oracle.full_loss(state.x) - ref.f_star
     table_x = oracle.grad_table(state.x)
     table_w = oracle.grad_table(state.w)
+    table_star = oracle.grad_table(ref.x_star)
     dist_sq = _dist_sq(state.x, ref.x_star)
-    dk = _dk(table_w, state, ref, oracle)
-    dk_heads = _dk(table_x, state, ref, oracle)  # dk after a refresh, w <- x
+    dk = _dk(table_w, table_star, state, oracle)
+    dk_heads = _dk(table_x, table_star, state, oracle)  # dk after a refresh, w <- x
     # the estimator for every sample draw, from the two tables dk needs anyway
     g = table_x - (table_w - state.grad_w)
     diff = state.x - eta * g - ref.x_star

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import itertools
 import json
 import math
 import numbers
@@ -238,18 +237,38 @@ def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
     return resolved
 
 
-def build_reference(config: RunConfig, oracle: Oracle, minimizer) -> ReferenceSolution | None:
+def build_reference(config: RunConfig, oracle: Oracle, minimizer,
+                    out_dir: Path) -> ReferenceSolution | None:
     if config.diagnostics == "none":
         return None
-    return _reference(config, oracle, minimizer)
+    return _reference(config, oracle, minimizer, out_dir)
 
 
-def _reference(config: RunConfig, oracle: Oracle, minimizer) -> ReferenceSolution:
-    """A certified solve, from the closed-form minimizer when there is one."""
-    return diagnostics.solve_reference(
-        oracle, tolerance=config.ref_tolerance, max_epochs=config.ref_max_epochs,
-        x0=minimizer,
-    )
+def _reference(config: RunConfig, oracle: Oracle, minimizer, out_dir: Path) -> ReferenceSolution:
+    """A certified solve, from the closed-form minimizer when there is one.
+    A failed solve leaves the record of its best point in out_dir."""
+    try:
+        return diagnostics.solve_reference(
+            oracle, tolerance=config.ref_tolerance, max_epochs=config.ref_max_epochs,
+            x0=minimizer,
+        )
+    except diagnostics.ReferenceSolveError as exc:
+        _write_reference(exc.best, config, oracle, out_dir)
+        raise
+
+
+def _reference_record(ref: ReferenceSolution) -> dict:
+    """The record of a reference solve, certified or failed."""
+    return {"grad_norm": ref.grad_norm, "f_star": ref.f_star,
+            "tolerance": ref.tolerance, "epochs": ref.epochs}
+
+
+def _write_reference(ref: ReferenceSolution, config: RunConfig, oracle: Oracle, out_dir):
+    """Write the record, with the n, d, L and mu of the problem, as <stem>.json."""
+    with open(out_dir / f"{_reference_stem(config)}.json", "w", encoding="utf-8") as fh:
+        json.dump({**_reference_record(ref), "n": oracle.n, "d": oracle.d, "L": oracle.L,
+                   "mu": oracle.mu}, fh, indent=2)
+        fh.write("\n")
 
 
 def make_optimizer(config: RunConfig, oracle: Oracle, params: dict):
@@ -311,25 +330,14 @@ def _fmt(value) -> str:
 def _output_dir(path):
     """Make the output directory path and yield it as a Path, for a block
     that makes outputs in it; an OSError becomes a DataError naming path.
-
     The directory is made before the block's work, so an unwritable path
-    fails first; if the block raises, the directories made here are removed
-    again while empty, so a failed reference solve (exit 4) leaves none."""
+    fails first."""
     path = Path(path)
-    made = []
     try:
-        try:
-            made = list(itertools.takewhile(lambda p: not p.exists(),
-                                            (path, *path.parents)))
-            path.mkdir(parents=True, exist_ok=True)
-            yield path
-        except OSError as exc:
-            raise DataError(f"cannot write to {path}: {exc}") from None
-    except BaseException:
-        for directory in made:  # deepest first; one that is not empty stays
-            with contextlib.suppress(OSError):
-                directory.rmdir()
-        raise
+        path.mkdir(parents=True, exist_ok=True)
+        yield path
+    except OSError as exc:
+        raise DataError(f"cannot write to {path}: {exc}") from None
 
 
 def write_trace(records: list[dict], columns: list[str], path: Path):
@@ -379,7 +387,7 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
     with np.errstate(over="ignore", invalid="ignore"):
         optimizers = [make_optimizer(c, oracle, p) for c, p in zip(configs, resolved)]
     with _output_dir(out_dir) as out_dir:
-        ref = build_reference(configs[0], oracle, minimizer)
+        ref = build_reference(configs[0], oracle, minimizer, out_dir)
         metrics = [build_metrics(config, oracle, ref) for config in configs]
         epochs, every = configs[0].epochs, configs[0].checkpoint_every
         families: dict = {}  # a family's move -> its runs
@@ -438,12 +446,7 @@ def write_run(config: RunConfig, params: dict, optimizer, ref: ReferenceSolution
     }
     sidecar.update(optimizer.theory_facts())
     if ref is not None:
-        sidecar["reference"] = {
-            "grad_norm": ref.grad_norm,
-            "f_star": ref.f_star,
-            "tolerance": ref.tolerance,
-            "epochs": ref.epochs,
-        }
+        sidecar["reference"] = _reference_record(ref)
     sidecar["diverged_at_k"] = optimizer.diverged_at
     with open(out_dir / f"{config.run_id()}.json", "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
@@ -638,41 +641,28 @@ def emit_plotdata(trace_paths, out_path, metrics: list[str] | None = None) -> Pa
     return out_path
 
 
-def _reference_source(config: RunConfig) -> str:
-    """Names the data a reference solves: the file's stem, or the synthetic
-    shape and data seed (the optimizer seed does not change the problem)."""
+def _reference_stem(config: RunConfig) -> str:
+    """<source>_<loss>_mu<mu>_ref, where the source names the data a
+    reference solves: the file's stem, or the synthetic shape and data seed
+    (the optimizer seed does not change the problem)."""
     if config.synthetic is not None:
         n, d, kappa = config.synthetic
         source = f"synthetic{n}x{d}k{kappa:g}_data{config.data_seed}"
     else:
         source = Path(config.dataset_path).stem
-    return source + ("_normalized" if config.normalize else "")
+    if config.normalize:
+        source += "_normalized"
+    return f"{source}_{config.loss}_mu{config.mu}_ref"
 
 
 def solve_reference_cli(config: RunConfig, out_dir) -> Path:
-    """Standalone reference solve; writes
-    <source>_<loss>_mu<mu>_ref.npz and a JSON summary beside it."""
+    """Standalone reference solve; writes <stem>.npz (see _reference_stem)
+    and its record as <stem>.json beside it (only the record if it fails)."""
     config.validate()
     oracle, minimizer = build_problem(config)
     with _output_dir(out_dir) as out_dir:
-        ref = _reference(config, oracle, minimizer)
-        stem = f"{_reference_source(config)}_{config.loss}_mu{config.mu}_ref"
-        npz_path = out_dir / f"{stem}.npz"
+        ref = _reference(config, oracle, minimizer, out_dir)
+        npz_path = out_dir / f"{_reference_stem(config)}.npz"
         np.savez(npz_path, x_star=ref.x_star, f_star=ref.f_star, grad_norm=ref.grad_norm)
-        with open(out_dir / f"{stem}.json", "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "f_star": ref.f_star,
-                    "grad_norm": ref.grad_norm,
-                    "tolerance": ref.tolerance,
-                    "epochs": ref.epochs,
-                    "n": oracle.n,
-                    "d": oracle.d,
-                    "L": oracle.L,
-                    "mu": oracle.mu,
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        _write_reference(ref, config, oracle, out_dir)
     return npz_path

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from loopless import harness
+from loopless import diagnostics, harness
 from loopless.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -23,6 +23,7 @@ from loopless.harness import (
     trace_columns,
 )
 from loopless.optimizers import ALGORITHMS, LSVRG
+from loopless.oracle import Oracle
 
 
 def run_cli(*argv):
@@ -167,25 +168,70 @@ def test_a_theory_preset_that_underflows_names_the_instance(tmp_path, capsys, co
     assert not (tmp_path / "out").exists()
 
 
-def test_reference_failure_exit_code(tmp_path):
+def test_reference_failure_exit_code(tmp_path, capsys):
     for command in ("run", "solve-ref"):
         run_args = ["--alg", "l-svrg", "--epochs", "2"] if command == "run" else []
+        out = tmp_path / command
         # logistic has no closed form; one epoch of GD cannot hit the tolerance
         code = run_cli(
             command, "--synthetic", "10,4,25", "--loss", "logistic", "--mu", "0.1",
             *run_args, "--ref-max-epochs", "1",
-            "--ref-tolerance", "1e-14", "--out", str(tmp_path / "logistic"),
+            "--ref-tolerance", "1e-14", "--out", str(out / "logistic"),
         )
         assert code == EXIT_REFERENCE
         # a synthetic ridge instance's closed form is held to the tolerance too
         code = run_cli(
             command, "--synthetic", "50,5,100", "--loss", "ridge", "--mu", "1",
             *run_args, "--ref-max-epochs", "1",
-            "--ref-tolerance", "1e-30", "--out", str(tmp_path / "ridge" / "nested"),
+            "--ref-tolerance", "1e-30", "--out", str(out / "ridge" / "nested"),
         )
         assert code == EXIT_REFERENCE
-        # a failed solve leaves none of the output directories it made
-        assert list(tmp_path.iterdir()) == [], command
+        # a failed solve leaves its record, in the output directory it made
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == [
+            "logistic/synthetic10x4k25_data0_logistic_mu0.1_ref.json",
+            "ridge/nested/synthetic50x5k100_data0_ridge_mu1.0_ref.json",
+        ], command
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("reference solve failed: reference "
+                                                     "solve made 2 full-gradient passes")
+                                     for line in err)
+
+
+@pytest.mark.parametrize("command", ["run", "solve-ref"])
+def test_a_failed_reference_leaves_its_record(tmp_path, capsys, monkeypatch, command):
+    data = tmp_path / "small.svm"
+    data.write_text("+1 1:0.5 3:-1.25\n-1 2:2 4:0.75\n+1 1:-1 4:1.5\n-1 3:0.25\n",
+                    encoding="utf-8")
+    full_grads = []
+    full_grad = Oracle.full_grad
+    monkeypatch.setattr(Oracle, "full_grad",
+                        lambda self, x: full_grads.append(1) or full_grad(self, x))
+    solve = diagnostics.solve_reference
+    passes = []
+
+    def counted(*args, **kwargs):
+        before = len(full_grads)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            passes.append(len(full_grads) - before)
+
+    monkeypatch.setattr(diagnostics, "solve_reference", counted)
+    out = tmp_path / "out"
+    code = run_cli(command, "--data", str(data), "--loss", "logistic", "--mu", "0.1",
+                   *(["--alg", "l-svrg"] if command == "run" else []),
+                   "--ref-max-epochs", "1", "--ref-tolerance", "1e-14", "--out", str(out))
+    assert code == EXIT_REFERENCE
+    err = capsys.readouterr().err
+    assert err.startswith("reference solve failed: ") and err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == ["small_logistic_mu0.1_ref.json"]
+    record = json.loads((out / "small_logistic_mu0.1_ref.json").read_text())
+    oracle, _ = build_problem(RunConfig("gd", dataset_path=str(data), mu=0.1))
+    assert record.keys() == {"grad_norm", "f_star", "tolerance", "epochs", "n", "d", "L", "mu"}
+    assert record["grad_norm"] > record["tolerance"] == 1e-14
+    assert record["epochs"] == passes[0] == 2
+    assert (record["n"], record["d"], record["L"], record["mu"]) == (
+        oracle.n, oracle.d, oracle.L, oracle.mu)
 
 
 @pytest.mark.parametrize("command", ["run", "solve-ref"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,7 +63,7 @@ def test_solve_reference_matches_closed_form_ridge():
     ref = solve_reference(oracle, tolerance=1e-12, max_epochs=100_000)
     assert np.linalg.norm(ref.x_star - x_star) < 1e-8
     assert ref.grad_norm <= 1e-12
-    assert ref.grad_i_star.shape == (20, 5)
+    assert ref.x_star.shape == (5,)
 
 
 def test_solve_reference_returns_immediately_for_loose_tolerance():
@@ -74,8 +76,11 @@ def test_solve_reference_budget_exhaustion():
     oracle, _ = ridge_instance(10, 4, 25.0, seed=2)
     with pytest.raises(ReferenceSolveError) as err:
         solve_reference(oracle, tolerance=1e-18, max_epochs=5)
-    assert np.isfinite(err.value.grad_norm)
-    assert err.value.epochs_used == 5
+    best = err.value.best
+    assert np.isfinite(best.grad_norm) and best.grad_norm > best.tolerance == 1e-18
+    # the passes made: the start's and one after each of the 5 steps
+    assert best.epochs == 6
+    assert "made 6 full-gradient passes" in str(err.value)
 
 
 def test_solve_reference_logistic_binary_features():
@@ -127,6 +132,44 @@ def test_a_reference_records_its_full_gradient_passes(monkeypatch):
     assert ref.grad_norm <= ref.tolerance
 
 
+def test_a_reference_holds_nothing_n_by_d():
+    # CSR ridge data whose (n, d) table of per-sample gradients would take
+    # 40 MB against 0.36 MB of data
+    n, d = 5000, 1000
+    rng = np.random.default_rng(5)
+    columns = np.sort((rng.integers(0, d, size=(n, 1)) + [0, 333, 666]) % d, axis=1)
+    dataset = Dataset.from_csr(np.arange(0, 3 * n + 1, 3), columns.ravel(),
+                               rng.normal(size=3 * n), rng.choice([-1.0, 1.0], size=n), d)
+    oracle = make_oracle(dataset, "ridge", 1.0)
+    assert oracle._dense is None
+    x_star = solve_reference(oracle).x_star
+    tracemalloc.start()
+    try:
+        ref = ReferenceSolution.from_point(oracle, x_star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
+    for name in ReferenceSolution.__dataclass_fields__:
+        assert np.size(getattr(ref, name)) <= d, name
+    # the table dk needs is made where dk is: the parent's values, bit for bit
+    oracle, ref = ridge_instance(10, 4, 25.0, seed=2)
+    opt = LSVRG(oracle, np.ones(4), eta=0.05, p=0.3)
+    steps = SplitMix64(3)
+    for _ in range(7):
+        opt.step(steps)
+    assert compute_phi(opt, ref, oracle) == {"phi": 11.224832409107899,
+                                             "dk": 10.291633728538724}
+    bounds = {name: (b.lhs, b.rhs, b.slack)
+              for name, b in verify_lemma_bounds(opt, ref, oracle).items()}
+    assert bounds == {
+        "iterate_distance": (0.6078816645907062, 0.8101429764123579, 0.20226131182165163),
+        "estimator_second_moment": (69.01019028870067, 866.419269562434, 797.4090792737334),
+        "grad_learning_decay": (8.265234418255387, 8.448749839227661, 0.1835154209722738),
+        "phi_contraction": (8.873116082846094, 9.634427415798632, 0.7613113329525376),
+    }
+
+
 def test_reference_from_point_rejects_non_minimizer():
     oracle, ref = ridge_instance(10, 4, 25.0, seed=2)
     with pytest.raises(ValueError, match="not a minimizer"):
@@ -153,7 +196,6 @@ def test_from_point_is_a_solve_of_no_epochs_from_the_point(loss, density):
     assert got.x_star is x
     assert got.epochs == 1
     assert got.f_star == oracle.full_loss(x)
-    assert got.grad_i_star.tobytes() == oracle.grad_table(x).tobytes()
     assert got.grad_norm == float(np.linalg.norm(oracle.full_grad(x)))
     assert got.tolerance == 1e-10 * oracle.L * (1.0 + float(np.linalg.norm(x)))
 
@@ -167,7 +209,7 @@ def test_solve_reference_continues_from_a_start_that_is_not_a_minimizer():
     assert np.array_equal(start, ref.x_star + 1.0)  # the start is not changed
     with pytest.raises(ReferenceSolveError) as err:
         solve_reference(oracle, tolerance=1e-30, max_epochs=1, x0=ref.x_star)
-    assert err.value.epochs_used == 1
+    assert err.value.best.epochs == 2
 
 
 def test_an_infinite_tolerance_certifies_nothing():
@@ -303,8 +345,9 @@ def test_expected_phi_next_agrees_with_monte_carlo():
     exact = phi_contraction(state, ref, oracle).lhs
 
     coef = 4 * state.eta**2 / (state.p * oracle.n)
-    dk_w = coef * float(((oracle.grad_table(state.w) - ref.grad_i_star) ** 2).sum())
-    dk_x = coef * float(((oracle.grad_table(state.x) - ref.grad_i_star) ** 2).sum())
+    table_star = oracle.grad_table(ref.x_star)
+    dk_w = coef * float(((oracle.grad_table(state.w) - table_star) ** 2).sum())
+    dk_x = coef * float(((oracle.grad_table(state.x) - table_star) ** 2).sum())
     smp = SplitMix64(77)
     draws = np.empty(100_000)
     for t in range(draws.size):
