@@ -10,15 +10,16 @@ Every way of building a Dataset (parsing, ``Dataset.from_csr``, the
 row-list constructor) ends in one check of these invariants over the whole
 arrays; a ``SparseRow`` converts its two arrays and checks only that they
 are equally long.
+
+``parse_libsvm`` sizes the CSR arrays from the text's newline and colon
+counts and fills them a chunk of whole lines at a time: in bulk, or with
+the line-by-line scalar parser (the specification) where a chunk is not plain.
 """
 
 from __future__ import annotations
 
-import io
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -191,20 +192,14 @@ class _Rows(Sequence):
         return row
 
 
-def _as_lines(source: str | TextIO | Iterable[str]) -> Iterable[str]:
-    if isinstance(source, str):
-        return io.StringIO(source)
-    return source
-
-
 def _remap_labels(raw: np.ndarray) -> np.ndarray:
     finite = np.isfinite(raw)
     if not finite.all():
         raise ParseError(f"labels must be finite, got {raw[~finite][0]}")
+    if (np.abs(raw) == 1.0).all():
+        return raw
     # not np.unique: its first call raises peak memory by about 1.5 MB
     distinct = sorted(set(raw.tolist()))
-    if all(v in (-1.0, 1.0) for v in distinct):
-        return raw
     if len(distinct) == 2:
         return np.where(raw == distinct[0], -1.0, 1.0)
     raise ParseError(
@@ -213,16 +208,14 @@ def _remap_labels(raw: np.ndarray) -> np.ndarray:
     )
 
 
-# lines per block: a block's numpy temporaries stay near 100 KB each at
-# a9a's 70 bytes a line.  Larger blocks parse up to 20% faster, but their
-# temporaries fragment the heap: 1024-line blocks raised the a9a-sparse
-# benchmark's peak RSS by 6-11%.  Longer lines (floats, dense rows) end a
-# block at about _BLOCK_CHARS characters, so its temporaries stay as small.
-_BLOCK_LINES = 128
-_BLOCK_CHARS = 1 << 14
+# characters per chunk: a chunk's numpy temporaries take 25 (float-heavy
+# text) to 40 (a9a's short integers) bytes per character, about 1 MB here.
+# 64K-character chunks parse a9a 5-15% faster but double that; 16K ones,
+# with twice the numpy calls, are 5-25% slower.
+_CHUNK = 1 << 15
 
-# the bytes of a plain block: any other byte (``#``, ``e``, other letters,
-# other whitespace, ...) sends the block to the scalar parser
+# the bytes of a plain chunk: any other byte (``#``, ``e``, other letters,
+# other whitespace, ...) sends the chunk to the scalar parser
 _PLAIN_BYTES = b" \t\r\n:+-.0123456789"
 # Clinger's fast path: an integer mantissa m < 2**53 and 10**k for k <= 22
 # are exact doubles, so m / 10**k is float()'s correctly rounded value
@@ -240,10 +233,7 @@ def _parse_block(lines: list[str], first: int):
     (labels, ends, indices, values): one label and one running entry count
     per row, then the kept entries' 0-based indices and values.
     """
-    ends = array("q")
-    indices = array("q")
-    values = array("d")
-    labels = array("d")
+    ends, indices, values, labels = [], [], [], []
 
     for lineno, line in enumerate(lines, start=first):
         line = line.split("#", 1)[0].strip()
@@ -283,26 +273,25 @@ def _parse_block(lines: list[str], first: int):
     return labels, ends, indices, values
 
 
-def _parse_block_fast(lines: list[str]):
-    """``_parse_block``'s result computed on the block's bytes, or None.
+def _parse_chunk_fast(chunk: str):
+    """``_parse_block``'s result for the chunk's lines, computed on its
+    bytes, or None.
 
-    Accepts only blocks whose every line is plain: a label, then features
+    Accepts only chunks whose every line is plain: a label, then features
     ``index:value``, each number ``[+-]digits[.digits]`` (no exponent) and
     each index an integer.  The numbers are converted in bulk.  Any other
-    block, and any failed check, gives None, so the scalar parser decides
+    chunk, and any failed check, gives None, so the scalar parser decides
     (and reports the error).
     """
-    # "\n" around each line keeps its tokens apart, as line.split() does
-    text = "\n" + "\n".join(lines) + "\n"
-    if not text.isascii():
+    if not chunk.isascii():
         return None
-    text = text.encode("ascii")
+    # "\n" around the chunk gives each field a byte on either side
+    text = f"\n{chunk}\n".encode("ascii")
     if text.translate(None, _PLAIN_BYTES):  # a byte that is not plain
         return None
     raw = np.frombuffer(text, dtype=np.uint8)
     # fields are runs of number bytes, the plain bytes from "+" to "9" (uint8
-    # wraps below "+"); the text starts and ends in "\n", so field f spans
-    # [starts[f], stops[f]) and has a byte on either side
+    # wraps below "+"): field f spans [starts[f], stops[f])
     number = raw - ord("+") <= ord("9") - ord("+")
     flips = np.flatnonzero(number[1:] != number[:-1]) + 1
     starts, stops = flips[::2], flips[1::2]
@@ -314,37 +303,40 @@ def _parse_block_fast(lines: list[str]):
     colons = np.count_nonzero(raw == ord(":"))
     if np.count_nonzero(is_index) != colons or np.count_nonzero(is_value) != colons:
         return None  # a ":" without a number on either side
-    # a line's first field is its label: the first field after a line's end
-    line_ends = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1)
+    # a line's first field is its label: the first field after a "\n"
     is_label = np.zeros(starts.size + 1, dtype=bool)
-    is_label[0] = True
-    is_label[np.searchsorted(starts, line_ends)] = True
+    is_label[np.searchsorted(starts, np.flatnonzero(raw == ord("\n")))] = True
     is_label = is_label[:-1]
-    # a label stands alone; every other field is an index or a value, not both
-    if not np.where(is_label, ~is_index, is_index ^ is_value).all():
+    # a label stands alone, and every other field is an index or a value:
+    # exactly one of the three (a field right after a ":" is never a line's
+    # first, as the ":" follows a field, checked above)
+    if not (is_label ^ is_index ^ is_value).all():
         return None
 
-    numbers = _plain_numbers(raw, starts, stops)
+    numbers = _plain_numbers(text, starts, stops)
     if numbers is None:
         return None
     numbers, integral = numbers
     if (is_index & ~integral).any():  # an index int() would not read exactly
         return None
-    # each index field is followed by its value field
+    # each index field is followed by its value field, and by the next index
+    # two fields on, unless a label comes first
     labels, indices = np.flatnonzero(is_label), np.flatnonzero(is_index)
     j, v = numbers[indices], numbers[indices + 1]
-    row = np.searchsorted(labels, indices) - 1
-    ascending = (np.diff(j) > 0) | (np.diff(row) != 0)
+    ascending = (np.diff(j) > 0) | (np.diff(indices) != 2)
     if not (j >= 1).all() or not ascending.all():
         return None
-
+    # row r's entries end at label r + 1, which has r + 1 labels and two
+    # fields per entry before it
+    ends = (np.append(labels[1:], starts.size) - np.arange(1, labels.size + 1)) // 2
     keep = v != 0.0
-    counts = np.bincount(row[keep], minlength=labels.size)
-    return (numbers[labels], np.cumsum(counts),
-            j[keep].astype(np.int64) - 1, v[keep])
+    if not keep.all():
+        ends = np.cumsum(np.append(0, keep))[ends]
+    # the indices stay exact integers in float64; storing them converts them
+    return numbers[labels], ends, j[keep] - 1, v[keep]
 
 
-def _plain_numbers(raw, starts, stops):
+def _plain_numbers(text, starts, stops):
     """Each field's value, as float() reads it, when every field is
     ``[+-]digits[.digits]`` with at least one digit; else None.
 
@@ -355,6 +347,7 @@ def _plain_numbers(raw, starts, stops):
     correctly rounded division of exact doubles.  Any other field goes
     through float() on its own bytes.
     """
+    raw = np.frombuffer(text, dtype=np.uint8)
     first = raw[starts]
     signed = (first == ord("+")) | (first == ord("-"))
     points = np.flatnonzero(raw == ord("."))
@@ -363,8 +356,8 @@ def _plain_numbers(raw, starts, stops):
     pointed[field] = True
     fraction = np.zeros(starts.size, dtype=np.int64)  # k: digits after the point
     fraction[field] = stops[field] - 1 - points
-    digit = raw - ord("0")  # uint8 wraps below "0"
-    digits = np.compress(digit < 10, digit)
+    # the chunk is plain: without its other plain bytes, its digits remain
+    digits = np.frombuffer(text.translate(None, b" \t\r\n:+-."), dtype=np.uint8) - ord("0")
     # a field may hold a leading sign, one point and digits; as a field has
     # at least the sign and the point it is marked for, equal totals mean
     # each holds exactly those
@@ -372,7 +365,7 @@ def _plain_numbers(raw, starts, stops):
     if count.min() < 1 or count.sum() != digits.size:
         return None
     # each digit's power of ten: the digits after it in its field (in place:
-    # a block holds two digit-sized arrays of 8 bytes at a time)
+    # a chunk holds two digit-sized arrays of 8 bytes at a time)
     ends = np.cumsum(count)
     place = np.repeat(ends - 1, count)
     place -= np.arange(digits.size)
@@ -383,34 +376,25 @@ def _plain_numbers(raw, starts, stops):
     del place
     terms *= digits
     mantissa = np.add.reduceat(terms, ends - count)
-    exact = (mantissa < _EXACT_MANTISSA) & (fraction <= _EXACT_POWERS)
-    numbers = mantissa / _TENS[np.minimum(fraction, _EXACT_POWERS)]
+    exact = mantissa < _EXACT_MANTISSA
+    numbers = mantissa
+    if points.size:
+        exact &= fraction <= _EXACT_POWERS
+        numbers = mantissa / _TENS[np.minimum(fraction, _EXACT_POWERS)]
     for f in np.flatnonzero(~exact).tolist():
         numbers[f] = abs(float(raw[starts[f]:stops[f]].tobytes()))
     np.negative(numbers, out=numbers, where=first == ord("-"))
-    return numbers, exact & ~pointed
+    return numbers, exact & ~pointed if points.size else exact
 
 
-def _bytes(a) -> memoryview:
-    """A's memory as bytes, without a copy (array.frombytes wants format B)."""
-    return memoryview(a).cast("B")
-
-
-def _blocks(lines: Iterable[str]):
-    """Yield (first line number, list of up to _BLOCK_LINES lines), a block
-    ending early where its lines pass _BLOCK_CHARS characters."""
-    lines = iter(lines)
-    first = 1
-    while block := list(islice(lines, _BLOCK_LINES)):
-        start = chars = 0
-        if sum(map(len, block)) > _BLOCK_CHARS:
-            for k, line in enumerate(block):
-                chars += len(line)
-                if chars > _BLOCK_CHARS and k > start:
-                    yield first + start, block[start:k]
-                    start, chars = k, len(line)
-        yield first + start, block[start:]
-        first += len(block)
+def _source_text(source: str | TextIO | Iterable[str]) -> str:
+    if isinstance(source, str):
+        return source
+    if hasattr(source, "read"):
+        return source.read()
+    # each element is one line, even with a newline inside it, where
+    # line.split() sees whitespace
+    return "\n".join(line.replace("\n", " ") for line in source)
 
 
 def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -> Dataset:
@@ -422,41 +406,56 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
     Explicit zero values are dropped.  ``dim`` pads the feature dimension
     beyond the largest index seen (it must not truncate).
 
-    The text is read in blocks of up to _BLOCK_LINES lines.  A block of plain
-    tokens is parsed in bulk; any other block goes to the scalar parser,
-    which gives the same result, or the error with its line number.
+    The text is read once and cut into chunks of whole lines, each about
+    _CHUNK characters.  A chunk of plain tokens is parsed in bulk; any other
+    chunk goes to the scalar parser, which gives the same result, or the
+    error with its line number.  Each chunk's rows are written into arrays
+    sized once from the text: no row has more than one line and no stored
+    entry is without a ":".
 
     Raises ParseError (with the offending line number) on malformed tokens,
     non-increasing indices within a line, unmappable or non-finite labels,
     or empty input, and ValueError on values that are not finite.
     """
-    # typed arrays grow in place: 16 bytes per stored entry, no per-row objects
-    indptr = array("q", [0])
-    indices = array("q")
-    values = array("d")
-    raw_labels = array("d")
+    text = _source_text(source)
+    rows = text.count("\n") + 1
+    entries = text.count(":")
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    raw_labels = np.empty(rows)
+    indices = np.empty(entries, dtype=np.int64)
+    values = np.empty(entries)
 
-    for first, lines in _blocks(_as_lines(source)):
-        labels, ends, block_indices, block_values = (
-            _parse_block_fast(lines) or _parse_block(lines, first))
-        indptr.frombytes(_bytes(np.add(ends, len(indices), dtype=np.int64)))
-        raw_labels.frombytes(_bytes(labels))
-        indices.frombytes(_bytes(block_indices))
-        values.frombytes(_bytes(block_values))
+    n = nnz = lo = 0
+    lines = counted = 0  # the lines before text[counted]
+    while lo < len(text):
+        hi = text.find("\n", lo + _CHUNK)
+        hi = len(text) if hi < 0 else hi
+        chunk = text[lo:hi]
+        parsed = _parse_chunk_fast(chunk)
+        if parsed is None:  # the scalar parser numbers the chunk's lines
+            lines += text.count("\n", counted, lo)
+            counted = lo
+            parsed = _parse_block(chunk.split("\n"), lines + 1)
+        chunk_labels, ends, chunk_indices, chunk_values = parsed
+        k, m = len(chunk_labels), len(chunk_indices)
+        raw_labels[n:n + k] = chunk_labels
+        indptr[n + 1:n + k + 1] = np.add(ends, nnz)
+        indices[nnz:nnz + m] = chunk_indices
+        values[nnz:nnz + m] = chunk_values
+        n, nnz = n + k, nnz + m
+        lo = hi + 1
 
-    if not raw_labels:
+    if not n:
         raise ParseError("empty dataset")
-    labels = _remap_labels(np.frombuffer(raw_labels))
-    indices = np.frombuffer(indices, dtype=np.int64)
+    labels = _remap_labels(raw_labels[:n])
+    indices = indices[:nnz]
 
-    d = int(indices.max()) + 1 if indices.size else 0
+    d = int(indices.max()) + 1 if nnz else 0
     if dim is not None:
         if dim < d:
             raise ParseError(f"dim override {dim} smaller than max index + 1 = {d}")
         d = dim
-    return Dataset.from_csr(
-        np.frombuffer(indptr, dtype=np.int64), indices, np.frombuffer(values), labels, d
-    )
+    return Dataset.from_csr(indptr[:n + 1], indices, values[:nnz], labels, d)
 
 
 def load_libsvm(path, dim: int | None = None) -> Dataset:

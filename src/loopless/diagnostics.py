@@ -50,7 +50,7 @@ class ReferenceSolveError(RuntimeError):
     def __init__(self, best: ReferenceSolution):
         self.best = best
         super().__init__(
-            f"reference solve made {best.epochs} full-gradient passes with "
+            f"made {best.epochs} full-gradient passes with "
             f"||grad|| = {best.grad_norm:.3e} still above tolerance"
         )
 

@@ -192,8 +192,8 @@ def test_reference_failure_exit_code(tmp_path, capsys):
             "ridge/nested/synthetic50x5k100_data0_ridge_mu1.0_ref.json",
         ], command
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2 and all(line.startswith("reference solve failed: reference "
-                                                     "solve made 2 full-gradient passes")
+        assert len(err) == 2 and all(line.startswith("reference solve failed: made 2 "
+                                                     "full-gradient passes")
                                      for line in err)
 
 

@@ -1,4 +1,6 @@
 import io
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from loopless.data import (
     Dataset,
     ParseError,
     SparseRow,
+    load_libsvm,
     normalize_rows,
     parse_libsvm,
     synthesize_quadratic,
@@ -280,22 +283,37 @@ def test_synthesize_validates_arguments():
 
 
 def _outcome(source, dim=None):
-    """parse_libsvm's result as comparable bytes, or its error."""
+    """The parse's result as comparable bytes, or its error; a Path is
+    read by load_libsvm."""
     try:
-        ds = parse_libsvm(source, dim=dim)
+        ds = load_libsvm(source, dim) if isinstance(source, Path) else parse_libsvm(source, dim)
     except ValueError as err:
         return type(err), str(err), getattr(err, "line", None)
     return (ds.d, *(a.tobytes() for a in (ds.indptr, ds.indices, ds.values, ds.labels)))
 
 
-def _assert_fast_matches_scalar(monkeypatch, source, dim=None):
-    """source: text, or a list of lines (each one line, whatever it holds)."""
+def _scalar_outcome(source, dim=None):
+    """_outcome from the scalar parser alone: one _parse_block call over
+    every line of the source."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(data, "_parse_chunk_fast", lambda chunk: None)
+        m.setattr(data, "_CHUNK", 1 << 62)
+        return _outcome(source, dim)
+
+
+def _assert_fast_matches_scalar(source, dim=None):
+    """source: text, a list of lines (each one line, whatever it holds) or
+    a Path."""
     fast = _outcome(source, dim)
-    with monkeypatch.context() as m:
-        m.setattr(data, "_parse_block_fast", lambda lines: None)
-        scalar = _outcome(source, dim)
-    assert fast == scalar, str(source)[:200]
+    assert fast == _scalar_outcome(source, dim), str(source)[:200]
     return fast
+
+
+def _fast_path_only(monkeypatch):
+    """Fail the test if a chunk leaves the fast path."""
+    def scalar(lines, first):
+        raise AssertionError(f"the chunk from line {first} left the fast path")
+    monkeypatch.setattr(data, "_parse_block", scalar)
 
 
 def _random_number(rng, digits=None) -> str:
@@ -336,7 +354,7 @@ def _random_libsvm(rng, rows: int, comments=False, digits=None) -> str:
     return newline.join(lines) + newline
 
 
-def test_fast_parse_matches_scalar_on_random_valid_files(monkeypatch):
+def test_fast_parse_matches_scalar_on_random_valid_files():
     rng = np.random.default_rng(2024)
     for case in range(80):
         comments = case % 3 == 0
@@ -345,25 +363,27 @@ def test_fast_parse_matches_scalar_on_random_valid_files(monkeypatch):
         text = _random_libsvm(rng, int(rng.integers(1, 40)), comments, digits)
         dim = None if rng.random() < 0.7 else int(rng.integers(150, 250))
         source = text.split("\n") if case % 5 == 1 else text
-        _assert_fast_matches_scalar(monkeypatch, source, dim)
+        _assert_fast_matches_scalar(source, dim)
         if digits and not comments:
-            # the fast path itself takes the (single) block
-            assert data._parse_block_fast(io.StringIO(text).readlines()) is not None
+            # the fast path itself takes the file as one chunk
+            assert data._parse_chunk_fast(text) is not None
 
 
-def test_fast_parse_matches_scalar_across_blocks(monkeypatch):
+def test_fast_parse_matches_scalar_across_chunks(monkeypatch):
+    monkeypatch.setattr(data, "_CHUNK", 1000)
     rng = np.random.default_rng(7)
-    lines = _random_libsvm(rng, 3 * data._BLOCK_LINES // 2).splitlines()
+    lines = _random_libsvm(rng, 192).splitlines()
     text = "\n".join(lines) + "\n"
-    assert isinstance(_assert_fast_matches_scalar(monkeypatch, text)[0], int)
+    assert len(text) > 3 * data._CHUNK
+    assert isinstance(_assert_fast_matches_scalar(text)[0], int)
     for bad in ("+1 3:1 2:1", "+1 1:1 99", "x 1:1", "+1 0:1", "+1 1:1:2"):
-        lineno = int(rng.integers(data._BLOCK_LINES + 1, len(lines) + 1))
+        lineno = int(rng.integers(len(lines) // 2, len(lines) + 1))
         broken = lines[: lineno - 1] + [bad] + lines[lineno:]
-        outcome = _assert_fast_matches_scalar(monkeypatch, "\n".join(broken))
+        outcome = _assert_fast_matches_scalar("\n".join(broken))
         assert outcome[0] is ParseError and outcome[2] == lineno
 
 
-def test_fast_parse_matches_scalar_on_malformed_strings(monkeypatch):
+def test_fast_parse_matches_scalar_on_malformed_strings():
     rng = np.random.default_rng(99)
     pieces = list("0123456789:.e+- \n") + [
         "1.2.3", "1e", "+1:1", "1:1:2", "1_0", "nan", "\u0663", "1:1", " 2:3",
@@ -374,7 +394,7 @@ def test_fast_parse_matches_scalar_on_malformed_strings(monkeypatch):
         text = "".join(rng.choice(pieces, size=int(rng.integers(0, 14))))
         if rng.random() < 0.5:
             text = rng.choice(["+1 ", "-1 ", "1 1:1\n"]) + text
-        parsed += isinstance(_assert_fast_matches_scalar(monkeypatch, text)[0], int)
+        parsed += isinstance(_assert_fast_matches_scalar(text)[0], int)
     # one to three random edits of a valid file
     for _ in range(2000):
         text = _random_libsvm(rng, int(rng.integers(1, 4)), digits=18 if rng.random() < 0.5 else None)
@@ -383,16 +403,16 @@ def test_fast_parse_matches_scalar_on_malformed_strings(monkeypatch):
             cut = int(rng.integers(2))
             text = text[:at] + str(rng.choice(pieces[:17])) * int(rng.integers(2)) \
                 + text[at + cut:]
-        parsed += isinstance(_assert_fast_matches_scalar(monkeypatch, text)[0], int)
+        parsed += isinstance(_assert_fast_matches_scalar(text)[0], int)
     assert parsed > 500
     for text in ("+1 9007199254740993:1", "+1 1 :2", "+1 1: 2", "+1 1:1 :2", "+1 +1:1"):
-        _assert_fast_matches_scalar(monkeypatch, text)
+        _assert_fast_matches_scalar(text)
     # a list element is one line, even with a newline inside it
     for lines in (["+1 1:1\n-1 2:1"], ["+1 1:1\n", "\n-1 2:1"], ["+1", " 1:1"]):
-        _assert_fast_matches_scalar(monkeypatch, lines)
+        _assert_fast_matches_scalar(lines)
 
 
-# -- decimal tokens on the block fast path -----------------------------------
+# -- decimal tokens on the chunk fast path -----------------------------------
 
 
 def _decimal_token(rng) -> str:
@@ -421,63 +441,135 @@ def test_fast_parse_reads_decimal_tokens_as_float_does(monkeypatch):
     rng = np.random.default_rng(1990)
     for case in range(60):
         lines = []
-        for _ in range(int(rng.integers(1, 2 * data._BLOCK_LINES))):
+        for _ in range(int(rng.integers(1, 256))):
             idx = np.sort(rng.choice(300, size=int(rng.integers(0, 9)), replace=False)) + 1
             values = [_decimal_token(rng) if rng.random() < 0.8 else
                       str(rng.choice(_EDGE_DECIMALS)) for _ in idx]
             label = str(rng.choice(["+1", "-1", "1.0", "-1.", "+1.000"]))
             lines.append(" ".join([label] + [f"{j}:{v}" for j, v in zip(idx, values)]))
         text = "\n".join(lines) + "\n"
-        outcome = _assert_fast_matches_scalar(monkeypatch, text)
+        outcome = _assert_fast_matches_scalar(text)
         assert isinstance(outcome[0], int)
-        # the fast path itself takes every block
-        for _, block in data._blocks(io.StringIO(text)):
-            assert data._parse_block_fast(block) is not None
+        # the fast path itself takes every chunk
+        with monkeypatch.context() as m:
+            m.setattr(data, "_CHUNK", 2000)
+            _fast_path_only(m)
+            assert _outcome(text) == outcome
 
 
 def test_fast_parse_values_equal_float_bitwise():
     tokens = _EDGE_DECIMALS + [_decimal_token(np.random.default_rng(k)) for k in range(500)]
     nonzero = [t for t in tokens if float(t) != 0.0]
     line = "+1 " + " ".join(f"{j}:{t}" for j, t in enumerate(nonzero, start=1))
-    labels, ends, indices, values = data._parse_block_fast([line])
+    labels, ends, indices, values = data._parse_chunk_fast(line)
     assert np.array_equal(values, [float(t) for t in nonzero])
     assert values.tobytes() == np.array([float(t) for t in nonzero]).tobytes()
     assert indices.tolist() == list(range(len(nonzero))) and ends.tolist() == [len(nonzero)]
     # the signs of zeros survive in labels, where nothing drops them
     for label in ("-0.0", "+0.0", "-.0", "0."):
-        got = data._parse_block_fast([f"{label} 1:1"])[0][0]
+        got = data._parse_chunk_fast(f"{label} 1:1")[0][0]
         assert got == 0.0 and np.signbit(got) == label.startswith("-")
 
 
 @pytest.mark.parametrize("bad", ["1.0:2", "1.:2", ".5:2", "2:1.5.1", "2:.", "2:+.",
                                  "2:1.-5", "2:1e", "2:--1", "2:1+"])
 def test_a_bad_decimal_gets_the_scalar_parsers_error(monkeypatch, bad):
+    monkeypatch.setattr(data, "_CHUNK", 1000)
     rng = np.random.default_rng(5)
-    lines = [f"+1 1:{_decimal_token(rng)} 3:0.25" for _ in range(2 * data._BLOCK_LINES)]
-    lineno = data._BLOCK_LINES + 7
+    lines = [f"+1 1:{_decimal_token(rng)} 3:0.25" for _ in range(256)]
+    lineno = 135
     lines[lineno - 1] = f"-1 {bad} 9:1.5"
-    outcome = _assert_fast_matches_scalar(monkeypatch, "\n".join(lines))
+    outcome = _assert_fast_matches_scalar("\n".join(lines))
     assert outcome[0] is ParseError and outcome[2] == lineno
     assert "bad feature token" in outcome[1]
 
 
-def test_long_lines_end_a_block_early(monkeypatch):
+def test_chunks_are_whole_lines_and_a_long_line_is_one_chunk(monkeypatch):
+    monkeypatch.setattr(data, "_CHUNK", 500)
     rng = np.random.default_rng(8)
     lines = [" ".join(["+1"] + [f"{j}:{_decimal_token(rng)}" for j in
                                 range(1, int(rng.integers(1, 60)))]) for _ in range(300)]
-    blocks = list(data._blocks(lines))
-    assert [line for _, block in blocks for line in block] == lines
-    assert [first for first, _ in blocks] == np.cumsum(
-        [1] + [len(block) for _, block in blocks[:-1]]).tolist()
-    for _, block in blocks:
-        assert len(block) <= data._BLOCK_LINES
-        assert len(block) == 1 or sum(map(len, block)) <= data._BLOCK_CHARS
-    assert len(blocks) > 300 // data._BLOCK_LINES + 1
-    # errors keep their line numbers; a line longer than a block is a block
-    monkeypatch.setattr(data, "_BLOCK_CHARS", 500)
+    text = "\n".join(lines)
+    chunks = []
+    fast = data._parse_chunk_fast
+    monkeypatch.setattr(data, "_parse_chunk_fast", lambda chunk: chunks.append(chunk) or fast(chunk))
+    assert isinstance(_outcome(text)[0], int)
+    assert "\n".join(chunks) == text  # the chunks cut the text at newlines
+    for chunk in chunks[:-1]:
+        # a chunk ends at the first newline _CHUNK characters on
+        assert len(chunk) >= data._CHUNK > len(chunk) - len(chunk.split("\n")[-1]) - 1
+    assert any("\n" not in chunk and len(chunk) > data._CHUNK for chunk in chunks)
+    # errors keep their line numbers
     lines[200] = lines[200] + " 1:2"
-    outcome = _assert_fast_matches_scalar(monkeypatch, "\n".join(lines))
+    outcome = _assert_fast_matches_scalar("\n".join(lines))
     assert outcome[0] is ParseError and outcome[2] == 201
+
+
+def _chunk_cases(rng):
+    """Sources for the chunk-boundary test: (name, text or list of lines)."""
+    for k in range(12):
+        yield f"valid {k}", _random_libsvm(rng, int(rng.integers(1, 30)), k % 2 == 0,
+                                           {1: 15, 3: 18}.get(k % 4))
+    for k in range(30):
+        text = _random_libsvm(rng, int(rng.integers(1, 6)))
+        at = int(rng.integers(len(text) + 1))
+        edit = str(rng.choice(list("0123456789:.e+- \n") + ["1:1:2", "x", "\r"]))
+        yield f"malformed {k}", text[:at] + edit + text[at + int(rng.integers(2)):]
+    long_line = " ".join(["+1"] + [f"{j}:{_decimal_token(rng)}" for j in range(1, 40)])
+    yield "long line", f"-1 1:2\n{long_line}\n+1 3:4\n"
+    yield "long bad line", f"-1 1:2\n{long_line} 1:1\n+1 3:4\n"
+    yield "non-ASCII comment", "+1 1:1\n-1 2:0.5\n# caf\u00e9 \u0663:\u0663\n+1 2:1 5:.5\n-1 4:1\n"
+    yield "comment colons, zero values", "+1 1:0 2:1 # a:b c:d\n# x:y\n-1 3:0.0 4:-0\n+1 2:7\n"
+    yield "one newline inside", ["+1 1:1\n-1 2:1"]
+    yield "newlines inside", ["+1 1:1\n", "\n-1 2:1", "# a\n-1 3:1", "+1 4:1"]
+    yield "label alone", ["+1", " 1:1"]
+
+
+@pytest.mark.parametrize("chunk", [0, 1, 3, 7, 40])
+def test_chunk_boundaries_do_not_change_the_parse(monkeypatch, tmp_path, chunk):
+    # a chunk of 0 or 1 characters cuts at every line, bigger ones in between
+    monkeypatch.setattr(data, "_CHUNK", chunk)
+    for name, source in _chunk_cases(np.random.default_rng(31)):
+        assert _outcome(source) == _scalar_outcome(source), name
+    # more ":" than stored entries: the arrays are sized from the ":" count
+    text = "+1 1:0 2:1 # a:b c:d\n# x:y\n-1 3:0.0 4:-0\n+1 2:7\n"
+    assert parse_libsvm(text).nnz == 2 < text.count(":")
+    # "\r\n" and lone "\r" line ends, read by load_libsvm as universal newlines
+    for k, newline in enumerate(["\r\n", "\r", "\n"]):
+        path = tmp_path / f"file{k}.txt"
+        path.write_bytes(newline.join(["+1 1:1 3:2", "", "-1 2:0.5 # c", "+1 4:1"]).encode())
+        assert _outcome(path) == _scalar_outcome(path) == _outcome("+1 1:1 3:2\n-1 2:0.5\n+1 4:1")
+    # each list element is one line, as the scalar parser reads it
+    assert _outcome(["+1 1:1\n-1 2:1"])[1:] == ("line 1: bad feature token '-1'", 1)
+    assert _outcome(["+1", " 1:1"])[1:] == ("line 2: bad label '1:1'", 2)
+    assert _outcome(["+1 1:1\n", "\n-1 2:1"]) == _outcome("+1 1:1\n-1 2:1")
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_parse_memory_is_text_output_and_one_chunk(normalized):
+    """The parse holds the text, the CSR arrays it returns and one chunk's
+    temporaries: no growing buffers and no per-row objects."""
+    # bytes: one chunk's temporaries (about 1 MB) and the Dataset checks' masks
+    allowance = 2 << 20
+    rng = np.random.default_rng(4)
+    n, d, k = 20_000, 123, 14  # a9a's shape: 14 binary features of 123 a row
+    idx = np.concatenate([np.sort(np.argsort(rng.random((1000, d)), axis=1)[:, :k], axis=1)
+                          for _ in range(n // 1000)])
+    dataset = Dataset.from_csr(np.arange(n + 1) * k, idx.ravel(), np.ones(n * k),
+                               rng.choice([-1.0, 1.0], size=n), d)
+    if normalized:
+        dataset = normalize_rows(dataset)
+    text = write_libsvm(dataset)
+    source = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        parsed = parse_libsvm(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == dataset
+    output = sum(a.nbytes for a in (parsed.indptr, parsed.indices, parsed.values, parsed.labels))
+    assert peak <= len(text) + output + allowance, (peak, len(text), output)
 
 
 # -- the writer against the per-entry reference ------------------------------
@@ -549,7 +641,7 @@ def test_writer_matches_the_reference_across_blocks():
 
 def test_an_index_past_int64_is_a_parse_error(monkeypatch):
     for index in ("9223372036854775809", "99999999999999999999"):
-        outcome = _assert_fast_matches_scalar(monkeypatch, f"+1 1:0.5\n-1 2:1 {index}:1.5\n")
+        outcome = _assert_fast_matches_scalar(f"+1 1:0.5\n-1 2:1 {index}:1.5\n")
         assert outcome[:2] == (ParseError, f"line 2: feature index {index} too large")
     # the largest index round-trips: the writer adds 1 in Python ints
     largest = parse_libsvm("+1 9223372036854775808:1")
