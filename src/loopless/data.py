@@ -488,7 +488,7 @@ def write_libsvm(dataset: Dataset) -> str:
     pieces, a block of rows at a time: row i is the piece "\n+1" or "\n-1",
     then an index piece and a value piece per entry.
     """
-    columns, column_piece = np.unique(dataset.indices, return_inverse=True)
+    columns, column_piece = _column_ranks(dataset.indices)
     values, value_piece = np.unique(dataset.values, return_inverse=True)
     pool = np.array(
         ["\n-1", "\n+1"]
@@ -514,6 +514,17 @@ def write_libsvm(dataset: Dataset) -> str:
         pieces = np.insert(entries.ravel(), 2 * (indptr[r0:r1] - lo), label_piece[r0:r1])
         chunks.append(pool[pieces].tobytes().translate(None, b"\0"))
     return b"".join(chunks)[1:].decode("ascii") + "\n"
+
+
+def _column_ranks(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(indices, return_inverse=True): the distinct columns, sorted,
+    and each entry's rank among them.  Taken from one np.bincount table when
+    the largest index is below nnz, so the table is no longer than indices;
+    np.unique sorts every entry, about twice the time at a9a shape."""
+    if indices.size and indices.max() < indices.size:
+        present = np.bincount(indices) > 0
+        return np.flatnonzero(present), (np.cumsum(present) - 1).take(indices)
+    return np.unique(indices, return_inverse=True)
 
 
 def save_libsvm(dataset: Dataset, path) -> None:

@@ -10,17 +10,23 @@ L is a cheap upper bound on every f_i's smoothness constant (max squared row
 norm, scaled by the loss curvature bound, plus mu).  An oracle is not built
 when L is not finite (a squared row norm past float64).
 
+An oracle keeps a dense copy of the rows when at least a quarter of the
+entries are nonzero, or when the copy fits _DENSE_CELLS (1 MiB) and at
+least 1/16 of them are: on such data two BLAS gemv calls make a full pass
+faster than the CSR kernels do.  Otherwise it works on the dataset's CSR
+arrays, shared rather than copied.
+
 Per-sample calls (grad_i, loss_i) run one row through a scalar kernel on
 Python floats, which is the optimizers' per-step hot path.  They take the
 row dot with ndarray.dot, which gives the bits of `a @ x` at about half its
 call cost, read the label and the CSR row bounds as Python scalars (.item),
 and gather a CSR row's entries of x with take.  Full-data calls
 (full_grad, full_loss, grad_table and their batched forms) run all rows at
-once with numpy: A @ x and r @ A on a dense copy, reduceat and add.at on
-the dataset's CSR arrays otherwise.  Their logistic weight phi'(m) =
--b / (1 + e^{b m}) takes one in-place exp per margin, with no branch on the
-margin's sign: where e^{b m} overflows to inf the weight is -0, its limit,
-and where the scalar kernel's e/(1 + e) is subnormal it may be 0 instead.
+once with numpy: A @ x and r @ A on the dense copy, reduceat and add.at on
+the CSR arrays.  Their logistic weight phi'(m) = -b / (1 + e^{b m}) takes
+one in-place exp per margin, with no branch on the margin's sign: where
+e^{b m} overflows to inf the weight is -0, its limit, and where the scalar
+kernel's e/(1 + e) is subnormal it may be 0 instead.
 Their sums are ordered differently from a row-by-row loop, so they agree
 with it to rounding, not bitwise; only at n == 1 does full_grad take the
 scalar kernel, so that full_grad(x) equals grad_i(0, x) bitwise there
@@ -48,6 +54,19 @@ def _sigmoid(t: float) -> float:
     e = math.exp(t)
     return e / (1.0 + e)
 
+
+# an oracle keeps a dense row copy of data with at most this many cells
+# (1 MiB) and at least 1/16 of them nonzero.  full_grad in microseconds, CSR /
+# dense (single-threaded, min of 25, 2-core Xeon):
+#
+#     shape      density 1/32   1/16      1/8
+#     800x123        37 / 42   47 / 41   71 / 44
+#     256x512        48 / 67   74 / 67  116 / 76
+#     64x2048        31 / 58   45 / 59  107 / 75
+#
+# Below about 1/20 the dense pass costs up to 2-3x the CSR one.  a9a itself
+# (32561 x 123, 4.0M cells) stays CSR.
+_DENSE_CELLS = 1 << 17
 
 # full_loss_many computes at most this many margins at once: about 128 KB per
 # temporary, so a lemma report's n x n evaluations do not raise peak memory
@@ -85,10 +104,14 @@ class Oracle:
         self._indices = dataset.indices
         self._values = dataset.values
         self._counts = np.diff(self._indptr)
-        # mostly-dense data gets dense row storage; per-sample ops then skip
-        # the index gather, which matters in the per-step hot path
+        # dense rows for data at least a quarter nonzero, and for data whose
+        # copy fits _DENSE_CELLS unless under 1/16 is nonzero (see there):
+        # per-sample ops then skip the index gather, and full-data ops take
+        # two BLAS gemv calls, not a gather, reduceat and add.at
         self._dense = None
-        if dataset.nnz / max(1, self.n * self.d) >= 0.25:
+        cells = self.n * self.d
+        density = dataset.nnz / max(1, cells)
+        if density >= 0.25 or (cells <= _DENSE_CELLS and density >= 1 / 16):
             self._dense = np.zeros((self.n, self.d))
             self._dense[self._row_ids(), self._indices] = self._values
         # a squared row norm past float64 is reported below, not warned about

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loopless import oracle as oracle_module
 from loopless.data import Dataset, SparseRow, synthesize_quadratic
 from loopless.diagnostics import ReferenceSolution
 from loopless.oracle import make_oracle
@@ -37,6 +38,15 @@ def ridge_instance(n, d, kappa, seed=0, mu=1.0):
     return oracle, ref
 
 
+def quarter_rule_oracle(dataset, loss, mu):
+    """make_oracle with _DENSE_CELLS patched to 0, so that only data at least
+    a quarter nonzero gets dense rows: tiny sparse data, which production
+    storage keeps dense, then reaches the CSR kernels."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle_module, "_DENSE_CELLS", 0)
+        return make_oracle(dataset, loss, mu)
+
+
 def sparse_logistic_oracle(n=24, d=15, seed=3):
     """CSR storage (density below 0.25), every fifth row empty."""
     rng = np.random.default_rng(seed)
@@ -44,7 +54,8 @@ def sparse_logistic_oracle(n=24, d=15, seed=3):
     for i in range(n):
         idx = [] if i % 5 == 2 else np.sort(rng.choice(d, size=2, replace=False))
         rows.append(SparseRow(np.asarray(idx, dtype=np.int64), rng.normal(size=len(idx))))
-    oracle = make_oracle(Dataset(rows, rng.choice([-1.0, 1.0], size=n), d), "logistic", 0.1)
+    oracle = quarter_rule_oracle(Dataset(rows, rng.choice([-1.0, 1.0], size=n), d),
+                                 "logistic", 0.1)
     assert oracle._dense is None
     return oracle
 

@@ -639,6 +639,36 @@ def test_writer_matches_the_reference_across_blocks():
     assert write_libsvm(dataset) == _reference_write(dataset)
 
 
+def test_column_ranks_are_np_unique_from_either_table(monkeypatch):
+    rng = np.random.default_rng(19)
+    # largest index below nnz: the bincount table, np.unique not called
+    table = [np.array([0]), np.array([2, 0, 1, 2]), np.arange(6)[::-1],
+             rng.integers(0, 300, size=300), np.repeat([0, 40], 21)]
+    # largest index at nnz or past it: np.unique
+    sort = [np.array([], dtype=np.int64), np.array([1]), np.array([0, 5, 3]),
+            np.arange(1, 7), np.array([7, 2**62, 0, 7])]
+    for indices in sort:
+        columns, ranks = data._column_ranks(indices)
+        want_columns, want_ranks = np.unique(indices, return_inverse=True)
+        assert columns.tolist() == want_columns.tolist()
+        assert ranks.tolist() == want_ranks.tolist()
+    want = [np.unique(indices, return_inverse=True) for indices in table]
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", no_sort)
+    for indices, (want_columns, want_ranks) in zip(table, want):
+        columns, ranks = data._column_ranks(indices)
+        assert columns.tolist() == want_columns.tolist()
+        assert ranks.tolist() == want_ranks.tolist()
+    monkeypatch.undo()
+    # an index of 2**62 would take a 2**62-long table: the writer sorts instead
+    text = "+1 1:0.5 4611686018427387905:2\n-1 3:1\n"
+    dataset = parse_libsvm(text)
+    assert write_libsvm(dataset) == _reference_write(dataset) == text
+
+
 def test_an_index_past_int64_is_a_parse_error(monkeypatch):
     for index in ("9223372036854775809", "99999999999999999999"):
         outcome = _assert_fast_matches_scalar(f"+1 1:0.5\n-1 2:1 {index}:1.5\n")

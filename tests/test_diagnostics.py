@@ -19,7 +19,7 @@ from loopless.optimizers import (
 )
 from loopless.rng import SplitMix64
 
-from conftest import ridge_instance
+from conftest import quarter_rule_oracle, ridge_instance
 
 
 def phi_contraction(state, ref, oracle):
@@ -98,10 +98,11 @@ def test_solve_reference_logistic_binary_features():
     assert np.linalg.norm(oracle.full_grad(ref.x_star)) <= 1e-10
 
 
-def a9a_like_logistic(n, d, nnz, seed, mu):
-    """A logistic oracle on normalized a9a-shaped rows: nnz distinct binary
-    features per row, low columns favoured (uniform draw / (j + 1)), labels
-    from a planted model; built from uniform draws and basic float arithmetic."""
+def a9a_like_logistic(n, d, nnz, seed, mu, build=make_oracle):
+    """A logistic oracle, made by `build`, on normalized a9a-shaped rows: nnz
+    distinct binary features per row, low columns favoured (uniform draw /
+    (j + 1)), labels from a planted model; built from uniform draws and basic
+    float arithmetic."""
     rng = np.random.default_rng(seed)
     scores = rng.random((n, d)) / np.arange(1.0, d + 1.0)
     idx = np.sort(np.argsort(-scores, axis=1, kind="stable")[:, :nnz], axis=1)
@@ -110,13 +111,11 @@ def a9a_like_logistic(n, d, nnz, seed, mu):
     labels = np.where(margins > np.median(margins), 1.0, -1.0)
     indptr = np.arange(0, n * nnz + 1, nnz)
     ones = np.ones(n * nnz)
-    return make_oracle(normalize_rows(Dataset.from_csr(indptr, idx.ravel(), ones, labels, d)),
-                       "logistic", mu)
+    return build(normalize_rows(Dataset.from_csr(indptr, idx.ravel(), ones, labels, d)),
+                 "logistic", mu)
 
 
 def test_a_reference_records_its_full_gradient_passes(monkeypatch):
-    oracle = a9a_like_logistic(800, 123, 14, seed=1, mu=1e-2)
-    assert oracle._dense is None
     calls = []
     full_grad = Oracle.full_grad
 
@@ -125,11 +124,16 @@ def test_a_reference_records_its_full_gradient_passes(monkeypatch):
         return full_grad(self, x)
 
     monkeypatch.setattr(Oracle, "full_grad", counted)
-    ref = solve_reference(oracle)
-    # gradient descent's pass count on this instance, pinned: a full-data
-    # kernel whose rounding changes how long the solve takes fails here
-    assert ref.epochs == len(calls) == 426
-    assert ref.grad_norm <= ref.tolerance
+    # gradient descent's pass count on this instance, pinned for CSR and for
+    # the dense rows production storage takes: a full-data kernel whose
+    # rounding changes how long the solve takes fails here
+    for build, dense in [(quarter_rule_oracle, False), (make_oracle, True)]:
+        oracle = a9a_like_logistic(800, 123, 14, seed=1, mu=1e-2, build=build)
+        assert (oracle._dense is not None) == dense
+        calls.clear()
+        ref = solve_reference(oracle)
+        assert ref.epochs == len(calls) == 426, build
+        assert ref.grad_norm <= ref.tolerance
 
 
 def test_a_reference_holds_nothing_n_by_d():
@@ -184,7 +188,7 @@ def test_from_point_is_a_solve_of_no_epochs_from_the_point(loss, density):
     rng = np.random.default_rng(21)
     A = rng.normal(size=(30, 6)) * (rng.random((30, 6)) < density)
     rows = [SparseRow(np.flatnonzero(a), a[a != 0.0]) for a in A]
-    oracle = make_oracle(Dataset(rows, rng.choice([-1.0, 1.0], size=30), 6), loss, 0.5)
+    oracle = quarter_rule_oracle(Dataset(rows, rng.choice([-1.0, 1.0], size=30), 6), loss, 0.5)
     assert (oracle._dense is None) == (density < 0.25)
     x = solve_reference(oracle).x_star
     got = ReferenceSolution.from_point(oracle, x)

@@ -73,9 +73,9 @@ CASES = {
 
 
 def write_inputs(directory: Path):
-    """The input files the cases read: a LIBSVM file stored as CSR (3 of 20
-    features per row), one with unsorted indices, and a config whose x0
-    overflows."""
+    """The input files the cases read: a sparse LIBSVM file (3 of 20 features
+    per row, which the oracle keeps as dense rows at this size), one with
+    unsorted indices, and a config whose x0 overflows."""
     directory.mkdir(parents=True)
     rng = np.random.default_rng(16)
     lines = []

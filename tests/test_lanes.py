@@ -145,6 +145,21 @@ def test_run_lanes_matches_run_on_csr_logistic():
                             epochs=30.0, checkpoint_every=3.0)
 
 
+def test_run_lanes_matches_run_bitwise_on_small_sparse_ridge():
+    # 2 of 15 features per row and 360 cells: production storage keeps dense
+    # rows, so ridge lanes take run()'s arithmetic
+    oracle = make_oracle(sparse_logistic_oracle().dataset, "ridge", 0.1)
+    assert oracle._dense is not None
+    eta = 1.0 / (6.0 * oracle.L)
+
+    def make_lanes():
+        return [LSVRG(oracle, np.zeros(oracle.d), eta=eta, p=0.1),
+                LoopySVRG(oracle, np.zeros(oracle.d), eta=eta, m=7)]
+
+    compare_lanes_with_runs(make_lanes, [5, 6], [distance_metrics(np.zeros(oracle.d))] * 2,
+                            exact=True, epochs=30.0, checkpoint_every=3.0)
+
+
 @pytest.mark.parametrize("level", ["lyapunov", "lemmas"])
 def test_run_lanes_matches_run_with_lsvrg_diagnostics(level):
     oracle, ref = ridge_instance(n=10, d=4, kappa=25.0, seed=2)

@@ -4,10 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loopless.data import Dataset, SparseRow, _dense_to_csr, parse_libsvm, synthesize_quadratic
+from loopless import oracle as oracle_module
+from loopless.data import (Dataset, SparseRow, _dense_to_csr, normalize_rows, parse_libsvm,
+                           synthesize_quadratic)
+from loopless.diagnostics import solve_reference
 from loopless.oracle import LogisticOracle, RidgeOracle, make_oracle
 
-from conftest import random_dataset
+from conftest import quarter_rule_oracle, random_dataset
 
 
 def finite_diff_grad(oracle, i, x):
@@ -167,7 +170,7 @@ def assert_close(got, want):
 def test_full_data_paths_match_scalar_reference(loss, density, n, margin):
     rng = np.random.default_rng([n, int(10 * density), len(loss), int(margin or 0)])
     dataset = property_dataset(rng, n, d=12, density=density, pad=3)
-    oracle = make_oracle(dataset, loss, 0.3)
+    oracle = quarter_rule_oracle(dataset, loss, 0.3)
     # the storage actually taken on each side of the 0.25 density threshold
     assert (oracle._dense is not None) == (dataset.nnz >= 0.25 * n * dataset.d)
     points = rng.normal(size=(4, oracle.d))
@@ -196,7 +199,7 @@ def test_full_data_paths_match_scalar_reference(loss, density, n, margin):
 def test_grad_many_matches_grad_i(loss, density, margin):
     rng = np.random.default_rng([int(10 * density), len(loss), int(margin or 0)])
     dataset = property_dataset(rng, 30, d=12, density=density, pad=3)
-    oracle = make_oracle(dataset, loss, 0.3)
+    oracle = quarter_rule_oracle(dataset, loss, 0.3)
     assert (oracle._dense is not None) == (density > 0.25)
     # every row once (every fourth is empty), then repeats
     idx = np.concatenate([np.arange(oracle.n), rng.integers(oracle.n, size=10)])
@@ -242,7 +245,8 @@ def test_logistic_weights_match_the_scalar_kernel_at_extreme_margins(filler):
     A[:, 0] = b * bm
     A[np.arange(n), 1 + np.arange(n)] = 1.0
     A[:, 1 + n:] = 1.0
-    oracle = make_oracle(Dataset.from_csr(*_dense_to_csr(A), b, A.shape[1]), "logistic", 0.3)
+    oracle = quarter_rule_oracle(Dataset.from_csr(*_dense_to_csr(A), b, A.shape[1]),
+                                 "logistic", 0.3)
     assert (oracle._dense is not None) == (filler > 0)
     x = np.zeros(oracle.d)
     x[0] = 1.0
@@ -302,7 +306,7 @@ def scalar_row_reference(oracle, i, x):
 def test_grad_i_and_loss_i_are_bitwise_the_scalar_reference(loss, density, n, d):
     rng = np.random.default_rng([n, d, int(10 * density), len(loss)])
     dataset = property_dataset(rng, n, d=d, density=density, pad=2)
-    oracle = make_oracle(dataset, loss, 0.3)
+    oracle = quarter_rule_oracle(dataset, loss, 0.3)
     assert (oracle._dense is not None) == (dataset.nnz >= 0.25 * n * dataset.d)
     for _ in range(20):
         x = rng.normal(size=oracle.d) * rng.choice([1e-3, 1.0, 50.0])
@@ -317,7 +321,8 @@ def test_full_loss_many_spans_several_blocks():
     rng = np.random.default_rng(9)
     for density in (0.1, 0.6):
         dataset = property_dataset(rng, 30, 12, density, pad=3)
-        oracle = make_oracle(dataset, "logistic", 0.3)
+        oracle = quarter_rule_oracle(dataset, "logistic", 0.3)
+        assert (oracle._dense is None) == (density < 0.25)
         # more points than two blocks of 2**14 margins hold at n = 30
         points = rng.normal(size=(1200, oracle.d))
         want = [scalar_reference(oracle, y)[0].mean() for y in points]
@@ -357,13 +362,76 @@ def test_csr_full_grad_sums_as_bincount_does(loss):
     rng = np.random.default_rng(8)
     for case in range(20):
         dataset = property_dataset(rng, int(rng.integers(2, 60)), 40, 0.1, pad=2)
-        oracle = make_oracle(dataset, loss, 0.1)
+        oracle = quarter_rule_oracle(dataset, loss, 0.1)
         assert oracle._dense is None
         x = rng.normal(size=oracle.d) * 3.0
         per_entry = np.repeat(oracle._weights(x), oracle._counts) * oracle._values
         data = np.bincount(oracle._indices, weights=per_entry, minlength=oracle.d)
         want = data / oracle.n + oracle.mu * x
         assert oracle.full_grad(x).tobytes() == want.tobytes()
+
+
+def rows_of(counts, d):
+    """A Dataset whose row i holds ones in columns 0 .. counts[i] - 1."""
+    counts = np.asarray(counts)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.arange(indptr[-1]) - np.repeat(indptr[:-1], counts)
+    return Dataset.from_csr(indptr, indices, np.ones(indptr[-1]), np.ones(counts.size), d)
+
+
+def test_storage_is_dense_when_a_quarter_is_nonzero_or_a_sixteenth_fits_the_budget():
+    assert oracle_module._DENSE_CELLS == 1024 * 128 == 1 << 17
+    cases = [
+        # (rows, columns, entries per row, one row's entries), dense?
+        ((1024, 128, 8, 8), True),  # at the budget, at 1/16
+        ((1024, 128, 8, 7), False),  # at the budget, one entry short of 1/16
+        ((1025, 128, 8, 8), False),  # one row past the budget, at 1/16
+        ((1024, 129, 9, 9), False),  # one column past the budget, above 1/16
+        ((1025, 128, 32, 32), True),  # past the budget, at 1/4
+        ((1025, 128, 32, 31), False),  # past the budget, one entry short of 1/4
+        ((1, 1, 1, 1), True),
+        ((3, 48, 3, 3), True),  # tiny, at 1/16
+        ((3, 48, 3, 2), False),
+    ]
+    for (n, d, k, last), dense in cases:
+        oracle = make_oracle(rows_of([k] * (n - 1) + [last], d), "ridge", 1.0)
+        assert (oracle._dense is not None) == dense, (n, d, k, last)
+        if dense:
+            assert np.array_equal(oracle._dense, dense_matrix(oracle))
+    # an a9a-shaped matrix, 14 of 123 features per row, is 4.0M cells: CSR
+    oracle = make_oracle(rows_of(np.full(32561, 14), 123), "logistic", 1e-2)
+    assert oracle._dense is None
+
+
+def test_dense_storage_agrees_with_csr_to_rounding():
+    """Random sparse data under the budget, dense in production: every
+    full-data and per-sample call agrees with the CSR kernels' to rounding,
+    and a reference solve makes as many passes."""
+    rng = np.random.default_rng(1717)
+    cases = 0
+    while cases < 12:
+        n, d = int(rng.integers(2, 120)), int(rng.integers(2, 200))
+        dataset = normalize_rows(property_dataset(rng, n, d, float(rng.uniform(0.1, 0.3)),
+                                                  pad=int(rng.integers(0, 4))))
+        loss = ("logistic", "ridge")[cases % 2]
+        mu = float(rng.uniform(0.05, 0.5))
+        dense, csr = make_oracle(dataset, loss, mu), quarter_rule_oracle(dataset, loss, mu)
+        if dense._dense is None or csr._dense is not None:
+            continue
+        cases += 1
+        points = rng.normal(size=(5, dense.d)) * rng.choice([0.1, 1.0, 20.0])
+        x = points[0]
+        for i in range(n):
+            assert_close(dense.grad_i(i, x), csr.grad_i(i, x))
+            assert dense.loss_i(i, x) == pytest.approx(csr.loss_i(i, x), rel=1e-12)
+        idx = rng.integers(n, size=2 * n)
+        X = rng.normal(size=(idx.size, dense.d))
+        assert_close(dense.grad_many(idx, X), csr.grad_many(idx, X))
+        assert_close(dense.full_grad(x), csr.full_grad(x))
+        assert_close(dense.grad_table(x), csr.grad_table(x))
+        np.testing.assert_allclose(dense.full_loss_many(points), csr.full_loss_many(points),
+                                   rtol=1e-12)
+        assert solve_reference(dense).epochs == solve_reference(csr).epochs
 
 
 def test_smoothness_constant_formulas():
