@@ -116,12 +116,14 @@ class Dataset:
         if (self.indptr[0] != 0 or (counts < 0).any() or self.indptr[-1] != nnz
                 or self.values.shape != (nnz,)):
             raise ValueError("indptr, indices and values do not describe CSR rows")
-        within_row = np.ones(max(nnz - 1, 0), dtype=bool)
-        boundaries = self.indptr[1:-1]
-        within_row[boundaries[(boundaries > 0) & (boundaries < nnz)] - 1] = False
-        # compares neighbours in place: no nnz-sized integer temporaries
-        if (within_row & (self.indices[1:] <= self.indices[:-1])).any():
+        # one nnz-sized temporary: flag j is indices[j] <= indices[j - 1], and
+        # the flags at row starts, which compare across rows, are cleared in place
+        unordered = np.zeros(nnz + 1, dtype=bool)
+        np.less_equal(self.indices[1:], self.indices[:-1], out=unordered[1:nnz])
+        unordered[self.indptr] = False
+        if unordered.any():
             raise ValueError("indices must be strictly increasing within a row")
+        del unordered  # freed before the values check makes its own mask
         if nnz and self.indices.min() < 0:
             raise ValueError("indices must be nonnegative")
         if (self.values == 0.0).any():

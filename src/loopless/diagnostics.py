@@ -258,7 +258,7 @@ def _verify_katyusha_bounds(state, ref, oracle) -> dict:
 
     # every sample draw's branch, one row each: the estimator g, z_next and
     # f at y_next
-    x = state.interpolate()
+    x = state.point()
     g = oracle.grad_table(x) - (oracle.grad_table(state.w) - state.grad_w)
     z_next, y_next = state.momentum_step(x, g)
     f_y_next = oracle.full_loss_many(y_next)

@@ -10,10 +10,12 @@ differ only in the refresh rule mixed into the class: a coin (_Coin) or every
 m-th step (_Loop).
 
 Each class carries its own facts, which the harness, CLI and diagnostics read
-instead of restating: its registry `name`, its constructor parameters (the
-annotated signature after oracle and x0), its `theory_params` preset, and its
-family, which fixes the Lyapunov `potential` columns, the `lemmas` slack
-names and the predicted contraction rate in `theory_facts`.
+instead of restating: its registry `name`, its declared `param_types` table
+(the constructor's keywords after oracle and x0, in order, with their types),
+its `theory_params` preset, and its family, which fixes the Lyapunov
+`potential` columns, the `lemmas` slack names and the predicted contraction
+rate in `theory_facts`.  A family constructor takes its refresh rule's one
+parameter by keyword (p= or m=) and hands it to the rule's _init_rule.
 
 Shared conventions:
   * every optimizer holds an immutable oracle and exposes step(rng),
@@ -38,7 +40,6 @@ on a stacked instance with one row per lane, advance every lane at once.
 from __future__ import annotations
 
 import copy
-import inspect
 import math
 import time
 
@@ -64,17 +65,10 @@ class _Optimizer:
     """Shared accounting (k, oracle_calls, epoch) and the per-class facts."""
 
     name: str
-    param_types: dict  # constructor parameters after (oracle, x0) -> type
+    param_types: dict  # declared by each class: constructor keyword -> type
     potential: tuple[str, ...] = ()  # Lyapunov trace columns: phi or psi first
     lemmas: tuple[str, ...] = ()  # one-step bounds, traced as slack_<name>
     diverged_at: int | None = None  # k of the checkpoint run or run_lanes stopped at
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # read once from the annotated signature, so it cannot drift from it
-        signature = inspect.signature(cls, eval_str=True)
-        params = list(signature.parameters.values())[2:]
-        cls.param_types = {p.name: p.annotation for p in params}
 
     def _start(self, oracle: Oracle, x0: np.ndarray):
         """Zero the counters; returns a float copy of x0 and its full
@@ -106,7 +100,7 @@ class _Coin:
     """Loopless refresh rule: a Bernoulli(p) coin drawn after the index."""
 
     def _init_rule(self, p: float):
-        self.p = _check_prob(p)
+        self.p = self.refresh_prob = _check_prob(p)
 
     def _refresh_due(self, rng: SplitMix64) -> bool:
         return rng.bernoulli(self.p)
@@ -118,10 +112,6 @@ class _Coin:
         coin = self.p < 1.0
         indices, uniforms = step_draws(rng, self.oracle.n, steps, coin)
         return indices, uniforms < self.p if coin else np.ones(steps, dtype=bool)
-
-    @property
-    def refresh_prob(self) -> float:
-        return self.p
 
     @staticmethod
     def loop_params(length: int) -> dict:
@@ -136,6 +126,7 @@ class _Loop:
         if m < 1:
             raise ValueError(f"inner loop length m must be >= 1, got {m}")
         self.m = int(m)
+        self.refresh_prob = 1.0 / self.m  # refreshes per step; p in the predicted rate
 
     def _refresh_due(self, rng: SplitMix64) -> bool:
         return (self.k + 1) % self.m == 0
@@ -148,11 +139,6 @@ class _Loop:
         # the steps j with (k + 1 + j) % m == 0, in Python ints: m may pass int64
         refresh[-(self.k + 1) % self.m::self.m] = True
         return indices, refresh
-
-    @property
-    def refresh_prob(self) -> float:
-        """Refreshes per step; stands in for p in the predicted rate."""
-        return 1.0 / self.m
 
     @staticmethod
     def loop_params(length: int) -> dict:
@@ -195,9 +181,9 @@ class _SVRGFamily(_VarianceReduced):
     lane_state = ("x", "w", "grad_w")
     lane_params = ("eta",)
 
-    def __init__(self, oracle: Oracle, x0: np.ndarray, eta: float, refresh):
+    def __init__(self, oracle: Oracle, x0: np.ndarray, eta: float, **rule):
         self.eta = _check_positive(eta, "eta")
-        self._init_rule(refresh)
+        self._init_rule(**rule)  # p= for the coin, m= for the loop
         self.x, self.grad_w = self._start(oracle, x0)
         self.w = self.x
 
@@ -224,9 +210,8 @@ class _KatyushaFamily(_VarianceReduced):
     lane_state = ("z", "y", "w", "grad_w")
     lane_params = ("theta1", "theta2", "eta")
 
-    def __init__(
-        self, oracle: Oracle, x0: np.ndarray, theta1: float, theta2: float, refresh
-    ):
+    def __init__(self, oracle: Oracle, x0: np.ndarray, theta1: float, theta2: float,
+                 **rule):
         _check_positive(theta1, "theta1")
         _check_positive(theta2, "theta2")
         if theta1 + theta2 > 1.0:
@@ -235,7 +220,7 @@ class _KatyushaFamily(_VarianceReduced):
             )
         self.theta1 = float(theta1)
         self.theta2 = float(theta2)
-        self._init_rule(refresh)
+        self._init_rule(**rule)
         self.sigma = oracle.mu / oracle.L
         self.eta = theta2 / ((1.0 + theta2) * theta1)
         self.y, self.grad_w = self._start(oracle, x0)
@@ -254,15 +239,13 @@ class _KatyushaFamily(_VarianceReduced):
                          self.theta1 / (2.0 * self.oracle.n))
         return {"predicted_rate": rate, "sigma": self.sigma, "eta": self.eta}
 
-    def interpolate(self) -> np.ndarray:
+    def point(self) -> np.ndarray:
         """x^k = theta1 z + theta2 w + (1 - theta1 - theta2) y."""
         return (
             self.theta1 * self.z
             + self.theta2 * self.w
             + (1.0 - self.theta1 - self.theta2) * self.y
         )
-
-    point = interpolate
 
     def momentum_step(self, x: np.ndarray, g: np.ndarray):
         """(z^{k+1}, y^{k+1}) from x^k and the estimator g; broadcasts over
@@ -289,6 +272,7 @@ class GradientDescent(_Optimizer):
     """Full-gradient baseline; n oracle calls per step (and at init)."""
 
     name = "gd"
+    param_types = {"step_size": float}
 
     def __init__(self, oracle: Oracle, x0: np.ndarray, step_size: float):
         self.step_size = _check_positive(step_size, "step_size")
@@ -309,44 +293,32 @@ class LSVRG(_SVRGFamily, _Coin):
     """Loopless SVRG: coin-triggered reference refresh, w^{k+1} = x^k."""
 
     name = "l-svrg"
+    param_types = {"eta": float, "p": float}
     step = _VarianceReduced.step
-
-    def __init__(self, oracle: Oracle, x0: np.ndarray, eta: float, p: float):
-        super().__init__(oracle, x0, eta, p)
 
 
 class LoopySVRG(_SVRGFamily, _Loop):
     """Original SVRG loop structure: refresh w <- x^k every m steps."""
 
     name = "svrg"
+    param_types = {"eta": float, "m": int}
     step = _VarianceReduced.step
-
-    def __init__(self, oracle: Oracle, x0: np.ndarray, eta: float, m: int):
-        super().__init__(oracle, x0, eta, m)
 
 
 class LKatyusha(_KatyushaFamily, _Coin):
     """Loopless Katyusha: negative momentum toward w, coin refresh w^{k+1} = y^k."""
 
     name = "l-katyusha"
+    param_types = {"theta1": float, "theta2": float, "p": float}
     step = _VarianceReduced.step
-
-    def __init__(
-        self, oracle: Oracle, x0: np.ndarray, theta1: float, theta2: float, p: float
-    ):
-        super().__init__(oracle, x0, theta1, theta2, p)
 
 
 class LoopyKatyusha(_KatyushaFamily, _Loop):
     """Katyusha with a deterministic loop: refresh w <- y^k every m steps."""
 
     name = "katyusha"
+    param_types = {"theta1": float, "theta2": float, "m": int}
     step = _VarianceReduced.step
-
-    def __init__(
-        self, oracle: Oracle, x0: np.ndarray, theta1: float, theta2: float, m: int
-    ):
-        super().__init__(oracle, x0, theta1, theta2, m)
 
 
 ALGORITHMS = {

@@ -3,6 +3,7 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loopless import diagnostics, harness
@@ -696,10 +697,11 @@ class DampedLSVRG(LSVRG):
     """A sixth algorithm defined only here: L-SVRG with a damped step size."""
 
     name = "l-svrg-damped"
+    param_types = {**LSVRG.param_types, "damping": float}
     step = LSVRG.step
 
     def __init__(self, oracle, x0, eta: float, p: float, damping: float):
-        super().__init__(oracle, x0, eta * damping, p)
+        super().__init__(oracle, x0, eta * damping, p=p)
 
     @classmethod
     def theory_params(cls, oracle):
@@ -719,6 +721,14 @@ def test_algorithm_facts_come_from_the_class(tmp_path, monkeypatch):
         params = resolve_params(config, oracle)
         assert list(params) == list(cls.param_types)
         assert set(cls.theory_params(oracle)) == set(params)
+        # the declared table is the constructor's keywords: all of them, no more
+        cls(oracle, np.zeros(oracle.d), **cls.theory_params(oracle))
+        for dropped in params:
+            with pytest.raises(TypeError):
+                cls(oracle, np.zeros(oracle.d),
+                    **{k: v for k, v in params.items() if k != dropped})
+        with pytest.raises(TypeError):
+            cls(oracle, np.zeros(oracle.d), **params, unknown=1.0)
         assert trace_columns(config) == (
             ["k", "oracle_calls", "epoch", "dist_sq", "f_gap", *cls.potential]
             + [f"slack_{lemma}" for lemma in cls.lemmas] + ["wall_ns"]

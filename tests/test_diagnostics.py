@@ -392,7 +392,7 @@ def test_expected_psi_next_single_branch_when_deterministic():
     state.w = np.array([-0.7])
     state.grad_w = oracle.full_grad(state.w)
 
-    x = state.interpolate()
+    x = state.point()
     g = oracle.full_grad(x)
     es = state.eta * state.sigma
     z_next = (es * x + state.z - (state.eta / oracle.L) * g) / (1 + es)

@@ -13,7 +13,9 @@ After an intended change of output, regenerate the cases it changes with
 
     PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
 
-(no case name: every case and the inputs) and name the files that changed.
+(no case name: every case) and name the files that changed.  The inputs
+are rewritten either way; write_inputs is seeded, so an unchanged input stays
+byte-identical.
 """
 
 from __future__ import annotations
@@ -32,12 +34,15 @@ import numpy as np
 import pytest
 
 from loopless.cli import main
+from loopless.data import parse_libsvm
+from loopless.oracle import make_oracle
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
 
 _RIDGE = ["--synthetic", "12,4,25", "--loss", "ridge", "--mu", "1"]
 _CSR = ["--data", "{tmp}/in/csr_logistic.svm", "--loss", "logistic", "--mu", "0.1"]
+_SPARSE = ["--data", "{tmp}/in/sparse_logistic.svm", "--loss", "logistic", "--mu", "0.1"]
 _OUT = ["--out", "{tmp}/out"]
 
 CASES = {
@@ -54,11 +59,15 @@ CASES = {
                                 "--diagnostics", "lyapunov", "--seed", "5", *_OUT],
     "run_l-katyusha_lemmas": ["run", *_RIDGE, "--alg", "l-katyusha", "--epochs", "2",
                               "--diagnostics", "lemmas", "--seed", "6", *_OUT],
+    "run_l-katyusha_lemmas_sparse": ["run", *_SPARSE, "--alg", "l-katyusha", "--epochs",
+                                     "2", "--diagnostics", "lemmas", "--seed", "8", *_OUT],
     "sweep-p": ["sweep-p", *_RIDGE, "--epochs", "3", "--grid", "2,5", *_OUT],
     "compare-all_ridge": ["compare-all", *_RIDGE, "--epochs", "4", "--seeds", "0,1,2",
                           "--thresholds", "1e-2,1e-4", *_OUT],
     "compare-all_csr_logistic": ["compare-all", *_CSR, "--epochs", "3",
                                  "--seeds", "0,1,2", "--thresholds", "1e-2,1e-4", *_OUT],
+    "compare-all_sparse_logistic": ["compare-all", *_SPARSE, "--epochs", "10",
+                                    "--seeds", "0,1,2", "--thresholds", "1e-1,1e-2", *_OUT],
     "solve-ref": ["solve-ref", *_CSR, "--normalize", *_OUT],
     "exit2_config": ["run", *_RIDGE, "--alg", "l-svrg", "--epochs", "nan", *_OUT],
     "exit3_data": ["run", "--data", "{tmp}/in/unsorted.svm", "--alg", "gd", *_OUT],
@@ -72,24 +81,33 @@ CASES = {
 }
 
 
-def write_inputs(directory: Path):
-    """The input files the cases read: a sparse LIBSVM file (3 of 20 features
-    per row, which the oracle keeps as dense rows at this size), one with
-    unsorted indices, and a config whose x0 overflows."""
-    directory.mkdir(parents=True)
-    rng = np.random.default_rng(16)
+def _svm_text(rng: np.random.Generator, n: int, d: int) -> str:
+    """n LIBSVM rows of 3 of d features each; every third label is -1."""
     lines = []
-    for i in range(30):
-        columns = np.sort(rng.choice(20, size=3, replace=False)) + 1
+    for i in range(n):
+        columns = np.sort(rng.choice(d, size=3, replace=False)) + 1
         values = np.round(rng.normal(size=3), 3)
         label = "+1" if i % 3 else "-1"
         lines.append(label + "".join(f" {j}:{v!r}"
                                      for j, v in zip(columns.tolist(), values.tolist())))
-    (directory / "csr_logistic.svm").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def write_inputs(directory: Path):
+    """The input files the cases read: a sparse LIBSVM file (3 of 20 features
+    per row, which the oracle keeps as dense rows at this size), one with
+    unsorted indices, a config whose x0 overflows, and a sparser LIBSVM file
+    (3 of 64 features per row, under 1/16 nonzero: the oracle keeps CSR rows).
+    Each file has its own seed, so adding one leaves the others as they were."""
+    directory.mkdir(parents=True, exist_ok=True)
+    text = _svm_text(np.random.default_rng(16), 30, 20)
+    (directory / "csr_logistic.svm").write_text(text, encoding="utf-8")
     (directory / "unsorted.svm").write_text("+1 2:1 1:3\n", encoding="utf-8")
     config = {"synthetic": [10, 4, 25.0], "loss": "ridge", "mu": 1.0, "epochs": 2.0,
               "x0": [1e308] * 4}
     (directory / "huge_x0.json").write_text(json.dumps(config) + "\n", encoding="utf-8")
+    text = _svm_text(np.random.default_rng(64), 40, 64)
+    (directory / "sparse_logistic.svm").write_text(text, encoding="utf-8")
 
 
 def run_case(name: str, tmp: Path) -> dict:
@@ -175,11 +193,27 @@ def test_cli_output_matches_its_golden_copy(tmp_path, name):
             _compare_file(tmp_path / path, GOLDEN / name / path, tmp_path)
 
 
+def test_inputs_are_what_write_inputs_writes(tmp_path):
+    write_inputs(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        p.name for p in INPUTS.iterdir())
+    for path in tmp_path.iterdir():
+        assert path.read_bytes() == (INPUTS / path.name).read_bytes(), path.name
+
+
+def test_the_sparse_input_runs_on_the_csr_kernels():
+    """The cases on _SPARSE reach the CSR branches end to end: its oracle
+    keeps no dense copy of the rows."""
+    dataset = parse_libsvm((INPUTS / "sparse_logistic.svm").read_text(encoding="utf-8"))
+    assert (dataset.n, dataset.d) == (40, 64)
+    assert make_oracle(dataset, "logistic", 0.1)._dense is None
+
+
 def regenerate(names: list[str]):
-    """Rewrite the named cases, or every case and the inputs when none is named."""
+    """Rewrite the inputs and the named cases, or every case when none is named."""
     if not names:
         shutil.rmtree(GOLDEN, ignore_errors=True)
-        write_inputs(INPUTS)
+    write_inputs(INPUTS)
     for name in names or CASES:
         shutil.rmtree(GOLDEN / name, ignore_errors=True)
         with tempfile.TemporaryDirectory() as scratch:

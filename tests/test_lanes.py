@@ -45,7 +45,8 @@ def ridge_oracle(n, d=3, kappa=20.0, seed=0):
 )
 def test_schedule_matches_serial_draws(cls, n, param):
     oracle = ridge_oracle(n)
-    scheduled = cls(oracle, np.zeros(oracle.d), 0.01, param)
+    rule = list(cls.param_types)[-1]  # p for the coin, m for the loop
+    scheduled = cls(oracle, np.zeros(oracle.d), eta=0.01, **{rule: param})
     serial = copy.copy(scheduled)
     rng_block, rng_serial = SplitMix64(77), SplitMix64(77)
     for steps in (0, 1, 37, 600):
