@@ -535,13 +535,19 @@ def save_libsvm(dataset: Dataset, path) -> None:
 
 
 def normalize_rows(dataset: Dataset) -> Dataset:
-    """Scale every nonempty row to unit Euclidean norm (new dataset)."""
-    norms = np.sqrt(dataset.row_sums(dataset.values * dataset.values))
-    counts = np.diff(dataset.indptr)
-    values = dataset.values / np.repeat(norms, counts)
-    return Dataset.from_csr(
-        dataset.indptr, dataset.indices, values, dataset.labels, dataset.d
-    )
+    """Scale every nonempty row to unit Euclidean norm (new dataset).
+    ValueError when a squared row norm or a scaled entry leaves float64."""
+    # such a row is reported below, once, not warned about
+    with np.errstate(over="ignore", divide="ignore"):
+        norms = np.sqrt(dataset.row_sums(dataset.values * dataset.values))
+        values = dataset.values / np.repeat(norms, np.diff(dataset.indptr))
+    try:
+        return Dataset.from_csr(
+            dataset.indptr, dataset.indices, values, dataset.labels, dataset.d
+        )
+    except ValueError:  # the input is valid CSR, so an entry is 0 or inf
+        raise ValueError("a row cannot be scaled to unit norm: its squared norm "
+                         "or a scaled entry leaves the float64 range") from None
 
 
 def _dense_to_csr(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -600,11 +606,14 @@ def synthesize_quadratic(
             np.geomspace(rho_sq / 2.0, min(mu, rho_sq / 2.0), d - 2)
         )
         G = rng.standard_normal((n, d - 2)) * scales
-        G /= np.linalg.norm(G, axis=1, keepdims=True)
-        A = rho * (
-            np.sqrt(0.5) * np.tile(V[:, 0], (n, 1))
-            + np.sqrt(0.5) * G @ V[:, 1 : d - 1].T
-        )
+        # weights that underflow to 0 (a subnormal mu) leave NaN rows, which
+        # are reported below as a Hessian that is not finite
+        with np.errstate(divide="ignore", invalid="ignore"):
+            G /= np.linalg.norm(G, axis=1, keepdims=True)
+            A = rho * (
+                np.sqrt(0.5) * np.tile(V[:, 0], (n, 1))
+                + np.sqrt(0.5) * G @ V[:, 1 : d - 1].T
+            )
 
     b = rng.choice([-1.0, 1.0], size=n)
     # an overflow is reported below, once, not warned about

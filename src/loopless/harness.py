@@ -192,11 +192,11 @@ def build_problem(config: RunConfig) -> tuple[Oracle, np.ndarray | None]:
             raise ConfigError(f"synthetic={config.synthetic}: {exc}") from None
         if config.loss == "ridge" and not config.normalize:
             minimizer = x_star
-    if config.normalize:
-        dataset = normalize_rows(dataset)
     try:
+        if config.normalize:
+            dataset = normalize_rows(dataset)
         oracle = make_oracle(dataset, config.loss, config.mu)
-    except ValueError as exc:  # the config checks loss and mu, so L overflowed
+    except ValueError as exc:  # the config checks loss and mu: a row norm left float64
         if config.dataset_path is None:
             raise ConfigError(f"synthetic={config.synthetic}: {exc}") from None
         raise DataError(f"cannot use {config.dataset_path}: {exc}") from None
@@ -234,6 +234,11 @@ def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
             raise ConfigError(
                 f"param {name}={params[name]!r} is not a valid {kind.__name__}"
             ) from None
+    # the psi potential's coefficient theta2 (1 + theta1) / (p theta1)
+    if (config.diagnostics in ("lyapunov", "lemmas") and "p" in resolved
+            and "theta1" in resolved and resolved["p"] * resolved["theta1"] == 0.0):
+        raise ConfigError(f"p * theta1 underflows to 0 at p = {resolved['p']}, "
+                          f"theta1 = {resolved['theta1']}: the psi potential divides by it")
     return resolved
 
 
@@ -470,16 +475,20 @@ def normalize_grid(values) -> list[int]:
 
 def probability_grid(n: int, kappa: float) -> list[int]:
     """The five loop lengths n, (k n^3)^(1/4), (k n)^(1/2), (k^3 n)^(1/4), k,
-    log-uniform between n and kappa."""
-    return normalize_grid(
-        [
-            float(n),
-            (kappa * n**3) ** 0.25,
-            (kappa * n) ** 0.5,
-            (kappa**3 * n) ** 0.25,
-            float(kappa),
-        ]
-    )
+    log-uniform between n and kappa.  ConfigError when one overflows float64."""
+    try:
+        return normalize_grid(
+            [
+                float(n),
+                (kappa * n**3) ** 0.25,
+                (kappa * n) ** 0.5,
+                (kappa**3 * n) ** 0.25,
+                float(kappa),
+            ]
+        )
+    except OverflowError:  # kappa**3 raises; an infinite length fails int()
+        raise ConfigError(f"kappa = {kappa} is too large for the default loop-length "
+                          "grid (a length overflows float64); pass --grid") from None
 
 
 def sweep_p(base_config: RunConfig, out_dir, grid: list[int] | None = None) -> list[Path]:

@@ -79,10 +79,6 @@ class _Optimizer:
         x = np.array(x0, dtype=np.float64)
         return x, oracle.full_grad(x)
 
-    @classmethod
-    def theory(cls, oracle: Oracle, x0: np.ndarray):
-        return cls(oracle, x0, **cls.theory_params(oracle))
-
     def theory_facts(self) -> dict:
         """Predicted contraction rate and derived constants for the sidecar."""
         return {}
@@ -364,9 +360,9 @@ class _Recorder:
 
     def record(self, optimizer, metrics=None) -> dict | None:
         """The optimizer's checkpoint record: k, oracle_calls, epoch, what
-        metrics returns, then wall_ns.  None when its tracked point, dist_sq
-        or f_gap is not finite: the run has diverged and stops without the
-        record, and optimizer.diverged_at is set to its k."""
+        metrics returns, then wall_ns.  None when its tracked point or any
+        value of the record is not finite: the run has diverged and stops
+        without the record, and optimizer.diverged_at is set to its k."""
         now = time.perf_counter_ns()
         rec = {"k": optimizer.k, "oracle_calls": optimizer.oracle_calls,
                "epoch": optimizer.epoch}
@@ -376,8 +372,7 @@ class _Recorder:
             # overflow here means divergence, which is reported once, below
             with np.errstate(over="ignore", invalid="ignore"):
                 rec.update(metrics(optimizer))
-            finite = all(v is None or math.isfinite(v)
-                         for v in (rec.get("dist_sq"), rec.get("f_gap")))
+            finite = all(map(math.isfinite, rec.values()))
         rec["wall_ns"] = wall_ns
         self.diag_ns += time.perf_counter_ns() - now
         if not finite:
@@ -402,7 +397,7 @@ def run(
     metrics(optimizer) may return a dict of further columns; it sees the
     live optimizer and must treat it as read-only.  wall_ns leaves out the
     time spent in it.
-    At the first checkpoint whose tracked point, dist_sq or f_gap is not
+    At the first checkpoint whose tracked point or any record value is not
     finite the run stops without recording it, leaving the optimizer in that
     state with diverged_at = k.  Deterministic given (optimizer state, rng).
     """

@@ -6,9 +6,12 @@ inside every f_i so each f_i is mu-strongly convex:
     logistic:  f_i(x) = log(1 + exp(-b_i a_i^T x)) + (mu/2)||x||^2
     ridge:     f_i(x) = (1/2)(a_i^T x - b_i)^2     + (mu/2)||x||^2
 
-L is a cheap upper bound on every f_i's smoothness constant (max squared row
-norm, scaled by the loss curvature bound, plus mu).  An oracle is not built
-when L is not finite (a squared row norm past float64).
+Each loss is three kernels of the margin m = a_i^T x and a constant: the
+scalar phi'(m, b) (_dphi) of grad_i's per-step path, phi and phi'
+elementwise on arrays of margins (_phis, _dphis) for full-data calls, and
+`curvature`, a bound on phi''.  L = curvature * max_i ||a_i||^2 + mu bounds
+every f_i's smoothness; an oracle is not built when L is not finite (a
+squared row norm past float64).
 
 An oracle keeps a dense copy of the rows when at least a quarter of the
 entries are nonzero, or when the copy fits _DENSE_CELLS (1 MiB) and at
@@ -16,11 +19,11 @@ least 1/16 of them are: on such data two BLAS gemv calls make a full pass
 faster than the CSR kernels do.  Otherwise it works on the dataset's CSR
 arrays, shared rather than copied.
 
-Per-sample calls (grad_i, loss_i) run one row through a scalar kernel on
-Python floats, which is the optimizers' per-step hot path.  They take the
-row dot with ndarray.dot, which gives the bits of `a @ x` at about half its
-call cost, read the label and the CSR row bounds as Python scalars (.item),
-and gather a CSR row's entries of x with take.  Full-data calls
+grad_i runs one row through the scalar kernel on Python floats, which is
+the optimizers' per-step hot path.  It takes the row dot with ndarray.dot,
+which gives the bits of `a @ x` at about half its call cost, reads the
+label and the CSR row bounds as Python scalars (.item), and gathers a CSR
+row's entries of x with take.  Full-data calls
 (full_grad, full_loss, grad_table and their batched forms) run all rows at
 once with numpy: A @ x and r @ A on the dense copy, reduceat and add.at on
 the CSR arrays.  Their logistic weight phi'(m) = -b / (1 + e^{b m}) takes
@@ -41,11 +44,6 @@ import math
 import numpy as np
 
 from .data import Dataset
-
-
-def _softplus(t: float) -> float:
-    # log(1 + e^t) without overflow
-    return max(t, 0.0) + math.log1p(math.exp(-abs(t)))
 
 
 def _sigmoid(t: float) -> float:
@@ -88,8 +86,11 @@ def _quiet_range(method):
 
 
 class Oracle:
-    """Shared machinery; subclasses define the per-sample loss, as a scalar
-    kernel (_phi, _dphi) and an elementwise numpy one (_phis, _dphis)."""
+    """Shared machinery; subclasses define the loss as three kernels of the
+    margin, the scalar _dphi and the elementwise _phis and _dphis, and the
+    constant `curvature` (an upper bound on phi'')."""
+
+    curvature: float
 
     def __init__(self, dataset: Dataset, mu: float):
         if mu <= 0.0:
@@ -118,44 +119,27 @@ class Oracle:
         with np.errstate(over="ignore"):
             row_sq = dataset.row_sums(self._values * self._values)
         self._max_row_sq = float(row_sq.max())
-        self.L = self._curvature_bound() * self._max_row_sq + self.mu
+        self.L = self.curvature * self._max_row_sq + self.mu
         if not self.L < math.inf:
             raise ValueError(f"smoothness bound L = {self.L} is not finite: "
                              "a squared row norm overflows float64")
         if self.L < self.mu:
             raise AssertionError("L >= mu must hold by construction")
 
-    # per-sample scalar pieces, in terms of the margin m = a_i^T x
-    def _phi(self, m: float, b: float) -> float:
-        raise NotImplementedError
-
+    # phi'(m, b) of one margin m = a_i^T x, in Python floats
     def _dphi(self, m: float, b: float) -> float:
         raise NotImplementedError
 
-    # the same pieces elementwise on arrays of margins (labels broadcast)
+    # phi and phi' elementwise on arrays of margins (labels broadcast)
     def _phis(self, m: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def _dphis(self, m: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _curvature_bound(self) -> float:
-        """Upper bound on phi'' over all margins."""
-        raise NotImplementedError
-
     def _row_ids(self) -> np.ndarray:
         """The row of every stored entry (nnz,)."""
         return np.repeat(np.arange(self.n), self._counts)
-
-    def loss_i(self, i: int, x: np.ndarray) -> float:
-        if not 0 <= i < self.n:
-            raise IndexError(f"sample index {i} out of range [0, {self.n})")
-        if self._dense is not None:
-            m = float(self._dense[i].dot(x))
-        else:
-            lo, hi = self._indptr.item(i), self._indptr.item(i + 1)
-            m = float(self._values[lo:hi].dot(x.take(self._indices[lo:hi])))
-        return self._phi(m, self.labels.item(i)) + 0.5 * self.mu * float(x.dot(x))
 
     def grad_i(self, i: int, x: np.ndarray) -> np.ndarray:
         if not 0 <= i < self.n:
@@ -258,8 +242,7 @@ class Oracle:
 
 
 class LogisticOracle(Oracle):
-    def _phi(self, m, b):
-        return _softplus(-b * m)
+    curvature = 0.25
 
     def _dphi(self, m, b):
         return -b * _sigmoid(-b * m)
@@ -276,28 +259,23 @@ class LogisticOracle(Oracle):
         np.divide(b, w, out=w)
         return np.negative(w, out=w)
 
-    def _curvature_bound(self):
-        return 0.25
-
     # np.exp overflows by design, and underflows where grad_i's math.exp
     # flushes to 0 silently
     grad_many = _quiet_range(Oracle.grad_many)
 
 
 class RidgeOracle(Oracle):
-    def _phi(self, m, b):
+    curvature = 1.0
+
+    def _phis(self, m, b):
         r = m - b
         return 0.5 * r * r
 
     def _dphi(self, m, b):
         return m - b
 
-    # the scalar expressions are already elementwise
-    _phis = _phi
+    # the scalar expression is already elementwise
     _dphis = _dphi
-
-    def _curvature_bound(self):
-        return 1.0
 
 
 _ORACLES = {"logistic": LogisticOracle, "ridge": RidgeOracle}

@@ -169,6 +169,83 @@ def test_a_theory_preset_that_underflows_names_the_instance(tmp_path, capsys, co
     assert not (tmp_path / "out").exists()
 
 
+def run_quietly(*argv):
+    """run_cli, and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(*argv)
+    return code, caught
+
+
+def test_a_potential_that_overflows_is_divergence(tmp_path, capsys):
+    # dk's coefficient 4 eta^2 / (p n) overflows at p = 5e-324: phi and dk
+    # are inf at every checkpoint, so the run stops at k = 0
+    code, caught = run_quietly(
+        "run", "--synthetic", "12,4,25", "--loss", "ridge", "--mu", "0.5",
+        "--alg", "l-svrg", "--eta", "0.01", "--p", "5e-324", "--epochs", "2",
+        "--diagnostics", "lyapunov", "--out", str(tmp_path))
+    assert code == EXIT_DIVERGED and not caught
+    err = capsys.readouterr().err
+    assert err.startswith("divergence: ") and err.count("\n") == 1
+    sidecar = json.loads((tmp_path / "l-svrg_ridge_seed0.json").read_text())
+    assert sidecar["diverged_at_k"] == 0
+    assert read_trace(tmp_path / "l-svrg_ridge_seed0.csv") == []
+
+
+@pytest.mark.parametrize("diagnostics", ["lyapunov", "lemmas"])
+def test_a_psi_coefficient_that_underflows_exits_with_config_code(tmp_path, capsys,
+                                                                  diagnostics):
+    argv = ["run", "--synthetic", "12,4,25", "--loss", "ridge", "--mu", "0.5",
+            "--alg", "l-katyusha", "--theta1", "0.01", "--theta2", "0.5", "--p", "5e-324",
+            "--epochs", "2"]
+    code, caught = run_quietly(*argv, "--diagnostics", diagnostics,
+                               "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG and not caught
+    assert capsys.readouterr().err == (
+        "config error: p * theta1 underflows to 0 at p = 5e-324, theta1 = 0.01: "
+        "the psi potential divides by it\n")
+    assert not (tmp_path / "out").exists()
+    # without the potential the run needs no p * theta1
+    assert run_cli(*argv, "--diagnostics", "distance", "--out", str(tmp_path / "d")) == EXIT_OK
+
+
+def test_a_kappa_past_the_default_grid_exits_with_config_code(tmp_path, capsys):
+    # kappa = 0.25 / 1e-308 on unit rows: kappa^3 overflows float64
+    code, caught = run_quietly(
+        "sweep-p", "--synthetic", "12,4,25", "--loss", "logistic", "--mu", "1e-308",
+        "--normalize", "--epochs", "2", "--diagnostics", "lemmas",
+        "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG and not caught
+    assert capsys.readouterr().err == (
+        "config error: kappa = 2.500000000000001e+307 is too large for the default "
+        "loop-length grid (a length overflows float64); pass --grid\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_row_that_normalizes_to_zero_exits_with_data_code(tmp_path, capsys):
+    # the row norm 1e200 scales 1e-200 to 0, which a dataset cannot store
+    data = tmp_path / "wide.svm"
+    data.write_text("+1 1:1e-200 2:1e200\n-1 1:1\n", encoding="utf-8")
+    code, caught = run_quietly("run", "--data", str(data), "--loss", "ridge", "--mu", "0.5",
+                               "--normalize", "--alg", "gd", "--out", str(tmp_path / "out"))
+    assert code == EXIT_DATA and not caught
+    assert capsys.readouterr().err == (
+        f"data error: cannot use {data}: a row cannot be scaled to unit norm: its "
+        "squared norm or a scaled entry leaves the float64 range\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_subnormal_mu_exits_with_config_code_and_no_numpy_warning(tmp_path, capsys):
+    # the synthetic row weights underflow to 0 at mu = 5e-324
+    code, caught = run_quietly("run", "--synthetic", "12,4,25", "--loss", "logistic",
+                               "--mu", "5e-324", "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG and not caught
+    assert capsys.readouterr().err == (
+        "config error: synthetic=(12, 4, 25.0): the Hessian A^T A / n + mu I "
+        "overflows float64\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_reference_failure_exit_code(tmp_path, capsys):
     for command in ("run", "solve-ref"):
         run_args = ["--alg", "l-svrg", "--epochs", "2"] if command == "run" else []

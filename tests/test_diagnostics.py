@@ -472,7 +472,7 @@ def test_family_trace_columns_are_what_the_diagnostics_fill(cls):
     # the lemma and potential names live in optimizers, the values in
     # diagnostics: a name the diagnostics do not fill is a blank column
     oracle, ref = ridge_instance(10, 4, 25.0, seed=2)
-    state = cls.theory(oracle, np.ones(4))
+    state = cls(oracle, np.ones(4), **cls.theory_params(oracle))
     assert tuple(verify_lemma_bounds(state, ref, oracle)) == cls.lemmas
     compute = {"phi": compute_phi, "psi": compute_psi}[cls.potential[0]]
     assert tuple(compute(state, ref, oracle)) == cls.potential

@@ -64,7 +64,7 @@ CASES = {
     "sweep-p": ["sweep-p", *_RIDGE, "--epochs", "3", "--grid", "2,5", *_OUT],
     "compare-all_ridge": ["compare-all", *_RIDGE, "--epochs", "4", "--seeds", "0,1,2",
                           "--thresholds", "1e-2,1e-4", *_OUT],
-    "compare-all_csr_logistic": ["compare-all", *_CSR, "--epochs", "3",
+    "compare-all_csr_logistic": ["compare-all", *_CSR, "--epochs", "20",
                                  "--seeds", "0,1,2", "--thresholds", "1e-2,1e-4", *_OUT],
     "compare-all_sparse_logistic": ["compare-all", *_SPARSE, "--epochs", "10",
                                     "--seeds", "0,1,2", "--thresholds", "1e-1,1e-2", *_OUT],

@@ -168,7 +168,7 @@ def test_run_lanes_matches_run_with_lsvrg_diagnostics(level):
                        mu=1.0, diagnostics=level)
 
     def make_lanes():
-        return [LSVRG.theory(oracle, np.zeros(4)),
+        return [LSVRG(oracle, np.zeros(4), **LSVRG.theory_params(oracle)),
                 LSVRG(oracle, np.zeros(4), eta=0.01, p=0.5)]
 
     traces = compare_lanes_with_runs(make_lanes, [8, 9],
@@ -183,7 +183,7 @@ def test_run_lanes_matches_run_for_both_katyusha_classes_on_dense_ridge():
 
     def make_lanes():
         return [
-            LKatyusha.theory(oracle, np.zeros(5)),
+            LKatyusha(oracle, np.zeros(5), **LKatyusha.theory_params(oracle)),
             LoopyKatyusha(oracle, np.zeros(5), theta1=theta1, theta2=0.5, m=20),
             LKatyusha(oracle, np.zeros(5), theta1=0.4, theta2=0.5, p=1.0),
             LoopyKatyusha(oracle, np.zeros(5), theta1=0.2, theta2=0.3, m=1000),
@@ -217,7 +217,7 @@ def test_run_lanes_matches_run_with_lkatyusha_diagnostics(level):
                        mu=1.0, diagnostics=level)
 
     def make_lanes():
-        return [LKatyusha.theory(oracle, np.zeros(4)),
+        return [LKatyusha(oracle, np.zeros(4), **LKatyusha.theory_params(oracle)),
                 LKatyusha(oracle, np.zeros(4), theta1=0.2, theta2=0.4, p=0.5)]
 
     traces = compare_lanes_with_runs(make_lanes, [8, 9],
@@ -336,11 +336,12 @@ def test_lane_trajectory_regression_pin(monkeypatch, family, epochs, every):
     oracle = make_oracle(dataset, "ridge", 1.0)
     x0 = np.zeros(4)
     if family == "svrg":
-        lanes = [LSVRG.theory(oracle, x0), LoopySVRG.theory(oracle, x0),
-                 LSVRG(oracle, x0, eta=1.0 / (6.0 * oracle.L), p=0.3)]
+        lanes = [cls(oracle, x0, **cls.theory_params(oracle)) for cls in (LSVRG, LoopySVRG)]
+        lanes.append(LSVRG(oracle, x0, eta=1.0 / (6.0 * oracle.L), p=0.3))
     else:
-        lanes = [LKatyusha.theory(oracle, x0), LoopyKatyusha.theory(oracle, x0),
-                 LKatyusha(oracle, x0, theta1=0.05, theta2=0.5, p=0.3)]
+        lanes = [cls(oracle, x0, **cls.theory_params(oracle))
+                 for cls in (LKatyusha, LoopyKatyusha)]
+        lanes.append(LKatyusha(oracle, x0, theta1=0.05, theta2=0.5, p=0.3))
     traces = run_lanes(lanes, [SplitMix64(s) for s in (1, 2, 3)], epochs=epochs,
                        checkpoint_every=every)
     pins = zip(PINNED_LANE_CHECKPOINTS[epochs], PINNED_LANE_DIST_SQ[family, epochs])
@@ -368,8 +369,8 @@ def test_run_lanes_rejects_other_families_and_oracles():
     oracle, other = ridge_oracle(10), ridge_oracle(10, seed=1)
     lsvrg = LSVRG(oracle, np.zeros(3), eta=0.01, p=0.1)
     with pytest.raises(ValueError, match="SVRG-family"):
-        run_lanes([lsvrg, LKatyusha.theory(oracle, np.zeros(3))],
-                  [SplitMix64(0)] * 2, epochs=2.0)
+        katyusha = LKatyusha(oracle, np.zeros(3), **LKatyusha.theory_params(oracle))
+        run_lanes([lsvrg, katyusha], [SplitMix64(0)] * 2, epochs=2.0)
     with pytest.raises(ValueError, match="one family"):
         run_lanes([lsvrg, GradientDescent(oracle, np.zeros(3), step_size=0.1)],
                   [SplitMix64(0)] * 2, epochs=2.0)

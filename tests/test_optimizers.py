@@ -47,7 +47,7 @@ def test_lsvrg_rejects_bad_parameters(ridge10):
 
 def test_lsvrg_theory_preset(ridge10):
     oracle, _ = ridge10
-    opt = LSVRG.theory(oracle, np.zeros(4))
+    opt = LSVRG(oracle, np.zeros(4), **LSVRG.theory_params(oracle))
     assert opt.eta == 1.0 / (6.0 * oracle.L)
     assert opt.p == 1.0 / oracle.n
 
@@ -368,7 +368,8 @@ PINNED_TRAJECTORIES = {
 def test_trajectory_regression_pin(name):
     dataset, x_star = synthesize_quadratic(12, 4, 30.0, seed=1, mu=1.0)
     oracle = make_oracle(dataset, "ridge", 1.0)
-    opt = ALGORITHMS[name].theory(oracle, np.zeros(oracle.d))
+    cls = ALGORITHMS[name]
+    opt = cls(oracle, np.zeros(oracle.d), **cls.theory_params(oracle))
     records = run(opt, SplitMix64(1), epochs=8.0)
     ks, calls, dist_sq = PINNED_TRAJECTORIES[name]
     assert [r["k"] for r in records] == ks
@@ -392,7 +393,8 @@ PINNED_CSR_TRAJECTORIES = {
 @pytest.mark.parametrize("name", sorted(PINNED_CSR_TRAJECTORIES))
 def test_csr_trajectory_regression_pin(name):
     oracle = sparse_logistic_oracle()
-    opt = ALGORITHMS[name].theory(oracle, np.ones(oracle.d))
+    cls = ALGORITHMS[name]
+    opt = cls(oracle, np.ones(oracle.d), **cls.theory_params(oracle))
     records = run(opt, SplitMix64(1), epochs=8.0)
     ks, calls, norm_sq = PINNED_CSR_TRAJECTORIES[name]
     assert [r["k"] for r in records] == ks

@@ -13,13 +13,15 @@ from loopless.oracle import LogisticOracle, RidgeOracle, make_oracle
 from conftest import quarter_rule_oracle, random_dataset
 
 
-def finite_diff_grad(oracle, i, x):
+def finite_diff_grads(oracle, x):
+    """Central differences of every f_i (scalar_reference's losses), (n, d)."""
     h = 1e-6 * (1.0 + np.linalg.norm(x))
-    out = np.empty_like(x)
+    out = np.empty((oracle.n, x.size))
     for j in range(x.size):
         e = np.zeros_like(x)
         e[j] = h
-        out[j] = (oracle.loss_i(i, x + e) - oracle.loss_i(i, x - e)) / (2 * h)
+        out[:, j] = (scalar_reference(oracle, x + e)[0]
+                     - scalar_reference(oracle, x - e)[0]) / (2 * h)
     return out
 
 
@@ -31,19 +33,21 @@ def test_logistic_loss_at_origin_is_log_two():
     rng = np.random.default_rng(1)
     oracle = make_oracle(random_dataset(rng), "logistic", 0.2)
     x = np.zeros(oracle.d)
-    for i in range(oracle.n):
-        assert oracle.loss_i(i, x) == pytest.approx(math.log(2.0), rel=1e-15)
+    np.testing.assert_allclose(scalar_reference(oracle, x)[0], math.log(2.0), rtol=1e-15)
+    assert oracle.full_loss(x) == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 def test_logistic_large_margin_asymptote():
-    # b=+1, a=(50,), x=(1,): margin b a^T x = 50
+    # b=+1, a=(50,), x=(1,): margin b a^T x = 50; at n = 1, f = f_0
     oracle = make_oracle(parse_libsvm("+1 1:50"), "logistic", 0.3)
     x = np.array([1.0])
     expected = 0.5 * 0.3 * 1.0 + math.exp(-50.0)
-    assert abs(oracle.loss_i(0, x) - expected) < 1e-12
+    assert abs(scalar_reference(oracle, x)[0][0] - expected) < 1e-12
+    assert abs(oracle.full_loss(x) - expected) < 1e-12
     # and no overflow far beyond double's exp range
     oracle2 = make_oracle(parse_libsvm("-1 1:1000"), "logistic", 0.3)
-    assert np.isfinite(oracle2.loss_i(0, np.array([1.0])))
+    assert np.isfinite(scalar_reference(oracle2, np.array([1.0]))[0][0])
+    assert np.isfinite(oracle2.full_loss(np.array([1.0])))
     assert np.isfinite(oracle2.grad_i(0, np.array([1.0]))).all()
 
 
@@ -77,9 +81,8 @@ def test_grad_matches_finite_differences():
         for trial in range(5):
             oracle = make_oracle(random_dataset(rng), loss, 0.5)
             x = rng.normal(size=oracle.d)
-            for i in range(oracle.n):
+            for i, fd in enumerate(finite_diff_grads(oracle, x)):
                 g = oracle.grad_i(i, x)
-                fd = finite_diff_grad(oracle, i, x)
                 assert np.allclose(g, fd, rtol=1e-5, atol=1e-6 * (1 + abs(fd).max()))
 
 
@@ -282,22 +285,18 @@ def test_dense_ridge_grad_many_is_grad_i_bitwise():
 
 
 def scalar_row_reference(oracle, i, x):
-    """(loss_i, grad_i) as the scalar kernel computed them with `@` row
-    dots: mu*x + dphi(a @ x, b)*a on a dense row, the same on a CSR row's
-    entries."""
+    """grad_i as the scalar kernel computed it with `@` row dots:
+    mu*x + dphi(a @ x, b)*a on a dense row, the same on a CSR row's entries."""
     b = oracle.labels[i]
     if oracle._dense is not None:
         a = oracle._dense[i]
-        m = float(a @ x)
-        grad = oracle.mu * x + oracle._dphi(m, b) * a
-    else:
-        lo, hi = oracle.dataset.indptr[i], oracle.dataset.indptr[i + 1]
-        idx, val = oracle.dataset.indices[lo:hi], oracle.dataset.values[lo:hi]
-        m = float(val @ x[idx]) if idx.size else 0.0
-        grad = oracle.mu * x
-        if idx.size:
-            grad[idx] += oracle._dphi(m, b) * val
-    return oracle._phi(m, b) + 0.5 * oracle.mu * float(x @ x), grad
+        return oracle.mu * x + oracle._dphi(float(a @ x), b) * a
+    lo, hi = oracle.dataset.indptr[i], oracle.dataset.indptr[i + 1]
+    idx, val = oracle.dataset.indices[lo:hi], oracle.dataset.values[lo:hi]
+    grad = oracle.mu * x
+    if idx.size:
+        grad[idx] += oracle._dphi(float(val @ x[idx]), b) * val
+    return grad
 
 
 @pytest.mark.parametrize("loss", ["logistic", "ridge"])
@@ -311,10 +310,8 @@ def test_grad_i_and_loss_i_are_bitwise_the_scalar_reference(loss, density, n, d)
     for _ in range(20):
         x = rng.normal(size=oracle.d) * rng.choice([1e-3, 1.0, 50.0])
         for i in range(n):
-            want_loss, want_grad = scalar_row_reference(oracle, i, x)
-            got_grad = oracle.grad_i(i, x)
-            assert got_grad.tobytes() == want_grad.tobytes()
-            assert oracle.loss_i(i, x) == want_loss
+            want = scalar_row_reference(oracle, i, x)
+            assert oracle.grad_i(i, x).tobytes() == want.tobytes()
 
 
 def test_full_loss_many_spans_several_blocks():
@@ -423,7 +420,6 @@ def test_dense_storage_agrees_with_csr_to_rounding():
         x = points[0]
         for i in range(n):
             assert_close(dense.grad_i(i, x), csr.grad_i(i, x))
-            assert dense.loss_i(i, x) == pytest.approx(csr.loss_i(i, x), rel=1e-12)
         idx = rng.integers(n, size=2 * n)
         X = rng.normal(size=(idx.size, dense.d))
         assert_close(dense.grad_many(idx, X), csr.grad_many(idx, X))
@@ -461,9 +457,9 @@ def test_per_sample_smoothness_inequality():
             i = int(rng.integers(oracle.n))
             x = rng.normal(size=oracle.d)
             y = rng.normal(size=oracle.d)
-            lhs = oracle.loss_i(i, y)
+            lhs = scalar_reference(oracle, y)[0][i]
             rhs = (
-                oracle.loss_i(i, x)
+                scalar_reference(oracle, x)[0][i]
                 + float(oracle.grad_i(i, x) @ (y - x))
                 + 0.5 * L * float((y - x) @ (y - x))
             )
@@ -486,10 +482,9 @@ def test_strong_convexity_inequality():
 
 def test_index_out_of_range():
     oracle = make_oracle(parse_libsvm("+1 1:1"), "ridge", 1.0)
-    with pytest.raises(IndexError):
-        oracle.loss_i(1, np.zeros(1))
-    with pytest.raises(IndexError):
-        oracle.grad_i(-1, np.zeros(1))
+    for i in (-1, 1):
+        with pytest.raises(IndexError):
+            oracle.grad_i(i, np.zeros(1))
 
 
 def test_oracle_rejects_degenerate_mu():
