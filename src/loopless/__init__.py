@@ -4,7 +4,6 @@ originals, Lyapunov diagnostics, and a benchmark harness."""
 from .data import (
     Dataset,
     ParseError,
-    SparseRow,
     load_libsvm,
     normalize_rows,
     parse_libsvm,
@@ -50,7 +49,6 @@ __all__ = [
     "ReferenceSolution",
     "ReferenceSolveError",
     "RidgeOracle",
-    "SparseRow",
     "SplitMix64",
     "compute_phi",
     "compute_psi",

@@ -4,7 +4,10 @@ A dataset is n sparse feature rows with labels in {-1, +1}, stored once in
 CSR form: ``indptr`` (row i owns entries indptr[i]:indptr[i+1]), ``indices``
 (0-based, strictly increasing within a row) and ``values`` (nonzero).  File
 indices are 1-based (LIBSVM convention) and are shifted to 0-based when
-parsed.  ``Dataset.rows`` hands out ``SparseRow`` views into those arrays.
+parsed.  ``Dataset.rows`` is a list of ``SparseRow`` views into those
+arrays.  No module here reads rows: the row model stays for building a
+dataset from a list of rows and counting entries row by row, as the
+benchmark's a9a builder and tracer do.
 
 Every way of building a Dataset (parsing, ``Dataset.from_csr``, the
 row-list constructor) ends in one check of these invariants over the whole
@@ -18,7 +21,6 @@ the line-by-line scalar parser (the specification) where a chunk is not plain.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
@@ -35,7 +37,7 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseRow:
     """One sample: 0-based indices and their values, as equally long 1-d
     arrays.  A Dataset checks that the indices strictly increase and are
@@ -54,18 +56,6 @@ class SparseRow:
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseRow):
-            return NotImplemented
-        return np.array_equal(self.indices, other.indices) and np.array_equal(
-            self.values, other.values
-        )
-
-    def to_dense(self, d: int) -> np.ndarray:
-        out = np.zeros(d)
-        out[self.indices] = self.values
-        return out
 
 
 def _frozen(a, dtype) -> np.ndarray:
@@ -143,8 +133,12 @@ class Dataset:
         return int(self.indices.size)
 
     @property
-    def rows(self) -> "_Rows":
-        return _Rows(self)
+    def rows(self) -> list[SparseRow]:
+        """One SparseRow per row, viewing the read-only arrays; made on each
+        access and never stored."""
+        bounds = self.indptr.tolist()
+        return [SparseRow(self.indices[lo:hi], self.values[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])]
 
     def row_sums(self, entries: np.ndarray) -> np.ndarray:
         """Sum per-entry values over each row, along the last axis (nnz -> n).
@@ -170,28 +164,6 @@ class Dataset:
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, d={self.d}, nnz={self.nnz})"
-
-
-class _Rows(Sequence):
-    """A dataset's rows as SparseRow views, made on access and never stored."""
-
-    def __init__(self, dataset: Dataset):
-        self._dataset = dataset
-
-    def __len__(self) -> int:
-        return self._dataset.n
-
-    def __getitem__(self, i: int) -> SparseRow:
-        ds = self._dataset
-        if i < 0:
-            i += ds.n
-        if not 0 <= i < ds.n:
-            raise IndexError(f"row {i} out of range [0, {ds.n})")
-        lo, hi = ds.indptr[i], ds.indptr[i + 1]
-        # a view over the dataset's arrays: skip SparseRow's conversion
-        row = SparseRow.__new__(SparseRow)
-        row.indices, row.values = ds.indices[lo:hi], ds.values[lo:hi]
-        return row
 
 
 def _remap_labels(raw: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ import math
 import numbers
 import types
 import typing
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -239,6 +238,10 @@ def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
             and "theta1" in resolved and resolved["p"] * resolved["theta1"] == 0.0):
         raise ConfigError(f"p * theta1 underflows to 0 at p = {resolved['p']}, "
                           f"theta1 = {resolved['theta1']}: the psi potential divides by it")
+    # checked before the reference solve, not at the first checkpoint
+    if config.diagnostics == "lemmas" and oracle.n > diagnostics.ENUMERATION_GUARD:
+        raise ConfigError(f"lemma diagnostics enumerate all n samples: n = {oracle.n} "
+                          f"is past the limit n <= {diagnostics.ENUMERATION_GUARD}")
     return resolved
 
 
@@ -460,14 +463,13 @@ def write_run(config: RunConfig, params: dict, optimizer, ref: ReferenceSolution
 
 
 def normalize_grid(values) -> list[int]:
-    """Round loop lengths to integers, clamp to >= 1 (with a warning), and
-    deduplicate preserving order."""
+    """Round loop lengths to integers and deduplicate preserving order;
+    ConfigError when one rounds below 1."""
     out: list[int] = []
     for value in values:
         ell = int(round(value))
         if ell < 1:
-            warnings.warn(f"grid loop length {value:.3g} clamped to 1")
-            ell = 1
+            raise ConfigError(f"grid loop length {value:.3g} rounds below 1")
         if ell not in out:
             out.append(ell)
     return out

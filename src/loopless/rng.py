@@ -11,11 +11,12 @@ splitmix64, which is small enough to specify bit-exactly:
     z       <- ((z XOR (z >> 27)) * 0x94D049BB133111EB) mod 2^64
     output  <- z XOR (z >> 31)
 
-Floats in [0, 1) take the top 53 bits of an output word; integer draws use
-rejection sampling on the smallest covering bit mask, so they are exactly
-uniform and consume a data-dependent (but seed-deterministic) number of words.
-The scalar draws (next_uint64, randbelow, bernoulli) advance the state
-themselves and make one call per word, to the shared mixing rounds (_mix).
+A coin compares p with a uniform in [0, 1) made of the top 53 bits of one
+output word; an index draw uses rejection sampling on the smallest covering
+bit mask, so it is exactly uniform and consumes a data-dependent (but
+seed-deterministic) number of words.  The scalar draws (randbelow,
+bernoulli) advance the state themselves and make one call per word, to the
+shared mixing rounds (_mix).
 
 The generator is counter-based: word k after state s is mix(s + k * gamma),
 a function of the counter alone (Steele, Lea & Flood, OOPSLA 2014).  So a
@@ -52,13 +53,9 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
-    def next_uint64(self) -> int:
-        self._state = state = (self._state + _GAMMA) & _MASK64
-        return _mix(state)
-
     def next_words(self, count: int) -> np.ndarray:
-        """The next `count` words as a uint64 array: the same words, and the
-        same end state, as `count` calls of next_uint64."""
+        """The next `count` words of the stream as a uint64 array: word k is
+        mix(state + k * gamma), and the state advances by count * gamma."""
         if count < 0:
             raise ValueError(f"word count must be >= 0, got {count}")
         z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
@@ -70,10 +67,6 @@ class SplitMix64:
         z ^= z >> np.uint64(31)
         self._state = (self._state + count * _GAMMA) & _MASK64
         return z
-
-    def random(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_uint64() >> 11) * 2.0**-53
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in {0, ..., n-1}, unbiased via bit-mask rejection."""
@@ -89,7 +82,8 @@ class SplitMix64:
                 return r
 
     def bernoulli(self, p: float) -> bool:
-        """Coin with success probability p: random() < p.
+        """Coin with success probability p: u < p, where u is the top 53
+        bits of one word scaled to [0, 1).
 
         p >= 1 returns True without consuming a word, which keeps the draw
         stream of a probability-1 coin identical to a coinless one.
@@ -104,11 +98,12 @@ def step_draws(
     rng: SplitMix64, n: int, steps: int, coin: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The draws of `steps` serial steps that each take rng.randbelow(n) and
-    then, if `coin`, one rng.random() for a coin.
+    then, if `coin`, rng.bernoulli(p) with p < 1 (one word).
 
     Returns the sample indices (int64) and the coin uniforms (float64, None
-    without a coin).  rng advances past exactly the words those serial calls
-    consume, rejected index words included.
+    without a coin): uniform < p is that bernoulli draw.  rng advances past
+    exactly the words those serial calls consume, rejected index words
+    included.
     """
     if n <= 0:
         raise ValueError(f"randbelow requires n >= 1, got {n}")
@@ -147,5 +142,6 @@ def step_draws(
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
-    """SplitMix64.random() of each word: its top 53 bits scaled to [0, 1)."""
+    """Each word's top 53 bits scaled to [0, 1): the uniform that bernoulli
+    compares with p."""
     return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53

@@ -7,6 +7,14 @@ from loopless.diagnostics import ReferenceSolution
 from loopless.oracle import make_oracle
 
 
+def dense_rows(dataset) -> np.ndarray:
+    """The (n, d) matrix of a dataset's rows, scattered from its CSR arrays."""
+    A = np.zeros((dataset.n, dataset.d))
+    rows = np.repeat(np.arange(dataset.n), np.diff(dataset.indptr))
+    A[rows, dataset.indices] = dataset.values
+    return A
+
+
 def random_dataset(rng, max_n=8, max_d=12, tight=True) -> Dataset:
     """Random sparse dataset; tight=True makes d exactly max index + 1."""
     n = int(rng.integers(1, max_n + 1))

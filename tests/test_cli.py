@@ -222,6 +222,34 @@ def test_a_kappa_past_the_default_grid_exits_with_config_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flags", [("run", ["--alg", "l-svrg"]), ("sweep-p", []),
+                                           ("compare-all", ["--algs", "l-svrg,l-katyusha"])])
+def test_lemma_diagnostics_past_the_enumeration_guard_exit_with_config_code(
+        tmp_path, capsys, monkeypatch, command, flags):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the guard is checked before the reference solve")
+
+    monkeypatch.setattr(diagnostics, "solve_reference", no_solve)
+    code, caught = run_quietly(
+        command, "--synthetic", "1001,3,10", "--loss", "ridge", "--mu", "1", *flags,
+        "--epochs", "1", "--diagnostics", "lemmas", "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG and not caught
+    assert capsys.readouterr().err == (
+        "config error: lemma diagnostics enumerate all n samples: n = 1001 is past "
+        "the limit n <= 1000\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "3,0"])
+def test_a_grid_length_below_one_exits_with_config_code(tmp_path, capsys, grid):
+    code, caught = run_quietly(
+        "sweep-p", "--synthetic", "12,4,25", "--loss", "ridge", "--mu", "0.5",
+        "--epochs", "1", "--grid", grid, "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG and not caught
+    assert capsys.readouterr().err == "config error: grid loop length 0 rounds below 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_row_that_normalizes_to_zero_exits_with_data_code(tmp_path, capsys):
     # the row norm 1e200 scales 1e-200 to 0, which a dataset cannot store
     data = tmp_path / "wide.svm"

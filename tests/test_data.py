@@ -17,7 +17,7 @@ from loopless.data import (
     write_libsvm,
 )
 
-from conftest import random_dataset
+from conftest import dense_rows, random_dataset
 
 
 def test_parse_two_row_example():
@@ -176,12 +176,13 @@ def test_dataset_is_csr_with_rows_as_views():
     assert ds.values.tolist() == [0.5, -2.0, 1.0]
     assert ds.nnz == 3 and ds.d == 5
     rows = ds.rows
-    assert len(rows) == 3 and rows[1].nnz == 0
-    assert rows[-1] == rows[2] == SparseRow(np.array([1]), np.array([1.0]))
-    with pytest.raises(IndexError):
-        rows[3]
+    assert isinstance(rows, list) and len(rows) == 3 and rows[1].nnz == 0
+    assert rows[2].indices.tolist() == [1] and rows[2].values.tolist() == [1.0]
     # views into the shared, read-only arrays
-    assert np.shares_memory(rows[0].values, ds.values)
+    for row in rows:
+        assert np.shares_memory(row.indices, ds.indices) or row.nnz == 0
+        assert np.shares_memory(row.values, ds.values) or row.nnz == 0
+        assert not (row.indices.flags.writeable or row.values.flags.writeable)
     for array in (ds.indptr, ds.indices, ds.values, ds.labels, rows[0].values):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
@@ -251,7 +252,7 @@ def test_synthesize_single_sample_closed_form():
 def test_synthesize_condition_number_measured_spectrally():
     n, d, kappa, mu = 100, 20, 100.0, 1.0
     ds, _ = synthesize_quadratic(n, d, kappa, seed=21, mu=mu)
-    A = np.stack([row.to_dense(d) for row in ds.rows])
+    A = dense_rows(ds)
     H = A.T @ A / n + mu * np.eye(d)
     eigs = np.linalg.eigvalsh(H)
     measured = eigs[-1] / eigs[0]
@@ -264,7 +265,7 @@ def test_synthesize_condition_number_measured_spectrally():
 def test_synthesize_minimizer_is_ridge_solution():
     n, d = 40, 7
     ds, x_star = synthesize_quadratic(n, d, 30.0, seed=5, mu=0.5)
-    A = np.stack([row.to_dense(d) for row in ds.rows])
+    A = dense_rows(ds)
     H = A.T @ A / n + 0.5 * np.eye(d)
     expected = np.linalg.solve(H, A.T @ ds.labels / n)
     assert np.allclose(x_star, expected, rtol=1e-12, atol=1e-14)

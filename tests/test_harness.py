@@ -1,6 +1,5 @@
 import csv
 import json
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -275,11 +274,10 @@ def test_probability_grid_collapses_when_kappa_equals_n():
     assert probability_grid(50, 50.0) == [50]
 
 
-def test_normalize_grid_clamps_with_warning():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert normalize_grid([0.2, 3.6, 3.6]) == [1, 4]
-    assert any("clamped" in str(w.message) for w in caught)
+def test_normalize_grid_rejects_a_length_below_one():
+    assert normalize_grid([0.6, 3.6, 3.6]) == [1, 4]
+    with pytest.raises(ConfigError, match="grid loop length 0.2 rounds below 1"):
+        normalize_grid([3.6, 0.2])
 
 
 def test_sweep_p_writes_pairs(tmp_path):

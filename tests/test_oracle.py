@@ -10,7 +10,7 @@ from loopless.data import (Dataset, SparseRow, _dense_to_csr, normalize_rows, pa
 from loopless.diagnostics import solve_reference
 from loopless.oracle import LogisticOracle, RidgeOracle, make_oracle
 
-from conftest import quarter_rule_oracle, random_dataset
+from conftest import dense_rows, quarter_rule_oracle, random_dataset
 
 
 def finite_diff_grads(oracle, x):
@@ -23,10 +23,6 @@ def finite_diff_grads(oracle, x):
         out[:, j] = (scalar_reference(oracle, x + e)[0]
                      - scalar_reference(oracle, x - e)[0]) / (2 * h)
     return out
-
-
-def dense_matrix(oracle):
-    return np.stack([row.to_dense(oracle.d) for row in oracle.dataset.rows])
 
 
 def test_logistic_loss_at_origin_is_log_two():
@@ -55,7 +51,7 @@ def test_ridge_loss_at_minimizer_matches_closed_form():
     n, d, mu = 25, 6, 0.7
     ds, x_star = synthesize_quadratic(n, d, 12.0, seed=4, mu=mu)
     oracle = make_oracle(ds, "ridge", mu)
-    A = dense_matrix(oracle)
+    A = dense_rows(oracle.dataset)
     r = A @ x_star - ds.labels
     expected = 0.5 * float(r @ r) / n + 0.5 * mu * float(x_star @ x_star)
     assert oracle.full_loss(x_star) == pytest.approx(expected, rel=1e-12)
@@ -65,7 +61,7 @@ def test_logistic_grad_at_origin():
     rng = np.random.default_rng(2)
     oracle = make_oracle(random_dataset(rng), "logistic", 0.4)
     x = np.zeros(oracle.d)
-    A = dense_matrix(oracle)
+    A = dense_rows(oracle.dataset)
     for i in range(oracle.n):
         expected = -oracle.labels[i] * A[i] / 2.0
         assert np.allclose(oracle.grad_i(i, x), expected, atol=1e-15)
@@ -179,7 +175,7 @@ def test_full_data_paths_match_scalar_reference(loss, density, n, margin):
     points = rng.normal(size=(4, oracle.d))
     if margin is not None:
         # scale each point so its largest |a_i^T x| is the given margin
-        A = np.stack([row.to_dense(oracle.d) for row in dataset.rows])
+        A = dense_rows(dataset)
         top = np.abs(points @ A.T).max(axis=1, keepdims=True)
         points *= margin / np.where(top > 0.0, top, 1.0)
     x = points[0]
@@ -209,7 +205,7 @@ def test_grad_many_matches_grad_i(loss, density, margin):
     X = rng.normal(size=(idx.size, oracle.d))
     if margin is not None:
         # scale each point so its sample's |a_i^T x| is the given margin
-        A = np.stack([row.to_dense(oracle.d) for row in dataset.rows])
+        A = dense_rows(dataset)
         top = np.abs(np.einsum("ij,ij->i", A[idx], X))[:, np.newaxis]
         X *= margin / np.where(top > 0.0, top, 1.0)
     with np.errstate(all="raise"):
@@ -394,7 +390,7 @@ def test_storage_is_dense_when_a_quarter_is_nonzero_or_a_sixteenth_fits_the_budg
         oracle = make_oracle(rows_of([k] * (n - 1) + [last], d), "ridge", 1.0)
         assert (oracle._dense is not None) == dense, (n, d, k, last)
         if dense:
-            assert np.array_equal(oracle._dense, dense_matrix(oracle))
+            assert np.array_equal(oracle._dense, dense_rows(oracle.dataset))
     # an a9a-shaped matrix, 14 of 123 features per row, is 4.0M cells: CSR
     oracle = make_oracle(rows_of(np.full(32561, 14), 123), "logistic", 1e-2)
     assert oracle._dense is None
@@ -443,7 +439,7 @@ def test_smoothness_constant_formulas():
 def test_smoothness_upper_bounds_hessian_spectrum():
     ds, _ = synthesize_quadratic(50, 8, 40.0, seed=9, mu=0.5)
     oracle = make_oracle(ds, "ridge", 0.5)
-    A = dense_matrix(oracle)
+    A = dense_rows(oracle.dataset)
     top = np.linalg.eigvalsh(A.T @ A / oracle.n + 0.5 * np.eye(8))[-1]
     assert oracle.L >= top - 1e-12
 
