@@ -18,11 +18,13 @@ rate in `theory_facts`.  A family constructor takes its refresh rule's one
 parameter by keyword (p= or m=) and hands it to the rule's _init_rule.
 
 Shared conventions:
-  * every optimizer holds an immutable oracle and exposes step(rng),
-    tracked_point, oracle_calls, and epoch == oracle_calls / n;
-  * each stochastic step draws the sample index first and the coin second
-    from the same stream, and costs 2 stochastic-gradient calls plus n on a
-    reference refresh; initialization costs n (the first full gradient);
+  * every optimizer holds an immutable oracle and exposes draws(rng, steps),
+    step(*draw) for each draw, tracked_point, oracle_calls, and
+    epoch == oracle_calls / n;
+  * each stochastic step's draws are the sample index first and the coin
+    second from the same stream, and it costs 2 stochastic-gradient calls
+    plus n on a reference refresh; initialization costs n (the first full
+    gradient);
   * the coin/loop refresh stores the PRE-update iterate (w <- x^k for the
     SVRG family, w <- y^k for the Katyusha family), exactly as the loopless
     recursions are defined;
@@ -30,16 +32,21 @@ Shared conventions:
         g = grad_i(x) - (grad_i(w) - grad_w)
     so the correction vanishes exactly (bitwise) when n == 1 and at w == x.
 
-run() drives one optimizer through step().  run_lanes() drives optimizers of
-one family that share an oracle as one batch of lanes: each refresh rule's
-schedule() draws a block of steps' indices and refreshes at once (the draws
-do not depend on the iterate), and the family's point() and move(), called
-on a stacked instance with one row per lane, advance every lane at once.
+The draws do not depend on the iterate, so run() and run_lanes() take them a
+block of steps at a time through the refresh rule's schedule().  run() drives one
+optimizer: draws() cuts each block into refresh-free stretches, which share
+w and so their corrections grad_i(w) - grad_w, makes each stretch's
+corrections in one Oracle.corrections call, and step(i, correction, refresh)
+evaluates grad_i only at the point.  run_lanes() drives optimizers of one
+family that share an oracle as one batch of lanes: the family's point() and
+move(), called on a stacked instance with one row per lane, advance every
+lane at once.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import time
 
@@ -98,13 +105,10 @@ class _Coin:
     def _init_rule(self, p: float):
         self.p = self.refresh_prob = _check_prob(p)
 
-    def _refresh_due(self, rng: SplitMix64) -> bool:
-        return rng.bernoulli(self.p)
-
     def schedule(self, rng: SplitMix64, steps: int):
-        """(sample indices, refresh mask) of the next `steps` steps, drawn as
-        step() draws them (index, then the coin; no coin word at p = 1) and
-        leaving rng where those steps leave it."""
+        """(sample indices, refresh mask) of the next `steps` steps, each
+        drawn as rng.randbelow(n) then rng.bernoulli(p) would draw it (no coin
+        word at p = 1), leaving rng where those draws leave it."""
         coin = self.p < 1.0
         indices, uniforms = step_draws(rng, self.oracle.n, steps, coin)
         return indices, uniforms < self.p if coin else np.ones(steps, dtype=bool)
@@ -123,9 +127,6 @@ class _Loop:
             raise ValueError(f"inner loop length m must be >= 1, got {m}")
         self.m = int(m)
         self.refresh_prob = 1.0 / self.m  # refreshes per step; p in the predicted rate
-
-    def _refresh_due(self, rng: SplitMix64) -> bool:
-        return (self.k + 1) % self.m == 0
 
     def schedule(self, rng: SplitMix64, steps: int):
         """(sample indices, refresh mask) of the next `steps` steps from step
@@ -152,16 +153,34 @@ class _VarianceReduced(_Optimizer):
     def point(self) -> np.ndarray:
         return self.tracked_point
 
-    def step(self, rng: SplitMix64):
+    def draws(self, rng: SplitMix64, steps: int):
+        """step()'s arguments (i, correction, refresh) for the next `steps`
+        steps, drawn as one block by the refresh rule's schedule().  The
+        corrections grad_i(i, w) - grad_w come one oracle call per stretch of
+        steps that share w: a stretch ends at a refresh or at _STRETCH_CELLS
+        cells, and its table is made only once the step before it has run."""
+        indices, refresh = self.schedule(rng, steps)
+        rows = max(1, _STRETCH_CELLS // self.oracle.d)
+        start = 0
+        for stop in [*(np.flatnonzero(refresh) + 1).tolist(), steps]:
+            while start < stop:
+                end = min(stop, start + rows)
+                stretch = indices[start:end]
+                table = self.oracle.corrections(stretch, self.w, self.grad_w)
+                yield from zip(stretch.tolist(), table, refresh[start:end].tolist())
+                start = end
+
+    def step(self, i: int, correction: np.ndarray, refresh: bool):
+        """One step on sample i, whose correction grad_i(i, w) - grad_w is
+        given; refresh sets w to the pre-update tracked point."""
         oracle = self.oracle
         x = self.point()
-        i = rng.randbelow(oracle.n)
-        correction = oracle.grad_i(i, self.w) - self.grad_w
-        g = oracle.grad_i(i, x) - correction
+        g = oracle.grad_i(i, x)
+        g -= correction
         w_next = self.tracked_point
         self.move(x, g)
         self.oracle_calls += 2
-        if self._refresh_due(rng):
+        if refresh:
             self.w = w_next
             self.grad_w = oracle.full_grad(w_next)
             self.oracle_calls += oracle.n
@@ -261,7 +280,9 @@ class _KatyushaFamily(_VarianceReduced):
 
 
 # Each class binds `step` in its own body, so instrumentation can wrap one
-# class's step without touching the shared one.
+# class's step without touching the shared one: perfbench/tracer.py counts
+# steps and refreshes there, and does until its counters move to fields that
+# run() and run_lanes() both fill (ROADMAP item 2).
 
 
 class GradientDescent(_Optimizer):
@@ -278,7 +299,12 @@ class GradientDescent(_Optimizer):
     def theory_params(oracle: Oracle) -> dict:
         return {"step_size": 1.0 / oracle.L}
 
-    def step(self, rng=None):
+    @staticmethod
+    def draws(rng, steps: int):
+        """step() takes no arguments: gradient descent draws nothing."""
+        return itertools.repeat((), steps)
+
+    def step(self):
         self.x = self.x - self.step_size * self.grad
         self.grad = self.oracle.full_grad(self.x)
         self.oracle_calls += self.oracle.n
@@ -337,6 +363,22 @@ def check_budget(epochs: float, checkpoint_every: float):
     if epochs / checkpoint_every > 1e7:
         raise ValueError(f"checkpoint_every={checkpoint_every} gives more than 1e7 "
                          f"checkpoints in {epochs} epochs")
+
+
+# most steps in one schedule block: bounds the schedule arrays of a run or a lane,
+# whatever the epoch budget, while keeping the per-block set-up a small share of
+# the steps
+_BLOCK_STEPS = 1024
+
+# most cells in one table of corrections (1 MiB of float64): a stretch of steps
+# sharing w gets its table in pieces of at most max(1, _STRETCH_CELLS // d) rows
+_STRETCH_CELLS = 1 << 17
+
+
+def _block_steps(calls_left: float) -> int:
+    """Steps in the next block: as many as a budget with calls_left oracle calls
+    can still take (each step costs at least 2), at most _BLOCK_STEPS."""
+    return min(_BLOCK_STEPS, max(1, math.ceil(calls_left / 2)))
 
 
 def _first_mark(epoch: float, every: float) -> float:
@@ -409,20 +451,19 @@ def run(
     records.append(rec)
     epoch = optimizer.epoch
     next_mark = _first_mark(epoch, checkpoint_every)
+    n = optimizer.oracle.n
     while epoch < epochs:
-        optimizer.step(rng)
-        epoch = optimizer.epoch
-        if epoch >= next_mark or epoch >= epochs:
-            if (rec := recorder.record(optimizer, metrics)) is None:
-                break
-            records.append(rec)
-            next_mark = _advance_mark(next_mark, epoch, checkpoint_every)
+        for draw in optimizer.draws(rng, _block_steps(epochs * n - optimizer.oracle_calls)):
+            optimizer.step(*draw)
+            epoch = optimizer.epoch
+            if epoch >= next_mark or epoch >= epochs:
+                if (rec := recorder.record(optimizer, metrics)) is None:
+                    return records
+                records.append(rec)
+                next_mark = _advance_mark(next_mark, epoch, checkpoint_every)
+                if epoch >= epochs:
+                    break
     return records
-
-
-# most steps in one schedule block: bounds each lane's schedule arrays, whatever
-# the epoch budget, while keeping the per-block set-up a small share of the steps
-_LANE_BLOCK = 1024
 
 
 def run_lanes(
@@ -489,9 +530,7 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
     """Step the live lanes through one block; returns the lanes still live."""
     opts = [lanes[s] for s in live]
     oracle, n, width = opts[0].oracle, opts[0].oracle.n, len(opts)
-    # as many steps as a lane can still take (each costs at least 2 calls)
-    left = max(epochs * n - opt.oracle_calls for opt in opts)
-    steps = min(_LANE_BLOCK, max(1, math.ceil(left / 2)))
+    steps = _block_steps(max(epochs * n - opt.oracle_calls for opt in opts))
     drawn = [opt.schedule(rngs[s], steps) for s, opt in zip(live, opts)]
     refresh = np.stack([r for _, r in drawn])
     calls = (np.array([[opt.oracle_calls] for opt in opts])

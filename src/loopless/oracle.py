@@ -23,7 +23,11 @@ grad_i runs one row through the scalar kernel on Python floats, which is
 the optimizers' per-step hot path.  It takes the row dot with ndarray.dot,
 which gives the bits of `a @ x` at about half its call cost, reads the
 label and the CSR row bounds as Python scalars (.item), and gathers a CSR
-row's entries of x with take.  Full-data calls
+row's entries of x with take.  corrections makes the variance-reduction
+corrections grad_i(w) - grad_w of many steps in one call with grad_i's
+arithmetic, so each row is bitwise grad_i's less grad_w: dense row dots
+through np.vecdot (ndarray.dot's kernel), CSR row dots one by one as
+grad_i takes them, and the scalar kernel for the weights.  Full-data calls
 (full_grad, full_loss, grad_table and their batched forms) run all rows at
 once with numpy: A @ x and r @ A on the dense copy, reduceat and add.at on
 the CSR arrays.  Their logistic weight phi'(m) = -b / (1 + e^{b m}) takes
@@ -172,16 +176,51 @@ class Oracle:
             rows *= self._dphis(np.vecdot(rows, X), labels)[:, np.newaxis]
             out += rows
             return out
-        starts, counts = self._indptr.take(idx), self._counts.take(idx)
-        lane = np.repeat(np.arange(len(idx)), counts)
-        # position of each gathered entry in the CSR arrays
-        entry = np.arange(lane.size) + np.repeat(starts - np.cumsum(counts) + counts,
-                                                 counts)
+        _, _, lane, entry = self._row_entries(idx)
         cols, vals = self._indices.take(entry), self._values.take(entry)
         margins = np.bincount(lane, weights=vals * X[lane, cols], minlength=len(idx))
         # a row's indices are distinct, so no (lane, col) pair repeats
         out[lane, cols] += self._dphis(margins, labels)[lane] * vals
         return out
+
+    def corrections(self, idx: np.ndarray, w: np.ndarray,
+                    grad_w: np.ndarray) -> np.ndarray:
+        """grad_i(idx[s], w) - grad_w for every s, (S,) -> (S, d): the
+        variance-reduction corrections of steps that share the reference
+        point w.  Row s is grad_i's arithmetic, so it equals
+        grad_i(idx[s], w) - grad_w bitwise: the same row dot (np.vecdot on
+        dense rows, grad_i's per-row val.dot on CSR rows), the scalar _dphi,
+        and mu*w plus the row term, less grad_w."""
+        labels = self.labels.take(idx).tolist()
+        if self._dense is not None:
+            out = self._dense.take(idx, axis=0)
+            weights = map(self._dphi, np.vecdot(out, w).tolist(), labels)
+            out *= np.fromiter(weights, float, len(idx))[:, np.newaxis]
+            out += self.mu * w
+            out -= grad_w
+            return out
+        out = np.tile(self.mu * w, (len(idx), 1))
+        starts, counts, lane, entry = self._row_entries(idx)
+        values, indices = self._values, self._indices
+        weights = [
+            self._dphi(float(values[lo:lo + c].dot(w.take(indices[lo:lo + c]))), b)
+            if c else 0.0
+            for lo, c, b in zip(starts.tolist(), counts.tolist(), labels)
+        ]
+        out[lane, indices.take(entry)] += np.array(weights)[lane] * values.take(entry)
+        out -= grad_w
+        return out
+
+    def _row_entries(self, idx: np.ndarray):
+        """(starts, counts, lane, entry) of the CSR rows idx: each row's
+        start and entry count, and for every stored entry of those rows, in
+        order, its row's position s in idx and its position in the CSR
+        arrays."""
+        starts, counts = self._indptr.take(idx), self._counts.take(idx)
+        lane = np.repeat(np.arange(len(idx)), counts)
+        entry = np.arange(lane.size) + np.repeat(starts - np.cumsum(counts) + counts,
+                                                 counts)
+        return starts, counts, lane, entry
 
     def _margins(self, X: np.ndarray) -> np.ndarray:
         """a_i^T x for every row i, for x of shape (d,) or a stack (k, d)."""

@@ -23,6 +23,8 @@ a function of the counter alone (Steele, Lea & Flood, OOPSLA 2014).  So a
 block of words can be computed at once with numpy's wrapping uint64
 arithmetic (next_words), and step_draws turns a block into the sample indices
 and coins of many steps, consuming exactly the words the scalar draws would.
+The optimizers' run() and run_lanes() draw through step_draws; the scalar
+draws define what it must reproduce.
 """
 
 from __future__ import annotations
@@ -67,6 +69,11 @@ class SplitMix64:
         z ^= z >> np.uint64(31)
         self._state = (self._state + count * _GAMMA) & _MASK64
         return z
+
+    # randbelow and bernoulli are the serial definition of a step's draws;
+    # the package itself draws through step_draws.  perfbench/tracer.py hooks
+    # both until its counters move to fields that run() and run_lanes() both
+    # fill (ROADMAP item 2).
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in {0, ..., n-1}, unbiased via bit-mask rejection."""

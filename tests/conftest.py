@@ -4,6 +4,7 @@ import pytest
 from loopless import oracle as oracle_module
 from loopless.data import Dataset, SparseRow, synthesize_quadratic
 from loopless.diagnostics import ReferenceSolution
+from loopless.optimizers import GradientDescent, _Coin
 from loopless.oracle import make_oracle
 
 
@@ -13,6 +14,21 @@ def dense_rows(dataset) -> np.ndarray:
     rows = np.repeat(np.arange(dataset.n), np.diff(dataset.indptr))
     A[rows, dataset.indices] = dataset.values
     return A
+
+
+def serial_step(opt, rng):
+    """One step as a per-step loop takes it, the simple path that run()'s
+    block draws are checked against: rng.randbelow(n), then the refresh
+    rule's own draw (rng.bernoulli(p) for the coin, every m-th step for the
+    loop), then the correction from grad_i at w.  Gradient descent draws
+    nothing."""
+    if isinstance(opt, GradientDescent):
+        opt.step()
+        return
+    oracle = opt.oracle
+    i = rng.randbelow(oracle.n)
+    refresh = rng.bernoulli(opt.p) if isinstance(opt, _Coin) else (opt.k + 1) % opt.m == 0
+    opt.step(i, oracle.grad_i(i, opt.w) - opt.grad_w, refresh)
 
 
 def random_dataset(rng, max_n=8, max_d=12, tight=True) -> Dataset:

@@ -26,7 +26,7 @@ from loopless.optimizers import (
 )
 from loopless.rng import SplitMix64
 
-from conftest import random_dataset
+from conftest import random_dataset, serial_step
 
 SEEDS = list(range(10))
 
@@ -95,7 +95,7 @@ def test_criterion_2_phi_contraction():
     for _ in range(200):
         bound = verify_lemma_bounds(state, ref, oracle)["phi_contraction"]
         worst = min(worst, bound.slack)
-        state.step(rng)
+        serial_step(state, rng)
 
     draws = np.random.default_rng(102)
     for _ in range(100):
@@ -123,7 +123,7 @@ def test_criterion_3_psi_contraction():
     for _ in range(200):
         bound = verify_lemma_bounds(state, ref, oracle)["psi_contraction"]
         worst = min(worst, bound.slack)
-        state.step(rng)
+        serial_step(state, rng)
 
     draws = np.random.default_rng(103)
     for _ in range(100):
@@ -188,7 +188,7 @@ def test_criterion_5_lsvrg_rate_bound():
         rng = SplitMix64(seed)
         reached = float("inf")
         while opt.oracle_calls <= budget:
-            opt.step(rng)
+            serial_step(opt, rng)
             if opt.k % 20 == 0 and compute_phi(opt, ref, oracle)["phi"] <= target:
                 reached = opt.oracle_calls
                 break
@@ -207,7 +207,7 @@ def test_criterion_5_lsvrg_rate_bound():
 def _epochs_to_distance(opt, rng, x_star, threshold, cap_steps):
     steps = 0
     while steps < cap_steps:
-        opt.step(rng)
+        serial_step(opt, rng)
         steps += 1
         if steps % 20 == 0:
             delta = opt.tracked_point - x_star
@@ -300,7 +300,7 @@ def test_criterion_8_reductions_and_fixed_points():
     rng = SplitMix64(1)
     bitwise = True
     for _ in range(1000):
-        lsvrg.step(rng)
+        serial_step(lsvrg, rng)
         gd.step()
         bitwise = bitwise and np.array_equal(lsvrg.x, gd.x)
 
@@ -319,7 +319,7 @@ def test_criterion_8_reductions_and_fixed_points():
     drift = 0.0
     for opt in optimizers:
         for _ in range(1000):
-            opt.step(rng)
+            serial_step(opt, rng)
         drift = max(drift, float(np.linalg.norm(opt.tracked_point - x_star, np.inf)))
 
     _report(

@@ -19,7 +19,7 @@ from loopless.optimizers import (
 )
 from loopless.rng import SplitMix64
 
-from conftest import quarter_rule_oracle, ridge_instance
+from conftest import quarter_rule_oracle, ridge_instance, serial_step
 
 
 def phi_contraction(state, ref, oracle):
@@ -161,7 +161,7 @@ def test_a_reference_holds_nothing_n_by_d():
     opt = LSVRG(oracle, np.ones(4), eta=0.05, p=0.3)
     steps = SplitMix64(3)
     for _ in range(7):
-        opt.step(steps)
+        serial_step(opt, steps)
     assert compute_phi(opt, ref, oracle) == {"phi": 11.224832409107899,
                                              "dk": 10.291633728538724}
     bounds = {name: (b.lhs, b.rhs, b.slack)
@@ -416,13 +416,13 @@ def test_contraction_holds_along_real_runs():
     for _ in range(200):
         bound = phi_contraction(state, ref, oracle)
         assert bound.lhs <= bound.rhs + 1e-10
-        state.step(rng)
+        serial_step(state, rng)
 
     kstate = LKatyusha(oracle, np.zeros(4), **LKatyusha.theory_params(oracle))
     for _ in range(200):
         bound = psi_contraction(kstate, ref, oracle)
         assert bound.lhs <= bound.rhs + 1e-10
-        kstate.step(rng)
+        serial_step(kstate, rng)
 
 
 def test_psi_controls_tracked_distance():
@@ -431,7 +431,7 @@ def test_psi_controls_tracked_distance():
     state = LKatyusha(oracle, np.zeros(4), **LKatyusha.theory_params(oracle))
     rng = SplitMix64(31)
     for _ in range(300):
-        state.step(rng)
+        serial_step(state, rng)
         report = compute_psi(state, ref, oracle)
         dist = float((state.y - ref.x_star) @ (state.y - ref.x_star))
         assert dist <= 2.0 * state.theta1 * report["yk"] / oracle.mu + 1e-12

@@ -12,7 +12,7 @@ import pytest
 from loopless.data import synthesize_quadratic
 from loopless.harness import RunConfig, build_metrics
 from loopless.oracle import make_oracle
-from loopless.optimizers import (_LANE_BLOCK, GradientDescent, LKatyusha, LoopyKatyusha,
+from loopless.optimizers import (_BLOCK_STEPS, GradientDescent, LKatyusha, LoopyKatyusha,
                                  LoopySVRG, LSVRG, _Coin, _Loop, run, run_lanes)
 from loopless.rng import SplitMix64
 
@@ -53,9 +53,11 @@ def test_schedule_matches_serial_draws(cls, n, param):
         indices, refresh = scheduled.schedule(rng_block, steps)
         scheduled.k += steps
         want_idx, want_refresh = [], []
-        for _ in range(steps):  # the draws of step(), in its order
+        for _ in range(steps):  # a per-step loop's draws, in its order
             want_idx.append(rng_serial.randbelow(n))
-            want_refresh.append(serial._refresh_due(rng_serial))
+            # the coin after the index, or every m-th step (no draw)
+            want_refresh.append(rng_serial.bernoulli(serial.p) if cls is LSVRG
+                                else (serial.k + 1) % serial.m == 0)
             serial.k += 1
         assert indices.tolist() == want_idx
         assert refresh.dtype == bool and refresh.tolist() == want_refresh
@@ -243,7 +245,7 @@ def test_run_lanes_matches_run_on_random_batches(monkeypatch):
     lane checked against run() as compare_lanes_with_runs checks dense ridge
     lanes (bitwise), with diverged_at.  The batches take intervals below one step's epoch increment
     (2/n), budgets at which a lane ends on a block's last step (at
-    k = _LANE_BLOCK, the longest block, among others), and lanes that
+    k = _BLOCK_STEPS, the longest block, among others), and lanes that
     diverge mid-block (their f_gap turns infinite past a random epoch)."""
     blocks = record_blocks(monkeypatch)
     rng = np.random.default_rng(11)
@@ -255,8 +257,8 @@ def test_run_lanes_matches_run_on_random_batches(monkeypatch):
                  {"p": float(rng.uniform(0.01, 1.0))}, {"p": 1.0}]
         rules = [rules[i] for i in rng.choice(4, size=int(rng.integers(1, 5)))]
         if trial % 5 == 0:  # a lane that never refreshes spends its budget in one block
-            rules.append({"m": _LANE_BLOCK + 1})
-            epochs = (n + 2 * _LANE_BLOCK) / n
+            rules.append({"m": _BLOCK_STEPS + 1})
+            epochs = (n + 2 * _BLOCK_STEPS) / n
         else:
             epochs = float(rng.uniform(0.0, 2200 / n))
         every = float(rng.choice([rng.uniform(0.05, 1.0) * 2 / n,
@@ -291,11 +293,11 @@ def test_run_lanes_matches_run_on_random_batches(monkeypatch):
                 seen.add("diverged mid-block")
             if lane.k == block_end and lane.epoch == epochs:
                 seen.add("ended at a block's last step")
-                if lane.k == _LANE_BLOCK:
+                if lane.k == _BLOCK_STEPS:
                     seen.add("ended at the longest block's last step")
         if every < 2 / n and any(len(trace) > 2 for trace in traces):
             seen.add("interval below a step")
-        assert all(steps <= _LANE_BLOCK for lane in blocks.values() for _, steps in lane)
+        assert all(steps <= _BLOCK_STEPS for lane in blocks.values() for _, steps in lane)
     assert seen == {"diverged mid-block", "ended at a block's last step",
                     "ended at the longest block's last step", "interval below a step"}
 
@@ -354,7 +356,7 @@ def test_lane_trajectory_regression_pin(monkeypatch, family, epochs, every):
     if epochs == 8.0:  # one block, as long as the budget allows: 2 calls a step
         assert steps == [math.ceil((epochs * oracle.n - oracle.n) / 2)]
     else:
-        assert len(steps) > 1 and max(steps) == _LANE_BLOCK
+        assert len(steps) > 1 and max(steps) == _BLOCK_STEPS
 
 
 def test_run_lanes_zero_budget_and_no_lanes():
@@ -441,9 +443,9 @@ def test_run_wall_ns_is_optimizer_time_without_metrics(monkeypatch):
     opt = LSVRG(oracle, np.zeros(oracle.d), eta=0.01, p=0.2)
     step = opt.step
 
-    def timed_step(rng):  # every step takes 100 ns
+    def timed_step(*draw):  # every step takes 100 ns
         clock.advance(100)
-        step(rng)
+        step(*draw)
 
     opt.step = timed_step
     records = run(opt, SplitMix64(3), epochs=6.0,

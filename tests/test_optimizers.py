@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from loopless.data import parse_libsvm, synthesize_quadratic
+from loopless.data import Dataset, parse_libsvm, synthesize_quadratic
 from loopless.oracle import make_oracle
 from loopless.optimizers import (
     ALGORITHMS,
@@ -12,11 +12,16 @@ from loopless.optimizers import (
     LoopyKatyusha,
     LoopySVRG,
     LSVRG,
+    _advance_mark,
+    _BLOCK_STEPS,
+    _first_mark,
+    _Recorder,
+    _STRETCH_CELLS,
     run,
 )
 from loopless.rng import SplitMix64
 
-from conftest import ridge_instance, sparse_logistic_oracle
+from conftest import quarter_rule_oracle, ridge_instance, serial_step, sparse_logistic_oracle
 
 
 @pytest.fixture
@@ -94,7 +99,7 @@ def test_lsvrg_single_sample_equals_gd_bitwise():
     gd = GradientDescent(oracle, x0, step_size=eta)
     rng = SplitMix64(1)
     for _ in range(1000):
-        lsvrg.step(rng)
+        serial_step(lsvrg, rng)
         gd.step()
         assert np.array_equal(lsvrg.x, gd.x)
 
@@ -109,7 +114,7 @@ def test_lkatyusha_single_sample_uses_exact_gradients():
     grad_w = oracle.full_grad(w)
     shadow = SplitMix64(3)
     for _ in range(200):
-        opt.step(rng)
+        serial_step(opt, rng)
         x = 0.4 * z + 0.5 * w + (1.0 - 0.4 - 0.5) * y
         shadow.randbelow(oracle.n)
         g = oracle.full_grad(x)
@@ -136,7 +141,7 @@ def test_fixed_point_at_minimizer(ridge10):
     rng = SplitMix64(5)
     for opt in optimizers:
         for _ in range(500):
-            opt.step(rng)
+            serial_step(opt, rng)
         assert np.linalg.norm(opt.tracked_point - x_star, np.inf) < 1e-14 * 500
 
 
@@ -145,7 +150,7 @@ def test_estimator_is_unbiased_along_trajectory(ridge10):
     opt = LSVRG(oracle, np.ones(4), **LSVRG.theory_params(oracle))
     rng = SplitMix64(17)
     for _ in range(50):
-        opt.step(rng)
+        serial_step(opt, rng)
     mean_g = np.zeros(4)
     for i in range(oracle.n):
         mean_g += oracle.grad_i(i, opt.x) - (oracle.grad_i(i, opt.w) - opt.grad_w)
@@ -159,7 +164,7 @@ def test_grad_w_cache_matches_fresh_full_grad(ridge10):
     opt = LSVRG(oracle, np.ones(4), eta=0.01, p=0.5)
     rng = SplitMix64(23)
     for _ in range(200):
-        opt.step(rng)
+        serial_step(opt, rng)
         assert np.array_equal(opt.grad_w, oracle.full_grad(opt.w))
 
 
@@ -171,8 +176,8 @@ def test_loopy_m1_matches_loopless_p1(ridge10):
     loopless = LSVRG(oracle, x0, eta=eta, p=1.0)
     r1, r2 = SplitMix64(9), SplitMix64(9)
     for _ in range(300):
-        loopy.step(r1)
-        loopless.step(r2)
+        serial_step(loopy, r1)
+        serial_step(loopless, r2)
         assert np.array_equal(loopy.x, loopless.x)
         assert np.array_equal(loopy.w, loopless.w)
     assert loopy.oracle_calls == loopless.oracle_calls
@@ -191,11 +196,11 @@ def test_loopy_oracle_call_pattern(ridge10):
     rng = SplitMix64(2)
     start = opt.oracle_calls
     for _ in range(m):
-        opt.step(rng)
+        serial_step(opt, rng)
     assert opt.oracle_calls - start == 2 * m + oracle.n
     # next loop: same pattern again
     for _ in range(m):
-        opt.step(rng)
+        serial_step(opt, rng)
     assert opt.oracle_calls - start == 2 * (2 * m + oracle.n)
 
 
@@ -215,7 +220,7 @@ def test_expected_oracle_calls_per_step(ridge10):
     start = opt.oracle_calls
     steps = 100_000
     for _ in range(steps):
-        opt.step(rng)
+        serial_step(opt, rng)
     per_step = (opt.oracle_calls - start) / steps
     expected = 2.0 + p * oracle.n
     assert abs(per_step - expected) <= 0.05 * expected
@@ -313,6 +318,154 @@ def test_run_metrics_and_hook(ridge10):
     assert len(seen) == len(records)
 
 
+def serial_run(opt, rng, *, epochs, checkpoint_every=1.0, metrics=None):
+    """run() as a loop of serial_step, the scalar path its block draws and
+    per-stretch corrections replace."""
+    recorder = _Recorder()
+    records = []
+    if (rec := recorder.record(opt, metrics)) is None:
+        return records
+    records.append(rec)
+    epoch = opt.epoch
+    mark = _first_mark(epoch, checkpoint_every)
+    while epoch < epochs:
+        serial_step(opt, rng)
+        epoch = opt.epoch
+        if epoch >= mark or epoch >= epochs:
+            if (rec := recorder.record(opt, metrics)) is None:
+                break
+            records.append(rec)
+            mark = _advance_mark(mark, epoch, checkpoint_every)
+    return records
+
+
+def assert_run_is_serial_run(make, seed, **budget):
+    """run() and serial_run on two optimizers from make() give the same
+    records but wall_ns, bitwise, and leave the same state."""
+    opt, ref = make(), make()
+    got = run(opt, SplitMix64(seed), **budget)
+    want = serial_run(ref, SplitMix64(seed), **budget)
+    strip = [{k: v for k, v in r.items() if k != "wall_ns"} for r in got]
+    assert strip == [{k: v for k, v in r.items() if k != "wall_ns"} for r in want]
+    assert (opt.k, opt.oracle_calls, opt.diverged_at) == (ref.k, ref.oracle_calls,
+                                                        ref.diverged_at)
+    for name in getattr(opt, "lane_state", ("x",)):
+        assert getattr(opt, name).tobytes() == getattr(ref, name).tobytes(), name
+    return got, opt
+
+
+def norm_sq(opt):
+    x = opt.tracked_point
+    return {"norm_sq": float(x @ x)}
+
+
+def dense_ridge_oracle():
+    return make_oracle(synthesize_quadratic(30, 5, 50.0, seed=3, mu=1.0)[0], "ridge", 1.0)
+
+
+def csr_ridge_oracle():
+    dataset = sparse_logistic_oracle().dataset
+    oracle = quarter_rule_oracle(dataset, "ridge", 0.1)
+    assert oracle._dense is None
+    return oracle
+
+
+RUN_ORACLES = {"dense-ridge": dense_ridge_oracle, "csr-ridge": csr_ridge_oracle,
+               "csr-logistic": sparse_logistic_oracle}
+VARIANCE_REDUCED = [LSVRG, LoopySVRG, LKatyusha, LoopyKatyusha]
+
+
+@pytest.mark.parametrize("cls", VARIANCE_REDUCED, ids=lambda c: c.name)
+@pytest.mark.parametrize("data", sorted(RUN_ORACLES))
+def test_run_is_the_serial_loop_across_blocks(cls, data):
+    """At the theory preset (p = 1/n, m = n) the budget takes about 1,300
+    steps, past the first 1,024-step block, with checkpoint marks that fall
+    inside blocks and stretches."""
+    oracle = RUN_ORACLES[data]()
+    params = cls.theory_params(oracle)
+    records, _ = assert_run_is_serial_run(
+        lambda: cls(oracle, np.ones(oracle.d), **params), 7,
+        epochs=130.0, checkpoint_every=7.3, metrics=norm_sq)
+    assert records[-1]["k"] > _BLOCK_STEPS
+
+
+@pytest.mark.parametrize("cls", VARIANCE_REDUCED, ids=lambda c: c.name)
+@pytest.mark.parametrize("data", sorted(RUN_ORACLES))
+def test_run_is_the_serial_loop_when_every_step_refreshes(cls, data):
+    oracle = RUN_ORACLES[data]()
+    params = {**cls.theory_params(oracle), **cls.loop_params(1)}  # p = 1, m = 1
+    records, _ = assert_run_is_serial_run(
+        lambda: cls(oracle, np.ones(oracle.d), **params), 2,
+        epochs=30.0, checkpoint_every=2.5, metrics=norm_sq)
+    assert [r["oracle_calls"] for r in records][1:3] == [
+        (oracle.n + 2) * r["k"] + oracle.n for r in records[1:3]]
+
+
+@pytest.mark.parametrize("cls", VARIANCE_REDUCED, ids=lambda c: c.name)
+def test_run_stops_at_the_serial_loops_k(cls):
+    """A metric that turns infinite at epoch 50, mid-block, stops both at the
+    same k, with the same state."""
+    oracle = sparse_logistic_oracle()
+    params = cls.theory_params(oracle)
+
+    def metrics(opt):
+        return {"f_gap": math.inf if opt.epoch >= 50.0 else opt.epoch}
+
+    records, opt = assert_run_is_serial_run(
+        lambda: cls(oracle, np.ones(oracle.d), **params), 5,
+        epochs=130.0, checkpoint_every=3.1, metrics=metrics)
+    assert opt.diverged_at == opt.k and opt.epoch >= 50.0
+    assert records[-1]["epoch"] < 50.0
+
+
+@pytest.mark.parametrize("cls, rule", [(LSVRG, {"p": 0.05}), (LoopySVRG, {"m": 20})])
+def test_run_diverges_at_the_serial_loops_k(cls, rule):
+    oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
+
+    def metrics(opt):
+        delta = opt.x - ref.x_star
+        return {"dist_sq": float(delta @ delta)}
+
+    _, opt = assert_run_is_serial_run(lambda: cls(oracle, np.ones(5), eta=10.0, **rule),
+                                      0, epochs=40.0, metrics=metrics)
+    assert opt.diverged_at == opt.k
+
+
+@pytest.mark.parametrize("data", sorted(RUN_ORACLES))
+def test_run_is_the_serial_loop_for_gradient_descent(data):
+    oracle = RUN_ORACLES[data]()
+    params = GradientDescent.theory_params(oracle)
+    assert_run_is_serial_run(lambda: GradientDescent(oracle, np.ones(oracle.d), **params),
+                             0, epochs=40.0, checkpoint_every=3.5, metrics=norm_sq)
+
+
+@pytest.mark.parametrize("d, epochs", [(3000, 6.0), (150_000, 2.0)])
+def test_run_takes_long_stretches_in_tables_within_the_cell_cap(d, epochs, monkeypatch):
+    """Without a refresh, the corrections of a stretch come in tables of at most
+    max(1, _STRETCH_CELLS // d) rows (43 dense rows at d = 3000, one CSR row at
+    d = 150,000), and the run is still the serial loop's."""
+    rng = np.random.default_rng(d)
+    n, nnz = 40, 3 if d > 3000 else d
+    indices = np.concatenate([np.sort(rng.choice(d, nnz, replace=False)) for _ in range(n)])
+    dataset = Dataset.from_csr(np.arange(n + 1) * nnz, indices, rng.normal(size=n * nnz),
+                               rng.choice([-1.0, 1.0], size=n), d)
+    oracle = make_oracle(dataset, "ridge", 1.0)
+    assert (oracle._dense is None) == (d > 3000)
+    tables, make_table = [], oracle.corrections
+
+    def corrections(idx, w, grad_w):
+        tables.append(make_table(idx, w, grad_w))
+        return tables[-1]
+
+    monkeypatch.setattr(oracle, "corrections", corrections)
+    rows = max(1, _STRETCH_CELLS // d)
+    assert_run_is_serial_run(lambda: LSVRG(oracle, np.ones(d), eta=0.01, p=1e-9), 3,
+                             epochs=epochs, metrics=norm_sq)
+    assert sum(len(t) for t in tables) > 2 * rows
+    assert max(len(t) for t in tables) == rows
+    assert all(t.size <= max(_STRETCH_CELLS, d) for t in tables)
+
+
 def test_lsvrg_theory_rate_on_synthetic():
     # calls to shrink the squared distance by 1e8 stay under the linear-rate
     # budget 4 (n + L/mu) ln(1e8); realized medians sit ~15% below it
@@ -326,7 +479,7 @@ def test_lsvrg_theory_rate_on_synthetic():
         rng = SplitMix64(seed)
         reached = float("inf")
         while opt.oracle_calls <= 1.5 * budget:
-            opt.step(rng)
+            serial_step(opt, rng)
             if opt.k % 20 == 0:
                 delta = opt.x - x_star
                 if float(delta @ delta) <= 1e-8 * d0:
@@ -341,7 +494,7 @@ def test_epoch_accounting_matches_calls(ridge10):
     opt = LKatyusha(oracle, np.zeros(4), **LKatyusha.theory_params(oracle))
     rng = SplitMix64(6)
     for _ in range(37):
-        opt.step(rng)
+        serial_step(opt, rng)
     assert opt.epoch == opt.oracle_calls / oracle.n
     assert opt.oracle_calls >= oracle.n + 2 * 37
 

@@ -310,6 +310,52 @@ def test_grad_i_and_loss_i_are_bitwise_the_scalar_reference(loss, density, n, d)
             assert oracle.grad_i(i, x).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("loss", ["logistic", "ridge"])
+@pytest.mark.parametrize("density", [0.1, 0.6])
+@pytest.mark.parametrize("n, d", [(1, 3), (1, 40), (9, 3), (30, 17), (12, 300)])
+def test_corrections_are_grad_i_less_grad_w_bitwise(loss, density, n, d):
+    """Each row of corrections(idx, w, grad_w) is grad_i(idx[s], w) - grad_w
+    bit for bit, on dense and CSR rows (every fourth row empty), with
+    repeated indices and at n = 1."""
+    rng = np.random.default_rng([n, d, int(10 * density), len(loss), 23])
+    dataset = property_dataset(rng, n, d=d, density=density, pad=2)
+    oracle = quarter_rule_oracle(dataset, loss, 0.3)
+    assert (oracle._dense is not None) == (dataset.nnz >= 0.25 * n * dataset.d)
+    for _ in range(10):
+        w = rng.normal(size=oracle.d) * rng.choice([1e-3, 1.0, 50.0])
+        grad_w = oracle.full_grad(w)
+        idx = rng.integers(n, size=int(rng.integers(1, 3 * n + 2)))
+        want = np.stack([oracle.grad_i(i, w) - grad_w for i in idx])
+        assert oracle.corrections(idx, w, grad_w).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("filler", [0, 20], ids=["csr", "dense"])
+def test_corrections_take_the_scalar_kernel_at_extreme_margins(filler):
+    """Margins where the scalar kernel's math.exp gives 1, a subnormal or 0
+    (|b m| up to 800) keep corrections bitwise grad_i's."""
+    rng = np.random.default_rng(filler + 1)
+    special = np.array([0.0, 30.0, 700.0, 709.8, 745.0, 800.0])
+    bm = np.concatenate([special, -special[1:], rng.uniform(-800.0, 800.0, size=20)])
+    n = bm.size
+    b = rng.choice([-1.0, 1.0], size=n)
+    # row i: the margin b_i bm_i in column 0 (w_0 = 1), a 1 in column 1 + i,
+    # and `filler` ones in shared columns past those
+    A = np.zeros((n, 1 + n + filler))
+    A[:, 0] = b * bm
+    A[np.arange(n), 1 + np.arange(n)] = 1.0
+    A[:, 1 + n:] = 1.0
+    A[3] = 0.0  # an empty row
+    oracle = quarter_rule_oracle(Dataset.from_csr(*_dense_to_csr(A), b, A.shape[1]),
+                                 "logistic", 0.3)
+    assert (oracle._dense is not None) == (filler > 0)
+    w = np.zeros(oracle.d)
+    w[0] = 1.0
+    grad_w = oracle.full_grad(w)
+    idx = np.concatenate([np.arange(n), rng.integers(n, size=10)])
+    want = np.stack([oracle.grad_i(i, w) - grad_w for i in idx])
+    assert oracle.corrections(idx, w, grad_w).tobytes() == want.tobytes()
+
+
 def test_full_loss_many_spans_several_blocks():
     rng = np.random.default_rng(9)
     for density in (0.1, 0.6):
