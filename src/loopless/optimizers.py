@@ -18,13 +18,14 @@ rate in `theory_facts`.  A family constructor takes its refresh rule's one
 parameter by keyword (p= or m=) and hands it to the rule's _init_rule.
 
 Shared conventions:
-  * every optimizer holds an immutable oracle and exposes draws(rng, steps),
-    step(*draw) for each draw, tracked_point, oracle_calls, and
-    epoch == oracle_calls / n;
+  * every optimizer holds an immutable oracle and exposes schedule(rng,
+    steps) (a block's sample indices and refresh mask), draws(indices,
+    refresh) (step()'s arguments for the steps refresh covers), step(*draw),
+    tracked_point, oracle_calls, and epoch == oracle_calls / n;
   * each stochastic step's draws are the sample index first and the coin
-    second from the same stream, and it costs 2 stochastic-gradient calls
-    plus n on a reference refresh; initialization costs n (the first full
-    gradient);
+    second from the same stream, and it costs step_calls == 2
+    stochastic-gradient calls plus n on a reference refresh (gradient
+    descent: 0, and every step refreshes); initialization costs n;
   * the coin/loop refresh stores the PRE-update iterate (w <- x^k for the
     SVRG family, w <- y^k for the Katyusha family), exactly as the loopless
     recursions are defined;
@@ -32,15 +33,16 @@ Shared conventions:
         g = grad_i(x) - (grad_i(w) - grad_w)
     so the correction vanishes exactly (bitwise) when n == 1 and at w == x.
 
-The draws do not depend on the iterate, so run() and run_lanes() take them a
-block of steps at a time through the refresh rule's schedule().  run() drives one
-optimizer: draws() cuts each block into refresh-free stretches, which share
-w and so their corrections grad_i(w) - grad_w, makes each stretch's
-corrections in one Oracle.corrections call, and step(i, correction, refresh)
-evaluates grad_i only at the point.  run_lanes() drives optimizers of one
-family that share an oracle as one batch of lanes: the family's point() and
-move(), called on a stacked instance with one row per lane, advance every
-lane at once.
+The draws do not depend on the iterate, so run() and run_lanes() take a
+block of steps at a time from schedule(); _plan turns its refresh mask into
+each step's oracle calls, the budget's last step and the checkpoint steps.
+run() drives one optimizer: draws() cuts the planned steps into refresh-free
+stretches, which share w and so their corrections grad_i(w) - grad_w, makes
+each stretch's corrections in one Oracle.corrections call, and
+step(i, correction, refresh) evaluates grad_i only at the point.  run_lanes()
+drives optimizers of one family that share an oracle as one batch of lanes:
+the family's point() and move(), called on a stacked instance with one row
+per lane, advance every lane at once.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ class _Optimizer:
     potential: tuple[str, ...] = ()  # Lyapunov trace columns: phi or psi first
     lemmas: tuple[str, ...] = ()  # one-step bounds, traced as slack_<name>
     diverged_at: int | None = None  # k of the checkpoint run or run_lanes stopped at
+    step_calls = 2  # stochastic-gradient calls per step, plus n on a refresh
 
     def _start(self, oracle: Oracle, x0: np.ndarray):
         """Zero the counters; returns a float copy of x0 and its full
@@ -153,16 +156,15 @@ class _VarianceReduced(_Optimizer):
     def point(self) -> np.ndarray:
         return self.tracked_point
 
-    def draws(self, rng: SplitMix64, steps: int):
-        """step()'s arguments (i, correction, refresh) for the next `steps`
-        steps, drawn as one block by the refresh rule's schedule().  The
-        corrections grad_i(i, w) - grad_w come one oracle call per stretch of
-        steps that share w: a stretch ends at a refresh or at _STRETCH_CELLS
-        cells, and its table is made only once the step before it has run."""
-        indices, refresh = self.schedule(rng, steps)
+    def draws(self, indices: np.ndarray, refresh: np.ndarray):
+        """step()'s arguments (i, correction, refresh) for the steps of a
+        schedule() block that refresh covers.  The corrections
+        grad_i(i, w) - grad_w come one oracle call per stretch of steps that
+        share w: a stretch ends at a refresh or at _STRETCH_CELLS cells, and
+        its table is made only once the step before it has run."""
         rows = max(1, _STRETCH_CELLS // self.oracle.d)
         start = 0
-        for stop in [*(np.flatnonzero(refresh) + 1).tolist(), steps]:
+        for stop in [*(np.flatnonzero(refresh) + 1).tolist(), len(refresh)]:
             while start < stop:
                 end = min(stop, start + rows)
                 stretch = indices[start:end]
@@ -290,6 +292,7 @@ class GradientDescent(_Optimizer):
 
     name = "gd"
     param_types = {"step_size": float}
+    step_calls = 0  # each step is a full gradient: n calls, a refresh to _plan
 
     def __init__(self, oracle: Oracle, x0: np.ndarray, step_size: float):
         self.step_size = _check_positive(step_size, "step_size")
@@ -300,9 +303,14 @@ class GradientDescent(_Optimizer):
         return {"step_size": 1.0 / oracle.L}
 
     @staticmethod
-    def draws(rng, steps: int):
-        """step() takes no arguments: gradient descent draws nothing."""
-        return itertools.repeat((), steps)
+    def schedule(rng, steps: int):
+        """No sample indices, and every step refreshes: draws nothing."""
+        return None, np.ones(steps, dtype=bool)
+
+    @staticmethod
+    def draws(indices, refresh):
+        """step() takes no arguments."""
+        return itertools.repeat((), len(refresh))
 
     def step(self):
         self.x = self.x - self.step_size * self.grad
@@ -391,6 +399,25 @@ def _advance_mark(mark: float, epoch: float, every: float) -> float:
     return mark
 
 
+def _plan(optimizer, refresh: np.ndarray, epochs: float, mark: float, every: float):
+    """Plan a schedule() block with this refresh mask from the optimizer's
+    state: (each step's oracle_calls, cut after the step that spends the
+    epoch budget; the steps that record a checkpoint; the mark after them).
+    A step costs step_calls plus n on a refresh, and records once its epoch
+    reaches min(mark, epochs), moving the mark past it (_advance_mark)."""
+    n = optimizer.oracle.n
+    calls = optimizer.oracle_calls + np.cumsum(optimizer.step_calls + n * refresh)
+    epoch = calls / n  # each step's epoch, as optimizer.epoch computes it
+    epoch = epoch[:np.searchsorted(epoch, epochs) + 1]
+    checkpoints = []
+    t = int(np.searchsorted(epoch, min(mark, epochs)))  # epoch never decreases
+    while t < len(epoch):
+        checkpoints.append(t)
+        mark = _advance_mark(mark, epoch[t], every)
+        t += 1 + int(np.searchsorted(epoch[t + 1:], min(mark, epochs)))
+    return calls[:len(epoch)], checkpoints, mark
+
+
 class _Recorder:
     """Makes checkpoint records, each the {column: value} dict of its trace
     row, whose wall_ns is optimizer time: the time since the recorder
@@ -439,6 +466,7 @@ def run(
     metrics(optimizer) may return a dict of further columns; it sees the
     live optimizer and must treat it as read-only.  wall_ns leaves out the
     time spent in it.
+    It takes the steps _plan plans in each schedule() block, and only those.
     At the first checkpoint whose tracked point or any record value is not
     finite the run stops without recording it, leaving the optimizer in that
     state with diverged_at = k.  Deterministic given (optimizer state, rng).
@@ -449,20 +477,20 @@ def run(
     if (rec := recorder.record(optimizer, metrics)) is None:
         return records
     records.append(rec)
-    epoch = optimizer.epoch
-    next_mark = _first_mark(epoch, checkpoint_every)
-    n = optimizer.oracle.n
-    while epoch < epochs:
-        for draw in optimizer.draws(rng, _block_steps(epochs * n - optimizer.oracle_calls)):
+    mark = _first_mark(optimizer.epoch, checkpoint_every)
+    while optimizer.epoch < epochs:
+        steps = _block_steps(epochs * optimizer.oracle.n - optimizer.oracle_calls)
+        indices, refresh = optimizer.schedule(rng, steps)
+        calls, checkpoints, mark = _plan(optimizer, refresh, epochs, mark, checkpoint_every)
+        draws = optimizer.draws(indices, refresh[:len(calls)])
+        for count in np.diff([-1, *checkpoints]).tolist():  # steps up to each checkpoint
+            for draw in itertools.islice(draws, count):
+                optimizer.step(*draw)
+            if (rec := recorder.record(optimizer, metrics)) is None:
+                return records
+            records.append(rec)
+        for draw in draws:  # the steps after the block's last checkpoint
             optimizer.step(*draw)
-            epoch = optimizer.epoch
-            if epoch >= next_mark or epoch >= epochs:
-                if (rec := recorder.record(optimizer, metrics)) is None:
-                    return records
-                records.append(rec)
-                next_mark = _advance_mark(next_mark, epoch, checkpoint_every)
-                if epoch >= epochs:
-                    break
     return records
 
 
@@ -485,9 +513,9 @@ def run_lanes(
     through bincount).
 
     The lanes step together through the family's point() and move() on one
-    stacked instance.  Each lane follows its own schedule of sample indices
-    and refreshes, drawn a block of steps at a time by its refresh rule, and
-    drops out when its budget is spent or, as in run, at its first
+    stacked instance.  Each lane follows its own blocks of sample indices
+    and refreshes, drawn by its refresh rule and planned by _plan as in run,
+    and drops out when its budget is spent or, as in run, at its first
     checkpoint with a non-finite tracked point or metric.  Before each of a
     lane's checkpoints its state and counters are written back to its
     optimizer, so metrics sees an ordinary optimizer.
@@ -527,33 +555,24 @@ def run_lanes(
 
 
 def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int]:
-    """Step the live lanes through one block; returns the lanes still live."""
+    """Step the live lanes through one block, each planned by _plan up front;
+    returns the lanes still live (a diverged lane skips its later checkpoints)."""
     opts = [lanes[s] for s in live]
-    oracle, n, width = opts[0].oracle, opts[0].oracle.n, len(opts)
-    steps = _block_steps(max(epochs * n - opt.oracle_calls for opt in opts))
+    oracle, width = opts[0].oracle, len(opts)
+    steps = _block_steps(max(epochs * oracle.n - opt.oracle_calls for opt in opts))
     drawn = [opt.schedule(rngs[s], steps) for s, opt in zip(live, opts)]
-    refresh = np.stack([r for _, r in drawn])
-    calls = (np.array([[opt.oracle_calls] for opt in opts])
-             + 2 * np.arange(1, steps + 1) + n * np.cumsum(refresh, axis=1))
-    epochs_after = calls / n  # each step's epoch, as opt.epoch computes it
-
+    calls = []  # each lane's planned oracle_calls after each step
     checkpoints: dict[int, list[int]] = {}  # step -> lanes that record after it
     refreshes: dict[int, list[int]] = {}  # step -> lanes that refresh in it
-    for b, t in zip(*np.nonzero(refresh)):
-        refreshes.setdefault(int(t), []).append(int(b))
-    event = refresh.any(axis=0).tolist()  # steps with a refresh or a checkpoint
+    for b, (s, opt, (_, refresh)) in enumerate(zip(live, opts, drawn)):
+        lane_calls, planned, marks[s] = _plan(opt, refresh, epochs, marks[s], every)
+        calls.append(lane_calls)
+        for t in planned:
+            checkpoints.setdefault(t, []).append(b)
+        for t in np.flatnonzero(refresh).tolist():
+            refreshes.setdefault(t, []).append(b)
+    events = checkpoints.keys() | refreshes.keys()  # steps with per-lane bookkeeping
     running = set(range(width))  # the lanes before their last checkpoint
-
-    def find_checkpoint(b: int, t: int):
-        """File lane b under its next checkpoint, found by run()'s test: the first
-        step from t on with epoch >= min(mark, epochs) (its epochs are sorted)."""
-        t += int(np.searchsorted(epochs_after[b, t:], min(marks[live[b]], epochs)))
-        checkpoints.setdefault(t, []).append(b)
-        if t < steps:
-            event[t] = True
-
-    for b in range(width):
-        find_checkpoint(b, 0)
 
     # a copy of the first lane holding every lane's state as (S, d) rows and
     # parameters as (S, 1) columns: its point() and move() step all lanes
@@ -572,7 +591,7 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
         for name in opt.lane_state:
             setattr(opt, name, getattr(stack, name)[b].copy())
         opt.k = k0[b] + t + 1
-        opt.oracle_calls = int(calls[b, t])
+        opt.oracle_calls = int(calls[b][t])
 
     point, move, grad_many, grad_w = stack.point, stack.move, oracle.grad_many, stack.grad_w
     for t in range(steps):
@@ -583,7 +602,7 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
         g, correction = g_both[:width], g_both[width:]
         correction -= grad_w
         g -= correction
-        if not event[t]:
+        if t not in events:
             move(x, g)
             continue
         fresh = [b for b in refreshes.get(t, ()) if b in running]
@@ -592,13 +611,9 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
         for b, w in zip(fresh, w_next):  # w <- the pre-update tracked point
             xw[width + b] = w
             grad_w[b] = oracle.full_grad(w)
-        for b in checkpoints.pop(t, ()):
+        for b in [b for b in checkpoints.get(t, ()) if b in running]:
             write_back(b, t)
-            epoch = float(epochs_after[b, t])
-            if checkpoint(live[b]) and epoch < epochs:
-                marks[live[b]] = _advance_mark(marks[live[b]], epoch, every)
-                find_checkpoint(b, t + 1)
-            else:
+            if not checkpoint(live[b]) or opts[b].epoch >= epochs:
                 running.remove(b)
                 if not running:
                     return []

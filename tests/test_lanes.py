@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from loopless import optimizers
 from loopless.data import synthesize_quadratic
 from loopless.harness import RunConfig, build_metrics
 from loopless.oracle import make_oracle
@@ -404,19 +405,39 @@ def test_run_stops_at_the_first_non_finite_checkpoint():
     assert [r["k"] for r in again] == [r["k"] for r in records]
 
 
-def test_run_lanes_drops_a_diverged_lane_and_keeps_the_others():
+def test_run_lanes_drops_a_diverged_lane_and_keeps_the_others(monkeypatch):
+    """Two batches of a lane that diverges and one that spends its budget:
+    the first lane's step size blows its iterate up, or its f_gap turns
+    infinite at epoch 7, in a block that still plans its later checkpoints
+    (up to epoch 40), which the block must skip."""
     oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
     eta = 1.0 / (6.0 * oracle.L)
+    distance = distance_metrics(ref.x_star)
+    plans = []  # (optimizer, its k, the checkpoint steps planned) of each _plan call
 
-    def make_lanes():
-        return [LSVRG(oracle, np.ones(5), eta=10.0, p=0.05),
-                LoopySVRG(oracle, np.zeros(5), eta=eta, m=20)]
+    def plan(opt, *args, _plan=optimizers._plan):
+        calls, checkpoints, mark = _plan(opt, *args)
+        plans.append((opt, opt.k, checkpoints))
+        return calls, checkpoints, mark
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        diverged, finished = compare_lanes_with_runs(
-            make_lanes, [0, 1], [distance_metrics(ref.x_star)] * 2,
-            epochs=40.0, checkpoint_every=1.0)
-    assert diverged[-1]["epoch"] < 40.0 <= finished[-1]["epoch"]
+    monkeypatch.setattr(optimizers, "_plan", plan)
+    cases = [(lambda: LSVRG(oracle, np.ones(5), eta=10.0, p=0.05), distance),
+             (lambda: LSVRG(oracle, np.zeros(5), eta=eta, p=0.05),
+              lambda o: {**distance(o), "f_gap": np.inf if o.epoch >= 7.0 else 0.0})]
+    for make_diverging, metrics in cases:
+        made = []
+
+        def make_lanes():
+            made.append([make_diverging(), LoopySVRG(oracle, np.zeros(5), eta=eta, m=20)])
+            return made[-1]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            diverged, finished = compare_lanes_with_runs(
+                make_lanes, [0, 1], [metrics, distance], epochs=40.0, checkpoint_every=1.0)
+        assert diverged[-1]["epoch"] < 40.0 <= finished[-1]["epoch"]
+    lane = made[0][0]  # the last batch's diverging lane in run_lanes, made first
+    k, checkpoints = [(k, steps) for opt, k, steps in plans if opt is lane][-1]
+    assert k + checkpoints[-1] + 1 > lane.diverged_at
 
 
 # ------------------------------------------------------------------ wall_ns

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from loopless.optimizers import (
     _advance_mark,
     _BLOCK_STEPS,
     _first_mark,
+    _plan,
     _Recorder,
     _STRETCH_CELLS,
     run,
@@ -437,6 +439,85 @@ def test_run_is_the_serial_loop_for_gradient_descent(data):
     params = GradientDescent.theory_params(oracle)
     assert_run_is_serial_run(lambda: GradientDescent(oracle, np.ones(oracle.d), **params),
                              0, epochs=40.0, checkpoint_every=3.5, metrics=norm_sq)
+
+
+def serial_plan(calls, costs, n, epochs, mark, every):
+    """_plan's answer by serial_run's rule, one step at a time: a step records
+    when epoch >= mark or epoch >= epochs, then the mark advances, and the
+    step that reaches the budget is the last."""
+    taken, checkpoints = [], []
+    for t, cost in enumerate(costs):
+        calls += cost
+        taken.append(calls)
+        epoch = calls / n
+        if epoch >= mark or epoch >= epochs:
+            checkpoints.append(t)
+            mark = _advance_mark(mark, epoch, every)
+            if epoch >= epochs:
+                break
+    return taken, checkpoints, mark
+
+
+def test_plan_is_serial_runs_rule_on_random_blocks():
+    """Seeded random blocks: refresh masks at the variance-reduced step cost
+    (2, plus n on a refresh) and gradient descent's all-refresh mask (n a
+    step), intervals below one step's epoch increment (2/n), and budgets
+    that end inside the block (on a step's epoch exactly, too), on its last
+    step and past it."""
+    rng = np.random.default_rng(24)
+    seen = set()
+    for trial in range(600):
+        n, steps = int(rng.integers(1, 40)), int(rng.integers(1, 300))
+        if trial % 4 == 0:
+            cls, refresh = GradientDescent, GradientDescent.schedule(None, steps)[1]
+        else:
+            cls, refresh = LSVRG, rng.random(steps) < rng.choice([0.0, 0.05, 0.5, 1.0])
+        calls0 = n * int(rng.integers(1, 30)) + 2 * int(rng.integers(0, 500))
+        opt = SimpleNamespace(oracle=SimpleNamespace(n=n), oracle_calls=calls0,
+                              step_calls=cls.step_calls)
+        costs = (cls.step_calls + n * refresh).tolist()
+        step_epochs = (calls0 + np.cumsum(costs)) / n
+        every = float(rng.choice([rng.uniform(0.05, 1.0) * 2 / n, rng.uniform(0.2, 3.0), 1.0]))
+        # a mark as run() holds it: the first from epoch 1, advanced past the epoch so far
+        mark = _advance_mark(_first_mark(1.0, every), calls0 / n, every)
+        epochs = float([rng.uniform(calls0 / n, step_epochs[-1]),
+                        rng.choice(step_epochs),
+                        step_epochs[-1],
+                        step_epochs[-1] + rng.uniform(1e-9, 5.0)][rng.integers(4)])
+        calls, checkpoints, mark_after = _plan(opt, refresh, epochs, mark, every)
+        assert (calls.tolist(), checkpoints, mark_after) == serial_plan(
+            calls0, costs, n, epochs, mark, every)
+        if len(calls) < steps:
+            seen.add("budget inside the block")
+        elif calls[-1] / n >= epochs:
+            seen.add("budget on the last step")
+        else:
+            seen.add("budget past the block")
+        if every < 2 / n and len(checkpoints) > 1:
+            seen.add("interval below a step")
+        if cls is GradientDescent and len(checkpoints) > 1:
+            seen.add("gradient descent")
+    assert seen == {"budget inside the block", "budget on the last step",
+                    "budget past the block", "interval below a step", "gradient descent"}
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("cls", [LSVRG, LKatyusha], ids=lambda c: c.name)
+def test_run_makes_one_correction_row_per_step_it_takes(cls, seed, monkeypatch):
+    """On the lemmas-n400 benchmark problem (400 x 20, kappa = 1e3, ridge,
+    theory preset, 6 epochs) the budget ends inside the first block, and
+    run() makes the corrections of the steps it takes and of no others."""
+    oracle = make_oracle(synthesize_quadratic(400, 20, 1e3, seed=1, mu=1.0)[0], "ridge", 1.0)
+    rows, make_table = [], oracle.corrections
+
+    def corrections(idx, w, grad_w):
+        rows.append(len(idx))
+        return make_table(idx, w, grad_w)
+
+    monkeypatch.setattr(oracle, "corrections", corrections)
+    opt = cls(oracle, np.zeros(oracle.d), **cls.theory_params(oracle))
+    run(opt, SplitMix64(seed), epochs=6.0, checkpoint_every=6.0)
+    assert opt.epoch >= 6.0 and sum(rows) == opt.k
 
 
 @pytest.mark.parametrize("d, epochs", [(3000, 6.0), (150_000, 2.0)])
