@@ -121,7 +121,8 @@ def _check_dims(ref: ReferenceSolution, oracle: Oracle):
 def _dk(table: np.ndarray, table_star: np.ndarray, state, oracle: Oracle) -> float:
     """dk from the per-sample gradient tables at w and at x*."""
     diff = table - table_star
-    coef = 4.0 * state.eta**2 / (state.p * oracle.n)
+    # numpy's square overflows to inf, where a Python float ** raises
+    coef = 4.0 * float(np.float64(state.eta) ** 2) / (state.p * oracle.n)
     return coef * float(np.einsum("ij,ij->", diff, diff))
 
 
@@ -208,6 +209,7 @@ def verify_lemma_bounds(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
 def _verify_svrg_bounds(state, ref, oracle) -> dict:
     n, mu, L = oracle.n, oracle.mu, oracle.L
     eta, p = state.eta, state.p
+    eta_sq = float(np.float64(eta) ** 2)  # inf on overflow, as in _dk
     gap = oracle.full_loss(state.x) - ref.f_star
     table_x = oracle.grad_table(state.x)
     table_w = oracle.grad_table(state.w)
@@ -228,17 +230,17 @@ def _verify_svrg_bounds(state, ref, oracle) -> dict:
             "iterate_distance",
             mean_dist_next,
             (1.0 - eta * mu) * dist_sq - 2.0 * eta * gap
-            + eta**2 * second_moment,
+            + eta_sq * second_moment,
         ),
         _upper(
             "estimator_second_moment",
             second_moment,
-            4.0 * L * gap + p / (2.0 * eta**2) * dk,
+            4.0 * L * gap + p / (2.0 * eta_sq) * dk,
         ),
         _upper(
             "grad_learning_decay",
             (1.0 - p) * dk + p * dk_heads,
-            (1.0 - p) * dk + 8.0 * L * eta**2 * gap,
+            (1.0 - p) * dk + 8.0 * L * eta_sq * gap,
         ),
         # needs eta <= 1/(6L)
         _upper(

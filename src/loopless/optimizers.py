@@ -33,16 +33,15 @@ Shared conventions:
         g = grad_i(x) - (grad_i(w) - grad_w)
     so the correction vanishes exactly (bitwise) when n == 1 and at w == x.
 
-The draws do not depend on the iterate, so run() and run_lanes() take a
-block of steps at a time from schedule(); _plan turns its refresh mask into
-each step's oracle calls, the budget's last step and the checkpoint steps.
-run() drives one optimizer: draws() cuts the planned steps into refresh-free
-stretches, which share w and so their corrections grad_i(w) - grad_w, makes
-each stretch's corrections in one Oracle.corrections call, and
-step(i, correction, refresh) evaluates grad_i only at the point.  run_lanes()
-drives optimizers of one family that share an oracle as one batch of lanes:
-the family's point() and move(), called on a stacked instance with one row
-per lane, advance every lane at once.
+The draws do not depend on the iterate, so one loop, _drive, serves run()
+and run_lanes(): it takes a block of steps at a time from each lane's
+schedule(), _plan turns the refresh mask into each step's oracle calls, the
+budget's last step and the checkpoint steps, and a stepper advances the
+lanes between checkpoints.  run()'s stepper, _own, steps one optimizer:
+draws() makes the corrections grad_i(w) - grad_w of each refresh-free
+stretch in one Oracle.corrections call, and step() evaluates grad_i only at
+the point.  run_lanes()'s, _stack, steps optimizers of one family on one
+oracle at once: the family's point() and move() on a stacked instance.
 """
 
 from __future__ import annotations
@@ -181,7 +180,7 @@ class _VarianceReduced(_Optimizer):
         g -= correction
         w_next = self.tracked_point
         self.move(x, g)
-        self.oracle_calls += 2
+        self.oracle_calls += self.step_calls
         if refresh:
             self.w = w_next
             self.grad_w = oracle.full_grad(w_next)
@@ -283,8 +282,8 @@ class _KatyushaFamily(_VarianceReduced):
 
 # Each class binds `step` in its own body, so instrumentation can wrap one
 # class's step without touching the shared one: perfbench/tracer.py counts
-# steps and refreshes there, and does until its counters move to fields that
-# run() and run_lanes() both fill (ROADMAP item 2).
+# steps and refreshes there until its counters move to fields that _drive
+# fills (ROADMAP item 3).
 
 
 class GradientDescent(_Optimizer):
@@ -465,33 +464,12 @@ def run(
     A record is the {column: value} dict of its trace row (_Recorder.record):
     metrics(optimizer) may return a dict of further columns; it sees the
     live optimizer and must treat it as read-only.  wall_ns leaves out the
-    time spent in it.
-    It takes the steps _plan plans in each schedule() block, and only those.
+    time spent in it.  It is _drive with one lane, stepping itself (_own).
     At the first checkpoint whose tracked point or any record value is not
     finite the run stops without recording it, leaving the optimizer in that
     state with diverged_at = k.  Deterministic given (optimizer state, rng).
     """
-    check_budget(epochs, checkpoint_every)
-    recorder = _Recorder()
-    records = []
-    if (rec := recorder.record(optimizer, metrics)) is None:
-        return records
-    records.append(rec)
-    mark = _first_mark(optimizer.epoch, checkpoint_every)
-    while optimizer.epoch < epochs:
-        steps = _block_steps(epochs * optimizer.oracle.n - optimizer.oracle_calls)
-        indices, refresh = optimizer.schedule(rng, steps)
-        calls, checkpoints, mark = _plan(optimizer, refresh, epochs, mark, checkpoint_every)
-        draws = optimizer.draws(indices, refresh[:len(calls)])
-        for count in np.diff([-1, *checkpoints]).tolist():  # steps up to each checkpoint
-            for draw in itertools.islice(draws, count):
-                optimizer.step(*draw)
-            if (rec := recorder.record(optimizer, metrics)) is None:
-                return records
-            records.append(rec)
-        for draw in draws:  # the steps after the block's last checkpoint
-            optimizer.step(*draw)
-    return records
+    return _drive([optimizer], [rng], epochs, checkpoint_every, [metrics], _own)[0]
 
 
 def run_lanes(
@@ -503,79 +481,104 @@ def run_lanes(
     metrics=None,
 ) -> list[list[dict]]:
     """Drive optimizers of one family (SVRG or Katyusha) that share one
-    oracle as one batch of lanes.
+    oracle as one batch of lanes, stepped together by _drive with _stack.
 
     Lane s gives the records run(optimizers[s], rngs[s], metrics=metrics[s])
     would give and leaves optimizers[s] in the state run leaves it in: k,
     oracle_calls and epoch exactly; its lane_state arrays bitwise on a
     dense ridge oracle, where oracle.grad_many is grad_i's arithmetic, and
     to rounding otherwise (np.exp is not math.exp, and CSR row dots go
-    through bincount).
-
-    The lanes step together through the family's point() and move() on one
-    stacked instance.  Each lane follows its own blocks of sample indices
-    and refreshes, drawn by its refresh rule and planned by _plan as in run,
-    and drops out when its budget is spent or, as in run, at its first
-    checkpoint with a non-finite tracked point or metric.  Before each of a
-    lane's checkpoints its state and counters are written back to its
-    optimizer, so metrics sees an ordinary optimizer.
-    wall_ns is the batch's optimizer time so far, shared by its lanes.  A
-    lane's rng ends at the end of its last block, past where run leaves it.
+    through bincount).  Before each of a lane's checkpoints its state and
+    counters are written back to its optimizer, so metrics sees an ordinary
+    optimizer.  wall_ns is the batch's optimizer time so far, shared by its
+    lanes.  A lane's rng ends at the end of its last block, past run's.
     """
-    check_budget(epochs, checkpoint_every)
     lanes = list(optimizers)
-    metrics = [None] * len(lanes) if metrics is None else list(metrics)
-    if not lanes:
-        return []
-    move = getattr(type(lanes[0]), "move", None)
-    if move is None or any(getattr(type(opt), "move", None) is not move
-                           or opt.oracle is not lanes[0].oracle for opt in lanes):
+    moves = {getattr(type(opt), "move", None) for opt in lanes}
+    if None in moves or len(moves) > 1 or len({id(opt.oracle) for opt in lanes}) > 1:
         raise ValueError("lanes must be optimizers of one family (SVRG-family "
                          "or Katyusha-family) on one oracle")
+    metrics = [None] * len(lanes) if metrics is None else list(metrics)
+    return _drive(lanes, rngs, epochs, checkpoint_every, metrics, _stack)
+
+
+def _drive(lanes, rngs, epochs, every, metrics, stepper) -> list[list[dict]]:
+    """The one driver loop: records each lane's first state, then, a block
+    at a time, plans every live lane's schedule() with _plan and walks the
+    checkpoint steps in order, advancing the stepper to each, then writing
+    back and recording each lane due there.  A lane drops out at its last
+    checkpoint: its budget is spent, or it has diverged and skips the
+    checkpoints it still had in the block.  stepper(opts, drawn, calls,
+    running), built once per block, returns advance(start, stop), which takes
+    steps start..stop-1, and write_back(b, t), which leaves lane b's optimizer
+    as after step t; a lane out of running is refreshed no more."""
+    check_budget(epochs, every)
     recorder = _Recorder()
     traces: list[list[dict]] = [[] for _ in lanes]
 
-    def checkpoint(s: int) -> bool:
-        """Record lane s; False if it has diverged."""
+    def record(s: int) -> bool:
+        """Record lane s; False once it stops: diverged or its budget spent."""
         rec = recorder.record(lanes[s], metrics[s])
         if rec is not None:
             traces[s].append(rec)
-        return rec is not None
+        return rec is not None and lanes[s].epoch < epochs
 
-    marks = [0.0] * len(lanes)
-    live = []
-    for s, opt in enumerate(lanes):
-        if checkpoint(s) and opt.epoch < epochs:
-            marks[s] = _first_mark(opt.epoch, checkpoint_every)
-            live.append(s)
+    live = [s for s in range(len(lanes)) if record(s)]
+    marks = {s: _first_mark(lanes[s].epoch, every) for s in live}
     while live:
-        live = _lane_block(lanes, rngs, live, marks, epochs, checkpoint_every,
-                           checkpoint)
+        opts = [lanes[s] for s in live]
+        steps = _block_steps(max(epochs * opt.oracle.n - opt.oracle_calls for opt in opts))
+        drawn = [opt.schedule(rngs[s], steps) for s, opt in zip(live, opts)]
+        calls = []  # each lane's planned oracle_calls after each step
+        due: dict[int, list[int]] = {}  # step -> lanes that record after it
+        for b, (s, opt, (_, refresh)) in enumerate(zip(live, opts, drawn)):
+            lane_calls, planned, marks[s] = _plan(opt, refresh, epochs, marks[s], every)
+            calls.append(lane_calls)
+            for t in planned:
+                due.setdefault(t, []).append(b)
+        running = set(range(len(opts)))  # the lanes before their last checkpoint
+        advance, write_back = stepper(opts, drawn, calls, running)
+        start = 0
+        for t in sorted(due):
+            advance(start, t + 1)
+            start = t + 1
+            for b in due[t]:
+                if b in running:
+                    write_back(b, t)
+                    if not record(live[b]):
+                        running.remove(b)
+            if not running:
+                break
+        else:  # the steps after the block's last checkpoint
+            advance(start, steps)
+            for b in running:
+                write_back(b, steps - 1)
+        live = [live[b] for b in sorted(running)]
     return traces
 
 
-def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int]:
-    """Step the live lanes through one block, each planned by _plan up front;
-    returns the lanes still live (a diverged lane skips its later checkpoints)."""
-    opts = [lanes[s] for s in live]
+def _own(opts, drawn, calls, running):
+    """One optimizer stepping itself through draws() and step(), which keep
+    its state and counters: nothing to write back."""
+    (optimizer,), ((indices, refresh),), (planned,) = opts, drawn, calls
+    draws = optimizer.draws(indices, refresh[:len(planned)])
+
+    def advance(start: int, stop: int):
+        for draw in itertools.islice(draws, stop - start):
+            optimizer.step(*draw)
+
+    return advance, lambda b, t: None
+
+
+def _stack(opts, drawn, calls, running):
+    """The lanes stepping together: a copy of the first lane holds every
+    lane's state as (S, d) rows and parameters as (S, 1) columns, so its
+    point() and move() step all lanes, with one grad_many call per step."""
     oracle, width = opts[0].oracle, len(opts)
-    steps = _block_steps(max(epochs * oracle.n - opt.oracle_calls for opt in opts))
-    drawn = [opt.schedule(rngs[s], steps) for s, opt in zip(live, opts)]
-    calls = []  # each lane's planned oracle_calls after each step
-    checkpoints: dict[int, list[int]] = {}  # step -> lanes that record after it
     refreshes: dict[int, list[int]] = {}  # step -> lanes that refresh in it
-    for b, (s, opt, (_, refresh)) in enumerate(zip(live, opts, drawn)):
-        lane_calls, planned, marks[s] = _plan(opt, refresh, epochs, marks[s], every)
-        calls.append(lane_calls)
-        for t in planned:
-            checkpoints.setdefault(t, []).append(b)
+    for b, (_, refresh) in enumerate(drawn):
         for t in np.flatnonzero(refresh).tolist():
             refreshes.setdefault(t, []).append(b)
-    events = checkpoints.keys() | refreshes.keys()  # steps with per-lane bookkeeping
-    running = set(range(width))  # the lanes before their last checkpoint
-
-    # a copy of the first lane holding every lane's state as (S, d) rows and
-    # parameters as (S, 1) columns: its point() and move() step all lanes
     stack = copy.copy(opts[0])
     for name in (*stack.lane_state, *stack.lane_params):
         setattr(stack, name, np.stack([np.atleast_1d(getattr(o, name)) for o in opts]))
@@ -585,6 +588,26 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
     # row t: step t's samples for the point rows, then for the w rows
     samples = np.concatenate([np.stack([i for i, _ in drawn])] * 2).T.copy()
     k0 = [opt.k for opt in opts]
+    point, move, grad_many, grad_w = stack.point, stack.move, oracle.grad_many, stack.grad_w
+
+    def advance(start: int, stop: int):
+        for t in range(start, stop):
+            x = point()
+            xw[:width] = x
+            g_both = grad_many(samples[t], xw)
+            # g = grad_i(x) - (grad_i(w) - grad_w), formed in g_both's rows
+            g, correction = g_both[:width], g_both[width:]
+            correction -= grad_w
+            g -= correction
+            if t not in refreshes:
+                move(x, g)
+                continue
+            fresh = [b for b in refreshes[t] if b in running]
+            w_next = stack.tracked_point[fresh]
+            move(x, g)
+            for b, w in zip(fresh, w_next):  # w <- the pre-update tracked point
+                xw[width + b] = w
+                grad_w[b] = oracle.full_grad(w)
 
     def write_back(b: int, t: int):
         opt = opts[b]
@@ -593,30 +616,4 @@ def _lane_block(lanes, rngs, live, marks, epochs, every, checkpoint) -> list[int
         opt.k = k0[b] + t + 1
         opt.oracle_calls = int(calls[b][t])
 
-    point, move, grad_many, grad_w = stack.point, stack.move, oracle.grad_many, stack.grad_w
-    for t in range(steps):
-        x = point()
-        xw[:width] = x
-        g_both = grad_many(samples[t], xw)
-        # g = grad_i(x) - (grad_i(w) - grad_w), formed in g_both's rows
-        g, correction = g_both[:width], g_both[width:]
-        correction -= grad_w
-        g -= correction
-        if t not in events:
-            move(x, g)
-            continue
-        fresh = [b for b in refreshes.get(t, ()) if b in running]
-        w_next = stack.tracked_point[fresh]
-        move(x, g)
-        for b, w in zip(fresh, w_next):  # w <- the pre-update tracked point
-            xw[width + b] = w
-            grad_w[b] = oracle.full_grad(w)
-        for b in [b for b in checkpoints.get(t, ()) if b in running]:
-            write_back(b, t)
-            if not checkpoint(live[b]) or opts[b].epoch >= epochs:
-                running.remove(b)
-                if not running:
-                    return []
-    for b in running:
-        write_back(b, steps - 1)
-    return [live[b] for b in sorted(running)]
+    return advance, write_back

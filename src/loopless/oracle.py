@@ -76,14 +76,14 @@ _MARGINS_PER_BLOCK = 1 << 14
 
 
 def _quiet_range(method):
-    """Run a full-data method with numpy overflow and underflow ignored,
-    whatever np.errstate the caller has set: the scalar kernel's math.exp and
-    float arithmetic flush to 0 silently, and so must the same sums over all
-    rows; the logistic weight's e^{b m} overflows to inf by design."""
+    """Run a full-data method with numpy overflow, underflow and invalid
+    values ignored, whatever np.errstate the caller has set: sums over all
+    rows flush to 0 silently as the scalar kernels do, the logistic weight's
+    e^{b m} overflows to inf by design, and callers check results for NaN."""
 
     @functools.wraps(method)
     def quiet(*args, **kwargs):
-        with np.errstate(over="ignore", under="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             return method(*args, **kwargs)
 
     return quiet

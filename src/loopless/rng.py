@@ -72,8 +72,8 @@ class SplitMix64:
 
     # randbelow and bernoulli are the serial definition of a step's draws;
     # the package itself draws through step_draws.  perfbench/tracer.py hooks
-    # both until its counters move to fields that run() and run_lanes() both
-    # fill (ROADMAP item 2).
+    # both until its counters move to fields that the optimizers' one driver
+    # loop fills (ROADMAP item 3).
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in {0, ..., n-1}, unbiased via bit-mask rejection."""

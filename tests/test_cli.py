@@ -192,6 +192,22 @@ def test_a_potential_that_overflows_is_divergence(tmp_path, capsys):
     assert read_trace(tmp_path / "l-svrg_ridge_seed0.csv") == []
 
 
+def test_a_step_size_whose_square_overflows_is_divergence(tmp_path, capsys):
+    # the theory preset's eta = 1/(6L) is about 1.7e304 at mu = 1e-308, and
+    # eta^2 in dk and the lemma bounds is inf, not an OverflowError: the run
+    # stops at k = 0 and writes its trace and sidecar
+    code, caught = run_quietly(
+        "run", "--synthetic", "10,4,1e3", "--loss", "ridge", "--mu", "1e-308",
+        "--alg", "l-svrg", "--epochs", "0.5", "--diagnostics", "lemmas",
+        "--out", str(tmp_path))
+    assert code == EXIT_DIVERGED and not caught
+    err = capsys.readouterr().err
+    assert err.startswith("divergence: ") and err.count("\n") == 1
+    sidecar = json.loads((tmp_path / "l-svrg_ridge_seed0.json").read_text())
+    assert sidecar["diverged_at_k"] == 0
+    assert read_trace(tmp_path / "l-svrg_ridge_seed0.csv") == []
+
+
 @pytest.mark.parametrize("diagnostics", ["lyapunov", "lemmas"])
 def test_a_psi_coefficient_that_underflows_exits_with_config_code(tmp_path, capsys,
                                                                   diagnostics):
@@ -272,6 +288,21 @@ def test_a_subnormal_mu_exits_with_config_code_and_no_numpy_warning(tmp_path, ca
         "config error: synthetic=(12, 4, 25.0): the Hessian A^T A / n + mu I "
         "overflows float64\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_a_reference_solve_with_nan_margins_fails_without_a_numpy_warning(tmp_path,
+                                                                          capsys):
+    # at mu = 5e-324 the reference solve's full-data products meet invalid
+    # values; the solve fails with exit 4 and no RuntimeWarning from numpy
+    out = tmp_path / "out"
+    code, caught = run_quietly(
+        "run", "--synthetic", "10,4,1e3", "--loss", "logistic", "--mu", "5e-324",
+        "--ref-max-epochs", "1", "--alg", "l-katyusha", "--epochs", "0.5",
+        "--diagnostics", "distance", "--out", str(out))
+    assert code == EXIT_REFERENCE and not caught
+    assert capsys.readouterr().err.startswith("reference solve failed: ")
+    assert [p.name for p in out.iterdir()] == [
+        "synthetic10x4k1000_data0_logistic_mu5e-324_ref.json"]
 
 
 def test_reference_failure_exit_code(tmp_path, capsys):
