@@ -361,24 +361,14 @@ def _plain_numbers(text, starts, stops):
     return numbers, exact & ~pointed if points.size else exact
 
 
-def _source_text(source: str | TextIO | Iterable[str]) -> str:
-    if isinstance(source, str):
-        return source
-    if hasattr(source, "read"):
-        return source.read()
-    # each element is one line, even with a newline inside it, where
-    # line.split() sees whitespace
-    return "\n".join(line.replace("\n", " ") for line in source)
-
-
-def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -> Dataset:
-    """Parse LIBSVM text ("label idx:val idx:val ...", 1-based indices).
+def parse_libsvm(source: str | TextIO) -> Dataset:
+    """Parse LIBSVM text ("label idx:val idx:val ...", 1-based indices),
+    given as a string or as a file to read().
 
     Blank lines and ``#`` comments (whole-line or trailing) are skipped.
     Labels are remapped onto {-1,+1}: a two-class raw label set maps its
     smaller value to -1; raw labels already in {-1,+1} are kept as-is.
-    Explicit zero values are dropped.  ``dim`` pads the feature dimension
-    beyond the largest index seen (it must not truncate).
+    Explicit zero values are dropped, and d is the largest index seen.
 
     The text is read once and cut into chunks of whole lines, each about
     _CHUNK characters.  A chunk of plain tokens is parsed in bulk; any other
@@ -391,7 +381,7 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
     non-increasing indices within a line, unmappable or non-finite labels,
     or empty input, and ValueError on values that are not finite.
     """
-    text = _source_text(source)
+    text = source if isinstance(source, str) else source.read()
     rows = text.count("\n") + 1
     entries = text.count(":")
     indptr = np.zeros(rows + 1, dtype=np.int64)
@@ -425,16 +415,12 @@ def parse_libsvm(source: str | TextIO | Iterable[str], dim: int | None = None) -
     indices = indices[:nnz]
 
     d = int(indices.max()) + 1 if nnz else 0
-    if dim is not None:
-        if dim < d:
-            raise ParseError(f"dim override {dim} smaller than max index + 1 = {d}")
-        d = dim
     return Dataset.from_csr(indptr[:n + 1], indices, values[:nnz], labels, d)
 
 
-def load_libsvm(path, dim: int | None = None) -> Dataset:
+def load_libsvm(path) -> Dataset:
     with open(path, "r", encoding="utf-8", newline=None) as fh:
-        return parse_libsvm(fh, dim=dim)
+        return parse_libsvm(fh)
 
 
 def _format_value(v: float) -> str:
@@ -454,8 +440,8 @@ _WRITE_PIECES = 1 << 15
 def write_libsvm(dataset: Dataset) -> str:
     """Serialize to LIBSVM text (1-based indices, labels as +1/-1).
 
-    parse_libsvm(write_libsvm(ds)) == ds whenever ds.d is the tight dimension;
-    a padded dimension must be re-applied via parse_libsvm(..., dim=ds.d).
+    parse_libsvm(write_libsvm(ds)) == ds whenever ds.d is the tight dimension:
+    the text does not record a padded one.
 
     Each distinct value is formatted once (_format_value) and each distinct
     column once (" j:"); the text is then assembled from that pool of byte

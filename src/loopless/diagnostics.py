@@ -39,7 +39,9 @@ import numpy as np
 
 from .oracle import Oracle
 
-# exact enumeration is O(n^2 d) per check; refuse beyond desk scale
+# exact enumeration is O(n^2 d) per check in the Katyusha-family report
+# (full_loss_many over the n next points; the SVRG family's is three n x d
+# tables); refuse beyond desk scale
 ENUMERATION_GUARD = 1000
 
 

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from loopless import oracle as oracle_module
+from loopless import optimizers, oracle as oracle_module
 from loopless.data import Dataset, SparseRow, synthesize_quadratic
 from loopless.diagnostics import ReferenceSolution
 from loopless.optimizers import GradientDescent, _Coin
@@ -29,6 +31,48 @@ def serial_step(opt, rng):
     i = rng.randbelow(oracle.n)
     refresh = rng.bernoulli(opt.p) if isinstance(opt, _Coin) else (opt.k + 1) % opt.m == 0
     opt.step(i, oracle.grad_i(i, opt.w) - opt.grad_w, refresh)
+
+
+def walk_lanes(opts, rngs, stop, cap_steps, every, block=1000):
+    """Each optimizer's result as a serial_step loop that checks it every
+    `every` steps gives it: its epoch at the first check where
+    stop(optimizer) holds, or inf when no check within cap_steps steps does.
+
+    The optimizers (SVRG family, one dense ridge oracle) step together as one
+    stack through optimizers._stack, the stepper run_lanes uses, `block`
+    steps at a time from each one's own schedule().  At each check every
+    running lane is written back to its optimizer, which stop() then sees.
+    Dense ridge lanes are bitwise run(), and run() is bitwise the serial
+    loop, so the results are the loop's.
+
+    The check on steps and the stop rule stay here, not in optimizers._drive:
+    no caller outside the tests needs them, and _drive's one loop would have
+    to branch on which caller it serves.
+    """
+    assert block % every == 0  # a block ends on a check, where lanes are written back
+    result = [math.inf] * len(opts)
+    live, taken = list(range(len(opts))), 0
+    while live and taken < cap_steps:
+        lanes = [opts[s] for s in live]
+        steps = min(block, cap_steps - taken)
+        drawn = [opt.schedule(rngs[s], steps) for s, opt in zip(live, lanes)]
+        n = lanes[0].oracle.n
+        calls = [opt.oracle_calls + np.cumsum(opt.step_calls + n * refresh)
+                 for opt, (_, refresh) in zip(lanes, drawn)]
+        running = set(range(len(lanes)))  # _stack refreshes only these
+        advance, write_back = optimizers._stack(lanes, drawn, calls, running)
+        for t in range(every - 1, steps, every):
+            advance(t + 1 - every, t + 1)
+            for b in sorted(running):
+                write_back(b, t)
+                if stop(lanes[b]):
+                    result[live[b]] = lanes[b].epoch
+                    running.remove(b)
+            if not running:
+                break
+        live = [live[b] for b in sorted(running)]
+        taken += steps
+    return result
 
 
 def random_dataset(rng, max_n=8, max_d=12, tight=True) -> Dataset:

@@ -26,7 +26,7 @@ from loopless.optimizers import (
 )
 from loopless.rng import SplitMix64
 
-from conftest import random_dataset, serial_step
+from conftest import random_dataset, serial_step, walk_lanes
 
 SEEDS = list(range(10))
 
@@ -204,18 +204,6 @@ def test_criterion_5_lsvrg_rate_bound():
     )
 
 
-def _epochs_to_distance(opt, rng, x_star, threshold, cap_steps):
-    steps = 0
-    while steps < cap_steps:
-        serial_step(opt, rng)
-        steps += 1
-        if steps % 20 == 0:
-            delta = opt.tracked_point - x_star
-            if float(delta @ delta) <= threshold:
-                return opt.epoch
-    return float("inf")
-
-
 def test_criterion_6_probability_robustness():
     ds, x_star = synthesize_quadratic(
         100, 20, 1e4, seed=CRIT6_DATA_SEED, mu=CRIT6_MU
@@ -225,24 +213,24 @@ def test_criterion_6_probability_robustness():
     eta = 1.0 / (6.0 * oracle.L)
     grid = [100, 316, 1000, 3162, 10000]  # n .. kappa, log-uniform
 
-    lsvrg_median, svrg_median = {}, {}
+    # each (loop length, seed): L-SVRG with p = 1/length, then loopy SVRG with
+    # m = length, both from the origin on the seed's stream
+    lanes, rngs = [], []
     for ell in grid:
-        lsvrg_runs, svrg_runs = [], []
         for seed in SEEDS:
-            lsvrg_runs.append(
-                _epochs_to_distance(
-                    LSVRG(oracle, np.zeros(20), eta=eta, p=1.0 / ell),
-                    SplitMix64(seed), x_star, 1e-4, 3_000_000,
-                )
-            )
-            svrg_runs.append(
-                _epochs_to_distance(
-                    LoopySVRG(oracle, np.zeros(20), eta=eta, m=ell),
-                    SplitMix64(seed), x_star, 1e-4, 3_000_000,
-                )
-            )
-        lsvrg_median[ell] = float(np.median(lsvrg_runs))
-        svrg_median[ell] = float(np.median(svrg_runs))
+            lanes += [LSVRG(oracle, np.zeros(20), eta=eta, p=1.0 / ell),
+                      LoopySVRG(oracle, np.zeros(20), eta=eta, m=ell)]
+            rngs += [SplitMix64(seed), SplitMix64(seed)]
+
+    def reached(opt):
+        delta = opt.tracked_point - x_star
+        return float(delta @ delta) <= 1e-4
+
+    # epochs at the first k % 20 == 0 within the threshold; inf past 3,000,000 steps
+    epochs = np.reshape(walk_lanes(lanes, rngs, reached, 3_000_000, every=20),
+                        (len(grid), len(SEEDS), 2))
+    lsvrg_median = {ell: float(np.median(runs[:, 0])) for ell, runs in zip(grid, epochs)}
+    svrg_median = {ell: float(np.median(runs[:, 1])) for ell, runs in zip(grid, epochs)}
 
     worst, best = max(lsvrg_median.values()), min(lsvrg_median.values())
     best_loopy = min(svrg_median.values())

@@ -103,13 +103,6 @@ def test_datasets_reject_non_finite_values(value):
         Dataset.from_csr([0, 2], [0, 1], [1.0, float(value)], [1.0], 2)
 
 
-def test_dim_override_pads_but_never_truncates():
-    ds = parse_libsvm("+1 3:1", dim=10)
-    assert ds.d == 10
-    with pytest.raises(ParseError, match="dim override"):
-        parse_libsvm("+1 3:1", dim=2)
-
-
 def test_write_round_trip_two_row_example():
     ds = parse_libsvm("+1 1:0.5 3:-2\n-1 2:1")
     assert parse_libsvm(write_libsvm(ds)) == ds
@@ -129,12 +122,19 @@ def test_round_trip_random_datasets():
         assert parse_libsvm(write_libsvm(ds)) == ds
 
 
-def test_round_trip_padded_dimension_with_override():
+def _with_d(dataset: Dataset, d: int) -> Dataset:
+    """The dataset's rows with dimension d: how a padded dataset is built."""
+    return Dataset.from_csr(dataset.indptr, dataset.indices, dataset.values,
+                            dataset.labels, d)
+
+
+def test_round_trip_of_a_padded_dataset_gives_its_tight_copy():
     rng = np.random.default_rng(11)
     ds = random_dataset(rng)
-    padded = Dataset([SparseRow(r.indices, r.values) for r in ds.rows],
-                     ds.labels, ds.d + 5)
-    assert parse_libsvm(write_libsvm(padded), dim=padded.d) == padded
+    padded = _with_d(ds, ds.d + 5)
+    # the text has no dimension: the parse's d is the largest index
+    assert write_libsvm(padded) == write_libsvm(ds)
+    assert parse_libsvm(write_libsvm(padded)) == ds
 
 
 def test_round_trip_fifty_by_twenty():
@@ -170,11 +170,11 @@ def test_dataset_invariants():
 
 
 def test_dataset_is_csr_with_rows_as_views():
-    ds = parse_libsvm("+1 1:0.5 3:-2\n-1 1:0\n-1 2:1", dim=5)
+    ds = parse_libsvm("+1 1:0.5 3:-2\n-1 1:0\n-1 2:1")
     assert ds.indptr.tolist() == [0, 2, 2, 3]
     assert ds.indices.tolist() == [0, 2, 1]
     assert ds.values.tolist() == [0.5, -2.0, 1.0]
-    assert ds.nnz == 3 and ds.d == 5
+    assert ds.nnz == 3 and ds.d == 3
     rows = ds.rows
     assert isinstance(rows, list) and len(rows) == 3 and rows[1].nnz == 0
     assert rows[2].indices.tolist() == [1] and rows[2].values.tolist() == [1.0]
@@ -283,30 +283,29 @@ def test_synthesize_validates_arguments():
 # -- the block fast path against the scalar parser ---------------------------
 
 
-def _outcome(source, dim=None):
+def _outcome(source):
     """The parse's result as comparable bytes, or its error; a Path is
     read by load_libsvm."""
     try:
-        ds = load_libsvm(source, dim) if isinstance(source, Path) else parse_libsvm(source, dim)
+        ds = load_libsvm(source) if isinstance(source, Path) else parse_libsvm(source)
     except ValueError as err:
         return type(err), str(err), getattr(err, "line", None)
     return (ds.d, *(a.tobytes() for a in (ds.indptr, ds.indices, ds.values, ds.labels)))
 
 
-def _scalar_outcome(source, dim=None):
+def _scalar_outcome(source):
     """_outcome from the scalar parser alone: one _parse_block call over
     every line of the source."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(data, "_parse_chunk_fast", lambda chunk: None)
         m.setattr(data, "_CHUNK", 1 << 62)
-        return _outcome(source, dim)
+        return _outcome(source)
 
 
-def _assert_fast_matches_scalar(source, dim=None):
-    """source: text, a list of lines (each one line, whatever it holds) or
-    a Path."""
-    fast = _outcome(source, dim)
-    assert fast == _scalar_outcome(source, dim), str(source)[:200]
+def _assert_fast_matches_scalar(source):
+    """source: text or a Path."""
+    fast = _outcome(source)
+    assert fast == _scalar_outcome(source), str(source)[:200]
     return fast
 
 
@@ -362,9 +361,7 @@ def test_fast_parse_matches_scalar_on_random_valid_files():
         # all-integer files, half of them within the fast path's 15 digits
         digits = {1: 15, 5: 18}.get(case % 8)
         text = _random_libsvm(rng, int(rng.integers(1, 40)), comments, digits)
-        dim = None if rng.random() < 0.7 else int(rng.integers(150, 250))
-        source = text.split("\n") if case % 5 == 1 else text
-        _assert_fast_matches_scalar(source, dim)
+        _assert_fast_matches_scalar(text)
         if digits and not comments:
             # the fast path itself takes the file as one chunk
             assert data._parse_chunk_fast(text) is not None
@@ -408,9 +405,6 @@ def test_fast_parse_matches_scalar_on_malformed_strings():
     assert parsed > 500
     for text in ("+1 9007199254740993:1", "+1 1 :2", "+1 1: 2", "+1 1:1 :2", "+1 +1:1"):
         _assert_fast_matches_scalar(text)
-    # a list element is one line, even with a newline inside it
-    for lines in (["+1 1:1\n-1 2:1"], ["+1 1:1\n", "\n-1 2:1"], ["+1", " 1:1"]):
-        _assert_fast_matches_scalar(lines)
 
 
 # -- decimal tokens on the chunk fast path -----------------------------------
@@ -507,7 +501,7 @@ def test_chunks_are_whole_lines_and_a_long_line_is_one_chunk(monkeypatch):
 
 
 def _chunk_cases(rng):
-    """Sources for the chunk-boundary test: (name, text or list of lines)."""
+    """Sources for the chunk-boundary test: (name, text)."""
     for k in range(12):
         yield f"valid {k}", _random_libsvm(rng, int(rng.integers(1, 30)), k % 2 == 0,
                                            {1: 15, 3: 18}.get(k % 4))
@@ -521,9 +515,6 @@ def _chunk_cases(rng):
     yield "long bad line", f"-1 1:2\n{long_line} 1:1\n+1 3:4\n"
     yield "non-ASCII comment", "+1 1:1\n-1 2:0.5\n# caf\u00e9 \u0663:\u0663\n+1 2:1 5:.5\n-1 4:1\n"
     yield "comment colons, zero values", "+1 1:0 2:1 # a:b c:d\n# x:y\n-1 3:0.0 4:-0\n+1 2:7\n"
-    yield "one newline inside", ["+1 1:1\n-1 2:1"]
-    yield "newlines inside", ["+1 1:1\n", "\n-1 2:1", "# a\n-1 3:1", "+1 4:1"]
-    yield "label alone", ["+1", " 1:1"]
 
 
 @pytest.mark.parametrize("chunk", [0, 1, 3, 7, 40])
@@ -540,10 +531,6 @@ def test_chunk_boundaries_do_not_change_the_parse(monkeypatch, tmp_path, chunk):
         path = tmp_path / f"file{k}.txt"
         path.write_bytes(newline.join(["+1 1:1 3:2", "", "-1 2:0.5 # c", "+1 4:1"]).encode())
         assert _outcome(path) == _scalar_outcome(path) == _outcome("+1 1:1 3:2\n-1 2:0.5\n+1 4:1")
-    # each list element is one line, as the scalar parser reads it
-    assert _outcome(["+1 1:1\n-1 2:1"])[1:] == ("line 1: bad feature token '-1'", 1)
-    assert _outcome(["+1", " 1:1"])[1:] == ("line 2: bad label '1:1'", 2)
-    assert _outcome(["+1 1:1\n", "\n-1 2:1"]) == _outcome("+1 1:1\n-1 2:1")
 
 
 @pytest.mark.parametrize("normalized", [False, True])
@@ -626,7 +613,7 @@ def test_writer_matches_the_per_entry_reference(monkeypatch, pieces):
     for name, dataset in _writer_cases():
         text = write_libsvm(dataset)
         assert text == _reference_write(dataset), name
-        assert parse_libsvm(text, dim=dataset.d) == dataset, name
+        assert _with_d(parse_libsvm(text), dataset.d) == dataset, name
 
 
 def test_writer_matches_the_reference_across_blocks():

@@ -13,8 +13,10 @@ After an intended change of output, regenerate the cases it changes with
 
     PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
 
-(no case name: every case) and name the files that changed.  The inputs
-are rewritten either way; write_inputs is seeded, so an unchanged input stays
+(no case name: every case) and name the files that changed.  A file, CSV
+cell or JSON value that the comparison accepts keeps its checked-in text, so
+the diff shows only what moved past the tolerance.  The inputs are rewritten
+either way; write_inputs is seeded, so an unchanged input stays
 byte-identical.
 """
 
@@ -110,10 +112,10 @@ def write_inputs(directory: Path):
     (directory / "sparse_logistic.svm").write_text(text, encoding="utf-8")
 
 
-def run_case(name: str, tmp: Path) -> dict:
+def run_case(name: str, tmp: Path, inputs: Path = INPUTS) -> dict:
     """Run a case in tmp (inputs copied to tmp/in) and return its expected.json
     record; its outputs are left in tmp."""
-    shutil.copytree(INPUTS, tmp / "in")
+    shutil.copytree(inputs, tmp / "in")
     argv = [arg.replace("{tmp}", str(tmp)) for arg in CASES[name]]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -157,14 +159,17 @@ def _same_json(got, want) -> bool:
     return _same_float(got, want) if isinstance(want, float) else got == want
 
 
+def _same_npz(got: Path, want: Path) -> bool:
+    with np.load(got) as a, np.load(want) as b:
+        return sorted(a.files) == sorted(b.files) and all(
+            a[key].dtype == b[key].dtype and a[key].shape == b[key].shape
+            and all(map(_same_float, a[key].ravel().tolist(), b[key].ravel().tolist()))
+            for key in b.files)
+
+
 def _compare_file(got: Path, want: Path, tmp: Path):
     if want.suffix == ".npz":
-        with np.load(got) as a, np.load(want) as b:
-            assert sorted(a.files) == sorted(b.files)
-            for key in b.files:
-                assert a[key].dtype == b[key].dtype and a[key].shape == b[key].shape, key
-                assert all(map(_same_float, a[key].ravel().tolist(),
-                               b[key].ravel().tolist())), key
+        assert _same_npz(got, want)
         return
     text = _untmp(got.read_text(encoding="utf-8"), tmp)
     expected = want.read_text(encoding="utf-8")
@@ -209,30 +214,102 @@ def test_the_sparse_input_runs_on_the_csr_kernels():
     assert make_oracle(dataset, "logistic", 0.1)._dense is None
 
 
-def regenerate(names: list[str]):
-    """Rewrite the inputs and the named cases, or every case when none is named."""
-    if not names:
-        shutil.rmtree(GOLDEN, ignore_errors=True)
-    write_inputs(INPUTS)
-    for name in names or CASES:
-        shutil.rmtree(GOLDEN / name, ignore_errors=True)
-        with tempfile.TemporaryDirectory() as scratch:
-            tmp = Path(scratch)
-            record = run_case(name, tmp)
-            case = GOLDEN / name
+def test_regeneration_keeps_what_did_not_move(tmp_path):
+    """Regenerating an unchanged case into a copy of the golden directory
+    rewrites no byte, wall_ns included; a cell that moved past the tolerance
+    takes the new value, and one within it keeps the checked-in text."""
+    name, trace = "run_l-svrg_lyapunov", "out/l-svrg_ridge_seed1.csv"
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN / name, golden / name)
+
+    def files():
+        return {p.relative_to(golden): p.read_bytes() for p in golden.rglob("*")
+                if p.is_file() and p.parent.name != "inputs"}
+
+    before = files()
+    regenerate([name], golden)
+    assert files() == before
+    lines = (golden / name / trace).read_text(encoding="utf-8").split("\n")
+    header, row = lines[0].split(","), lines[1].split(",")
+    moved, within = header.index("dist_sq"), header.index("f_gap")
+    edited = list(row)
+    edited[moved] = repr(float(row[moved]) * (1 + 1e-6))
+    edited[within] = repr(float(row[within]) * (1 + 1e-14))
+    edited[header.index("wall_ns")] = "1"
+    assert edited[within] != row[within]
+    lines[1] = ",".join(edited)
+    (golden / name / trace).write_text("\n".join(lines), encoding="utf-8")
+    regenerate([name], golden)
+    edited[moved] = row[moved]
+    lines[1] = ",".join(edited)
+    assert (golden / name / trace).read_text(encoding="utf-8") == "\n".join(lines)
+
+
+def _kept_json(got, want):
+    """got, with each value that _same_json accepts replaced by want's."""
+    if _same_json(got, want):
+        return want
+    if isinstance(got, dict) and isinstance(want, dict) and got.keys() == want.keys():
+        return {key: want[key] if key == "wall_ns" else _kept_json(value, want[key])
+                for key, value in got.items()}
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        return list(map(_kept_json, got, want))
+    return got
+
+
+def _kept_text(suffix: str, text: str, old: str) -> str:
+    """A regenerated file's text, keeping the checked-in text (old) of each
+    CSV cell or JSON value that the comparison accepts."""
+    if suffix == ".json":
+        want = json.loads(old)
+        kept = _kept_json(json.loads(text), want)
+        return old if kept is want else json.dumps(kept, indent=2) + "\n"
+    if suffix != ".csv":
+        return text
+    rows, old_rows = list(csv.reader(io.StringIO(text))), list(csv.reader(io.StringIO(old)))
+    if list(map(len, rows)) != list(map(len, old_rows)) or rows[:1] != old_rows[:1]:
+        return text
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    for row, old_row in zip(rows, old_rows):
+        writer.writerow([b if column == "wall_ns" or _same_cell(a, b) else a
+                         for column, a, b in zip(rows[0], row, old_row)])
+    return out.getvalue()
+
+
+def regenerate(names: list[str], golden: Path = GOLDEN):
+    """Rewrite the inputs and the named cases, or every case when none is named,
+    keeping the checked-in text of what the comparison accepts (_kept_text)."""
+    with tempfile.TemporaryDirectory() as scratch:
+        old = Path(scratch) / "old"
+        if golden.exists():
+            shutil.copytree(golden, old)
+        if not names:
+            shutil.rmtree(golden, ignore_errors=True)
+        write_inputs(golden / "inputs")
+        for name in names or CASES:
+            shutil.rmtree(golden / name, ignore_errors=True)
+            tmp = Path(scratch) / name
+            tmp.mkdir()
+            record = run_case(name, tmp, golden / "inputs")
+            case = golden / name
             case.mkdir()
             for path in record["tree"]:
-                target = case / path
+                target, previous = case / path, old / name / path
                 if path.endswith("/"):
                     target.mkdir(parents=True, exist_ok=True)
                 elif target.suffix == ".npz":
-                    shutil.copyfile(tmp / path, target)
+                    kept = previous.exists() and _same_npz(tmp / path, previous)
+                    shutil.copyfile(previous if kept else tmp / path, target)
                 else:
-                    target.write_text(_untmp((tmp / path).read_text(encoding="utf-8"), tmp),
-                                      encoding="utf-8")
+                    text = _untmp((tmp / path).read_text(encoding="utf-8"), tmp)
+                    if previous.exists():
+                        text = _kept_text(target.suffix, text,
+                                          previous.read_text(encoding="utf-8"))
+                    target.write_text(text, encoding="utf-8")
             (case / "expected.json").write_text(json.dumps(record, indent=2) + "\n",
                                                 encoding="utf-8")
-        print(f"{name}: exit {record['exit']}, {len(record['tree'])} paths")
+            print(f"{name}: exit {record['exit']}, {len(record['tree'])} paths")
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from loopless.optimizers import (_BLOCK_STEPS, GradientDescent, LKatyusha, Loopy
                                  LoopySVRG, LSVRG, _Coin, _Loop, run, run_lanes)
 from loopless.rng import SplitMix64
 
-from conftest import ridge_instance, sparse_logistic_oracle
+from conftest import ridge_instance, serial_step, sparse_logistic_oracle, walk_lanes
 
 
 def ridge_oracle(n, d=3, kappa=20.0, seed=0):
@@ -382,6 +382,57 @@ def test_run_lanes_rejects_other_families_and_oracles():
                   [SplitMix64(0)] * 2, epochs=2.0)
     with pytest.raises(ValueError):
         run_lanes([lsvrg], [SplitMix64(0)], epochs=-1.0)
+
+
+def _check_record(s, opt):
+    """What a check sees of lane s: its counters and its state's bytes."""
+    return (s, opt.k, opt.oracle_calls, opt.x.tobytes(), opt.w.tobytes(),
+            opt.grad_w.tobytes())
+
+
+def test_walk_lanes_matches_a_serial_step_loop_at_every_check():
+    """conftest.walk_lanes, criterion 6's stepper, against the serial_step
+    loop it replaces: at every check, each lane's written-back state and
+    counters are the loop's at the same k, and a lane leaves at its stop
+    while the narrower stack goes on in the next block."""
+    oracle, _ = ridge_instance(n=10, d=4, kappa=25.0, seed=2)
+    assert oracle._dense is not None
+    eta = 1.0 / (6.0 * oracle.L)
+
+    def make_lanes():  # refreshes inside blocks and across their ends
+        return [LSVRG(oracle, np.zeros(4), eta=eta, p=0.15),
+                LoopySVRG(oracle, np.zeros(4), eta=eta, m=7),
+                LSVRG(oracle, np.ones(4), eta=eta, p=0.4),
+                LoopySVRG(oracle, np.ones(4), eta=eta, m=3)]
+
+    seeds, stops = [3, 4, 5, 6], [45, None, 110, 20]  # each lane's last k, or the cap
+    every, block, cap = 5, 50, 150  # three blocks
+    lanes, seen = make_lanes(), []
+    lane_of = {id(opt): s for s, opt in enumerate(lanes)}
+
+    def stop(opt):
+        s = lane_of[id(opt)]
+        seen.append(_check_record(s, opt))
+        return opt.k == stops[s]
+
+    epochs = walk_lanes(lanes, [SplitMix64(seed) for seed in seeds], stop, cap,
+                        every=every, block=block)
+    want, want_epochs = [], []
+    for s, (opt, seed) in enumerate(zip(make_lanes(), seeds)):
+        rng, epoch = SplitMix64(seed), math.inf
+        for steps in range(1, cap + 1):
+            serial_step(opt, rng)
+            if steps % every == 0:
+                want.append(_check_record(s, opt))
+                if opt.k == stops[s]:
+                    epoch = opt.epoch
+                    break
+        want_epochs.append(epoch)
+    assert sorted(seen) == sorted(want)
+    assert epochs == want_epochs
+    assert [epoch == math.inf for epoch in epochs] == [False, True, False, False]
+    # every lane refreshed at least twice before it stopped
+    assert all(len({rec[4] for rec in seen if rec[0] == s}) > 2 for s in range(4))
 
 
 # ---------------------------------------------------------- divergence guard

@@ -474,10 +474,10 @@ def test_dense_storage_agrees_with_csr_to_rounding():
 
 def test_smoothness_constant_formulas():
     # logistic, single row a=(2,0), mu=0.1: L = (1/4)*4 + 0.1
-    oracle = make_oracle(parse_libsvm("+1 1:2", dim=2), "logistic", 0.1)
+    oracle = make_oracle(Dataset.from_csr([0, 1], [0], [2.0], [1.0], 2), "logistic", 0.1)
     assert oracle.L == pytest.approx(1.1, rel=1e-15)
     # zero rows: regularizer only, both losses
-    empty = parse_libsvm("+1 1:0\n-1 1:0", dim=1)
+    empty = Dataset.from_csr([0, 0, 0], [], [], [1.0, -1.0], 1)
     for loss in ("logistic", "ridge"):
         assert make_oracle(empty, loss, 1.0).L == 1.0
 
