@@ -168,7 +168,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                 payload = json.load(fh)
         except OSError as exc:
             raise DataError(f"cannot read config {args.config}: {exc}") from exc
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:  # bad bytes or JSON, or an int past 4300 digits
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")

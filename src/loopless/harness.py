@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import numbers
+import sys
 import types
 import typing
 from dataclasses import dataclass, field, replace
@@ -146,8 +147,9 @@ _FIELD_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _has_type(value, hint) -> bool:
-    """Whether a config value has its field's annotated type.  An int passes
-    for a float; a bool passes for neither (JSON true is not a number)."""
+    """Whether a config value has its field's annotated type.  An int that
+    float() converts passes for a float; a bool passes for neither (JSON true
+    is not a number)."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         return any(_has_type(value, h) for h in typing.get_args(hint))
     if typing.get_origin(hint) is tuple:
@@ -156,8 +158,9 @@ def _has_type(value, hint) -> bool:
                 and all(map(_has_type, value, kinds)))
     if hint in (int, float) and isinstance(value, bool):
         return False
-    if hint is float:
-        return isinstance(value, numbers.Real)
+    if hint is float:  # an int past float64's range does not convert
+        return isinstance(value, numbers.Real) and not (
+            isinstance(value, int) and abs(value) > sys.float_info.max)
     if hint is int:
         return isinstance(value, numbers.Integral)
     return isinstance(value, typing.get_origin(hint) or hint)
@@ -170,8 +173,8 @@ def _type_name(hint) -> str:
 def build_problem(config: RunConfig) -> tuple[Oracle, np.ndarray | None]:
     """Load or synthesize the dataset and construct the oracle.
 
-    Returns the oracle and, for synthetic ridge instances whose mu matches the
-    run's mu, the closed-form minimizer (where the reference solve starts).
+    Returns the oracle and, for synthetic ridge instances (generated at the
+    run's mu), the closed-form minimizer (where the reference solve starts).
     """
     minimizer = None
     if config.dataset_path is not None:
@@ -225,14 +228,10 @@ def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
     extra = set(params) - set(types)
     if extra:
         raise ConfigError(f"params {sorted(extra)} do not apply to {config.algorithm}")
-    resolved = {}
     for name, kind in types.items():
-        try:
-            resolved[name] = kind(params[name])
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"param {name}={params[name]!r} is not a valid {kind.__name__}"
-            ) from None
+        if not _has_type(params[name], kind):  # as every other field is checked
+            raise ConfigError(f"param {name}={params[name]!r} is not a valid {kind.__name__}")
+    resolved = {name: kind(params[name]) for name, kind in types.items()}
     # the psi potential's coefficient theta2 (1 + theta1) / (p theta1)
     if (config.diagnostics in ("lyapunov", "lemmas") and "p" in resolved
             and "theta1" in resolved and resolved["p"] * resolved["theta1"] == 0.0):

@@ -36,12 +36,14 @@ Shared conventions:
 The draws do not depend on the iterate, so one loop, _drive, serves run()
 and run_lanes(): it takes a block of steps at a time from each lane's
 schedule(), _plan turns the refresh mask into each step's oracle calls, the
-budget's last step and the checkpoint steps, and a stepper advances the
-lanes between checkpoints.  run()'s stepper, _own, steps one optimizer:
+budget's last step and the checkpoint steps, and a stepper, given the
+plan, advances the lanes between checkpoints; _drive alone keeps the run's
+clock, records and stops.  run()'s stepper, _own, steps one optimizer:
 draws() makes the corrections grad_i(w) - grad_w of each refresh-free
 stretch in one Oracle.corrections call, and step() evaluates grad_i only at
 the point.  run_lanes()'s, _stack, steps optimizers of one family on one
-oracle at once: the family's point() and move() on a stacked instance.
+oracle at once: the family's point() and move() on a stacked instance,
+refreshing a lane only within its planned steps.
 """
 
 from __future__ import annotations
@@ -417,38 +419,6 @@ def _plan(optimizer, refresh: np.ndarray, epochs: float, mark: float, every: flo
     return calls[:len(epoch)], checkpoints, mark
 
 
-class _Recorder:
-    """Makes checkpoint records, each the {column: value} dict of its trace
-    row, whose wall_ns is optimizer time: the time since the recorder
-    started, less the time spent in metrics."""
-
-    def __init__(self):
-        self.start_ns = time.perf_counter_ns()
-        self.diag_ns = 0
-
-    def record(self, optimizer, metrics=None) -> dict | None:
-        """The optimizer's checkpoint record: k, oracle_calls, epoch, what
-        metrics returns, then wall_ns.  None when its tracked point or any
-        value of the record is not finite: the run has diverged and stops
-        without the record, and optimizer.diverged_at is set to its k."""
-        now = time.perf_counter_ns()
-        rec = {"k": optimizer.k, "oracle_calls": optimizer.oracle_calls,
-               "epoch": optimizer.epoch}
-        wall_ns = now - self.start_ns - self.diag_ns
-        finite = np.isfinite(optimizer.tracked_point).all()
-        if finite and metrics is not None:
-            # overflow here means divergence, which is reported once, below
-            with np.errstate(over="ignore", invalid="ignore"):
-                rec.update(metrics(optimizer))
-            finite = all(map(math.isfinite, rec.values()))
-        rec["wall_ns"] = wall_ns
-        self.diag_ns += time.perf_counter_ns() - now
-        if not finite:
-            optimizer.diverged_at = optimizer.k
-            return None
-        return rec
-
-
 def run(
     optimizer,
     rng: SplitMix64 | None,
@@ -461,10 +431,11 @@ def run(
 
     Records the initial state and then one record each time the epoch
     counter crosses a multiple of checkpoint_every (and at the final step).
-    A record is the {column: value} dict of its trace row (_Recorder.record):
-    metrics(optimizer) may return a dict of further columns; it sees the
-    live optimizer and must treat it as read-only.  wall_ns leaves out the
-    time spent in it.  It is _drive with one lane, stepping itself (_own).
+    A record is the {column: value} dict of its trace row: k, oracle_calls,
+    epoch, what metrics(optimizer) returns, then wall_ns.  metrics sees the
+    live optimizer and must treat it as read-only; wall_ns is optimizer time,
+    the time since the run started less the time spent in metrics.  It is
+    _drive with one lane, stepping itself (_own).
     At the first checkpoint whose tracked point or any record value is not
     finite the run stops without recording it, leaving the optimizer in that
     state with diverged_at = k.  Deterministic given (optimizer state, rng).
@@ -492,13 +463,20 @@ def run_lanes(
     counters are written back to its optimizer, so metrics sees an ordinary
     optimizer.  wall_ns is the batch's optimizer time so far, shared by its
     lanes.  A lane's rng ends at the end of its last block, past run's.
+    Each lane needs its own rng, and its own metrics entry when metrics is
+    given: a ValueError, before any step, otherwise.
     """
-    lanes = list(optimizers)
+    lanes, rngs = list(optimizers), list(rngs)
     moves = {getattr(type(opt), "move", None) for opt in lanes}
     if None in moves or len(moves) > 1 or len({id(opt.oracle) for opt in lanes}) > 1:
         raise ValueError("lanes must be optimizers of one family (SVRG-family "
                          "or Katyusha-family) on one oracle")
     metrics = [None] * len(lanes) if metrics is None else list(metrics)
+    if len(rngs) != len(lanes) or len(metrics) != len(lanes):
+        raise ValueError(f"{len(lanes)} lanes need one rng and one metrics entry "
+                         f"each, got {len(rngs)} and {len(metrics)}")
+    if len({id(rng) for rng in rngs}) < len(rngs):  # lanes would interleave draws
+        raise ValueError("each lane needs its own rng object")
     return _drive(lanes, rngs, epochs, checkpoint_every, metrics, _stack)
 
 
@@ -508,20 +486,41 @@ def _drive(lanes, rngs, epochs, every, metrics, stepper) -> list[list[dict]]:
     checkpoint steps in order, advancing the stepper to each, then writing
     back and recording each lane due there.  A lane drops out at its last
     checkpoint: its budget is spent, or it has diverged and skips the
-    checkpoints it still had in the block.  stepper(opts, drawn, calls,
-    running), built once per block, returns advance(start, stop), which takes
-    steps start..stop-1, and write_back(b, t), which leaves lane b's optimizer
-    as after step t; a lane out of running is refreshed no more."""
+    checkpoints it still had in the block.  stepper(opts, drawn, calls),
+    built once per block, returns advance(start, stop), which takes steps
+    start..stop-1, and write_back(b, t), which leaves lane b's optimizer as
+    after step t; it refreshes a lane only within its planned steps calls[b],
+    so a lane whose budget is spent is refreshed no more."""
     check_budget(epochs, every)
-    recorder = _Recorder()
     traces: list[list[dict]] = [[] for _ in lanes]
+    start_ns = time.perf_counter_ns()
+    diag_ns = 0  # time spent in record, left out of wall_ns
 
     def record(s: int) -> bool:
-        """Record lane s; False once it stops: diverged or its budget spent."""
-        rec = recorder.record(lanes[s], metrics[s])
-        if rec is not None:
-            traces[s].append(rec)
-        return rec is not None and lanes[s].epoch < epochs
+        """Append lane s's record to its trace: k, oracle_calls, epoch, what
+        its metrics returns, then wall_ns.  False once the lane stops: its
+        budget is spent, or it has diverged (its tracked point or a record
+        value is not finite), when the record is dropped and diverged_at is
+        set to its k."""
+        nonlocal diag_ns
+        now = time.perf_counter_ns()
+        optimizer = lanes[s]
+        rec = {"k": optimizer.k, "oracle_calls": optimizer.oracle_calls,
+               "epoch": optimizer.epoch}
+        wall_ns = now - start_ns - diag_ns
+        finite = np.isfinite(optimizer.tracked_point).all()
+        if finite and metrics[s] is not None:
+            # overflow here means divergence, which is reported once, below
+            with np.errstate(over="ignore", invalid="ignore"):
+                rec.update(metrics[s](optimizer))
+            finite = all(map(math.isfinite, rec.values()))
+        rec["wall_ns"] = wall_ns
+        diag_ns += time.perf_counter_ns() - now
+        if not finite:
+            optimizer.diverged_at = optimizer.k
+            return False
+        traces[s].append(rec)
+        return optimizer.epoch < epochs
 
     live = [s for s in range(len(lanes)) if record(s)]
     marks = {s: _first_mark(lanes[s].epoch, every) for s in live}
@@ -536,8 +535,8 @@ def _drive(lanes, rngs, epochs, every, metrics, stepper) -> list[list[dict]]:
             calls.append(lane_calls)
             for t in planned:
                 due.setdefault(t, []).append(b)
+        advance, write_back = stepper(opts, drawn, calls)
         running = set(range(len(opts)))  # the lanes before their last checkpoint
-        advance, write_back = stepper(opts, drawn, calls, running)
         start = 0
         for t in sorted(due):
             advance(start, t + 1)
@@ -557,7 +556,7 @@ def _drive(lanes, rngs, epochs, every, metrics, stepper) -> list[list[dict]]:
     return traces
 
 
-def _own(opts, drawn, calls, running):
+def _own(opts, drawn, calls):
     """One optimizer stepping itself through draws() and step(), which keep
     its state and counters: nothing to write back."""
     (optimizer,), ((indices, refresh),), (planned,) = opts, drawn, calls
@@ -570,14 +569,14 @@ def _own(opts, drawn, calls, running):
     return advance, lambda b, t: None
 
 
-def _stack(opts, drawn, calls, running):
+def _stack(opts, drawn, calls):
     """The lanes stepping together: a copy of the first lane holds every
     lane's state as (S, d) rows and parameters as (S, 1) columns, so its
     point() and move() step all lanes, with one grad_many call per step."""
     oracle, width = opts[0].oracle, len(opts)
     refreshes: dict[int, list[int]] = {}  # step -> lanes that refresh in it
-    for b, (_, refresh) in enumerate(drawn):
-        for t in np.flatnonzero(refresh).tolist():
+    for b, ((_, refresh), planned) in enumerate(zip(drawn, calls)):
+        for t in np.flatnonzero(refresh[:len(planned)]).tolist():
             refreshes.setdefault(t, []).append(b)
     stack = copy.copy(opts[0])
     for name in (*stack.lane_state, *stack.lane_params):
@@ -602,10 +601,9 @@ def _stack(opts, drawn, calls, running):
             if t not in refreshes:
                 move(x, g)
                 continue
-            fresh = [b for b in refreshes[t] if b in running]
-            w_next = stack.tracked_point[fresh]
+            w_next = stack.tracked_point[refreshes[t]]
             move(x, g)
-            for b, w in zip(fresh, w_next):  # w <- the pre-update tracked point
+            for b, w in zip(refreshes[t], w_next):  # w <- the pre-update tracked point
                 xw[width + b] = w
                 grad_w[b] = oracle.full_grad(w)
 

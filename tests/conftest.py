@@ -59,8 +59,10 @@ def walk_lanes(opts, rngs, stop, cap_steps, every, block=1000):
         n = lanes[0].oracle.n
         calls = [opt.oracle_calls + np.cumsum(opt.step_calls + n * refresh)
                  for opt, (_, refresh) in zip(lanes, drawn)]
-        running = set(range(len(lanes)))  # _stack refreshes only these
-        advance, write_back = optimizers._stack(lanes, drawn, calls, running)
+        # a stopped lane is still stepped, and refreshed, to the block's end,
+        # but never written back again
+        advance, write_back = optimizers._stack(lanes, drawn, calls)
+        running = set(range(len(lanes)))
         for t in range(every - 1, steps, every):
             advance(t + 1 - every, t + 1)
             for b in sorted(running):

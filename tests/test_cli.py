@@ -412,7 +412,8 @@ def test_invalid_config_file(tmp_path, capsys):
     # the second file is UTF-16 with its byte-order mark, not UTF-8
     for content, message in ((b"not json", "Expecting value"),
                              (b"\xff\xfe" + '{"mu": 1.0}'.encode("utf-16-le"),
-                              "can't decode byte 0xff")):
+                              "can't decode byte 0xff"),
+                             (b'{"mu": 1' + b"0" * 5000 + b"}", "(4300 digits)")):
         path.write_bytes(content)
         assert run_cli("run", "--config", str(path), "--out", str(out)) == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -544,6 +545,31 @@ def test_bad_param_values_exit_with_config_code(tmp_path, capsys, params, messag
     assert "\n" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("algorithm, params, message", [
+    ("svrg", {"eta": 0.01, "m": 2.7}, "param m=2.7 is not a valid int"),
+    ("svrg", {"eta": 0.01, "m": True}, "param m=True is not a valid int"),
+    ("svrg", {"eta": "0.01", "m": 3}, "param eta='0.01' is not a valid float"),
+    ("l-katyusha", {"theta1": 0.1, "theta2": 0.5, "p": True},
+     "param p=True is not a valid float"),
+])
+def test_config_params_get_the_type_check_of_every_field(tmp_path, capsys, monkeypatch,
+                                                         algorithm, params, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("params are checked before the reference solve")
+
+    monkeypatch.setattr(diagnostics, "solve_reference", no_solve)
+    config = {"algorithm": algorithm, "synthetic": [10, 4, 25.0], "loss": "ridge",
+              "mu": 1.0, "params": params, "preset": None}
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli("run", "--config", str(path), "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+BIG = 2**1024  # the first int past float64's range
+
+
 @pytest.mark.parametrize(
     "field, message",
     [({"synthetic": [10, 4]}, "synthetic=[10, 4] is not [n, d, kappa]"),
@@ -551,7 +577,15 @@ def test_bad_param_values_exit_with_config_code(tmp_path, capsys, params, messag
      ({"epochs": "5"}, "epochs must be float, got '5'"),
      ({"synthetic": [30.9, 5, 10]}, "synthetic=[30.9, 5, 10] is not [n, d, kappa]"),
      ({"synthetic": [30, "5", 10]}, "synthetic=[30, '5', 10] is not [n, d, kappa]"),
-     ({"synthetic": [30, 5, True]}, "synthetic=[30, 5, True] is not [n, d, kappa]")],
+     ({"synthetic": [30, 5, True]}, "synthetic=[30, 5, True] is not [n, d, kappa]"),
+     # an int float() cannot convert, named by its field
+     pytest.param({"mu": BIG}, f"mu must be float, got {BIG}", id="mu-past-float64"),
+     pytest.param({"x0": [BIG, 0, 0, 0]},
+                  f"x0=[{BIG}, 0, 0, 0] is not a list of finite numbers", id="x0-past-float64"),
+     pytest.param({"synthetic": [10, 4, BIG]}, f"synthetic=[10, 4, {BIG}] is not [n, d, kappa]",
+                  id="kappa-past-float64"),
+     pytest.param({"params": {"eta": BIG}}, f"param eta={BIG} is not a valid float",
+                  id="eta-past-float64")],
 )
 def test_config_fields_of_the_wrong_type_exit_with_config_code(tmp_path, capsys,
                                                                field, message):

@@ -382,6 +382,36 @@ def test_run_lanes_rejects_other_families_and_oracles():
                   [SplitMix64(0)] * 2, epochs=2.0)
     with pytest.raises(ValueError):
         run_lanes([lsvrg], [SplitMix64(0)], epochs=-1.0)
+    lanes = [LSVRG(oracle, np.zeros(3), eta=0.01, p=p) for p in (0.1, 0.2, 0.3)]
+    rngs = [SplitMix64(s) for s in range(4)]
+    for bad_rngs, metrics in ((rngs[:2], None), (rngs, None), (rngs[:3], [None] * 2)):
+        with pytest.raises(ValueError, match="one rng and one metrics entry each"):
+            run_lanes(lanes, bad_rngs, epochs=2.0, metrics=metrics)
+    with pytest.raises(ValueError, match="its own rng"):
+        run_lanes(lanes, [rngs[0], rngs[1], rngs[0]], epochs=2.0)
+    assert all(opt.k == 0 for opt in lanes)  # nothing was stepped
+
+
+def test_run_lanes_refreshes_a_lane_only_within_its_budget(monkeypatch):
+    """Every lane's budget ends inside the one block, where the lanes with
+    the larger p stop first; the stack steps them on to the block's end, but
+    refreshes none of them past its budget's last step."""
+    oracle = ridge_oracle(10)
+    lanes = [LSVRG(oracle, np.zeros(3), eta=0.05, p=p) for p in (0.3, 0.6, 0.9)]
+    epochs = 30.0
+    full_grad, full_grads = oracle.full_grad, []
+
+    def counted(x):
+        full_grads.append(x)
+        return full_grad(x)
+
+    monkeypatch.setattr(oracle, "full_grad", counted)
+    run_lanes(lanes, [SplitMix64(s) for s in (1, 2, 3)], epochs=epochs)
+    block = math.ceil((epochs * oracle.n - oracle.n) / 2)  # as _block_steps sizes it
+    assert all(opt.k < block for opt in lanes) and len({opt.k for opt in lanes}) == 3
+    refreshes = [(opt.oracle_calls - oracle.n - 2 * opt.k) / oracle.n for opt in lanes]
+    assert all(r > 0 for r in refreshes)
+    assert len(full_grads) == sum(refreshes)
 
 
 def _check_record(s, opt):

@@ -17,7 +17,6 @@ from loopless.optimizers import (
     _BLOCK_STEPS,
     _first_mark,
     _plan,
-    _Recorder,
     _STRETCH_CELLS,
     run,
 )
@@ -322,21 +321,34 @@ def test_run_metrics_and_hook(ridge10):
 
 def serial_run(opt, rng, *, epochs, checkpoint_every=1.0, metrics=None):
     """run() as a loop of serial_step, the scalar path its block draws and
-    per-stretch corrections replace."""
-    recorder = _Recorder()
+    per-stretch corrections replace.  Its records' wall_ns is 0."""
     records = []
-    if (rec := recorder.record(opt, metrics)) is None:
+
+    def record() -> bool:
+        """Append run()'s record of opt; False, with diverged_at set, when
+        its tracked point or a record value is not finite."""
+        rec = {"k": opt.k, "oracle_calls": opt.oracle_calls, "epoch": opt.epoch}
+        finite = np.isfinite(opt.tracked_point).all()
+        if finite and metrics is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                rec.update(metrics(opt))
+            finite = all(map(math.isfinite, rec.values()))
+        if not finite:
+            opt.diverged_at = opt.k
+            return False
+        records.append({**rec, "wall_ns": 0})
+        return True
+
+    if not record():
         return records
-    records.append(rec)
     epoch = opt.epoch
     mark = _first_mark(epoch, checkpoint_every)
     while epoch < epochs:
         serial_step(opt, rng)
         epoch = opt.epoch
         if epoch >= mark or epoch >= epochs:
-            if (rec := recorder.record(opt, metrics)) is None:
+            if not record():
                 break
-            records.append(rec)
             mark = _advance_mark(mark, epoch, checkpoint_every)
     return records
 
