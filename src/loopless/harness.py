@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import numbers
+import os
 import sys
 import types
 import typing
@@ -117,6 +118,14 @@ class RunConfig:
         unknown = set(self.params) - set(all_param_types())
         if unknown:
             raise ConfigError(f"unknown params {sorted(unknown)}")
+        # the run writes <run_id>.csv and <run_id>.json: each one file name
+        run_id = self.run_id()
+        if "/" in run_id or "\0" in run_id:
+            raise ConfigError(f"run id {run_id!r} holds '/' or NUL, so it is not "
+                              "a file name (check tag)")
+        if len(os.fsencode(run_id + ".json")) > 255:
+            raise ConfigError(f"run id {run_id[:40]}... is too long: <run_id>.json "
+                              "passes 255 bytes (check seed and tag)")
         return self
 
     @classmethod

@@ -216,17 +216,23 @@ class _SVRGFamily(_VarianceReduced):
         return {"predicted_rate": rate}
 
     def move(self, x: np.ndarray, g: np.ndarray):
-        self.x = x - self.eta * g
+        """x^{k+1} = x - eta g; scales g in place, and writes nothing else."""
+        self.x = x - np.multiply(self.eta, g, out=g)
 
 
 class _KatyushaFamily(_VarianceReduced):
-    """Katyusha step: negative momentum toward w; a refresh stores w <- y^k."""
+    """Katyusha step: negative momentum toward w; a refresh stores w <- y^k.
+
+    The step's constants 1 - theta1 - theta2, eta sigma, eta / L and
+    1 + eta sigma are fixed at construction (_y_weight, _eta_sigma, _z_step,
+    _z_scale) and stacked as lane_params, so point() and momentum_step()
+    compute nothing per step but the update, in the order its formula gives."""
 
     potential = ("psi", "zk", "yk", "wk")
     lemmas = ("estimator_variance", "z_update", "y_progress",
               "reference_recursion", "psi_contraction")
     lane_state = ("z", "y", "w", "grad_w")
-    lane_params = ("theta1", "theta2", "eta")
+    lane_params = ("theta1", "theta2", "_y_weight", "_eta_sigma", "_z_step", "_z_scale")
 
     def __init__(self, oracle: Oracle, x0: np.ndarray, theta1: float, theta2: float,
                  **rule):
@@ -241,6 +247,10 @@ class _KatyushaFamily(_VarianceReduced):
         self._init_rule(**rule)
         self.sigma = oracle.mu / oracle.L
         self.eta = theta2 / ((1.0 + theta2) * theta1)
+        self._y_weight = 1.0 - self.theta1 - self.theta2
+        self._eta_sigma = self.eta * self.sigma
+        self._z_step = self.eta / oracle.L
+        self._z_scale = 1.0 + self._eta_sigma
         self.y, self.grad_w = self._start(oracle, x0)
         self.z = self.y
         self.w = self.y
@@ -258,21 +268,26 @@ class _KatyushaFamily(_VarianceReduced):
         return {"predicted_rate": rate, "sigma": self.sigma, "eta": self.eta}
 
     def point(self) -> np.ndarray:
-        """x^k = theta1 z + theta2 w + (1 - theta1 - theta2) y."""
-        return (
-            self.theta1 * self.z
-            + self.theta2 * self.w
-            + (1.0 - self.theta1 - self.theta2) * self.y
-        )
+        """x^k = theta1 z + theta2 w + (1 - theta1 - theta2) y, a new array."""
+        x = self.theta1 * self.z
+        x += self.theta2 * self.w
+        x += self._y_weight * self.y
+        return x
 
     def momentum_step(self, x: np.ndarray, g: np.ndarray):
-        """(z^{k+1}, y^{k+1}) from x^k and the estimator g; broadcasts over
-        the rows of a (n, d) table of g, one row per sample draw."""
-        eta_sigma = self.eta * self.sigma
-        z_next = (eta_sigma * x + self.z - (self.eta / self.oracle.L) * g) / (
-            1.0 + eta_sigma
-        )
-        return z_next, x + self.theta1 * (z_next - self.z)
+        """(z^{k+1}, y^{k+1}) from x^k and the estimator g, as new arrays:
+            z^{k+1} = (eta sigma x + z - (eta / L) g) / (1 + eta sigma),
+            y^{k+1} = x + theta1 (z^{k+1} - z).
+        Broadcasts over the rows of a (n, d) table of g, one row per sample
+        draw, and writes into none of x, g and the state."""
+        z_next = np.multiply(self._z_step, g)
+        moved = self._eta_sigma * x
+        moved += self.z
+        np.subtract(moved, z_next, out=z_next)
+        z_next /= self._z_scale
+        y_next = z_next - self.z
+        np.multiply(self.theta1, y_next, out=y_next)
+        return z_next, np.add(x, y_next, out=y_next)
 
     def move(self, x: np.ndarray, g: np.ndarray):
         self.z, self.y = self.momentum_step(x, g)

@@ -26,8 +26,9 @@ label and the CSR row bounds as Python scalars (.item), and gathers a CSR
 row's entries of x with take.  corrections makes the variance-reduction
 corrections grad_i(w) - grad_w of many steps in one call with grad_i's
 arithmetic, so each row is bitwise grad_i's less grad_w: dense row dots
-through np.vecdot (ndarray.dot's kernel), CSR row dots one by one as
-grad_i takes them, and the scalar kernel for the weights.  Full-data calls
+through np.vecdot (ndarray.dot's kernel), CSR row dots by row length (one
+np.vecdot over the rows of each length, grad_i's val.dot for a row alone
+at its length), and the scalar kernel for the weights.  Full-data calls
 (full_grad, full_loss, grad_table and their batched forms) run all rows at
 once with numpy: A @ x and r @ A on the dense copy, reduceat and add.at on
 the CSR arrays.  Their logistic weight phi'(m) = -b / (1 + e^{b m}) takes
@@ -43,6 +44,7 @@ scalar kernel, so that full_grad(x) equals grad_i(0, x) bitwise there
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -188,27 +190,45 @@ class Oracle:
         """grad_i(idx[s], w) - grad_w for every s, (S,) -> (S, d): the
         variance-reduction corrections of steps that share the reference
         point w.  Row s is grad_i's arithmetic, so it equals
-        grad_i(idx[s], w) - grad_w bitwise: the same row dot (np.vecdot on
-        dense rows, grad_i's per-row val.dot on CSR rows), the scalar _dphi,
-        and mu*w plus the row term, less grad_w."""
-        labels = self.labels.take(idx).tolist()
+        grad_i(idx[s], w) - grad_w bitwise: the same row dot, the scalar
+        _dphi, and mu*w plus the row term, less grad_w.  Dense rows take
+        their dots as one np.vecdot (ndarray.dot's kernel).  CSR rows go by
+        length: each run of two or more rows with one entry count takes its
+        dots as one np.vecdot over its gathered (rows, count) entries, and a
+        row alone at its length grad_i's own val.dot."""
         if self._dense is not None:
+            labels = self.labels.take(idx).tolist()
             out = self._dense.take(idx, axis=0)
             weights = map(self._dphi, np.vecdot(out, w).tolist(), labels)
             out *= np.fromiter(weights, float, len(idx))[:, np.newaxis]
             out += self.mu * w
             out -= grad_w
             return out
-        out = np.tile(self.mu * w, (len(idx), 1))
-        starts, counts, lane, entry = self._row_entries(idx)
-        values, indices = self._values, self._indices
-        weights = [
-            self._dphi(float(values[lo:lo + c].dot(w.take(indices[lo:lo + c]))), b)
-            if c else 0.0
-            for lo, c, b in zip(starts.tolist(), counts.tolist(), labels)
-        ]
-        out[lane, indices.take(entry)] += np.array(weights)[lane] * values.take(entry)
-        out -= grad_w
+        # the rows by length, so that rows of one length have adjacent entries
+        order = np.argsort(self._counts.take(idx), kind="stable")
+        rows = idx.take(order)
+        _, counts, lane, entry = self._row_entries(rows)
+        cols, vals = self._indices.take(entry), self._values.take(entry)
+        at_w = w.take(cols)
+        dots, lo = [], 0
+        for c, run in itertools.groupby(counts.tolist()):
+            k = len(list(run))
+            hi = lo + k * c
+            if k == 1:
+                dots.append(float(vals[lo:hi].dot(at_w[lo:hi])))
+            else:
+                dots += np.vecdot(vals[lo:hi].reshape(k, c),
+                                  at_w[lo:hi].reshape(k, c)).tolist()
+            lo = hi
+        weights = map(self._dphi, dots, self.labels.take(rows).tolist())
+        # a row's entries are (mu w + weight * a) - grad_w, as grad_i's less
+        # grad_w; its other cells mu w - grad_w, the same in every row
+        np.multiply(np.fromiter(weights, float, len(idx))[lane], vals, out=vals)
+        mu_w = self.mu * w
+        np.add(mu_w.take(cols), vals, out=vals)
+        vals -= grad_w.take(cols)
+        out = np.tile(mu_w - grad_w, (len(idx), 1))
+        out[order.take(lane), cols] = vals
         return out
 
     def _row_entries(self, idx: np.ndarray):

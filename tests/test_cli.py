@@ -567,6 +567,30 @@ def test_config_params_get_the_type_check_of_every_field(tmp_path, capsys, monke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, config, flags", [
+    pytest.param("run", {"seed": 10**300}, [], id="run-seed-past-a-file-name"),
+    pytest.param("run", {}, ["--tag", "a/b"], id="run-tag-with-slash"),
+    pytest.param("run", {"tag": "a\0b"}, [], id="run-tag-with-nul"),
+    pytest.param("sweep-p", {"seed": 10**300}, [], id="sweep-p-seed-past-a-file-name"),
+    pytest.param("compare-all", {}, ["--tag", "a/b", "--seeds", "1,2"],
+                 id="compare-all-tag-with-slash"),
+])
+def test_a_run_id_that_is_not_a_file_name_exits_with_config_code(
+        tmp_path, capsys, monkeypatch, command, config, flags):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the run id is checked before the reference solve")
+
+    monkeypatch.setattr(diagnostics, "solve_reference", no_solve)
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run_cli(command, "--config", str(path), "--synthetic", "20,4,10", "--loss",
+                   "ridge", "--mu", "1", "--epochs", "1", *flags,
+                   "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: run id ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 BIG = 2**1024  # the first int past float64's range
 
 

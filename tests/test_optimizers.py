@@ -1,3 +1,4 @@
+import copy
 import math
 from types import SimpleNamespace
 
@@ -451,6 +452,102 @@ def test_run_is_the_serial_loop_for_gradient_descent(data):
     params = GradientDescent.theory_params(oracle)
     assert_run_is_serial_run(lambda: GradientDescent(oracle, np.ones(oracle.d), **params),
                              0, epochs=40.0, checkpoint_every=3.5, metrics=norm_sq)
+
+
+def family_formulas(opt, col):
+    """point, momentum_step and move of opt's family as out-of-place formulas
+    in the order the paper writes them; col(name) is a parameter, a float or
+    an (S, 1) column of a stack's lanes."""
+    eta = col("eta")
+    if isinstance(opt, LSVRG):
+        return None, None, lambda x, g: {"x": x - eta * g}
+    theta1, theta2, eta_sigma = col("theta1"), col("theta2"), eta * opt.sigma
+
+    def momentum(x, g):
+        z_next = (eta_sigma * x + opt.z - (eta / opt.oracle.L) * g) / (1.0 + eta_sigma)
+        return z_next, x + theta1 * (z_next - opt.z)
+
+    point = theta1 * opt.z + theta2 * opt.w + (1.0 - theta1 - theta2) * opt.y
+    return point, momentum, lambda x, g: dict(zip("zy", momentum(x, g)))
+
+
+@pytest.mark.parametrize("cls", [LSVRG, LKatyusha], ids=lambda c: c.name)
+@pytest.mark.parametrize("state", ["new", "stepped", "stacked"])
+def test_family_updates_write_only_their_results(cls, state):
+    """point() and momentum_step(x, g) write into none of x, g and the state
+    arrays; move(x, g) may scale g in place, and writes into neither x nor
+    the state arrays it replaces.  Each result is its out-of-place formula
+    bitwise.  A new optimizer's w is its tracked point's own array (and a
+    Katyusha one's z too); a stack holds three lanes as (S, d) rows with
+    (S, 1) parameter columns, as run_lanes steps them."""
+    oracle = dense_ridge_oracle()
+    rng = np.random.default_rng(len(cls.name) + len(state))
+    lanes = [cls(oracle, rng.normal(size=oracle.d),
+                 **{**cls.theory_params(oracle), "p": p}) for p in (0.2, 0.5, 0.9)]
+    if state != "new":
+        for s, lane in enumerate(lanes):
+            run(lane, SplitMix64(s), epochs=3.0)
+    opt = lanes[0]
+
+    def col(name):
+        if state == "stacked":
+            return np.array([[getattr(lane, name)] for lane in lanes])
+        return getattr(opt, name)
+
+    if state == "stacked":
+        opt = copy.copy(opt)
+        for name in (*opt.lane_state, *opt.lane_params):
+            setattr(opt, name, np.stack([np.atleast_1d(getattr(o, name)) for o in lanes]))
+    arrays = [getattr(opt, name) for name in opt.lane_state]
+    frozen = [a.tobytes() for a in arrays]
+    point, momentum, move = family_formulas(opt, col)
+
+    x = opt.point()
+    if point is None:
+        assert x is opt.x  # the SVRG family's point is its iterate
+    else:
+        assert x.tobytes() == point.tobytes()
+        assert not any(np.shares_memory(x, a) for a in arrays)
+    assert [a.tobytes() for a in arrays] == frozen
+    x_bytes = x.tobytes()
+    if momentum is not None:
+        # one estimator per lane, and the diagnostics' table of one per sample
+        for g in (rng.normal(size=x.shape), rng.normal(size=(oracle.n, oracle.d))):
+            if state == "stacked" and g.shape != x.shape:
+                continue
+            g_bytes = g.tobytes()
+            got = opt.momentum_step(x, g)
+            want = momentum(x, g)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            assert (x.tobytes(), g.tobytes()) == (x_bytes, g_bytes)
+            assert [a.tobytes() for a in arrays] == frozen
+    g = rng.normal(size=x.shape)
+    want = move(x, g)
+    opt.move(x, g)
+    assert x.tobytes() == x_bytes
+    assert [a.tobytes() for a in arrays] == frozen
+    for name, value in want.items():
+        assert getattr(opt, name).tobytes() == value.tobytes(), name
+        assert not any(np.shares_memory(getattr(opt, name), a) for a in (x, *arrays))
+
+
+def first_step_refreshes(rng, n, p):
+    """Whether a loopless run on this rng refreshes at its first step."""
+    rng.randbelow(n)
+    return rng.bernoulli(p)
+
+
+@pytest.mark.parametrize("cls", [LSVRG, LKatyusha], ids=lambda c: c.name)
+def test_run_refreshing_at_step_0_is_the_serial_loop(cls):
+    """A new optimizer's w is its tracked point's own array: a refresh at
+    step 0 stores that array as w while move() replaces the point."""
+    oracle = csr_ridge_oracle()
+    params = {**cls.theory_params(oracle), "p": 0.3}
+    seed = next(s for s in range(100) if first_step_refreshes(SplitMix64(s), oracle.n, 0.3))
+    records, _ = assert_run_is_serial_run(
+        lambda: cls(oracle, np.ones(oracle.d), **params), seed,
+        epochs=30.0, checkpoint_every=2.0, metrics=norm_sq)
+    assert records[1]["k"] == 1 and records[1]["oracle_calls"] == 2 * oracle.n + 2
 
 
 def serial_plan(calls, costs, n, epochs, mark, every):

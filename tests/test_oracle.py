@@ -329,6 +329,41 @@ def test_corrections_are_grad_i_less_grad_w_bitwise(loss, density, n, d):
         assert oracle.corrections(idx, w, grad_w).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("loss", ["logistic", "ridge"])
+@pytest.mark.parametrize("d", [3, 123, 20_000])
+def test_csr_corrections_by_row_length_are_grad_i_less_grad_w_bitwise(loss, d):
+    """CSR stretches that mix empty rows, rows alone at their length and long
+    runs of rows of one length (lengths 1 to min(d, 200)), in shuffled order
+    and with repeated indices, keep every row of corrections bitwise
+    grad_i(idx[s], w) - grad_w."""
+    rng = np.random.default_rng([d, len(loss), 29])
+    top = min(d, 200)
+    long_runs = rng.choice(np.arange(1, top + 1), size=min(top - 1, 3), replace=False)
+    counts = np.concatenate([np.arange(1, top + 1), np.repeat(long_runs, 12)])
+    # enough empty rows to keep the data under a quarter nonzero: CSR storage
+    counts = np.concatenate([counts, np.zeros(4 * int(counts.sum()) // d + 8, dtype=int)])
+    rng.shuffle(counts)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.concatenate([np.sort(rng.choice(d, size=c, replace=False)) for c in counts])
+    dataset = Dataset.from_csr(indptr, indices, rng.normal(size=indices.size),
+                               rng.choice([-1.0, 1.0], size=counts.size), d)
+    oracle = quarter_rule_oracle(dataset, loss, 0.3)
+    assert oracle._dense is None
+    rows_of = {c: np.flatnonzero(counts == c) for c in range(top + 1)}
+    for _ in range(4):
+        w = rng.normal(size=d) * rng.choice([1e-3, 1.0, 50.0])
+        grad_w = oracle.full_grad(w)
+        # every long run's rows (some twice), empty rows, and rows alone at
+        # their length, at most 80 rows in all
+        others = np.setdiff1d(np.arange(1, top + 1), long_runs)
+        alone = rng.choice(others, size=min(others.size, 20), replace=False)
+        idx = np.concatenate([*(rows_of[c] for c in long_runs), rows_of[long_runs[0]][:4],
+                              rows_of[0][:5], [rows_of[c][0] for c in alone]])
+        rng.shuffle(idx)
+        want = np.stack([oracle.grad_i(i, w) - grad_w for i in idx])
+        assert oracle.corrections(idx, w, grad_w).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("filler", [0, 20], ids=["csr", "dense"])
 def test_corrections_take_the_scalar_kernel_at_extreme_margins(filler):
     """Margins where the scalar kernel's math.exp gives 1, a subnormal or 0
