@@ -562,15 +562,16 @@ def compare_all(
     oracle, minimizer = build_problem(base_config)
     _, traces = _run_batch(configs, oracle, minimizer, out_dir)
 
-    summary_path = Path(out_dir) / "summary.csv"
-    with _output_dir(out_dir), open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["algorithm", "seed", "threshold", "epochs_to_threshold"])
-        for config, records in zip(configs, traces):
-            pairs = [(rec["epoch"], rec["dist_sq"]) for rec in records]
-            for threshold in thresholds:
-                writer.writerow([config.algorithm, config.seed, _fmt(threshold),
-                                 _fmt(epochs_to_threshold(pairs, threshold))])
+    rows = []
+    for config, records in zip(configs, traces):
+        pairs = [(rec["epoch"], rec["dist_sq"]) for rec in records]
+        rows += [{"algorithm": config.algorithm, "seed": config.seed, "threshold": threshold,
+                  "epochs_to_threshold": epochs_to_threshold(pairs, threshold)}
+                 for threshold in thresholds]
+    with _output_dir(out_dir) as out_dir:
+        summary_path = out_dir / "summary.csv"
+        write_trace(rows, ["algorithm", "seed", "threshold", "epochs_to_threshold"],
+                    summary_path)
     return summary_path
 
 
@@ -649,14 +650,13 @@ def emit_plotdata(trace_paths, out_path, metrics: list[str] | None = None) -> Pa
             for metric in wanted:
                 if record[metric] is None:
                     continue
-                rows.append((run_id, algorithm, record["epoch"], metric, record[metric]))
+                rows.append({"run_id": run_id, "algorithm": algorithm,
+                             "epoch": record["epoch"], "metric": metric,
+                             "value": record[metric]})
 
     out_path = Path(out_path)
-    with _output_dir(out_path.parent), open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run_id", "algorithm", "epoch", "metric", "value"])
-        for run_id, algorithm, epoch, metric, value in rows:
-            writer.writerow([run_id, algorithm, _fmt(epoch), metric, _fmt(value)])
+    with _output_dir(out_path.parent):
+        write_trace(rows, ["run_id", "algorithm", "epoch", "metric", "value"], out_path)
     return out_path
 
 

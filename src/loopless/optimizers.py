@@ -152,7 +152,12 @@ class _VarianceReduced(_Optimizer):
     its move(x, g), then a refresh w <- the pre-update tracked point.  A
     family's point() and move() broadcast over rows, and it names its state
     arrays (lane_state) and the floats they read (lane_params), so run_lanes
-    can step lanes as (S, d) rows with (S, 1) parameter columns."""
+    can step lanes as (S, d) rows with (S, 1) parameter columns.
+
+    One write rule holds for both families: point(), momentum_step() and
+    move() write only into arrays they allocate, and move() rebinds the
+    state to new arrays.  So the pre-update tracked point is still intact
+    after move(), and a refresh stores it by reference."""
 
     def point(self) -> np.ndarray:
         return self.tracked_point
@@ -163,7 +168,7 @@ class _VarianceReduced(_Optimizer):
         grad_i(i, w) - grad_w come one oracle call per stretch of steps that
         share w: a stretch ends at a refresh or at _STRETCH_CELLS cells, and
         its table is made only once the step before it has run."""
-        rows = max(1, _STRETCH_CELLS // self.oracle.d)
+        rows = max(1, _STRETCH_CELLS // max(1, self.oracle.d))
         start = 0
         for stop in [*(np.flatnonzero(refresh) + 1).tolist(), len(refresh)]:
             while start < stop:
@@ -216,8 +221,8 @@ class _SVRGFamily(_VarianceReduced):
         return {"predicted_rate": rate}
 
     def move(self, x: np.ndarray, g: np.ndarray):
-        """x^{k+1} = x - eta g; scales g in place, and writes nothing else."""
-        self.x = x - np.multiply(self.eta, g, out=g)
+        """x^{k+1} = x - eta g."""
+        self.x = x - self.eta * g
 
 
 class _KatyushaFamily(_VarianceReduced):
@@ -279,7 +284,7 @@ class _KatyushaFamily(_VarianceReduced):
             z^{k+1} = (eta sigma x + z - (eta / L) g) / (1 + eta sigma),
             y^{k+1} = x + theta1 (z^{k+1} - z).
         Broadcasts over the rows of a (n, d) table of g, one row per sample
-        draw, and writes into none of x, g and the state."""
+        draw."""
         z_next = np.multiply(self._z_step, g)
         moved = self._eta_sigma * x
         moved += self.z
@@ -613,14 +618,11 @@ def _stack(opts, drawn, calls):
             g, correction = g_both[:width], g_both[width:]
             correction -= grad_w
             g -= correction
-            if t not in refreshes:
-                move(x, g)
-                continue
-            w_next = stack.tracked_point[refreshes[t]]
+            w_next = stack.tracked_point  # move() rebinds it, and leaves this array
             move(x, g)
-            for b, w in zip(refreshes[t], w_next):  # w <- the pre-update tracked point
-                xw[width + b] = w
-                grad_w[b] = oracle.full_grad(w)
+            for b in refreshes.get(t, ()):  # w <- the pre-update tracked point
+                xw[width + b] = w_next[b]
+                grad_w[b] = oracle.full_grad(w_next[b])
 
     def write_back(b: int, t: int):
         opt = opts[b]

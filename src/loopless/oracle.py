@@ -26,9 +26,8 @@ label and the CSR row bounds as Python scalars (.item), and gathers a CSR
 row's entries of x with take.  corrections makes the variance-reduction
 corrections grad_i(w) - grad_w of many steps in one call with grad_i's
 arithmetic, so each row is bitwise grad_i's less grad_w: dense row dots
-through np.vecdot (ndarray.dot's kernel), CSR row dots by row length (one
-np.vecdot over the rows of each length, grad_i's val.dot for a row alone
-at its length), and the scalar kernel for the weights.  Full-data calls
+through np.vecdot (ndarray.dot's kernel), CSR row dots as one np.vecdot per
+row length, and the scalar kernel for the weights.  Full-data calls
 (full_grad, full_loss, grad_table and their batched forms) run all rows at
 once with numpy: A @ x and r @ A on the dense copy, reduceat and add.at on
 the CSR arrays.  Their logistic weight phi'(m) = -b / (1 + e^{b m}) takes
@@ -178,8 +177,7 @@ class Oracle:
             rows *= self._dphis(np.vecdot(rows, X), labels)[:, np.newaxis]
             out += rows
             return out
-        _, _, lane, entry = self._row_entries(idx)
-        cols, vals = self._indices.take(entry), self._values.take(entry)
+        _, lane, cols, vals = self._row_entries(idx)
         margins = np.bincount(lane, weights=vals * X[lane, cols], minlength=len(idx))
         # a row's indices are distinct, so no (lane, col) pair repeats
         out[lane, cols] += self._dphis(margins, labels)[lane] * vals
@@ -193,9 +191,9 @@ class Oracle:
         grad_i(idx[s], w) - grad_w bitwise: the same row dot, the scalar
         _dphi, and mu*w plus the row term, less grad_w.  Dense rows take
         their dots as one np.vecdot (ndarray.dot's kernel).  CSR rows go by
-        length: each run of two or more rows with one entry count takes its
-        dots as one np.vecdot over its gathered (rows, count) entries, and a
-        row alone at its length grad_i's own val.dot."""
+        length: each run of rows with one entry count, a row alone included,
+        takes its dots as one np.vecdot over its gathered (rows, count)
+        entries."""
         if self._dense is not None:
             labels = self.labels.take(idx).tolist()
             out = self._dense.take(idx, axis=0)
@@ -207,18 +205,13 @@ class Oracle:
         # the rows by length, so that rows of one length have adjacent entries
         order = np.argsort(self._counts.take(idx), kind="stable")
         rows = idx.take(order)
-        _, counts, lane, entry = self._row_entries(rows)
-        cols, vals = self._indices.take(entry), self._values.take(entry)
+        counts, lane, cols, vals = self._row_entries(rows)
         at_w = w.take(cols)
         dots, lo = [], 0
         for c, run in itertools.groupby(counts.tolist()):
             k = len(list(run))
             hi = lo + k * c
-            if k == 1:
-                dots.append(float(vals[lo:hi].dot(at_w[lo:hi])))
-            else:
-                dots += np.vecdot(vals[lo:hi].reshape(k, c),
-                                  at_w[lo:hi].reshape(k, c)).tolist()
+            dots += np.vecdot(vals[lo:hi].reshape(k, c), at_w[lo:hi].reshape(k, c)).tolist()
             lo = hi
         weights = map(self._dphi, dots, self.labels.take(rows).tolist())
         # a row's entries are (mu w + weight * a) - grad_w, as grad_i's less
@@ -232,15 +225,14 @@ class Oracle:
         return out
 
     def _row_entries(self, idx: np.ndarray):
-        """(starts, counts, lane, entry) of the CSR rows idx: each row's
-        start and entry count, and for every stored entry of those rows, in
-        order, its row's position s in idx and its position in the CSR
-        arrays."""
+        """(counts, lane, cols, vals) of the CSR rows idx: each row's entry
+        count, and for every stored entry of those rows, in order, its row's
+        position s in idx, its column and its value."""
         starts, counts = self._indptr.take(idx), self._counts.take(idx)
         lane = np.repeat(np.arange(len(idx)), counts)
         entry = np.arange(lane.size) + np.repeat(starts - np.cumsum(counts) + counts,
                                                  counts)
-        return starts, counts, lane, entry
+        return counts, lane, self._indices.take(entry), self._values.take(entry)
 
     def _margins(self, X: np.ndarray) -> np.ndarray:
         """a_i^T x for every row i, for x of shape (d,) or a stack (k, d)."""

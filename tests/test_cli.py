@@ -431,6 +431,24 @@ def test_a_loop_length_past_int64_runs(tmp_path):
                    "--out", str(tmp_path / "run")) == EXIT_OK
 
 
+@pytest.mark.parametrize("alg", ["svrg", "l-svrg", "katyusha", "l-katyusha"])
+def test_a_file_with_no_features_runs_as_its_lanes_do(tmp_path, capsys, alg):
+    """A LIBSVM file of bare labels has d = 0.  A lone run sizes its tables
+    of corrections by d, and still exits 0 with the trace that the same run
+    gives as a lane of a three-run batch."""
+    data = tmp_path / "bare.txt"
+    data.write_text("1\n-1\n")
+    problem = ["--data", str(data), "--loss", "logistic", "--mu", "1", "--epochs", "2"]
+    assert run_cli("run", *problem, "--alg", alg, "--out", str(tmp_path / "run")) == EXIT_OK
+    assert run_cli("compare-all", *problem, "--algs", alg, "--seeds", "0,1,2",
+                   "--out", str(tmp_path / "lanes")) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    name = f"{alg}_logistic_seed0.csv"
+    lone = read_lines(tmp_path / "run" / name)
+    assert len(lone) > 2
+    assert strip_wall(lone) == strip_wall(read_lines(tmp_path / "lanes" / name))
+
+
 def test_sweep_p_subcommand(tmp_path):
     code = run_cli(
         "sweep-p", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1.0",

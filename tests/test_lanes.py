@@ -124,6 +124,7 @@ def test_run_lanes_matches_run_on_dense_ridge():
         return [
             LSVRG(oracle, np.zeros(5), eta=eta, p=0.05),
             LoopySVRG(oracle, np.zeros(5), eta=eta, m=20),
+            # refreshes on consecutive steps, and in the same step as the m = 20 lane
             LSVRG(oracle, np.zeros(5), eta=eta, p=1.0),
             LoopySVRG(oracle, np.zeros(5), eta=eta, m=1000),
             LSVRG(oracle, np.ones(5), eta=2 * eta, p=0.3),
@@ -188,6 +189,7 @@ def test_run_lanes_matches_run_for_both_katyusha_classes_on_dense_ridge():
         return [
             LKatyusha(oracle, np.zeros(5), **LKatyusha.theory_params(oracle)),
             LoopyKatyusha(oracle, np.zeros(5), theta1=theta1, theta2=0.5, m=20),
+            # refreshes on consecutive steps, and in the same step as the m = 20 lane
             LKatyusha(oracle, np.zeros(5), theta1=0.4, theta2=0.5, p=1.0),
             LoopyKatyusha(oracle, np.zeros(5), theta1=0.2, theta2=0.3, m=1000),
             LKatyusha(oracle, np.ones(5), theta1=0.3, theta2=0.5, p=0.3),

@@ -474,10 +474,10 @@ def family_formulas(opt, col):
 @pytest.mark.parametrize("cls", [LSVRG, LKatyusha], ids=lambda c: c.name)
 @pytest.mark.parametrize("state", ["new", "stepped", "stacked"])
 def test_family_updates_write_only_their_results(cls, state):
-    """point() and momentum_step(x, g) write into none of x, g and the state
-    arrays; move(x, g) may scale g in place, and writes into neither x nor
-    the state arrays it replaces.  Each result is its out-of-place formula
-    bitwise.  A new optimizer's w is its tracked point's own array (and a
+    """The one write rule of both families: point(), momentum_step(x, g)
+    and move(x, g) write into none of x, g and the state arrays, and move()
+    rebinds the state to new arrays.  Each result is its out-of-place
+    formula bitwise.  A new optimizer's w is its tracked point's own array (and a
     Katyusha one's z too); a stack holds three lanes as (S, d) rows with
     (S, 1) parameter columns, as run_lanes steps them."""
     oracle = dense_ridge_oracle()
@@ -522,9 +522,10 @@ def test_family_updates_write_only_their_results(cls, state):
             assert (x.tobytes(), g.tobytes()) == (x_bytes, g_bytes)
             assert [a.tobytes() for a in arrays] == frozen
     g = rng.normal(size=x.shape)
+    g_bytes = g.tobytes()
     want = move(x, g)
     opt.move(x, g)
-    assert x.tobytes() == x_bytes
+    assert (x.tobytes(), g.tobytes()) == (x_bytes, g_bytes)
     assert [a.tobytes() for a in arrays] == frozen
     for name, value in want.items():
         assert getattr(opt, name).tobytes() == value.tobytes(), name
