@@ -2,12 +2,12 @@
 
 Five algorithms: gradient descent, SVRG and Katyusha with deterministic
 reference refresh every m inner steps, and their loopless variants where the
-refresh is triggered by a per-step Bernoulli(p) coin.  The four
-variance-reduced classes share one step (_VarianceReduced.step).  A family
-(_SVRGFamily, _KatyushaFamily) supplies only the point the estimator is taken
-at and the move it makes with it; the loopy and loopless variants of a family
-differ only in the refresh rule mixed into the class: a coin (_Coin) or every
-m-th step (_Loop).
+refresh is triggered by a per-step Bernoulli(p) coin.  A family
+(_SVRGFamily, _KatyushaFamily) writes its serial step() as straight-line
+arithmetic, and the same update split into the point the estimator is taken
+at and the move it makes with it, which the lanes use; the loopy and
+loopless variants of a family differ only in the refresh rule mixed into
+the class: a coin (_Coin) or every m-th step (_Loop).
 
 Each class carries its own facts, which the harness, CLI and diagnostics read
 instead of restating: its registry `name`, its declared `param_types` table
@@ -148,16 +148,18 @@ class _Loop:
 
 
 class _VarianceReduced(_Optimizer):
-    """The step both families share: the estimator at the family's point(),
-    its move(x, g), then a refresh w <- the pre-update tracked point.  A
-    family's point() and move() broadcast over rows, and it names its state
-    arrays (lane_state) and the floats they read (lane_params), so run_lanes
-    can step lanes as (S, d) rows with (S, 1) parameter columns.
+    """A family's step(i, correction, refresh) is its point() and move()
+    inlined, the same floating-point operations in the same order, then a
+    refresh w <- the pre-update tracked point.  Its constants are 0-d
+    float64 arrays, which numpy multiplies into an array faster than Python
+    floats.  point() and move() broadcast over rows, and a family names its
+    state arrays (lane_state) and constants (lane_params), so run_lanes can
+    step lanes as (S, d) rows with (S, 1) parameter columns.
 
-    One write rule holds for both families: point(), momentum_step() and
-    move() write only into arrays they allocate, and move() rebinds the
-    state to new arrays.  So the pre-update tracked point is still intact
-    after move(), and a refresh stores it by reference."""
+    One write rule: step(), point(), momentum_step() and move() write only
+    into arrays they allocate and rebind the state to new arrays, so a
+    refresh stores the pre-update point by reference and no state array is
+    ever written in place."""
 
     def point(self) -> np.ndarray:
         return self.tracked_point
@@ -178,22 +180,6 @@ class _VarianceReduced(_Optimizer):
                 yield from zip(stretch.tolist(), table, refresh[start:end].tolist())
                 start = end
 
-    def step(self, i: int, correction: np.ndarray, refresh: bool):
-        """One step on sample i, whose correction grad_i(i, w) - grad_w is
-        given; refresh sets w to the pre-update tracked point."""
-        oracle = self.oracle
-        x = self.point()
-        g = oracle.grad_i(i, x)
-        g -= correction
-        w_next = self.tracked_point
-        self.move(x, g)
-        self.oracle_calls += self.step_calls
-        if refresh:
-            self.w = w_next
-            self.grad_w = oracle.full_grad(w_next)
-            self.oracle_calls += oracle.n
-        self.k += 1
-
 
 class _SVRGFamily(_VarianceReduced):
     """SVRG step on x; a refresh stores the pre-update iterate, w <- x^k."""
@@ -202,10 +188,11 @@ class _SVRGFamily(_VarianceReduced):
     lemmas = ("iterate_distance", "estimator_second_moment",
               "grad_learning_decay", "phi_contraction")
     lane_state = ("x", "w", "grad_w")
-    lane_params = ("eta",)
+    lane_params = ("_eta",)
 
     def __init__(self, oracle: Oracle, x0: np.ndarray, eta: float, **rule):
         self.eta = _check_positive(eta, "eta")
+        self._eta = np.array(self.eta)
         self._init_rule(**rule)  # p= for the coin, m= for the loop
         self.x, self.grad_w = self._start(oracle, x0)
         self.w = self.x
@@ -220,24 +207,41 @@ class _SVRGFamily(_VarianceReduced):
         rate = max(1.0 - self.eta * self.oracle.mu, 1.0 - self.refresh_prob / 2.0)
         return {"predicted_rate": rate}
 
+    def step(self, i: int, correction: np.ndarray, refresh: bool):
+        """One step on sample i, given its correction grad_i(i, w) - grad_w;
+        a refresh sets w <- x^k."""
+        x, oracle = self.x, self.oracle
+        g = oracle.grad_i(i, x)
+        g -= correction
+        g *= self._eta
+        self.x = x - g
+        self.oracle_calls += self.step_calls
+        if refresh:
+            self.w = x
+            self.grad_w = oracle.full_grad(x)
+            self.oracle_calls += oracle.n
+        self.k += 1
+
     def move(self, x: np.ndarray, g: np.ndarray):
         """x^{k+1} = x - eta g."""
-        self.x = x - self.eta * g
+        self.x = x - self._eta * g
 
 
 class _KatyushaFamily(_VarianceReduced):
     """Katyusha step: negative momentum toward w; a refresh stores w <- y^k.
 
-    The step's constants 1 - theta1 - theta2, eta sigma, eta / L and
-    1 + eta sigma are fixed at construction (_y_weight, _eta_sigma, _z_step,
-    _z_scale) and stacked as lane_params, so point() and momentum_step()
-    compute nothing per step but the update, in the order its formula gives."""
+    The step's constants theta1, theta2, 1 - theta1 - theta2, eta sigma,
+    eta / L and 1 + eta sigma are fixed at construction (_theta1, _theta2,
+    _y_weight, _eta_sigma, _z_step, _z_scale), so a step computes nothing
+    but the update, in the order its formula gives.  step() forms theta2 w
+    once per w array, kept with the w it was taken from."""
 
     potential = ("psi", "zk", "yk", "wk")
     lemmas = ("estimator_variance", "z_update", "y_progress",
               "reference_recursion", "psi_contraction")
     lane_state = ("z", "y", "w", "grad_w")
-    lane_params = ("theta1", "theta2", "_y_weight", "_eta_sigma", "_z_step", "_z_scale")
+    lane_params = ("_theta1", "_theta2", "_y_weight", "_eta_sigma", "_z_step",
+                   "_z_scale")
 
     def __init__(self, oracle: Oracle, x0: np.ndarray, theta1: float, theta2: float,
                  **rule):
@@ -252,13 +256,15 @@ class _KatyushaFamily(_VarianceReduced):
         self._init_rule(**rule)
         self.sigma = oracle.mu / oracle.L
         self.eta = theta2 / ((1.0 + theta2) * theta1)
-        self._y_weight = 1.0 - self.theta1 - self.theta2
-        self._eta_sigma = self.eta * self.sigma
-        self._z_step = self.eta / oracle.L
-        self._z_scale = 1.0 + self._eta_sigma
+        eta_sigma = self.eta * self.sigma
+        (self._theta1, self._theta2, self._y_weight, self._eta_sigma, self._z_step,
+         self._z_scale) = map(np.array, (
+            self.theta1, self.theta2, 1.0 - self.theta1 - self.theta2, eta_sigma,
+            self.eta / oracle.L, 1.0 + eta_sigma))
         self.y, self.grad_w = self._start(oracle, x0)
         self.z = self.y
         self.w = self.y
+        self._theta2_w_of = self._theta2_w = None  # theta2 w, and the w it is of
 
     @classmethod
     def theory_params(cls, oracle: Oracle) -> dict:
@@ -272,10 +278,37 @@ class _KatyushaFamily(_VarianceReduced):
                          self.theta1 / (2.0 * self.oracle.n))
         return {"predicted_rate": rate, "sigma": self.sigma, "eta": self.eta}
 
+    def step(self, i: int, correction: np.ndarray, refresh: bool):
+        """One step on sample i, given its correction grad_i(i, w) - grad_w;
+        a refresh sets w <- y^k."""
+        z, y, w, oracle = self.z, self.y, self.w, self.oracle
+        if w is not self._theta2_w_of:
+            self._theta2_w_of, self._theta2_w = w, self._theta2 * w
+        x = self._theta1 * z
+        x += self._theta2_w
+        x += self._y_weight * y
+        g = oracle.grad_i(i, x)
+        g -= correction
+        g *= self._z_step
+        z_next = self._eta_sigma * x
+        z_next += z
+        z_next -= g
+        z_next /= self._z_scale
+        y_next = z_next - z
+        y_next *= self._theta1
+        y_next += x
+        self.z, self.y = z_next, y_next
+        self.oracle_calls += self.step_calls
+        if refresh:
+            self.w = y
+            self.grad_w = oracle.full_grad(y)
+            self.oracle_calls += oracle.n
+        self.k += 1
+
     def point(self) -> np.ndarray:
         """x^k = theta1 z + theta2 w + (1 - theta1 - theta2) y, a new array."""
-        x = self.theta1 * self.z
-        x += self.theta2 * self.w
+        x = self._theta1 * self.z
+        x += self._theta2 * self.w
         x += self._y_weight * self.y
         return x
 
@@ -291,7 +324,7 @@ class _KatyushaFamily(_VarianceReduced):
         np.subtract(moved, z_next, out=z_next)
         z_next /= self._z_scale
         y_next = z_next - self.z
-        np.multiply(self.theta1, y_next, out=y_next)
+        np.multiply(self._theta1, y_next, out=y_next)
         return z_next, np.add(x, y_next, out=y_next)
 
     def move(self, x: np.ndarray, g: np.ndarray):
@@ -302,10 +335,11 @@ class _KatyushaFamily(_VarianceReduced):
         return self.y
 
 
-# Each class binds `step` in its own body, so instrumentation can wrap one
-# class's step without touching the shared one: perfbench/tracer.py counts
-# steps and refreshes there until its counters move to fields that _drive
-# fills (ROADMAP item 3).
+# Each class binds its family's `step` in its own body (as does
+# tests/test_cli.py::DampedLSVRG), so instrumentation can wrap one class's
+# step without touching its family's: perfbench/tracer.py counts steps and
+# refreshes there until its counters move to fields that _drive fills
+# (ROADMAP item 3).
 
 
 class GradientDescent(_Optimizer):
@@ -345,7 +379,7 @@ class LSVRG(_SVRGFamily, _Coin):
 
     name = "l-svrg"
     param_types = {"eta": float, "p": float}
-    step = _VarianceReduced.step
+    step = _SVRGFamily.step
 
 
 class LoopySVRG(_SVRGFamily, _Loop):
@@ -353,7 +387,7 @@ class LoopySVRG(_SVRGFamily, _Loop):
 
     name = "svrg"
     param_types = {"eta": float, "m": int}
-    step = _VarianceReduced.step
+    step = _SVRGFamily.step
 
 
 class LKatyusha(_KatyushaFamily, _Coin):
@@ -361,7 +395,7 @@ class LKatyusha(_KatyushaFamily, _Coin):
 
     name = "l-katyusha"
     param_types = {"theta1": float, "theta2": float, "p": float}
-    step = _VarianceReduced.step
+    step = _KatyushaFamily.step
 
 
 class LoopyKatyusha(_KatyushaFamily, _Loop):
@@ -369,7 +403,7 @@ class LoopyKatyusha(_KatyushaFamily, _Loop):
 
     name = "katyusha"
     param_types = {"theta1": float, "theta2": float, "m": int}
-    step = _VarianceReduced.step
+    step = _KatyushaFamily.step
 
 
 ALGORITHMS = {

@@ -22,9 +22,11 @@ arrays, shared rather than copied.
 grad_i runs one row through the scalar kernel on Python floats, which is
 the optimizers' per-step hot path.  It takes the row dot with ndarray.dot,
 which gives the bits of `a @ x` at about half its call cost, reads the
-label and the CSR row bounds as Python scalars (.item), and gathers a CSR
-row's entries of x with take.  corrections makes the variance-reduction
-corrections grad_i(w) - grad_w of many steps in one call with grad_i's
+label and the CSR row bounds as Python scalars (.item), gathers a CSR
+row's entries of x by indexing (x[idx], cheaper than take for one row),
+and scales x by mu held as a 0-d float64 array (_mu, cheaper than a Python
+float).  corrections makes the variance-reduction corrections
+grad_i(w) - grad_w of many steps in one call with grad_i's
 arithmetic, so each row is bitwise grad_i's less grad_w: dense row dots
 through np.vecdot (ndarray.dot's kernel), CSR row dots as one np.vecdot per
 row length, and the scalar kernel for the weights.  Full-data calls
@@ -102,6 +104,7 @@ class Oracle:
             raise ValueError(f"mu must be positive (strong convexity), got {mu}")
         self.dataset = dataset
         self.mu = float(mu)
+        self._mu = np.array(self.mu)  # grad_i's factor
         self.n = dataset.n
         self.d = dataset.d
         self.labels = dataset.labels
@@ -149,7 +152,7 @@ class Oracle:
     def grad_i(self, i: int, x: np.ndarray) -> np.ndarray:
         if not 0 <= i < self.n:
             raise IndexError(f"sample index {i} out of range [0, {self.n})")
-        out = self.mu * x
+        out = self._mu * x
         if self._dense is not None:
             a = self._dense[i]
             out += self._dphi(float(a.dot(x)), self.labels.item(i)) * a
@@ -157,7 +160,7 @@ class Oracle:
         lo, hi = self._indptr.item(i), self._indptr.item(i + 1)
         if lo < hi:
             idx, val = self._indices[lo:hi], self._values[lo:hi]
-            m = float(val.dot(x.take(idx)))
+            m = float(val.dot(x[idx]))
             out[idx] += self._dphi(m, self.labels.item(i)) * val
         return out
 

@@ -18,6 +18,7 @@ from loopless.optimizers import (
     _BLOCK_STEPS,
     _first_mark,
     _plan,
+    _stack,
     _STRETCH_CELLS,
     run,
 )
@@ -72,6 +73,34 @@ def test_lkatyusha_theory_preset_arithmetic():
     opt = LKatyusha(oracle, np.zeros(1), **params)
     assert opt.eta == pytest.approx(2.0 / 3.0)
     assert opt.sigma == oracle.mu / oracle.L
+
+
+def test_theory_facts_are_the_papers_rates(ridge10):
+    """The predicted per-step contraction of each loopless method, at a
+    setting where each term of its max (L-SVRG) or min (L-Katyusha) binds.
+    L-SVRG with eta <= 1/(6L): max(1 - eta mu, 1 - p/2).  L-Katyusha at
+    theta2 = 1/2 and p = 1/n: 1 - min(sigma / (6 theta1), theta1 / (2n)),
+    which is never faster than the factors psi_contraction states per term,
+    1 / (1 + eta sigma), 1 - theta1 (1 - theta2) and 1 - p theta1 / (1 + theta1)."""
+    oracle, _ = ridge10
+    n, mu, L = oracle.n, oracle.mu, oracle.L
+    eta = 1.0 / (6.0 * L)
+    for p, binding in ((1.0, 1.0 - eta * mu), (eta * mu, 1.0 - eta * mu / 2.0)):
+        rate = LSVRG(oracle, np.zeros(4), eta=eta, p=p).theory_facts()["predicted_rate"]
+        assert rate == binding == max(1.0 - eta * mu, 1.0 - p / 2.0)
+    assert 1.0 - eta * mu > 1.0 - 1.0 / 2.0 and 1.0 - eta * mu < 1.0 - eta * mu / 2.0
+
+    sigma = mu / L
+    theory = LKatyusha.theory_params(oracle)["theta1"]
+    small = 0.5 * math.sqrt(sigma * n / 3.0)
+    for theta1, binding in ((theory, sigma / (6.0 * theory)), (small, small / (2.0 * n))):
+        opt = LKatyusha(oracle, np.zeros(4), theta1=theta1, theta2=0.5, p=1.0 / n)
+        rate = opt.theory_facts()["predicted_rate"]
+        assert rate == 1.0 - binding == 1.0 - min(sigma / (6.0 * theta1), theta1 / (2.0 * n))
+        assert rate >= max(1.0 / (1.0 + opt.eta * sigma), 1.0 - theta1 * 0.5,
+                           1.0 - theta1 / (n * (1.0 + theta1)))
+    assert sigma / (6.0 * theory) < theory / (2.0 * n)
+    assert small / (2.0 * n) < sigma / (6.0 * small)
 
 
 def test_lkatyusha_eta_formula_exact(ridge10):
@@ -530,6 +559,65 @@ def test_family_updates_write_only_their_results(cls, state):
     for name, value in want.items():
         assert getattr(opt, name).tobytes() == value.tobytes(), name
         assert not any(np.shares_memory(getattr(opt, name), a) for a in (x, *arrays))
+
+
+@pytest.mark.parametrize("cls", VARIANCE_REDUCED, ids=lambda c: c.name)
+@pytest.mark.parametrize("data", ["dense-ridge", "csr-logistic"])
+def test_step_is_the_diagnostics_branch_and_the_lane_step(cls, data):
+    """From a fixed state, step(i, correction, coin) for every sample i and
+    both coin sides takes the branch the lemma diagnostics score for that
+    draw, bitwise: x - eta g as _verify_svrg_bounds forms it, or the row of
+    momentum_step(point(), g) that _verify_katyusha_bounds takes, where g is
+    the draw's estimator grad_i(i, x) - correction; and on heads w <- the
+    pre-update tracked point (x^k or y^k, the same array), on tails w stays.
+    A 3-lane _stack step, its lanes on mixed samples and coins, takes the
+    same branches: bitwise on dense ridge, where grad_many is grad_i's
+    arithmetic, and to rounding on CSR logistic."""
+    oracle = RUN_ORACLES[data]()
+    n = oracle.n
+    rng = np.random.default_rng(len(cls.name))
+    opt = cls(oracle, np.zeros(oracle.d), **cls.theory_params(oracle))
+    for name in opt.lane_state[:-1]:  # x, w or z, y, w: a state off the start
+        setattr(opt, name, rng.normal(size=oracle.d))
+    opt.grad_w = oracle.full_grad(opt.w)
+    corrections = oracle.corrections(np.arange(n), opt.w, opt.grad_w)
+    x = opt.point()
+    g = np.stack([oracle.grad_i(i, x) for i in range(n)]) - corrections
+    if opt.potential[0] == "phi":
+        branch = {"x": opt.x - opt.eta * g}
+    else:
+        branch = dict(zip("zy", opt.momentum_step(x, g)))
+    pre, heads_grad_w = opt.tracked_point, oracle.full_grad(opt.tracked_point)
+
+    stepped = {}
+    for i in range(n):
+        for coin in (False, True):
+            s = stepped[i, coin] = copy.copy(opt)
+            s.step(i, corrections[i], coin)
+            for name, rows in branch.items():
+                assert getattr(s, name).tobytes() == rows[i].tobytes(), (i, coin, name)
+            assert s.w is (pre if coin else opt.w), (i, coin)
+            assert s.grad_w.tobytes() == (heads_grad_w if coin else opt.grad_w).tobytes()
+            assert (s.k, s.oracle_calls) == (opt.k + 1, opt.oracle_calls + 2 + n * coin)
+
+    for i in range(n):
+        for coin in (False, True):
+            lanes = [copy.copy(opt) for _ in range(3)]
+            draws = [((i + b) % n, coin != (b == 1)) for b in range(3)]
+            drawn = [(np.array([j]), np.array([c])) for j, c in draws]
+            calls = [np.array([opt.oracle_calls + 2 + n * c]) for _, c in draws]
+            advance, write_back = _stack(lanes, drawn, calls)
+            advance(0, 1)
+            for b, (lane, draw) in enumerate(zip(lanes, draws)):
+                write_back(b, 0)
+                want = stepped[draw]
+                assert (lane.k, lane.oracle_calls) == (want.k, want.oracle_calls)
+                for name in opt.lane_state:
+                    got, ref = getattr(lane, name), getattr(want, name)
+                    if data == "dense-ridge":
+                        assert got.tobytes() == ref.tobytes(), (draw, name)
+                    else:
+                        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
 
 
 def first_step_refreshes(rng, n, p):
