@@ -246,6 +246,12 @@ def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
             and "theta1" in resolved and resolved["p"] * resolved["theta1"] == 0.0):
         raise ConfigError(f"p * theta1 underflows to 0 at p = {resolved['p']}, "
                           f"theta1 = {resolved['theta1']}: the psi potential divides by it")
+    # the estimator_second_moment bound's coefficient p / (2 eta^2); eta * eta,
+    # since a Python float ** raises where it overflows
+    if (config.diagnostics == "lemmas" and "eta" in resolved
+            and resolved["eta"] * resolved["eta"] == 0.0):
+        raise ConfigError(f"eta^2 underflows to 0 at eta = {resolved['eta']}: "
+                          "the estimator_second_moment bound divides by it")
     # checked before the reference solve, not at the first checkpoint
     if config.diagnostics == "lemmas" and oracle.n > diagnostics.ENUMERATION_GUARD:
         raise ConfigError(f"lemma diagnostics enumerate all n samples: n = {oracle.n} "
@@ -379,6 +385,11 @@ def run_experiment(config: RunConfig, out_dir) -> Path:
     return paths[0]
 
 
+def _repeated(values) -> list:
+    """The values of a list or tuple listed more than once, sorted."""
+    return sorted({v for v in values if values.count(v) > 1})
+
+
 def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
                out_dir) -> tuple[list[Path], list[list[dict]]]:
     """Run validated configs that share one problem (oracle, minimizer) and
@@ -393,8 +404,7 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
     DivergenceError, after writing every run, if any diverged."""
     if not configs:
         raise ConfigError("empty batch: no seed, algorithm or loop length to run")
-    run_ids = [config.run_id() for config in configs]
-    shared = sorted({i for i in run_ids if run_ids.count(i) > 1})
+    shared = _repeated([config.run_id() for config in configs])
     if shared:
         raise ConfigError(f"runs {shared} would share one trace file; "
                           "list each seed and algorithm once")
@@ -557,6 +567,9 @@ def compare_all(
         raise ConfigError("compare-all needs distance diagnostics to measure thresholds")
     if not thresholds or not all(0 < t < math.inf for t in thresholds):
         raise ConfigError(f"need thresholds, each positive and finite; got {list(thresholds)}")
+    if _repeated(thresholds):
+        raise ConfigError(f"thresholds {_repeated(thresholds)} would write the same summary "
+                          "rows twice; list each threshold once")
     configs = [replace(base_config, algorithm=alg, preset="theory", seed=seed).validate()
                for alg in (ALGORITHMS if algorithms is None else algorithms) for seed in seeds]
     oracle, minimizer = build_problem(base_config)
@@ -617,6 +630,9 @@ def emit_plotdata(trace_paths, out_path, metrics: list[str] | None = None) -> Pa
         raise ConfigError("plotdata needs at least one trace file")
     if metrics is not None and not metrics:
         raise ConfigError("empty metric selection")
+    if metrics is not None and _repeated(metrics):
+        raise ConfigError(f"metrics {_repeated(metrics)} would write every row twice; "
+                          "list each metric once")
 
     rows = []
     shared_schema: set[str] | None = None

@@ -12,10 +12,10 @@ the class: a coin (_Coin) or every m-th step (_Loop).
 Each class carries its own facts, which the harness, CLI and diagnostics read
 instead of restating: its registry `name`, its declared `param_types` table
 (the constructor's keywords after oracle and x0, in order, with their types),
-its `theory_params` preset, and its family, which fixes the Lyapunov
-`potential` columns, the `lemmas` slack names and the predicted contraction
-rate in `theory_facts`.  A family constructor takes its refresh rule's one
-parameter by keyword (p= or m=) and hands it to the rule's _init_rule.
+its `theory_params` preset, its family, which fixes the Lyapunov `potential`
+columns and the `lemmas` slack names, and `theory_facts`, with a
+`predicted_rate` only where the paper proves one (L-SVRG and L-Katyusha).  A
+family constructor passes its refresh rule's keyword (p= or m=) to _init_rule.
 
 Shared conventions:
   * every optimizer holds an immutable oracle and exposes schedule(rng,
@@ -91,7 +91,7 @@ class _Optimizer:
         return x, oracle.full_grad(x)
 
     def theory_facts(self) -> dict:
-        """Predicted contraction rate and derived constants for the sidecar."""
+        """Sidecar facts: a proven per-step rate, if any, and derived constants."""
         return {}
 
     @property
@@ -107,7 +107,7 @@ class _Coin:
     """Loopless refresh rule: a Bernoulli(p) coin drawn after the index."""
 
     def _init_rule(self, p: float):
-        self.p = self.refresh_prob = _check_prob(p)
+        self.p = _check_prob(p)
 
     def schedule(self, rng: SplitMix64, steps: int):
         """(sample indices, refresh mask) of the next `steps` steps, each
@@ -130,7 +130,6 @@ class _Loop:
         if m < 1:
             raise ValueError(f"inner loop length m must be >= 1, got {m}")
         self.m = int(m)
-        self.refresh_prob = 1.0 / self.m  # refreshes per step; p in the predicted rate
 
     def schedule(self, rng: SplitMix64, steps: int):
         """(sample indices, refresh mask) of the next `steps` steps from step
@@ -202,11 +201,6 @@ class _SVRGFamily(_VarianceReduced):
         # loop length n: p = 1/n for the coin, m = n for the loop
         return {"eta": 1.0 / (6.0 * oracle.L), **cls.loop_params(oracle.n)}
 
-    def theory_facts(self) -> dict:
-        # per-step contraction factor of the L-SVRG Lyapunov bound
-        rate = max(1.0 - self.eta * self.oracle.mu, 1.0 - self.refresh_prob / 2.0)
-        return {"predicted_rate": rate}
-
     def step(self, i: int, correction: np.ndarray, refresh: bool):
         """One step on sample i, given its correction grad_i(i, w) - grad_w;
         a refresh sets w <- x^k."""
@@ -273,10 +267,7 @@ class _KatyushaFamily(_VarianceReduced):
         return {"theta1": theta1, "theta2": 0.5, **cls.loop_params(oracle.n)}
 
     def theory_facts(self) -> dict:
-        # per-step contraction factor of the L-Katyusha Lyapunov bound
-        rate = 1.0 - min(self.sigma / (6.0 * self.theta1),
-                         self.theta1 / (2.0 * self.oracle.n))
-        return {"predicted_rate": rate, "sigma": self.sigma, "eta": self.eta}
+        return {"sigma": self.sigma, "eta": self.eta}
 
     def step(self, i: int, correction: np.ndarray, refresh: bool):
         """One step on sample i, given its correction grad_i(i, w) - grad_w;
@@ -381,6 +372,9 @@ class LSVRG(_SVRGFamily, _Coin):
     param_types = {"eta": float, "p": float}
     step = _SVRGFamily.step
 
+    def theory_facts(self) -> dict:  # per-step rate of the L-SVRG bound, for any p
+        return {"predicted_rate": max(1.0 - self.eta * self.oracle.mu, 1.0 - self.p / 2.0)}
+
 
 class LoopySVRG(_SVRGFamily, _Loop):
     """Original SVRG loop structure: refresh w <- x^k every m steps."""
@@ -396,6 +390,11 @@ class LKatyusha(_KatyushaFamily, _Coin):
     name = "l-katyusha"
     param_types = {"theta1": float, "theta2": float, "p": float}
     step = _KatyushaFamily.step
+
+    def theory_facts(self) -> dict:  # per-step rate of the L-Katyusha bound
+        rate = 1.0 - min(self.sigma / (6.0 * self.theta1),
+                         self.theta1 / (2.0 * self.oracle.n))
+        return {"predicted_rate": rate, **super().theory_facts()}
 
 
 class LoopyKatyusha(_KatyushaFamily, _Loop):

@@ -225,6 +225,27 @@ def test_a_psi_coefficient_that_underflows_exits_with_config_code(tmp_path, caps
     assert run_cli(*argv, "--diagnostics", "distance", "--out", str(tmp_path / "d")) == EXIT_OK
 
 
+@pytest.mark.parametrize("eta", ["1e-320", "1e-200"])
+def test_a_step_size_whose_square_underflows_exits_with_config_code_at_lemmas(
+        tmp_path, capsys, eta):
+    # estimator_second_moment's bound divides by 2 eta^2, which is 0 here
+    argv = ["run", "--synthetic", "20,4,10", "--loss", "ridge", "--mu", "1",
+            "--alg", "l-svrg", "--eta", eta, "--p", "0.5", "--epochs", "1"]
+    code, caught = run_quietly(*argv, "--diagnostics", "lemmas",
+                               "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG and not caught
+    assert capsys.readouterr().err == (
+        f"config error: eta^2 underflows to 0 at eta = {eta}: "
+        "the estimator_second_moment bound divides by it\n")
+    assert not (tmp_path / "out").exists()
+    # at lyapunov the same eta runs: dk's coefficient 4 eta^2 / (p n) is 0
+    code, caught = run_quietly(*argv, "--diagnostics", "lyapunov",
+                               "--out", str(tmp_path / "lyapunov"))
+    assert code == EXIT_OK and not caught
+    trace = read_trace(tmp_path / "lyapunov" / "l-svrg_ridge_seed0.csv")
+    assert trace and all(row["dk"] == 0.0 for row in trace)
+
+
 def test_a_kappa_past_the_default_grid_exits_with_config_code(tmp_path, capsys):
     # kappa = 0.25 / 1e-308 on unit rows: kappa^3 overflows float64
     code, caught = run_quietly(
@@ -654,8 +675,11 @@ def test_config_synthetic_is_converted_after_its_type_check(tmp_path):
     "flags, message",
     [(("--seeds", "0,0"), "runs ['l-svrg_ridge_seed0'] would share one trace file"),
      (("--algs", "l-svrg,l-svrg"), "runs ['l-svrg_ridge_seed0'] would share one trace file"),
-     (("--algs", ""), "unknown algorithm ''")],
-    ids=["repeated-seed", "repeated-algorithm", "empty-algs"],
+     (("--algs", ""), "unknown algorithm ''"),
+     # 1e-4 and 0.0001 are one threshold, whose summary rows would be written twice
+     (("--thresholds", "1e-4,1e-2,0.0001"), "thresholds [0.0001] would write the same "
+      "summary rows twice; list each threshold once")],
+    ids=["repeated-seed", "repeated-algorithm", "empty-algs", "repeated-threshold"],
 )
 def test_compare_all_rejects_runs_that_share_files(tmp_path, capsys, flags, message):
     argv = ["compare-all", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1.0",
@@ -758,6 +782,19 @@ def test_compare_all_rejects_thresholds_that_are_not_positive_and_finite(
     assert err.startswith("config error: need thresholds, each positive and finite")
     assert "\n" not in err
     assert not list(tmp_path.iterdir())  # rejected before any run
+
+
+def test_plotdata_rejects_a_repeated_metric(tmp_path, capsys):
+    assert run_cli("run", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1.0",
+                   "--epochs", "2", "--out", str(tmp_path / "run")) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "plot" / "plot.csv"
+    assert run_cli("plotdata", str(tmp_path / "run" / "l-svrg_ridge_seed0.csv"),
+                   "--metrics", "dist_sq,f_gap,dist_sq", "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: metrics ['dist_sq'] would write every row twice; "
+        "list each metric once\n")
+    assert not out.parent.exists()
 
 
 def test_diverging_run_exits_with_divergence_code(tmp_path, capsys):

@@ -171,6 +171,33 @@ def test_katyusha_sidecar_eta_identity(tmp_path):
     assert sidecar["sigma"] == sidecar["mu"] / sidecar["L"]
 
 
+def test_a_predicted_rate_only_where_the_paper_proves_one(tmp_path):
+    """The paper proves a per-step rate for the coin rule only: L-SVRG's
+    max(1 - eta mu, 1 - p/2) for every p in (0, 1] and L-Katyusha's
+    1 - min(sigma / (6 theta1), theta1 / (2n)).  The loopy classes and
+    gradient descent claim none.  Each rate is recomputed from its sidecar's
+    own params, mu, L and n; both Katyusha classes keep their derived sigma
+    and eta."""
+    compare_all(synthetic_config(epochs=1.0), tmp_path, seeds=[0])
+    sidecars = [json.loads(path.read_text()) for path in tmp_path.glob("*_seed0.json")]
+    sidecars = {sidecar["algorithm"]: sidecar for sidecar in sidecars}
+    assert set(sidecars) == set(ALGORITHMS)
+    for algorithm in ("gd", "svrg", "katyusha"):
+        assert "predicted_rate" not in sidecars[algorithm]
+
+    lsvrg = sidecars["l-svrg"]
+    eta, p = lsvrg["params"]["eta"], lsvrg["params"]["p"]
+    assert lsvrg["predicted_rate"] == max(1.0 - eta * lsvrg["mu"], 1.0 - p / 2.0)
+    lkat = sidecars["l-katyusha"]
+    sigma, theta1 = lkat["mu"] / lkat["L"], lkat["params"]["theta1"]
+    assert lkat["predicted_rate"] == 1.0 - min(sigma / (6.0 * theta1),
+                                               theta1 / (2.0 * lkat["n"]))
+    for sidecar in (sidecars["katyusha"], lkat):
+        t1, t2 = sidecar["params"]["theta1"], sidecar["params"]["theta2"]
+        assert sidecar["sigma"] == sidecar["mu"] / sidecar["L"]
+        assert sidecar["eta"] == t2 / ((1.0 + t2) * t1)
+
+
 def test_trace_columns_by_diagnostics_level():
     assert trace_columns(synthetic_config(diagnostics="none")) == [
         "k", "oracle_calls", "epoch", "wall_ns",
