@@ -10,7 +10,8 @@ Subcommands and the flags each reads:
 Problem flags: --data or --synthetic, --loss, --mu, --normalize, --data-seed,
 --ref-tolerance, --ref-max-epochs, --config, --out.  Budget flags: --epochs,
 --checkpoint-every, --diagnostics.  Flags are spelled in full.
-Exit codes: 0 success, 2 invalid configuration (lemma diagnostics past
+Exit codes: 0 success, 2 invalid configuration (Katyusha-family lemma
+diagnostics on logistic data or CSR ridge rows past
 diagnostics.ENUMERATION_GUARD samples included), 3 data error,
 4 reference solve failure, 5 divergence (a run's iterate or its metrics
 stopped being finite; its trace and sidecar are still written, see the

@@ -15,19 +15,29 @@ and for the Katyusha family
 compute_phi and compute_psi evaluate a potential at a state, as the
 family's trace columns ({"phi", "dk"} or {"psi", "zk", "yk", "wk"}).  Both
 potentials contract in conditional expectation each step;
-verify_lemma_bounds evaluates those expectations *exactly*, by enumerating
-all n sample draws and both coin outcomes, and reports every one-step bound
-of the state's family as a BoundSlack (lhs, rhs, slack).  The contraction
+verify_lemma_bounds evaluates those expectations *exactly*, over all n
+sample draws and both coin outcomes, and reports every one-step bound of
+the state's family as a BoundSlack (lhs, rhs, slack).  The contraction
 itself is its phi_contraction or psi_contraction entry: lhs is E[phi] or
 E[psi] at the next step, rhs the bound.  Diagnostics cost oracle calls but
 are never charged to the optimizer's accounting.
 
+Both losses are linear models, grad_i(v) = phi'(a_i^T v) a_i + mu v, so
+every sum over the draws is a sum of per-sample scalars: phi' at x, w and
+x*, ||a_i||^2 (oracle.row_norms_sq) and a_i^T u for a few vectors u, all
+from one pass over the data.  A report costs O(nnz) and no (n, d) table.
+The Katyusha family's f at the next point y_bar + gamma_i a_i of every draw
+is oracle.loss_along_rows: in closed form on ridge with dense rows, from a
+d x d Gram matrix built once per oracle at O(d^2) memory; on logistic data
+and CSR ridge rows it evaluates all n points, O(n nnz), and that report
+alone is refused past ENUMERATION_GUARD samples (enumerates).
+
 The reference x* is the point of one gradient-descent solve certified by
 its gradient norm (solve_reference), and a ReferenceSolution is that
 solve's record; a failed solve raises ReferenceSolveError with the same
-record for its best point.  The record holds nothing per sample: dk reads
-grad_i(x*) from oracle.grad_table(x*) where it is computed, so a reference
-costs O(d) memory at any n.
+record for its best point.  The record holds nothing per sample: dk takes
+phi'(a_i^T x*) where it is computed, so a reference costs O(d) memory at
+any n.
 """
 
 from __future__ import annotations
@@ -39,9 +49,11 @@ import numpy as np
 
 from .oracle import Oracle
 
-# exact enumeration is O(n^2 d) per check in the Katyusha-family report
-# (full_loss_many over the n next points; the SVRG family's is three n x d
-# tables); refuse beyond desk scale
+# the one report that evaluates f at all n next points, O(n nnz) with an
+# (n, d) table: the Katyusha family's where the oracle has no closed form
+# for f along a row (logistic, and ridge on CSR rows or past
+# oracle._GRAM_DIM columns).  Every other report is O(nnz) at any n.
+# Refuse it beyond desk scale
 ENUMERATION_GUARD = 1000
 
 
@@ -61,7 +73,8 @@ class ReferenceSolveError(RuntimeError):
 class ReferenceSolution:
     """The record of one reference solve: its point x*, f(x*), ||grad f(x*)||,
     the tolerance it was held to and the full-gradient passes it made.  It
-    holds nothing per sample: dk takes grad_i(x*) from oracle.grad_table."""
+    holds nothing per sample: the reports take phi'(a_i^T x*) where they
+    sum over the samples."""
 
     x_star: np.ndarray
     f_star: float
@@ -120,12 +133,29 @@ def _check_dims(ref: ReferenceSolution, oracle: Oracle):
         )
 
 
-def _dk(table: np.ndarray, table_star: np.ndarray, state, oracle: Oracle) -> float:
-    """dk from the per-sample gradient tables at w and at x*."""
-    diff = table - table_star
+def _row_scalars(oracle: Oracle, points, directions) -> list[np.ndarray]:
+    """phi'(a_i^T v, b_i) for each point v, then a_i^T u for each direction
+    u, each as an (n,) array, from one pass over the data."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        margins = oracle._margins(np.stack([*points, *directions]))
+        weights = oracle._dphis(margins[: len(points)], oracle.labels)
+    return [*weights, *margins[len(points):]]
+
+
+def _dk(state, oracle: Oracle, diff: np.ndarray, diff_dots: np.ndarray,
+        delta: np.ndarray) -> float:
+    """dk at a point v (w, or x after a refresh) from per-sample scalars:
+    grad_i(v) - grad_i(x*) = diff_i a_i + mu delta, with diff_i =
+    phi'_i(v) - phi'_i(x*) and delta = v - x*, so the sum over i of its
+    squared norm is sum diff_i^2 ||a_i||^2 + 2 mu sum diff_i a_i^T delta
+    + n mu^2 ||delta||^2; diff_dots holds the a_i^T delta."""
     # numpy's square overflows to inf, where a Python float ** raises
     coef = 4.0 * float(np.float64(state.eta) ** 2) / (state.p * oracle.n)
-    return coef * float(np.einsum("ij,ij->", diff, diff))
+    mu = oracle.mu
+    total = (float((diff * diff) @ oracle.row_norms_sq)
+             + 2.0 * mu * float(diff @ diff_dots)
+             + oracle.n * mu * mu * float(delta @ delta))
+    return coef * total
 
 
 def _dist_sq(a: np.ndarray, b: np.ndarray) -> float:
@@ -136,7 +166,9 @@ def _dist_sq(a: np.ndarray, b: np.ndarray) -> float:
 def compute_phi(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
     """The SVRG-family potential columns (phi, dk) at the state."""
     _check_dims(ref, oracle)
-    dk = _dk(oracle.grad_table(state.w), oracle.grad_table(ref.x_star), state, oracle)
+    delta = state.w - ref.x_star
+    at_w, at_star, dots = _row_scalars(oracle, (state.w, ref.x_star), (delta,))
+    dk = _dk(state, oracle, at_w - at_star, dots, delta)
     return {"phi": _dist_sq(state.x, ref.x_star) + dk, "dk": dk}
 
 
@@ -164,15 +196,11 @@ def compute_psi(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
     )
 
 
-def _guard(oracle: Oracle):
-    if oracle.n > ENUMERATION_GUARD:
-        raise ValueError(
-            f"exact enumeration limited to n <= {ENUMERATION_GUARD}, got n={oracle.n}"
-        )
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->i", a, b)
+def enumerates(family, oracle: Oracle) -> bool:
+    """Whether the family's lemma report evaluates f at all n next points:
+    the Katyusha family's, on a loss whose f along a row the oracle has in
+    no closed form (enumerates_along_rows)."""
+    return family.potential[0] == "psi" and oracle.enumerates_along_rows
 
 
 @dataclass
@@ -202,7 +230,10 @@ def verify_lemma_bounds(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
     """Exact-expectation slack report for every one-step bound of the state's
     algorithm family.  All slacks are nonnegative up to floating-point noise
     when the state is consistent (grad_w == full_grad(w))."""
-    _guard(oracle)
+    if enumerates(state, oracle) and oracle.n > ENUMERATION_GUARD:
+        raise ValueError(
+            f"exact enumeration limited to n <= {ENUMERATION_GUARD}, got n={oracle.n}"
+        )
     _check_dims(ref, oracle)
     verify = {"phi": _verify_svrg_bounds, "psi": _verify_katyusha_bounds}
     return verify[state.potential[0]](state, ref, oracle)
@@ -213,17 +244,20 @@ def _verify_svrg_bounds(state, ref, oracle) -> dict:
     eta, p = state.eta, state.p
     eta_sq = float(np.float64(eta) ** 2)  # inf on overflow, as in _dk
     gap = oracle.full_loss(state.x) - ref.f_star
-    table_x = oracle.grad_table(state.x)
-    table_w = oracle.grad_table(state.w)
-    table_star = oracle.grad_table(ref.x_star)
-    dist_sq = _dist_sq(state.x, ref.x_star)
-    dk = _dk(table_w, table_star, state, oracle)
-    dk_heads = _dk(table_x, table_star, state, oracle)  # dk after a refresh, w <- x
-    # the estimator for every sample draw, from the two tables dk needs anyway
-    g = table_x - (table_w - state.grad_w)
-    diff = state.x - eta * g - ref.x_star
-    mean_dist_next = float(np.einsum("ij,ij->", diff, diff)) / n
-    second_moment = float(np.einsum("ij,ij->", g, g)) / n
+    # draw i's estimator is c_i a_i + h, with c_i = phi'_i(x) - phi'_i(w),
+    # and its next iterate x - eta (c_i a_i + h) = e - eta c_i a_i
+    h = mu * (state.x - state.w) + state.grad_w
+    e = state.x - ref.x_star - eta * h
+    delta_w, delta_x = state.w - ref.x_star, state.x - ref.x_star
+    at_x, at_w, at_star, dots_w, dots_x, dots_e, dots_h = _row_scalars(
+        oracle, (state.x, state.w, ref.x_star), (delta_w, delta_x, e, h))
+    dist_sq = float(delta_x @ delta_x)
+    dk = _dk(state, oracle, at_w - at_star, dots_w, delta_w)
+    dk_heads = _dk(state, oracle, at_x - at_star, dots_x, delta_x)  # w <- x
+    c = at_x - at_w
+    c_sq_norms = float((c * c) @ oracle.row_norms_sq) / n
+    mean_dist_next = float(e @ e) - 2.0 * eta * float(c @ dots_e) / n + eta_sq * c_sq_norms
+    second_moment = c_sq_norms + 2.0 * float(c @ dots_h) / n + float(h @ h)
     # E[phi at the next step], over all n draws and both coins
     expected_phi_next = mean_dist_next + p * dk_heads + (1.0 - p) * dk
 
@@ -260,44 +294,52 @@ def _verify_katyusha_bounds(state, ref, oracle) -> dict:
     theta1, theta2, sigma = state.theta1, state.theta2, state.sigma
     cz, cy, cw = _psi_coefs(state, oracle)
 
-    # every sample draw's branch, one row each: the estimator g, z_next and
-    # f at y_next
+    # draw i's estimator is c_i a_i + h, with c_i = phi'_i(x) - phi'_i(w);
+    # its branch is z_next = z_bar - s_i a_i and y_next = y_bar - theta1 s_i
+    # a_i, where (z_bar, y_bar) is the momentum step on h and s_i = c_i eta
+    # / (L (1 + eta sigma))
     x = state.point()
-    g = oracle.grad_table(x) - (oracle.grad_table(state.w) - state.grad_w)
-    z_next, y_next = state.momentum_step(x, g)
-    f_y_next = oracle.full_loss_many(y_next)
+    h = mu * (x - state.w) + state.grad_w
+    z_bar, y_bar = state.momentum_step(x, h)
+    grad_x = oracle.full_grad(x)
+    u, v, t = z_bar - ref.x_star, z_bar - state.z, h - grad_x
+    at_x, at_w, dots_u, dots_v, dots_h, dots_t = _row_scalars(
+        oracle, (x, state.w), (u, v, h, t))
+    c = at_x - at_w
+    s = c * (eta / L / (1.0 + eta * sigma))
+    row_sq = oracle.row_norms_sq
+    s_sq_norms, cs_norms = s * s * row_sq, c * s * row_sq
+    f_y_next = oracle.loss_along_rows(y_bar, -theta1 * s)
     f_y = oracle.full_loss(state.y)
     f_w = oracle.full_loss(state.w)
     report = _psi_report(state, ref, oracle, f_y, f_w)
     zk, yk, wk = report["zk"], report["yk"], report["wk"]
-    grad_x = oracle.full_grad(x)
     f_x = oracle.full_loss(x)
 
-    dz_next = z_next - ref.x_star
-    mean_z = cz * float(np.einsum("ij,ij->", dz_next, dz_next)) / n
+    # per draw: ||z_next - x*||^2, ||z_next - z||^2, g.(z_next - x*),
+    # g.(z_next - z) and ||g - grad f(x)||^2
+    dist_next = float(u @ u) - 2.0 * s * dots_u + s_sq_norms
+    step_sq = float(v @ v) - 2.0 * s * dots_v + s_sq_norms
+    g_to_next = c * dots_u + float(h @ u) - cs_norms - s * dots_h
+    g_step = c * dots_v + float(h @ v) - cs_norms - s * dots_h
+    dev_sq = c * c * row_sq + 2.0 * c * dots_t + float(t @ t)
+
+    mean_z = cz * float(np.sum(dist_next)) / n
     mean_y = cy * float(np.sum(f_y_next - ref.f_star)) / n
     # a refresh moves w to y (heads); otherwise w, and its term, stay (tails)
     w_heads = cw * (f_y - ref.f_star)
     expected_psi_next = mean_z + mean_y + p * w_heads + (1.0 - p) * wk
 
-    dev = g - grad_x
-    dev_sq = _rowdot(dev, dev)
     variance = float(dev_sq.sum()) / n
     bregman = f_w - f_x - float(grad_x @ (state.w - x))
 
     dist_x = _dist_sq(x, ref.x_star)
 
     # per-realization bounds, one entry per sample draw; report the worst
-    dz_step = z_next - state.z
-    step_sq = _rowdot(dz_step, dz_step)
-    z_lhs = _rowdot(g, ref.x_star - z_next) + 0.5 * mu * dist_x
-    z_rhs = (
-        L / (2.0 * eta) * step_sq
-        + cz * _rowdot(dz_next, dz_next)
-        - zk / (1.0 + eta * sigma)
-    )
+    z_lhs = 0.5 * mu * dist_x - g_to_next
+    z_rhs = L / (2.0 * eta) * step_sq + cz * dist_next - zk / (1.0 + eta * sigma)
     y_lhs = (f_y_next - f_x) / theta1 - theta2 / (2.0 * L * theta1) * dev_sq
-    y_rhs = L / (2.0 * eta) * step_sq + _rowdot(g, dz_step)
+    y_rhs = L / (2.0 * eta) * step_sq + g_step
     z_slack = z_lhs - z_rhs
     y_slack = y_rhs - y_lhs
     iz, iy = int(np.argmin(z_slack)), int(np.argmin(y_slack))

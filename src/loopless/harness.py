@@ -253,7 +253,8 @@ def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
         raise ConfigError(f"eta^2 underflows to 0 at eta = {resolved['eta']}: "
                           "the estimator_second_moment bound divides by it")
     # checked before the reference solve, not at the first checkpoint
-    if config.diagnostics == "lemmas" and oracle.n > diagnostics.ENUMERATION_GUARD:
+    if (config.diagnostics == "lemmas" and oracle.n > diagnostics.ENUMERATION_GUARD
+            and diagnostics.enumerates(cls, oracle)):
         raise ConfigError(f"lemma diagnostics enumerate all n samples: n = {oracle.n} "
                           f"is past the limit n <= {diagnostics.ENUMERATION_GUARD}")
     return resolved

@@ -40,6 +40,14 @@ Their sums are ordered differently from a row-by-row loop, so they agree
 with it to rounding, not bitwise; only at n == 1 does full_grad take the
 scalar kernel, so that full_grad(x) equals grad_i(0, x) bitwise there
 (np.exp and math.exp can differ in the last bit).
+
+For the lemma reports an oracle also gives row_norms_sq, every ||a_i||^2,
+and loss_along_rows(y, gamma), f(y + gamma_i a_i) for every row i; both
+are made only when called, so an oracle without diagnostics does not
+build them.  loss_along_rows evaluates all n points (O(n nnz)), except on
+ridge with dense rows up to _GRAM_DIM columns: there it is exact from f(y),
+the slopes a_i^T grad f(y) and the curvatures a_i^T H a_i, which come from
+a d x d Gram matrix built once per oracle (O(d^2) memory).
 """
 
 from __future__ import annotations
@@ -73,7 +81,13 @@ def _sigmoid(t: float) -> float:
 # (32561 x 123, 4.0M cells) stays CSR.
 _DENSE_CELLS = 1 << 17
 
-# full_loss_many computes at most this many margins at once: about 128 KB per
+# RidgeOracle.loss_along_rows builds a d x d Gram matrix from dense rows, 8 MB
+# at this d; past it, and on CSR rows, the loss along rows is enumerated as
+# for every other loss
+_GRAM_DIM = 1000
+
+# full_loss_many computes at most this many margins at once, and
+# RidgeOracle._row_curvatures this many cells of rows @ gram: about 128 KB per
 # temporary, so a lemma report's n x n evaluations do not raise peak memory
 _MARGINS_PER_BLOCK = 1 << 14
 
@@ -123,16 +137,21 @@ class Oracle:
         if density >= 0.25 or (cells <= _DENSE_CELLS and density >= 1 / 16):
             self._dense = np.zeros((self.n, self.d))
             self._dense[self._row_ids(), self._indices] = self._values
-        # a squared row norm past float64 is reported below, not warned about
-        with np.errstate(over="ignore"):
-            row_sq = dataset.row_sums(self._values * self._values)
-        self._max_row_sq = float(row_sq.max())
+        self._max_row_sq = float(self._row_norms_sq().max())
         self.L = self.curvature * self._max_row_sq + self.mu
         if not self.L < math.inf:
             raise ValueError(f"smoothness bound L = {self.L} is not finite: "
                              "a squared row norm overflows float64")
         if self.L < self.mu:
             raise AssertionError("L >= mu must hold by construction")
+
+    def _row_norms_sq(self) -> np.ndarray:
+        # a squared row norm past float64 is reported by __init__, not warned about
+        with np.errstate(over="ignore"):
+            return self.dataset.row_sums(self._values * self._values)
+
+    # ||a_i||^2 for every row i (n,), made on first use
+    row_norms_sq = functools.cached_property(_row_norms_sq)
 
     # phi'(m, b) of one margin m = a_i^T x, in Python floats
     def _dphi(self, m: float, b: float) -> float:
@@ -270,29 +289,46 @@ class Oracle:
         """(1/n) sum_i grad_i(i, x); costs n gradient calls in the accounting."""
         if self.n == 1:
             return self.grad_i(0, x)
-        r = self._weights(x)
-        if self._dense is not None:
-            data = r @ self._dense
-        else:
-            per_entry = np.repeat(r, self._counts)
-            per_entry *= self._values
-            # unlike np.bincount, add.at does not copy the read-only indices
-            data = np.zeros(self.d)
-            np.add.at(data, self._indices, per_entry)
+        data = self._sum_rows(self._weights(x))
         data /= self.n
         data += self.mu * x
         return data
 
-    @_quiet_range
-    def grad_table(self, x: np.ndarray) -> np.ndarray:
-        """All per-sample gradients as an (n, d) array (diagnostics helper)."""
-        r = self._weights(x)
+    def _sum_rows(self, r: np.ndarray) -> np.ndarray:
+        """sum_i r_i a_i, (n,) -> (d,)."""
         if self._dense is not None:
-            return r[:, np.newaxis] * self._dense + self.mu * x
-        out = np.tile(self.mu * x, (self.n, 1))
+            return r @ self._dense
+        per_entry = np.repeat(r, self._counts)
+        per_entry *= self._values
+        # unlike np.bincount, add.at does not copy the read-only indices
+        data = np.zeros(self.d)
+        np.add.at(data, self._indices, per_entry)
+        return data
+
+    def _spread(self, r: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """base + r_i a_i for every row i, (n,) and (d,) -> (n, d)."""
+        if self._dense is not None:
+            return r[:, np.newaxis] * self._dense + base
+        out = np.tile(base, (self.n, 1))
         rows = self._row_ids()
         out[rows, self._indices] += r[rows] * self._values
         return out
+
+    @_quiet_range
+    def grad_table(self, x: np.ndarray) -> np.ndarray:
+        """All per-sample gradients as an (n, d) array."""
+        return self._spread(self._weights(x), self.mu * x)
+
+    # loss_along_rows evaluates f at all n points, O(n nnz) work and an
+    # (n, d) table, unless a loss has it in closed form
+    enumerates_along_rows = True
+
+    @_quiet_range
+    def loss_along_rows(self, y: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+        """f(y + gamma_i a_i) for every row i, (d,) and (n,) -> (n,): f at y
+        moved along each row.  Here by evaluating all n points through
+        full_loss_many."""
+        return self.full_loss_many(self._spread(gamma, y))
 
 
 class LogisticOracle(Oracle):
@@ -330,6 +366,44 @@ class RidgeOracle(Oracle):
 
     # the scalar expression is already elementwise
     _dphis = _dphi
+
+    @property
+    def enumerates_along_rows(self) -> bool:
+        return self._dense is None or self.d > _GRAM_DIM
+
+    @_quiet_range
+    def loss_along_rows(self, y, gamma):
+        """f(y + gamma_i a_i) for every row i, exact for a quadratic:
+        f(y) + gamma_i a_i^T grad f(y) + gamma_i^2 a_i^T H a_i / 2, from one
+        pass at y, one at grad f(y) and the cached a_i^T H a_i.  On CSR rows
+        or past _GRAM_DIM columns it evaluates all n points, as Oracle's does."""
+        if self.enumerates_along_rows:
+            return super().loss_along_rows(y, gamma)
+        # f(y) and grad f(y) inline, not through full_loss and full_grad:
+        # those calls are counted by traces, and a report makes them only
+        # where its table form did
+        r = self._weights(y)
+        f_y = 0.5 * float(r @ r) / self.n + 0.5 * self.mu * float(y @ y)
+        grad = self._sum_rows(r)
+        grad /= self.n
+        grad += self.mu * y
+        slope = self._margins(grad)
+        return f_y + gamma * slope + 0.5 * gamma * gamma * self._row_curvatures
+
+    @functools.cached_property
+    def _row_curvatures(self) -> np.ndarray:
+        """a_i^T H a_i for every row i (n,) of dense rows, H = A^T A / n + mu I
+        the Hessian of f, from the d x d Gram matrix A^T A.  Rows go through
+        it a block at a time, so no temporary is the size of the data.  Made
+        on first use, and kept."""
+        rows = self._dense
+        gram = rows.T @ rows
+        step = max(1, _MARGINS_PER_BLOCK // self.d)
+        quad = np.concatenate([np.vecdot(rows[lo:lo + step] @ gram, rows[lo:lo + step])
+                               for lo in range(0, self.n, step)])
+        quad /= self.n
+        quad += self.mu * self.row_norms_sq
+        return quad
 
 
 _ORACLES = {"logistic": LogisticOracle, "ridge": RidgeOracle}

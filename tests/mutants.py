@@ -10,8 +10,10 @@ diagnostics use), each place is its own mutant.  For each mutant the script
 copies src/, tests/, perfbench/, pyproject.toml and README.md to a temporary
 directory, applies the edit there, and runs tier-1 without the value pins:
 
-    python -m pytest -q --ignore tests/test_golden.py --ignore perfbench \\
-        -k "not regression_pin"
+    python -m pytest -q tests --ignore tests/test_golden.py -k "not regression_pin"
+
+(naming tests/ leaves out perfbench/, which pyproject.toml's testpaths would
+collect: --ignore does not drop a testpaths entry).
 
 The working tree is never written.  The script prints a Markdown table: each
 mutant, how many tests fail, and the failing tests sorted into value pins
@@ -34,6 +36,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 OPT, DIAG = "src/loopless/optimizers.py", "src/loopless/diagnostics.py"
+ORACLE = "src/loopless/oracle.py"
 
 # (name, file, old text, new text)
 MUTANTS = [
@@ -82,6 +85,12 @@ MUTANTS = [
     ("dk constant 4 -> 0.5", DIAG,
      "coef = 4.0 * float(",
      "coef = 0.5 * float("),
+    ("dk without its cross term 2 mu sum_i diff_i a_i^T delta", DIAG,
+     "             + 2.0 * mu * float(diff @ diff_dots)\n",
+     ""),
+    ("ridge f(y + gamma_i a_i) with gamma_i^2 q_i, not gamma_i^2 q_i / 2", ORACLE,
+     "0.5 * gamma * gamma * self._row_curvatures",
+     "gamma * gamma * self._row_curvatures"),
     ("L-SVRG theory eta = 1/(2L)", OPT,
      '{"eta": 1.0 / (6.0 * oracle.L)',
      '{"eta": 1.0 / (2.0 * oracle.L)'),
@@ -99,8 +108,7 @@ PINS = {"test_a_reference_holds_nothing_n_by_d",
         "test_a_reference_records_its_full_gradient_passes"}
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", "addopts=",
-          "-rfE", "--ignore", "tests/test_golden.py", "--ignore", "perfbench",
-          "-k", "not regression_pin"]
+          "-rfE", "tests", "--ignore", "tests/test_golden.py", "-k", "not regression_pin"]
 
 
 def copy_repo(target: Path):

@@ -9,9 +9,11 @@ from loopless.diagnostics import (
     ReferenceSolveError,
     compute_phi,
     compute_psi,
+    enumerates,
     solve_reference,
     verify_lemma_bounds,
 )
+from loopless import oracle as oracle_module
 from loopless.oracle import Oracle, make_oracle
 from loopless.optimizers import (
     LKatyusha,
@@ -19,7 +21,7 @@ from loopless.optimizers import (
 )
 from loopless.rng import SplitMix64
 
-from conftest import quarter_rule_oracle, ridge_instance, serial_step
+from conftest import dense_rows, quarter_rule_oracle, ridge_instance, serial_step
 
 
 def phi_contraction(state, ref, oracle):
@@ -136,9 +138,9 @@ def test_a_reference_records_its_full_gradient_passes(monkeypatch):
         assert ref.grad_norm <= ref.tolerance
 
 
-def test_a_reference_holds_nothing_n_by_d():
-    # CSR ridge data whose (n, d) table of per-sample gradients would take
-    # 40 MB against 0.36 MB of data
+def csr_ridge_5000x1000():
+    """CSR ridge data whose (n, d) table of per-sample gradients would take
+    40 MB against 0.36 MB of data: three entries a row, n = 5000, d = 1000."""
     n, d = 5000, 1000
     rng = np.random.default_rng(5)
     columns = np.sort((rng.integers(0, d, size=(n, 1)) + [0, 333, 666]) % d, axis=1)
@@ -146,6 +148,12 @@ def test_a_reference_holds_nothing_n_by_d():
                                rng.normal(size=3 * n), rng.choice([-1.0, 1.0], size=n), d)
     oracle = make_oracle(dataset, "ridge", 1.0)
     assert oracle._dense is None
+    return oracle
+
+
+def test_a_reference_holds_nothing_n_by_d():
+    oracle = csr_ridge_5000x1000()
+    d = oracle.d
     x_star = solve_reference(oracle).x_star
     tracemalloc.start()
     try:
@@ -156,22 +164,44 @@ def test_a_reference_holds_nothing_n_by_d():
     assert peak < 2_000_000, peak
     for name in ReferenceSolution.__dataclass_fields__:
         assert np.size(getattr(ref, name)) <= d, name
-    # the table dk needs is made where dk is: the parent's values, bit for bit
+    # dk's per-sample scalars at x* are made where dk is: the values the
+    # sums of per-sample scalars give, bit for bit
     oracle, ref = ridge_instance(10, 4, 25.0, seed=2)
     opt = LSVRG(oracle, np.ones(4), eta=0.05, p=0.3)
     steps = SplitMix64(3)
     for _ in range(7):
         serial_step(opt, steps)
-    assert compute_phi(opt, ref, oracle) == {"phi": 11.224832409107899,
-                                             "dk": 10.291633728538724}
+    assert compute_phi(opt, ref, oracle) == {"phi": 11.2248324091079,
+                                             "dk": 10.291633728538725}
     bounds = {name: (b.lhs, b.rhs, b.slack)
               for name, b in verify_lemma_bounds(opt, ref, oracle).items()}
     assert bounds == {
-        "iterate_distance": (0.6078816645907062, 0.8101429764123579, 0.20226131182165163),
-        "estimator_second_moment": (69.01019028870067, 866.419269562434, 797.4090792737334),
-        "grad_learning_decay": (8.265234418255387, 8.448749839227661, 0.1835154209722738),
-        "phi_contraction": (8.873116082846094, 9.634427415798632, 0.7613113329525376),
+        "iterate_distance": (0.6078816645907061, 0.8101429764123579, 0.20226131182165175),
+        "estimator_second_moment": (69.01019028870067, 866.4192695624341, 797.4090792737335),
+        "grad_learning_decay": (8.265234418255389, 8.448749839227661, 0.18351542097227203),
+        "phi_contraction": (8.873116082846094, 9.634427415798633, 0.7613113329525394),
     }
+
+
+def test_svrg_family_diagnostics_hold_nothing_n_by_d():
+    # past the enumeration guard: sums of per-sample scalars need a few
+    # (n,) arrays and a gather of each row's entries, 1.25 MB at peak on
+    # numpy 2.4, where one (n, d) table takes 40 MB
+    oracle = csr_ridge_5000x1000()
+    ref = solve_reference(oracle)
+    rng = np.random.default_rng(8)
+    opt = random_lsvrg_state(oracle, rng, p=0.5)
+    tracemalloc.start()
+    try:
+        phi = compute_phi(opt, ref, oracle)
+        bounds = verify_lemma_bounds(opt, ref, oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
+    assert np.isfinite(list(phi.values())).all()
+    for check in bounds.values():
+        assert check.rel_slack >= -1e-10, (check.name, check.rel_slack)
 
 
 def test_reference_from_point_rejects_non_minimizer():
@@ -494,14 +524,180 @@ def test_lemma_bounds_trivial_at_minimizer():
 
 
 def test_enumeration_guard():
+    # only the Katyusha-family report on logistic data evaluates f at all n
+    # next points; every other report runs past the guard
     n = 1001
     rows = [SparseRow(np.array([0]), np.array([1.0])) for _ in range(n)]
     ds = Dataset(rows, np.ones(n), 1)
-    oracle = make_oracle(ds, "ridge", 1.0)
-    ref = ReferenceSolution.from_point(oracle, np.array([1.0 / (1.0 + oracle.mu)]))
-    state = LSVRG(oracle, np.zeros(1), eta=0.01, p=0.5)
+    oracles = {loss: make_oracle(ds, loss, 1.0) for loss in ("ridge", "logistic")}
+    refs = {loss: solve_reference(oracle) for loss, oracle in oracles.items()}
+    state = LKatyusha(oracles["logistic"], np.zeros(1), theta1=0.5, theta2=0.5, p=0.5)
     with pytest.raises(ValueError, match="enumeration"):
-        verify_lemma_bounds(state, ref, oracle)
+        verify_lemma_bounds(state, refs["logistic"], oracles["logistic"])
+    for loss, cls in [("ridge", LSVRG), ("logistic", LSVRG), ("ridge", LKatyusha)]:
+        oracle = oracles[loss]
+        state = cls(oracle, np.zeros(1), **cls.theory_params(oracle))
+        for check in verify_lemma_bounds(state, refs[loss], oracle).values():
+            assert check.rel_slack >= -1e-10, (loss, cls.name, check.name)
+
+
+# ------------------------------------------------------------- table forms
+#
+# The specification of the reports: every per-draw quantity written as an
+# (n, d) table with one row per sample draw, from grad_table, momentum_step
+# and full_loss_many, as the reports once computed them.  The reports sum
+# per-sample scalars instead, a different order of rounding.  Each entry is
+# (lhs, rhs, slack).
+
+# |report - table form| / max(1, |lhs|, |rhs|) over the grid of
+# test_lemma_reports_are_their_table_forms, measured on numpy 2.4: 1.1e-14 at
+# worst (y_progress's slack on dense logistic rows), 6e-16 or less for every
+# SVRG-family entry and for dk.  The tolerance is ten times that worst.
+TABLE_TOLERANCE = 1e-13
+
+
+def table_dk(state, oracle, v, ref):
+    diff = oracle.grad_table(v) - oracle.grad_table(ref.x_star)
+    return 4.0 * state.eta**2 / (state.p * oracle.n) * float((diff * diff).sum())
+
+
+def _upper(lhs, rhs):
+    return lhs, rhs, rhs - lhs
+
+
+def table_svrg_bounds(state, ref, oracle):
+    n, mu, L, eta, p = oracle.n, oracle.mu, oracle.L, state.eta, state.p
+    gap = oracle.full_loss(state.x) - ref.f_star
+    g = oracle.grad_table(state.x) - (oracle.grad_table(state.w) - state.grad_w)
+    diff = state.x - eta * g - ref.x_star  # x_next - x* for every draw
+    mean_dist_next = float((diff * diff).sum()) / n
+    second_moment = float((g * g).sum()) / n
+    dist_sq = float((state.x - ref.x_star) @ (state.x - ref.x_star))
+    dk, dk_heads = table_dk(state, oracle, state.w, ref), table_dk(state, oracle, state.x, ref)
+    return {
+        "iterate_distance": _upper(mean_dist_next, (1.0 - eta * mu) * dist_sq
+                                   - 2.0 * eta * gap + eta**2 * second_moment),
+        "estimator_second_moment": _upper(second_moment,
+                                          4.0 * L * gap + p / (2.0 * eta**2) * dk),
+        "grad_learning_decay": _upper((1.0 - p) * dk + p * dk_heads,
+                                      (1.0 - p) * dk + 8.0 * L * eta**2 * gap),
+        "phi_contraction": _upper(mean_dist_next + p * dk_heads + (1.0 - p) * dk,
+                                  (1.0 - eta * mu) * dist_sq + (1.0 - p / 2.0) * dk),
+    }
+
+
+def table_katyusha_bounds(state, ref, oracle):
+    n, mu, L = oracle.n, oracle.mu, oracle.L
+    eta, p, theta1, theta2, sigma = state.eta, state.p, state.theta1, state.theta2, state.sigma
+    cz = L * (1.0 + eta * sigma) / (2.0 * eta)
+    cy, cw = 1.0 / theta1, theta2 * (1.0 + theta1) / (p * theta1)
+    x = state.point()
+    g = oracle.grad_table(x) - (oracle.grad_table(state.w) - state.grad_w)
+    z_next, y_next = state.momentum_step(x, g)
+    f_y_next = oracle.full_loss_many(y_next)
+    f_x, f_y, f_w = (oracle.full_loss(v) for v in (x, state.y, state.w))
+    grad_x = oracle.full_grad(x)
+    zk = cz * float((state.z - ref.x_star) @ (state.z - ref.x_star))
+    yk, wk = cy * (f_y - ref.f_star), cw * (f_w - ref.f_star)
+
+    def rowdot(a, b):
+        return (a * b).sum(axis=1)
+
+    dz_next, dz_step, dev = z_next - ref.x_star, z_next - state.z, g - grad_x
+    step_sq = rowdot(dz_step, dz_step)
+    z_lhs = rowdot(g, ref.x_star - z_next) + 0.5 * mu * float((x - ref.x_star) @ (x - ref.x_star))
+    z_rhs = L / (2.0 * eta) * step_sq + cz * rowdot(dz_next, dz_next) - zk / (1.0 + eta * sigma)
+    y_lhs = (f_y_next - f_x) / theta1 - theta2 / (2.0 * L * theta1) * rowdot(dev, dev)
+    y_rhs = L / (2.0 * eta) * step_sq + rowdot(g, dz_step)
+    iz, iy = np.argmin(z_lhs - z_rhs), np.argmin(y_rhs - y_lhs)
+    expected_psi_next = (cz * float(rowdot(dz_next, dz_next).sum()) / n
+                         + cy * float((f_y_next - ref.f_star).sum()) / n
+                         + p * cw * (f_y - ref.f_star) + (1.0 - p) * wk)
+    recursion = ((1.0 - p) * wk + p * cw * (f_y - ref.f_star),
+                 (1.0 - p) * wk + theta2 * (1.0 + theta1) * yk)
+    return {
+        "estimator_variance": _upper(float(rowdot(dev, dev).sum()) / n,
+                                     2.0 * L * (f_w - f_x - float(grad_x @ (state.w - x)))),
+        "z_update": (z_lhs[iz], z_rhs[iz], z_lhs[iz] - z_rhs[iz]),
+        "y_progress": (y_lhs[iy], y_rhs[iy], y_rhs[iy] - y_lhs[iy]),
+        "reference_recursion": (*recursion, -abs(recursion[1] - recursion[0])),
+        "psi_contraction": _upper(expected_psi_next, zk / (1.0 + eta * sigma)
+                                  + (1.0 - theta1 * (1.0 - theta2)) * yk
+                                  + (1.0 - p * theta1 / (1.0 + theta1)) * wk),
+    }
+
+
+def table_instance(loss, storage):
+    """n = 12, d = 5 rows, about 15% nonzero on CSR storage (some rows empty),
+    all nonzero on dense, with a certified reference."""
+    rng = np.random.default_rng(len(loss) + len(storage))
+    A = rng.normal(size=(12, 5)) * (rng.random((12, 5)) < {"csr": 0.15, "dense": 1.0}[storage])
+    rows = [SparseRow(np.flatnonzero(a), a[a != 0.0]) for a in A]
+    oracle = quarter_rule_oracle(Dataset(rows, rng.choice([-1.0, 1.0], size=12), 5), loss, 0.3)
+    assert (oracle._dense is None) == (storage == "csr")
+    return oracle, solve_reference(oracle)
+
+
+def table_form_cases(cls, oracle, ref, rng):
+    """States of cls at p = 1/n, 0.5 and 1: the fixed point (every state
+    array at x*), then three near x* (offsets of scale 1e-3) and three far
+    from it (scale 10), each consistent (grad_w = full_grad(w))."""
+    for p in (1.0 / oracle.n, 0.5, 1.0):
+        for scale in (0.0, 1e-3, 1e-3, 1e-3, 10.0, 10.0, 10.0):
+            state = cls(oracle, ref.x_star, **{**cls.theory_params(oracle), "p": p})
+            for name in cls.lane_state[:-1]:
+                setattr(state, name, ref.x_star + scale * rng.normal(size=oracle.d))
+            state.grad_w = oracle.full_grad(state.w)
+            yield state
+
+
+def assert_table_close(got: float, want: float, scale: float, what):
+    assert abs(got - want) <= TABLE_TOLERANCE * scale, (what, got, want)
+
+
+@pytest.mark.parametrize("cls", [LSVRG, LKatyusha], ids=lambda c: c.name)
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+@pytest.mark.parametrize("loss", ["ridge", "logistic"])
+def test_lemma_reports_are_their_table_forms(loss, storage, cls):
+    oracle, ref = table_instance(loss, storage)
+    table = {LSVRG: table_svrg_bounds, LKatyusha: table_katyusha_bounds}[cls]
+    for state in table_form_cases(cls, oracle, ref, np.random.default_rng(3)):
+        got = verify_lemma_bounds(state, ref, oracle)
+        for name, (lhs, rhs, slack) in table(state, ref, oracle).items():
+            scale = max(1.0, abs(lhs), abs(rhs))
+            for part, want in zip(("lhs", "rhs", "slack"), (lhs, rhs, slack)):
+                assert_table_close(getattr(got[name], part), want, scale, (name, part))
+        if cls is LSVRG:
+            dk = table_dk(state, oracle, state.w, ref)
+            dist_sq = float((state.x - ref.x_star) @ (state.x - ref.x_star))
+            phi = compute_phi(state, ref, oracle)
+            assert_table_close(phi["dk"], dk, max(1.0, dk), "dk")
+            assert_table_close(phi["phi"], dist_sq + dk, max(1.0, dist_sq + dk), "phi")
+
+
+@pytest.mark.parametrize("storage", ["dense", "csr"])
+def test_ridge_loss_along_rows_is_full_loss_at_every_moved_point(storage, monkeypatch):
+    # f(y + gamma_i a_i) in closed form from the Gram matrix of dense rows,
+    # made on first use, against f at every moved point; on CSR rows and
+    # past _GRAM_DIM columns the enumeration itself, which puts the Katyusha
+    # report under the guard
+    oracle, _ = table_instance("ridge", storage)
+    assert "_row_curvatures" not in vars(oracle) and "row_norms_sq" not in vars(oracle)
+    closed = storage == "dense"
+    assert oracle.enumerates_along_rows is not closed
+    assert enumerates(LKatyusha, oracle) is not closed and not enumerates(LSVRG, oracle)
+    rng = np.random.default_rng(4)
+    for scale in (1e-3, 1.0, 10.0):
+        y, gamma = scale * rng.normal(size=oracle.d), scale * rng.normal(size=oracle.n)
+        want = oracle.full_loss_many(y + gamma[:, np.newaxis] * dense_rows(oracle.dataset))
+        got = oracle.loss_along_rows(y, gamma)
+        assert np.abs(got - want).max() <= TABLE_TOLERANCE * max(1.0, np.abs(want).max())
+        monkeypatch.setattr(oracle_module, "_GRAM_DIM", oracle.d - 1)
+        assert oracle.enumerates_along_rows and enumerates(LKatyusha, oracle)
+        assert np.array_equal(oracle.loss_along_rows(y, gamma),
+                              oracle.full_loss_many(oracle._spread(gamma, y)))
+        monkeypatch.undo()
+    assert ("_row_curvatures" in vars(oracle)) is closed
 
 
 # ------------------------------------------------------- auxiliary identities

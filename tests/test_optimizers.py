@@ -565,9 +565,9 @@ def test_family_updates_write_only_their_results(cls, state):
 @pytest.mark.parametrize("data", ["dense-ridge", "csr-logistic"])
 def test_step_is_the_diagnostics_branch_and_the_lane_step(cls, data):
     """From a fixed state, step(i, correction, coin) for every sample i and
-    both coin sides takes the branch the lemma diagnostics score for that
-    draw, bitwise: x - eta g as _verify_svrg_bounds forms it, or the row of
-    momentum_step(point(), g) that _verify_katyusha_bounds takes, where g is
+    both coin sides takes the branch the lemma reports' table forms score
+    for that draw (tests/test_diagnostics.py), bitwise: x - eta g, or the
+    row of momentum_step(point(), g), where g is
     the draw's estimator grad_i(i, x) - correction; and on heads w <- the
     pre-update tracked point (x^k or y^k, the same array), on tails w stays.
     A 3-lane _stack step, its lanes on mixed samples and coins, takes the

@@ -403,6 +403,24 @@ def test_full_loss_many_spans_several_blocks():
         np.testing.assert_allclose(oracle.full_loss_many(points), want, rtol=1e-12)
 
 
+@pytest.mark.parametrize("block", [7, 50, 1 << 14])
+def test_ridge_row_curvatures_are_each_rows_hessian_form(block, monkeypatch):
+    # a_i^T H a_i, H = A^T A / n + mu I, made on first use and kept; blocks
+    # of 1, 7 and all 40 rows
+    monkeypatch.setattr(oracle_module, "_MARGINS_PER_BLOCK", block)
+    rng = np.random.default_rng(6)
+    A = rng.normal(size=(40, 7)) * (rng.random((40, 7)) < 0.9)
+    rows = [SparseRow(np.flatnonzero(a), a[a != 0.0]) for a in A]
+    oracle = quarter_rule_oracle(Dataset(rows, rng.choice([-1.0, 1.0], size=40), 7),
+                                 "ridge", 0.5)
+    assert oracle._dense is not None and not oracle.enumerates_along_rows
+    assert "_row_curvatures" not in vars(oracle)
+    H = A.T @ A / 40 + 0.5 * np.eye(7)
+    np.testing.assert_allclose(oracle._row_curvatures, np.einsum("ij,jk,ik->i", A, H, A),
+                               rtol=1e-13)
+    assert oracle._row_curvatures is oracle._row_curvatures
+
+
 def test_oracle_shares_the_dataset_csr_arrays():
     rng = np.random.default_rng(5)
     for density in (0.1, 0.6):
