@@ -188,12 +188,24 @@ def _psi_report(state, ref: ReferenceSolution, oracle: Oracle, f_y: float,
     return {"psi": zk + yk + wk, "zk": zk, "yk": yk, "wk": wk}
 
 
-def compute_psi(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
-    """The Katyusha-family potential columns (psi, zk, yk, wk) at the state."""
+def _loss(state, point: str, oracle: Oracle, losses: dict | None) -> float:
+    """f at the state's point of that attribute name ("tracked_point" or
+    "w"), read from losses when it holds it; losses keeps a value made here."""
+    losses = {} if losses is None else losses
+    if point not in losses:
+        losses[point] = oracle.full_loss(getattr(state, point))
+    return losses[point]
+
+
+def compute_psi(state, ref: ReferenceSolution, oracle: Oracle,
+                losses: dict | None = None) -> dict:
+    """The Katyusha-family potential columns (psi, zk, yk, wk) at the state.
+    losses holds the values of f the caller has at the state's points, by
+    attribute name ("tracked_point", here y, or "w"), and gains those made
+    here, so that one checkpoint evaluates f once per point."""
     _check_dims(ref, oracle)
-    return _psi_report(
-        state, ref, oracle, oracle.full_loss(state.y), oracle.full_loss(state.w)
-    )
+    return _psi_report(state, ref, oracle, _loss(state, "tracked_point", oracle, losses),
+                       _loss(state, "w", oracle, losses))
 
 
 def enumerates(family, oracle: Oracle) -> bool:
@@ -226,24 +238,26 @@ def _equality(name, lhs, rhs) -> BoundSlack:
     return BoundSlack(name, lhs, rhs, -abs(rhs - lhs))
 
 
-def verify_lemma_bounds(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
+def verify_lemma_bounds(state, ref: ReferenceSolution, oracle: Oracle,
+                        losses: dict | None = None) -> dict:
     """Exact-expectation slack report for every one-step bound of the state's
     algorithm family.  All slacks are nonnegative up to floating-point noise
-    when the state is consistent (grad_w == full_grad(w))."""
+    when the state is consistent (grad_w == full_grad(w)).  losses is
+    compute_psi's: f at the state's points already evaluated, by name."""
     if enumerates(state, oracle) and oracle.n > ENUMERATION_GUARD:
         raise ValueError(
             f"exact enumeration limited to n <= {ENUMERATION_GUARD}, got n={oracle.n}"
         )
     _check_dims(ref, oracle)
     verify = {"phi": _verify_svrg_bounds, "psi": _verify_katyusha_bounds}
-    return verify[state.potential[0]](state, ref, oracle)
+    return verify[state.potential[0]](state, ref, oracle, losses)
 
 
-def _verify_svrg_bounds(state, ref, oracle) -> dict:
+def _verify_svrg_bounds(state, ref, oracle, losses) -> dict:
     n, mu, L = oracle.n, oracle.mu, oracle.L
     eta, p = state.eta, state.p
     eta_sq = float(np.float64(eta) ** 2)  # inf on overflow, as in _dk
-    gap = oracle.full_loss(state.x) - ref.f_star
+    gap = _loss(state, "tracked_point", oracle, losses) - ref.f_star  # at x
     # draw i's estimator is c_i a_i + h, with c_i = phi'_i(x) - phi'_i(w),
     # and its next iterate x - eta (c_i a_i + h) = e - eta c_i a_i
     h = mu * (state.x - state.w) + state.grad_w
@@ -288,7 +302,7 @@ def _verify_svrg_bounds(state, ref, oracle) -> dict:
     return {c.name: c for c in checks}
 
 
-def _verify_katyusha_bounds(state, ref, oracle) -> dict:
+def _verify_katyusha_bounds(state, ref, oracle, losses) -> dict:
     n, mu, L = oracle.n, oracle.mu, oracle.L
     eta, p = state.eta, state.p
     theta1, theta2, sigma = state.theta1, state.theta2, state.sigma
@@ -310,8 +324,8 @@ def _verify_katyusha_bounds(state, ref, oracle) -> dict:
     row_sq = oracle.row_norms_sq
     s_sq_norms, cs_norms = s * s * row_sq, c * s * row_sq
     f_y_next = oracle.loss_along_rows(y_bar, -theta1 * s)
-    f_y = oracle.full_loss(state.y)
-    f_w = oracle.full_loss(state.w)
+    f_y = _loss(state, "tracked_point", oracle, losses)
+    f_w = _loss(state, "w", oracle, losses)
     report = _psi_report(state, ref, oracle, f_y, f_w)
     zk, yk, wk = report["zk"], report["yk"], report["wk"]
     f_x = oracle.full_loss(x)

@@ -76,10 +76,10 @@ class RunConfig:
     ref_max_epochs: int = 100_000
 
     def validate(self):
-        for name, hint in _FIELD_TYPES.items():
+        for name, (check, type_name) in _FIELD_CHECKS.items():
             value = getattr(self, name)
-            if not _has_type(value, hint):
-                raise ConfigError(f"{name} must be {_type_name(hint)}, got {value!r}")
+            if not check(value):
+                raise ConfigError(f"{name} must be {type_name}, got {value!r}")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}; expected one of "
@@ -100,7 +100,7 @@ class RunConfig:
         if self.ref_max_epochs < 0:
             raise ConfigError(f"ref_max_epochs must be >= 0, got {self.ref_max_epochs}")
         if self.x0 is not None and not all(
-                _has_type(v, float) and math.isfinite(v) for v in self.x0):
+                _is_float(v) and math.isfinite(v) for v in self.x0):
             raise ConfigError(f"x0={self.x0!r} is not a list of finite numbers")
         if self.diagnostics not in _DIAGNOSTIC_LEVELS:
             raise ConfigError(
@@ -134,7 +134,7 @@ class RunConfig:
         synthetic = payload.get("synthetic")
         if synthetic is not None:
             # the raw entries are type-checked, then converted
-            if not _has_type(synthetic, _FIELD_TYPES["synthetic"]):
+            if not _FIELD_CHECKS["synthetic"][0](synthetic):
                 raise ConfigError(f"synthetic={synthetic!r} is not [n, d, kappa]")
             n, d, kappa = synthetic
             payload["synthetic"] = (int(n), int(d), float(kappa))
@@ -151,32 +151,40 @@ class RunConfig:
         return "_".join(parts)
 
 
-# each field's annotated type, evaluated once (it takes about 0.4 ms)
-_FIELD_TYPES = typing.get_type_hints(RunConfig)
+def _is_float(value) -> bool:
+    """Whether float() converts value as a config number: a bool is not one
+    (JSON true is not a number), nor an int past float64's range."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (isinstance(value, int) and abs(value) > sys.float_info.max))
 
 
-def _has_type(value, hint) -> bool:
-    """Whether a config value has its field's annotated type.  An int that
-    float() converts passes for a float; a bool passes for neither (JSON true
-    is not a number)."""
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        return any(_has_type(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is tuple:
-        kinds = typing.get_args(hint)
-        return (isinstance(value, (tuple, list)) and len(value) == len(kinds)
-                and all(map(_has_type, value, kinds)))
-    if hint in (int, float) and isinstance(value, bool):
-        return False
-    if hint is float:  # an int past float64's range does not convert
-        return isinstance(value, numbers.Real) and not (
-            isinstance(value, int) and abs(value) > sys.float_info.max)
+def _type_check(hint):
+    """The predicate "value has the annotated type hint", resolved from the
+    hint once: unions try each member, a tuple checks its arity and each
+    entry, a float is _is_float, an int any integer but a bool, and any other
+    class an isinstance test."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        checks = tuple(map(_type_check, args))
+        return lambda value: any(check(value) for check in checks)
+    if origin is tuple:
+        checks = tuple(map(_type_check, args))
+        return lambda value: (isinstance(value, (tuple, list)) and len(value) == len(checks)
+                              and all(check(v) for check, v in zip(checks, value)))
+    if hint is float:
+        return _is_float
     if hint is int:
-        return isinstance(value, numbers.Integral)
-    return isinstance(value, typing.get_origin(hint) or hint)
+        return lambda value: isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return lambda value: isinstance(value, origin or hint)
 
 
 def _type_name(hint) -> str:
     return str(hint) if typing.get_args(hint) else hint.__name__
+
+
+# each field's type check and the name its error gives, resolved once at import
+_FIELD_CHECKS = {name: (_type_check(hint), _type_name(hint))
+                 for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
 def build_problem(config: RunConfig) -> tuple[Oracle, np.ndarray | None]:
@@ -238,7 +246,7 @@ def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
     if extra:
         raise ConfigError(f"params {sorted(extra)} do not apply to {config.algorithm}")
     for name, kind in types.items():
-        if not _has_type(params[name], kind):  # as every other field is checked
+        if not _type_check(kind)(params[name]):  # as every other field is checked
             raise ConfigError(f"param {name}={params[name]!r} is not a valid {kind.__name__}")
     resolved = {name: kind(params[name]) for name, kind in types.items()}
     # the psi potential's coefficient theta2 (1 + theta1) / (p theta1)
@@ -313,13 +321,15 @@ def build_metrics(config: RunConfig, oracle: Oracle, ref: ReferenceSolution | No
         if ref is None:
             return {}
         delta = opt.tracked_point - ref.x_star
+        # f at the state's points, shared by the reports so each is taken once
+        losses = {"tracked_point": oracle.full_loss(opt.tracked_point)}
         out = {"dist_sq": float(delta @ delta),
-               "f_gap": oracle.full_loss(opt.tracked_point) - ref.f_star}
+               "f_gap": losses["tracked_point"] - ref.f_star}
         if level in ("lyapunov", "lemmas"):
-            compute = {"phi": compute_phi, "psi": compute_psi}[potential[0]]
-            out.update(compute(opt, ref, oracle))
+            out.update(compute_psi(opt, ref, oracle, losses) if potential[0] == "psi"
+                       else compute_phi(opt, ref, oracle))
         if level == "lemmas":
-            slacks = verify_lemma_bounds(opt, ref, oracle)
+            slacks = verify_lemma_bounds(opt, ref, oracle, losses)
             out.update((f"slack_{name}", s.rel_slack) for name, s in slacks.items())
         return out
 

@@ -153,7 +153,8 @@ class _VarianceReduced(_Optimizer):
     float64 arrays, which numpy multiplies into an array faster than Python
     floats.  point() and move() broadcast over rows, and a family names its
     state arrays (lane_state) and constants (lane_params), so run_lanes can
-    step lanes as (S, d) rows with (S, 1) parameter columns.
+    step lanes as (S, d) rows, each constant shared as one 0-d array or, where
+    the lanes' values differ, an (S, 1) column.
 
     One write rule: step(), point(), momentum_step() and move() write only
     into arrays they allocate and rebind the state to new arrays, so a
@@ -517,7 +518,9 @@ def run_lanes(
     optimizer.  wall_ns is the batch's optimizer time so far, shared by its
     lanes.  A lane's rng ends at the end of its last block, past run's.
     Each lane needs its own rng, and its own metrics entry when metrics is
-    given: a ValueError, before any step, otherwise.
+    given: a ValueError, before any step, otherwise.  A step parameter that
+    all lanes share (a sweep or comparison at one preset) stays one 0-d
+    array in the stack; only parameters that differ become (S, 1) columns.
     """
     lanes, rngs = list(optimizers), list(rngs)
     moves = {getattr(type(opt), "move", None) for opt in lanes}
@@ -622,18 +625,32 @@ def _own(opts, drawn, calls):
     return advance, lambda b, t: None
 
 
+def _stacked(opts):
+    """A copy of the first lane that holds every lane's state as (S, d) rows,
+    so its point() and move() step all lanes.  A parameter with the same bits
+    in every lane stays the first lane's 0-d array, which numpy broadcasts
+    for less than an (S, 1) column; one that differs between lanes becomes
+    that column.  Either way each row is scaled by its own lane's double."""
+    stack = copy.copy(opts[0])
+    for name in stack.lane_state:
+        setattr(stack, name, np.stack([getattr(o, name) for o in opts]))
+    for name in stack.lane_params:
+        values = [getattr(o, name) for o in opts]
+        if len({v.tobytes() for v in values}) > 1:
+            setattr(stack, name, np.stack(values)[:, np.newaxis])
+    return stack
+
+
 def _stack(opts, drawn, calls):
-    """The lanes stepping together: a copy of the first lane holds every
-    lane's state as (S, d) rows and parameters as (S, 1) columns, so its
-    point() and move() step all lanes, with one grad_many call per step."""
+    """The lanes stepping together on one _stacked copy, parameters the lanes
+    share as 0-d arrays and only differing ones as (S, 1) columns, with one
+    grad_many call per step."""
     oracle, width = opts[0].oracle, len(opts)
     refreshes: dict[int, list[int]] = {}  # step -> lanes that refresh in it
     for b, ((_, refresh), planned) in enumerate(zip(drawn, calls)):
         for t in np.flatnonzero(refresh[:len(planned)]).tolist():
             refreshes.setdefault(t, []).append(b)
-    stack = copy.copy(opts[0])
-    for name in (*stack.lane_state, *stack.lane_params):
-        setattr(stack, name, np.stack([np.atleast_1d(getattr(o, name)) for o in opts]))
+    stack = _stacked(opts)
     # one buffer for grad_many: the points' rows, then the w rows
     xw = np.concatenate([stack.point(), stack.w])
     stack.w = xw[width:]

@@ -25,11 +25,11 @@ which gives the bits of `a @ x` at about half its call cost, reads the
 label and the CSR row bounds as Python scalars (.item), gathers a CSR
 row's entries of x by indexing (x[idx], cheaper than take for one row),
 and scales x by mu held as a 0-d float64 array (_mu, cheaper than a Python
-float).  corrections makes the variance-reduction corrections
-grad_i(w) - grad_w of many steps in one call with grad_i's
-arithmetic, so each row is bitwise grad_i's less grad_w: dense row dots
-through np.vecdot (ndarray.dot's kernel), CSR row dots as one np.vecdot per
-row length, and the scalar kernel for the weights.  Full-data calls
+float), as grad_many scales its rows.  corrections makes the
+variance-reduction corrections grad_i(w) - grad_w of many steps in one call
+with grad_i's arithmetic, so each row is bitwise grad_i's less grad_w:
+dense row dots through np.vecdot (ndarray.dot's kernel), CSR row dots as
+one np.vecdot per row length, and the scalar kernel for the weights.  Full-data calls
 (full_grad, full_loss, grad_table and their batched forms) run all rows at
 once with numpy: A @ x and r @ A on the dense copy, reduceat and add.at on
 the CSR arrays.  Their logistic weight phi'(m) = -b / (1 + e^{b m}) takes
@@ -118,7 +118,7 @@ class Oracle:
             raise ValueError(f"mu must be positive (strong convexity), got {mu}")
         self.dataset = dataset
         self.mu = float(mu)
-        self._mu = np.array(self.mu)  # grad_i's factor
+        self._mu = np.array(self.mu)  # grad_i's and grad_many's factor
         self.n = dataset.n
         self.d = dataset.d
         self.labels = dataset.labels
@@ -192,7 +192,7 @@ class Oracle:
         logistic kernel (np.exp, not math.exp) and CSR row dots (bincount
         over the gathered entries) agree with grad_i's to rounding.
         """
-        out = self.mu * X
+        out = self._mu * X
         labels = self.labels.take(idx)
         if self._dense is not None:
             rows = self._dense.take(idx, axis=0)

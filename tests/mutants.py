@@ -10,10 +10,13 @@ diagnostics use), each place is its own mutant.  For each mutant the script
 copies src/, tests/, perfbench/, pyproject.toml and README.md to a temporary
 directory, applies the edit there, and runs tier-1 without the value pins:
 
-    python -m pytest -q tests --ignore tests/test_golden.py -k "not regression_pin"
+    python -m pytest -q tests --ignore tests/test_golden.py \
+        --ignore tests/test_mutants.py -k "not regression_pin"
 
 (naming tests/ leaves out perfbench/, which pyproject.toml's testpaths would
-collect: --ignore does not drop a testpaths entry).
+collect: --ignore does not drop a testpaths entry).  tests/test_mutants.py,
+which holds each mutant's text to occurring once in the unedited tree, is
+left out: in a mutated copy it would fail for every mutant and catch nothing.
 
 The working tree is never written.  The script prints a Markdown table: each
 mutant, how many tests fail, and the failing tests sorted into value pins
@@ -61,6 +64,9 @@ MUTANTS = [
     ("correction sign flipped, Katyusha step", OPT,
      "        g -= correction\n        g *= self._z_step\n",
      "        g += correction\n        g *= self._z_step\n"),
+    ("the stack takes lane 0's parameters for every lane", OPT,
+     "        if len({v.tobytes() for v in values}) > 1:\n",
+     "        if False:\n"),
     ("correction sign flipped, _stack", OPT,
      "            g -= correction\n",
      "            g += correction\n"),
@@ -108,7 +114,8 @@ PINS = {"test_a_reference_holds_nothing_n_by_d",
         "test_a_reference_records_its_full_gradient_passes"}
 
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-o", "addopts=",
-          "-rfE", "tests", "--ignore", "tests/test_golden.py", "-k", "not regression_pin"]
+          "-rfE", "tests", "--ignore", "tests/test_golden.py", "--ignore",
+          "tests/test_mutants.py", "-k", "not regression_pin"]
 
 
 def copy_repo(target: Path):

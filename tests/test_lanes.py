@@ -231,6 +231,63 @@ def test_run_lanes_matches_run_with_lkatyusha_diagnostics(level):
     assert all(rec["psi"] is not None for trace in traces for rec in trace)
 
 
+def preset_lanes(oracle, family, differ=()):
+    """Three lanes of the family at its theory preset, from x0 = 0: the
+    coin at p = 1/n, the loop at m = n and the coin at p = 0.3, the last two
+    with each parameter named in differ scaled by 0.5 and 0.8."""
+    coin, loop = {"svrg": (LSVRG, LoopySVRG), "katyusha": (LKatyusha, LoopyKatyusha)}[family]
+    params = {k: v for k, v in coin.theory_params(oracle).items() if k != "p"}
+
+    def scaled(by):
+        return {k: v * by if k in differ else v for k, v in params.items()}
+
+    x0 = np.zeros(oracle.d)
+    return [coin(oracle, x0, **params, p=1.0 / oracle.n),
+            loop(oracle, x0, **scaled(0.5), m=oracle.n),
+            coin(oracle, x0, **scaled(0.8), p=0.3)]
+
+
+# (family, the parameters its lanes differ in): none, all, and for Katyusha
+# theta1 alone, which leaves theta2 shared beside the columns it changes
+PARAMETER_CASES = [("svrg", ()), ("svrg", ("eta",)), ("katyusha", ()),
+                   ("katyusha", ("theta1",)), ("katyusha", ("theta1", "theta2"))]
+
+
+@pytest.mark.parametrize("family, differ", PARAMETER_CASES)
+def test_a_stack_shares_a_parameter_as_0d_unless_its_lanes_differ(family, differ):
+    """_stacked holds a parameter every lane has with the same bits as the
+    first lane's own 0-d array, and one that differs as an (S, 1) column of
+    each lane's value; the state is (S, d) rows either way."""
+    oracle, _ = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
+    lanes = preset_lanes(oracle, family, differ)
+    stack = optimizers._stacked(lanes)
+    varied = set()
+    for name in stack.lane_params:
+        values = [getattr(opt, name) for opt in lanes]
+        held = getattr(stack, name)
+        if all(v.tobytes() == values[0].tobytes() for v in values):
+            assert held is values[0] and held.ndim == 0, name
+        else:
+            varied.add(name)
+            assert held.shape == (3, 1), name
+            assert held[:, 0].tobytes() == np.stack(values).tobytes(), name
+    assert bool(varied) == bool(differ)
+    if family == "katyusha" and differ == ("theta1",):
+        assert "_theta2" not in varied
+    for name in stack.lane_state:
+        assert getattr(stack, name).shape == (3, oracle.d), name
+
+
+@pytest.mark.parametrize("family, differ", PARAMETER_CASES)
+def test_lanes_with_shared_or_differing_parameters_match_run_bitwise(family, differ):
+    """Each lane of a dense ridge stack is run()'s trace and state bitwise,
+    whether its parameters are shared 0-d arrays or its own column's row."""
+    oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
+    compare_lanes_with_runs(lambda: preset_lanes(oracle, family, differ), [0, 1, 2],
+                            [distance_metrics(ref.x_star)] * 3, exact=True,
+                            epochs=30.0, checkpoint_every=2.5)
+
+
 def record_blocks(monkeypatch) -> dict:
     """{id(optimizer): [(its k at a block's start, the block's steps), ...]},
     filled by every schedule() call: one per lane and block of run_lanes."""
