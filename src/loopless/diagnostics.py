@@ -12,25 +12,30 @@ and for the Katyusha family
     yk  = (f(y) - f*) / theta1,
     wk  = theta2 (1 + theta1) / (p theta1) * (f(w) - f*).
 
-compute_phi and compute_psi evaluate a potential at a state, as the
-family's trace columns ({"phi", "dk"} or {"psi", "zk", "yk", "wk"}).  Both
-potentials contract in conditional expectation each step;
-verify_lemma_bounds evaluates those expectations *exactly*, over all n
-sample draws and both coin outcomes, and reports every one-step bound of
-the state's family as a BoundSlack (lhs, rhs, slack).  The contraction
-itself is its phi_contraction or psi_contraction entry: lhs is E[phi] or
-E[psi] at the next step, rhs the bound.  Diagnostics cost oracle calls but
-are never charged to the optimizer's accounting.
+report(state, ref, oracle, level) gives the diagnostics columns of a
+checkpoint's trace row: dist_sq and f_gap at the tracked point, by
+full_loss, at `distance`; above it the family's one report, a function of
+the state (_svrg_report, _katyusha_report), which adds the potential
+columns and, at `lemmas`, the relative slack of every one-step bound
+(slack_<name>).  Both potentials contract in conditional expectation each
+step; the lemma level evaluates those expectations *exactly*, over all n
+sample draws and both coin outcomes.  The contraction itself is the
+phi_contraction or psi_contraction bound: lhs is E[phi] or E[psi] at the
+next step, rhs the bound.  compute_phi (alias compute_psi) and
+verify_lemma_bounds are views of the family report: its potential columns,
+and its bounds as BoundSlack (lhs, rhs, slack) entries.  Diagnostics cost
+oracle calls but are never charged to the optimizer's accounting.
 
 Both losses are linear models, grad_i(v) = phi'(a_i^T v) a_i + mu v, so
-every sum over the draws is a sum of per-sample scalars: phi' at x, w and
-x*, ||a_i||^2 (oracle.row_norms_sq) and a_i^T u for a few vectors u, all
-from one pass over the data.  A report costs O(nnz) and no (n, d) table.
-The Katyusha family's f at the next point y_bar + gamma_i a_i of every draw
-is oracle.loss_along_rows: in closed form on ridge with dense rows, from a
-d x d Gram matrix built once per oracle at O(d^2) memory; on logistic data
-and CSR ridge rows it evaluates all n points, O(n nnz), and that report
-alone is refused past ENUMERATION_GUARD samples (enumerates).
+every column of a family report is a sum of per-sample scalars: f and phi'
+at the state's points, ||a_i||^2 (oracle.row_norms_sq) and a_i^T u for a
+few vectors u, all from one stacked pass over the data (_one_pass), O(nnz)
+and no (n, d) table.  The Katyusha lemma report adds full_grad at its point
+x and oracle.loss_along_rows, f at every draw's next point y_bar + gamma_i
+a_i: in closed form on ridge with dense rows, from a d x d Gram matrix
+built once per oracle at O(d^2) memory; on logistic data and CSR ridge rows
+it evaluates all n points, O(n nnz), and that report alone is refused past
+ENUMERATION_GUARD samples (enumerates).
 
 The reference x* is the point of one gradient-descent solve certified by
 its gradient norm (solve_reference), and a ReferenceSolution is that
@@ -126,36 +131,29 @@ def solve_reference(
         ReferenceSolution(x, oracle.full_loss(x), gn, target, max_epochs + 1))
 
 
-def _check_dims(ref: ReferenceSolution, oracle: Oracle):
-    if ref.x_star.shape != (oracle.d,):
-        raise ValueError(
-            f"reference dimension {ref.x_star.shape} does not match oracle d={oracle.d}"
-        )
-
-
-def _row_scalars(oracle: Oracle, points, directions) -> list[np.ndarray]:
-    """phi'(a_i^T v, b_i) for each point v, then a_i^T u for each direction
-    u, each as an (n,) array, from one pass over the data."""
+def _one_pass(oracle: Oracle, points, directions):
+    """f(v) and phi'(a_i^T v, b_i) (n,) at each point v and a_i^T u (n,) for
+    each direction u, as three lists, from one stacked pass over the data."""
+    stack = np.stack([*points, *directions])
+    k = len(points)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        margins = oracle._margins(np.stack([*points, *directions]))
-        weights = oracle._dphis(margins[: len(points)], oracle.labels)
-    return [*weights, *margins[len(points):]]
+        margins = oracle._margins(stack)
+        losses = oracle._losses(margins[:k], stack[:k])
+        weights = oracle._dphis(margins[:k], oracle.labels)
+    return losses.tolist(), list(weights), list(margins[k:])
 
 
-def _dk(state, oracle: Oracle, diff: np.ndarray, diff_dots: np.ndarray,
-        delta: np.ndarray) -> float:
-    """dk at a point v (w, or x after a refresh) from per-sample scalars:
-    grad_i(v) - grad_i(x*) = diff_i a_i + mu delta, with diff_i =
-    phi'_i(v) - phi'_i(x*) and delta = v - x*, so the sum over i of its
-    squared norm is sum diff_i^2 ||a_i||^2 + 2 mu sum diff_i a_i^T delta
+def _grad_dist_sq(oracle: Oracle, diff: np.ndarray, diff_dots: np.ndarray,
+                  delta: np.ndarray) -> float:
+    """sum_i ||grad_i(v) - grad_i(x*)||^2 at a point v (w, or x after a
+    refresh) from per-sample scalars: grad_i(v) - grad_i(x*) = diff_i a_i +
+    mu delta, with diff_i = phi'_i(v) - phi'_i(x*) and delta = v - x*, so
+    the sum is sum diff_i^2 ||a_i||^2 + 2 mu sum diff_i a_i^T delta
     + n mu^2 ||delta||^2; diff_dots holds the a_i^T delta."""
-    # numpy's square overflows to inf, where a Python float ** raises
-    coef = 4.0 * float(np.float64(state.eta) ** 2) / (state.p * oracle.n)
     mu = oracle.mu
-    total = (float((diff * diff) @ oracle.row_norms_sq)
-             + 2.0 * mu * float(diff @ diff_dots)
-             + oracle.n * mu * mu * float(delta @ delta))
-    return coef * total
+    return (float((diff * diff) @ oracle.row_norms_sq)
+            + 2.0 * mu * float(diff @ diff_dots)
+            + oracle.n * mu * mu * float(delta @ delta))
 
 
 def _dist_sq(a: np.ndarray, b: np.ndarray) -> float:
@@ -163,49 +161,37 @@ def _dist_sq(a: np.ndarray, b: np.ndarray) -> float:
     return float(delta @ delta)
 
 
+def report(state, ref: ReferenceSolution | None, oracle: Oracle, level: str) -> dict:
+    """Every diagnostics column of the state's trace row at a level: none at
+    "none" (ref is None there), dist_sq and f_gap at "distance", the family
+    report's columns above it, with each bound's rel_slack at "lemmas"."""
+    if level == "none":
+        return {}
+    if level == "distance":
+        point = state.tracked_point
+        return {"dist_sq": _dist_sq(point, ref.x_star),
+                "f_gap": oracle.full_loss(point) - ref.f_star}
+    columns, bounds = _family_report(state, ref, oracle, level == "lemmas")
+    columns.update((f"slack_{name}", b.rel_slack) for name, b in bounds.items())
+    return columns
+
+
 def compute_phi(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
-    """The SVRG-family potential columns (phi, dk) at the state."""
-    _check_dims(ref, oracle)
-    delta = state.w - ref.x_star
-    at_w, at_star, dots = _row_scalars(oracle, (state.w, ref.x_star), (delta,))
-    dk = _dk(state, oracle, at_w - at_star, dots, delta)
-    return {"phi": _dist_sq(state.x, ref.x_star) + dk, "dk": dk}
+    """The potential columns of the state's family report: (phi, dk) for the
+    SVRG family, (psi, zk, yk, wk) for the Katyusha family."""
+    columns, _ = _family_report(state, ref, oracle, lemmas=False)
+    return {name: columns[name] for name in state.potential}
 
 
-def _psi_coefs(state, oracle: Oracle) -> tuple[float, float, float]:
-    cz = oracle.L * (1.0 + state.eta * state.sigma) / (2.0 * state.eta)
-    cy = 1.0 / state.theta1
-    cw = state.theta2 * (1.0 + state.theta1) / (state.p * state.theta1)
-    return cz, cy, cw
+compute_psi = compute_phi  # the same view, named for the Katyusha family
 
 
-def _psi_report(state, ref: ReferenceSolution, oracle: Oracle, f_y: float,
-                f_w: float) -> dict:
-    cz, cy, cw = _psi_coefs(state, oracle)
-    zk = cz * _dist_sq(state.z, ref.x_star)
-    yk = cy * (f_y - ref.f_star)
-    wk = cw * (f_w - ref.f_star)
-    return {"psi": zk + yk + wk, "zk": zk, "yk": yk, "wk": wk}
-
-
-def _loss(state, point: str, oracle: Oracle, losses: dict | None) -> float:
-    """f at the state's point of that attribute name ("tracked_point" or
-    "w"), read from losses when it holds it; losses keeps a value made here."""
-    losses = {} if losses is None else losses
-    if point not in losses:
-        losses[point] = oracle.full_loss(getattr(state, point))
-    return losses[point]
-
-
-def compute_psi(state, ref: ReferenceSolution, oracle: Oracle,
-                losses: dict | None = None) -> dict:
-    """The Katyusha-family potential columns (psi, zk, yk, wk) at the state.
-    losses holds the values of f the caller has at the state's points, by
-    attribute name ("tracked_point", here y, or "w"), and gains those made
-    here, so that one checkpoint evaluates f once per point."""
-    _check_dims(ref, oracle)
-    return _psi_report(state, ref, oracle, _loss(state, "tracked_point", oracle, losses),
-                       _loss(state, "w", oracle, losses))
+def verify_lemma_bounds(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
+    """Exact-expectation slack report for every one-step bound of the state's
+    algorithm family, a BoundSlack by name: a view of its report.  All
+    slacks are nonnegative up to floating-point noise when the state is
+    consistent (grad_w == full_grad(w))."""
+    return _family_report(state, ref, oracle, lemmas=True)[1]
 
 
 def enumerates(family, oracle: Oracle) -> bool:
@@ -238,36 +224,47 @@ def _equality(name, lhs, rhs) -> BoundSlack:
     return BoundSlack(name, lhs, rhs, -abs(rhs - lhs))
 
 
-def verify_lemma_bounds(state, ref: ReferenceSolution, oracle: Oracle,
-                        losses: dict | None = None) -> dict:
-    """Exact-expectation slack report for every one-step bound of the state's
-    algorithm family.  All slacks are nonnegative up to floating-point noise
-    when the state is consistent (grad_w == full_grad(w)).  losses is
-    compute_psi's: f at the state's points already evaluated, by name."""
-    if enumerates(state, oracle) and oracle.n > ENUMERATION_GUARD:
+def _family_report(state, ref, oracle, lemmas: bool) -> tuple[dict, dict]:
+    """The state's family report, (columns, bounds by name), after its checks."""
+    if lemmas and enumerates(state, oracle) and oracle.n > ENUMERATION_GUARD:
         raise ValueError(
             f"exact enumeration limited to n <= {ENUMERATION_GUARD}, got n={oracle.n}"
         )
-    _check_dims(ref, oracle)
-    verify = {"phi": _verify_svrg_bounds, "psi": _verify_katyusha_bounds}
-    return verify[state.potential[0]](state, ref, oracle, losses)
+    if ref.x_star.shape != (oracle.d,):
+        raise ValueError(
+            f"reference dimension {ref.x_star.shape} does not match oracle d={oracle.d}"
+        )
+    family = {"phi": _svrg_report, "psi": _katyusha_report}[state.potential[0]]
+    return family(state, ref, oracle, lemmas)
 
 
-def _verify_svrg_bounds(state, ref, oracle, losses) -> dict:
+def _svrg_report(state, ref, oracle, lemmas: bool) -> tuple[dict, dict]:
+    """The SVRG family's columns (dist_sq, f_gap, phi, dk) and, with lemmas,
+    its one-step bounds, from one pass over the data."""
     n, mu, L = oracle.n, oracle.mu, oracle.L
     eta, p = state.eta, state.p
-    eta_sq = float(np.float64(eta) ** 2)  # inf on overflow, as in _dk
-    gap = _loss(state, "tracked_point", oracle, losses) - ref.f_star  # at x
-    # draw i's estimator is c_i a_i + h, with c_i = phi'_i(x) - phi'_i(w),
-    # and its next iterate x - eta (c_i a_i + h) = e - eta c_i a_i
-    h = mu * (state.x - state.w) + state.grad_w
-    e = state.x - ref.x_star - eta * h
-    delta_w, delta_x = state.w - ref.x_star, state.x - ref.x_star
-    at_x, at_w, at_star, dots_w, dots_x, dots_e, dots_h = _row_scalars(
-        oracle, (state.x, state.w, ref.x_star), (delta_w, delta_x, e, h))
-    dist_sq = float(delta_x @ delta_x)
-    dk = _dk(state, oracle, at_w - at_star, dots_w, delta_w)
-    dk_heads = _dk(state, oracle, at_x - at_star, dots_x, delta_x)  # w <- x
+    # numpy's square overflows to inf, where a Python float ** raises
+    eta_sq = float(np.float64(eta) ** 2)
+    dk_coef = 4.0 * eta_sq / (p * n)
+    x, w, x_star = state.x, state.w, ref.x_star
+    delta_x, delta_w = x - x_star, w - x_star
+    directions = (delta_w,)
+    if lemmas:
+        # draw i's estimator is c_i a_i + h, with c_i = phi'_i(x) - phi'_i(w),
+        # and its next iterate x - eta (c_i a_i + h) = e - eta c_i a_i
+        h = mu * (x - w) + state.grad_w
+        e = delta_x - eta * h
+        directions += (delta_x, e, h)
+    (f_x, _, _), (at_x, at_w, at_star), (dots_w, *dots) = _one_pass(
+        oracle, (x, w, x_star), directions)
+    dist_sq, gap = float(delta_x @ delta_x), f_x - ref.f_star
+    dk = dk_coef * _grad_dist_sq(oracle, at_w - at_star, dots_w, delta_w)
+    columns = {"dist_sq": dist_sq, "f_gap": gap, "phi": dist_sq + dk, "dk": dk}
+    if not lemmas:
+        return columns, {}
+
+    dots_x, dots_e, dots_h = dots
+    dk_heads = dk_coef * _grad_dist_sq(oracle, at_x - at_star, dots_x, delta_x)  # w <- x
     c = at_x - at_w
     c_sq_norms = float((c * c) @ oracle.row_norms_sq) / n
     mean_dist_next = float(e @ e) - 2.0 * eta * float(c @ dots_e) / n + eta_sq * c_sq_norms
@@ -299,36 +296,48 @@ def _verify_svrg_bounds(state, ref, oracle, losses) -> dict:
             (1.0 - eta * mu) * dist_sq + (1.0 - p / 2.0) * dk,
         ),
     ]
-    return {c.name: c for c in checks}
+    return columns, {c.name: c for c in checks}
 
 
-def _verify_katyusha_bounds(state, ref, oracle, losses) -> dict:
+def _katyusha_report(state, ref, oracle, lemmas: bool) -> tuple[dict, dict]:
+    """The Katyusha family's columns (dist_sq, f_gap, psi, zk, yk, wk) and,
+    with lemmas, its one-step bounds, from one pass over the data, plus
+    full_grad at x and loss_along_rows for the lemmas."""
     n, mu, L = oracle.n, oracle.mu, oracle.L
     eta, p = state.eta, state.p
     theta1, theta2, sigma = state.theta1, state.theta2, state.sigma
-    cz, cy, cw = _psi_coefs(state, oracle)
+    cz = L * (1.0 + eta * sigma) / (2.0 * eta)
+    cy = 1.0 / theta1
+    cw = theta2 * (1.0 + theta1) / (p * theta1)
+    y, w, x_star = state.y, state.w, ref.x_star
+    points, directions = (y, w), ()
+    if lemmas:
+        # draw i's estimator is c_i a_i + h, with c_i = phi'_i(x) -
+        # phi'_i(w); its branch is z_next = z_bar - s_i a_i and y_next =
+        # y_bar - theta1 s_i a_i, where (z_bar, y_bar) is the momentum step
+        # on h and s_i = c_i eta / (L (1 + eta sigma))
+        x = state.point()
+        h = mu * (x - w) + state.grad_w
+        z_bar, y_bar = state.momentum_step(x, h)
+        grad_x = oracle.full_grad(x)
+        u, v, t = z_bar - x_star, z_bar - state.z, h - grad_x
+        points, directions = (y, w, x), (u, v, h, t)
+    f, weights, dots = _one_pass(oracle, points, directions)
+    f_y, f_w = f[:2]
+    zk = cz * _dist_sq(state.z, x_star)
+    yk = cy * (f_y - ref.f_star)
+    wk = cw * (f_w - ref.f_star)
+    columns = {"dist_sq": _dist_sq(y, x_star), "f_gap": f_y - ref.f_star,
+               "psi": zk + yk + wk, "zk": zk, "yk": yk, "wk": wk}
+    if not lemmas:
+        return columns, {}
 
-    # draw i's estimator is c_i a_i + h, with c_i = phi'_i(x) - phi'_i(w);
-    # its branch is z_next = z_bar - s_i a_i and y_next = y_bar - theta1 s_i
-    # a_i, where (z_bar, y_bar) is the momentum step on h and s_i = c_i eta
-    # / (L (1 + eta sigma))
-    x = state.point()
-    h = mu * (x - state.w) + state.grad_w
-    z_bar, y_bar = state.momentum_step(x, h)
-    grad_x = oracle.full_grad(x)
-    u, v, t = z_bar - ref.x_star, z_bar - state.z, h - grad_x
-    at_x, at_w, dots_u, dots_v, dots_h, dots_t = _row_scalars(
-        oracle, (x, state.w), (u, v, h, t))
+    f_x, (at_w, at_x), (dots_u, dots_v, dots_h, dots_t) = f[2], weights[1:], dots
     c = at_x - at_w
     s = c * (eta / L / (1.0 + eta * sigma))
     row_sq = oracle.row_norms_sq
     s_sq_norms, cs_norms = s * s * row_sq, c * s * row_sq
     f_y_next = oracle.loss_along_rows(y_bar, -theta1 * s)
-    f_y = _loss(state, "tracked_point", oracle, losses)
-    f_w = _loss(state, "w", oracle, losses)
-    report = _psi_report(state, ref, oracle, f_y, f_w)
-    zk, yk, wk = report["zk"], report["yk"], report["wk"]
-    f_x = oracle.full_loss(x)
 
     # per draw: ||z_next - x*||^2, ||z_next - z||^2, g.(z_next - x*),
     # g.(z_next - z) and ||g - grad f(x)||^2
@@ -345,9 +354,9 @@ def _verify_katyusha_bounds(state, ref, oracle, losses) -> dict:
     expected_psi_next = mean_z + mean_y + p * w_heads + (1.0 - p) * wk
 
     variance = float(dev_sq.sum()) / n
-    bregman = f_w - f_x - float(grad_x @ (state.w - x))
+    bregman = f_w - f_x - float(grad_x @ (w - x))
 
-    dist_x = _dist_sq(x, ref.x_star)
+    dist_x = _dist_sq(x, x_star)
 
     # per-realization bounds, one entry per sample draw; report the worst
     z_lhs = 0.5 * mu * dist_x - g_to_next
@@ -375,4 +384,4 @@ def _verify_katyusha_bounds(state, ref, oracle, losses) -> dict:
             + (1.0 - p * theta1 / (1.0 + theta1)) * wk,
         ),
     ]
-    return {c.name: c for c in checks}
+    return columns, {c.name: c for c in checks}

@@ -25,6 +25,8 @@ import numpy as np
 
 from . import diagnostics
 from .data import load_libsvm, normalize_rows, synthesize_quadratic
+# compute_phi, compute_psi and verify_lemma_bounds are not called here, but
+# perfbench/tracer.py patches them here too (ROADMAP item 14)
 from .diagnostics import ReferenceSolution, compute_phi, compute_psi, verify_lemma_bounds
 from .oracle import Oracle, make_oracle
 from .optimizers import ALGORITHMS, all_param_types, check_budget, run, run_lanes
@@ -313,27 +315,10 @@ def make_optimizer(config: RunConfig, oracle: Oracle, params: dict):
 
 
 def build_metrics(config: RunConfig, oracle: Oracle, ref: ReferenceSolution | None):
+    """The diagnostics columns of an optimizer's trace row (trace_columns),
+    as a function of the optimizer: one diagnostics report per checkpoint."""
     level = config.diagnostics
-    potential = ALGORITHMS[config.algorithm].potential
-
-    def metrics(opt) -> dict:
-        """The diagnostics columns of opt's trace row (trace_columns)."""
-        if ref is None:
-            return {}
-        delta = opt.tracked_point - ref.x_star
-        # f at the state's points, shared by the reports so each is taken once
-        losses = {"tracked_point": oracle.full_loss(opt.tracked_point)}
-        out = {"dist_sq": float(delta @ delta),
-               "f_gap": losses["tracked_point"] - ref.f_star}
-        if level in ("lyapunov", "lemmas"):
-            out.update(compute_psi(opt, ref, oracle, losses) if potential[0] == "psi"
-                       else compute_phi(opt, ref, oracle))
-        if level == "lemmas":
-            slacks = verify_lemma_bounds(opt, ref, oracle, losses)
-            out.update((f"slack_{name}", s.rel_slack) for name, s in slacks.items())
-        return out
-
-    return metrics
+    return lambda opt: diagnostics.report(opt, ref, oracle, level)
 
 
 def trace_columns(config: RunConfig) -> list[str]:

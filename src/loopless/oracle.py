@@ -280,9 +280,14 @@ class Oracle:
         data = np.empty(len(Y))
         step = max(1, _MARGINS_PER_BLOCK // self.n)
         for lo in range(0, len(Y), step):
-            block = self._margins(Y[lo : lo + step])
-            data[lo : lo + step] = self._phis(block, self.labels).sum(axis=1)
-        return data / self.n + 0.5 * self.mu * np.einsum("ij,ij->i", Y, Y)
+            block = Y[lo : lo + step]
+            data[lo : lo + step] = self._losses(self._margins(block), block)
+        return data
+
+    def _losses(self, margins: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """f at every row of Y from its margins, (k, n) and (k, d) -> (k,)."""
+        return (self._phis(margins, self.labels).sum(axis=1) / self.n
+                + 0.5 * self.mu * np.einsum("ij,ij->i", Y, Y))
 
     @_quiet_range
     def full_grad(self, x: np.ndarray) -> np.ndarray:

@@ -89,10 +89,10 @@ MUTANTS = [
      "            self.grad_w = oracle.full_grad(y)\n",
      "            self.grad_w = oracle.full_grad(self.y)\n"),
     ("dk constant 4 -> 0.5", DIAG,
-     "coef = 4.0 * float(",
-     "coef = 0.5 * float("),
+     "dk_coef = 4.0 * eta_sq",
+     "dk_coef = 0.5 * eta_sq"),
     ("dk without its cross term 2 mu sum_i diff_i a_i^T delta", DIAG,
-     "             + 2.0 * mu * float(diff @ diff_dots)\n",
+     "            + 2.0 * mu * float(diff @ diff_dots)\n",
      ""),
     ("ridge f(y + gamma_i a_i) with gamma_i^2 q_i, not gamma_i^2 q_i / 2", ORACLE,
      "0.5 * gamma * gamma * self._row_curvatures",

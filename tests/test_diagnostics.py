@@ -10,6 +10,7 @@ from loopless.diagnostics import (
     compute_phi,
     compute_psi,
     enumerates,
+    report,
     solve_reference,
     verify_lemma_bounds,
 )
@@ -552,13 +553,32 @@ def test_enumeration_guard():
 # |report - table form| / max(1, |lhs|, |rhs|) over the grid of
 # test_lemma_reports_are_their_table_forms, measured on numpy 2.4: 1.1e-14 at
 # worst (y_progress's slack on dense logistic rows), 6e-16 or less for every
-# SVRG-family entry and for dk.  The tolerance is ten times that worst.
+# SVRG-family entry, and 4.4e-16 or less (relative to max(1, |column|)) for
+# f_gap and the potential columns.  The tolerance is ten times that worst.
 TABLE_TOLERANCE = 1e-13
 
 
 def table_dk(state, oracle, v, ref):
     diff = oracle.grad_table(v) - oracle.grad_table(ref.x_star)
     return 4.0 * state.eta**2 / (state.p * oracle.n) * float((diff * diff).sum())
+
+
+def table_columns(state, ref, oracle):
+    """dist_sq and f_gap at the tracked point and the potential columns, f by
+    full_loss at each point and dk from grad_table."""
+    point = state.tracked_point
+    dist_sq = float((point - ref.x_star) @ (point - ref.x_star))
+    gap = oracle.full_loss(point) - ref.f_star
+    if state.potential[0] == "phi":
+        dk = table_dk(state, oracle, state.w, ref)
+        return {"dist_sq": dist_sq, "f_gap": gap, "phi": dist_sq + dk, "dk": dk}
+    eta, p, theta1, theta2 = state.eta, state.p, state.theta1, state.theta2
+    zk = (oracle.L * (1.0 + eta * state.sigma) / (2.0 * eta)
+          * float((state.z - ref.x_star) @ (state.z - ref.x_star)))
+    yk = gap / theta1
+    wk = theta2 * (1.0 + theta1) / (p * theta1) * (oracle.full_loss(state.w) - ref.f_star)
+    return {"dist_sq": dist_sq, "f_gap": gap, "psi": zk + yk + wk, "zk": zk, "yk": yk,
+            "wk": wk}
 
 
 def _upper(lhs, rhs):
@@ -667,12 +687,17 @@ def test_lemma_reports_are_their_table_forms(loss, storage, cls):
             scale = max(1.0, abs(lhs), abs(rhs))
             for part, want in zip(("lhs", "rhs", "slack"), (lhs, rhs, slack)):
                 assert_table_close(getattr(got[name], part), want, scale, (name, part))
-        if cls is LSVRG:
-            dk = table_dk(state, oracle, state.w, ref)
-            dist_sq = float((state.x - ref.x_star) @ (state.x - ref.x_star))
-            phi = compute_phi(state, ref, oracle)
-            assert_table_close(phi["dk"], dk, max(1.0, dk), "dk")
-            assert_table_close(phi["phi"], dist_sq + dk, max(1.0, dist_sq + dk), "phi")
+        # the trace columns of the report at both levels, and the potential view
+        columns = {level: report(state, ref, oracle, level) for level in ("lyapunov", "lemmas")}
+        columns["view"] = compute_phi(state, ref, oracle)
+        for name, want in table_columns(state, ref, oracle).items():
+            for level, got_columns in columns.items():
+                if name in got_columns:
+                    assert_table_close(got_columns[name], want, max(1.0, abs(want)),
+                                       (level, name))
+        assert [columns["lemmas"].pop(f"slack_{name}") for name in cls.lemmas] == [
+            got[name].rel_slack for name in cls.lemmas]
+        assert list(columns["lemmas"]) == list(columns["lyapunov"])
 
 
 @pytest.mark.parametrize("storage", ["dense", "csr"])

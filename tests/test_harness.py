@@ -1,5 +1,6 @@
 import csv
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,11 @@ from loopless.harness import (
     sweep_p,
     trace_columns,
 )
+from loopless.oracle import Oracle
 from loopless.optimizers import ALGORITHMS, run_lanes
+from loopless.rng import SplitMix64
+
+from conftest import serial_step
 
 
 def synthetic_config(**overrides):
@@ -242,6 +247,49 @@ def test_a_record_is_the_row_read_trace_reads_back(tmp_path, monkeypatch, algori
         assert len(records) > 2
         assert read_trace(path) == records
         assert all(list(rec) == trace_columns(config) for rec in records)
+
+
+# the passes over the data of one checkpoint's metrics, on dense ridge: at
+# distance f at the tracked point by full_loss; above it one stacked _margins
+# pass, to which the Katyusha lemma report adds full_grad(x) and the two
+# passes of loss_along_rows (f at y_bar, then the slopes a_i^T grad f(y_bar))
+_PASSES = {
+    ("l-svrg", "distance"): {"_margins": 1, "full_loss": 1},
+    ("l-svrg", "lyapunov"): {"_margins": 1},
+    ("l-svrg", "lemmas"): {"_margins": 1},
+    ("l-katyusha", "distance"): {"_margins": 1, "full_loss": 1},
+    ("l-katyusha", "lyapunov"): {"_margins": 1},
+    ("l-katyusha", "lemmas"): {"_margins": 4, "full_grad": 1},
+}
+
+
+@pytest.mark.parametrize("algorithm, level", list(_PASSES))
+def test_a_checkpoint_makes_one_pass_over_the_data(monkeypatch, small_ridge, algorithm,
+                                                   level):
+    oracle, ref = small_ridge
+    assert oracle._dense is not None
+    cls = ALGORITHMS[algorithm]
+    opt = cls(oracle, np.ones(oracle.d), **cls.theory_params(oracle))
+    rng = SplitMix64(1)
+    for _ in range(15):
+        serial_step(opt, rng)
+    metrics = harness.build_metrics(synthetic_config(algorithm=algorithm, diagnostics=level),
+                                    oracle, ref)
+    metrics(opt)  # what a report builds once per oracle, such as row_norms_sq
+    calls = Counter()
+
+    def counted(name, method):
+        def count(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return count
+
+    for name in ("_margins", "full_loss", "full_grad"):
+        monkeypatch.setattr(Oracle, name, counted(name, getattr(Oracle, name)))
+    columns = metrics(opt)
+    assert dict(calls) == _PASSES[algorithm, level]
+    assert list(columns) == trace_columns(synthetic_config(
+        algorithm=algorithm, diagnostics=level))[3:-1]
 
 
 def test_run_experiment_deterministic_modulo_wall(tmp_path):
