@@ -14,9 +14,10 @@ After an intended change of output, regenerate the cases it changes with
     PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
 
 (no case name: every case) and name the files that changed.  A file, CSV
-cell or JSON value that the comparison accepts keeps its checked-in text, so
-the diff shows only what moved past the tolerance.  The inputs are rewritten
-either way; write_inputs is seeded, so an unchanged input stays
+cell or JSON value keeps its checked-in text only where its value is bitwise
+unchanged (wall_ns always keeps it), so the diff shows every bit that moved,
+even where the comparison above would accept the move.  The inputs are
+rewritten either way; write_inputs is seeded, so an unchanged input stays
 byte-identical.
 """
 
@@ -136,34 +137,41 @@ def _same_float(a: float, b: float) -> bool:
                                                               abs_tol=1e-15)
 
 
-def _same_cell(got: str, want: str) -> bool:
+def _same_bits(a: float, b: float) -> bool:
+    """a and b are one float64, bit for bit (any two NaNs alike): what
+    regeneration keeps."""
+    return float(a).hex() == float(b).hex()
+
+
+def _same_cell(got: str, want: str, same=_same_float) -> bool:
     try:
         return int(got) == int(want)
     except ValueError:
         pass
     try:
-        return _same_float(float(got), float(want))
+        return same(float(got), float(want))
     except ValueError:
         return got == want
 
 
-def _same_json(got, want) -> bool:
+def _same_json(got, want, same=_same_float) -> bool:
     if isinstance(want, dict):
         return (isinstance(got, dict) and got.keys() == want.keys()
-                and all(key == "wall_ns" or _same_json(got[key], want[key]) for key in want))
+                and all(key == "wall_ns" or _same_json(got[key], want[key], same)
+                        for key in want))
     if isinstance(want, list):
         return (isinstance(got, list) and len(got) == len(want)
-                and all(map(_same_json, got, want)))
+                and all(_same_json(a, b, same) for a, b in zip(got, want)))
     if type(got) is not type(want):  # 1 and 1.0 differ
         return False
-    return _same_float(got, want) if isinstance(want, float) else got == want
+    return same(got, want) if isinstance(want, float) else got == want
 
 
-def _same_npz(got: Path, want: Path) -> bool:
+def _same_npz(got: Path, want: Path, same=_same_float) -> bool:
     with np.load(got) as a, np.load(want) as b:
         return sorted(a.files) == sorted(b.files) and all(
             a[key].dtype == b[key].dtype and a[key].shape == b[key].shape
-            and all(map(_same_float, a[key].ravel().tolist(), b[key].ravel().tolist()))
+            and all(map(same, a[key].ravel().tolist(), b[key].ravel().tolist()))
             for key in b.files)
 
 
@@ -216,8 +224,9 @@ def test_the_sparse_input_runs_on_the_csr_kernels():
 
 def test_regeneration_keeps_what_did_not_move(tmp_path):
     """Regenerating an unchanged case into a copy of the golden directory
-    rewrites no byte, wall_ns included; a cell that moved past the tolerance
-    takes the new value, and one within it keeps the checked-in text."""
+    rewrites no byte, wall_ns included; a cell that moved takes the new value,
+    whether past the tolerance or within it, and wall_ns keeps the checked-in
+    text."""
     name, trace = "run_l-svrg_lyapunov", "out/l-svrg_ridge_seed1.csv"
     golden = tmp_path / "golden"
     shutil.copytree(GOLDEN / name, golden / name)
@@ -240,14 +249,15 @@ def test_regeneration_keeps_what_did_not_move(tmp_path):
     lines[1] = ",".join(edited)
     (golden / name / trace).write_text("\n".join(lines), encoding="utf-8")
     regenerate([name], golden)
-    edited[moved] = row[moved]
+    edited[moved], edited[within] = row[moved], row[within]
     lines[1] = ",".join(edited)
     assert (golden / name / trace).read_text(encoding="utf-8") == "\n".join(lines)
 
 
 def _kept_json(got, want):
-    """got, with each value that _same_json accepts replaced by want's."""
-    if _same_json(got, want):
+    """got, with each value that is want's bit for bit replaced by want's,
+    and want's wall_ns kept."""
+    if _same_json(got, want, _same_bits):
         return want
     if isinstance(got, dict) and isinstance(want, dict) and got.keys() == want.keys():
         return {key: want[key] if key == "wall_ns" else _kept_json(value, want[key])
@@ -259,7 +269,7 @@ def _kept_json(got, want):
 
 def _kept_text(suffix: str, text: str, old: str) -> str:
     """A regenerated file's text, keeping the checked-in text (old) of each
-    CSV cell or JSON value that the comparison accepts."""
+    CSV cell or JSON value whose value is old's bit for bit, and of wall_ns."""
     if suffix == ".json":
         want = json.loads(old)
         kept = _kept_json(json.loads(text), want)
@@ -272,14 +282,14 @@ def _kept_text(suffix: str, text: str, old: str) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     for row, old_row in zip(rows, old_rows):
-        writer.writerow([b if column == "wall_ns" or _same_cell(a, b) else a
+        writer.writerow([b if column == "wall_ns" or _same_cell(a, b, _same_bits) else a
                          for column, a, b in zip(rows[0], row, old_row)])
     return out.getvalue()
 
 
 def regenerate(names: list[str], golden: Path = GOLDEN):
     """Rewrite the inputs and the named cases, or every case when none is named,
-    keeping the checked-in text of what the comparison accepts (_kept_text)."""
+    keeping the checked-in text of what did not move a bit (_kept_text)."""
     with tempfile.TemporaryDirectory() as scratch:
         old = Path(scratch) / "old"
         if golden.exists():
@@ -299,7 +309,7 @@ def regenerate(names: list[str], golden: Path = GOLDEN):
                 if path.endswith("/"):
                     target.mkdir(parents=True, exist_ok=True)
                 elif target.suffix == ".npz":
-                    kept = previous.exists() and _same_npz(tmp / path, previous)
+                    kept = previous.exists() and _same_npz(tmp / path, previous, _same_bits)
                     shutil.copyfile(previous if kept else tmp / path, target)
                 else:
                     text = _untmp((tmp / path).read_text(encoding="utf-8"), tmp)
