@@ -412,12 +412,12 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
         ref = build_reference(configs[0], oracle, minimizer, out_dir)
         metrics = [build_metrics(config, oracle, ref) for config in configs]
         epochs, every = configs[0].epochs, configs[0].checkpoint_every
-        families: dict = {}  # a family's move -> its runs
+        families: dict = {}  # a family's lane_state -> its runs
         for s, opt in enumerate(optimizers):
-            families.setdefault(getattr(type(opt), "move", None), []).append(s)
+            families.setdefault(getattr(opt, "lane_state", None), []).append(s)
         by_run = {}
-        for move, lanes in families.items():
-            if move is not None and len(lanes) >= 3:
+        for family, lanes in families.items():
+            if family is not None and len(lanes) >= 3:
                 by_run.update(zip(lanes, run_lanes(
                     [optimizers[s] for s in lanes],
                     [SplitMix64(configs[s].seed) for s in lanes], epochs=epochs,

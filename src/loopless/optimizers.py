@@ -4,10 +4,10 @@ Five algorithms: gradient descent, SVRG and Katyusha with deterministic
 reference refresh every m inner steps, and their loopless variants where the
 refresh is triggered by a per-step Bernoulli(p) coin.  A family
 (_SVRGFamily, _KatyushaFamily) writes its serial step() as straight-line
-arithmetic, and the same update split into the point the estimator is taken
-at and the move it makes with it, which the lanes use; the loopy and
-loopless variants of a family differ only in the refresh rule mixed into
-the class: a coin (_Coin) or every m-th step (_Loop).
+arithmetic; the Katyusha family also splits it into the point the estimator
+is taken at and the move made with it, which the diagnostics and the lanes
+use.  The loopy and loopless variants of a family differ only in the
+refresh rule mixed into the class: a coin (_Coin) or every m-th step (_Loop).
 
 Each class carries its own facts, which the harness, CLI and diagnostics read
 instead of restating: its registry `name`, its declared `param_types` table
@@ -42,8 +42,13 @@ clock, records and stops.  run()'s stepper, _own, steps one optimizer:
 draws() makes the corrections grad_i(w) - grad_w of each refresh-free
 stretch in one Oracle.corrections call, and step() evaluates grad_i only at
 the point.  run_lanes()'s, _stack, steps optimizers of one family on one
-oracle at once: the family's point() and move() on a stacked instance,
-refreshing a lane only within its planned steps.
+oracle at once, in place.  Their points are rows :S of a (2S, d) buffer
+whose rows S: are their w, so one Oracle.grad_rows call a step gives every
+lane's grad_i at x and at w, on sample rows Oracle.gathered takes a window
+of steps at a time.  The SVRG family's x is those rows and moves in place;
+the Katyusha family writes its point into them and moves z and y by move().
+A refreshing lane's w row takes its pre-update tracked row once g is formed,
+before the move, and only within its planned steps.
 """
 
 from __future__ import annotations
@@ -147,22 +152,19 @@ class _Loop:
 
 
 class _VarianceReduced(_Optimizer):
-    """A family's step(i, correction, refresh) is its point() and move()
-    inlined, the same floating-point operations in the same order, then a
-    refresh w <- the pre-update tracked point.  Its constants are 0-d
-    float64 arrays, which numpy multiplies into an array faster than Python
-    floats.  point() and move() broadcast over rows, and a family names its
-    state arrays (lane_state) and constants (lane_params), so run_lanes can
-    step lanes as (S, d) rows, each constant shared as one 0-d array or, where
-    the lanes' values differ, an (S, 1) column.
+    """A family's step(i, correction, refresh) is its update, the lanes'
+    floating-point operations in the same order, then a refresh w <- the
+    pre-update tracked point.  Its constants are 0-d float64 arrays, which
+    numpy multiplies into an array faster than Python floats.  A family
+    names its state arrays (lane_state) and constants (lane_params), so
+    run_lanes can step lanes as (S, d) rows, each constant shared as one 0-d
+    array or, where the lanes' values differ, an (S, 1) column.
 
     One write rule: step(), point(), momentum_step() and move() write only
     into arrays they allocate and rebind the state to new arrays, so a
-    refresh stores the pre-update point by reference and no state array is
-    ever written in place."""
-
-    def point(self) -> np.ndarray:
-        return self.tracked_point
+    refresh stores the pre-update point by reference.  The lanes are the
+    exception: _stack writes its own stacked arrays in place, and hands each
+    lane copies."""
 
     def draws(self, indices: np.ndarray, refresh: np.ndarray):
         """step()'s arguments (i, correction, refresh) for the steps of a
@@ -216,10 +218,6 @@ class _SVRGFamily(_VarianceReduced):
             self.grad_w = oracle.full_grad(x)
             self.oracle_calls += oracle.n
         self.k += 1
-
-    def move(self, x: np.ndarray, g: np.ndarray):
-        """x^{k+1} = x - eta g."""
-        self.x = x - self._eta * g
 
 
 class _KatyushaFamily(_VarianceReduced):
@@ -511,20 +509,17 @@ def run_lanes(
     Lane s gives the records run(optimizers[s], rngs[s], metrics=metrics[s])
     would give and leaves optimizers[s] in the state run leaves it in: k,
     oracle_calls and epoch exactly; its lane_state arrays bitwise on a
-    dense ridge oracle, where oracle.grad_many is grad_i's arithmetic, and
-    to rounding otherwise (np.exp is not math.exp, and CSR row dots go
-    through bincount).  Before each of a lane's checkpoints its state and
-    counters are written back to its optimizer, so metrics sees an ordinary
-    optimizer.  wall_ns is the batch's optimizer time so far, shared by its
-    lanes.  A lane's rng ends at the end of its last block, past run's.
-    Each lane needs its own rng, and its own metrics entry when metrics is
-    given: a ValueError, before any step, otherwise.  A step parameter that
-    all lanes share (a sweep or comparison at one preset) stays one 0-d
-    array in the stack; only parameters that differ become (S, 1) columns.
+    dense ridge oracle, where Oracle.grad_rows is grad_i's arithmetic, and
+    to rounding otherwise (see there).  Before each of a lane's checkpoints
+    its state and counters are written back to its optimizer, so metrics
+    sees an ordinary optimizer.  wall_ns is the batch's optimizer time so
+    far, shared by its lanes.  A lane's rng ends at the end of its last
+    block, past run's.  Each lane needs its own rng, and its own metrics
+    entry when metrics is given: a ValueError, before any step, otherwise.
     """
     lanes, rngs = list(optimizers), list(rngs)
-    moves = {getattr(type(opt), "move", None) for opt in lanes}
-    if None in moves or len(moves) > 1 or len({id(opt.oracle) for opt in lanes}) > 1:
+    families = {getattr(opt, "lane_state", None) for opt in lanes}
+    if None in families or len(families) > 1 or len({id(opt.oracle) for opt in lanes}) > 1:
         raise ValueError("lanes must be optimizers of one family (SVRG-family "
                          "or Katyusha-family) on one oracle")
     metrics = [None] * len(lanes) if metrics is None else list(metrics)
@@ -626,11 +621,11 @@ def _own(opts, drawn, calls):
 
 
 def _stacked(opts):
-    """A copy of the first lane that holds every lane's state as (S, d) rows,
-    so its point() and move() step all lanes.  A parameter with the same bits
-    in every lane stays the first lane's 0-d array, which numpy broadcasts
-    for less than an (S, 1) column; one that differs between lanes becomes
-    that column.  Either way each row is scaled by its own lane's double."""
+    """A copy of the first lane that holds every lane's state as (S, d) rows.
+    A parameter with the same bits in every lane (a sweep or comparison at
+    one preset) stays the first lane's 0-d array, which numpy broadcasts for
+    less than an (S, 1) column; one that differs between lanes becomes that
+    column.  Either way each row is scaled by its own lane's double."""
     stack = copy.copy(opts[0])
     for name in stack.lane_state:
         setattr(stack, name, np.stack([getattr(o, name) for o in opts]))
@@ -642,37 +637,50 @@ def _stacked(opts):
 
 
 def _stack(opts, drawn, calls):
-    """The lanes stepping together on one _stacked copy, parameters the lanes
-    share as 0-d arrays and only differing ones as (S, 1) columns, with one
-    grad_many call per step."""
+    """The lanes stepping together in place on one _stacked copy (see the
+    module docstring).  A step reads every constant from a local and calls
+    no method but grad_rows and Katyusha's move(), and full_grad on a
+    refresh."""
     oracle, width = opts[0].oracle, len(opts)
     refreshes: dict[int, list[int]] = {}  # step -> lanes that refresh in it
     for b, ((_, refresh), planned) in enumerate(zip(drawn, calls)):
         for t in np.flatnonzero(refresh[:len(planned)]).tolist():
             refreshes.setdefault(t, []).append(b)
     stack = _stacked(opts)
-    # one buffer for grad_many: the points' rows, then the w rows
-    xw = np.concatenate([stack.point(), stack.w])
-    stack.w = xw[width:]
+    xw = np.concatenate([stack.tracked_point, stack.w])
+    x, w = xw[:width], xw[width:]
+    stack.w, katyusha = w, isinstance(stack, _KatyushaFamily)
+    if katyusha:
+        theta1, theta2, y_weight = stack._theta1, stack._theta2, stack._y_weight
+        theta2_w, move = theta2 * w, stack.move
+    else:
+        stack.x, eta = x, stack._eta
     # row t: step t's samples for the point rows, then for the w rows
-    samples = np.concatenate([np.stack([i for i, _ in drawn])] * 2).T.copy()
+    steps = oracle.gathered(np.tile(np.stack([i for i, _ in drawn], axis=1), 2))
     k0 = [opt.k for opt in opts]
-    point, move, grad_many, grad_w = stack.point, stack.move, oracle.grad_many, stack.grad_w
+    grad_rows, full_grad, grad_w = oracle.grad_rows, oracle.full_grad, stack.grad_w
 
     def advance(start: int, stop: int):
-        for t in range(start, stop):
-            x = point()
-            xw[:width] = x
-            g_both = grad_many(samples[t], xw)
-            # g = grad_i(x) - (grad_i(w) - grad_w), formed in g_both's rows
-            g, correction = g_both[:width], g_both[width:]
+        for t, (labels, rows) in zip(range(start, stop), steps):
+            if katyusha:  # x = theta1 z + theta2 w + (1 - theta1 - theta2) y
+                np.multiply(theta1, stack.z, out=x)
+                np.add(x, theta2_w, out=x)
+                np.add(x, y_weight * stack.y, out=x)
+            g = grad_rows(xw, labels, rows)
+            # g = grad_i(x) - (grad_i(w) - grad_w), formed in the point rows
+            g, correction = g[:width], g[width:]
             correction -= grad_w
             g -= correction
-            w_next = stack.tracked_point  # move() rebinds it, and leaves this array
-            move(x, g)
             for b in refreshes.get(t, ()):  # w <- the pre-update tracked point
-                xw[width + b] = w_next[b]
-                grad_w[b] = oracle.full_grad(w_next[b])
+                w[b] = stack.y[b] if katyusha else x[b]
+                grad_w[b] = full_grad(w[b])
+                if katyusha:
+                    np.multiply(theta2, w, out=theta2_w)
+            if katyusha:
+                move(x, g)
+            else:  # x^{k+1} = x - eta g
+                g *= eta
+                np.subtract(x, g, out=x)
 
     def write_back(b: int, t: int):
         opt = opts[b]

@@ -25,7 +25,7 @@ which gives the bits of `a @ x` at about half its call cost, reads the
 label and the CSR row bounds as Python scalars (.item), gathers a CSR
 row's entries of x by indexing (x[idx], cheaper than take for one row),
 and scales x by mu held as a 0-d float64 array (_mu, cheaper than a Python
-float), as grad_many scales its rows.  corrections makes the
+float), as grad_rows scales its rows.  corrections makes the
 variance-reduction corrections grad_i(w) - grad_w of many steps in one call
 with grad_i's arithmetic, so each row is bitwise grad_i's less grad_w:
 dense row dots through np.vecdot (ndarray.dot's kernel), CSR row dots as
@@ -85,6 +85,11 @@ _DENSE_CELLS = 1 << 17
 # at this d; past it, and on CSR rows, the loss along rows is enumerated as
 # for every other loss
 _GRAM_DIM = 1000
+
+# Oracle.gathered gathers at most this many cells (64 KiB) of a lane stack's
+# steps at once: 20 steps of 10 lanes at d = 20.  Longer windows add peak
+# memory and no speed
+_WINDOW_CELLS = 1 << 13
 
 # full_loss_many computes at most this many margins at once, and
 # RidgeOracle._row_curvatures this many cells of rows @ gram: about 128 KB per
@@ -184,26 +189,48 @@ class Oracle:
         return out
 
     def grad_many(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """grad_i(idx[s], X[s]) for every row s, (S,) and (S, d) -> (S, d).
+        """grad_i(idx[s], X[s]) for every row s, (S,) and (S, d) -> (S, d):
+        grad_rows on the rows idx gathered as one window."""
+        return self.grad_rows(X, *next(self.gathered(idx[np.newaxis])))
 
-        The batched per-sample gradient of lane-batched runs.  On dense rows
-        the row dots (np.vecdot, numpy's kernel behind ndarray.dot) and the
-        update are grad_i's, so ridge gradients equal grad_i's bitwise; the
-        logistic kernel (np.exp, not math.exp) and CSR row dots (bincount
-        over the gathered entries) agree with grad_i's to rounding.
-        """
+    def grad_rows(self, X: np.ndarray, labels: np.ndarray, rows) -> np.ndarray:
+        """grad_i at X[s] of the s-th sample row of one step of gathered():
+        its labels, and its rows as an (S, d) array, which it writes over,
+        or as CSR (lane, cols, vals) entries.  Dense row dots (np.vecdot,
+        ndarray.dot's kernel) and the update are grad_i's, so ridge rows
+        are grad_i's bitwise; the logistic kernel (np.exp, not math.exp) and
+        CSR row dots (bincount) agree with grad_i's to rounding."""
         out = self._mu * X
-        labels = self.labels.take(idx)
         if self._dense is not None:
-            rows = self._dense.take(idx, axis=0)
             rows *= self._dphis(np.vecdot(rows, X), labels)[:, np.newaxis]
             out += rows
             return out
-        _, lane, cols, vals = self._row_entries(idx)
-        margins = np.bincount(lane, weights=vals * X[lane, cols], minlength=len(idx))
+        lane, cols, vals = rows
+        margins = np.bincount(lane, weights=vals * X[lane, cols], minlength=len(labels))
         # a row's indices are distinct, so no (lane, col) pair repeats
         out[lane, cols] += self._dphis(margins, labels)[lane] * vals
         return out
+
+    def gathered(self, samples: np.ndarray):
+        """grad_rows' (labels, rows) of each step of a (T, S) block of sample
+        indices, gathered by one take (dense) or _row_entries call (CSR) per
+        window of steps: as many as _WINDOW_CELLS cells hold at the block's
+        largest step, or one."""
+        width, dense = samples.shape[1], self._dense is not None
+        cells = None if dense else self._counts.take(samples).sum(axis=1)
+        largest = width * self.d if dense else int(cells.max(initial=0))  # step's cells
+        steps = max(1, _WINDOW_CELLS // max(1, largest))
+        for lo in range(0, len(samples), steps):
+            window = samples[lo:lo + steps]
+            labels = self.labels.take(window)
+            if dense:
+                yield from zip(labels, self._dense.take(window, axis=0))
+            else:
+                _, lane, cols, vals = self._row_entries(window.ravel())
+                lane %= width  # each step's rows are 0..width-1
+                stops = np.cumsum(cells[lo:lo + steps]).tolist()  # each step's entries end
+                yield from zip(labels, ((lane[a:b], cols[a:b], vals[a:b])
+                                        for a, b in zip([0, *stops], stops)))
 
     def corrections(self, idx: np.ndarray, w: np.ndarray,
                     grad_w: np.ndarray) -> np.ndarray:
@@ -356,7 +383,7 @@ class LogisticOracle(Oracle):
 
     # np.exp overflows by design, and underflows where grad_i's math.exp
     # flushes to 0 silently
-    grad_many = _quiet_range(Oracle.grad_many)
+    grad_rows = _quiet_range(Oracle.grad_rows)
 
 
 class RidgeOracle(Oracle):

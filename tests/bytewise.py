@@ -2,9 +2,10 @@
 
     python tests/bytewise.py REV [CASE ...]
 
-Runs every command of tests/test_golden.py (or the named cases) with the
-package at git revision REV and with the package in this working tree, on
-the same inputs (write_inputs), and compares what each leaves behind: exit
+Runs every command of tests/test_golden.py and the SIZE_CASES below (or the
+named cases) with the package at git revision REV and with the package in
+this working tree, on the same inputs (write_inputs, and write_a9a_like for
+the size cases), and compares what each leaves behind: exit
 code, stdout and stderr, the paths written, and every output file byte for
 byte, apart from the wall_ns column of a trace and the wall_ns key of a
 JSON file, which time the run.  For each file that differs it prints the
@@ -35,7 +36,44 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from test_golden import CASES, write_inputs  # noqa: E402
+from test_golden import _OUT, CASES, write_inputs  # noqa: E402
+
+# commands at realistic sizes, where last bits move that the small golden
+# inputs (at most 40 x 64) do not show; not golden, compared only here:
+# sweep-ridge's sweep, the lemmas-n400 instance at lemmas for both loopless
+# algorithms, and CSR lanes (three seeds a family) on an a9a-shaped file
+_N400 = ["--synthetic", "400,20,1e3", "--loss", "ridge", "--mu", "1", "--data-seed", "1",
+         "--epochs", "6", "--checkpoint-every", "6", "--diagnostics", "lemmas",
+         "--seed", "1", *_OUT]
+SIZE_CASES = {
+    "size_sweep-ridge": ["sweep-p", "--synthetic", "100,20,1e4", "--loss", "ridge",
+                         "--mu", "1", "--data-seed", "2", "--epochs", "50",
+                         "--checkpoint-every", "5", "--diagnostics", "distance", *_OUT],
+    "size_lemmas-n400_l-svrg": ["run", "--alg", "l-svrg", *_N400],
+    "size_lemmas-n400_l-katyusha": ["run", "--alg", "l-katyusha", *_N400],
+    "size_compare-all_a9a": ["compare-all", "--data", "{tmp}/in/a9a_like.svm", "--loss",
+                             "logistic", "--mu", "0.05", "--epochs", "3",
+                             "--checkpoint-every", "0.5", "--seeds", "0,1,2",
+                             "--thresholds", "1e-2,1e-4", *_OUT],
+}
+ALL_CASES = {**CASES, **SIZE_CASES}
+
+
+def write_a9a_like(directory: Path, n: int = 3000, d: int = 123, nnz: int = 14):
+    """An a9a-shaped LIBSVM file, a9a_like.svm: n rows of nnz ones among d
+    features, feature j drawn with weight 1/(j + 1), labelled by a planted
+    model.  Under a quarter nonzero, and with n d past the oracle's 2^17
+    dense cells, so the oracle keeps CSR rows.  Written once per comparison,
+    so both sides read the same bytes."""
+    rng = np.random.default_rng(123)
+    weights = 1.0 / np.arange(1, d + 1)
+    theta = rng.normal(size=d)
+    lines = []
+    for _ in range(n):
+        cols = np.sort(rng.choice(d, size=nnz, replace=False, p=weights / weights.sum()))
+        label = "+1" if theta[cols].sum() + rng.logistic() > 0.0 else "-1"
+        lines.append(label + "".join(f" {j}:1" for j in (cols + 1).tolist()))
+    (directory / "a9a_like.svm").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 # runs the cases in one process on the package of PYTHONPATH: reads argv
 # lists on stdin and prints [exit, stdout, stderr] per case
@@ -62,7 +100,7 @@ def run_cases(src: Path, root: Path, names: list[str], inputs: Path, keep: Path)
         (case / "in").mkdir(parents=True)
         for path in inputs.iterdir():
             (case / "in" / path.name).write_bytes(path.read_bytes())
-        argvs.append([a.replace("{tmp}", str(case)) for a in CASES[name]])
+        argvs.append([a.replace("{tmp}", str(case)) for a in ALL_CASES[name]])
     done = subprocess.run([sys.executable, "-c", _RUNNER], input=json.dumps(argvs),
                           env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
                           text=True, check=True)
@@ -130,8 +168,8 @@ def main(argv: list[str]) -> int:
     if not argv:
         print(__doc__)
         return 2
-    rev, names = argv[0], argv[1:] or list(CASES)
-    unknown = set(names) - set(CASES)
+    rev, names = argv[0], argv[1:] or list(ALL_CASES)
+    unknown = set(names) - set(ALL_CASES)
     if unknown:
         print(f"unknown cases {sorted(unknown)}")
         return 2
@@ -143,6 +181,7 @@ def main(argv: list[str]) -> int:
         (scratch / "rev").mkdir()
         subprocess.run(["tar", "-x", "-C", str(scratch / "rev")], input=archive, check=True)
         write_inputs(scratch / "inputs")
+        write_a9a_like(scratch / "inputs")
         sides = [run_cases(src, scratch / "run", names, scratch / "inputs",
                            scratch / f"out-{side}")
                  for side, src in (("rev", scratch / "rev" / "src"), ("tree", REPO / "src"))]

@@ -41,6 +41,23 @@ REPO = Path(__file__).resolve().parent.parent
 OPT, DIAG = "src/loopless/optimizers.py", "src/loopless/diagnostics.py"
 ORACLE = "src/loopless/oracle.py"
 
+# _stack's refresh of w and its in-place move: swapped, the refresh copies
+# the post-update point
+_REFRESH = """\
+            for b in refreshes.get(t, ()):  # w <- the pre-update tracked point
+                w[b] = stack.y[b] if katyusha else x[b]
+                grad_w[b] = full_grad(w[b])
+                if katyusha:
+                    np.multiply(theta2, w, out=theta2_w)
+"""
+_MOVE = """\
+            if katyusha:
+                move(x, g)
+            else:  # x^{k+1} = x - eta g
+                g *= eta
+                np.subtract(x, g, out=x)
+"""
+
 # (name, file, old text, new text)
 MUTANTS = [
     ("SVRG refresh stores the post-update point, in step", OPT,
@@ -50,8 +67,7 @@ MUTANTS = [
      "            self.w = y\n",
      "            self.w = y = self.y\n"),
     ("lane refresh stores the post-update point, in _stack", OPT,
-     "            move(x, g)\n",
-     "            move(x, g); w_next = stack.tracked_point\n"),
+     _REFRESH + _MOVE, _MOVE + _REFRESH),
     ("L-SVRG predicted_rate is max(1 - eta mu, 1 - p)", OPT,
      "1.0 - self.p / 2.0)}",
      "1.0 - self.p)}"),
@@ -70,6 +86,9 @@ MUTANTS = [
     ("correction sign flipped, _stack", OPT,
      "            g -= correction\n",
      "            g += correction\n"),
+    ("a lane step reads the next step's rows", ORACLE,
+     "            window = samples[lo:lo + steps]\n",
+     "            window = samples[lo + 1:lo + steps + 1]\n"),
     ("Katyusha point weights theta1, theta2 swapped, in step", OPT,
      "        x += self._theta2_w\n",
      "        x = self._theta2 * z + self._theta1 * w\n"),

@@ -9,15 +9,16 @@ import time
 import numpy as np
 import pytest
 
-from loopless import optimizers
+from loopless import optimizers, oracle as oracle_module
 from loopless.data import synthesize_quadratic
 from loopless.harness import RunConfig, build_metrics
-from loopless.oracle import make_oracle
+from loopless.oracle import Oracle, make_oracle
 from loopless.optimizers import (_BLOCK_STEPS, GradientDescent, LKatyusha, LoopyKatyusha,
                                  LoopySVRG, LSVRG, _Coin, _Loop, run, run_lanes)
 from loopless.rng import SplitMix64
 
-from conftest import ridge_instance, serial_step, sparse_logistic_oracle, walk_lanes
+from conftest import (quarter_rule_oracle, ridge_instance, serial_step, sparse_logistic_oracle,
+                      walk_lanes)
 
 
 def ridge_oracle(n, d=3, kappa=20.0, seed=0):
@@ -286,6 +287,80 @@ def test_lanes_with_shared_or_differing_parameters_match_run_bitwise(family, dif
     compare_lanes_with_runs(lambda: preset_lanes(oracle, family, differ), [0, 1, 2],
                             [distance_metrics(ref.x_star)] * 3, exact=True,
                             epochs=30.0, checkpoint_every=2.5)
+
+
+def spy_windows(monkeypatch) -> list:
+    """[labels, gathered array, steps] of every window Oracle.gathered
+    gathers, in order: the window's labels, its dense rows or CSR entry
+    values, whose size is the cells it gathered, and how many of its steps
+    were taken."""
+    windows: list = []
+
+    def spied(self, samples, gathered=Oracle.gathered):
+        for labels, rows in gathered(self, samples):
+            if not windows or windows[-1][0] is not labels.base:
+                cells = rows.base if self._dense is not None else rows[2].base
+                windows.append([labels.base, cells, 0])
+            windows[-1][2] += 1
+            yield labels, rows
+
+    monkeypatch.setattr(Oracle, "gathered", spied)
+    return windows
+
+
+@pytest.mark.parametrize("family", ["svrg", "katyusha"])
+@pytest.mark.parametrize("window", [1, 3, 7])
+def test_lanes_in_small_windows_match_run_bitwise(monkeypatch, family, window):
+    """With the window cap shrunk to 1, 3 and 7 steps of four dense ridge
+    lanes, each lane is run()'s trace and state bitwise.  The loops refresh
+    on each window's last step (m = window) and on some windows' first (m =
+    window + 1), the p = 1 coin on every step; checkpoints fall inside
+    windows.  No window gathers more cells than the cap."""
+    oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
+    cap = window * 2 * 4 * oracle.d  # a step gathers 2 rows a lane
+    monkeypatch.setattr(oracle_module, "_WINDOW_CELLS", cap)
+    windows = spy_windows(monkeypatch)
+    coin, loop = {"svrg": (LSVRG, LoopySVRG), "katyusha": (LKatyusha, LoopyKatyusha)}[family]
+    params = {k: v for k, v in coin.theory_params(oracle).items() if k != "p"}
+
+    def make_lanes():
+        return [loop(oracle, np.zeros(5), **params, m=window),
+                loop(oracle, np.zeros(5), **params, m=window + 1),
+                coin(oracle, np.ones(5), **params, p=1.0),
+                coin(oracle, np.zeros(5), **params, p=0.3)]
+
+    compare_lanes_with_runs(make_lanes, [0, 1, 2, 3], [distance_metrics(ref.x_star)] * 4,
+                            exact=True, epochs=12.0, checkpoint_every=1.3)
+    assert windows and all(cells.size <= cap for _, cells, _ in windows)
+    assert max(steps for _, _, steps in windows) == window
+
+
+@pytest.mark.parametrize("data", ["dense", "csr"])
+@pytest.mark.parametrize("loss", ["ridge", "logistic"])
+@pytest.mark.parametrize("window", [1, 3, 7])
+def test_gathered_rows_give_grad_many_bitwise(monkeypatch, data, loss, window):
+    """grad_rows on each step of gathered(samples), with windows of 1, 3 or
+    7 steps, is grad_many on that step's samples bitwise, on dense and CSR
+    rows (CSR rows of 0 or 2 entries), and no window gathers more cells
+    than the cap."""
+    dataset = sparse_logistic_oracle().dataset
+    oracle = (make_oracle(dataset, loss, 0.1) if data == "dense"
+              else quarter_rule_oracle(dataset, loss, 0.1))
+    assert (oracle._dense is not None) == (data == "dense")
+    rng = np.random.default_rng(window)
+    samples = rng.integers(oracle.n, size=(40, 6))
+    points = rng.normal(size=(40, 6, oracle.d))
+    cap = window * 6 * (oracle.d if data == "dense" else 2)
+    monkeypatch.setattr(oracle_module, "_WINDOW_CELLS", cap)
+    windows = spy_windows(monkeypatch)
+    got = [oracle.grad_rows(X, labels, rows)
+           for X, (labels, rows) in zip(points, oracle.gathered(samples))]
+    blocks = len(windows)
+    assert len(got) == len(samples) and all(cells.size <= cap for _, cells, _ in windows)
+    for t, (idx, X) in enumerate(zip(samples, points)):
+        assert got[t].tobytes() == oracle.grad_many(idx, X).tobytes(), t
+    if data == "dense":
+        assert {steps for _, _, steps in windows[:blocks]} == {window, 40 % window or window}
 
 
 def record_blocks(monkeypatch) -> dict:

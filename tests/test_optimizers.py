@@ -483,32 +483,97 @@ def test_run_is_the_serial_loop_for_gradient_descent(data):
                              0, epochs=40.0, checkpoint_every=3.5, metrics=norm_sq)
 
 
-def family_formulas(opt, col):
-    """point, momentum_step and move of opt's family as out-of-place formulas
-    in the order the paper writes them; col(name) is a parameter, a float or
-    an (S, 1) column of a stack's lanes."""
-    eta = col("eta")
-    if isinstance(opt, LSVRG):
-        return None, None, lambda x, g: {"x": x - eta * g}
-    theta1, theta2, eta_sigma = col("theta1"), col("theta2"), eta * opt.sigma
+def katyusha_formulas(opt):
+    """point and momentum_step of the Katyusha family as out-of-place
+    formulas in the order the paper writes them."""
+    theta1, theta2, eta, eta_sigma = opt.theta1, opt.theta2, opt.eta, opt.eta * opt.sigma
 
     def momentum(x, g):
         z_next = (eta_sigma * x + opt.z - (eta / opt.oracle.L) * g) / (1.0 + eta_sigma)
         return z_next, x + theta1 * (z_next - opt.z)
 
-    point = theta1 * opt.z + theta2 * opt.w + (1.0 - theta1 - theta2) * opt.y
-    return point, momentum, lambda x, g: dict(zip("zy", momentum(x, g)))
+    return theta1 * opt.z + theta2 * opt.w + (1.0 - theta1 - theta2) * opt.y, momentum
+
+
+def assert_writes_only_its_results(opt, rng):
+    """step() of either family, and the Katyusha family's point(),
+    momentum_step(x, g) and move(x, g), write into none of their arguments
+    and the state arrays, rebind the state to new arrays, and give their
+    out-of-place formulas bitwise; on a refresh step() stores the pre-update
+    tracked point's own array as w."""
+    oracle, katyusha = opt.oracle, opt.potential[0] == "psi"
+    arrays = [getattr(opt, name) for name in opt.lane_state]
+    frozen = [a.tobytes() for a in arrays]
+    i, correction = 3, rng.normal(size=oracle.d)
+    kept = correction.tobytes()
+    x = opt.point() if katyusha else opt.x
+    g = oracle.grad_i(i, x) - correction
+    want = (dict(zip("zy", katyusha_formulas(opt)[1](x, g))) if katyusha
+            else {"x": x - opt.eta * g})
+    for refresh in (False, True):
+        stepped = copy.copy(opt)
+        stepped.step(i, correction, refresh)
+        assert [a.tobytes() for a in arrays] == frozen and correction.tobytes() == kept
+        assert stepped.w is (opt.tracked_point if refresh else opt.w)
+        for name, value in want.items():
+            assert getattr(stepped, name).tobytes() == value.tobytes(), name
+            assert not any(np.shares_memory(getattr(stepped, name), a) for a in arrays)
+    if not katyusha:
+        return
+    point, momentum = katyusha_formulas(opt)
+    assert x.tobytes() == point.tobytes()
+    assert not any(np.shares_memory(x, a) for a in arrays)
+    assert [a.tobytes() for a in arrays] == frozen
+    x_bytes = x.tobytes()
+    # one estimator, and the diagnostics' table of one per sample
+    for g in (rng.normal(size=x.shape), rng.normal(size=(oracle.n, oracle.d))):
+        g_bytes = g.tobytes()
+        got = opt.momentum_step(x, g)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in momentum(x, g)]
+        assert (x.tobytes(), g.tobytes()) == (x_bytes, g_bytes)
+        assert [a.tobytes() for a in arrays] == frozen
+    g = rng.normal(size=x.shape)
+    want = dict(zip("zy", momentum(x, g)))
+    opt.move(x, g)
+    assert x.tobytes() == x_bytes and [a.tobytes() for a in arrays] == frozen
+    for name, value in want.items():
+        assert getattr(opt, name).tobytes() == value.tobytes(), name
+        assert not any(np.shares_memory(getattr(opt, name), a) for a in (x, *arrays))
+
+
+def assert_stack_writes_only_its_own(lanes):
+    """The lanes' exception to the write rule: _stack steps the lanes in
+    place, in arrays of its own, so until write_back no lane's state array
+    changes, and write_back hands each lane copies that later steps leave
+    alone."""
+    oracle = lanes[0].oracle
+    arrays = [getattr(lane, name) for lane in lanes for name in lane.lane_state]
+    frozen = [a.tobytes() for a in arrays]
+    drawn = [lane.schedule(SplitMix64(10 + s), 40) for s, lane in enumerate(lanes)]
+    assert sum(refresh[:20].sum() for _, refresh in drawn) > 1
+    calls = [lane.oracle_calls + np.cumsum(2 + oracle.n * refresh) for lane, (_, refresh)
+             in zip(lanes, drawn)]
+    advance, write_back = _stack(lanes, drawn, calls)
+    advance(0, 20)
+    assert [a.tobytes() for a in arrays] == frozen
+    for b in range(len(lanes)):
+        write_back(b, 19)
+    written = [getattr(lane, name) for lane in lanes for name in lane.lane_state]
+    for j, a in enumerate(written):
+        assert not any(np.shares_memory(a, other) for other in (*arrays, *written[:j]))
+    kept = [a.tobytes() for a in written]
+    advance(20, 40)
+    assert [a.tobytes() for a in written] == kept
 
 
 @pytest.mark.parametrize("cls", [LSVRG, LKatyusha], ids=lambda c: c.name)
 @pytest.mark.parametrize("state", ["new", "stepped", "stacked"])
 def test_family_updates_write_only_their_results(cls, state):
-    """The one write rule of both families: point(), momentum_step(x, g)
-    and move(x, g) write into none of x, g and the state arrays, and move()
-    rebinds the state to new arrays.  Each result is its out-of-place
-    formula bitwise.  A new optimizer's w is its tracked point's own array (and a
-    Katyusha one's z too); a stack holds three lanes as (S, d) rows with
-    (S, 1) parameter columns, as run_lanes steps them."""
+    """The one write rule of both families (assert_writes_only_its_results),
+    on a new optimizer, whose w is its tracked point's own array (and a
+    Katyusha one's z too), and on one stepped off the start; and the lanes'
+    exception to it (assert_stack_writes_only_its_own) on three stepped
+    lanes as run_lanes stacks them."""
     oracle = dense_ridge_oracle()
     rng = np.random.default_rng(len(cls.name) + len(state))
     lanes = [cls(oracle, rng.normal(size=oracle.d),
@@ -516,49 +581,10 @@ def test_family_updates_write_only_their_results(cls, state):
     if state != "new":
         for s, lane in enumerate(lanes):
             run(lane, SplitMix64(s), epochs=3.0)
-    opt = lanes[0]
-
-    def col(name):
-        if state == "stacked":
-            return np.array([[getattr(lane, name)] for lane in lanes])
-        return getattr(opt, name)
-
     if state == "stacked":
-        opt = copy.copy(opt)
-        for name in (*opt.lane_state, *opt.lane_params):
-            setattr(opt, name, np.stack([np.atleast_1d(getattr(o, name)) for o in lanes]))
-    arrays = [getattr(opt, name) for name in opt.lane_state]
-    frozen = [a.tobytes() for a in arrays]
-    point, momentum, move = family_formulas(opt, col)
-
-    x = opt.point()
-    if point is None:
-        assert x is opt.x  # the SVRG family's point is its iterate
+        assert_stack_writes_only_its_own(lanes)
     else:
-        assert x.tobytes() == point.tobytes()
-        assert not any(np.shares_memory(x, a) for a in arrays)
-    assert [a.tobytes() for a in arrays] == frozen
-    x_bytes = x.tobytes()
-    if momentum is not None:
-        # one estimator per lane, and the diagnostics' table of one per sample
-        for g in (rng.normal(size=x.shape), rng.normal(size=(oracle.n, oracle.d))):
-            if state == "stacked" and g.shape != x.shape:
-                continue
-            g_bytes = g.tobytes()
-            got = opt.momentum_step(x, g)
-            want = momentum(x, g)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-            assert (x.tobytes(), g.tobytes()) == (x_bytes, g_bytes)
-            assert [a.tobytes() for a in arrays] == frozen
-    g = rng.normal(size=x.shape)
-    g_bytes = g.tobytes()
-    want = move(x, g)
-    opt.move(x, g)
-    assert (x.tobytes(), g.tobytes()) == (x_bytes, g_bytes)
-    assert [a.tobytes() for a in arrays] == frozen
-    for name, value in want.items():
-        assert getattr(opt, name).tobytes() == value.tobytes(), name
-        assert not any(np.shares_memory(getattr(opt, name), a) for a in (x, *arrays))
+        assert_writes_only_its_results(lanes[0], rng)
 
 
 @pytest.mark.parametrize("cls", VARIANCE_REDUCED, ids=lambda c: c.name)
@@ -571,7 +597,7 @@ def test_step_is_the_diagnostics_branch_and_the_lane_step(cls, data):
     the draw's estimator grad_i(i, x) - correction; and on heads w <- the
     pre-update tracked point (x^k or y^k, the same array), on tails w stays.
     A 3-lane _stack step, its lanes on mixed samples and coins, takes the
-    same branches: bitwise on dense ridge, where grad_many is grad_i's
+    same branches: bitwise on dense ridge, where grad_rows is grad_i's
     arithmetic, and to rounding on CSR logistic."""
     oracle = RUN_ORACLES[data]()
     n = oracle.n
@@ -581,7 +607,7 @@ def test_step_is_the_diagnostics_branch_and_the_lane_step(cls, data):
         setattr(opt, name, rng.normal(size=oracle.d))
     opt.grad_w = oracle.full_grad(opt.w)
     corrections = oracle.corrections(np.arange(n), opt.w, opt.grad_w)
-    x = opt.point()
+    x = opt.x if opt.potential[0] == "phi" else opt.point()
     g = np.stack([oracle.grad_i(i, x) for i in range(n)]) - corrections
     if opt.potential[0] == "phi":
         branch = {"x": opt.x - opt.eta * g}
@@ -629,7 +655,7 @@ def first_step_refreshes(rng, n, p):
 @pytest.mark.parametrize("cls", [LSVRG, LKatyusha], ids=lambda c: c.name)
 def test_run_refreshing_at_step_0_is_the_serial_loop(cls):
     """A new optimizer's w is its tracked point's own array: a refresh at
-    step 0 stores that array as w while move() replaces the point."""
+    step 0 stores that array as w while step() replaces the point."""
     oracle = csr_ridge_oracle()
     params = {**cls.theory_params(oracle), "p": 0.3}
     seed = next(s for s in range(100) if first_step_refreshes(SplitMix64(s), oracle.n, 0.3))
