@@ -38,6 +38,7 @@ from .harness import (
     sweep_p,
 )
 from .optimizers import ALGORITHMS, all_param_types
+from .oracle import LOSSES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,7 +79,7 @@ def _add_problem_flags(parser: argparse.ArgumentParser):
         metavar="N,D,KAPPA",
         help="synthetic ridge instance (seeded by --data-seed)",
     )
-    parser.add_argument("--loss", choices=("logistic", "ridge"))
+    parser.add_argument("--loss", choices=LOSSES)
     parser.add_argument("--mu", type=float, help="regularization weight (> 0)")
     parser.add_argument("--normalize", action="store_true", default=None,
                         help="scale rows to unit Euclidean norm before training")

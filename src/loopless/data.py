@@ -191,8 +191,9 @@ _CHUNK = 1 << 15
 # the bytes of a plain chunk: any other byte (``#``, ``e``, other letters,
 # other whitespace, ...) sends the chunk to the scalar parser
 _PLAIN_BYTES = b" \t\r\n:+-.0123456789"
-# Clinger's fast path: an integer mantissa m < 2**53 and 10**k for k <= 22
-# are exact doubles, so m / 10**k is float()'s correctly rounded value
+# Clinger's fast path (PLDI 1990): an integer mantissa m < 2**53 and 10**k
+# for k <= 22 are exact doubles, so m / 10**k is float()'s correctly rounded
+# value
 _EXACT_MANTISSA = 2.0**53
 _EXACT_POWERS = 22
 # 10**k as doubles; a digit further up than 10**22 only has to make its

@@ -28,7 +28,7 @@ from .data import load_libsvm, normalize_rows, synthesize_quadratic
 # compute_phi, compute_psi and verify_lemma_bounds are not called here, but
 # perfbench/tracer.py patches them here too (ROADMAP item 14)
 from .diagnostics import ReferenceSolution, compute_phi, compute_psi, verify_lemma_bounds
-from .oracle import Oracle, make_oracle
+from .oracle import LOSSES, Oracle, make_oracle
 from .optimizers import ALGORITHMS, all_param_types, check_budget, run, run_lanes
 from .rng import SplitMix64
 
@@ -89,7 +89,7 @@ class RunConfig:
             )
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ConfigError("exactly one of dataset_path or synthetic is required")
-        if self.loss not in ("logistic", "ridge"):
+        if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}")
         for name in ("mu", "epochs", "checkpoint_every", "ref_tolerance"):
             value = getattr(self, name)
@@ -394,8 +394,8 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
 
     The runs of one family (SVRG or Katyusha) go through run_lanes as one
     batch when there are at least three of them (a lane's trace is run's:
-    bitwise on dense ridge data, its floats to rounding otherwise; fewer
-    lanes lose to run on CSR data), every other run through run.  Raises
+    bitwise on dense ridge data, its floats to rounding otherwise; the rule's
+    measurements are at it, below), every other run through run.  Raises
     ConfigError before any run if two runs would write the same files, and
     DivergenceError, after writing every run, if any diverged."""
     if not configs:
@@ -416,6 +416,25 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
         for s, opt in enumerate(optimizers):
             families.setdefault(getattr(opt, "lane_state", None), []).append(s)
         by_run = {}
+        # Three runs of a family make lanes, on any storage.  On CSR data they
+        # pay from there: L-SVRG and L-Katyusha at theory presets on
+        # a9a_like(32561, 123, 14, seed=1) logistic, mu = 1e-3, 1.5 epochs, a
+        # checkpoint every 0.25, no diagnostics, least of 6 rounds in one
+        # process, one core of a 2-vCPU VM; seconds one by one / as lanes:
+        #
+        #     runs   L-SVRG          L-Katyusha
+        #      1     0.062 / 0.122   0.097 / 0.161
+        #      2     0.118 / 0.131   0.186 / 0.172
+        #      3     0.179 / 0.149   0.285 / 0.204
+        #      4     0.242 / 0.162   0.379 / 0.205
+        #      5     0.307 / 0.181   0.531 / 0.254
+        #     10     0.573 / 0.252   0.896 / 0.323
+        #
+        # On the dense criterion-7 instance (100 x 20, kappa = 1e5, 150
+        # epochs, L-SVRG) two lanes took 0.037 s against 0.040 s, and ten
+        # 0.050 s against 0.211 s.  The rule stays at three: moving it would
+        # change which driver a batch takes, and so its traces' last bits
+        # on logistic or CSR data.  CHANGES.md records how the crossover moved.
         for family, lanes in families.items():
             if family is not None and len(lanes) >= 3:
                 by_run.update(zip(lanes, run_lanes(

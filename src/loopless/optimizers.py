@@ -5,9 +5,10 @@ reference refresh every m inner steps, and their loopless variants where the
 refresh is triggered by a per-step Bernoulli(p) coin.  A family
 (_SVRGFamily, _KatyushaFamily) writes its serial step() as straight-line
 arithmetic; the Katyusha family also splits it into the point the estimator
-is taken at and the move made with it, which the diagnostics and the lanes
-use.  The loopy and loopless variants of a family differ only in the
-refresh rule mixed into the class: a coin (_Coin) or every m-th step (_Loop).
+is taken at (point()) and the move made with it (momentum_step()), which
+the diagnostics and the lanes use.  The loopy and loopless variants of a
+family differ only in the refresh rule mixed into the class: a coin (_Coin)
+or every m-th step (_Loop).
 
 Each class carries its own facts, which the harness, CLI and diagnostics read
 instead of restating: its registry `name`, its declared `param_types` table
@@ -46,9 +47,9 @@ oracle at once, in place.  Their points are rows :S of a (2S, d) buffer
 whose rows S: are their w, so one Oracle.grad_rows call a step gives every
 lane's grad_i at x and at w, on sample rows Oracle.gathered takes a window
 of steps at a time.  The SVRG family's x is those rows and moves in place;
-the Katyusha family writes its point into them and moves z and y by move().
-A refreshing lane's w row takes its pre-update tracked row once g is formed,
-before the move, and only within its planned steps.
+the Katyusha family writes its point into them and takes z and y from
+momentum_step().  A refreshing lane's w row takes its pre-update tracked
+row once g is formed, before the move, and only within its planned steps.
 """
 
 from __future__ import annotations
@@ -160,8 +161,8 @@ class _VarianceReduced(_Optimizer):
     run_lanes can step lanes as (S, d) rows, each constant shared as one 0-d
     array or, where the lanes' values differ, an (S, 1) column.
 
-    One write rule: step(), point(), momentum_step() and move() write only
-    into arrays they allocate and rebind the state to new arrays, so a
+    One write rule: step(), point() and momentum_step() write only into
+    arrays they allocate, and step() rebinds the state to new arrays, so a
     refresh stores the pre-update point by reference.  The lanes are the
     exception: _stack writes its own stacked arrays in place, and hands each
     lane copies."""
@@ -316,9 +317,6 @@ class _KatyushaFamily(_VarianceReduced):
         y_next = z_next - self.z
         np.multiply(self._theta1, y_next, out=y_next)
         return z_next, np.add(x, y_next, out=y_next)
-
-    def move(self, x: np.ndarray, g: np.ndarray):
-        self.z, self.y = self.momentum_step(x, g)
 
     @property
     def tracked_point(self) -> np.ndarray:
@@ -490,7 +488,8 @@ def run(
     _drive with one lane, stepping itself (_own).
     At the first checkpoint whose tracked point or any record value is not
     finite the run stops without recording it, leaving the optimizer in that
-    state with diverged_at = k.  Deterministic given (optimizer state, rng).
+    state with diverged_at = k.  Deterministic given (optimizer state, rng);
+    rng ends at the end of the last block drawn, past the last step's draws.
     """
     return _drive([optimizer], [rng], epochs, checkpoint_every, [metrics], _own)[0]
 
@@ -639,8 +638,8 @@ def _stacked(opts):
 def _stack(opts, drawn, calls):
     """The lanes stepping together in place on one _stacked copy (see the
     module docstring).  A step reads every constant from a local and calls
-    no method but grad_rows and Katyusha's move(), and full_grad on a
-    refresh."""
+    no method but grad_rows and Katyusha's momentum_step(), and full_grad
+    on a refresh."""
     oracle, width = opts[0].oracle, len(opts)
     refreshes: dict[int, list[int]] = {}  # step -> lanes that refresh in it
     for b, ((_, refresh), planned) in enumerate(zip(drawn, calls)):
@@ -652,7 +651,7 @@ def _stack(opts, drawn, calls):
     stack.w, katyusha = w, isinstance(stack, _KatyushaFamily)
     if katyusha:
         theta1, theta2, y_weight = stack._theta1, stack._theta2, stack._y_weight
-        theta2_w, move = theta2 * w, stack.move
+        theta2_w = theta2 * w
     else:
         stack.x, eta = x, stack._eta
     # row t: step t's samples for the point rows, then for the w rows
@@ -677,7 +676,7 @@ def _stack(opts, drawn, calls):
                 if katyusha:
                     np.multiply(theta2, w, out=theta2_w)
             if katyusha:
-                move(x, g)
+                stack.z, stack.y = stack.momentum_step(x, g)
             else:  # x^{k+1} = x - eta g
                 g *= eta
                 np.subtract(x, g, out=x)

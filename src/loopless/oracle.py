@@ -123,7 +123,7 @@ class Oracle:
             raise ValueError(f"mu must be positive (strong convexity), got {mu}")
         self.dataset = dataset
         self.mu = float(mu)
-        self._mu = np.array(self.mu)  # grad_i's and grad_many's factor
+        self._mu = np.array(self.mu)  # grad_i's and grad_rows' factor
         self.n = dataset.n
         self.d = dataset.d
         self.labels = dataset.labels
@@ -187,11 +187,6 @@ class Oracle:
             m = float(val.dot(x[idx]))
             out[idx] += self._dphi(m, self.labels.item(i)) * val
         return out
-
-    def grad_many(self, idx: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """grad_i(idx[s], X[s]) for every row s, (S,) and (S, d) -> (S, d):
-        grad_rows on the rows idx gathered as one window."""
-        return self.grad_rows(X, *next(self.gathered(idx[np.newaxis])))
 
     def grad_rows(self, X: np.ndarray, labels: np.ndarray, rows) -> np.ndarray:
         """grad_i at X[s] of the s-th sample row of one step of gathered():
@@ -438,12 +433,10 @@ class RidgeOracle(Oracle):
         return quad
 
 
-_ORACLES = {"logistic": LogisticOracle, "ridge": RidgeOracle}
+LOSSES = {"logistic": LogisticOracle, "ridge": RidgeOracle}
 
 
 def make_oracle(dataset: Dataset, loss: str, mu: float) -> Oracle:
-    try:
-        cls = _ORACLES[loss]
-    except KeyError:
-        raise ValueError(f"unknown loss {loss!r}; expected one of {sorted(_ORACLES)}")
-    return cls(dataset, mu)
+    if loss not in LOSSES:
+        raise ValueError(f"unknown loss {loss!r}; expected one of {sorted(LOSSES)}")
+    return LOSSES[loss](dataset, mu)

@@ -18,6 +18,13 @@ def dense_rows(dataset) -> np.ndarray:
     return A
 
 
+def grad_many(oracle, idx, X) -> np.ndarray:
+    """grad_i(idx[s], X[s]) for every row s, (S,) and (S, d) -> (S, d), as a
+    lane step takes it: Oracle.grad_rows on the rows idx, gathered as one
+    step of one window."""
+    return oracle.grad_rows(X, *next(oracle.gathered(idx[np.newaxis])))
+
+
 def serial_step(opt, rng):
     """One step as a per-step loop takes it, the simple path that run()'s
     block draws are checked against: rng.randbelow(n), then the refresh

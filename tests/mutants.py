@@ -5,10 +5,11 @@ report which tests catch it (ROADMAP item 11).
 
 Each mutant is a one-line edit of a paper rule: a text that must occur exactly
 once in its file, and its replacement.  Where a rule is written in more than
-one place (a family's serial step, the lane stepper, the split point/move the
-diagnostics use), each place is its own mutant.  For each mutant the script
-copies src/, tests/, perfbench/, pyproject.toml and README.md to a temporary
-directory, applies the edit there, and runs tier-1 without the value pins:
+one place (a family's serial step, the lane stepper, the split point() and
+momentum_step() the diagnostics use), each place is its own mutant.  For each
+mutant the script copies src/, tests/, perfbench/, pyproject.toml and
+README.md to a temporary directory, applies the edit there, and runs tier-1
+without the value pins:
 
     python -m pytest -q tests --ignore tests/test_golden.py \
         --ignore tests/test_mutants.py -k "not regression_pin"
@@ -52,7 +53,7 @@ _REFRESH = """\
 """
 _MOVE = """\
             if katyusha:
-                move(x, g)
+                stack.z, stack.y = stack.momentum_step(x, g)
             else:  # x^{k+1} = x - eta g
                 g *= eta
                 np.subtract(x, g, out=x)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -343,6 +344,19 @@ def test_a_reference_solve_with_nan_margins_fails_without_a_numpy_warning(tmp_pa
     assert capsys.readouterr().err.startswith("reference solve failed: ")
     assert [p.name for p in out.iterdir()] == [
         "synthetic10x4k1000_data0_logistic_mu5e-324_ref.json"]
+    # a subnormal L makes the step 1/L overflow the iterate: the solve stops
+    # at the first gradient norm that is not finite, long before the default
+    # 100,000 passes of --ref-max-epochs, and still without a warning
+    for argv in (["solve-ref", "--synthetic", "5,2,1e3", "--loss", "logistic"],
+                 ["solve-ref", "--synthetic", "6,3,10", "--loss", "ridge"],
+                 ["run", "--synthetic", "5,2,1e3", "--loss", "logistic", "--alg", "l-svrg",
+                  "--eta", "0.1", "--p", "0.5"]):
+        code, caught = run_quietly(*argv, "--mu", "1e-320", "--out", str(tmp_path / argv[0]))
+        err = capsys.readouterr().err
+        assert code == EXIT_REFERENCE and not caught, argv
+        passes = re.fullmatch(r"reference solve failed: made (\d+) full-gradient passes "
+                              r"with \|\|grad\|\| = \S+ still above tolerance\n", err)
+        assert passes and int(passes.group(1)) < 100_000, err
 
 
 def test_reference_failure_exit_code(tmp_path, capsys):

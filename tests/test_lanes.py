@@ -17,8 +17,8 @@ from loopless.optimizers import (_BLOCK_STEPS, GradientDescent, LKatyusha, Loopy
                                  LoopySVRG, LSVRG, _Coin, _Loop, run, run_lanes)
 from loopless.rng import SplitMix64
 
-from conftest import (quarter_rule_oracle, ridge_instance, serial_step, sparse_logistic_oracle,
-                      walk_lanes)
+from conftest import (grad_many, quarter_rule_oracle, ridge_instance, serial_step,
+                      sparse_logistic_oracle, walk_lanes)
 
 
 def ridge_oracle(n, d=3, kappa=20.0, seed=0):
@@ -340,9 +340,9 @@ def test_lanes_in_small_windows_match_run_bitwise(monkeypatch, family, window):
 @pytest.mark.parametrize("window", [1, 3, 7])
 def test_gathered_rows_give_grad_many_bitwise(monkeypatch, data, loss, window):
     """grad_rows on each step of gathered(samples), with windows of 1, 3 or
-    7 steps, is grad_many on that step's samples bitwise, on dense and CSR
-    rows (CSR rows of 0 or 2 entries), and no window gathers more cells
-    than the cap."""
+    7 steps, is grad_many on that step's samples, gathered alone, bitwise,
+    on dense and CSR rows (CSR rows of 0 or 2 entries), and no window
+    gathers more cells than the cap."""
     dataset = sparse_logistic_oracle().dataset
     oracle = (make_oracle(dataset, loss, 0.1) if data == "dense"
               else quarter_rule_oracle(dataset, loss, 0.1))
@@ -358,7 +358,7 @@ def test_gathered_rows_give_grad_many_bitwise(monkeypatch, data, loss, window):
     blocks = len(windows)
     assert len(got) == len(samples) and all(cells.size <= cap for _, cells, _ in windows)
     for t, (idx, X) in enumerate(zip(samples, points)):
-        assert got[t].tobytes() == oracle.grad_many(idx, X).tobytes(), t
+        assert got[t].tobytes() == grad_many(oracle, idx, X).tobytes(), t
     if data == "dense":
         assert {steps for _, _, steps in windows[:blocks]} == {window, 40 % window or window}
 

@@ -10,7 +10,7 @@ from loopless.data import (Dataset, SparseRow, _dense_to_csr, normalize_rows, pa
 from loopless.diagnostics import solve_reference
 from loopless.oracle import LogisticOracle, RidgeOracle, make_oracle
 
-from conftest import dense_rows, quarter_rule_oracle, random_dataset
+from conftest import dense_rows, grad_many, quarter_rule_oracle, random_dataset
 
 
 def finite_diff_grads(oracle, x):
@@ -209,7 +209,7 @@ def test_grad_many_matches_grad_i(loss, density, margin):
         top = np.abs(np.einsum("ij,ij->i", A[idx], X))[:, np.newaxis]
         X *= margin / np.where(top > 0.0, top, 1.0)
     with np.errstate(all="raise"):
-        got = oracle.grad_many(idx, X)
+        got = grad_many(oracle, idx, X)
     want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)])
     assert_close(got, want)
     if loss == "ridge" and oracle._dense is not None:
@@ -229,7 +229,7 @@ def assert_within_ulps(got, want, ulps=4):
 
 @pytest.mark.parametrize("filler", [0, 20], ids=["csr", "dense"])
 def test_logistic_weights_match_the_scalar_kernel_at_extreme_margins(filler):
-    """full_grad, grad_table and grad_many take the one-exp weight; each row
+    """full_grad, grad_table and grad_rows take the one-exp weight; each row
     reads its weight out in a column of its own, where x is 0, so the
     gradient entry there is phi'(m_i) itself (full_grad: phi'(m_i) / n)."""
     rng = np.random.default_rng(filler)
@@ -253,16 +253,16 @@ def test_logistic_weights_match_the_scalar_kernel_at_extreme_margins(filler):
     with np.errstate(all="raise"):
         full_grad = oracle.full_grad(x)
         grad_table = oracle.grad_table(x)
-        grad_many = oracle.grad_many(idx, np.tile(x, (idx.size, 1)))
+        many = grad_many(oracle, idx, np.tile(x, (idx.size, 1)))
     table = np.stack([oracle.grad_i(i, x) for i in range(n)])
     readout = 1 + np.arange(n)
     weights = table[np.arange(n), readout]
     assert np.array_equal(weights, [oracle._dphi(b_i * m, b_i) for b_i, m in zip(b, bm)])
     assert_within_ulps(grad_table[np.arange(n), readout], weights)
-    assert_within_ulps(grad_many[np.arange(idx.size), readout[idx]], weights[idx])
+    assert_within_ulps(many[np.arange(idx.size), readout[idx]], weights[idx])
     assert_within_ulps(full_grad[readout], table.mean(axis=0)[readout])
     assert_close(grad_table, table)
-    assert_close(grad_many, table[idx])
+    assert_close(many, table[idx])
     assert_close(full_grad, table.mean(axis=0))
 
 
@@ -277,7 +277,7 @@ def test_dense_ridge_grad_many_is_grad_i_bitwise():
         idx = rng.integers(n, size=int(rng.integers(1, 9)))
         X = rng.normal(size=(idx.size, oracle.d)) * 10.0 ** rng.integers(-3, 4)
         want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)])
-        assert oracle.grad_many(idx, X).tobytes() == want.tobytes()
+        assert grad_many(oracle, idx, X).tobytes() == want.tobytes()
 
 
 def scalar_row_reference(oracle, i, x):
@@ -517,7 +517,7 @@ def test_dense_storage_agrees_with_csr_to_rounding():
             assert_close(dense.grad_i(i, x), csr.grad_i(i, x))
         idx = rng.integers(n, size=2 * n)
         X = rng.normal(size=(idx.size, dense.d))
-        assert_close(dense.grad_many(idx, X), csr.grad_many(idx, X))
+        assert_close(grad_many(dense, idx, X), grad_many(csr, idx, X))
         assert_close(dense.full_grad(x), csr.full_grad(x))
         assert_close(dense.grad_table(x), csr.grad_table(x))
         np.testing.assert_allclose(dense.full_loss_many(points), csr.full_loss_many(points),
