@@ -423,12 +423,12 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
         # process, one core of a 2-vCPU VM; seconds one by one / as lanes:
         #
         #     runs   L-SVRG          L-Katyusha
-        #      1     0.062 / 0.122   0.097 / 0.161
-        #      2     0.118 / 0.131   0.186 / 0.172
-        #      3     0.179 / 0.149   0.285 / 0.204
-        #      4     0.242 / 0.162   0.379 / 0.205
-        #      5     0.307 / 0.181   0.531 / 0.254
-        #     10     0.573 / 0.252   0.896 / 0.323
+        #      1     0.059 / 0.114   0.095 / 0.151
+        #      2     0.125 / 0.131   0.191 / 0.175
+        #      3     0.187 / 0.146   0.283 / 0.192
+        #      4     0.246 / 0.156   0.381 / 0.200
+        #      5     0.312 / 0.175   0.454 / 0.216
+        #     10     0.571 / 0.236   0.889 / 0.298
         #
         # On the dense criterion-7 instance (100 x 20, kappa = 1e5, 150
         # epochs, L-SVRG) two lanes took 0.037 s against 0.040 s, and ten

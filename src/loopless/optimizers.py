@@ -46,10 +46,15 @@ the point.  run_lanes()'s, _stack, steps optimizers of one family on one
 oracle at once, in place.  Their points are rows :S of a (2S, d) buffer
 whose rows S: are their w, so one Oracle.grad_rows call a step gives every
 lane's grad_i at x and at w, on sample rows Oracle.gathered takes a window
-of steps at a time.  The SVRG family's x is those rows and moves in place;
-the Katyusha family writes its point into them and takes z and y from
-momentum_step().  A refreshing lane's w row takes its pre-update tracked
-row once g is formed, before the move, and only within its planned steps.
+of steps at a time.  grad_rows writes them into a second (2S, d) buffer
+that the block owns, where g forms in rows :S from the corrections in rows
+S:, views made once a block, so an SVRG-family step allocates no array of
+the lanes' size: x is the point rows and moves in place.  The Katyusha
+family writes its point into them and takes z and y from momentum_step().
+The walk goes through a block as spans: the steps between two refresh
+steps, which run with no refresh check, and each refresh step alone, after
+which its lanes' w rows take the tracked rows from before it (only within
+their planned steps).
 """
 
 from __future__ import annotations
@@ -425,9 +430,15 @@ def check_budget(epochs: float, checkpoint_every: float):
 
 
 # most steps in one schedule block: bounds the schedule arrays of a run or a lane,
-# whatever the epoch budget, while keeping the per-block set-up a small share of
-# the steps
-_BLOCK_STEPS = 1024
+# whatever the epoch budget, while keeping the per-block set-up (draws, _plan,
+# stacking, the gathered rows) a small share of the steps.  At the sweep's 10
+# lanes a full block holds about 1.6 MB: 96 KB a lane for its indices,
+# uniforms and planned calls, and 640 KB for the (4096, 20) table of the
+# stack's sample rows.  A sweep-ridge op (2,450 steps a lane) is then one
+# block, not three; with the span walk and the one-point full_loss its time
+# fell about 7% (CHANGES.md).  The draws are counter-based, so the block
+# length moves none of them
+_BLOCK_STEPS = 4096
 
 # most cells in one table of corrections (1 MiB of float64): a stretch of steps
 # sharing w gets its table in pieces of at most max(1, _STRETCH_CELLS // d) rows
@@ -538,9 +549,10 @@ def _drive(lanes, rngs, epochs, every, metrics, stepper) -> list[list[dict]]:
     checkpoint: its budget is spent, or it has diverged and skips the
     checkpoints it still had in the block.  stepper(opts, drawn, calls),
     built once per block, returns advance(start, stop), which takes steps
-    start..stop-1, and write_back(b, t), which leaves lane b's optimizer as
-    after step t; it refreshes a lane only within its planned steps calls[b],
-    so a lane whose budget is spent is refreshed no more."""
+    start..stop-1, write_back(b, t), which leaves lane b's optimizer as
+    after step t, and retire(b), told once lane b has dropped out; it
+    refreshes a lane only within its planned steps calls[b], so a lane whose
+    budget is spent is refreshed no more."""
     check_budget(epochs, every)
     traces: list[list[dict]] = [[] for _ in lanes]
     start_ns = time.perf_counter_ns()
@@ -585,7 +597,7 @@ def _drive(lanes, rngs, epochs, every, metrics, stepper) -> list[list[dict]]:
             calls.append(lane_calls)
             for t in planned:
                 due.setdefault(t, []).append(b)
-        advance, write_back = stepper(opts, drawn, calls)
+        advance, write_back, retire = stepper(opts, drawn, calls)
         running = set(range(len(opts)))  # the lanes before their last checkpoint
         start = 0
         for t in sorted(due):
@@ -596,6 +608,7 @@ def _drive(lanes, rngs, epochs, every, metrics, stepper) -> list[list[dict]]:
                     write_back(b, t)
                     if not record(live[b]):
                         running.remove(b)
+                        retire(b)
             if not running:
                 break
         else:  # the steps after the block's last checkpoint
@@ -608,7 +621,8 @@ def _drive(lanes, rngs, epochs, every, metrics, stepper) -> list[list[dict]]:
 
 def _own(opts, drawn, calls):
     """One optimizer stepping itself through draws() and step(), which keep
-    its state and counters: nothing to write back."""
+    its state and counters: nothing to write back, and no step after it
+    drops out."""
     (optimizer,), ((indices, refresh),), (planned,) = opts, drawn, calls
     draws = optimizer.draws(indices, refresh[:len(planned)])
 
@@ -616,7 +630,7 @@ def _own(opts, drawn, calls):
         for draw in itertools.islice(draws, stop - start):
             optimizer.step(*draw)
 
-    return advance, lambda b, t: None
+    return advance, lambda b, t: None, lambda b: None
 
 
 def _stacked(opts):
@@ -639,15 +653,23 @@ def _stack(opts, drawn, calls):
     """The lanes stepping together in place on one _stacked copy (see the
     module docstring).  A step reads every constant from a local and calls
     no method but grad_rows and Katyusha's momentum_step(), and full_grad
-    on a refresh."""
+    on a refresh.  retire(b) zeroes lane b's rows, where every later step
+    keeps them (g is then exactly 0), and drops its refreshes left in the
+    block: a lane that stopped, diverged or not, is stepped on to the
+    block's end without overflowing."""
     oracle, width = opts[0].oracle, len(opts)
     refreshes: dict[int, list[int]] = {}  # step -> lanes that refresh in it
     for b, ((_, refresh), planned) in enumerate(zip(drawn, calls)):
         for t in np.flatnonzero(refresh[:len(planned)]).tolist():
             refreshes.setdefault(t, []).append(b)
+    due = sorted(refreshes.items(), reverse=True)  # the next refresh step last
     stack = _stacked(opts)
     xw = np.concatenate([stack.tracked_point, stack.w])
     x, w = xw[:width], xw[width:]
+    # grad_rows' output at xw: g = grad_i(x) - (grad_i(w) - grad_w) forms in
+    # the point rows, from the correction in the w rows
+    gc = np.empty_like(xw)
+    g, correction = gc[:width], gc[width:]
     stack.w, katyusha = w, isinstance(stack, _KatyushaFamily)
     if katyusha:
         theta1, theta2, y_weight = stack._theta1, stack._theta2, stack._y_weight
@@ -660,26 +682,35 @@ def _stack(opts, drawn, calls):
     grad_rows, full_grad, grad_w = oracle.grad_rows, oracle.full_grad, stack.grad_w
 
     def advance(start: int, stop: int):
-        for t, (labels, rows) in zip(range(start, stop), steps):
-            if katyusha:  # x = theta1 z + theta2 w + (1 - theta1 - theta2) y
-                np.multiply(theta1, stack.z, out=x)
-                np.add(x, theta2_w, out=x)
-                np.add(x, y_weight * stack.y, out=x)
-            g = grad_rows(xw, labels, rows)
-            # g = grad_i(x) - (grad_i(w) - grad_w), formed in the point rows
-            g, correction = g[:width], g[width:]
-            correction -= grad_w
-            g -= correction
-            for b in refreshes.get(t, ()):  # w <- the pre-update tracked point
-                w[b] = stack.y[b] if katyusha else x[b]
-                grad_w[b] = full_grad(w[b])
+        while start < stop:
+            # a span of steps that refresh no lane, or one step that refreshes
+            # some: its lanes' pre-update tracked rows become w after it
+            refreshing = bool(due) and due[-1][0] == start
+            if refreshing:
+                lanes = due.pop()[1]
+                pre, end = stack.tracked_point[lanes], start + 1
+            else:
+                end = min(due[-1][0], stop) if due else stop
+            for labels, rows in itertools.islice(steps, end - start):
+                if katyusha:  # x = theta1 z + theta2 w + (1 - theta1 - theta2) y
+                    np.multiply(theta1, stack.z, out=x)
+                    np.add(x, theta2_w, out=x)
+                    np.add(x, y_weight * stack.y, out=x)
+                grad_rows(xw, labels, rows, gc)
+                np.subtract(correction, grad_w, out=correction)
+                np.subtract(g, correction, out=g)
+                if katyusha:
+                    stack.z, stack.y = stack.momentum_step(x, g)
+                else:  # x^{k+1} = x - eta g
+                    np.multiply(g, eta, out=g)
+                    np.subtract(x, g, out=x)
+            if refreshing:  # w <- the pre-update tracked point
+                w[lanes] = pre
+                for b in lanes:
+                    grad_w[b] = full_grad(w[b])
                 if katyusha:
                     np.multiply(theta2, w, out=theta2_w)
-            if katyusha:
-                stack.z, stack.y = stack.momentum_step(x, g)
-            else:  # x^{k+1} = x - eta g
-                g *= eta
-                np.subtract(x, g, out=x)
+            start = end
 
     def write_back(b: int, t: int):
         opt = opts[b]
@@ -688,4 +719,13 @@ def _stack(opts, drawn, calls):
         opt.k = k0[b] + t + 1
         opt.oracle_calls = int(calls[b][t])
 
-    return advance, write_back
+    def retire(b: int):
+        for name in stack.lane_state:
+            getattr(stack, name)[b] = 0.0
+        if katyusha:
+            theta2_w[b] = 0.0
+        for _, lanes in due:
+            if b in lanes:
+                lanes.remove(b)
+
+    return advance, write_back, retire

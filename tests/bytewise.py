@@ -40,8 +40,10 @@ from test_golden import _OUT, CASES, write_inputs  # noqa: E402
 
 # commands at realistic sizes, where last bits move that the small golden
 # inputs (at most 40 x 64) do not show; not golden, compared only here:
-# sweep-ridge's sweep, the lemmas-n400 instance at lemmas for both loopless
-# algorithms, and CSR lanes (three seeds a family) on an a9a-shaped file
+# sweep-ridge's sweep, the same sweep at 400 epochs (about 20,000 steps a
+# lane, so its lanes cross several schedule blocks), the lemmas-n400
+# instance at lemmas for both loopless algorithms, and CSR lanes (three
+# seeds a family) on an a9a-shaped file
 _N400 = ["--synthetic", "400,20,1e3", "--loss", "ridge", "--mu", "1", "--data-seed", "1",
          "--epochs", "6", "--checkpoint-every", "6", "--diagnostics", "lemmas",
          "--seed", "1", *_OUT]
@@ -49,6 +51,10 @@ SIZE_CASES = {
     "size_sweep-ridge": ["sweep-p", "--synthetic", "100,20,1e4", "--loss", "ridge",
                          "--mu", "1", "--data-seed", "2", "--epochs", "50",
                          "--checkpoint-every", "5", "--diagnostics", "distance", *_OUT],
+    "size_sweep-ridge_blocks": ["sweep-p", "--synthetic", "100,20,1e4", "--loss", "ridge",
+                                "--mu", "1", "--data-seed", "2", "--epochs", "400",
+                                "--checkpoint-every", "40", "--diagnostics", "distance",
+                                *_OUT],
     "size_lemmas-n400_l-svrg": ["run", "--alg", "l-svrg", *_N400],
     "size_lemmas-n400_l-katyusha": ["run", "--alg", "l-katyusha", *_N400],
     "size_compare-all_a9a": ["compare-all", "--data", "{tmp}/in/a9a_like.svm", "--loss",

@@ -22,7 +22,7 @@ def grad_many(oracle, idx, X) -> np.ndarray:
     """grad_i(idx[s], X[s]) for every row s, (S,) and (S, d) -> (S, d), as a
     lane step takes it: Oracle.grad_rows on the rows idx, gathered as one
     step of one window."""
-    return oracle.grad_rows(X, *next(oracle.gathered(idx[np.newaxis])))
+    return oracle.grad_rows(X, *next(oracle.gathered(idx[np.newaxis])), np.empty_like(X))
 
 
 def serial_step(opt, rng):
@@ -66,9 +66,9 @@ def walk_lanes(opts, rngs, stop, cap_steps, every, block=1000):
         n = lanes[0].oracle.n
         calls = [opt.oracle_calls + np.cumsum(opt.step_calls + n * refresh)
                  for opt, (_, refresh) in zip(lanes, drawn)]
-        # a stopped lane is still stepped, and refreshed, to the block's end,
-        # but never written back again
-        advance, write_back = optimizers._stack(lanes, drawn, calls)
+        # a stopped lane is retired, as _drive retires it: still stepped to
+        # the block's end, at zero, and never written back again
+        advance, write_back, retire = optimizers._stack(lanes, drawn, calls)
         running = set(range(len(lanes)))
         for t in range(every - 1, steps, every):
             advance(t + 1 - every, t + 1)
@@ -77,6 +77,7 @@ def walk_lanes(opts, rngs, stop, cap_steps, every, block=1000):
                 if stop(lanes[b]):
                     result[live[b]] = lanes[b].epoch
                     running.remove(b)
+                    retire(b)
             if not running:
                 break
         live = [live[b] for b in sorted(running)]

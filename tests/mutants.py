@@ -42,23 +42,6 @@ REPO = Path(__file__).resolve().parent.parent
 OPT, DIAG = "src/loopless/optimizers.py", "src/loopless/diagnostics.py"
 ORACLE = "src/loopless/oracle.py"
 
-# _stack's refresh of w and its in-place move: swapped, the refresh copies
-# the post-update point
-_REFRESH = """\
-            for b in refreshes.get(t, ()):  # w <- the pre-update tracked point
-                w[b] = stack.y[b] if katyusha else x[b]
-                grad_w[b] = full_grad(w[b])
-                if katyusha:
-                    np.multiply(theta2, w, out=theta2_w)
-"""
-_MOVE = """\
-            if katyusha:
-                stack.z, stack.y = stack.momentum_step(x, g)
-            else:  # x^{k+1} = x - eta g
-                g *= eta
-                np.subtract(x, g, out=x)
-"""
-
 # (name, file, old text, new text)
 MUTANTS = [
     ("SVRG refresh stores the post-update point, in step", OPT,
@@ -68,7 +51,11 @@ MUTANTS = [
      "            self.w = y\n",
      "            self.w = y = self.y\n"),
     ("lane refresh stores the post-update point, in _stack", OPT,
-     _REFRESH + _MOVE, _MOVE + _REFRESH),
+     "                w[lanes] = pre\n",
+     "                w[lanes] = stack.tracked_point[lanes]\n"),
+    ("lane refresh applied one step late, at a span boundary, in _stack", OPT,
+     "                pre, end = stack.tracked_point[lanes], start + 1\n",
+     "                pre, end = stack.tracked_point[lanes], start + 2\n"),
     ("L-SVRG predicted_rate is max(1 - eta mu, 1 - p)", OPT,
      "1.0 - self.p / 2.0)}",
      "1.0 - self.p)}"),
@@ -85,8 +72,8 @@ MUTANTS = [
      "        if len({v.tobytes() for v in values}) > 1:\n",
      "        if False:\n"),
     ("correction sign flipped, _stack", OPT,
-     "            g -= correction\n",
-     "            g += correction\n"),
+     "                np.subtract(g, correction, out=g)\n",
+     "                np.add(g, correction, out=g)\n"),
     ("a lane step reads the next step's rows", ORACLE,
      "            window = samples[lo:lo + steps]\n",
      "            window = samples[lo + 1:lo + steps + 1]\n"),

@@ -5,6 +5,7 @@ that run() and run_lanes share."""
 import copy
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from loopless import optimizers, oracle as oracle_module
 from loopless.data import synthesize_quadratic
 from loopless.harness import RunConfig, build_metrics
 from loopless.oracle import Oracle, make_oracle
-from loopless.optimizers import (_BLOCK_STEPS, GradientDescent, LKatyusha, LoopyKatyusha,
+from loopless.optimizers import (GradientDescent, LKatyusha, LoopyKatyusha,
                                  LoopySVRG, LSVRG, _Coin, _Loop, run, run_lanes)
 from loopless.rng import SplitMix64
 
@@ -353,7 +354,7 @@ def test_gathered_rows_give_grad_many_bitwise(monkeypatch, data, loss, window):
     cap = window * 6 * (oracle.d if data == "dense" else 2)
     monkeypatch.setattr(oracle_module, "_WINDOW_CELLS", cap)
     windows = spy_windows(monkeypatch)
-    got = [oracle.grad_rows(X, labels, rows)
+    got = [oracle.grad_rows(X, labels, rows, np.empty_like(X))
            for X, (labels, rows) in zip(points, oracle.gathered(samples))]
     blocks = len(windows)
     assert len(got) == len(samples) and all(cells.size <= cap for _, cells, _ in windows)
@@ -363,9 +364,16 @@ def test_gathered_rows_give_grad_many_bitwise(monkeypatch, data, loss, window):
         assert {steps for _, _, steps in windows[:blocks]} == {window, 40 % window or window}
 
 
+# the block length the block-recording tests hold run_lanes to, so that their
+# budgets cross blocks
+BLOCK = 1024
+
+
 def record_blocks(monkeypatch) -> dict:
     """{id(optimizer): [(its k at a block's start, the block's steps), ...]},
-    filled by every schedule() call: one per lane and block of run_lanes."""
+    filled by every schedule() call: one per lane and block of run_lanes,
+    whose blocks it holds to BLOCK steps."""
+    monkeypatch.setattr(optimizers, "_BLOCK_STEPS", BLOCK)
     blocks: dict = {}
     for rule in (_Coin, _Loop):
         def recorded(self, rng, steps, schedule=rule.schedule):
@@ -380,7 +388,7 @@ def test_run_lanes_matches_run_on_random_batches(monkeypatch):
     lane checked against run() as compare_lanes_with_runs checks dense ridge
     lanes (bitwise), with diverged_at.  The batches take intervals below one step's epoch increment
     (2/n), budgets at which a lane ends on a block's last step (at
-    k = _BLOCK_STEPS, the longest block, among others), and lanes that
+    k = BLOCK, the longest block, among others), and lanes that
     diverge mid-block (their f_gap turns infinite past a random epoch)."""
     blocks = record_blocks(monkeypatch)
     rng = np.random.default_rng(11)
@@ -392,8 +400,8 @@ def test_run_lanes_matches_run_on_random_batches(monkeypatch):
                  {"p": float(rng.uniform(0.01, 1.0))}, {"p": 1.0}]
         rules = [rules[i] for i in rng.choice(4, size=int(rng.integers(1, 5)))]
         if trial % 5 == 0:  # a lane that never refreshes spends its budget in one block
-            rules.append({"m": _BLOCK_STEPS + 1})
-            epochs = (n + 2 * _BLOCK_STEPS) / n
+            rules.append({"m": BLOCK + 1})
+            epochs = (n + 2 * BLOCK) / n
         else:
             epochs = float(rng.uniform(0.0, 2200 / n))
         every = float(rng.choice([rng.uniform(0.05, 1.0) * 2 / n,
@@ -428,11 +436,11 @@ def test_run_lanes_matches_run_on_random_batches(monkeypatch):
                 seen.add("diverged mid-block")
             if lane.k == block_end and lane.epoch == epochs:
                 seen.add("ended at a block's last step")
-                if lane.k == _BLOCK_STEPS:
+                if lane.k == BLOCK:
                     seen.add("ended at the longest block's last step")
         if every < 2 / n and any(len(trace) > 2 for trace in traces):
             seen.add("interval below a step")
-        assert all(steps <= _BLOCK_STEPS for lane in blocks.values() for _, steps in lane)
+        assert all(steps <= BLOCK for lane in blocks.values() for _, steps in lane)
     assert seen == {"diverged mid-block", "ended at a block's last step",
                     "ended at the longest block's last step", "interval below a step"}
 
@@ -491,7 +499,7 @@ def test_lane_trajectory_regression_pin(monkeypatch, family, epochs, every):
     if epochs == 8.0:  # one block, as long as the budget allows: 2 calls a step
         assert steps == [math.ceil((epochs * oracle.n - oracle.n) / 2)]
     else:
-        assert len(steps) > 1 and max(steps) == _BLOCK_STEPS
+        assert len(steps) > 1 and max(steps) == BLOCK
 
 
 def test_run_lanes_zero_budget_and_no_lanes():
@@ -653,6 +661,49 @@ def test_run_lanes_drops_a_diverged_lane_and_keeps_the_others(monkeypatch):
     lane = made[0][0]  # the last batch's diverging lane in run_lanes, made first
     k, checkpoints = [(k, steps) for opt, k, steps in plans if opt is lane][-1]
     assert k + checkpoints[-1] + 1 > lane.diverged_at
+
+
+def test_a_stopped_lane_steps_on_to_the_block_end_without_overflowing(monkeypatch):
+    """A lane that diverges is stepped on with the others to the block's
+    end, at zero and with no refresh left, so its rows stay finite.
+    L-SVRG at eta = 5/L beside two lanes at eta = 1/(6L): its f turns
+    infinite at k = 480, where run() stops quietly, and run_lanes stops it
+    there too, with no numpy warning (turned into an error here), while
+    every lane is run()'s, bitwise, and refreshes as often."""
+    dataset, _ = synthesize_quadratic(50, 5, 100, seed=1, mu=1.0)
+    oracle = make_oracle(dataset, "ridge", 1.0)
+    eta = 1.0 / (6.0 * oracle.L)
+
+    def make_lanes():
+        return [LSVRG(oracle, np.ones(5), eta=5.0 / oracle.L, p=0.02),
+                LSVRG(oracle, np.ones(5), eta=eta, p=0.02),
+                LoopySVRG(oracle, np.ones(5), eta=eta, m=50)]
+
+    def metrics(o):
+        return {"f": oracle.full_loss(o.tracked_point)}
+
+    lanes, serials = make_lanes(), make_lanes()
+    refreshes = []  # the full_grad calls of each driver's refreshes
+
+    def full_grad(x, full_grad=oracle.full_grad):
+        refreshes[-1] += 1
+        return full_grad(x)
+
+    monkeypatch.setattr(oracle, "full_grad", full_grad)
+    refreshes.append(0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traces = run_lanes(lanes, [SplitMix64(s) for s in range(3)], epochs=60.0,
+                           checkpoint_every=0.04, metrics=[metrics] * 3)
+    refreshes.append(0)
+    for s, (lane, serial, trace) in enumerate(zip(lanes, serials, traces)):
+        want = run(serial, SplitMix64(s), epochs=60.0, checkpoint_every=0.04,
+                   metrics=metrics)
+        assert_same_records(trace, want, exact=True)
+        assert_same_state(lane, serial, exact=True)
+        assert lane.diverged_at == serial.diverged_at
+    assert [lane.diverged_at for lane in lanes] == [480, None, None]
+    assert refreshes[0] == refreshes[1] > 0
 
 
 # ------------------------------------------------------------------ wall_ns

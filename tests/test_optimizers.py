@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from loopless import optimizers as optimizers_module
 from loopless.data import Dataset, parse_libsvm, synthesize_quadratic
 from loopless.oracle import make_oracle
 from loopless.optimizers import (
@@ -15,7 +16,6 @@ from loopless.optimizers import (
     LoopySVRG,
     LSVRG,
     _advance_mark,
-    _BLOCK_STEPS,
     _first_mark,
     _plan,
     _stack,
@@ -421,16 +421,17 @@ VARIANCE_REDUCED = [LSVRG, LoopySVRG, LKatyusha, LoopyKatyusha]
 
 @pytest.mark.parametrize("cls", VARIANCE_REDUCED, ids=lambda c: c.name)
 @pytest.mark.parametrize("data", sorted(RUN_ORACLES))
-def test_run_is_the_serial_loop_across_blocks(cls, data):
+def test_run_is_the_serial_loop_across_blocks(monkeypatch, cls, data):
     """At the theory preset (p = 1/n, m = n) the budget takes about 1,300
-    steps, past the first 1,024-step block, with checkpoint marks that fall
-    inside blocks and stretches."""
+    steps, past the first block, held to 1,024 steps, with checkpoint marks
+    that fall inside blocks and stretches."""
+    monkeypatch.setattr(optimizers_module, "_BLOCK_STEPS", 1024)
     oracle = RUN_ORACLES[data]()
     params = cls.theory_params(oracle)
     records, _ = assert_run_is_serial_run(
         lambda: cls(oracle, np.ones(oracle.d), **params), 7,
         epochs=130.0, checkpoint_every=7.3, metrics=norm_sq)
-    assert records[-1]["k"] > _BLOCK_STEPS
+    assert records[-1]["k"] > 1024
 
 
 @pytest.mark.parametrize("cls", VARIANCE_REDUCED, ids=lambda c: c.name)
@@ -547,7 +548,7 @@ def assert_stack_writes_only_its_own(lanes):
     assert sum(refresh[:20].sum() for _, refresh in drawn) > 1
     calls = [lane.oracle_calls + np.cumsum(2 + oracle.n * refresh) for lane, (_, refresh)
              in zip(lanes, drawn)]
-    advance, write_back = _stack(lanes, drawn, calls)
+    advance, write_back, _ = _stack(lanes, drawn, calls)
     advance(0, 20)
     assert [a.tobytes() for a in arrays] == frozen
     for b in range(len(lanes)):
@@ -626,7 +627,7 @@ def test_step_is_the_diagnostics_branch_and_the_lane_step(cls, data):
             draws = [((i + b) % n, coin != (b == 1)) for b in range(3)]
             drawn = [(np.array([j]), np.array([c])) for j, c in draws]
             calls = [np.array([opt.oracle_calls + 2 + n * c]) for _, c in draws]
-            advance, write_back = _stack(lanes, drawn, calls)
+            advance, write_back, _ = _stack(lanes, drawn, calls)
             advance(0, 1)
             for b, (lane, draw) in enumerate(zip(lanes, draws)):
                 write_back(b, 0)
