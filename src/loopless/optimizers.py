@@ -435,9 +435,8 @@ def check_budget(epochs: float, checkpoint_every: float):
 # lanes a full block holds about 1.6 MB: 96 KB a lane for its indices,
 # uniforms and planned calls, and 640 KB for the (4096, 20) table of the
 # stack's sample rows.  A sweep-ridge op (2,450 steps a lane) is then one
-# block, not three; with the span walk and the one-point full_loss its time
-# fell about 7% (CHANGES.md).  The draws are counter-based, so the block
-# length moves none of them
+# block, not three; with the span walk its time fell about 8% (CHANGES.md).
+# The draws are counter-based, so the block length moves none of them
 _BLOCK_STEPS = 4096
 
 # most cells in one table of corrections (1 MiB of float64): a stretch of steps

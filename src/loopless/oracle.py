@@ -6,10 +6,9 @@ inside every f_i so each f_i is mu-strongly convex:
     logistic:  f_i(x) = log(1 + exp(-b_i a_i^T x)) + (mu/2)||x||^2
     ridge:     f_i(x) = (1/2)(a_i^T x - b_i)^2     + (mu/2)||x||^2
 
-Each loss is kernels of the margin m = a_i^T x and a constant: the scalar
-phi'(m, b) (_dphi) of grad_i's per-step path, phi and phi' elementwise on
-arrays of margins (_phis, _dphis) for full-data calls, phi' again for lane
-steps (_lane_dphis, the same values with no overflow by design), and
+Each loss is three kernels of the margin m = a_i^T x and a constant: the
+scalar phi'(m, b) (_dphi) of grad_i's per-step path, phi and phi'
+elementwise on arrays of margins (_phis, _dphis) for full-data calls, and
 `curvature`, a bound on phi''.  L = curvature * max_i ||a_i||^2 + mu bounds
 every f_i's smoothness; an oracle is not built when L is not finite (a
 squared row norm past float64).
@@ -92,9 +91,6 @@ _GRAM_DIM = 1000
 # memory and no speed
 _WINDOW_CELLS = 1 << 13
 
-# the largest w with e^w finite: LogisticOracle._lane_dphis takes np.exp up to it
-_LOG_MAX = math.log(np.finfo(np.float64).max)
-
 # full_loss_many computes at most this many margins at once, and
 # RidgeOracle._row_curvatures this many cells of rows @ gram: about 128 KB per
 # temporary, so a lemma report's n x n evaluations do not raise peak memory
@@ -116,9 +112,9 @@ def _quiet_range(method):
 
 
 class Oracle:
-    """Shared machinery; subclasses define the loss as kernels of the
-    margin, the scalar _dphi and the elementwise _phis, _dphis and
-    _lane_dphis, and the constant `curvature` (an upper bound on phi'')."""
+    """Shared machinery; subclasses define the loss as three kernels of the
+    margin, the scalar _dphi and the elementwise _phis and _dphis, and the
+    constant `curvature` (an upper bound on phi'')."""
 
     curvature: float
 
@@ -173,10 +169,6 @@ class Oracle:
     def _dphis(self, m: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # _dphis' values, with no overflow by design
-    def _lane_dphis(self, m: np.ndarray, b: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _row_ids(self) -> np.ndarray:
         """The row of every stored entry (nnz,)."""
         return np.repeat(np.arange(self.n), self._counts)
@@ -204,21 +196,16 @@ class Oracle:
         cols, vals) entries.  Dense row dots (np.vecdot, ndarray.dot's
         kernel) and the update are grad_i's, so ridge rows are grad_i's
         bitwise; the logistic kernel (np.exp, not math.exp) and CSR row dots
-        (bincount) agree with grad_i's to rounding.  Unlike the full-data
-        calls it takes the caller's np.errstate, as the rest of a lane step
-        does: its weights come from _lane_dphis, which never overflows, so
-        it warns only where the lane's own numbers overflow, and it signals
-        underflow (which numpy ignores by default) as run()'s numpy updates
-        do."""
+        (bincount) agree with grad_i's to rounding."""
         np.multiply(self._mu, X, out=out)
         if self._dense is not None:
-            rows *= self._lane_dphis(np.vecdot(rows, X), labels)[:, np.newaxis]
+            rows *= self._dphis(np.vecdot(rows, X), labels)[:, np.newaxis]
             out += rows
             return out
         lane, cols, vals = rows
         margins = np.bincount(lane, weights=vals * X[lane, cols], minlength=len(labels))
         # a row's indices are distinct, so no (lane, col) pair repeats
-        out[lane, cols] += self._lane_dphis(margins, labels)[lane] * vals
+        out[lane, cols] += self._dphis(margins, labels)[lane] * vals
         return out
 
     def gathered(self, samples: np.ndarray):
@@ -306,12 +293,8 @@ class Oracle:
         """phi'(a_i^T x, b_i) for every row i, (d,) -> (n,)."""
         return self._dphis(self._margins(x), self.labels)
 
-    @_quiet_range
     def full_loss(self, x: np.ndarray) -> float:
-        """f at the point x, (d,) -> float: full_loss_many's arithmetic on
-        one point, bitwise, without its block loop."""
-        X = x[np.newaxis]
-        return float(self._losses(self._margins(X), X)[0])
+        return float(self.full_loss_many(x[np.newaxis])[0])
 
     @_quiet_range
     def full_loss_many(self, Y: np.ndarray) -> np.ndarray:
@@ -395,19 +378,9 @@ class LogisticOracle(Oracle):
         np.divide(b, w, out=w)
         return np.negative(w, out=w)
 
-    def _lane_dphis(self, m, b):
-        # _dphis with e^{b m} taken at min(b m, _LOG_MAX) and set to inf past
-        # it, so the weights keep their bits (NaN stays NaN) and nothing
-        # overflows: three calls more than _dphis, about what entering
-        # np.errstate cost a lane step
-        w = np.multiply(b, m)
-        big = w > _LOG_MAX
-        np.minimum(w, _LOG_MAX, out=w)
-        np.exp(w, out=w)
-        np.putmask(w, big, np.inf)
-        w += 1.0
-        np.divide(b, w, out=w)
-        return np.negative(w, out=w)
+    # np.exp overflows by design, and underflows where grad_i's math.exp
+    # flushes to 0 silently
+    grad_rows = _quiet_range(Oracle.grad_rows)
 
 
 class RidgeOracle(Oracle):
@@ -420,9 +393,8 @@ class RidgeOracle(Oracle):
     def _dphi(self, m, b):
         return m - b
 
-    # the scalar expression is already elementwise, and overflows only where
-    # the margins do
-    _dphis = _lane_dphis = _dphi
+    # the scalar expression is already elementwise
+    _dphis = _dphi
 
     @property
     def enumerates_along_rows(self) -> bool:

@@ -663,21 +663,31 @@ def test_run_lanes_drops_a_diverged_lane_and_keeps_the_others(monkeypatch):
     assert k + checkpoints[-1] + 1 > lane.diverged_at
 
 
-def test_a_stopped_lane_steps_on_to_the_block_end_without_overflowing(monkeypatch):
+@pytest.mark.parametrize("family, diverged_at", [("svrg", 480), ("katyusha", 277)])
+def test_a_stopped_lane_steps_on_to_the_block_end_without_overflowing(
+        monkeypatch, family, diverged_at):
     """A lane that diverges is stepped on with the others to the block's
-    end, at zero and with no refresh left, so its rows stay finite.
-    L-SVRG at eta = 5/L beside two lanes at eta = 1/(6L): its f turns
-    infinite at k = 480, where run() stops quietly, and run_lanes stops it
-    there too, with no numpy warning (turned into an error here), while
-    every lane is run()'s, bitwise, and refreshes as often."""
+    end, at zero and with no refresh left, so its rows stay finite.  In
+    each family one lane diverges beside two stable ones: L-SVRG at
+    eta = 5/L, whose f turns infinite at k = 480, or L-Katyusha built for
+    L/30, whose steps are 30 times too long and whose f turns infinite at
+    k = 277.  run() stops it there quietly, and run_lanes stops it there
+    too, with no numpy warning (turned into an error here), while every
+    lane is run()'s, bitwise, and refreshes as often."""
     dataset, _ = synthesize_quadratic(50, 5, 100, seed=1, mu=1.0)
     oracle = make_oracle(dataset, "ridge", 1.0)
     eta = 1.0 / (6.0 * oracle.L)
 
     def make_lanes():
-        return [LSVRG(oracle, np.ones(5), eta=5.0 / oracle.L, p=0.02),
-                LSVRG(oracle, np.ones(5), eta=eta, p=0.02),
-                LoopySVRG(oracle, np.ones(5), eta=eta, m=50)]
+        if family == "svrg":
+            return [LSVRG(oracle, np.ones(5), eta=5.0 / oracle.L, p=0.02),
+                    LSVRG(oracle, np.ones(5), eta=eta, p=0.02),
+                    LoopySVRG(oracle, np.ones(5), eta=eta, m=50)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "L", oracle.L / 30.0)
+            diverging = LKatyusha(oracle, np.ones(5), theta1=0.3, theta2=0.5, p=0.02)
+        return [diverging, LKatyusha(oracle, np.ones(5), theta1=0.3, theta2=0.5, p=0.02),
+                LoopyKatyusha(oracle, np.ones(5), theta1=0.3, theta2=0.5, m=50)]
 
     def metrics(o):
         return {"f": oracle.full_loss(o.tracked_point)}
@@ -702,7 +712,7 @@ def test_a_stopped_lane_steps_on_to_the_block_end_without_overflowing(monkeypatc
         assert_same_records(trace, want, exact=True)
         assert_same_state(lane, serial, exact=True)
         assert lane.diverged_at == serial.diverged_at
-    assert [lane.diverged_at for lane in lanes] == [480, None, None]
+    assert [lane.diverged_at for lane in lanes] == [diverged_at, None, None]
     assert refreshes[0] == refreshes[1] > 0
 
 
