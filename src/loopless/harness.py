@@ -29,7 +29,7 @@ from .data import load_libsvm, normalize_rows, synthesize_quadratic
 # perfbench/tracer.py patches them here too (ROADMAP item 14)
 from .diagnostics import ReferenceSolution, compute_phi, compute_psi, verify_lemma_bounds
 from .oracle import LOSSES, Oracle, make_oracle
-from .optimizers import ALGORITHMS, all_param_types, check_budget, run, run_lanes
+from .optimizers import ALGORITHMS, RECORD_COLUMNS, all_param_types, check_budget, run, run_lanes
 from .rng import SplitMix64
 
 
@@ -189,13 +189,16 @@ _FIELD_CHECKS = {name: (_type_check(hint), _type_name(hint))
                  for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
-def build_problem(config: RunConfig) -> tuple[Oracle, np.ndarray | None]:
+def build_problem(config: RunConfig) -> tuple[Oracle, np.ndarray]:
     """Load or synthesize the dataset and construct the oracle.
 
-    Returns the oracle and, for synthetic ridge instances (generated at the
-    run's mu), the closed-form minimizer (where the reference solve starts).
+    Returns the oracle and the point the reference solve starts at: the
+    closed-form minimizer of a synthetic ridge instance (generated at the
+    run's mu), else the origin.  A problem too large to allocate, as one
+    that does not fit float64, is a ConfigError naming the synthetic shape
+    or a DataError naming the file.
     """
-    minimizer = None
+    start = None
     if config.dataset_path is not None:
         try:
             dataset = load_libsvm(config.dataset_path)
@@ -209,19 +212,23 @@ def build_problem(config: RunConfig) -> tuple[Oracle, np.ndarray | None]:
             dataset, x_star = synthesize_quadratic(
                 n, d, kappa, seed=config.data_seed, mu=config.mu
             )
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             raise ConfigError(f"synthetic={config.synthetic}: {exc}") from None
         if config.loss == "ridge" and not config.normalize:
-            minimizer = x_star
+            start = x_star
     try:
         if config.normalize:
             dataset = normalize_rows(dataset)
         oracle = make_oracle(dataset, config.loss, config.mu)
-    except ValueError as exc:  # the config checks loss and mu: a row norm left float64
+        if start is None:
+            start = np.zeros(oracle.d)
+    # the config checks loss and mu: a row norm left float64, or a d-vector
+    # past memory (a file's d is its largest feature index)
+    except (ValueError, MemoryError) as exc:
         if config.dataset_path is None:
             raise ConfigError(f"synthetic={config.synthetic}: {exc}") from None
         raise DataError(f"cannot use {config.dataset_path}: {exc}") from None
-    return oracle, minimizer
+    return oracle, start
 
 
 def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
@@ -270,20 +277,20 @@ def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
     return resolved
 
 
-def build_reference(config: RunConfig, oracle: Oracle, minimizer,
+def build_reference(config: RunConfig, oracle: Oracle, start,
                     out_dir: Path) -> ReferenceSolution | None:
     if config.diagnostics == "none":
         return None
-    return _reference(config, oracle, minimizer, out_dir)
+    return _reference(config, oracle, start, out_dir)
 
 
-def _reference(config: RunConfig, oracle: Oracle, minimizer, out_dir: Path) -> ReferenceSolution:
-    """A certified solve, from the closed-form minimizer when there is one.
+def _reference(config: RunConfig, oracle: Oracle, start, out_dir: Path) -> ReferenceSolution:
+    """A certified solve from start (see build_problem).
     A failed solve leaves the record of its best point in out_dir."""
     try:
         return diagnostics.solve_reference(
             oracle, tolerance=config.ref_tolerance, max_epochs=config.ref_max_epochs,
-            x0=minimizer,
+            x0=start,
         )
     except diagnostics.ReferenceSolveError as exc:
         _write_reference(exc.best, config, oracle, out_dir)
@@ -323,7 +330,7 @@ def build_metrics(config: RunConfig, oracle: Oracle, ref: ReferenceSolution | No
 
 def trace_columns(config: RunConfig) -> list[str]:
     cls = ALGORITHMS[config.algorithm]
-    cols = ["k", "oracle_calls", "epoch"]
+    cols = [*RECORD_COLUMNS]
     if config.diagnostics != "none":
         cols += ["dist_sq", "f_gap"]
     if config.diagnostics in ("lyapunov", "lemmas"):
@@ -335,8 +342,6 @@ def trace_columns(config: RunConfig) -> list[str]:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         # plain-float repr is the shortest exact round-trip form (and avoids
         # the np.float64(...) wrapper for numpy scalars)
@@ -359,12 +364,12 @@ def _output_dir(path):
 
 
 def write_trace(records: list[dict], columns: list[str], path: Path):
-    """One CSV row per {column: value} record; a column it lacks is blank."""
+    """One CSV row per {column: value} record, which holds every column."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for rec in records:
-            writer.writerow([_fmt(rec.get(col)) for col in columns])
+            writer.writerow([_fmt(rec[col]) for col in columns])
 
 
 def run_experiment(config: RunConfig, out_dir) -> Path:
@@ -376,8 +381,8 @@ def run_experiment(config: RunConfig, out_dir) -> Path:
     DivergenceError, after writing both files, if the run diverged.
     """
     config.validate()
-    oracle, minimizer = build_problem(config)
-    paths, _ = _run_batch([config], oracle, minimizer, out_dir)
+    oracle, start = build_problem(config)
+    paths, _ = _run_batch([config], oracle, start, out_dir)
     return paths[0]
 
 
@@ -386,9 +391,9 @@ def _repeated(values) -> list:
     return sorted({v for v in values if values.count(v) > 1})
 
 
-def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
+def _run_batch(configs: list[RunConfig], oracle: Oracle, start,
                out_dir) -> tuple[list[Path], list[list[dict]]]:
-    """Run validated configs that share one problem (oracle, minimizer) and
+    """Run validated configs that share one problem (oracle, start) and
     one epoch budget, building the reference once; write each run's trace
     and sidecar, and return the CSV paths and the records in config order.
 
@@ -405,11 +410,9 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, minimizer,
         raise ConfigError(f"runs {shared} would share one trace file; "
                           "list each seed and algorithm once")
     resolved = [resolve_params(config, oracle) for config in configs]
-    # overflow at a huge x0 is reported once, as divergence at k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        optimizers = [make_optimizer(c, oracle, p) for c, p in zip(configs, resolved)]
+    optimizers = [make_optimizer(c, oracle, p) for c, p in zip(configs, resolved)]
     with _output_dir(out_dir) as out_dir:
-        ref = build_reference(configs[0], oracle, minimizer, out_dir)
+        ref = build_reference(configs[0], oracle, start, out_dir)
         metrics = [build_metrics(config, oracle, ref) for config in configs]
         epochs, every = configs[0].epochs, configs[0].checkpoint_every
         families: dict = {}  # a family's lane_state -> its runs
@@ -537,7 +540,7 @@ def sweep_p(base_config: RunConfig, out_dir, grid: list[int] | None = None) -> l
     Raises DivergenceError, after writing every run, if any diverged.
     """
     _check_batch_base(base_config, "sweep-p")
-    oracle, minimizer = build_problem(base_config)
+    oracle, start = build_problem(base_config)
     if grid is None:
         grid = probability_grid(oracle.n, oracle.L / oracle.mu)
     else:
@@ -546,7 +549,7 @@ def sweep_p(base_config: RunConfig, out_dir, grid: list[int] | None = None) -> l
                        params=ALGORITHMS[algorithm].loop_params(ell),
                        tag=f"loop{ell}").validate()
                for ell in grid for algorithm in ("l-svrg", "svrg")]
-    return _run_batch(configs, oracle, minimizer, out_dir)[0]
+    return _run_batch(configs, oracle, start, out_dir)[0]
 
 
 def _check_batch_base(base_config: RunConfig, command: str):
@@ -559,10 +562,8 @@ def _check_batch_base(base_config: RunConfig, command: str):
 
 def epochs_to_threshold(records_or_rows, threshold: float) -> float:
     """First checkpoint epoch with dist_sq <= threshold, or inf."""
-    for epoch, dist_sq in records_or_rows:
-        if dist_sq is not None and dist_sq <= threshold:
-            return epoch
-    return float("inf")
+    return next((epoch for epoch, dist_sq in records_or_rows if dist_sq <= threshold),
+                math.inf)
 
 
 def compare_all(
@@ -587,8 +588,8 @@ def compare_all(
                           "rows twice; list each threshold once")
     configs = [replace(base_config, algorithm=alg, preset="theory", seed=seed).validate()
                for alg in (ALGORITHMS if algorithms is None else algorithms) for seed in seeds]
-    oracle, minimizer = build_problem(base_config)
-    _, traces = _run_batch(configs, oracle, minimizer, out_dir)
+    oracle, start = build_problem(base_config)
+    _, traces = _run_batch(configs, oracle, start, out_dir)
 
     rows = []
     for config, records in zip(configs, traces):
@@ -604,7 +605,8 @@ def compare_all(
 
 
 def read_trace(path) -> list[dict]:
-    """Load a trace CSV back into a list of {column: float|int|None} dicts."""
+    """Load a trace CSV back into a list of {column: float|int} dicts; a
+    blank or missing cell is not a number."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -617,20 +619,17 @@ def read_trace(path) -> list[dict]:
     for line, row in enumerate(rows, start=2):
         parsed = {}
         for key, value in row.items():
-            if value == "" or value is None:
-                parsed[key] = None
-                continue
             try:
                 parsed[key] = (int if key in ("k", "oracle_calls", "wall_ns")
                                else float)(value)
-            except (TypeError, ValueError):  # TypeError: a surplus cell
+            except (TypeError, ValueError):  # TypeError: a missing or surplus cell
                 raise DataError(f"{path}: {key}={value!r} on line {line} "
                                 "is not a number") from None
         out.append(parsed)
     return out
 
 
-_CORE_COLUMNS = {"k", "oracle_calls", "epoch", "wall_ns"}
+_CORE_COLUMNS = {*RECORD_COLUMNS, "wall_ns"}
 
 
 def emit_plotdata(trace_paths, out_path, metrics: list[str] | None = None) -> Path:
@@ -679,8 +678,6 @@ def emit_plotdata(trace_paths, out_path, metrics: list[str] | None = None) -> Pa
             raise DataError(f"{path}: missing metric columns {sorted(missing)}")
         for record in trace:
             for metric in wanted:
-                if record[metric] is None:
-                    continue
                 rows.append({"run_id": run_id, "algorithm": algorithm,
                              "epoch": record["epoch"], "metric": metric,
                              "value": record[metric]})
@@ -709,9 +706,9 @@ def solve_reference_cli(config: RunConfig, out_dir) -> Path:
     """Standalone reference solve; writes <stem>.npz (see _reference_stem)
     and its record as <stem>.json beside it (only the record if it fails)."""
     config.validate()
-    oracle, minimizer = build_problem(config)
+    oracle, start = build_problem(config)
     with _output_dir(out_dir) as out_dir:
-        ref = _reference(config, oracle, minimizer, out_dir)
+        ref = _reference(config, oracle, start, out_dir)
         npz_path = out_dir / f"{_reference_stem(config)}.npz"
         np.savez(npz_path, x_star=ref.x_star, f_star=ref.f_star, grad_norm=ref.grad_norm)
         _write_reference(ref, config, oracle, out_dir)

@@ -479,6 +479,10 @@ def _plan(optimizer, refresh: np.ndarray, epochs: float, mark: float, every: flo
     return calls[:len(epoch)], checkpoints, mark
 
 
+# the leading columns of every trace row, each an optimizer attribute
+RECORD_COLUMNS = ("k", "oracle_calls", "epoch")
+
+
 def run(
     optimizer,
     rng: SplitMix64 | None,
@@ -491,8 +495,8 @@ def run(
 
     Records the initial state and then one record each time the epoch
     counter crosses a multiple of checkpoint_every (and at the final step).
-    A record is the {column: value} dict of its trace row: k, oracle_calls,
-    epoch, what metrics(optimizer) returns, then wall_ns.  metrics sees the
+    A record is the {column: value} dict of its trace row: RECORD_COLUMNS,
+    what metrics(optimizer) returns, then wall_ns.  metrics sees the
     live optimizer and must treat it as read-only; wall_ns is optimizer time,
     the time since the run started less the time spent in metrics.  It is
     _drive with one lane, stepping itself (_own).
@@ -558,16 +562,15 @@ def _drive(lanes, rngs, epochs, every, metrics, stepper) -> list[list[dict]]:
     diag_ns = 0  # time spent in record, left out of wall_ns
 
     def record(s: int) -> bool:
-        """Append lane s's record to its trace: k, oracle_calls, epoch, what
-        its metrics returns, then wall_ns.  False once the lane stops: its
+        """Append lane s's record to its trace: RECORD_COLUMNS, what its
+        metrics returns, then wall_ns.  False once the lane stops: its
         budget is spent, or it has diverged (its tracked point or a record
         value is not finite), when the record is dropped and diverged_at is
         set to its k."""
         nonlocal diag_ns
         now = time.perf_counter_ns()
         optimizer = lanes[s]
-        rec = {"k": optimizer.k, "oracle_calls": optimizer.oracle_calls,
-               "epoch": optimizer.epoch}
+        rec = {col: getattr(optimizer, col) for col in RECORD_COLUMNS}
         wall_ns = now - start_ns - diag_ns
         finite = np.isfinite(optimizer.tracked_point).all()
         if finite and metrics[s] is not None:

@@ -157,6 +157,34 @@ def test_an_overflowing_synthetic_instance_exits_with_config_code(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+# 10**14 float64s are 728 TiB, past a 47-bit address space: numpy's allocation
+# fails at once, whatever the overcommit setting, and touches no memory
+HUGE = 10**14
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-p", "compare-all", "solve-ref"])
+@pytest.mark.parametrize("shape", [f"{HUGE},4,10", f"4,{HUGE},10"], ids=["n", "d"])
+def test_a_synthetic_shape_past_memory_exits_with_config_code(tmp_path, capsys, command,
+                                                              shape):
+    out = tmp_path / "out"
+    assert run_cli(command, "--synthetic", shape, "--loss", "ridge", "--mu", "1",
+                   "--out", str(out)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: synthetic=({shape.replace(',', ', ')}.0): ")
+    assert err.count("\n") == 1 and "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-p", "compare-all", "solve-ref"])
+def test_a_file_dimension_past_memory_exits_with_data_code(tmp_path, capsys, command):
+    data, out = tmp_path / "wide.svm", tmp_path / "out"
+    data.write_text(f"1 3:1\n-1 {HUGE}:2\n", encoding="utf-8")
+    assert run_cli(command, "--data", str(data), "--loss", "logistic", "--mu", "1",
+                   "--out", str(out)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot use {data}: Unable to allocate ")
+    assert err.count("\n") == 1 and "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep-p", "compare-all"])
 def test_a_theory_preset_that_underflows_names_the_instance(tmp_path, capsys, command):
     # L = mu = 1e308 (condition number 1: empty rows), so 6 L overflows and
@@ -475,6 +503,22 @@ def test_invalid_config_file(tmp_path, capsys):
         assert message in err and "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "data error: cannot read config {path}: [Errno 2] No such file"),
+    (b"[1, 2]", "config error: config {path} must hold a JSON object\n"),
+], ids=["unreadable", "not-an-object"])
+def test_a_config_file_that_is_unreadable_or_not_an_object_exits_in_one_line(
+        tmp_path, capsys, content, message):
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    if content is not None:  # else there is no file to read
+        path.write_bytes(content)
+    code = run_cli("run", "--config", str(path), "--out", str(out))
+    assert code == (EXIT_DATA if content is None else EXIT_CONFIG)
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(path=path)) and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_a_loop_length_past_int64_runs(tmp_path):
     huge = str(10**20)
     problem = ["--synthetic", "20,4,100", "--loss", "ridge", "--mu", "1", "--epochs", "2"]
@@ -681,17 +725,19 @@ BIG = 2**1024  # the first int past float64's range
      pytest.param({"synthetic": [10, 4, BIG]}, f"synthetic=[10, 4, {BIG}] is not [n, d, kappa]",
                   id="kappa-past-float64"),
      pytest.param({"params": {"eta": BIG}}, f"param eta={BIG} is not a valid float",
-                  id="eta-past-float64")],
+                  id="eta-past-float64"),
+     pytest.param({"params": [1]}, "params must be a JSON object, got [1]",
+                  id="params-a-list")],
 )
 def test_config_fields_of_the_wrong_type_exit_with_config_code(tmp_path, capsys,
                                                                field, message):
     config = {"algorithm": "l-svrg", "synthetic": [10, 4, 25.0], "loss": "ridge",
               "mu": 1.0, **field}
-    path = tmp_path / "bad.json"
+    path, out = tmp_path / "bad.json", tmp_path / "out"
     path.write_text(json.dumps(config), encoding="utf-8")
-    assert run_cli("run", "--config", str(path), "--out", str(tmp_path)) == EXIT_CONFIG
-    err = capsys.readouterr().err.strip()
-    assert err == f"config error: {message}"
+    assert run_cli("run", "--config", str(path), "--out", str(out)) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_config_synthetic_is_converted_after_its_type_check(tmp_path):
@@ -729,8 +775,14 @@ def test_compare_all_rejects_runs_that_share_files(tmp_path, capsys, flags, mess
      (lambda csv, sidecar: sidecar.write_text("[1, 2]"), "as a run sidecar"),
      (lambda csv, sidecar: csv.write_text(csv.read_text().replace("\n0,", "\nzero,", 1)),
       "is not a number"),
-     (lambda csv, sidecar: csv.unlink(), "cannot read")],
-    ids=["sidecar-not-json", "sidecar-a-list", "cell-not-a-number", "trace-missing"],
+     (lambda csv, sidecar: csv.unlink(), "cannot read"),
+     # no writer leaves a cell blank or a row short: each is not a number
+     (lambda csv, sidecar: csv.write_text(csv.read_text().replace("\n0,", "\n,", 1)),
+      "k='' on line 2 is not a number"),
+     (lambda csv, sidecar: csv.write_text(re.sub(r",\d+\n", "\n", csv.read_text(), 1)),
+      "wall_ns=None on line 2 is not a number")],
+    ids=["sidecar-not-json", "sidecar-a-list", "cell-not-a-number", "trace-missing",
+         "cell-blank", "row-short"],
 )
 def test_plotdata_bad_input_exits_with_data_code(tmp_path, capsys, breaks, message):
     assert run_cli("run", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1.0",

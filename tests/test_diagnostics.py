@@ -501,7 +501,7 @@ def test_lemma_bounds_hold_at_random_states():
 @pytest.mark.parametrize("cls", [LSVRG, LKatyusha])
 def test_family_trace_columns_are_what_the_diagnostics_fill(cls):
     # the lemma and potential names live in optimizers, the values in
-    # diagnostics: a name the diagnostics do not fill is a blank column
+    # diagnostics: a name the diagnostics do not fill fails write_trace
     oracle, ref = ridge_instance(10, 4, 25.0, seed=2)
     state = cls(oracle, np.ones(4), **cls.theory_params(oracle))
     assert tuple(verify_lemma_bounds(state, ref, oracle)) == cls.lemmas

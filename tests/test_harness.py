@@ -24,6 +24,7 @@ from loopless.harness import (
     run_experiment,
     sweep_p,
     trace_columns,
+    write_trace,
 )
 from loopless.oracle import Oracle
 from loopless.optimizers import ALGORITHMS, run_lanes
@@ -249,6 +250,12 @@ def test_a_record_is_the_row_read_trace_reads_back(tmp_path, monkeypatch, algori
         assert all(list(rec) == trace_columns(config) for rec in records)
 
 
+def test_a_record_without_a_column_fails_write_trace(tmp_path):
+    # a row holds every column: a missing value is a bug, not a blank cell
+    with pytest.raises(KeyError, match="dist_sq"):
+        write_trace([{"k": 0, "epoch": 1.0}], ["k", "dist_sq", "epoch"], tmp_path / "t.csv")
+
+
 # the passes over the data of one checkpoint's metrics, on dense ridge: at
 # distance f at the tracked point by full_loss; above it one stacked _margins
 # pass, to which the Katyusha lemma report adds full_grad(x) and the two
@@ -466,7 +473,6 @@ def test_epochs_to_threshold():
     rows = [(1.0, 5.0), (2.0, 0.5), (3.0, 0.01)]
     assert epochs_to_threshold(rows, 0.5) == 2.0
     assert epochs_to_threshold(rows, 1e-9) == float("inf")
-    assert epochs_to_threshold([(1.0, None)], 0.5) == float("inf")
 
 
 def test_compare_all_summary(tmp_path):
