@@ -1,8 +1,8 @@
 """Command-line experiment runner.
 
 Subcommands and the flags each reads:
-  run          problem and budget flags, --alg, --preset, the parameter flags
-               (--eta --p --m --theta1 --theta2 --step-size), --seed, --tag
+  run          problem and budget flags, --alg, --seed, --tag, and the flags
+               --eta --p --m --theta1 --theta2 --step-size over its theory preset
   sweep-p      problem and budget flags, --seed, --grid
   compare-all  problem and budget flags, --tag, --seeds, --algs, --thresholds
   plotdata     trace files, --metrics, --out
@@ -111,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(run_p)
     # the batch commands choose each run's algorithm and params themselves
     run_p.add_argument("--alg", choices=ALGORITHMS)
-    run_p.add_argument("--preset", choices=("theory",))
     for name, kind in all_param_types().items():
         run_p.add_argument("--" + name.replace("_", "-"), type=kind, dest=name)
     run_p.add_argument("--seed", type=int)
@@ -183,17 +182,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     params = payload.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"params must be a JSON object, got {params!r}")
-    params = dict(params)
-    explicit_param = False
-    for name in all_param_types():
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
-            explicit_param = True
-    if params:
-        payload["params"] = params
-    if explicit_param and getattr(args, "preset", None) is None:
-        payload.setdefault("preset", None)
+    flags = {name: getattr(args, name, None) for name in all_param_types()}
+    payload["params"] = {**params, **{k: v for k, v in flags.items() if v is not None}}
 
     for field in RunConfig.__dataclass_fields__:
         value = getattr(args, _FIELD_TO_FLAG.get(field, field), None)

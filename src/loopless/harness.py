@@ -64,8 +64,7 @@ class RunConfig:
     synthetic: tuple[int, int, float] | None = None  # (n, d, condition number)
     loss: str = "logistic"
     mu: float = 0.1
-    params: dict = field(default_factory=dict)  # explicit values, or empty
-    preset: str | None = "theory"
+    params: dict = field(default_factory=dict)  # explicit values over the theory preset
     epochs: float = 20.0
     checkpoint_every: float = 1.0
     seed: int = 0
@@ -113,10 +112,6 @@ class RunConfig:
                 and not ALGORITHMS[self.algorithm].potential):
             raise ConfigError("Lyapunov diagnostics are defined only for the "
                               f"SVRG/Katyusha families, not {self.algorithm}")
-        if self.preset is None and not self.params:
-            raise ConfigError("either a preset or explicit params are required")
-        if self.preset is not None and self.preset != "theory":
-            raise ConfigError(f"unknown preset {self.preset!r}")
         unknown = set(self.params) - set(all_param_types())
         if unknown:
             raise ConfigError(f"unknown params {sorted(unknown)}")
@@ -232,10 +227,10 @@ def build_problem(config: RunConfig) -> tuple[Oracle, np.ndarray]:
 
 
 def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
-    """Merge the preset with explicit overrides into constructor kwargs,
-    in constructor order and converted to the constructor's types."""
+    """The class's theory preset with the explicit params laid over it, as
+    constructor kwargs in constructor order, converted to their types."""
     cls = ALGORITHMS[config.algorithm]
-    params = cls.theory_params(oracle) if config.preset else {}
+    params = cls.theory_params(oracle)
     for name in params.keys() - config.params.keys():
         # e.g. eta = 1 / (6 L) is 0 once 6 L overflows, at L near float64's edge
         if not 0.0 < params[name] < math.inf:
@@ -245,12 +240,6 @@ def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
                               f"{params[name]} at L = {oracle.L}")
     params.update(config.params)
     types = cls.param_types
-    missing = set(types) - set(params)
-    if missing:
-        raise ConfigError(
-            f"{config.algorithm} needs params {sorted(missing)} "
-            "(pass them explicitly or use --preset theory)"
-        )
     extra = set(params) - set(types)
     if extra:
         raise ConfigError(f"params {sorted(extra)} do not apply to {config.algorithm}")
@@ -258,17 +247,6 @@ def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
         if not _type_check(kind)(params[name]):  # as every other field is checked
             raise ConfigError(f"param {name}={params[name]!r} is not a valid {kind.__name__}")
     resolved = {name: kind(params[name]) for name, kind in types.items()}
-    # the psi potential's coefficient theta2 (1 + theta1) / (p theta1)
-    if (config.diagnostics in ("lyapunov", "lemmas") and "p" in resolved
-            and "theta1" in resolved and resolved["p"] * resolved["theta1"] == 0.0):
-        raise ConfigError(f"p * theta1 underflows to 0 at p = {resolved['p']}, "
-                          f"theta1 = {resolved['theta1']}: the psi potential divides by it")
-    # the estimator_second_moment bound's coefficient p / (2 eta^2); eta * eta,
-    # since a Python float ** raises where it overflows
-    if (config.diagnostics == "lemmas" and "eta" in resolved
-            and resolved["eta"] * resolved["eta"] == 0.0):
-        raise ConfigError(f"eta^2 underflows to 0 at eta = {resolved['eta']}: "
-                          "the estimator_second_moment bound divides by it")
     # checked before the reference solve, not at the first checkpoint
     if (config.diagnostics == "lemmas" and oracle.n > diagnostics.ENUMERATION_GUARD
             and diagnostics.enumerates(cls, oracle)):
@@ -316,9 +294,40 @@ def make_optimizer(config: RunConfig, oracle: Oracle, params: dict):
     if x0.shape != (oracle.d,):
         raise ConfigError(f"x0 has shape {x0.shape}, expected ({oracle.d},)")
     try:
-        return ALGORITHMS[config.algorithm](oracle, x0, **params)
+        optimizer = ALGORITHMS[config.algorithm](oracle, x0, **params)
     except ValueError as exc:  # a parameter out of range, e.g. eta <= 0 or p > 1
         raise ConfigError(str(exc)) from None
+    if config.diagnostics in ("lyapunov", "lemmas"):
+        _check_coefficients(params, oracle.n, config.diagnostics == "lemmas")
+    return optimizer
+
+
+def _check_coefficients(params: dict, n: int, lemmas: bool):
+    """Refuse params, each in its constructor's range, that give the psi
+    potential's theta2 (1 + theta1) / (p theta1), dk's 4 eta^2 / (p n) or, at
+    lemmas, the estimator_second_moment bound's p / (2 eta^2) a divisor of 0
+    or a value past float64, each computed as diagnostics computes it."""
+    p, eta, theta1 = params.get("p"), params.get("eta"), params.get("theta1")
+    if p is not None and theta1 is not None and p * theta1 == 0.0:
+        raise ConfigError(f"p * theta1 underflows to 0 at p = {p}, theta1 = {theta1}: "
+                          "the psi potential divides by it")
+    if lemmas and eta is not None and eta * eta == 0.0:
+        raise ConfigError(f"eta^2 underflows to 0 at eta = {eta}: "
+                          "the estimator_second_moment bound divides by it")
+    if p is None:  # a loopy class, whose report fails on its own (ROADMAP item 1)
+        return
+    if theta1 is not None:
+        coefficients = {"the psi potential's coefficient theta2 (1 + theta1) / (p theta1)":
+                        params["theta2"] * (1.0 + theta1) / (p * theta1)}
+    else:  # eta * eta is inf where a Python float ** raises
+        coefficients = {"dk's coefficient 4 eta^2 / (p n)": 4.0 * (eta * eta) / (p * n)}
+        if lemmas:
+            coefficients["the estimator_second_moment bound's coefficient p / (2 eta^2)"] = (
+                p / (2.0 * (eta * eta)))
+    for name, value in coefficients.items():
+        if not math.isfinite(value):
+            values = ", ".join(f"{k} = {v}" for k, v in {**params, "n": n}.items())
+            raise ConfigError(f"{name} overflows float64 at {values}")
 
 
 def build_metrics(config: RunConfig, oracle: Oracle, ref: ReferenceSolution | None):
@@ -545,9 +554,8 @@ def sweep_p(base_config: RunConfig, out_dir, grid: list[int] | None = None) -> l
         grid = probability_grid(oracle.n, oracle.L / oracle.mu)
     else:
         grid = normalize_grid(grid)
-    configs = [replace(base_config, algorithm=algorithm, preset="theory",
-                       params=ALGORITHMS[algorithm].loop_params(ell),
-                       tag=f"loop{ell}").validate()
+    configs = [replace(base_config, algorithm=algorithm, tag=f"loop{ell}",
+                       params=ALGORITHMS[algorithm].loop_params(ell)).validate()
                for ell in grid for algorithm in ("l-svrg", "svrg")]
     return _run_batch(configs, oracle, start, out_dir)[0]
 
@@ -586,7 +594,7 @@ def compare_all(
     if _repeated(thresholds):
         raise ConfigError(f"thresholds {_repeated(thresholds)} would write the same summary "
                           "rows twice; list each threshold once")
-    configs = [replace(base_config, algorithm=alg, preset="theory", seed=seed).validate()
+    configs = [replace(base_config, algorithm=alg, seed=seed).validate()
                for alg in (ALGORITHMS if algorithms is None else algorithms) for seed in seeds]
     oracle, start = build_problem(base_config)
     _, traces = _run_batch(configs, oracle, start, out_dir)

@@ -255,6 +255,7 @@ class _KatyushaFamily(_VarianceReduced):
         self._init_rule(**rule)
         self.sigma = oracle.mu / oracle.L
         self.eta = theta2 / ((1.0 + theta2) * theta1)
+        _check_positive(self.eta / oracle.L, "eta / L")  # checks eta too: L is finite
         eta_sigma = self.eta * self.sigma
         (self._theta1, self._theta2, self._y_weight, self._eta_sigma, self._z_step,
          self._z_scale) = map(np.array, (

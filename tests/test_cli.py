@@ -44,7 +44,7 @@ def strip_wall(lines):
 def test_run_success(tmp_path, capsys):
     code = run_cli(
         "run", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1.0",
-        "--alg", "l-svrg", "--preset", "theory", "--epochs", "3",
+        "--alg", "l-svrg", "--epochs", "3",
         "--seed", "7", "--out", str(tmp_path),
     )
     assert code == EXIT_OK
@@ -55,7 +55,7 @@ def test_run_success(tmp_path, capsys):
     assert sidecar["params"]["p"] == 0.1
 
 
-def test_run_explicit_params_disable_preset(tmp_path):
+def test_run_explicit_params_override_every_preset_value(tmp_path):
     code = run_cli(
         "run", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1.0",
         "--alg", "l-svrg", "--eta", "0.01", "--p", "0.5",
@@ -66,10 +66,37 @@ def test_run_explicit_params_disable_preset(tmp_path):
     assert sidecar["params"] == {"eta": 0.01, "p": 0.5}
 
 
+@pytest.mark.parametrize("alg, p", [("l-svrg", 0.01), ("l-katyusha", 0.5)])
+def test_run_partial_explicit_params_keep_the_other_preset_values(tmp_path, alg, p):
+    problem = ["--synthetic", "12,4,25", "--loss", "ridge", "--mu", "1", "--alg", alg,
+               "--epochs", "2", "--diagnostics", "lyapunov"]
+    assert run_cli("run", *problem, "--p", str(p), "--out", str(tmp_path / "p")) == EXIT_OK
+    assert run_cli("run", *problem, "--out", str(tmp_path / "preset")) == EXIT_OK
+    stem = f"{alg}_ridge_seed0"
+    preset = json.loads((tmp_path / "preset" / f"{stem}.json").read_text())["params"]
+    assert preset["p"] != p
+    assert json.loads((tmp_path / "p" / f"{stem}.json").read_text())["params"] == {
+        **preset, "p": p}
+    # the preset's values passed explicitly write the preset run's files
+    flags = [f"--{name.replace('_', '-')}={value!r}" for name, value in preset.items()]
+    assert run_cli("run", *problem, *flags, "--out", str(tmp_path / "explicit")) == EXIT_OK
+    assert ((tmp_path / "explicit" / f"{stem}.json").read_bytes()
+            == (tmp_path / "preset" / f"{stem}.json").read_bytes())
+    assert (strip_wall(read_lines(tmp_path / "explicit" / f"{stem}.csv"))
+            == strip_wall(read_lines(tmp_path / "preset" / f"{stem}.csv")))
+
+
+def test_preset_is_not_a_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--synthetic", "10,4,25", "--alg", "l-svrg", "--preset", "theory")
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --preset theory" in capsys.readouterr().err
+
+
 def test_run_twice_identical_modulo_wall(tmp_path):
     argv = (
         "run", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1.0",
-        "--alg", "l-katyusha", "--preset", "theory", "--epochs", "4",
+        "--alg", "l-katyusha", "--epochs", "4",
         "--seed", "3", "--diagnostics", "lyapunov",
     )
     assert run_cli(*argv, "--out", str(tmp_path / "a")) == EXIT_OK
@@ -206,35 +233,61 @@ def run_quietly(*argv):
     return code, caught
 
 
-def test_a_potential_that_overflows_is_divergence(tmp_path, capsys):
-    # dk's coefficient 4 eta^2 / (p n) overflows at p = 5e-324: phi and dk
-    # are inf at every checkpoint, so the run stops at k = 0
-    code, caught = run_quietly(
-        "run", "--synthetic", "12,4,25", "--loss", "ridge", "--mu", "0.5",
-        "--alg", "l-svrg", "--eta", "0.01", "--p", "5e-324", "--epochs", "2",
-        "--diagnostics", "lyapunov", "--out", str(tmp_path))
-    assert code == EXIT_DIVERGED and not caught
-    err = capsys.readouterr().err
-    assert err.startswith("divergence: ") and err.count("\n") == 1
-    sidecar = json.loads((tmp_path / "l-svrg_ridge_seed0.json").read_text())
-    assert sidecar["diverged_at_k"] == 0
-    assert read_trace(tmp_path / "l-svrg_ridge_seed0.csv") == []
+_SMALL = ["--synthetic", "12,4,25", "--loss", "ridge", "--mu", "1", "--epochs", "1"]
 
 
-def test_a_step_size_whose_square_overflows_is_divergence(tmp_path, capsys):
+# a potential or bound whose coefficient is inf is not finite at any
+# checkpoint: the run would stop at k = 0, having taken no step
+@pytest.mark.parametrize("problem, flags, message", [
+    pytest.param(_SMALL, ["--alg", "l-katyusha", "--theta1", "0.5", "--theta2", "0.5",
+                          "--p", "1e-320", "--diagnostics", "lyapunov"],
+                 "the psi potential's coefficient theta2 (1 + theta1) / (p theta1) overflows "
+                 "float64 at theta1 = 0.5, theta2 = 0.5, p = 1e-320, n = 12", id="psi"),
+    pytest.param(_SMALL, ["--alg", "l-svrg", "--eta", "1e-160", "--p", "0.5",
+                          "--diagnostics", "lemmas"],
+                 "the estimator_second_moment bound's coefficient p / (2 eta^2) overflows "
+                 "float64 at eta = 1e-160, p = 0.5, n = 12", id="estimator-bound"),
+    pytest.param(_SMALL, ["--alg", "l-svrg", "--eta", "0.01", "--p", "1e-320",
+                          "--diagnostics", "lyapunov"],
+                 "dk's coefficient 4 eta^2 / (p n) overflows float64 at eta = 0.01, "
+                 "p = 1e-320, n = 12", id="dk"),
     # the theory preset's eta = 1/(6L) is about 1.7e304 at mu = 1e-308, and
-    # eta^2 in dk and the lemma bounds is inf, not an OverflowError: the run
-    # stops at k = 0 and writes its trace and sidecar
-    code, caught = run_quietly(
-        "run", "--synthetic", "10,4,1e3", "--loss", "ridge", "--mu", "1e-308",
-        "--alg", "l-svrg", "--epochs", "0.5", "--diagnostics", "lemmas",
-        "--out", str(tmp_path))
-    assert code == EXIT_DIVERGED and not caught
-    err = capsys.readouterr().err
-    assert err.startswith("divergence: ") and err.count("\n") == 1
-    sidecar = json.loads((tmp_path / "l-svrg_ridge_seed0.json").read_text())
-    assert sidecar["diverged_at_k"] == 0
-    assert read_trace(tmp_path / "l-svrg_ridge_seed0.csv") == []
+    # eta^2 is inf, not an OverflowError
+    pytest.param(["--synthetic", "10,4,1e3", "--loss", "ridge", "--mu", "1e-308",
+                  "--epochs", "0.5"], ["--alg", "l-svrg", "--diagnostics", "lemmas"],
+                 "dk's coefficient 4 eta^2 / (p n) overflows float64 at "
+                 "eta = 1.6666666666666666e+304, p = 0.1, n = 10", id="dk-eta-squared"),
+])
+def test_a_diagnostics_coefficient_that_overflows_exits_with_config_code(
+        tmp_path, capsys, problem, flags, message):
+    code, caught = run_quietly("run", *problem, *flags, "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG and not caught
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# L-Katyusha's step takes eta / L, eta = theta2 / ((1 + theta2) theta1): inf
+# at a subnormal L, or at a subnormal theta1
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run", "--synthetic", "12,2,1", "--loss", "ridge", "--mu", "1e-320",
+                  "--alg", "l-katyusha", "--epochs", "2"], id="subnormal-L"),
+    pytest.param(["run", "--synthetic", "12,4,10", "--loss", "ridge", "--mu", "1",
+                  "--alg", "l-katyusha", "--theta1", "1e-320", "--theta2", "0.5",
+                  "--p", "0.5", "--epochs", "2"], id="subnormal-theta1"),
+    pytest.param(["compare-all", "--synthetic", "5,4,1", "--loss", "ridge", "--mu", "1e-320",
+                  "--epochs", "2", "--seeds", "0,1,2", "--algs", "l-katyusha"], id="lanes"),
+])
+def test_an_l_katyusha_step_constant_that_is_not_finite_exits_with_config_code(
+        tmp_path, capsys, monkeypatch, argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the step constants are checked before the reference solve")
+
+    monkeypatch.setattr(diagnostics, "solve_reference", no_solve)
+    code, caught = run_quietly(*argv, "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG and not caught
+    assert capsys.readouterr().err == (
+        "config error: eta / L must be positive and finite, got inf\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("diagnostics", ["lyapunov", "lemmas"])
@@ -366,7 +419,8 @@ def test_a_reference_solve_with_nan_margins_fails_without_a_numpy_warning(tmp_pa
     out = tmp_path / "out"
     code, caught = run_quietly(
         "run", "--synthetic", "10,4,1e3", "--loss", "logistic", "--mu", "5e-324",
-        "--ref-max-epochs", "1", "--alg", "l-katyusha", "--epochs", "0.5",
+        "--ref-max-epochs", "1", "--alg", "l-svrg", "--eta", "0.1", "--p", "0.5",
+        "--epochs", "0.5",
         "--diagnostics", "distance", "--out", str(out))
     assert code == EXIT_REFERENCE and not caught
     assert capsys.readouterr().err.startswith("reference solve failed: ")
@@ -525,7 +579,7 @@ def test_a_loop_length_past_int64_runs(tmp_path):
     assert run_cli("sweep-p", *problem, "--grid", f"5,{huge}",
                    "--out", str(tmp_path / "sweep")) == EXIT_OK
     assert (tmp_path / "sweep" / f"svrg_ridge_seed0_loop{huge}.csv").exists()
-    assert run_cli("run", *problem, "--alg", "svrg", "--preset", "theory", "--m", huge,
+    assert run_cli("run", *problem, "--alg", "svrg", "--m", huge,
                    "--out", str(tmp_path / "run")) == EXIT_OK
 
 
@@ -652,7 +706,7 @@ def test_malformed_list_flags_exit_with_config_code(tmp_path, capsys, argv):
 )
 def test_bad_param_values_exit_with_config_code(tmp_path, capsys, params, message):
     config = {"algorithm": "l-svrg", "synthetic": [10, 4, 25.0], "loss": "ridge",
-              "mu": 1.0, "params": params, "preset": None}
+              "mu": 1.0, "params": params}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert run_cli("run", "--config", str(path), "--out", str(tmp_path)) == EXIT_CONFIG
@@ -675,7 +729,7 @@ def test_config_params_get_the_type_check_of_every_field(tmp_path, capsys, monke
 
     monkeypatch.setattr(diagnostics, "solve_reference", no_solve)
     config = {"algorithm": algorithm, "synthetic": [10, 4, 25.0], "loss": "ridge",
-              "mu": 1.0, "params": params, "preset": None}
+              "mu": 1.0, "params": params}
     path, out = tmp_path / "config.json", tmp_path / "out"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert run_cli("run", "--config", str(path), "--out", str(out)) == EXIT_CONFIG
@@ -727,7 +781,9 @@ BIG = 2**1024  # the first int past float64's range
      pytest.param({"params": {"eta": BIG}}, f"param eta={BIG} is not a valid float",
                   id="eta-past-float64"),
      pytest.param({"params": [1]}, "params must be a JSON object, got [1]",
-                  id="params-a-list")],
+                  id="params-a-list"),
+     # params lie over the theory preset, so no config names a preset
+     pytest.param({"preset": None}, "unknown config keys ['preset']", id="preset-unknown")],
 )
 def test_config_fields_of_the_wrong_type_exit_with_config_code(tmp_path, capsys,
                                                                field, message):

@@ -71,8 +71,8 @@ def strip_wall(lines):
         (dict(checkpoint_every=0.0), "checkpoint_every"),
         (dict(diagnostics="everything"), "unknown diagnostics"),
         (dict(algorithm="gd", diagnostics="lyapunov"), "Lyapunov diagnostics"),
-        (dict(preset="magic"), "unknown preset"),
-        (dict(preset=None), "either a preset"),
+        (dict(ref_tolerance=0.0), "ref_tolerance must be positive"),
+        (dict(ref_max_epochs=-1), "ref_max_epochs must be >= 0"),
         (dict(params={"alpha": 1.0}), "unknown params"),
     ],
 )
@@ -129,15 +129,16 @@ def test_resolve_params_theory_values():
 
 
 def test_resolve_params_explicit_override_and_errors():
-    config = synthetic_config(params={"eta": 0.01, "p": 0.2}, preset=None)
+    config = synthetic_config(params={"eta": 0.01, "p": 0.2})
     oracle, _ = build_problem(config)
     assert resolve_params(config, oracle) == {"eta": 0.01, "p": 0.2}
 
-    partial = synthetic_config(params={"eta": 0.01}, preset=None)
-    with pytest.raises(ConfigError, match="needs params"):
-        resolve_params(partial, oracle)
+    # a partial override keeps the preset's other values, in constructor order
+    partial = synthetic_config(params={"p": 0.2})
+    assert list(resolve_params(partial, oracle).items()) == [
+        ("eta", 1.0 / (6.0 * oracle.L)), ("p", 0.2)]
 
-    mixed = synthetic_config(params={"eta": 0.01, "p": 0.2, "m": 3}, preset=None)
+    mixed = synthetic_config(params={"eta": 0.01, "p": 0.2, "m": 3})
     with pytest.raises(ConfigError, match="do not apply"):
         resolve_params(mixed, oracle)
 
@@ -405,7 +406,7 @@ def test_batch_is_deterministic_and_writes_run_experiment_outputs(tmp_path, batc
         sidecar = json.loads(path.with_suffix(".json").read_text())
         run_id = f"{sidecar['algorithm']}_{sidecar['loss']}_seed{sidecar['seed']}"
         single = replace(config, algorithm=sidecar["algorithm"], seed=sidecar["seed"],
-                         params=sidecar["params"], preset=None,
+                         params=sidecar["params"],
                          tag=path.stem.removeprefix(run_id).lstrip("_"))
         alone = run_experiment(single, tmp_path / "alone")
         assert alone.name == path.name
