@@ -12,6 +12,10 @@ and for the Katyusha family
     yk  = (f(y) - f*) / theta1,
     wk  = theta2 (1 + theta1) / (p theta1) * (f(w) - f*).
 
+These coefficients and the estimator_second_moment bound's p / (2 eta^2)
+have one home, the table of coefficients(), which refuses a state whose
+report at a level cannot be made.
+
 report(state, ref, oracle, level) gives the diagnostics columns of a
 checkpoint's trace row: dist_sq and f_gap at the tracked point, by
 full_loss, at `distance`; above it the family's one report, a function of
@@ -35,7 +39,7 @@ x and oracle.loss_along_rows, f at every draw's next point y_bar + gamma_i
 a_i: in closed form on ridge with dense rows, from a d x d Gram matrix
 built once per oracle at O(d^2) memory; on logistic data and CSR ridge rows
 it evaluates all n points, O(n nnz), and that report alone is refused past
-ENUMERATION_GUARD samples (enumerates).
+ENUMERATION_GUARD samples (coefficients).
 
 The reference x* is the point of one gradient-descent solve certified by
 its gradient norm (solve_reference), and a ReferenceSolution is that
@@ -54,11 +58,8 @@ import numpy as np
 
 from .oracle import Oracle
 
-# the one report that evaluates f at all n next points, O(n nnz) with an
-# (n, d) table: the Katyusha family's where the oracle has no closed form
-# for f along a row (logistic, and ridge on CSR rows or past
-# oracle._GRAM_DIM columns).  Every other report is O(nnz) at any n.
-# Refuse it beyond desk scale
+# the one report that evaluates f at all n next points (above; on ridge past
+# oracle._GRAM_DIM columns too) is refused beyond desk scale
 ENUMERATION_GUARD = 1000
 
 
@@ -200,11 +201,48 @@ def verify_lemma_bounds(state, ref: ReferenceSolution, oracle: Oracle) -> dict:
     return _family_report(state, ref, oracle, lemmas=True)[1]
 
 
-def enumerates(family, oracle: Oracle) -> bool:
-    """Whether the family's lemma report evaluates f at all n next points:
-    the Katyusha family's, on a loss whose f along a row the oracle has in
-    no closed form (enumerates_along_rows)."""
-    return family.potential[0] == "psi" and oracle.enumerates_along_rows
+# the name of each constant a family report scales by, by its table key
+COEFFICIENTS = {
+    "dk": "dk's coefficient 4 eta^2 / (p n)",
+    "second_moment": "the estimator_second_moment bound's coefficient p / (2 eta^2)",
+    "zk": "the psi potential's coefficient L (1 + eta sigma) / (2 eta)",
+    "yk": "the psi potential's coefficient 1 / theta1",
+    "wk": "the psi potential's coefficient theta2 (1 + theta1) / (p theta1)",
+}
+
+
+def coefficients(state, oracle: Oracle, lemmas: bool) -> dict | None:
+    """The table: each constant the state's family report scales by, by key
+    (second_moment with lemmas only); None for a loopy class, which has no p
+    (its report fails on its own, ROADMAP item 1).  ValueError if the report
+    cannot be made: a coefficient past float64 (or divided by 0), or the
+    Katyusha family's lemma report past ENUMERATION_GUARD samples where the
+    oracle has f along a row in no closed form (enumerates_along_rows)."""
+    if (lemmas and oracle.n > ENUMERATION_GUARD and state.potential[0] == "psi"
+            and oracle.enumerates_along_rows):
+        raise ValueError(f"lemma diagnostics enumerate all n samples: n = {oracle.n} "
+                         f"is past the limit n <= {ENUMERATION_GUARD}")
+    if "p" not in state.param_types:
+        return None
+    # in float64, where a 0 divisor gives inf and a Python float raises
+    eta, p = np.float64(state.eta), np.float64(state.p)
+    with np.errstate(divide="ignore", over="ignore"):
+        if state.potential[0] == "phi":
+            table = {"dk": 4.0 * eta ** 2 / (p * oracle.n)}
+            if lemmas:
+                table["second_moment"] = p / (2.0 * eta ** 2)
+        else:
+            theta1 = np.float64(state.theta1)
+            table = {"zk": oracle.L * (1.0 + eta * state.sigma) / (2.0 * eta),
+                     "yk": 1.0 / theta1,
+                     "wk": state.theta2 * (1.0 + theta1) / (p * theta1)}
+    for key, value in table.items():
+        if not math.isfinite(value):
+            values = ", ".join(f"{name} = {getattr(state, name)}"
+                               for name in state.param_types)
+            raise ValueError(f"{COEFFICIENTS[key]} overflows float64 at {values}, "
+                             f"n = {oracle.n}")
+    return {key: float(value) for key, value in table.items()}
 
 
 @dataclass
@@ -232,26 +270,20 @@ def _equality(name, lhs, rhs) -> BoundSlack:
 
 def _family_report(state, ref, oracle, lemmas: bool) -> tuple[dict, dict]:
     """The state's family report, (columns, bounds by name), after its checks."""
-    if lemmas and enumerates(state, oracle) and oracle.n > ENUMERATION_GUARD:
-        raise ValueError(
-            f"exact enumeration limited to n <= {ENUMERATION_GUARD}, got n={oracle.n}"
-        )
+    table = coefficients(state, oracle, lemmas)
     if ref.x_star.shape != (oracle.d,):
-        raise ValueError(
-            f"reference dimension {ref.x_star.shape} does not match oracle d={oracle.d}"
-        )
+        raise ValueError(f"reference dimension {ref.x_star.shape} does not match "
+                         f"oracle d={oracle.d}")
     family = {"phi": _svrg_report, "psi": _katyusha_report}[state.potential[0]]
-    return family(state, ref, oracle, lemmas)
+    return family(state, ref, oracle, lemmas, table)
 
 
-def _svrg_report(state, ref, oracle, lemmas: bool) -> tuple[dict, dict]:
+def _svrg_report(state, ref, oracle, lemmas: bool, table: dict) -> tuple[dict, dict]:
     """The SVRG family's columns (dist_sq, f_gap, phi, dk) and, with lemmas,
     its one-step bounds, from one pass over the data."""
     n, mu, L = oracle.n, oracle.mu, oracle.L
     eta, p = state.eta, state.p
-    # numpy's square overflows to inf, where a Python float ** raises
-    eta_sq = float(np.float64(eta) ** 2)
-    dk_coef = 4.0 * eta_sq / (p * n)
+    dk_coef = table["dk"]
     x, w, x_star = state.x, state.w, ref.x_star
     delta_x, delta_w = x - x_star, w - x_star
     directions = (delta_w,)
@@ -270,6 +302,7 @@ def _svrg_report(state, ref, oracle, lemmas: bool) -> tuple[dict, dict]:
         return columns, {}
 
     dots_x, dots_e, dots_h = dots
+    eta_sq = float(np.float64(eta) ** 2)  # as the table squares it
     dk_heads = dk_coef * _grad_dist_sq(oracle, at_x - at_star, dots_x, delta_x)  # w <- x
     c = at_x - at_w
     c_sq_norms = float((c * c) @ oracle.row_norms_sq) / n
@@ -288,7 +321,7 @@ def _svrg_report(state, ref, oracle, lemmas: bool) -> tuple[dict, dict]:
         _upper(
             "estimator_second_moment",
             second_moment,
-            4.0 * L * gap + p / (2.0 * eta_sq) * dk,
+            4.0 * L * gap + table["second_moment"] * dk,
         ),
         _upper(
             "grad_learning_decay",
@@ -305,16 +338,14 @@ def _svrg_report(state, ref, oracle, lemmas: bool) -> tuple[dict, dict]:
     return columns, {c.name: c for c in checks}
 
 
-def _katyusha_report(state, ref, oracle, lemmas: bool) -> tuple[dict, dict]:
+def _katyusha_report(state, ref, oracle, lemmas: bool, table: dict) -> tuple[dict, dict]:
     """The Katyusha family's columns (dist_sq, f_gap, psi, zk, yk, wk) and,
     with lemmas, its one-step bounds, from one pass over the data, plus
     full_grad at x and loss_along_rows for the lemmas."""
     n, mu, L = oracle.n, oracle.mu, oracle.L
     eta, p = state.eta, state.p
     theta1, theta2, sigma = state.theta1, state.theta2, state.sigma
-    cz = L * (1.0 + eta * sigma) / (2.0 * eta)
-    cy = 1.0 / theta1
-    cw = theta2 * (1.0 + theta1) / (p * theta1)
+    cz, cy, cw = table["zk"], table["yk"], table["wk"]
     y, w, x_star = state.y, state.w, ref.x_star
     points, directions = (y, w), ()
     if lemmas:

@@ -246,13 +246,7 @@ def resolve_params(config: RunConfig, oracle: Oracle) -> dict:
     for name, kind in types.items():
         if not _type_check(kind)(params[name]):  # as every other field is checked
             raise ConfigError(f"param {name}={params[name]!r} is not a valid {kind.__name__}")
-    resolved = {name: kind(params[name]) for name, kind in types.items()}
-    # checked before the reference solve, not at the first checkpoint
-    if (config.diagnostics == "lemmas" and oracle.n > diagnostics.ENUMERATION_GUARD
-            and diagnostics.enumerates(cls, oracle)):
-        raise ConfigError(f"lemma diagnostics enumerate all n samples: n = {oracle.n} "
-                          f"is past the limit n <= {diagnostics.ENUMERATION_GUARD}")
-    return resolved
+    return {name: kind(params[name]) for name, kind in types.items()}
 
 
 def build_reference(config: RunConfig, oracle: Oracle, start,
@@ -293,41 +287,15 @@ def make_optimizer(config: RunConfig, oracle: Oracle, params: dict):
     x0 = np.zeros(oracle.d) if config.x0 is None else np.asarray(config.x0, float)
     if x0.shape != (oracle.d,):
         raise ConfigError(f"x0 has shape {x0.shape}, expected ({oracle.d},)")
+    # a parameter out of range (e.g. eta <= 0 or p > 1), or a report that
+    # cannot be made, refused before the reference solve
     try:
         optimizer = ALGORITHMS[config.algorithm](oracle, x0, **params)
-    except ValueError as exc:  # a parameter out of range, e.g. eta <= 0 or p > 1
+        if config.diagnostics in ("lyapunov", "lemmas"):
+            diagnostics.coefficients(optimizer, oracle, config.diagnostics == "lemmas")
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if config.diagnostics in ("lyapunov", "lemmas"):
-        _check_coefficients(params, oracle.n, config.diagnostics == "lemmas")
     return optimizer
-
-
-def _check_coefficients(params: dict, n: int, lemmas: bool):
-    """Refuse params, each in its constructor's range, that give the psi
-    potential's theta2 (1 + theta1) / (p theta1), dk's 4 eta^2 / (p n) or, at
-    lemmas, the estimator_second_moment bound's p / (2 eta^2) a divisor of 0
-    or a value past float64, each computed as diagnostics computes it."""
-    p, eta, theta1 = params.get("p"), params.get("eta"), params.get("theta1")
-    if p is not None and theta1 is not None and p * theta1 == 0.0:
-        raise ConfigError(f"p * theta1 underflows to 0 at p = {p}, theta1 = {theta1}: "
-                          "the psi potential divides by it")
-    if lemmas and eta is not None and eta * eta == 0.0:
-        raise ConfigError(f"eta^2 underflows to 0 at eta = {eta}: "
-                          "the estimator_second_moment bound divides by it")
-    if p is None:  # a loopy class, whose report fails on its own (ROADMAP item 1)
-        return
-    if theta1 is not None:
-        coefficients = {"the psi potential's coefficient theta2 (1 + theta1) / (p theta1)":
-                        params["theta2"] * (1.0 + theta1) / (p * theta1)}
-    else:  # eta * eta is inf where a Python float ** raises
-        coefficients = {"dk's coefficient 4 eta^2 / (p n)": 4.0 * (eta * eta) / (p * n)}
-        if lemmas:
-            coefficients["the estimator_second_moment bound's coefficient p / (2 eta^2)"] = (
-                p / (2.0 * (eta * eta)))
-    for name, value in coefficients.items():
-        if not math.isfinite(value):
-            values = ", ".join(f"{k} = {v}" for k, v in {**params, "n": n}.items())
-            raise ConfigError(f"{name} overflows float64 at {values}")
 
 
 def build_metrics(config: RunConfig, oracle: Oracle, ref: ReferenceSolution | None):
@@ -681,7 +649,7 @@ def emit_plotdata(trace_paths, out_path, metrics: list[str] | None = None) -> Pa
                     f"{sorted(shared_schema)}"
                 )
         wanted = metrics if metrics is not None else available
-        missing = set(wanted) - set(trace[0])
+        missing = {"epoch", *wanted} - set(trace[0])
         if missing:
             raise DataError(f"{path}: missing metric columns {sorted(missing)}")
         for record in trace:

@@ -96,8 +96,11 @@ MUTANTS = [
      "            self.grad_w = oracle.full_grad(y)\n",
      "            self.grad_w = oracle.full_grad(self.y)\n"),
     ("dk constant 4 -> 0.5", DIAG,
-     "dk_coef = 4.0 * eta_sq",
-     "dk_coef = 0.5 * eta_sq"),
+     '"dk": 4.0 * eta ** 2',
+     '"dk": 0.5 * eta ** 2'),
+    ("zk coefficient L (1 + eta sigma) / eta, not / (2 eta)", DIAG,
+     "(1.0 + eta * state.sigma) / (2.0 * eta)",
+     "(1.0 + eta * state.sigma) / eta"),
     ("dk without its cross term 2 mu sum_i diff_i a_i^T delta", DIAG,
      "            + 2.0 * mu * float(diff @ diff_dots)\n",
      ""),

@@ -257,6 +257,17 @@ _SMALL = ["--synthetic", "12,4,25", "--loss", "ridge", "--mu", "1", "--epochs", 
                   "--epochs", "0.5"], ["--alg", "l-svrg", "--diagnostics", "lemmas"],
                  "dk's coefficient 4 eta^2 / (p n) overflows float64 at "
                  "eta = 1.6666666666666666e+304, p = 0.1, n = 10", id="dk-eta-squared"),
+    # zk's coefficient at eta = theta2 / ((1 + theta2) theta1) = 2e-320, and
+    # yk's 1 / theta1 at a subnormal theta1, at each level that reports them
+    *[pytest.param(_SMALL, ["--alg", "l-katyusha", "--theta1", theta1, "--theta2", theta2,
+                            "--p", "0.5", "--diagnostics", level],
+                   f"the psi potential's coefficient {name} overflows float64 at "
+                   f"theta1 = {theta1}, theta2 = {theta2}, p = 0.5, n = 12",
+                   id=f"{key}-{level}")
+      for key, name, theta1, theta2 in [
+          ("zk", "L (1 + eta sigma) / (2 eta)", "0.5", "1e-320"),
+          ("yk", "1 / theta1", "1e-310", "1e-310")]
+      for level in ("lyapunov", "lemmas")],
 ])
 def test_a_diagnostics_coefficient_that_overflows_exits_with_config_code(
         tmp_path, capsys, problem, flags, message):
@@ -300,8 +311,8 @@ def test_a_psi_coefficient_that_underflows_exits_with_config_code(tmp_path, caps
                                "--out", str(tmp_path / "out"))
     assert code == EXIT_CONFIG and not caught
     assert capsys.readouterr().err == (
-        "config error: p * theta1 underflows to 0 at p = 5e-324, theta1 = 0.01: "
-        "the psi potential divides by it\n")
+        "config error: the psi potential's coefficient theta2 (1 + theta1) / (p theta1) "
+        "overflows float64 at theta1 = 0.01, theta2 = 0.5, p = 5e-324, n = 12\n")
     assert not (tmp_path / "out").exists()
     # without the potential the run needs no p * theta1
     assert run_cli(*argv, "--diagnostics", "distance", "--out", str(tmp_path / "d")) == EXIT_OK
@@ -317,8 +328,8 @@ def test_a_step_size_whose_square_underflows_exits_with_config_code_at_lemmas(
                                "--out", str(tmp_path / "out"))
     assert code == EXIT_CONFIG and not caught
     assert capsys.readouterr().err == (
-        f"config error: eta^2 underflows to 0 at eta = {eta}: "
-        "the estimator_second_moment bound divides by it\n")
+        "config error: the estimator_second_moment bound's coefficient p / (2 eta^2) "
+        f"overflows float64 at eta = {eta}, p = 0.5, n = 20\n")
     assert not (tmp_path / "out").exists()
     # at lyapunov the same eta runs: dk's coefficient 4 eta^2 / (p n) is 0
     code, caught = run_quietly(*argv, "--diagnostics", "lyapunov",
@@ -836,9 +847,12 @@ def test_compare_all_rejects_runs_that_share_files(tmp_path, capsys, flags, mess
      (lambda csv, sidecar: csv.write_text(csv.read_text().replace("\n0,", "\n,", 1)),
       "k='' on line 2 is not a number"),
      (lambda csv, sidecar: csv.write_text(re.sub(r",\d+\n", "\n", csv.read_text(), 1)),
-      "wall_ns=None on line 2 is not a number")],
+      "wall_ns=None on line 2 is not a number"),
+     # every output row takes its epoch from the trace
+     (lambda csv, sidecar: csv.write_text(csv.read_text().replace(",epoch,", ",epochs,", 1)),
+      "missing metric columns ['epoch']")],
     ids=["sidecar-not-json", "sidecar-a-list", "cell-not-a-number", "trace-missing",
-         "cell-blank", "row-short"],
+         "cell-blank", "row-short", "epoch-missing"],
 )
 def test_plotdata_bad_input_exits_with_data_code(tmp_path, capsys, breaks, message):
     assert run_cli("run", "--synthetic", "10,4,25", "--loss", "ridge", "--mu", "1.0",

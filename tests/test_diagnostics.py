@@ -7,14 +7,14 @@ from loopless.data import Dataset, SparseRow, normalize_rows, parse_libsvm, synt
 from loopless.diagnostics import (
     ReferenceSolution,
     ReferenceSolveError,
+    coefficients,
     compute_phi,
     compute_psi,
-    enumerates,
     report,
     solve_reference,
     verify_lemma_bounds,
 )
-from loopless import oracle as oracle_module
+from loopless import diagnostics as diagnostics_module, oracle as oracle_module
 from loopless.oracle import Oracle, make_oracle
 from loopless.optimizers import (
     LKatyusha,
@@ -533,7 +533,7 @@ def test_enumeration_guard():
     oracles = {loss: make_oracle(ds, loss, 1.0) for loss in ("ridge", "logistic")}
     refs = {loss: solve_reference(oracle) for loss, oracle in oracles.items()}
     state = LKatyusha(oracles["logistic"], np.zeros(1), theta1=0.5, theta2=0.5, p=0.5)
-    with pytest.raises(ValueError, match="enumeration"):
+    with pytest.raises(ValueError, match="enumerate all n samples"):
         verify_lemma_bounds(state, refs["logistic"], oracles["logistic"])
     for loss, cls in [("ridge", LSVRG), ("logistic", LSVRG), ("ridge", LKatyusha)]:
         oracle = oracles[loss]
@@ -700,6 +700,20 @@ def test_lemma_reports_are_their_table_forms(loss, storage, cls):
         assert list(columns["lemmas"]) == list(columns["lyapunov"])
 
 
+def past_the_guard(cls, oracle, monkeypatch) -> bool:
+    """Whether cls's lemma report on oracle is refused once n is past the
+    enumeration guard (set here to n - 1)."""
+    state = cls(oracle, np.zeros(oracle.d), **cls.theory_params(oracle))
+    with monkeypatch.context() as patch:
+        patch.setattr(diagnostics_module, "ENUMERATION_GUARD", oracle.n - 1)
+        try:
+            coefficients(state, oracle, lemmas=True)
+        except ValueError as exc:
+            assert "enumerate all n samples" in str(exc)
+            return True
+    return False
+
+
 @pytest.mark.parametrize("storage", ["dense", "csr"])
 def test_ridge_loss_along_rows_is_full_loss_at_every_moved_point(storage, monkeypatch):
     # f(y + gamma_i a_i) in closed form from the Gram matrix of dense rows,
@@ -710,7 +724,8 @@ def test_ridge_loss_along_rows_is_full_loss_at_every_moved_point(storage, monkey
     assert "_row_curvatures" not in vars(oracle) and "row_norms_sq" not in vars(oracle)
     closed = storage == "dense"
     assert oracle.enumerates_along_rows is not closed
-    assert enumerates(LKatyusha, oracle) is not closed and not enumerates(LSVRG, oracle)
+    assert past_the_guard(LKatyusha, oracle, monkeypatch) is not closed
+    assert not past_the_guard(LSVRG, oracle, monkeypatch)
     rng = np.random.default_rng(4)
     for scale in (1e-3, 1.0, 10.0):
         y, gamma = scale * rng.normal(size=oracle.d), scale * rng.normal(size=oracle.n)
@@ -718,7 +733,7 @@ def test_ridge_loss_along_rows_is_full_loss_at_every_moved_point(storage, monkey
         got = oracle.loss_along_rows(y, gamma)
         assert np.abs(got - want).max() <= TABLE_TOLERANCE * max(1.0, np.abs(want).max())
         monkeypatch.setattr(oracle_module, "_GRAM_DIM", oracle.d - 1)
-        assert oracle.enumerates_along_rows and enumerates(LKatyusha, oracle)
+        assert oracle.enumerates_along_rows and past_the_guard(LKatyusha, oracle, monkeypatch)
         assert np.array_equal(oracle.loss_along_rows(y, gamma),
                               oracle.full_loss_many(oracle._spread(gamma, y)))
         monkeypatch.undo()
