@@ -580,9 +580,14 @@ def compare_all(
     return summary_path
 
 
+# the columns of every trace and the type each cell reads back as; any other
+# column is a float
+_CORE_COLUMNS = {**RECORD_COLUMNS, "wall_ns": int}
+
+
 def read_trace(path) -> list[dict]:
-    """Load a trace CSV back into a list of {column: float|int} dicts; a
-    blank or missing cell is not a number."""
+    """Load a trace CSV back into a list of {column: float|int} dicts (the
+    types of _CORE_COLUMNS); a blank or missing cell is not a number."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -596,16 +601,12 @@ def read_trace(path) -> list[dict]:
         parsed = {}
         for key, value in row.items():
             try:
-                parsed[key] = (int if key in ("k", "oracle_calls", "wall_ns")
-                               else float)(value)
+                parsed[key] = _CORE_COLUMNS.get(key, float)(value)
             except (TypeError, ValueError):  # TypeError: a missing or surplus cell
                 raise DataError(f"{path}: {key}={value!r} on line {line} "
                                 "is not a number") from None
         out.append(parsed)
     return out
-
-
-_CORE_COLUMNS = {*RECORD_COLUMNS, "wall_ns"}
 
 
 def emit_plotdata(trace_paths, out_path, metrics: list[str] | None = None) -> Path:

@@ -480,8 +480,9 @@ def _plan(optimizer, refresh: np.ndarray, epochs: float, mark: float, every: flo
     return calls[:len(epoch)], checkpoints, mark
 
 
-# the leading columns of every trace row, each an optimizer attribute
-RECORD_COLUMNS = ("k", "oracle_calls", "epoch")
+# the leading columns of every trace row, each an optimizer attribute, with
+# the type its cell reads back as
+RECORD_COLUMNS = {"k": int, "oracle_calls": int, "epoch": float}
 
 
 def run(

@@ -147,8 +147,6 @@ class Oracle:
         if not self.L < math.inf:
             raise ValueError(f"smoothness bound L = {self.L} is not finite: "
                              "a squared row norm overflows float64")
-        if self.L < self.mu:
-            raise AssertionError("L >= mu must hold by construction")
 
     def _row_norms_sq(self) -> np.ndarray:
         # a squared row norm past float64 is reported by __init__, not warned about

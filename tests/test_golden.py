@@ -4,21 +4,30 @@ copy checked in under tests/golden/<case>/.
 
 expected.json holds the command, its exit code, its stdout and stderr lines
 and the tree of paths it left (the inputs copied to in/ aside); out/ holds
-those files.  Keys, integers and strings compare exactly, floats to 1e-12
-relative (or 1e-15 absolute, for a cell that is rounding noise, such as an
-equality slack); the wall_ns column is not compared.  The temporary
-directory's path is written as {tmp}.
+those files.  The temporary directory's path is written as {tmp}.
 
-After an intended change of output, regenerate the cases it changes with
+differences compares two output files, here and in tests/bytewise.py: their
+shapes exactly (CSV rows, header and row lengths, JSON keys and list lengths,
+.npz names, dtypes and shapes), and each CSV cell, JSON value and .npz entry
+by its type (integer, float, string; or JSON's true, false or null) and its
+text (an entry's bytes), but for two floats of another text, which may still
+match by a float rule:
+
+    exact        never (tests/bytewise.py)
+    _same_float  within 1e-12 relative, or 1e-15 absolute for rounding noise
+                 such as an equality slack (this test)
+    _same_bits   one float64 bit for bit (regeneration's keep rule)
+
+No rule compares the TIMED values (wall_ns), which time a run.  After an
+intended change of output, regenerate the cases it changes with
 
     PYTHONPATH=src python tests/test_golden.py CASE [CASE ...]
 
-(no case name: every case) and name the files that changed.  A file, CSV
-cell or JSON value keeps its checked-in text only where its value is bitwise
-unchanged (wall_ns always keeps it), so the diff shows every bit that moved,
-even where the comparison above would accept the move.  The inputs are
-rewritten either way; write_inputs is seeded, so an unchanged input stays
-byte-identical.
+(no case name: every case) and name the files that changed.  A value keeps
+its checked-in text where _same_bits matches it or it is TIMED, so the diff
+shows every bit that moved, even where _same_float would accept the move.
+The inputs are rewritten either way; write_inputs is seeded, so an
+unchanged input stays byte-identical.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from loopless.oracle import make_oracle
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
+TIMED = frozenset({"wall_ns"})
 
 _RIDGE = ["--synthetic", "12,4,25", "--loss", "ridge", "--mu", "1"]
 _CSR = ["--data", "{tmp}/in/csr_logistic.svm", "--loss", "logistic", "--mu", "0.1"]
@@ -113,23 +123,33 @@ def write_inputs(directory: Path):
     (directory / "sparse_logistic.svm").write_text(text, encoding="utf-8")
 
 
-def run_case(name: str, tmp: Path, inputs: Path = INPUTS) -> dict:
-    """Run a case in tmp (inputs copied to tmp/in) and return its expected.json
-    record; its outputs are left in tmp."""
+def execute(argv: list[str], tmp: Path, inputs: Path) -> tuple[int, str, str, list[str]]:
+    """Run `loopless argv` in tmp, with the inputs copied to tmp/in and {tmp}
+    in argv standing for tmp: its exit code, stdout and stderr, and the paths
+    it left in tmp (in/ aside; a directory's ends in /)."""
     shutil.copytree(inputs, tmp / "in")
-    argv = [arg.replace("{tmp}", str(tmp)) for arg in CASES[name]]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    tree = sorted(str(p.relative_to(tmp)) + ("/" if p.is_dir() else "")
-                  for p in tmp.rglob("*") if p.relative_to(tmp).parts[0] != "in")
-    return {"argv": CASES[name], "exit": code,
-            "stdout": _untmp(stdout.getvalue(), tmp).splitlines(),
-            "stderr": _untmp(stderr.getvalue(), tmp).splitlines(), "tree": tree}
+        code = main([arg.replace("{tmp}", str(tmp)) for arg in argv])
+    return code, stdout.getvalue(), stderr.getvalue(), sorted(
+        str(p.relative_to(tmp)) + ("/" if p.is_dir() else "")
+        for p in tmp.rglob("*") if p.relative_to(tmp).parts[0] != "in")
+
+
+def run_case(name: str, tmp: Path, inputs: Path = INPUTS) -> dict:
+    """Run a case in tmp and return its expected.json record; its outputs are
+    left in tmp."""
+    code, stdout, stderr, tree = execute(CASES[name], tmp, inputs)
+    return {"argv": CASES[name], "exit": code, "stdout": _untmp(stdout, tmp).splitlines(),
+            "stderr": _untmp(stderr, tmp).splitlines(), "tree": tree}
 
 
 def _untmp(text: str, tmp: Path) -> str:
     return text.replace(str(tmp), "{tmp}")
+
+
+def exact(a: float, b: float) -> bool:
+    return False
 
 
 def _same_float(a: float, b: float) -> bool:
@@ -143,67 +163,128 @@ def _same_bits(a: float, b: float) -> bool:
     return float(a).hex() == float(b).hex()
 
 
-def _same_cell(got: str, want: str, same=_same_float) -> bool:
-    try:
-        return int(got) == int(want)
-    except ValueError:
-        pass
-    try:
-        return same(float(got), float(want))
-    except ValueError:
-        return got == want
+class _Int(str):  # an integer of a JSON or CSV file, as its text
+    __repr__ = str.__str__
 
 
-def _same_json(got, want, same=_same_float) -> bool:
-    if isinstance(want, dict):
-        return (isinstance(got, dict) and got.keys() == want.keys()
-                and all(key == "wall_ns" or _same_json(got[key], want[key], same)
-                        for key in want))
-    if isinstance(want, list):
-        return (isinstance(got, list) and len(got) == len(want)
-                and all(_same_json(a, b, same) for a, b in zip(got, want)))
-    if type(got) is not type(want):  # 1 and 1.0 differ
-        return False
-    return same(got, want) if isinstance(want, float) else got == want
+class _Float(str):  # a float of a JSON or CSV file (NaN and Infinity too), as its text
+    __repr__ = str.__str__
 
 
-def _same_npz(got: Path, want: Path, same=_same_float) -> bool:
-    with np.load(got) as a, np.load(want) as b:
-        return sorted(a.files) == sorted(b.files) and all(
-            a[key].dtype == b[key].dtype and a[key].shape == b[key].shape
-            and all(map(same, a[key].ravel().tolist(), b[key].ravel().tolist()))
-            for key in b.files)
-
-
-def _compare_file(got: Path, want: Path, tmp: Path):
+def differences(got: Path, want: Path, same, tmp: Path | None = None):
+    """Yield (where, got's side, want's side) for each shape or value in which
+    output file got differs from want under the float rule same.  where is a
+    CSV cell's (line, column), the keys and indices down to a JSON value, an
+    .npz entry's (name, index), or a shorter path to a shape.  got's text has
+    tmp written as {tmp}."""
     if want.suffix == ".npz":
-        assert _same_npz(got, want)
+        with np.load(got) as a, np.load(want) as b:
+            yield from _walk(dict(a), dict(b), same)
         return
-    text = _untmp(got.read_text(encoding="utf-8"), tmp)
-    expected = want.read_text(encoding="utf-8")
+    text, expected = got.read_text(encoding="utf-8"), want.read_text(encoding="utf-8")
+    text = _untmp(text, tmp) if tmp else text
     if want.suffix == ".json":
-        assert _same_json(json.loads(text), json.loads(expected))
+        numbers = {"parse_int": _Int, "parse_float": _Float, "parse_constant": _Float}
+        yield from _walk(json.loads(text, **numbers), json.loads(expected, **numbers), same)
     elif want.suffix == ".csv":
-        rows, expected_rows = list(csv.reader(io.StringIO(text))), list(
-            csv.reader(io.StringIO(expected)))
-        assert len(rows) == len(expected_rows) and rows[0] == expected_rows[0]
-        header = expected_rows[0]
-        for line, (row, expected_row) in enumerate(zip(rows, expected_rows), start=1):
-            assert len(row) == len(expected_row), line
-            for column, a, b in zip(header, row, expected_row):
-                assert column == "wall_ns" or _same_cell(a, b), (line, column, a, b)
-    else:
-        assert text == expected
+        rows, want_rows = (list(csv.reader(io.StringIO(t))) for t in (text, expected))
+        if len(rows) != len(want_rows):
+            yield (), f"{len(rows)} rows", f"{len(want_rows)} rows"
+            return
+        for line, (row, want_row) in enumerate(zip(rows, want_rows), start=1):
+            if len(row) != len(want_row):
+                yield (line,), row, want_row
+                continue
+            for column, a, b in zip(rows[0], map(_cell, row), map(_cell, want_row)):
+                if line == 1 or column not in TIMED:
+                    yield from _walk(a, b, same, (line, column))
+    elif text != expected:
+        yield (), "its text", "another"
+
+
+def _walk(a, b, same, where=()):
+    """differences between two CSV cells, JSON values or .npz {name: array}s."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            yield where, sorted(a.keys() - b.keys()), sorted(b.keys() - a.keys())
+            return
+        for key in a:
+            if key not in TIMED:
+                yield from _walk(a[key], b[key], same, (*where, key))
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _walk(x, y, same, (*where, i))
+    elif isinstance(a, np.ndarray):
+        if a.dtype != b.dtype or a.shape != b.shape:
+            yield where, f"{a.dtype}{a.shape}", f"{b.dtype}{b.shape}"
+        elif a.tobytes() != b.tobytes():
+            for i, (x, y) in enumerate(zip(a.ravel(), b.ravel())):
+                if x.tobytes() != y.tobytes() and not same(float(x), float(y)):
+                    yield (*where, i), x.item(), y.item()
+    elif type(a) is not type(b) or a != b and not (type(a) is _Float
+                                                    and same(float(a), float(b))):
+        yield where, a, b  # in type, or in text but for two floats that same matches
+
+
+def _cell(text: str):
+    """A CSV cell as the JSON value it reads as: an _Int, a _Float or a string."""
+    for kind, parse in (_Int, int), (_Float, float):
+        with contextlib.suppress(ValueError):
+            parse(text)
+            return kind(text)
+    return text
+
+
+def describe(where: tuple, a, b) -> str:
+    """A difference in one line: where, its two sides, and how far apart they
+    are when both are numbers of one type."""
+    try:
+        x, y = float(a), float(b)
+        far = ("another type" if type(a) is not type(b) else "both zero" if x == y == 0
+               else f"rel {abs(x - y) / max(abs(x), abs(y)):.1e}")
+    except (TypeError, ValueError):
+        far = "not numbers"
+    return f"{list(where)}: {a!r} != {b!r} ({far})"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_its_golden_copy(tmp_path, name):
     expected = json.loads((GOLDEN / name / "expected.json").read_text(encoding="utf-8"))
-    got = run_case(name, tmp_path)
-    assert got == expected
+    assert run_case(name, tmp_path) == expected
     for path in expected["tree"]:
         if not path.endswith("/"):
-            _compare_file(tmp_path / path, GOLDEN / name / path, tmp_path)
+            assert [describe(*difference) for difference in differences(
+                tmp_path / path, GOLDEN / name / path, _same_float, tmp_path)] == [], path
+
+
+def test_differences_reports_each_planted_change(tmp_path):
+    """Under exact each planted change is one line that says where it is, and
+    a TIMED move is none; _same_float matches a 1e-16 relative move and no
+    number that became a string."""
+    bit, got, want = repr(math.nextafter(0.1, 1.0)), tmp_path / "got", tmp_path / "want"
+    files = {"t.csv": "k,dist_sq,f_gap,wall_ns\n0,0.1,0.0,17\n",
+             "s.json": '{"seed": 0, "wall_ns": 17}'}
+    string = ["['seed']: '0' != 0 (another type)"]
+    for name, old, new, same, lines in [  # got is want with old replaced by new
+            ("t.csv", "0.1", bit, exact, [f"[2, 'dist_sq']: {bit} != 0.1 (rel 1.4e-16)"]),
+            ("t.csv", ",0.0,", ",-0.0,", exact, ["[2, 'f_gap']: -0.0 != 0.0 (both zero)"]),
+            ("t.csv", "0,0.1", "0.0,0.1", exact, ["[2, 'k']: 0.0 != 0 (another type)"]),
+            ("t.csv", "f_gap", "wall_ns", exact,
+             ["[1, 'wall_ns']: 'wall_ns' != 'f_gap' (not numbers)"]),
+            ("t.csv", "17", "18", exact, []),
+            ("s.json", "0,", '"0",', exact, string),
+            ("s.json", "17", "18", exact, []),
+            ("t.csv", "0.1", bit, _same_float, []),
+            ("s.json", "0,", '"0",', _same_float, string)]:
+        for side, text in (got, files[name].replace(old, new)), (want, files[name]):
+            side.mkdir(exist_ok=True)
+            (side / name).write_text(text, encoding="utf-8")
+        assert [describe(*difference) for difference in differences(
+            got / name, want / name, same)] == lines, new
+    np.savez(got / "a.npz", x=[0.5, 0.75])
+    np.savez(want / "a.npz", x=[0.5, 0.25])
+    assert [describe(*difference) for difference in differences(
+        got / "a.npz", want / "a.npz", exact)] == ["['x', 1]: 0.75 != 0.25 (rel 6.7e-01)"]
 
 
 def test_inputs_are_what_write_inputs_writes(tmp_path):
@@ -254,42 +335,45 @@ def test_regeneration_keeps_what_did_not_move(tmp_path):
     assert (golden / name / trace).read_text(encoding="utf-8") == "\n".join(lines)
 
 
-def _kept_json(got, want):
-    """got, with each value that is want's bit for bit replaced by want's,
-    and want's wall_ns kept."""
-    if _same_json(got, want, _same_bits):
-        return want
-    if isinstance(got, dict) and isinstance(want, dict) and got.keys() == want.keys():
-        return {key: want[key] if key == "wall_ns" else _kept_json(value, want[key])
-                for key, value in got.items()}
-    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
-        return list(map(_kept_json, got, want))
-    return got
+def _kept(fresh: Path, old: Path, tmp: Path) -> bytes:
+    """What regeneration writes for output file fresh: old, the checked-in file,
+    where no value moved a bit (differences under _same_bits); else fresh, {tmp}
+    for tmp, with old's text of each JSON value or CSV cell that did not move or
+    is TIMED (fresh whole for an .npz file, or a CSV header or shape that moved)."""
+    moved = old.exists() and {where for where, _, _ in differences(fresh, old, _same_bits, tmp)}
+    if old.exists() and not moved:
+        return old.read_bytes()
+    if fresh.suffix == ".npz":
+        return fresh.read_bytes()
+    text = _untmp(fresh.read_text(encoding="utf-8"), tmp)
+    if moved and fresh.suffix == ".json":
+        kept, new = json.loads(old.read_text(encoding="utf-8")), json.loads(text)
+        for where in moved:
+            kept = _planted(kept, new, where)
+        text = json.dumps(kept, indent=2) + "\n"
+    elif moved and fresh.suffix == ".csv" and all(len(where) == 2 and where[0] > 1
+                                                  for where in moved):
+        rows, old_rows = (list(csv.reader(io.StringIO(t)))
+                          for t in (text, old.read_text(encoding="utf-8")))
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            [a if (line, column) in moved else b for column, a, b in zip(rows[0], row, old_row)]
+            for line, (row, old_row) in enumerate(zip(rows, old_rows), start=1))
+        text = out.getvalue()
+    return text.encode()
 
 
-def _kept_text(suffix: str, text: str, old: str) -> str:
-    """A regenerated file's text, keeping the checked-in text (old) of each
-    CSV cell or JSON value whose value is old's bit for bit, and of wall_ns."""
-    if suffix == ".json":
-        want = json.loads(old)
-        kept = _kept_json(json.loads(text), want)
-        return old if kept is want else json.dumps(kept, indent=2) + "\n"
-    if suffix != ".csv":
-        return text
-    rows, old_rows = list(csv.reader(io.StringIO(text))), list(csv.reader(io.StringIO(old)))
-    if list(map(len, rows)) != list(map(len, old_rows)) or rows[:1] != old_rows[:1]:
-        return text
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    for row, old_row in zip(rows, old_rows):
-        writer.writerow([b if column == "wall_ns" or _same_cell(a, b, _same_bits) else a
-                         for column, a, b in zip(rows[0], row, old_row)])
-    return out.getvalue()
+def _planted(tree, new, where: tuple):
+    """tree with its value at where (keys and indices) replaced by new's."""
+    if not where:
+        return new
+    tree[where[0]] = _planted(tree[where[0]], new[where[0]], where[1:])
+    return tree
 
 
 def regenerate(names: list[str], golden: Path = GOLDEN):
     """Rewrite the inputs and the named cases, or every case when none is named,
-    keeping the checked-in text of what did not move a bit (_kept_text)."""
+    keeping the checked-in text of what did not move a bit (_kept)."""
     with tempfile.TemporaryDirectory() as scratch:
         old = Path(scratch) / "old"
         if golden.exists():
@@ -305,18 +389,10 @@ def regenerate(names: list[str], golden: Path = GOLDEN):
             case = golden / name
             case.mkdir()
             for path in record["tree"]:
-                target, previous = case / path, old / name / path
                 if path.endswith("/"):
-                    target.mkdir(parents=True, exist_ok=True)
-                elif target.suffix == ".npz":
-                    kept = previous.exists() and _same_npz(tmp / path, previous, _same_bits)
-                    shutil.copyfile(previous if kept else tmp / path, target)
+                    (case / path).mkdir(parents=True, exist_ok=True)
                 else:
-                    text = _untmp((tmp / path).read_text(encoding="utf-8"), tmp)
-                    if previous.exists():
-                        text = _kept_text(target.suffix, text,
-                                          previous.read_text(encoding="utf-8"))
-                    target.write_text(text, encoding="utf-8")
+                    (case / path).write_bytes(_kept(tmp / path, old / name / path, tmp))
             (case / "expected.json").write_text(json.dumps(record, indent=2) + "\n",
                                                 encoding="utf-8")
             print(f"{name}: exit {record['exit']}, {len(record['tree'])} paths")

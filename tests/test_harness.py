@@ -249,6 +249,9 @@ def test_a_record_is_the_row_read_trace_reads_back(tmp_path, monkeypatch, algori
         assert len(records) > 2
         assert read_trace(path) == records
         assert all(list(rec) == trace_columns(config) for rec in records)
+        # an integer counter reads back as an int, not as the float it equals
+        assert [list(map(type, rec.values())) for rec in read_trace(path)] == [
+            list(map(type, rec.values())) for rec in records]
 
 
 def test_a_record_without_a_column_fails_write_trace(tmp_path):
