@@ -217,6 +217,8 @@ def test_from_csr_invariants():
         Dataset.from_csr([0, 1, 2], [-1, 0], [1.0, 1.0], labels, 4)
     with pytest.raises(ValueError, match="smaller than max"):
         Dataset.from_csr([0, 1, 2], [3, 0], [1.0, 1.0], labels, 3)
+    with pytest.raises(ValueError, match="labels and rows must have equal length"):
+        Dataset.from_csr([0, 1, 2], [3, 0], [1.0, 1.0], labels[:1], 4)
 
 
 def test_normalize_rows_unit_norm():
@@ -278,6 +280,9 @@ def test_synthesize_validates_arguments():
         synthesize_quadratic(3, 0, 10.0, seed=0)
     with pytest.raises(ValueError):
         synthesize_quadratic(3, 3, 0.5, seed=0)
+    for mu in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            synthesize_quadratic(3, 3, 10.0, seed=0, mu=mu)
 
 
 # -- the block fast path against the scalar parser ---------------------------

@@ -125,12 +125,16 @@ def write_inputs(directory: Path):
 
 def execute(argv: list[str], tmp: Path, inputs: Path) -> tuple[int, str, str, list[str]]:
     """Run `loopless argv` in tmp, with the inputs copied to tmp/in and {tmp}
-    in argv standing for tmp: its exit code, stdout and stderr, and the paths
-    it left in tmp (in/ aside; a directory's ends in /)."""
+    in argv standing for tmp: its exit code (argparse's too, which exits),
+    stdout and stderr, and the paths it left in tmp (in/ aside; a
+    directory's ends in /)."""
     shutil.copytree(inputs, tmp / "in")
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main([arg.replace("{tmp}", str(tmp)) for arg in argv])
+        try:
+            code = main([arg.replace("{tmp}", str(tmp)) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
     return code, stdout.getvalue(), stderr.getvalue(), sorted(
         str(p.relative_to(tmp)) + ("/" if p.is_dir() else "")
         for p in tmp.rglob("*") if p.relative_to(tmp).parts[0] != "in")

@@ -116,6 +116,9 @@ def test_next_words_match_next_uint64(seed):
         assert words.dtype == np.uint64
         assert [int(w) for w in words] == [serial.next_uint64() for _ in range(count)]
         assert block._state == serial.state
+    with pytest.raises(ValueError, match="word count must be >= 0, got -1"):
+        block.next_words(-1)
+    assert block._state == serial.state
 
 
 def test_step_draws_rejects_nonpositive_n():
