@@ -30,12 +30,16 @@ variance-reduction corrections grad_i(w) - grad_w of many steps in one call
 with grad_i's arithmetic, so each row is bitwise grad_i's less grad_w:
 dense row dots through np.vecdot (ndarray.dot's kernel), CSR row dots as
 one np.vecdot per row length, and the scalar kernel for the weights.  Full-data calls
-(full_grad, full_loss, grad_table and their batched forms) run all rows at
-once with numpy: A @ x and r @ A on the dense copy, reduceat and add.at on
-the CSR arrays.  Their logistic weight phi'(m) = -b / (1 + e^{b m}) takes
-one in-place exp per margin, with no branch on the margin's sign: where
-e^{b m} overflows to inf the weight is -0, its limit, and where the scalar
-kernel's e/(1 + e) is subnormal it may be 0 instead.
+(full_grad, full_loss, grad_table and their batched forms) run with numpy:
+A @ x and r @ A on the dense copy, all rows at once; reduceat and add.at on
+the CSR arrays a row block at a time (data.RowBlock, at most
+data._BLOCK_ENTRIES entries), so full_grad and full_loss hold no temporary
+of the data's size, and each row sum and each add.at accumulation keeps the
+order, and the bits, of one pass over every entry.  Their logistic weight
+phi'(m) = -b / (1 + e^{b m}) takes one in-place exp per margin, with no
+branch on the margin's sign: where e^{b m} overflows to inf the weight is
+-0, its limit, and where the scalar kernel's e/(1 + e) is subnormal it may
+be 0 instead.
 Their sums are ordered differently from a row-by-row loop, so they agree
 with it to rounding, not bitwise; only at n == 1 does full_grad take the
 scalar kernel, so that full_grad(x) equals grad_i(0, x) bitwise there
@@ -93,7 +97,8 @@ _WINDOW_CELLS = 1 << 13
 
 # full_loss_many computes at most this many margins at once, and
 # RidgeOracle._row_curvatures this many cells of rows @ gram: about 128 KB per
-# temporary, so a lemma report's n x n evaluations do not raise peak memory
+# temporary, so a lemma report's n x n evaluations do not raise peak memory.
+# On CSR rows each pass also takes at most data._BLOCK_ENTRIES entries at once
 _MARGINS_PER_BLOCK = 1 << 14
 
 
@@ -132,6 +137,7 @@ class Oracle:
         self._indices = dataset.indices
         self._values = dataset.values
         self._counts = np.diff(self._indptr)
+        self._blocks = dataset.row_blocks  # full-data passes take a row block at a time
         # dense rows for data at least a quarter nonzero, and for data whose
         # copy fits _DENSE_CELLS unless under 1/16 is nonzero (see there):
         # per-sample ops then skip the index gather, and full-data ops take
@@ -142,19 +148,16 @@ class Oracle:
         if density >= 0.25 or (cells <= _DENSE_CELLS and density >= 1 / 16):
             self._dense = np.zeros((self.n, self.d))
             self._dense[self._row_ids(), self._indices] = self._values
-        self._max_row_sq = float(self._row_norms_sq().max())
+        self._max_row_sq = float(dataset.row_norms_sq().max())
         self.L = self.curvature * self._max_row_sq + self.mu
         if not self.L < math.inf:
             raise ValueError(f"smoothness bound L = {self.L} is not finite: "
                              "a squared row norm overflows float64")
 
-    def _row_norms_sq(self) -> np.ndarray:
-        # a squared row norm past float64 is reported by __init__, not warned about
-        with np.errstate(over="ignore"):
-            return self.dataset.row_sums(self._values * self._values)
-
-    # ||a_i||^2 for every row i (n,), made on first use
-    row_norms_sq = functools.cached_property(_row_norms_sq)
+    @functools.cached_property
+    def row_norms_sq(self) -> np.ndarray:
+        """||a_i||^2 for every row i (n,), made on first use."""
+        return self.dataset.row_norms_sq()
 
     # phi'(m, b) of one margin m = a_i^T x, in Python floats
     def _dphi(self, m: float, b: float) -> float:
@@ -282,10 +285,15 @@ class Oracle:
         """a_i^T x for every row i, for x of shape (d,) or a stack (k, d)."""
         if self._dense is not None:
             return X @ self._dense.T
-        # a 1-d gather is about 3x faster than the same gather through X[:, idx]
-        entries = X[self._indices] if X.ndim == 1 else X[:, self._indices]
-        entries *= self._values
-        return self.dataset.row_sums(entries)
+        out = np.empty(X.shape[:-1] + (self.n,))
+        for block in self._blocks:
+            idx = self._indices[block.entries]
+            # a 1-d gather is about 3x faster than the same gather through X[:, idx]
+            entries = X[idx] if X.ndim == 1 else X[:, idx]
+            entries *= self._values[block.entries]
+            block.sums(entries, out)
+            del entries  # freed before the next block's gather
+        return out
 
     def _weights(self, x: np.ndarray) -> np.ndarray:
         """phi'(a_i^T x, b_i) for every row i, (d,) -> (n,)."""
@@ -325,11 +333,14 @@ class Oracle:
         """sum_i r_i a_i, (n,) -> (d,)."""
         if self._dense is not None:
             return r @ self._dense
-        per_entry = np.repeat(r, self._counts)
-        per_entry *= self._values
-        # unlike np.bincount, add.at does not copy the read-only indices
+        # unlike np.bincount, add.at does not copy the read-only indices, and
+        # it adds a block's entries after the last block's, in entry order
         data = np.zeros(self.d)
-        np.add.at(data, self._indices, per_entry)
+        for block in self._blocks:
+            per_entry = np.repeat(r[block.rows], self._counts[block.rows])
+            per_entry *= self._values[block.entries]
+            np.add.at(data, self._indices[block.entries], per_entry)
+            del per_entry  # freed before the next block's
         return data
 
     def _spread(self, r: np.ndarray, base: np.ndarray) -> np.ndarray:

@@ -37,8 +37,10 @@ from test_golden import _OUT, CASES, TIMED, describe, differences, exact, write_
 # inputs (at most 40 x 64) do not show; not golden, compared only here:
 # sweep-ridge's sweep, the same sweep at 400 epochs (about 20,000 steps a
 # lane, so its lanes cross several schedule blocks), the lemmas-n400
-# instance at lemmas for both loopless algorithms, and CSR lanes (three
-# seeds a family) on an a9a-shaped file
+# instance at lemmas for both loopless algorithms, CSR lanes (three seeds a
+# family) on an a9a-shaped file, and a reference solve of 444 full-gradient
+# passes on a 20,000-row a9a-shaped file, whose parse spans 42 chunks and
+# whose normalize_rows and every pass span 9 row blocks (280,000 entries)
 _N400 = ["--synthetic", "400,20,1e3", "--loss", "ridge", "--mu", "1", "--data-seed", "1",
          "--epochs", "6", "--checkpoint-every", "6", "--diagnostics", "lemmas",
          "--seed", "1", *_OUT]
@@ -56,16 +58,19 @@ SIZE_CASES = {
                              "logistic", "--mu", "0.05", "--epochs", "3",
                              "--checkpoint-every", "0.5", "--seeds", "0,1,2",
                              "--thresholds", "1e-2,1e-4", *_OUT],
+    "size_solve-ref_a9a": ["solve-ref", "--data", "{tmp}/in/a9a_like_20000.svm", "--loss",
+                           "logistic", "--mu", "0.01", "--normalize", *_OUT],
 }
 ALL_CASES = {**CASES, **SIZE_CASES}
 
 
-def write_a9a_like(directory: Path, n: int = 3000, d: int = 123, nnz: int = 14):
-    """An a9a-shaped LIBSVM file, a9a_like.svm: n rows of nnz ones among d
-    features, feature j drawn with weight 1/(j + 1), labelled by a planted
-    model.  Under a quarter nonzero, and with n d past the oracle's 2^17
-    dense cells, so the oracle keeps CSR rows.  Written once per comparison,
-    so both sides read the same bytes."""
+def write_a9a_like(directory: Path, n: int = 3000, d: int = 123, nnz: int = 14,
+                   name: str = "a9a_like.svm"):
+    """An a9a-shaped LIBSVM file, name: n rows of nnz ones among d features,
+    feature j drawn with weight 1/(j + 1), labelled by a planted model.
+    Under a quarter nonzero, and with n d past the oracle's 2^17 dense
+    cells, so the oracle keeps CSR rows.  Written once per comparison, so
+    both sides read the same bytes."""
     rng = np.random.default_rng(123)
     weights = 1.0 / np.arange(1, d + 1)
     theta = rng.normal(size=d)
@@ -74,7 +79,7 @@ def write_a9a_like(directory: Path, n: int = 3000, d: int = 123, nnz: int = 14):
         cols = np.sort(rng.choice(d, size=nnz, replace=False, p=weights / weights.sum()))
         label = "+1" if theta[cols].sum() + rng.logistic() > 0.0 else "-1"
         lines.append(label + "".join(f" {j}:1" for j in (cols + 1).tolist()))
-    (directory / "a9a_like.svm").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # runs cases in one process on the package of PYTHONPATH: reads [argv, directory]
@@ -106,6 +111,7 @@ def main(argv: list[str]) -> int:
         subprocess.run(["tar", "-x", "-C", str(scratch / "rev")], input=archive, check=True)
         write_inputs(scratch / "inputs")
         write_a9a_like(scratch / "inputs")
+        write_a9a_like(scratch / "inputs", n=20_000, name="a9a_like_20000.svm")
         sides = []
         for side, src in ("rev", scratch / "rev" / "src"), ("tree", REPO / "src"):
             # both sides run at one path, which a sidecar's dataset record holds

@@ -123,6 +123,11 @@ _TRACE = {_CSV: _HEADER + "0,10,1.0,0.5,0.25,17\n5,20,2.0,0.25,0.125,34\n",
 _PLOT = ["plotdata", "{tmp}/in/l-svrg_ridge_seed0.csv", "--out", "{tmp}/plot.csv"]
 
 
+def _runs(stems) -> tuple[str, ...]:
+    """The tree of runs' traces and sidecars in {tmp}/out."""
+    return ("out/", *sorted(f"out/{stem}.{ext}" for stem in stems for ext in ("csv", "json")))
+
+
 def _config(**fields) -> dict:
     """The inputs of _CONFIG: a config file of fields."""
     return {"config.json": json.dumps(fields)}
@@ -522,6 +527,14 @@ EXITS = [
           # and the record is left in the output directory the command made
           (["--synthetic", "50,5,100", "--loss", "ridge", "--mu", "1"], "1e-30", "out/nested",
            ("out/", "out/nested/", "out/nested/synthetic50x5k100_data0_ridge_mu1.0_ref.json"))]],
+
+    # a run that overflows between two checkpoints steps on, unwarned, to the
+    # next one, where it stops as diverged
+    ("test_exit_contract[diverged-between-checkpoints]",
+     Exit(["run", "--synthetic", "20,4,10", "--loss", "ridge", "--mu", "1", "--alg", "l-svrg",
+           "--eta", "10", "--epochs", "100", "--checkpoint-every", "100", *_OUT], 5,
+          "diverged: l-svrg_ridge_seed0 at k=640; each trace stops at its last finite checkpoint",
+          tree=_runs(["l-svrg_ridge_seed0"]))),
 ]
 
 
@@ -663,11 +676,6 @@ def test_a_failed_reference_leaves_its_record(tmp_path, monkeypatch, command):
 
 # an iterate next to the largest double overflows on the first step
 _HUGE_X0 = _config(synthetic=[10, 4, 25.0], loss="ridge", mu=1.0, epochs=4.0, x0=[1e308] * 4)
-
-
-def _runs(stems) -> tuple[str, ...]:
-    """The tree of runs' traces and sidecars in {tmp}/out."""
-    return ("out/", *sorted(f"out/{stem}.{ext}" for stem in stems for ext in ("csv", "json")))
 
 
 def test_diverging_run_exits_with_divergence_code(tmp_path, monkeypatch):

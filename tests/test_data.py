@@ -300,10 +300,11 @@ def _outcome(source):
 
 def _scalar_outcome(source):
     """_outcome from the scalar parser alone: one _parse_block call over
-    every line of the source."""
+    every line of the source, in one chunk as long as its text or file."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(data, "_parse_chunk_fast", lambda chunk: None)
-        m.setattr(data, "_CHUNK", 1 << 62)
+        m.setattr(data, "_CHUNK", source.stat().st_size if isinstance(source, Path)
+                  else len(source))
         return _outcome(source)
 
 
@@ -461,10 +462,11 @@ def test_fast_parse_values_equal_float_bitwise():
     tokens = _EDGE_DECIMALS + [_decimal_token(np.random.default_rng(k)) for k in range(500)]
     nonzero = [t for t in tokens if float(t) != 0.0]
     line = "+1 " + " ".join(f"{j}:{t}" for j, t in enumerate(nonzero, start=1))
-    labels, ends, indices, values = data._parse_chunk_fast(line)
+    labels, ends, indices, values, newlines = data._parse_chunk_fast(line)
     assert np.array_equal(values, [float(t) for t in nonzero])
     assert values.tobytes() == np.array([float(t) for t in nonzero]).tobytes()
     assert indices.tolist() == list(range(len(nonzero))) and ends.tolist() == [len(nonzero)]
+    assert newlines == 0 and data._parse_chunk_fast(f"{line}\n\n{line}\n")[4] == 3
     # the signs of zeros survive in labels, where nothing drops them
     for label in ("-0.0", "+0.0", "-.0", "0."):
         got = data._parse_chunk_fast(f"{label} 1:1")[0][0]
@@ -494,11 +496,11 @@ def test_chunks_are_whole_lines_and_a_long_line_is_one_chunk(monkeypatch):
     fast = data._parse_chunk_fast
     monkeypatch.setattr(data, "_parse_chunk_fast", lambda chunk: chunks.append(chunk) or fast(chunk))
     assert isinstance(_outcome(text)[0], int)
-    assert "\n".join(chunks) == text  # the chunks cut the text at newlines
+    assert "".join(chunks) == text  # the chunks cut the text after newlines
     for chunk in chunks[:-1]:
-        # a chunk ends at the first newline _CHUNK characters on
-        assert len(chunk) >= data._CHUNK > len(chunk) - len(chunk.split("\n")[-1]) - 1
-    assert any("\n" not in chunk and len(chunk) > data._CHUNK for chunk in chunks)
+        # a chunk ends with the first newline _CHUNK characters on
+        assert chunk.endswith("\n") and chunk.rfind("\n", 0, -1) < data._CHUNK < len(chunk)
+    assert any("\n" not in chunk[:-1] and len(chunk) > data._CHUNK + 1 for chunk in chunks)
     # errors keep their line numbers
     lines[200] = lines[200] + " 1:2"
     outcome = _assert_fast_matches_scalar("\n".join(lines))
@@ -536,14 +538,25 @@ def test_chunk_boundaries_do_not_change_the_parse(monkeypatch, tmp_path, chunk):
         path = tmp_path / f"file{k}.txt"
         path.write_bytes(newline.join(["+1 1:1 3:2", "", "-1 2:0.5 # c", "+1 4:1"]).encode())
         assert _outcome(path) == _scalar_outcome(path) == _outcome("+1 1:1 3:2\n-1 2:0.5\n+1 4:1")
+        with open(path, encoding="utf-8") as file:  # a file parses from where it stands
+            file.readline()
+            assert _outcome(file) == _outcome("-1 2:0.5\n+1 4:1")
+        # a file, read a chunk at a time, parses as its text does
+        for name, source in _chunk_cases(np.random.default_rng(31)):
+            path.write_bytes(source.replace("\n", newline).encode())
+            assert _outcome(path) == _outcome(path.read_text(encoding="utf-8")), (name, k)
+        # past the first chunk, a file's error has its text's line number
+        text = newline.join(["+1 1:1 3:2"] * 199 + ["-1 3:1 2:1"] + ["+1 1:1"] * 100)
+        path.write_bytes(text.encode())
+        assert _outcome(path) == _outcome(text.replace(newline, "\n")) == (
+            ParseError, "line 200: feature index 2 not increasing (previous 3)", 200)
 
 
 @pytest.mark.parametrize("normalized", [False, True])
-def test_parse_memory_is_text_output_and_one_chunk(normalized):
-    """The parse holds the text, the CSR arrays it returns and one chunk's
-    temporaries: no growing buffers and no per-row objects."""
-    # bytes: one chunk's temporaries (about 1 MB) and the Dataset checks' masks
-    allowance = 2 << 20
+def test_parse_memory_is_text_output_and_one_chunk(normalized, tmp_path):
+    """The parse holds the CSR arrays it returns and one chunk's temporaries:
+    no growing buffers, no per-row objects, and no copy of the text, which
+    is the caller's string or is read from a file a chunk at a time."""
     rng = np.random.default_rng(4)
     n, d, k = 20_000, 123, 14  # a9a's shape: 14 binary features of 123 a row
     idx = np.concatenate([np.sort(np.argsort(rng.random((1000, d)), axis=1)[:, :k], axis=1)
@@ -553,16 +566,23 @@ def test_parse_memory_is_text_output_and_one_chunk(normalized):
     if normalized:
         dataset = normalize_rows(dataset)
     text = write_libsvm(dataset)
-    source = io.StringIO(text)
-    tracemalloc.start()
-    try:
-        parsed = parse_libsvm(source)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert parsed == dataset
-    output = sum(a.nbytes for a in (parsed.indptr, parsed.indices, parsed.values, parsed.labels))
-    assert peak <= len(text) + output + allowance, (peak, len(text), output)
+    path = tmp_path / "data.svm"
+    path.write_text(text, encoding="utf-8")
+    # bytes: one chunk's numpy temporaries, at most 40 a character (_CHUNK's
+    # figure), then the Dataset checks' masks, one byte an entry.  The text
+    # is 1.5 MB, 6.2 MB normalized; a float64 per entry is 2.2 MB
+    allowance = 40 * data._CHUNK + dataset.nnz
+    for source in (text, io.StringIO(text), path):
+        tracemalloc.start()
+        try:
+            parsed = load_libsvm(source) if source is path else parse_libsvm(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == dataset
+        output = sum(a.nbytes for a in (parsed.indptr, parsed.indices, parsed.values,
+                                        parsed.labels))
+        assert peak <= output + allowance, (type(source), peak, output)
 
 
 # -- the writer against the per-entry reference ------------------------------

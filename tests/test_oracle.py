@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from loopless import data
 from loopless import oracle as oracle_module
 from loopless.data import (Dataset, SparseRow, _dense_to_csr, normalize_rows, parse_libsvm,
                            synthesize_quadratic)
@@ -432,20 +433,38 @@ def test_oracle_shares_the_dataset_csr_arrays():
         assert np.shares_memory(oracle.labels, dataset.labels)
 
 
-def test_csr_full_grad_does_not_copy_the_dataset_arrays():
-    rng = np.random.default_rng(6)
-    dataset = property_dataset(rng, 400, 2000, 0.2, pad=0)
-    oracle = make_oracle(dataset, "logistic", 0.1)
-    x = rng.normal(size=oracle.d)
-    oracle.full_grad(x)
+def traced_peak(call):
+    """call()'s result and the peak of the memory it allocated, in bytes."""
     tracemalloc.start()
     try:
-        oracle.full_grad(x)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one per-entry temporary; np.bincount would add a copy of the indices
-    assert peak < 1.5 * dataset.nnz * 8
+
+
+@pytest.mark.parametrize("loss", ["logistic", "ridge"])
+def test_csr_full_data_passes_hold_one_row_block_at_a_time(loss):
+    rng = np.random.default_rng(6)
+    n, d = 4000, 2000
+    counts = rng.integers(0, 200, size=n)  # empty rows among them
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.concatenate([np.sort(rng.choice(d, size=c, replace=False)) for c in counts])
+    dataset = Dataset.from_csr(indptr, indices, rng.normal(size=indices.size),
+                               rng.choice([-1.0, 1.0], size=n), d)
+    assert len(dataset.row_blocks) >= 10
+    # one block's per-entry temporary, 8 bytes an entry, and at most four
+    # per-row and four per-column arrays of 8-byte numbers at once: the row
+    # counts and norms at construction; the margins, the weights or the loss
+    # kernel's temporaries in a pass; x and the gradient.  A pass over all
+    # entries at once holds 8 * nnz bytes (2.7 MB), np.bincount's copy of
+    # the indices as many
+    allowance = 8 * data._BLOCK_ENTRIES + 4 * 8 * n + 4 * 8 * d
+    oracle, peak = traced_peak(lambda: make_oracle(dataset, loss, 0.1))
+    assert oracle._dense is None and peak <= allowance, peak
+    x = rng.normal(size=d)
+    for method in (oracle.full_grad, oracle.full_loss):
+        assert traced_peak(lambda: method(x))[1] <= allowance, method
 
 
 @pytest.mark.parametrize("loss", ["logistic", "ridge"])
@@ -461,6 +480,72 @@ def test_csr_full_grad_sums_as_bincount_does(loss):
         data = np.bincount(oracle._indices, weights=per_entry, minlength=oracle.d)
         want = data / oracle.n + oracle.mu * x
         assert oracle.full_grad(x).tobytes() == want.tobytes()
+
+
+# -- row blocks: a full-data pass against one pass over every entry -------------
+
+
+def one_pass_row_sums(dataset, entries):
+    """Each row's sum of per-entry values (along the last axis) by one
+    np.add.reduceat over every entry: the row sums before row blocks."""
+    nonempty = np.diff(dataset.indptr) > 0
+    out = np.zeros(entries.shape[:-1] + (dataset.n,))
+    out[..., nonempty] = np.add.reduceat(entries, dataset.indptr[:-1][nonempty], axis=-1)
+    return out
+
+
+def one_pass_losses(oracle, Y):
+    """f at every row of Y (k, d), from margins taken in one pass."""
+    margins = one_pass_row_sums(oracle.dataset, Y[:, oracle._indices] * oracle._values)
+    return (oracle._phis(margins, oracle.labels).sum(axis=1) / oracle.n
+            + 0.5 * oracle.mu * np.einsum("ij,ij->i", Y, Y))
+
+
+def one_pass_grad(oracle, x):
+    """full_grad at x with its margins and its sum over rows each taken in
+    one pass; grad_i itself at n == 1."""
+    if oracle.n == 1:
+        return oracle.grad_i(0, x)
+    margins = one_pass_row_sums(oracle.dataset, x[oracle._indices] * oracle._values)
+    per_entry = np.repeat(oracle._dphis(margins, oracle.labels), oracle._counts)
+    grad = np.zeros(oracle.d)
+    np.add.at(grad, oracle._indices, per_entry * oracle._values)
+    grad /= oracle.n
+    grad += oracle.mu * x
+    return grad
+
+
+@pytest.mark.parametrize("block", [1, 4])
+@pytest.mark.parametrize("n", [1, 2, 30])
+@pytest.mark.parametrize("loss", ["logistic", "ridge"])
+def test_row_blocks_are_bitwise_one_pass(monkeypatch, loss, n, block):
+    # rows of about 9 entries, every fourth empty: a block of 1 or 4 entries
+    # holds a row or two, or one row longer than a block
+    monkeypatch.setattr(data, "_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng([n, block, len(loss)])
+    dataset = property_dataset(rng, n, d=60, density=0.15, pad=2)
+    oracle = quarter_rule_oracle(dataset, loss, 0.3)
+    assert oracle._dense is None and len(dataset.row_blocks) > n // 2
+    assert max(np.diff(dataset.indptr)) > block
+    # a margin of about 1e3 overflows the logistic weight's exp
+    points = rng.normal(size=(4, oracle.d)) * np.array([[1.0], [3.0], [1e2], [0.0]])
+    gamma = rng.normal(size=n)
+    values, counts = dataset.values, np.diff(dataset.indptr)
+    rows = np.repeat(np.arange(n), counts)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        row_norms_sq = one_pass_row_sums(dataset, values * values)
+        scaled = values / np.repeat(np.sqrt(row_norms_sq), counts)
+        for x in points:
+            assert oracle.full_grad(x).tobytes() == one_pass_grad(oracle, x).tobytes()
+            assert oracle.full_loss(x) == one_pass_losses(oracle, x[np.newaxis])[0]
+            moved = np.tile(x, (n, 1))  # x + gamma_i a_i in row i
+            moved[rows, dataset.indices] += gamma[rows] * values
+            assert (oracle.loss_along_rows(x, gamma).tobytes()
+                    == one_pass_losses(oracle, moved).tobytes())
+        assert (oracle.full_loss_many(points).tobytes()
+                == one_pass_losses(oracle, points).tobytes())
+    assert oracle.row_norms_sq.tobytes() == row_norms_sq.tobytes()
+    assert normalize_rows(dataset).values.tobytes() == scaled.tobytes()
 
 
 def rows_of(counts, d):
