@@ -375,11 +375,11 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, start,
     and sidecar, and return the CSV paths and the records in config order.
 
     The runs of one family (SVRG or Katyusha) go through run_lanes as one
-    batch when there are at least three of them (a lane's trace is run's:
-    bitwise on dense ridge data, its floats to rounding otherwise; the rule's
-    measurements are at it, below), every other run through run.  Raises
-    ConfigError before any run if two runs would write the same files, and
-    DivergenceError, after writing every run, if any diverged."""
+    batch when there are at least three of them (a lane's trace is run's,
+    bitwise; the rule's measurements are at it, below), every other run
+    through run.  Raises ConfigError before any run if two runs would write
+    the same files, and DivergenceError, after writing every run, if any
+    diverged."""
     if not configs:
         raise ConfigError("empty batch: no seed, algorithm or loop length to run")
     shared = _repeated([config.run_id() for config in configs])
@@ -396,25 +396,27 @@ def _run_batch(configs: list[RunConfig], oracle: Oracle, start,
         for s, opt in enumerate(optimizers):
             families.setdefault(getattr(opt, "lane_state", None), []).append(s)
         by_run = {}
-        # Three runs of a family make lanes, on any storage.  On CSR data they
-        # pay from there: L-SVRG and L-Katyusha at theory presets on
-        # a9a_like(32561, 123, 14, seed=1) logistic, mu = 1e-3, 1.5 epochs, a
-        # checkpoint every 0.25, no diagnostics, least of 6 rounds in one
-        # process, one core of a 2-vCPU VM; seconds one by one / as lanes:
+        # Three runs of a family make lanes, on any storage.  On CSR data
+        # they pay from there for L-Katyusha, and break even for L-SVRG: the
+        # theory presets on a9a_like(32561, 123, 14, seed=1) logistic, mu =
+        # 1e-3, 1.5 epochs, a checkpoint every 0.25, no diagnostics, least of
+        # 6 rounds in one process, one core of a 2-vCPU VM; seconds one by
+        # one / as lanes:
         #
         #     runs   L-SVRG          L-Katyusha
-        #      1     0.059 / 0.114   0.095 / 0.151
-        #      2     0.125 / 0.131   0.191 / 0.175
-        #      3     0.187 / 0.146   0.283 / 0.192
-        #      4     0.246 / 0.156   0.381 / 0.200
-        #      5     0.312 / 0.175   0.454 / 0.216
-        #     10     0.571 / 0.236   0.889 / 0.298
+        #      1     0.059 / 0.133   0.098 / 0.176
+        #      2     0.108 / 0.153   0.194 / 0.209
+        #      3     0.177 / 0.165   0.299 / 0.221
+        #      4     0.232 / 0.183   0.391 / 0.239
+        #      5     0.290 / 0.208   0.500 / 0.272
+        #     10     0.484 / 0.266   0.817 / 0.371
         #
+        # (two more rounds: 3 L-SVRG runs 0.171 / 0.156 and 0.174 / 0.176).
         # On the dense criterion-7 instance (100 x 20, kappa = 1e5, 150
-        # epochs, L-SVRG) two lanes took 0.037 s against 0.040 s, and ten
-        # 0.050 s against 0.211 s.  The rule stays at three: moving it would
-        # change which driver a batch takes, and so its traces' last bits
-        # on logistic or CSR data.  CHANGES.md records how the crossover moved.
+        # epochs, L-SVRG) two lanes took 0.035 s against 0.048 s, and ten
+        # 0.053 s against 0.245 s.  A lane's trace is run's bitwise, so
+        # moving the rule would change no output, only time.  CHANGES.md
+        # records how the crossover moved.
         for family, lanes in families.items():
             if family is not None and len(lanes) >= 3:
                 by_run.update(zip(lanes, run_lanes(
@@ -512,8 +514,7 @@ def sweep_p(base_config: RunConfig, out_dir, grid: list[int] | None = None) -> l
     each at its theory preset otherwise.
 
     One batch on one problem (see _run_batch): each run's trace and sidecar
-    are those run_experiment writes for its config (bitwise on dense ridge
-    data, its floats to rounding otherwise).
+    are those run_experiment writes for its config, bitwise but wall_ns.
     Raises DivergenceError, after writing every run, if any diverged.
     """
     _check_batch_base(base_config, "sweep-p")

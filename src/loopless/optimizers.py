@@ -527,15 +527,14 @@ def run_lanes(
     oracle as one batch of lanes, stepped together by _drive with _stack.
 
     Lane s gives the records run(optimizers[s], rngs[s], metrics=metrics[s])
-    would give and leaves optimizers[s] in the state run leaves it in: k,
-    oracle_calls and epoch exactly; its lane_state arrays bitwise on a
-    dense ridge oracle, where Oracle.grad_rows is grad_i's arithmetic, and
-    to rounding otherwise (see there).  Before each of a lane's checkpoints
-    its state and counters are written back to its optimizer, so metrics
-    sees an ordinary optimizer.  wall_ns is the batch's optimizer time so
-    far, shared by its lanes.  A lane's rng ends at the end of its last
-    block, past run's.  Each lane needs its own rng, and its own metrics
-    entry when metrics is given: a ValueError, before any step, otherwise.
+    would give and leaves optimizers[s] in the state run leaves it in,
+    bitwise on every data kind: Oracle.grad_rows is grad_i's arithmetic.
+    Before each of a lane's checkpoints its state and counters are written
+    back to its optimizer, so metrics sees an ordinary optimizer.  wall_ns
+    is the batch's optimizer time so far, shared by its lanes.  A lane's rng
+    ends at the end of its last block, past run's.  Each lane needs its own
+    rng, and its own metrics entry when metrics is given: a ValueError,
+    before any step, otherwise.
     """
     lanes, rngs = list(optimizers), list(rngs)
     families = {getattr(opt, "lane_state", None) for opt in lanes}

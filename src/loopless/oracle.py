@@ -7,7 +7,7 @@ inside every f_i so each f_i is mu-strongly convex:
     ridge:     f_i(x) = (1/2)(a_i^T x - b_i)^2     + (mu/2)||x||^2
 
 Each loss is three kernels of the margin m = a_i^T x and a constant: the
-scalar phi'(m, b) (_dphi) of grad_i's per-step path, phi and phi'
+scalar phi'(m, b) (_dphi) of every per-sample gradient, phi and phi'
 elementwise on arrays of margins (_phis, _dphis) for full-data calls, and
 `curvature`, a bound on phi''.  L = curvature * max_i ||a_i||^2 + mu bounds
 every f_i's smoothness; an oracle is not built when L is not finite (a
@@ -19,31 +19,33 @@ least 1/16 of them are: on such data two BLAS gemv calls make a full pass
 faster than the CSR kernels do.  Otherwise it works on the dataset's CSR
 arrays, shared rather than copied.
 
-grad_i runs one row through the scalar kernel on Python floats, which is
-the optimizers' per-step hot path.  It takes the row dot with ndarray.dot,
-which gives the bits of `a @ x` at about half its call cost, reads the
-label and the CSR row bounds as Python scalars (.item), gathers a CSR
-row's entries of x by indexing (x[idx], cheaper than take for one row),
-and scales x by mu held as a 0-d float64 array (_mu, cheaper than a Python
-float), as grad_rows scales its rows.  corrections makes the
-variance-reduction corrections grad_i(w) - grad_w of many steps in one call
-with grad_i's arithmetic, so each row is bitwise grad_i's less grad_w:
-dense row dots through np.vecdot (ndarray.dot's kernel), CSR row dots as
-one np.vecdot per row length, and the scalar kernel for the weights.  Full-data calls
-(full_grad, full_loss, grad_table and their batched forms) run with numpy:
-A @ x and r @ A on the dense copy, all rows at once; reduceat and add.at on
-the CSR arrays a row block at a time (data.RowBlock, at most
-data._BLOCK_ENTRIES entries), so full_grad and full_loss hold no temporary
-of the data's size, and each row sum and each add.at accumulation keeps the
-order, and the bits, of one pass over every entry.  Their logistic weight
-phi'(m) = -b / (1 + e^{b m}) takes one in-place exp per margin, with no
-branch on the margin's sign: where e^{b m} overflows to inf the weight is
--0, its limit, and where the scalar kernel's e/(1 + e) is subnormal it may
-be 0 instead.
-Their sums are ordered differently from a row-by-row loop, so they agree
-with it to rounding, not bitwise; only at n == 1 does full_grad take the
-scalar kernel, so that full_grad(x) equals grad_i(0, x) bitwise there
-(np.exp and math.exp can differ in the last bit).
+Every per-sample gradient is grad_i's arithmetic, bit for bit: grad_i of
+one row, run()'s per-step path; corrections, the variance-reduction
+corrections grad_i(w) - grad_w of many steps in one call, which run()
+takes a stretch at a time; and grad_rows, one step of a run_lanes stack.
+grad_i takes the row dot with ndarray.dot, which gives the bits of `a @ x`
+at about half its call cost, reads the label and the CSR row bounds as
+Python scalars (.item), gathers a CSR row's entries of x by indexing
+(x[idx], cheaper than take for one row), and scales x by mu held as a 0-d
+float64 array (_mu, cheaper than a Python float), as grad_rows scales its
+rows.  The many-row forms take dense row dots through np.vecdot
+(ndarray.dot's kernel), CSR row dots as one np.vecdot per run of rows of
+one length (_row_dots), and _dphi for the weights (_dphi_rows; ridge's
+m - b gives the same bits elementwise in numpy).
+
+Full-data calls (full_grad, full_loss, grad_table and their batched forms)
+run with numpy: A @ x and r @ A on the dense copy, all rows at once;
+reduceat and add.at on the CSR arrays a row block at a time (data.RowBlock,
+at most data._BLOCK_ENTRIES entries), so full_grad and full_loss hold no
+temporary of the data's size, and each row sum and each add.at
+accumulation keeps the order, and the bits, of one pass over every entry.
+Their logistic weight phi'(m) = -b / (1 + e^{b m}) takes one in-place exp
+per margin, with no branch on the margin's sign: where e^{b m} overflows to
+inf the weight is -0, its limit, and where the scalar kernel's e/(1 + e)
+is subnormal it may be 0 instead.  Their sums are ordered differently from
+a row-by-row loop, so they agree with it to rounding, not bitwise; only at
+n == 1 does full_grad take the scalar kernel, so that full_grad(x) equals
+grad_i(0, x) bitwise there (np.exp and math.exp can differ in the last bit).
 
 For the lemma reports an oracle also gives row_norms_sq, every ||a_i||^2,
 and loss_along_rows(y, gamma), f(y + gamma_i a_i) for every row i; both
@@ -116,6 +118,21 @@ def _quiet_range(method):
     return quiet
 
 
+def _row_dots(counts: list, vals: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The dot of each CSR row's entries vals with the point's entries at
+    under them, counts the rows' entry counts: one np.vecdot per run of
+    adjacent rows of one length, a row alone included, which gives each dot
+    ndarray.dot's bits, grad_i's.  Rows ordered by length make the fewest
+    runs."""
+    dots, lo = [], 0
+    for c, run in itertools.groupby(counts):
+        k = len(list(run))
+        hi = lo + k * c
+        dots.append(np.vecdot(vals[lo:hi].reshape(k, c), at[lo:hi].reshape(k, c)))
+        lo = hi
+    return np.concatenate(dots)
+
+
 class Oracle:
     """Shared machinery; subclasses define the loss as three kernels of the
     margin, the scalar _dphi and the elementwise _phis and _dphis, and the
@@ -170,6 +187,10 @@ class Oracle:
     def _dphis(self, m: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _dphi_rows(self, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """_dphi of each margin, bitwise: the per-sample weights."""
+        return np.fromiter(map(self._dphi, m.tolist(), b.tolist()), float, len(m))
+
     def _row_ids(self) -> np.ndarray:
         """The row of every stored entry (nnz,)."""
         return np.repeat(np.arange(self.n), self._counts)
@@ -194,58 +215,55 @@ class Oracle:
         """grad_i at X[s] of the s-th sample row of one step of gathered(),
         written into out (the shape of X) and returned: its labels, and its
         rows as an (S, d) array, which it writes over, or as CSR (lane,
-        cols, vals) entries.  Dense row dots (np.vecdot, ndarray.dot's
-        kernel) and the update are grad_i's, so ridge rows are grad_i's
-        bitwise; the logistic kernel (np.exp, not math.exp) and CSR row dots
-        (bincount) agree with grad_i's to rounding."""
+        cols, vals, counts) entries.  Its row dots, weights and update are
+        grad_i's, so each row is grad_i's bitwise."""
         np.multiply(self._mu, X, out=out)
         if self._dense is not None:
-            rows *= self._dphis(np.vecdot(rows, X), labels)[:, np.newaxis]
+            rows *= self._dphi_rows(np.vecdot(rows, X), labels)[:, np.newaxis]
             out += rows
             return out
-        lane, cols, vals = rows
-        margins = np.bincount(lane, weights=vals * X[lane, cols], minlength=len(labels))
+        lane, cols, vals, counts = rows
+        weights = self._dphi_rows(_row_dots(counts, vals, X[lane, cols]), labels)
         # a row's indices are distinct, so no (lane, col) pair repeats
-        out[lane, cols] += self._dphis(margins, labels)[lane] * vals
+        out[lane, cols] += np.repeat(weights, counts) * vals
         return out
 
     def gathered(self, samples: np.ndarray):
         """grad_rows' (labels, rows) of each step of a (T, S) block of sample
         indices, gathered by one take (dense) or _row_entries call (CSR) per
         window of steps: as many as _WINDOW_CELLS cells hold at the block's
-        largest step, or one."""
+        largest step, or one.  A step's CSR rows come shortest first, for
+        _row_dots, with their labels in that order; lane is each entry's
+        sample position s."""
         width, dense = samples.shape[1], self._dense is not None
-        cells = None if dense else self._counts.take(samples).sum(axis=1)
-        largest = width * self.d if dense else int(cells.max(initial=0))  # step's cells
+        cells = None if dense else self._counts.take(samples)
+        largest = width * self.d if dense else int(cells.sum(axis=1).max(initial=0))
         steps = max(1, _WINDOW_CELLS // max(1, largest))
         for lo in range(0, len(samples), steps):
             window = samples[lo:lo + steps]
-            labels = self.labels.take(window)
             if dense:
-                yield from zip(labels, self._dense.take(window, axis=0))
-            else:
-                _, lane, cols, vals = self._row_entries(window.ravel())
-                lane %= width  # each step's rows are 0..width-1
-                stops = np.cumsum(cells[lo:lo + steps]).tolist()  # each step's entries end
-                yield from zip(labels, ((lane[a:b], cols[a:b], vals[a:b])
-                                        for a, b in zip([0, *stops], stops)))
+                yield from zip(self.labels.take(window), self._dense.take(window, axis=0))
+                continue
+            order = np.argsort(cells[lo:lo + steps], axis=1, kind="stable")
+            window = np.take_along_axis(window, order, axis=1)
+            counts, lane, cols, vals = self._row_entries(window.ravel())
+            lane = order.ravel().take(lane)
+            counts = counts.reshape(window.shape).tolist()
+            stops = list(itertools.accumulate(map(sum, counts)))  # each step's entries end
+            yield from zip(self.labels.take(window),
+                           ((lane[a:b], cols[a:b], vals[a:b], c)
+                            for a, b, c in zip([0, *stops], stops, counts)))
 
     def corrections(self, idx: np.ndarray, w: np.ndarray,
                     grad_w: np.ndarray) -> np.ndarray:
         """grad_i(idx[s], w) - grad_w for every s, (S,) -> (S, d): the
         variance-reduction corrections of steps that share the reference
         point w.  Row s is grad_i's arithmetic, so it equals
-        grad_i(idx[s], w) - grad_w bitwise: the same row dot, the scalar
-        _dphi, and mu*w plus the row term, less grad_w.  Dense rows take
-        their dots as one np.vecdot (ndarray.dot's kernel).  CSR rows go by
-        length: each run of rows with one entry count, a row alone included,
-        takes its dots as one np.vecdot over its gathered (rows, count)
-        entries."""
+        grad_i(idx[s], w) - grad_w bitwise: the same row dot and weight, and
+        mu*w plus the row term, less grad_w."""
         if self._dense is not None:
-            labels = self.labels.take(idx).tolist()
             out = self._dense.take(idx, axis=0)
-            weights = map(self._dphi, np.vecdot(out, w).tolist(), labels)
-            out *= np.fromiter(weights, float, len(idx))[:, np.newaxis]
+            out *= self._dphi_rows(np.vecdot(out, w), self.labels.take(idx))[:, np.newaxis]
             out += self.mu * w
             out -= grad_w
             return out
@@ -253,17 +271,11 @@ class Oracle:
         order = np.argsort(self._counts.take(idx), kind="stable")
         rows = idx.take(order)
         counts, lane, cols, vals = self._row_entries(rows)
-        at_w = w.take(cols)
-        dots, lo = [], 0
-        for c, run in itertools.groupby(counts.tolist()):
-            k = len(list(run))
-            hi = lo + k * c
-            dots += np.vecdot(vals[lo:hi].reshape(k, c), at_w[lo:hi].reshape(k, c)).tolist()
-            lo = hi
-        weights = map(self._dphi, dots, self.labels.take(rows).tolist())
+        weights = self._dphi_rows(_row_dots(counts.tolist(), vals, w.take(cols)),
+                                  self.labels.take(rows))
         # a row's entries are (mu w + weight * a) - grad_w, as grad_i's less
         # grad_w; its other cells mu w - grad_w, the same in every row
-        np.multiply(np.fromiter(weights, float, len(idx))[lane], vals, out=vals)
+        np.multiply(weights[lane], vals, out=vals)
         mu_w = self.mu * w
         np.add(mu_w.take(cols), vals, out=vals)
         vals -= grad_w.take(cols)
@@ -387,10 +399,6 @@ class LogisticOracle(Oracle):
         np.divide(b, w, out=w)
         return np.negative(w, out=w)
 
-    # np.exp overflows by design, and underflows where grad_i's math.exp
-    # flushes to 0 silently
-    grad_rows = _quiet_range(Oracle.grad_rows)
-
 
 class RidgeOracle(Oracle):
     curvature = 1.0
@@ -402,8 +410,8 @@ class RidgeOracle(Oracle):
     def _dphi(self, m, b):
         return m - b
 
-    # the scalar expression is already elementwise
-    _dphis = _dphi
+    # the scalar expression is already elementwise, with the same bits
+    _dphis = _dphi_rows = _dphi
 
     @property
     def enumerates_along_rows(self) -> bool:

@@ -4,11 +4,11 @@
 
 Runs every command of tests/test_golden.py and the SIZE_CASES below (or the
 named cases) with the package at git revision REV and with the package in
-this working tree, on the same inputs (write_inputs, and write_a9a_like for
-the size cases).  It compares their exit codes, stdout and stderr byte for
-byte, the paths each wrote, and each output file by test_golden.differences
-under the exact rule (test_golden's docstring states the rules), and prints
-the first difference in each file.  The exit status is 1 on any difference.
+this working tree, on the same inputs (write_inputs, and write_a9a_like and
+write_ragged for the size cases).  It compares their exit codes, stdout and
+stderr byte for byte, the paths each wrote, and each output file by
+test_golden.differences under the exact rule (test_golden's docstring states
+the rules), and prints the first difference in each file.  The exit status is 1 on any difference.
 `python tests/bytewise.py HEAD` compares the last commit with itself when
 the tree is clean: every command must then be deterministic from run to run.
 
@@ -38,9 +38,12 @@ from test_golden import _OUT, CASES, TIMED, describe, differences, exact, write_
 # sweep-ridge's sweep, the same sweep at 400 epochs (about 20,000 steps a
 # lane, so its lanes cross several schedule blocks), the lemmas-n400
 # instance at lemmas for both loopless algorithms, CSR lanes (three seeds a
-# family) on an a9a-shaped file, and a reference solve of 444 full-gradient
-# passes on a 20,000-row a9a-shaped file, whose parse spans 42 chunks and
-# whose normalize_rows and every pass span 9 row blocks (280,000 entries)
+# family) on an a9a-shaped file and on row-normalized ragged rows of 1 to 40
+# real-valued entries (on a9a's rows of 14 ones every dot order gives the
+# same bits; on these a change of row-dot order shows), and a reference
+# solve of 444 full-gradient passes on a 20,000-row a9a-shaped file, whose
+# parse spans 42 chunks and whose normalize_rows and every pass span 9 row
+# blocks (280,000 entries)
 _N400 = ["--synthetic", "400,20,1e3", "--loss", "ridge", "--mu", "1", "--data-seed", "1",
          "--epochs", "6", "--checkpoint-every", "6", "--diagnostics", "lemmas",
          "--seed", "1", *_OUT]
@@ -58,6 +61,10 @@ SIZE_CASES = {
                              "logistic", "--mu", "0.05", "--epochs", "3",
                              "--checkpoint-every", "0.5", "--seeds", "0,1,2",
                              "--thresholds", "1e-2,1e-4", *_OUT],
+    "size_compare-all_ragged": ["compare-all", "--data", "{tmp}/in/ragged.svm", "--loss",
+                                "logistic", "--mu", "0.01", "--normalize", "--epochs", "3",
+                                "--checkpoint-every", "0.5", "--seeds", "0,1,2",
+                                "--thresholds", "1e-2,1e-4", *_OUT],
     "size_solve-ref_a9a": ["solve-ref", "--data", "{tmp}/in/a9a_like_20000.svm", "--loss",
                            "logistic", "--mu", "0.01", "--normalize", *_OUT],
 }
@@ -79,6 +86,25 @@ def write_a9a_like(directory: Path, n: int = 3000, d: int = 123, nnz: int = 14,
         cols = np.sort(rng.choice(d, size=nnz, replace=False, p=weights / weights.sum()))
         label = "+1" if theta[cols].sum() + rng.logistic() > 0.0 else "-1"
         lines.append(label + "".join(f" {j}:1" for j in (cols + 1).tolist()))
+    (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def write_ragged(directory: Path, n: int = 2000, d: int = 123, name: str = "ragged.svm"):
+    """A LIBSVM file of n rows of 1 to 40 entries among d features, feature j
+    drawn with weight 1/(j + 1), each value a normal draw at 17 significant
+    digits, labelled by a planted model.  Under a quarter nonzero, and with
+    n d past the oracle's 2^17 dense cells, so the oracle keeps CSR rows."""
+    rng = np.random.default_rng(321)
+    weights = 1.0 / np.arange(1, d + 1)
+    theta = rng.normal(size=d)
+    lines = []
+    for _ in range(n):
+        cols = np.sort(rng.choice(d, size=int(rng.integers(1, 41)), replace=False,
+                                  p=weights / weights.sum()))
+        vals = rng.normal(size=cols.size)
+        label = "+1" if theta[cols] @ vals + rng.logistic() > 0.0 else "-1"
+        lines.append(label + "".join(f" {j}:{v:.17g}"
+                                     for j, v in zip((cols + 1).tolist(), vals.tolist())))
     (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -112,6 +138,7 @@ def main(argv: list[str]) -> int:
         write_inputs(scratch / "inputs")
         write_a9a_like(scratch / "inputs")
         write_a9a_like(scratch / "inputs", n=20_000, name="a9a_like_20000.svm")
+        write_ragged(scratch / "inputs")
         sides = []
         for side, src in ("rev", scratch / "rev" / "src"), ("tree", REPO / "src"):
             # both sides run at one path, which a sidecar's dataset record holds

@@ -45,12 +45,12 @@ def walk_lanes(opts, rngs, stop, cap_steps, every, block=1000):
     `every` steps gives it: its epoch at the first check where
     stop(optimizer) holds, or inf when no check within cap_steps steps does.
 
-    The optimizers (SVRG family, one dense ridge oracle) step together as one
-    stack through optimizers._stack, the stepper run_lanes uses, `block`
-    steps at a time from each one's own schedule().  At each check every
-    running lane is written back to its optimizer, which stop() then sees.
-    Dense ridge lanes are bitwise run(), and run() is bitwise the serial
-    loop, so the results are the loop's.
+    The optimizers (SVRG family, one oracle) step together as one stack
+    through optimizers._stack, the stepper run_lanes uses, `block` steps at
+    a time from each one's own schedule().  At each check every running
+    lane is written back to its optimizer, which stop() then sees.  Lanes
+    are bitwise run(), and run() is bitwise the serial loop, so the results
+    are the loop's.
 
     The check on steps and the stop rule stay here, not in optimizers._drive:
     no caller outside the tests needs them, and _drive's one loop would have

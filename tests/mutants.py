@@ -74,6 +74,9 @@ MUTANTS = [
     ("correction sign flipped, _stack", OPT,
      "                np.subtract(g, correction, out=g)\n",
      "                np.add(g, correction, out=g)\n"),
+    ("grad_rows takes the full-data logistic weight _dphis, on dense rows", ORACLE,
+     "            rows *= self._dphi_rows(np.vecdot(rows, X), labels)[:, np.newaxis]\n",
+     "            rows *= self._dphis(np.vecdot(rows, X), labels)[:, np.newaxis]\n"),
     ("a lane step reads the next step's rows", ORACLE,
      "            window = samples[lo:lo + steps]\n",
      "            window = samples[lo + 1:lo + steps + 1]\n"),

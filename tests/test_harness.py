@@ -2,6 +2,7 @@ import csv
 import json
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,6 +385,10 @@ def test_sweep_p_writes_pairs(tmp_path):
     assert lsvrg_sidecar["params"]["eta"] == svrg_sidecar["params"]["eta"]
 
 
+# 40 rows of 3 real-valued entries among 64 features, which the oracle keeps as CSR
+CSR_LOGISTIC = Path(__file__).resolve().parent / "golden" / "inputs" / "sparse_logistic.svm"
+
+
 def compare_runs(config, out_dir):
     """compare_all over gd, l-svrg and l-katyusha with three seeds (so each
     family runs as lanes); its run CSVs."""
@@ -399,28 +404,29 @@ def compare_runs(config, out_dir):
     ids=["sweep_p", "compare_all"],
 )
 def test_batch_is_deterministic_and_writes_run_experiment_outputs(tmp_path, batch, runs):
-    config = synthetic_config(epochs=6.0, checkpoint_every=0.5)
-    first = batch(config, tmp_path / "a")
-    second = batch(config, tmp_path / "b")
-    assert len(first) == len(second) == runs
-    for a, b in zip(first, second):
-        assert strip_wall(read_csv_lines(a)) == strip_wall(read_csv_lines(b))
-    for path in first:
-        sidecar = json.loads(path.with_suffix(".json").read_text())
-        run_id = f"{sidecar['algorithm']}_{sidecar['loss']}_seed{sidecar['seed']}"
-        single = replace(config, algorithm=sidecar["algorithm"], seed=sidecar["seed"],
-                         params=sidecar["params"],
-                         tag=path.stem.removeprefix(run_id).lstrip("_"))
-        alone = run_experiment(single, tmp_path / "alone")
-        assert alone.name == path.name
-        assert (alone.with_suffix(".json").read_bytes()
-                == path.with_suffix(".json").read_bytes())
-        batched, serial = read_trace(path), read_trace(alone)
-        assert [(r["k"], r["oracle_calls"], r["epoch"]) for r in batched] == [
-            (r["k"], r["oracle_calls"], r["epoch"]) for r in serial]
-        for a, b in zip(batched, serial):
-            assert a["dist_sq"] == pytest.approx(b["dist_sq"], rel=1e-12)
-            assert a["f_gap"] == pytest.approx(b["f_gap"], rel=1e-12)
+    """On synthetic ridge and on a CSR logistic LIBSVM file, a batch writes
+    the same traces twice, and each run's trace (but wall_ns) and sidecar
+    are those run_experiment writes for its config, byte for byte."""
+    problems = {"ridge": {}, "csr-logistic": dict(synthetic=None, loss="logistic", mu=0.1,
+                                                  dataset_path=str(CSR_LOGISTIC))}
+    for problem, overrides in problems.items():
+        config = synthetic_config(epochs=6.0, checkpoint_every=0.5, **overrides)
+        first = batch(config, tmp_path / problem / "a")
+        second = batch(config, tmp_path / problem / "b")
+        assert len(first) == len(second) == runs
+        for a, b in zip(first, second):
+            assert strip_wall(read_csv_lines(a)) == strip_wall(read_csv_lines(b))
+        for path in first:
+            sidecar = json.loads(path.with_suffix(".json").read_text())
+            run_id = f"{sidecar['algorithm']}_{sidecar['loss']}_seed{sidecar['seed']}"
+            single = replace(config, algorithm=sidecar["algorithm"], seed=sidecar["seed"],
+                             params=sidecar["params"],
+                             tag=path.stem.removeprefix(run_id).lstrip("_"))
+            alone = run_experiment(single, tmp_path / problem / "alone")
+            assert alone.name == path.name
+            assert (alone.with_suffix(".json").read_bytes()
+                    == path.with_suffix(".json").read_bytes())
+            assert strip_wall(read_csv_lines(path)) == strip_wall(read_csv_lines(alone))
 
 
 def test_a_loop_length_past_int64_gives_the_traces_run_experiment_writes(tmp_path):

@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from loopless import optimizers, oracle as oracle_module
-from loopless.data import synthesize_quadratic
+from loopless.data import Dataset, synthesize_quadratic
 from loopless.harness import RunConfig, build_metrics
 from loopless.oracle import Oracle, make_oracle
 from loopless.optimizers import (GradientDescent, LKatyusha, LoopyKatyusha,
                                  LoopySVRG, LSVRG, _Coin, _Loop, run, run_lanes)
 from loopless.rng import SplitMix64
 
-from conftest import (grad_many, quarter_rule_oracle, ridge_instance, serial_step,
+from conftest import (dense_rows, quarter_rule_oracle, ridge_instance, serial_step,
                       sparse_logistic_oracle, walk_lanes)
 
 
@@ -78,43 +78,33 @@ def distance_metrics(x_star):
     return metrics
 
 
-def assert_same_records(lane, serial, exact=False):
-    """Equal records but wall_ns; with exact=False, the metrics columns
-    (dist_sq, f_gap, potential, slack_*) only to rounding."""
+def assert_same_records(lane, serial):
+    """Equal records, every column but wall_ns bitwise."""
     assert [(r["k"], r["oracle_calls"], r["epoch"]) for r in lane] == [
         (r["k"], r["oracle_calls"], r["epoch"]) for r in serial
     ]
     for a, b in zip(lane, serial):
         assert a.keys() == b.keys()
         for name in b.keys() - {"k", "oracle_calls", "epoch", "wall_ns"}:
-            if exact:
-                assert a[name] == b[name], name
-            else:
-                assert a[name] == pytest.approx(b[name], rel=1e-12, abs=1e-12)
+            assert a[name] == b[name], name
 
 
-def assert_same_state(lane, serial, exact=False):
+def assert_same_state(lane, serial):
     assert (lane.k, lane.oracle_calls, lane.epoch) == (
         serial.k, serial.oracle_calls, serial.epoch)
     for name in serial.lane_state:
-        if exact:
-            assert np.array_equal(getattr(lane, name), getattr(serial, name)), name
-        else:
-            np.testing.assert_allclose(getattr(lane, name), getattr(serial, name),
-                                       rtol=1e-12, atol=1e-15)
+        assert np.array_equal(getattr(lane, name), getattr(serial, name)), name
 
 
-def compare_lanes_with_runs(make_lanes, seeds, metrics, exact=False, **budget):
+def compare_lanes_with_runs(make_lanes, seeds, metrics, **budget):
     """run_lanes on one set of fresh optimizers, run() on another, lane by
-    lane.  Dense ridge lanes take run()'s arithmetic, so exact=True there;
-    logistic lanes (np.exp, not math.exp) and CSR lanes (bincount row dots)
-    agree to rounding."""
+    lane: a lane is run(), bitwise."""
     lanes, serials = make_lanes(), make_lanes()
     traces = run_lanes(lanes, [SplitMix64(s) for s in seeds], metrics=metrics, **budget)
     for lane, serial, seed, trace, metric in zip(lanes, serials, seeds, traces, metrics):
         want = run(serial, SplitMix64(seed), metrics=metric, **budget)
-        assert_same_records(trace, want, exact)
-        assert_same_state(lane, serial, exact)
+        assert_same_records(trace, want)
+        assert_same_state(lane, serial)
     return traces
 
 
@@ -134,7 +124,7 @@ def test_run_lanes_matches_run_on_dense_ridge():
 
     metrics = [distance_metrics(ref.x_star)] * 5
     # about 600 steps a lane: past one schedule block, checkpoints inside blocks
-    traces = compare_lanes_with_runs(make_lanes, [0, 1, 2, 3, 4], metrics, exact=True,
+    traces = compare_lanes_with_runs(make_lanes, [0, 1, 2, 3, 4], metrics,
                                      epochs=70.0, checkpoint_every=2.5)
     # the lanes end after different numbers of steps
     assert len({trace[-1]["k"] for trace in traces}) > 1
@@ -153,8 +143,7 @@ def test_run_lanes_matches_run_on_csr_logistic():
 
 
 def test_run_lanes_matches_run_bitwise_on_small_sparse_ridge():
-    # 2 of 15 features per row and 360 cells: production storage keeps dense
-    # rows, so ridge lanes take run()'s arithmetic
+    # 2 of 15 features per row and 360 cells: production storage keeps dense rows
     oracle = make_oracle(sparse_logistic_oracle().dataset, "ridge", 0.1)
     assert oracle._dense is not None
     eta = 1.0 / (6.0 * oracle.L)
@@ -164,7 +153,7 @@ def test_run_lanes_matches_run_bitwise_on_small_sparse_ridge():
                 LoopySVRG(oracle, np.zeros(oracle.d), eta=eta, m=7)]
 
     compare_lanes_with_runs(make_lanes, [5, 6], [distance_metrics(np.zeros(oracle.d))] * 2,
-                            exact=True, epochs=30.0, checkpoint_every=3.0)
+                            epochs=30.0, checkpoint_every=3.0)
 
 
 @pytest.mark.parametrize("level", ["lyapunov", "lemmas"])
@@ -178,7 +167,7 @@ def test_run_lanes_matches_run_with_lsvrg_diagnostics(level):
                 LSVRG(oracle, np.zeros(4), eta=0.01, p=0.5)]
 
     traces = compare_lanes_with_runs(make_lanes, [8, 9],
-                                     [build_metrics(config, oracle, ref)] * 2, exact=True,
+                                     [build_metrics(config, oracle, ref)] * 2,
                                      epochs=12.0, checkpoint_every=2.0)
     assert all(rec["phi"] is not None for trace in traces for rec in trace)
 
@@ -198,7 +187,7 @@ def test_run_lanes_matches_run_for_both_katyusha_classes_on_dense_ridge():
         ]
 
     metrics = [distance_metrics(ref.x_star)] * 5
-    traces = compare_lanes_with_runs(make_lanes, [0, 1, 2, 3, 4], metrics, exact=True,
+    traces = compare_lanes_with_runs(make_lanes, [0, 1, 2, 3, 4], metrics,
                                      epochs=70.0, checkpoint_every=2.5)
     # past one schedule block, and the lanes end after different numbers of steps
     assert max(trace[-1]["k"] for trace in traces) > 512
@@ -228,7 +217,7 @@ def test_run_lanes_matches_run_with_lkatyusha_diagnostics(level):
                 LKatyusha(oracle, np.zeros(4), theta1=0.2, theta2=0.4, p=0.5)]
 
     traces = compare_lanes_with_runs(make_lanes, [8, 9],
-                                     [build_metrics(config, oracle, ref)] * 2, exact=True,
+                                     [build_metrics(config, oracle, ref)] * 2,
                                      epochs=12.0, checkpoint_every=2.0)
     assert all(rec["psi"] is not None for trace in traces for rec in trace)
 
@@ -286,7 +275,7 @@ def test_lanes_with_shared_or_differing_parameters_match_run_bitwise(family, dif
     whether its parameters are shared 0-d arrays or its own column's row."""
     oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
     compare_lanes_with_runs(lambda: preset_lanes(oracle, family, differ), [0, 1, 2],
-                            [distance_metrics(ref.x_star)] * 3, exact=True,
+                            [distance_metrics(ref.x_star)] * 3,
                             epochs=30.0, checkpoint_every=2.5)
 
 
@@ -300,6 +289,7 @@ def spy_windows(monkeypatch) -> list:
     def spied(self, samples, gathered=Oracle.gathered):
         for labels, rows in gathered(self, samples):
             if not windows or windows[-1][0] is not labels.base:
+                # dense rows, or CSR (lane, cols, vals, counts)
                 cells = rows.base if self._dense is not None else rows[2].base
                 windows.append([labels.base, cells, 0])
             windows[-1][2] += 1
@@ -331,7 +321,7 @@ def test_lanes_in_small_windows_match_run_bitwise(monkeypatch, family, window):
                 coin(oracle, np.zeros(5), **params, p=0.3)]
 
     compare_lanes_with_runs(make_lanes, [0, 1, 2, 3], [distance_metrics(ref.x_star)] * 4,
-                            exact=True, epochs=12.0, checkpoint_every=1.3)
+                            epochs=12.0, checkpoint_every=1.3)
     assert windows and all(cells.size <= cap for _, cells, _ in windows)
     assert max(steps for _, _, steps in windows) == window
 
@@ -341,9 +331,9 @@ def test_lanes_in_small_windows_match_run_bitwise(monkeypatch, family, window):
 @pytest.mark.parametrize("window", [1, 3, 7])
 def test_gathered_rows_give_grad_many_bitwise(monkeypatch, data, loss, window):
     """grad_rows on each step of gathered(samples), with windows of 1, 3 or
-    7 steps, is grad_many on that step's samples, gathered alone, bitwise,
-    on dense and CSR rows (CSR rows of 0 or 2 entries), and no window
-    gathers more cells than the cap."""
+    7 steps, is grad_i on that step's samples, bitwise, on dense and CSR
+    rows (CSR rows of 0 or 2 entries), and no window gathers more cells
+    than the cap."""
     dataset = sparse_logistic_oracle().dataset
     oracle = (make_oracle(dataset, loss, 0.1) if data == "dense"
               else quarter_rule_oracle(dataset, loss, 0.1))
@@ -356,12 +346,12 @@ def test_gathered_rows_give_grad_many_bitwise(monkeypatch, data, loss, window):
     windows = spy_windows(monkeypatch)
     got = [oracle.grad_rows(X, labels, rows, np.empty_like(X))
            for X, (labels, rows) in zip(points, oracle.gathered(samples))]
-    blocks = len(windows)
     assert len(got) == len(samples) and all(cells.size <= cap for _, cells, _ in windows)
     for t, (idx, X) in enumerate(zip(samples, points)):
-        assert got[t].tobytes() == grad_many(oracle, idx, X).tobytes(), t
+        want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)])
+        assert got[t].tobytes() == want.tobytes(), t
     if data == "dense":
-        assert {steps for _, _, steps in windows[:blocks]} == {window, 40 % window or window}
+        assert {steps for _, _, steps in windows} == {window, 40 % window or window}
 
 
 # the block length the block-recording tests hold run_lanes to, so that their
@@ -383,19 +373,45 @@ def record_blocks(monkeypatch) -> dict:
     return blocks
 
 
+DATA_KINDS = ["dense-ridge", "dense-logistic", "csr-ridge", "csr-logistic"]
+
+
+def batch_oracle(kind, n, seed):
+    """An oracle of one data kind (dense or CSR rows, ridge or logistic loss)
+    on n rows of a 3-feature ridge instance, and a point to measure distance
+    from, that instance's minimizer.  Logistic labels are the ridge targets'
+    signs; CSR rows drop about a third of their entries and sit beside 10
+    empty columns."""
+    data, loss = kind.split("-")
+    dataset, x_star = synthesize_quadratic(n, 3, 20.0, seed=seed, mu=1.0)
+    labels = np.where(dataset.labels < 0.0, -1.0, 1.0) if loss == "logistic" else dataset.labels
+    if data == "dense":
+        return make_oracle(Dataset.from_csr(dataset.indptr, dataset.indices, dataset.values,
+                                            labels, 3), loss, 1.0), x_star
+    A = np.zeros((n, 13))
+    A[:, :3] = dense_rows(dataset) * (np.random.default_rng(seed).random((n, 3)) < 0.7)
+    nonzero = A != 0.0
+    indptr = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
+    sparse = Dataset.from_csr(indptr, np.nonzero(nonzero)[1], A[nonzero], labels, 13)
+    return quarter_rule_oracle(sparse, loss, 1.0), np.append(x_star, np.zeros(10))
+
+
 def test_run_lanes_matches_run_on_random_batches(monkeypatch):
-    """Seeded random batches of either family and both refresh rules, each
-    lane checked against run() as compare_lanes_with_runs checks dense ridge
-    lanes (bitwise), with diverged_at.  The batches take intervals below one step's epoch increment
-    (2/n), budgets at which a lane ends on a block's last step (at
-    k = BLOCK, the longest block, among others), and lanes that
-    diverge mid-block (their f_gap turns infinite past a random epoch)."""
+    """Seeded random batches of either family and both refresh rules, on
+    each data kind, each lane checked against run() as
+    compare_lanes_with_runs checks lanes (bitwise), with diverged_at.  The
+    batches take intervals below one step's epoch increment (2/n), budgets
+    at which a lane ends on a block's last step (at k = BLOCK, the longest
+    block, among others), and lanes that diverge mid-block (their f_gap
+    turns infinite past a random epoch)."""
     blocks = record_blocks(monkeypatch)
     rng = np.random.default_rng(11)
     seen = set()
     for trial in range(50):
         n = int(rng.integers(1, 31))
-        oracle, ref = ridge_instance(n=n, d=3, kappa=20.0, seed=trial)
+        kind = DATA_KINDS[trial // 2 % 4]  # each kind for both families
+        oracle, x_star = batch_oracle(kind, n, seed=trial)
+        assert (oracle._dense is None) == kind.startswith("csr")
         rules = [{"m": int(rng.integers(1, 2 * n + 2))}, {"m": 1000},
                  {"p": float(rng.uniform(0.01, 1.0))}, {"p": 1.0}]
         rules = [rules[i] for i in rng.choice(4, size=int(rng.integers(1, 5)))]
@@ -412,11 +428,12 @@ def test_run_lanes_matches_run_on_random_batches(monkeypatch):
         def make_lanes(rules=rules, oracle=oracle, katyusha=trial % 2 == 1):
             if katyusha:
                 return [(LoopyKatyusha if "m" in rule else LKatyusha)(
-                    oracle, np.ones(3), theta1=0.3, theta2=0.5, **rule) for rule in rules]
+                    oracle, np.ones(oracle.d), theta1=0.3, theta2=0.5, **rule)
+                    for rule in rules]
             return [(LoopySVRG if "m" in rule else LSVRG)(
-                oracle, np.ones(3), eta=1.0 / (6.0 * oracle.L), **rule) for rule in rules]
+                oracle, np.ones(oracle.d), eta=1.0 / (6.0 * oracle.L), **rule) for rule in rules]
 
-        def metrics(cutoff, distance=distance_metrics(ref.x_star)):
+        def metrics(cutoff, distance=distance_metrics(x_star)):
             return lambda o: {**distance(o), "f_gap": np.inf if o.epoch >= cutoff else 0.0}
 
         seeds = [100 * trial + s for s in range(len(rules))]
@@ -427,8 +444,8 @@ def test_run_lanes_matches_run_on_random_batches(monkeypatch):
         for lane, serial, seed, trace, cutoff in zip(lanes, serials, seeds, traces, cutoffs):
             want = run(serial, SplitMix64(seed), epochs=epochs, checkpoint_every=every,
                        metrics=metrics(cutoff))
-            assert_same_records(trace, want, exact=True)
-            assert_same_state(lane, serial, exact=True)
+            assert_same_records(trace, want)
+            assert_same_state(lane, serial)
             assert lane.diverged_at == serial.diverged_at
             # the k after the last step of the lane's last block
             block_end = sum(blocks.get(id(lane), [(0, 0)])[-1])
@@ -709,8 +726,8 @@ def test_a_stopped_lane_steps_on_to_the_block_end_without_overflowing(
     for s, (lane, serial, trace) in enumerate(zip(lanes, serials, traces)):
         want = run(serial, SplitMix64(s), epochs=60.0, checkpoint_every=0.04,
                    metrics=metrics)
-        assert_same_records(trace, want, exact=True)
-        assert_same_state(lane, serial, exact=True)
+        assert_same_records(trace, want)
+        assert_same_state(lane, serial)
         assert lane.diverged_at == serial.diverged_at
     assert [lane.diverged_at for lane in lanes] == [diverged_at, None, None]
     assert refreshes[0] == refreshes[1] > 0

@@ -592,8 +592,7 @@ def test_step_is_the_diagnostics_branch_and_the_lane_step(cls, data):
     the draw's estimator grad_i(i, x) - correction; and on heads w <- the
     pre-update tracked point (x^k or y^k, the same array), on tails w stays.
     A 3-lane _stack step, its lanes on mixed samples and coins, takes the
-    same branches: bitwise on dense ridge, where grad_rows is grad_i's
-    arithmetic, and to rounding on CSR logistic."""
+    same branches, bitwise."""
     oracle = RUN_ORACLES[data]()
     n = oracle.n
     rng = np.random.default_rng(len(cls.name))
@@ -635,10 +634,7 @@ def test_step_is_the_diagnostics_branch_and_the_lane_step(cls, data):
                 assert (lane.k, lane.oracle_calls) == (want.k, want.oracle_calls)
                 for name in opt.lane_state:
                     got, ref = getattr(lane, name), getattr(want, name)
-                    if data == "dense-ridge":
-                        assert got.tobytes() == ref.tobytes(), (draw, name)
-                    else:
-                        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
+                    assert got.tobytes() == ref.tobytes(), (draw, name)
 
 
 def first_step_refreshes(rng, n, p):

@@ -212,9 +212,7 @@ def test_grad_many_matches_grad_i(loss, density, margin):
     with np.errstate(all="raise"):
         got = grad_many(oracle, idx, X)
     want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)])
-    assert_close(got, want)
-    if loss == "ridge" and oracle._dense is not None:
-        assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes()
 
 
 def assert_within_ulps(got, want, ulps=4):
@@ -230,9 +228,10 @@ def assert_within_ulps(got, want, ulps=4):
 
 @pytest.mark.parametrize("filler", [0, 20], ids=["csr", "dense"])
 def test_logistic_weights_match_the_scalar_kernel_at_extreme_margins(filler):
-    """full_grad, grad_table and grad_rows take the one-exp weight; each row
-    reads its weight out in a column of its own, where x is 0, so the
-    gradient entry there is phi'(m_i) itself (full_grad: phi'(m_i) / n)."""
+    """full_grad and grad_table take the one-exp weight, and grad_rows the
+    scalar one, grad_i's; each row reads its weight out in a column of its
+    own, where x is 0, so the gradient entry there is phi'(m_i) itself
+    (full_grad: phi'(m_i) / n)."""
     rng = np.random.default_rng(filler)
     special = np.array([0.0, 30.0, 700.0, 709.8, 745.0, 800.0])
     bm = np.concatenate([special, -special[1:], rng.normal(scale=50.0, size=20),
@@ -260,23 +259,39 @@ def test_logistic_weights_match_the_scalar_kernel_at_extreme_margins(filler):
     weights = table[np.arange(n), readout]
     assert np.array_equal(weights, [oracle._dphi(b_i * m, b_i) for b_i, m in zip(b, bm)])
     assert_within_ulps(grad_table[np.arange(n), readout], weights)
-    assert_within_ulps(many[np.arange(idx.size), readout[idx]], weights[idx])
+    assert np.array_equal(many[np.arange(idx.size), readout[idx]], weights[idx])
     assert_within_ulps(full_grad[readout], table.mean(axis=0)[readout])
     assert_close(grad_table, table)
-    assert_close(many, table[idx])
+    assert np.array_equal(many, table[idx])
     assert_close(full_grad, table.mean(axis=0))
 
 
-def test_dense_ridge_grad_many_is_grad_i_bitwise():
-    """np.vecdot takes ndarray.dot's row dots, so dense ridge lanes step as
-    run() does, on every shape."""
-    rng = np.random.default_rng(2465)
+@pytest.mark.parametrize("loss", ["ridge", "logistic"])
+@pytest.mark.parametrize("data", ["dense", "csr"])
+def test_grad_many_is_grad_i_bitwise(data, loss):
+    """grad_rows takes grad_i's row dots and scalar weight, so lanes step as
+    run() does on every data kind: dense rows of 1 to 299 columns, and CSR
+    rows of 0 to 48 real-valued entries (past BLAS ddot's unrolled block),
+    a step's rows often of one length; margins |a_i^T x| up to 800, where
+    the logistic weight's exp gives 1, a subnormal or 0."""
+    rng = np.random.default_rng([2465, len(data), len(loss)])
     for _ in range(300):
-        n, d = int(rng.integers(1, 12)), int(rng.integers(1, 300))
-        dataset = property_dataset(rng, n, d, density=1.0, pad=0)
-        oracle = make_oracle(dataset, "ridge", float(rng.uniform(1e-3, 2.0)))
+        n = int(rng.integers(1, 12))
+        if data == "dense":
+            dataset = property_dataset(rng, n, int(rng.integers(1, 300)), density=1.0, pad=0)
+        else:
+            # each row's length one of three, so that a step holds runs of one length
+            counts = rng.choice(rng.integers(0, 49, size=3), size=n)
+            indices = [np.sort(rng.choice(200, size=c, replace=False)) for c in counts]
+            dataset = Dataset.from_csr(np.concatenate([[0], np.cumsum(counts)]),
+                                       np.concatenate(indices), rng.normal(size=counts.sum()),
+                                       rng.choice([-1.0, 1.0], size=n), 200)
+        oracle = quarter_rule_oracle(dataset, loss, float(rng.uniform(1e-3, 2.0)))
+        assert (oracle._dense is None) == (data == "csr")
         idx = rng.integers(n, size=int(rng.integers(1, 9)))
-        X = rng.normal(size=(idx.size, oracle.d)) * 10.0 ** rng.integers(-3, 4)
+        X = rng.normal(size=(idx.size, oracle.d))
+        margins = np.abs(np.einsum("ij,ij->i", dense_rows(dataset)[idx], X))
+        X *= (800.0 * rng.random(idx.size) ** 4 / np.where(margins > 0.0, margins, 1.0))[:, None]
         want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)])
         assert grad_many(oracle, idx, X).tobytes() == want.tobytes()
 
