@@ -8,7 +8,9 @@ this working tree, on the same inputs (write_inputs, and write_a9a_like and
 write_ragged for the size cases).  It compares their exit codes, stdout and
 stderr byte for byte, the paths each wrote, and each output file by
 test_golden.differences under the exact rule (test_golden's docstring states
-the rules), and prints the first difference in each file.  The exit status is 1 on any difference.
+the rules).  For each file that differs it prints the first difference, how
+many values differ and the largest relative move among them.  The exit
+status is 1 on any difference.
 `python tests/bytewise.py HEAD` compares the last commit with itself when
 the tree is clean: every command must then be deterministic from run to run.
 
@@ -31,7 +33,8 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from test_golden import _OUT, CASES, TIMED, describe, differences, exact, write_inputs  # noqa: E402
+from test_golden import (_OUT, CASES, TIMED, describe, differences, distance,  # noqa: E402
+                         exact, write_inputs)
 
 # commands at realistic sizes, where last bits move that the small golden
 # inputs (at most 40 x 64) do not show; not golden, compared only here:
@@ -40,13 +43,17 @@ from test_golden import _OUT, CASES, TIMED, describe, differences, exact, write_
 # instance at lemmas for both loopless algorithms, CSR lanes (three seeds a
 # family) on an a9a-shaped file and on row-normalized ragged rows of 1 to 40
 # real-valued entries (on a9a's rows of 14 ones every dot order gives the
-# same bits; on these a change of row-dot order shows), and a reference
-# solve of 444 full-gradient passes on a 20,000-row a9a-shaped file, whose
-# parse spans 42 chunks and whose normalize_rows and every pass span 9 row
-# blocks (280,000 entries)
+# same bits; on these a change of row-dot order shows), one run of each
+# loopless algorithm on the ragged rows (run() steps with CSR corrections,
+# which lanes and gd do not take), and a reference solve of 444
+# full-gradient passes on a 20,000-row a9a-shaped file, whose parse spans 42
+# chunks and whose normalize_rows and every pass span 9 row blocks (280,000
+# entries)
 _N400 = ["--synthetic", "400,20,1e3", "--loss", "ridge", "--mu", "1", "--data-seed", "1",
          "--epochs", "6", "--checkpoint-every", "6", "--diagnostics", "lemmas",
          "--seed", "1", *_OUT]
+_RAGGED = ["--data", "{tmp}/in/ragged.svm", "--loss", "logistic", "--mu", "0.01",
+           "--normalize", "--epochs", "3", "--checkpoint-every", "0.5", *_OUT]
 SIZE_CASES = {
     "size_sweep-ridge": ["sweep-p", "--synthetic", "100,20,1e4", "--loss", "ridge",
                          "--mu", "1", "--data-seed", "2", "--epochs", "50",
@@ -65,6 +72,8 @@ SIZE_CASES = {
                                 "logistic", "--mu", "0.01", "--normalize", "--epochs", "3",
                                 "--checkpoint-every", "0.5", "--seeds", "0,1,2",
                                 "--thresholds", "1e-2,1e-4", *_OUT],
+    "size_run_ragged_l-svrg": ["run", "--alg", "l-svrg", *_RAGGED],
+    "size_run_ragged_l-katyusha": ["run", "--alg", "l-katyusha", *_RAGGED],
     "size_solve-ref_a9a": ["solve-ref", "--data", "{tmp}/in/a9a_like_20000.svm", "--loss",
                            "logistic", "--mu", "0.01", "--normalize", *_OUT],
 }
@@ -159,10 +168,14 @@ def main(argv: list[str]) -> int:
                               "written by one side only")
             for path in sorted(p for p in paths[0] & paths[1] if not p.endswith("/")):
                 files += 1
-                first = next(differences(scratch / "out-rev" / name / path,
-                                         scratch / "out-tree" / name / path, exact), None)
-                if first:
-                    differ.append(f"{name}/{path}: {describe(*first)}")
+                found = list(differences(scratch / "out-rev" / name / path,
+                                         scratch / "out-tree" / name / path, exact))
+                if found:
+                    moves = [far for far in (distance(a, b) for _, a, b in found)
+                             if not isinstance(far, str)]
+                    largest = f", the largest by rel {max(moves):.1e}" if moves else ""
+                    differ.append(f"{name}/{path}: {describe(*found[0])}; "
+                                  f"{len(found)} values differ{largest}")
     print(f"{len(names)} cases, {files} output files: {rev} against the working tree")
     print("\n".join(differ) or f"no difference apart from {', '.join(sorted(TIMED))}")
     return 1 if differ else 0

@@ -7,7 +7,7 @@ from loopless import optimizers, oracle as oracle_module
 from loopless.data import Dataset, SparseRow, synthesize_quadratic
 from loopless.diagnostics import ReferenceSolution
 from loopless.optimizers import GradientDescent, _Coin
-from loopless.oracle import make_oracle
+from loopless.oracle import Oracle, make_oracle
 
 
 def dense_rows(dataset) -> np.ndarray:
@@ -18,11 +18,35 @@ def dense_rows(dataset) -> np.ndarray:
     return A
 
 
-def grad_many(oracle, idx, X) -> np.ndarray:
-    """grad_i(idx[s], X[s]) for every row s, (S,) and (S, d) -> (S, d), as a
-    lane step takes it: Oracle.grad_rows on the rows idx, gathered as one
-    step of one window."""
-    return oracle.grad_rows(X, *next(oracle.gathered(idx[np.newaxis])), np.empty_like(X))
+def spy_windows(monkeypatch) -> list:
+    """The windows of every later Oracle.gathered call that is iterated, a
+    list per call, in order: [the cells it gathered (its dense rows or CSR
+    entry values), its steps] for each window."""
+    calls: list = []
+
+    def spied(self, samples, gathered=Oracle.gathered):
+        windows, window = [], None
+        calls.append(windows)
+        for labels, rows in gathered(self, samples):
+            if labels.base is not window:  # a window's steps are views of its labels
+                window = labels.base
+                cells = rows.base if self._dense is not None else rows[2].base
+                windows.append([cells.size, len(window)])
+            yield labels, rows
+
+    monkeypatch.setattr(Oracle, "gathered", spied)
+    return calls
+
+
+def read_lines(path) -> list[str]:
+    """A text file's lines, read with no newline translation."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return fh.read().splitlines()
+
+
+def strip_wall(lines) -> list[str]:
+    """Trace CSV lines without their last column, wall_ns."""
+    return [",".join(line.split(",")[:-1]) for line in lines]
 
 
 def serial_step(opt, rng):

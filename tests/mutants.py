@@ -77,6 +77,12 @@ MUTANTS = [
     ("grad_rows takes the full-data logistic weight _dphis, on dense rows", ORACLE,
      "            rows *= self._dphi_rows(np.vecdot(rows, X), labels)[:, np.newaxis]\n",
      "            rows *= self._dphis(np.vecdot(rows, X), labels)[:, np.newaxis]\n"),
+    ("corrections takes the full-data logistic weight _dphis, on dense rows", ORACLE,
+     "            out *= self._dphi_rows(np.vecdot(out, w), ",
+     "            out *= self._dphis(np.vecdot(out, w), "),
+    ("corrections writes CSR rows in length order, not sample order", ORACLE,
+     "        out[order.take(lane), cols] = vals\n",
+     "        out[lane, cols] = vals\n"),
     ("a lane step reads the next step's rows", ORACLE,
      "            window = samples[lo:lo + steps]\n",
      "            window = samples[lo + 1:lo + steps + 1]\n"),

@@ -26,7 +26,7 @@ from loopless.optimizers import (
 )
 from loopless.rng import SplitMix64
 
-from conftest import random_dataset, serial_step, walk_lanes
+from conftest import random_dataset, read_lines, serial_step, strip_wall, walk_lanes
 
 SEEDS = list(range(10))
 
@@ -382,10 +382,6 @@ def test_criterion_10_parser_round_trip_and_errors():
 
 
 def test_criterion_11_trace_determinism(tmp_path):
-    def strip_wall(path):
-        lines = path.read_text(encoding="utf-8").splitlines()
-        return [",".join(line.split(",")[:-1]) for line in lines]
-
     ok = True
     for algorithm, diagnostics in (("l-svrg", "lemmas"), ("l-katyusha", "lyapunov")):
         config = RunConfig(
@@ -399,7 +395,7 @@ def test_criterion_11_trace_determinism(tmp_path):
         )
         a = run_experiment(config, tmp_path / "a" / algorithm)
         b = run_experiment(config, tmp_path / "b" / algorithm)
-        ok = ok and strip_wall(a) == strip_wall(b)
+        ok = ok and strip_wall(read_lines(a)) == strip_wall(read_lines(b))
         ok = ok and a.with_suffix(".json").read_text() == b.with_suffix(
             ".json"
         ).read_text()

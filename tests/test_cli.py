@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import read_lines, strip_wall
 from test_golden import execute
 
 from loopless import diagnostics
@@ -559,15 +560,6 @@ globals().update({name: _table_test(cases) for name, cases in _CASES.items()})
 
 def run_cli(*argv):
     return main(list(argv))
-
-
-def read_lines(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return fh.read().splitlines()
-
-
-def strip_wall(lines):
-    return [",".join(line.split(",")[:-1]) for line in lines]
 
 
 @pytest.mark.parametrize("diagnostics", ["lyapunov", "lemmas"])

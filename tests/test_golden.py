@@ -66,7 +66,7 @@ CASES = {
                               "--seed", "2", *_OUT],
     "run_l-svrg_lyapunov": ["run", *_RIDGE, "--alg", "l-svrg", "--epochs", "3",
                             "--diagnostics", "lyapunov", "--seed", "1", *_OUT],
-    "run_l-svrg_lemmas_csr": ["run", *_CSR, "--alg", "l-svrg", "--epochs", "2",
+    "run_l-svrg_lemmas_csr": ["run", *_SPARSE, "--alg", "l-svrg", "--epochs", "2",
                               "--diagnostics", "lemmas", "--seed", "3", *_OUT],
     "run_l-katyusha_lyapunov": ["run", *_CSR, "--alg", "l-katyusha", "--epochs", "3",
                                 "--diagnostics", "lyapunov", "--seed", "5", *_OUT],
@@ -239,16 +239,22 @@ def _cell(text: str):
     return text
 
 
-def describe(where: tuple, a, b) -> str:
-    """A difference in one line: where, its two sides, and how far apart they
-    are when both are numbers of one type."""
+def distance(a, b) -> float | str:
+    """How far apart the two sides of a difference are: |a - b| / max(|a|,
+    |b|) when both are numbers of one type, not both zero; else why not."""
     try:
         x, y = float(a), float(b)
-        far = ("another type" if type(a) is not type(b) else "both zero" if x == y == 0
-               else f"rel {abs(x - y) / max(abs(x), abs(y)):.1e}")
     except (TypeError, ValueError):
-        far = "not numbers"
-    return f"{list(where)}: {a!r} != {b!r} ({far})"
+        return "not numbers"
+    return ("another type" if type(a) is not type(b) else "both zero" if x == y == 0
+            else abs(x - y) / max(abs(x), abs(y)))
+
+
+def describe(where: tuple, a, b) -> str:
+    """A difference in one line: where, its two sides, and how far apart they
+    are."""
+    far = distance(a, b)
+    return f"{list(where)}: {a!r} != {b!r} ({far if isinstance(far, str) else f'rel {far:.1e}'})"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -301,10 +307,13 @@ def test_inputs_are_what_write_inputs_writes(tmp_path):
 
 def test_the_sparse_input_runs_on_the_csr_kernels():
     """The cases on _SPARSE reach the CSR branches end to end: its oracle
-    keeps no dense copy of the rows."""
-    dataset = parse_libsvm((INPUTS / "sparse_logistic.svm").read_text(encoding="utf-8"))
-    assert (dataset.n, dataset.d) == (40, 64)
-    assert make_oracle(dataset, "logistic", 0.1)._dense is None
+    keeps no dense copy of the rows.  Those on _CSR, 3 of 20 features a row
+    and under the dense budget, run on dense rows."""
+    for name, shape, dense in [("sparse_logistic.svm", (40, 64), False),
+                               ("csr_logistic.svm", (30, 20), True)]:
+        dataset = parse_libsvm((INPUTS / name).read_text(encoding="utf-8"))
+        assert (dataset.n, dataset.d) == shape
+        assert (make_oracle(dataset, "logistic", 0.1)._dense is not None) == dense, name
 
 
 def test_regeneration_keeps_what_did_not_move(tmp_path):

@@ -31,7 +31,7 @@ from loopless.oracle import Oracle
 from loopless.optimizers import ALGORITHMS, run_lanes
 from loopless.rng import SplitMix64
 
-from conftest import serial_step
+from conftest import read_lines, serial_step, strip_wall
 
 
 def synthetic_config(**overrides):
@@ -45,16 +45,6 @@ def synthetic_config(**overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
-
-
-def read_csv_lines(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return fh.read().splitlines()
-
-
-def strip_wall(lines):
-    # wall_ns is always the last column
-    return [",".join(line.split(",")[:-1]) for line in lines]
 
 
 # ---------------------------------------------------------------- validation
@@ -308,7 +298,7 @@ def test_run_experiment_deterministic_modulo_wall(tmp_path):
     config = synthetic_config(diagnostics="lemmas", epochs=3.0)
     a = run_experiment(config, tmp_path / "a")
     b = run_experiment(config, tmp_path / "b")
-    assert strip_wall(read_csv_lines(a)) == strip_wall(read_csv_lines(b))
+    assert strip_wall(read_lines(a)) == strip_wall(read_lines(b))
 
 
 def test_run_experiment_none_diagnostics_has_no_reference(tmp_path):
@@ -415,7 +405,7 @@ def test_batch_is_deterministic_and_writes_run_experiment_outputs(tmp_path, batc
         second = batch(config, tmp_path / problem / "b")
         assert len(first) == len(second) == runs
         for a, b in zip(first, second):
-            assert strip_wall(read_csv_lines(a)) == strip_wall(read_csv_lines(b))
+            assert strip_wall(read_lines(a)) == strip_wall(read_lines(b))
         for path in first:
             sidecar = json.loads(path.with_suffix(".json").read_text())
             run_id = f"{sidecar['algorithm']}_{sidecar['loss']}_seed{sidecar['seed']}"
@@ -426,7 +416,7 @@ def test_batch_is_deterministic_and_writes_run_experiment_outputs(tmp_path, batc
             assert alone.name == path.name
             assert (alone.with_suffix(".json").read_bytes()
                     == path.with_suffix(".json").read_bytes())
-            assert strip_wall(read_csv_lines(path)) == strip_wall(read_csv_lines(alone))
+            assert strip_wall(read_lines(path)) == strip_wall(read_lines(alone))
 
 
 def test_a_loop_length_past_int64_gives_the_traces_run_experiment_writes(tmp_path):
@@ -440,7 +430,7 @@ def test_a_loop_length_past_int64_gives_the_traces_run_experiment_writes(tmp_pat
                     params=ALGORITHMS[algorithm].loop_params(huge)), tmp_path / "alone")
         batched = tmp_path / "sweep" / alone.name
         assert batched in paths
-        assert strip_wall(read_csv_lines(batched)) == strip_wall(read_csv_lines(alone))
+        assert strip_wall(read_lines(batched)) == strip_wall(read_lines(alone))
         assert (batched.with_suffix(".json").read_bytes()
                 == alone.with_suffix(".json").read_bytes())
 
@@ -471,7 +461,7 @@ def test_default_compare_all_writes_the_traces_run_writes(tmp_path):
     for name in ALGORITHMS:
         alone = run_experiment(replace(config, algorithm=name, seed=4), tmp_path / "alone")
         batched = tmp_path / "batch" / alone.name
-        assert strip_wall(read_csv_lines(batched)) == strip_wall(read_csv_lines(alone))
+        assert strip_wall(read_lines(batched)) == strip_wall(read_lines(alone))
         assert (batched.with_suffix(".json").read_bytes()
                 == alone.with_suffix(".json").read_bytes())
 

@@ -1,6 +1,15 @@
-"""Lane-batched runs (run_lanes) and refresh schedules against the scalar
-step() path they replace, plus the checkpoint clock and divergence guard
-that run() and run_lanes share."""
+"""Lane-batched runs (run_lanes) against run(), refresh schedules against
+the serial draws they replace, and the checkpoint clock and divergence
+guard that run() and run_lanes share.
+
+A lane is its own run(), bitwise, on every data kind: one seeded property,
+test_run_lanes_matches_run_on_random_batches, draws batches of both
+families and refresh rules with shared or per-lane parameters, x0 of zeros
+or ones, every diagnostics level, small window caps and budgets that end
+lanes mid-block and on a block's end, and asserts in its seen set that each
+was drawn.  test_oracle.py's test_many_row_gradients_are_grad_i_bitwise
+holds the lane step's gradients, grad_rows on gathered rows, and run()'s
+corrections to grad_i's bits the same way."""
 
 import copy
 import math
@@ -13,13 +22,14 @@ import pytest
 from loopless import optimizers, oracle as oracle_module
 from loopless.data import Dataset, synthesize_quadratic
 from loopless.harness import RunConfig, build_metrics
-from loopless.oracle import Oracle, make_oracle
+from loopless.diagnostics import solve_reference
+from loopless.oracle import make_oracle
 from loopless.optimizers import (GradientDescent, LKatyusha, LoopyKatyusha,
                                  LoopySVRG, LSVRG, _Coin, _Loop, run, run_lanes)
 from loopless.rng import SplitMix64
 
 from conftest import (dense_rows, quarter_rule_oracle, ridge_instance, serial_step,
-                      sparse_logistic_oracle, walk_lanes)
+                      spy_windows, walk_lanes)
 
 
 def ridge_oracle(n, d=3, kappa=20.0, seed=0):
@@ -98,135 +108,26 @@ def assert_same_state(lane, serial):
 
 def compare_lanes_with_runs(make_lanes, seeds, metrics, **budget):
     """run_lanes on one set of fresh optimizers, run() on another, lane by
-    lane: a lane is run(), bitwise."""
+    lane: a lane is run(), bitwise, and diverges where run() does.  The
+    lanes and their traces."""
     lanes, serials = make_lanes(), make_lanes()
     traces = run_lanes(lanes, [SplitMix64(s) for s in seeds], metrics=metrics, **budget)
     for lane, serial, seed, trace, metric in zip(lanes, serials, seeds, traces, metrics):
         want = run(serial, SplitMix64(seed), metrics=metric, **budget)
         assert_same_records(trace, want)
         assert_same_state(lane, serial)
-    return traces
+        assert lane.diverged_at == serial.diverged_at
+    return lanes, traces
 
 
-def test_run_lanes_matches_run_on_dense_ridge():
-    oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
-    eta = 1.0 / (6.0 * oracle.L)
-
-    def make_lanes():
-        return [
-            LSVRG(oracle, np.zeros(5), eta=eta, p=0.05),
-            LoopySVRG(oracle, np.zeros(5), eta=eta, m=20),
-            # refreshes on consecutive steps, and in the same step as the m = 20 lane
-            LSVRG(oracle, np.zeros(5), eta=eta, p=1.0),
-            LoopySVRG(oracle, np.zeros(5), eta=eta, m=1000),
-            LSVRG(oracle, np.ones(5), eta=2 * eta, p=0.3),
-        ]
-
-    metrics = [distance_metrics(ref.x_star)] * 5
-    # about 600 steps a lane: past one schedule block, checkpoints inside blocks
-    traces = compare_lanes_with_runs(make_lanes, [0, 1, 2, 3, 4], metrics,
-                                     epochs=70.0, checkpoint_every=2.5)
-    # the lanes end after different numbers of steps
-    assert len({trace[-1]["k"] for trace in traces}) > 1
-
-
-def test_run_lanes_matches_run_on_csr_logistic():
-    oracle = sparse_logistic_oracle()
-    x_star = np.zeros(oracle.d)
-
-    def make_lanes():
-        return [LSVRG(oracle, np.zeros(oracle.d), eta=0.5, p=0.1),
-                LoopySVRG(oracle, np.zeros(oracle.d), eta=0.5, m=7)]
-
-    compare_lanes_with_runs(make_lanes, [5, 6], [distance_metrics(x_star)] * 2,
-                            epochs=30.0, checkpoint_every=3.0)
-
-
-def test_run_lanes_matches_run_bitwise_on_small_sparse_ridge():
-    # 2 of 15 features per row and 360 cells: production storage keeps dense rows
-    oracle = make_oracle(sparse_logistic_oracle().dataset, "ridge", 0.1)
-    assert oracle._dense is not None
-    eta = 1.0 / (6.0 * oracle.L)
-
-    def make_lanes():
-        return [LSVRG(oracle, np.zeros(oracle.d), eta=eta, p=0.1),
-                LoopySVRG(oracle, np.zeros(oracle.d), eta=eta, m=7)]
-
-    compare_lanes_with_runs(make_lanes, [5, 6], [distance_metrics(np.zeros(oracle.d))] * 2,
-                            epochs=30.0, checkpoint_every=3.0)
-
-
-@pytest.mark.parametrize("level", ["lyapunov", "lemmas"])
-def test_run_lanes_matches_run_with_lsvrg_diagnostics(level):
-    oracle, ref = ridge_instance(n=10, d=4, kappa=25.0, seed=2)
-    config = RunConfig(algorithm="l-svrg", synthetic=(10, 4, 25.0), loss="ridge",
-                       mu=1.0, diagnostics=level)
-
-    def make_lanes():
-        return [LSVRG(oracle, np.zeros(4), **LSVRG.theory_params(oracle)),
-                LSVRG(oracle, np.zeros(4), eta=0.01, p=0.5)]
-
-    traces = compare_lanes_with_runs(make_lanes, [8, 9],
-                                     [build_metrics(config, oracle, ref)] * 2,
-                                     epochs=12.0, checkpoint_every=2.0)
-    assert all(rec["phi"] is not None for trace in traces for rec in trace)
-
-
-def test_run_lanes_matches_run_for_both_katyusha_classes_on_dense_ridge():
-    oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
-    theta1 = LKatyusha.theory_params(oracle)["theta1"]
-
-    def make_lanes():
-        return [
-            LKatyusha(oracle, np.zeros(5), **LKatyusha.theory_params(oracle)),
-            LoopyKatyusha(oracle, np.zeros(5), theta1=theta1, theta2=0.5, m=20),
-            # refreshes on consecutive steps, and in the same step as the m = 20 lane
-            LKatyusha(oracle, np.zeros(5), theta1=0.4, theta2=0.5, p=1.0),
-            LoopyKatyusha(oracle, np.zeros(5), theta1=0.2, theta2=0.3, m=1000),
-            LKatyusha(oracle, np.ones(5), theta1=0.3, theta2=0.5, p=0.3),
-        ]
-
-    metrics = [distance_metrics(ref.x_star)] * 5
-    traces = compare_lanes_with_runs(make_lanes, [0, 1, 2, 3, 4], metrics,
-                                     epochs=70.0, checkpoint_every=2.5)
-    # past one schedule block, and the lanes end after different numbers of steps
-    assert max(trace[-1]["k"] for trace in traces) > 512
-    assert len({trace[-1]["k"] for trace in traces}) > 1
-
-
-def test_run_lanes_matches_run_for_both_katyusha_classes_on_csr_logistic():
-    oracle = sparse_logistic_oracle()
-    x_star = np.zeros(oracle.d)
-
-    def make_lanes():
-        return [LKatyusha(oracle, np.zeros(oracle.d), theta1=0.3, theta2=0.5, p=0.1),
-                LoopyKatyusha(oracle, np.zeros(oracle.d), theta1=0.3, theta2=0.5, m=7)]
-
-    compare_lanes_with_runs(make_lanes, [5, 6], [distance_metrics(x_star)] * 2,
-                            epochs=30.0, checkpoint_every=3.0)
-
-
-@pytest.mark.parametrize("level", ["lyapunov", "lemmas"])
-def test_run_lanes_matches_run_with_lkatyusha_diagnostics(level):
-    oracle, ref = ridge_instance(n=10, d=4, kappa=25.0, seed=2)
-    config = RunConfig(algorithm="l-katyusha", synthetic=(10, 4, 25.0), loss="ridge",
-                       mu=1.0, diagnostics=level)
-
-    def make_lanes():
-        return [LKatyusha(oracle, np.zeros(4), **LKatyusha.theory_params(oracle)),
-                LKatyusha(oracle, np.zeros(4), theta1=0.2, theta2=0.4, p=0.5)]
-
-    traces = compare_lanes_with_runs(make_lanes, [8, 9],
-                                     [build_metrics(config, oracle, ref)] * 2,
-                                     epochs=12.0, checkpoint_every=2.0)
-    assert all(rec["psi"] is not None for trace in traces for rec in trace)
+FAMILIES = {"svrg": (LSVRG, LoopySVRG), "katyusha": (LKatyusha, LoopyKatyusha)}
 
 
 def preset_lanes(oracle, family, differ=()):
     """Three lanes of the family at its theory preset, from x0 = 0: the
     coin at p = 1/n, the loop at m = n and the coin at p = 0.3, the last two
     with each parameter named in differ scaled by 0.5 and 0.8."""
-    coin, loop = {"svrg": (LSVRG, LoopySVRG), "katyusha": (LKatyusha, LoopyKatyusha)}[family]
+    coin, loop = FAMILIES[family]
     params = {k: v for k, v in coin.theory_params(oracle).items() if k != "p"}
 
     def scaled(by):
@@ -269,106 +170,22 @@ def test_a_stack_shares_a_parameter_as_0d_unless_its_lanes_differ(family, differ
         assert getattr(stack, name).shape == (3, oracle.d), name
 
 
-@pytest.mark.parametrize("family, differ", PARAMETER_CASES)
-def test_lanes_with_shared_or_differing_parameters_match_run_bitwise(family, differ):
-    """Each lane of a dense ridge stack is run()'s trace and state bitwise,
-    whether its parameters are shared 0-d arrays or its own column's row."""
-    oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
-    compare_lanes_with_runs(lambda: preset_lanes(oracle, family, differ), [0, 1, 2],
-                            [distance_metrics(ref.x_star)] * 3,
-                            epochs=30.0, checkpoint_every=2.5)
-
-
-def spy_windows(monkeypatch) -> list:
-    """[labels, gathered array, steps] of every window Oracle.gathered
-    gathers, in order: the window's labels, its dense rows or CSR entry
-    values, whose size is the cells it gathered, and how many of its steps
-    were taken."""
-    windows: list = []
-
-    def spied(self, samples, gathered=Oracle.gathered):
-        for labels, rows in gathered(self, samples):
-            if not windows or windows[-1][0] is not labels.base:
-                # dense rows, or CSR (lane, cols, vals, counts)
-                cells = rows.base if self._dense is not None else rows[2].base
-                windows.append([labels.base, cells, 0])
-            windows[-1][2] += 1
-            yield labels, rows
-
-    monkeypatch.setattr(Oracle, "gathered", spied)
-    return windows
-
-
-@pytest.mark.parametrize("family", ["svrg", "katyusha"])
-@pytest.mark.parametrize("window", [1, 3, 7])
-def test_lanes_in_small_windows_match_run_bitwise(monkeypatch, family, window):
-    """With the window cap shrunk to 1, 3 and 7 steps of four dense ridge
-    lanes, each lane is run()'s trace and state bitwise.  The loops refresh
-    on each window's last step (m = window) and on some windows' first (m =
-    window + 1), the p = 1 coin on every step; checkpoints fall inside
-    windows.  No window gathers more cells than the cap."""
-    oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
-    cap = window * 2 * 4 * oracle.d  # a step gathers 2 rows a lane
-    monkeypatch.setattr(oracle_module, "_WINDOW_CELLS", cap)
-    windows = spy_windows(monkeypatch)
-    coin, loop = {"svrg": (LSVRG, LoopySVRG), "katyusha": (LKatyusha, LoopyKatyusha)}[family]
-    params = {k: v for k, v in coin.theory_params(oracle).items() if k != "p"}
-
-    def make_lanes():
-        return [loop(oracle, np.zeros(5), **params, m=window),
-                loop(oracle, np.zeros(5), **params, m=window + 1),
-                coin(oracle, np.ones(5), **params, p=1.0),
-                coin(oracle, np.zeros(5), **params, p=0.3)]
-
-    compare_lanes_with_runs(make_lanes, [0, 1, 2, 3], [distance_metrics(ref.x_star)] * 4,
-                            epochs=12.0, checkpoint_every=1.3)
-    assert windows and all(cells.size <= cap for _, cells, _ in windows)
-    assert max(steps for _, _, steps in windows) == window
-
-
-@pytest.mark.parametrize("data", ["dense", "csr"])
-@pytest.mark.parametrize("loss", ["ridge", "logistic"])
-@pytest.mark.parametrize("window", [1, 3, 7])
-def test_gathered_rows_give_grad_many_bitwise(monkeypatch, data, loss, window):
-    """grad_rows on each step of gathered(samples), with windows of 1, 3 or
-    7 steps, is grad_i on that step's samples, bitwise, on dense and CSR
-    rows (CSR rows of 0 or 2 entries), and no window gathers more cells
-    than the cap."""
-    dataset = sparse_logistic_oracle().dataset
-    oracle = (make_oracle(dataset, loss, 0.1) if data == "dense"
-              else quarter_rule_oracle(dataset, loss, 0.1))
-    assert (oracle._dense is not None) == (data == "dense")
-    rng = np.random.default_rng(window)
-    samples = rng.integers(oracle.n, size=(40, 6))
-    points = rng.normal(size=(40, 6, oracle.d))
-    cap = window * 6 * (oracle.d if data == "dense" else 2)
-    monkeypatch.setattr(oracle_module, "_WINDOW_CELLS", cap)
-    windows = spy_windows(monkeypatch)
-    got = [oracle.grad_rows(X, labels, rows, np.empty_like(X))
-           for X, (labels, rows) in zip(points, oracle.gathered(samples))]
-    assert len(got) == len(samples) and all(cells.size <= cap for _, cells, _ in windows)
-    for t, (idx, X) in enumerate(zip(samples, points)):
-        want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)])
-        assert got[t].tobytes() == want.tobytes(), t
-    if data == "dense":
-        assert {steps for _, _, steps in windows} == {window, 40 % window or window}
-
-
 # the block length the block-recording tests hold run_lanes to, so that their
 # budgets cross blocks
 BLOCK = 1024
 
 
 def record_blocks(monkeypatch) -> dict:
-    """{id(optimizer): [(its k at a block's start, the block's steps), ...]},
-    filled by every schedule() call: one per lane and block of run_lanes,
-    whose blocks it holds to BLOCK steps."""
+    """{id(optimizer): [(its k at a block's start, the block's refresh mask),
+    ...]}, filled by every schedule() call: one per lane and block of
+    run_lanes, whose blocks it holds to BLOCK steps."""
     monkeypatch.setattr(optimizers, "_BLOCK_STEPS", BLOCK)
     blocks: dict = {}
     for rule in (_Coin, _Loop):
         def recorded(self, rng, steps, schedule=rule.schedule):
-            blocks.setdefault(id(self), []).append((self.k, steps))
-            return schedule(self, rng, steps)
+            k, drawn = self.k, schedule(self, rng, steps)
+            blocks.setdefault(id(self), []).append((k, drawn[1]))
+            return drawn
         monkeypatch.setattr(rule, "schedule", recorded)
     return blocks
 
@@ -378,88 +195,152 @@ DATA_KINDS = ["dense-ridge", "dense-logistic", "csr-ridge", "csr-logistic"]
 
 def batch_oracle(kind, n, seed):
     """An oracle of one data kind (dense or CSR rows, ridge or logistic loss)
-    on n rows of a 3-feature ridge instance, and a point to measure distance
-    from, that instance's minimizer.  Logistic labels are the ridge targets'
-    signs; CSR rows drop about a third of their entries and sit beside 10
-    empty columns."""
+    on n rows of a 3-feature ridge instance.  Logistic labels are the ridge
+    targets' signs; CSR rows drop about a third of their entries and sit
+    beside 10 empty columns."""
     data, loss = kind.split("-")
-    dataset, x_star = synthesize_quadratic(n, 3, 20.0, seed=seed, mu=1.0)
+    dataset, _ = synthesize_quadratic(n, 3, 20.0, seed=seed, mu=1.0)
     labels = np.where(dataset.labels < 0.0, -1.0, 1.0) if loss == "logistic" else dataset.labels
     if data == "dense":
         return make_oracle(Dataset.from_csr(dataset.indptr, dataset.indices, dataset.values,
-                                            labels, 3), loss, 1.0), x_star
+                                            labels, 3), loss, 1.0)
     A = np.zeros((n, 13))
     A[:, :3] = dense_rows(dataset) * (np.random.default_rng(seed).random((n, 3)) < 0.7)
     nonzero = A != 0.0
     indptr = np.concatenate([[0], np.cumsum(nonzero.sum(axis=1))])
     sparse = Dataset.from_csr(indptr, np.nonzero(nonzero)[1], A[nonzero], labels, 13)
-    return quarter_rule_oracle(sparse, loss, 1.0), np.append(x_star, np.zeros(10))
+    return quarter_rule_oracle(sparse, loss, 1.0)
+
+
+def window_refreshes(lane, blocks, calls) -> set:
+    """Where lane, a loop, refreshed among its steps: on the first or the
+    last step of a window of more than one step.  blocks is record_blocks'
+    entry for the lane, calls spy_windows' list, a gathered call per block."""
+    where = set()
+    for (k, refresh), windows in zip(blocks, calls):
+        ends = np.cumsum([steps for _, steps in windows])
+        for t in np.flatnonzero(refresh[:lane.k - k]).tolist():
+            w = int(np.searchsorted(ends, t, side="right"))
+            first, steps = int(ends[w]) - windows[w][1], windows[w][1]
+            if steps > 1 and t in (first, first + steps - 1):
+                where.add("a loop refreshing on a window's "
+                          + ("first step" if t == first else "last step"))
+    return where
 
 
 def test_run_lanes_matches_run_on_random_batches(monkeypatch):
     """Seeded random batches of either family and both refresh rules, on
-    each data kind, each lane checked against run() as
-    compare_lanes_with_runs checks lanes (bitwise), with diverged_at.  The
-    batches take intervals below one step's epoch increment (2/n), budgets
-    at which a lane ends on a block's last step (at k = BLOCK, the longest
-    block, among others), and lanes that diverge mid-block (their f_gap
-    turns infinite past a random epoch)."""
-    blocks = record_blocks(monkeypatch)
+    each data kind, each lane checked against run() by
+    compare_lanes_with_runs (bitwise, and diverged_at).  A batch draws its
+    lanes' parameters, the theory preset shared or scaled per lane
+    (PARAMETER_CASES), so that _stacked holds each as 0-d or as a column;
+    each lane's x0, zeros or ones; metrics from build_metrics against a
+    certified reference at distance, or for coin-rule lanes alone at
+    lyapunov or lemmas, which the loops cannot report; and a window cap of
+    1, 3 or 7 steps of the stack (at least that on CSR rows), with loops
+    that refresh on a window's first and last steps, or the default cap.
+    The batches take intervals below one step's epoch increment (2/n),
+    budgets at which a lane ends on a block's last step (at k = BLOCK, the
+    longest block, among others) or goes past it, and lanes that diverge
+    mid-block (their f_gap turns infinite past a random epoch)."""
+    blocks, calls = record_blocks(monkeypatch), spy_windows(monkeypatch)
+    default_cap = oracle_module._WINDOW_CELLS
     rng = np.random.default_rng(11)
     seen = set()
-    for trial in range(50):
+    for trial in range(40):
         n = int(rng.integers(1, 31))
+        family = ("svrg", "katyusha")[trial % 2]
         kind = DATA_KINDS[trial // 2 % 4]  # each kind for both families
-        oracle, x_star = batch_oracle(kind, n, seed=trial)
+        oracle = batch_oracle(kind, n, seed=trial)
         assert (oracle._dense is None) == kind.startswith("csr")
-        rules = [{"m": int(rng.integers(1, 2 * n + 2))}, {"m": 1000},
-                 {"p": float(rng.uniform(0.01, 1.0))}, {"p": 1.0}]
-        rules = [rules[i] for i in rng.choice(4, size=int(rng.integers(1, 5)))]
-        if trial % 5 == 0:  # a lane that never refreshes spends its budget in one block
+        window = int(rng.choice([0, 1, 3, 7]))  # 0: the default cap
+        rules = [{"p": float(rng.uniform(0.01, 1.0))}, {"p": 1.0},
+                 {"m": int(rng.integers(1, 2 * n + 2))}, {"m": 1000}]
+        rules += [{"m": window}, {"m": window + 1}] if window else []
+        # a third of the batches: coin-rule lanes alone
+        pool = 2 if rng.random() < 1 / 3 else len(rules)
+        rules = [rules[i] for i in rng.choice(pool, size=int(rng.integers(1, 5)))]
+        level = "distance"
+        if trial % 5 == 0:  # a lane that never refreshes spends one block, or goes past it
             rules.append({"m": BLOCK + 1})
-            epochs = (n + 2 * BLOCK) / n
+            epochs = (n + (3 if trial % 10 else 2) * BLOCK) / n
+        elif all("p" in rule for rule in rules):
+            level = str(rng.choice(["distance", "lyapunov", "lemmas"]))
+            epochs = float(rng.uniform(0.0, 2200 / n if level == "distance" else 20.0))
         else:
             epochs = float(rng.uniform(0.0, 2200 / n))
-        every = float(rng.choice([rng.uniform(0.05, 1.0) * 2 / n,
-                                  rng.uniform(0.2, 3.0), 1.0]))
+        # at most about 100 records a lane, each a build_metrics report
+        every = max(float(rng.choice([rng.uniform(0.2, 3.0), 1.0])), epochs / 100)
+        if trial % 5 and level == "distance" and rng.random() < 1 / 3:
+            # an interval below a step: a record a step, on at most 150 steps
+            every, epochs = float(rng.uniform(0.05, 1.0) * 2 / n), min(epochs, 300 / n)
         cutoffs = [float(rng.uniform(0.0, epochs)) if rng.random() < 0.25 else np.inf
                    for _ in rules]
+        coin, loop = FAMILIES[family]
+        preset = {k: v for k, v in coin.theory_params(oracle).items() if k != "p"}
+        cases = [differ for name, differ in PARAMETER_CASES if name == family]
+        differ = cases[int(rng.integers(len(cases)))]
+        params = [{**preset, **{k: preset[k] * float(rng.choice([1.0, 0.5, 0.8]))
+                                for k in differ}} for _ in rules]
+        x0s = [float(rng.integers(2)) for _ in rules]
+        # the cap holds `window` steps of the stack's largest rows, 2 a lane
+        cap = window * 2 * len(rules) * (oracle.d if oracle._dense is not None
+                                         else int(oracle._counts.max()))
+        monkeypatch.setattr(oracle_module, "_WINDOW_CELLS", cap or default_cap)
 
-        def make_lanes(rules=rules, oracle=oracle, katyusha=trial % 2 == 1):
-            if katyusha:
-                return [(LoopyKatyusha if "m" in rule else LKatyusha)(
-                    oracle, np.ones(oracle.d), theta1=0.3, theta2=0.5, **rule)
-                    for rule in rules]
-            return [(LoopySVRG if "m" in rule else LSVRG)(
-                oracle, np.ones(oracle.d), eta=1.0 / (6.0 * oracle.L), **rule) for rule in rules]
+        def make_lanes():
+            return [(loop if "m" in rule else coin)(oracle, np.full(oracle.d, x0), **param,
+                                                    **rule)
+                    for rule, param, x0 in zip(rules, params, x0s)]
 
-        def metrics(cutoff, distance=distance_metrics(x_star)):
-            return lambda o: {**distance(o), "f_gap": np.inf if o.epoch >= cutoff else 0.0}
+        report = build_metrics(RunConfig(algorithm="l-" + family, diagnostics=level), oracle,
+                               solve_reference(oracle))
 
-        seeds = [100 * trial + s for s in range(len(rules))]
-        lanes, serials = make_lanes(), make_lanes()
+        def metrics(cutoff):
+            return lambda o: {**report(o), **({"f_gap": np.inf} if o.epoch >= cutoff else {})}
+
         blocks.clear()  # keyed by id(), which a later trial's lanes may reuse
-        traces = run_lanes(lanes, [SplitMix64(s) for s in seeds], epochs=epochs,
-                           checkpoint_every=every, metrics=map(metrics, cutoffs))
-        for lane, serial, seed, trace, cutoff in zip(lanes, serials, seeds, traces, cutoffs):
-            want = run(serial, SplitMix64(seed), epochs=epochs, checkpoint_every=every,
-                       metrics=metrics(cutoff))
-            assert_same_records(trace, want)
-            assert_same_state(lane, serial)
-            assert lane.diverged_at == serial.diverged_at
+        calls.clear()
+        lanes, traces = compare_lanes_with_runs(
+            make_lanes, [100 * trial + s for s in range(len(rules))],
+            [metrics(cutoff) for cutoff in cutoffs], epochs=epochs, checkpoint_every=every)
+        for lane in lanes:
+            lane_blocks = blocks.get(id(lane), [(0, [])])
             # the k after the last step of the lane's last block
-            block_end = sum(blocks.get(id(lane), [(0, 0)])[-1])
+            block_end = lane_blocks[-1][0] + len(lane_blocks[-1][1])
             if lane.diverged_at is not None and lane.diverged_at < block_end:
                 seen.add("diverged mid-block")
             if lane.k == block_end and lane.epoch == epochs:
                 seen.add("ended at a block's last step")
                 if lane.k == BLOCK:
                     seen.add("ended at the longest block's last step")
+            if lane.k > len(lane_blocks[0][1]):
+                seen.add("a lane past one schedule block")
+            if isinstance(lane, _Loop) and window:
+                seen |= window_refreshes(lane, lane_blocks, calls)
         if every < 2 / n and any(len(trace) > 2 for trace in traces):
             seen.add("interval below a step")
-        assert all(steps <= BLOCK for lane in blocks.values() for _, steps in lane)
+        if len({lane.k for lane in lanes}) > 1:
+            seen.add("lanes that end at different k")
+        if len(lanes) > 1:
+            differs = any(len({getattr(lane, name).tobytes() for lane in lanes}) > 1
+                          for name in lanes[0].lane_params)
+            seen.add((family, "differing parameters" if differs else "shared parameters"))
+        seen |= {(family, level)} | {f"x0 = {x0:g}" for x0 in x0s}
+        windows = [steps for block in calls for _, steps in block]
+        assert all(size <= (cap or default_cap) for block in calls for size, _ in block)
+        if window and len(windows) > 1 and window in windows:
+            seen.add(f"window cap {window}")
+        assert all(len(refresh) <= BLOCK for lane in blocks.values() for _, refresh in lane)
     assert seen == {"diverged mid-block", "ended at a block's last step",
-                    "ended at the longest block's last step", "interval below a step"}
+                    "ended at the longest block's last step", "interval below a step",
+                    "a lane past one schedule block", "lanes that end at different k",
+                    "a loop refreshing on a window's first step",
+                    "a loop refreshing on a window's last step", "x0 = 0", "x0 = 1",
+                    *(f"window cap {window}" for window in (1, 3, 7)),
+                    *((family, feature) for family in FAMILIES for feature in (
+                        "distance", "lyapunov", "lemmas", "shared parameters",
+                        "differing parameters"))}
 
 
 # The paper's cost model on the lane path: checkpoint (k, oracle_calls) of
@@ -512,7 +393,7 @@ def test_lane_trajectory_regression_pin(monkeypatch, family, epochs, every):
         assert [r["oracle_calls"] for r in trace] == calls
         delta = lane.tracked_point - x_star
         assert float(delta @ delta) == pytest.approx(dist_sq, rel=1e-12)
-    steps = [steps for _, steps in blocks[id(lanes[1])]]
+    steps = [len(refresh) for _, refresh in blocks[id(lanes[1])]]
     if epochs == 8.0:  # one block, as long as the budget allows: 2 calls a step
         assert steps == [math.ceil((epochs * oracle.n - oracle.n) / 2)]
     else:
@@ -665,17 +546,12 @@ def test_run_lanes_drops_a_diverged_lane_and_keeps_the_others(monkeypatch):
              (lambda: LSVRG(oracle, np.zeros(5), eta=eta, p=0.05),
               lambda o: {**distance(o), "f_gap": np.inf if o.epoch >= 7.0 else 0.0})]
     for make_diverging, metrics in cases:
-        made = []
-
-        def make_lanes():
-            made.append([make_diverging(), LoopySVRG(oracle, np.zeros(5), eta=eta, m=20)])
-            return made[-1]
-
         with np.errstate(over="ignore", invalid="ignore"):
-            diverged, finished = compare_lanes_with_runs(
-                make_lanes, [0, 1], [metrics, distance], epochs=40.0, checkpoint_every=1.0)
+            lanes, (diverged, finished) = compare_lanes_with_runs(
+                lambda: [make_diverging(), LoopySVRG(oracle, np.zeros(5), eta=eta, m=20)],
+                [0, 1], [metrics, distance], epochs=40.0, checkpoint_every=1.0)
         assert diverged[-1]["epoch"] < 40.0 <= finished[-1]["epoch"]
-    lane = made[0][0]  # the last batch's diverging lane in run_lanes, made first
+    lane = lanes[0]  # the last batch's diverging lane in run_lanes
     k, checkpoints = [(k, steps) for opt, k, steps in plans if opt is lane][-1]
     assert k + checkpoints[-1] + 1 > lane.diverged_at
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from loopless.data import (Dataset, SparseRow, _dense_to_csr, normalize_rows, pa
 from loopless.diagnostics import solve_reference
 from loopless.oracle import LogisticOracle, RidgeOracle, make_oracle
 
-from conftest import dense_rows, grad_many, quarter_rule_oracle, random_dataset
+from conftest import dense_rows, quarter_rule_oracle, random_dataset, spy_windows
+
+
+def grad_many(oracle, idx, X) -> np.ndarray:
+    """grad_i(idx[s], X[s]) for every row s, (S,) and (S, d) -> (S, d), as a
+    lane step takes it: Oracle.grad_rows on the rows idx, gathered as one
+    step of one window."""
+    return oracle.grad_rows(X, *next(oracle.gathered(idx[np.newaxis])), np.empty_like(X))
 
 
 def finite_diff_grads(oracle, x):
@@ -193,28 +201,6 @@ def test_full_data_paths_match_scalar_reference(loss, density, n, margin):
     assert_close(grad_table, table_x)
 
 
-@pytest.mark.parametrize("density", [0.1, 0.6])
-@pytest.mark.parametrize("loss", ["logistic", "ridge"])
-@pytest.mark.parametrize("margin", [None, 800.0])
-def test_grad_many_matches_grad_i(loss, density, margin):
-    rng = np.random.default_rng([int(10 * density), len(loss), int(margin or 0)])
-    dataset = property_dataset(rng, 30, d=12, density=density, pad=3)
-    oracle = quarter_rule_oracle(dataset, loss, 0.3)
-    assert (oracle._dense is not None) == (density > 0.25)
-    # every row once (every fourth is empty), then repeats
-    idx = np.concatenate([np.arange(oracle.n), rng.integers(oracle.n, size=10)])
-    X = rng.normal(size=(idx.size, oracle.d))
-    if margin is not None:
-        # scale each point so its sample's |a_i^T x| is the given margin
-        A = dense_rows(dataset)
-        top = np.abs(np.einsum("ij,ij->i", A[idx], X))[:, np.newaxis]
-        X *= margin / np.where(top > 0.0, top, 1.0)
-    with np.errstate(all="raise"):
-        got = grad_many(oracle, idx, X)
-    want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)])
-    assert got.tobytes() == want.tobytes()
-
-
 def assert_within_ulps(got, want, ulps=4):
     """Elementwise: a few ulp relative where want is a normal double, at most
     the smallest normal double (about 2.2e-308) absolute where it is
@@ -226,14 +212,20 @@ def assert_within_ulps(got, want, ulps=4):
     assert (err[~normal] <= 2.3e-308).all()
 
 
+# |b m| across the regimes of the logistic weight's e^{-|b m|}: 1 at 0, about
+# 1e-13 at 30, a normal double at 700, subnormal at 709.8, the smallest
+# subnormal at 745, and 0 at 800
+EXP_EDGES = (0.0, 30.0, 700.0, 709.8, 745.0, 800.0)
+
+
 @pytest.mark.parametrize("filler", [0, 20], ids=["csr", "dense"])
 def test_logistic_weights_match_the_scalar_kernel_at_extreme_margins(filler):
-    """full_grad and grad_table take the one-exp weight, and grad_rows the
-    scalar one, grad_i's; each row reads its weight out in a column of its
-    own, where x is 0, so the gradient entry there is phi'(m_i) itself
-    (full_grad: phi'(m_i) / n)."""
+    """full_grad and grad_table take the one-exp weight, grad_i the scalar
+    one; each row reads its weight out in a column of its own, where x is
+    0, so the gradient entry there is phi'(m_i) itself (full_grad:
+    phi'(m_i) / n)."""
     rng = np.random.default_rng(filler)
-    special = np.array([0.0, 30.0, 700.0, 709.8, 745.0, 800.0])
+    special = np.array(EXP_EDGES)
     bm = np.concatenate([special, -special[1:], rng.normal(scale=50.0, size=20),
                          rng.uniform(-800.0, 800.0, size=20)])
     n = bm.size
@@ -249,51 +241,17 @@ def test_logistic_weights_match_the_scalar_kernel_at_extreme_margins(filler):
     assert (oracle._dense is not None) == (filler > 0)
     x = np.zeros(oracle.d)
     x[0] = 1.0
-    idx = np.concatenate([np.arange(n), rng.integers(n, size=10)])
     with np.errstate(all="raise"):
         full_grad = oracle.full_grad(x)
         grad_table = oracle.grad_table(x)
-        many = grad_many(oracle, idx, np.tile(x, (idx.size, 1)))
     table = np.stack([oracle.grad_i(i, x) for i in range(n)])
     readout = 1 + np.arange(n)
     weights = table[np.arange(n), readout]
     assert np.array_equal(weights, [oracle._dphi(b_i * m, b_i) for b_i, m in zip(b, bm)])
     assert_within_ulps(grad_table[np.arange(n), readout], weights)
-    assert np.array_equal(many[np.arange(idx.size), readout[idx]], weights[idx])
     assert_within_ulps(full_grad[readout], table.mean(axis=0)[readout])
     assert_close(grad_table, table)
-    assert np.array_equal(many, table[idx])
     assert_close(full_grad, table.mean(axis=0))
-
-
-@pytest.mark.parametrize("loss", ["ridge", "logistic"])
-@pytest.mark.parametrize("data", ["dense", "csr"])
-def test_grad_many_is_grad_i_bitwise(data, loss):
-    """grad_rows takes grad_i's row dots and scalar weight, so lanes step as
-    run() does on every data kind: dense rows of 1 to 299 columns, and CSR
-    rows of 0 to 48 real-valued entries (past BLAS ddot's unrolled block),
-    a step's rows often of one length; margins |a_i^T x| up to 800, where
-    the logistic weight's exp gives 1, a subnormal or 0."""
-    rng = np.random.default_rng([2465, len(data), len(loss)])
-    for _ in range(300):
-        n = int(rng.integers(1, 12))
-        if data == "dense":
-            dataset = property_dataset(rng, n, int(rng.integers(1, 300)), density=1.0, pad=0)
-        else:
-            # each row's length one of three, so that a step holds runs of one length
-            counts = rng.choice(rng.integers(0, 49, size=3), size=n)
-            indices = [np.sort(rng.choice(200, size=c, replace=False)) for c in counts]
-            dataset = Dataset.from_csr(np.concatenate([[0], np.cumsum(counts)]),
-                                       np.concatenate(indices), rng.normal(size=counts.sum()),
-                                       rng.choice([-1.0, 1.0], size=n), 200)
-        oracle = quarter_rule_oracle(dataset, loss, float(rng.uniform(1e-3, 2.0)))
-        assert (oracle._dense is None) == (data == "csr")
-        idx = rng.integers(n, size=int(rng.integers(1, 9)))
-        X = rng.normal(size=(idx.size, oracle.d))
-        margins = np.abs(np.einsum("ij,ij->i", dense_rows(dataset)[idx], X))
-        X *= (800.0 * rng.random(idx.size) ** 4 / np.where(margins > 0.0, margins, 1.0))[:, None]
-        want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)])
-        assert grad_many(oracle, idx, X).tobytes() == want.tobytes()
 
 
 def scalar_row_reference(oracle, i, x):
@@ -326,85 +284,115 @@ def test_grad_i_and_loss_i_are_bitwise_the_scalar_reference(loss, density, n, d)
             assert oracle.grad_i(i, x).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("loss", ["logistic", "ridge"])
-@pytest.mark.parametrize("density", [0.1, 0.6])
-@pytest.mark.parametrize("n, d", [(1, 3), (1, 40), (9, 3), (30, 17), (12, 300)])
-def test_corrections_are_grad_i_less_grad_w_bitwise(loss, density, n, d):
-    """Each row of corrections(idx, w, grad_w) is grad_i(idx[s], w) - grad_w
-    bit for bit, on dense and CSR rows (every fourth row empty), with
-    repeated indices and at n = 1."""
-    rng = np.random.default_rng([n, d, int(10 * density), len(loss), 23])
-    dataset = property_dataset(rng, n, d=d, density=density, pad=2)
-    oracle = quarter_rule_oracle(dataset, loss, 0.3)
-    assert (oracle._dense is not None) == (dataset.nnz >= 0.25 * n * dataset.d)
-    for _ in range(10):
-        w = rng.normal(size=oracle.d) * rng.choice([1e-3, 1.0, 50.0])
+WINDOWS = (1, 3, 7)
+
+
+def many_row_oracle(rng, data, loss):
+    """A random oracle of one data kind: one row in one draw of eight, else
+    2 to 12.  Dense rows have 1 to 299 columns, every fourth row empty.  CSR
+    rows hold 0 to 48 real-valued entries among 200 columns (20,000 in one
+    draw of eight); most take one of three lengths, or 0, so that rows of
+    one length come in runs beside empty rows and rows alone at theirs."""
+    n = 1 if rng.random() < 1 / 8 else int(rng.integers(2, 13))
+    if data == "dense":
+        dataset = property_dataset(rng, n, int(rng.integers(1, 300)), density=1.0, pad=0)
+    else:
+        d = 20_000 if rng.random() < 1 / 8 else 200
+        counts = np.where(rng.random(n) < 0.3, rng.integers(0, 49, size=n),
+                          rng.choice([0, *rng.integers(1, 49, size=3)], size=n))
+        indices = [np.sort(rng.choice(d, size=c, replace=False)) for c in counts]
+        dataset = Dataset.from_csr(np.concatenate([[0], np.cumsum(counts)]),
+                                   np.concatenate(indices), rng.normal(size=counts.sum()),
+                                   rng.choice([-1.0, 1.0], size=n), d)
+    oracle = quarter_rule_oracle(dataset, loss, float(rng.uniform(1e-3, 2.0)))
+    assert (oracle._dense is None) == (data == "csr")
+    return oracle
+
+
+def margin_targets(rng, size):
+    """|a_i^T x| to scale points to: one of EXP_EDGES, or 800 u^4 (u uniform)."""
+    return np.where(rng.random(size) < 0.5, rng.choice(EXP_EDGES, size),
+                    800.0 * rng.random(size) ** 4)
+
+
+def many_row_features(form, oracle, idx, margins):
+    """What one many-row call on the rows idx, at these margins |a_i^T x|,
+    holds: each exp edge a nonempty row's margin is at, a repeated index,
+    n = 1, d = 20,000; and on CSR rows an empty row, two distinct rows of
+    one length and a row alone at its length."""
+    idx = idx.tolist()
+    counts = oracle._counts.take(idx).tolist()
+    nonempty = [m for m, c in zip(margins.tolist(), counts) if c]
+    csr = oracle._dense is None
+    rows = Counter(c for c in counts if c)  # of each length
+    distinct = Counter(c for c in dict(zip(idx, counts)).values() if c)
+    features = {
+        **{f"margin {edge}": any(abs(m - edge) <= 1e-9 * edge for m in nonempty)
+           for edge in EXP_EDGES},
+        "a repeated index": len(set(idx)) < len(idx), "n = 1": oracle.n == 1,
+        "d = 20,000": oracle.d == 20_000, "an empty row": csr and 0 in counts,
+        "a run of one length": csr and max(distinct.values(), default=0) > 1,
+        "a row alone at its length": csr and 1 in rows.values()}
+    return {(form, name) for name, hit in features.items() if hit}
+
+
+@pytest.mark.parametrize("loss", ["ridge", "logistic"])
+@pytest.mark.parametrize("data", ["dense", "csr"])
+def test_many_row_gradients_are_grad_i_bitwise(monkeypatch, data, loss):
+    """Both many-row forms of the per-sample gradient are grad_i's bits on
+    seeded random instances (many_row_oracle): grad_rows on every step of
+    gathered(samples), each sample row at a point of its own, with the
+    window cap at 1, 3 or 7 steps, which no window passes; and
+    corrections(idx, w, grad_w), whose row s is grad_i(idx[s], w) - grad_w.
+    Samples repeat, and margins |a_i^T x| reach 800, each of EXP_EDGES
+    among them, where the logistic weight's exp gives 1, a subnormal or 0."""
+    rng = np.random.default_rng([2465, len(data), len(loss)])
+    calls = spy_windows(monkeypatch)
+    seen = set()
+    for _ in range(60):
+        oracle = many_row_oracle(rng, data, loss)
+        A = dense_rows(oracle.dataset)
+        steps = int(rng.integers(1, 16 if oracle.d < 20_000 else 4))
+        samples = rng.integers(oracle.n, size=(steps, int(rng.integers(1, 9))))
+        X = rng.normal(size=samples.shape + (oracle.d,))
+        m = np.abs(np.einsum("tsj,tsj->ts", A[samples], X))
+        scale = margin_targets(rng, m.shape) / np.where(m > 0.0, m, 1.0)
+        X *= scale[..., np.newaxis]
+        # the cap holds `window` of the largest step's cells, so every window
+        # but the last holds `window` steps, or one when no step has a cell
+        cells = int(oracle._counts.take(samples).sum(axis=1).max() if oracle._dense is None
+                    else samples.shape[1] * oracle.d)
+        window = int(rng.choice(WINDOWS))
+        monkeypatch.setattr(oracle_module, "_WINDOW_CELLS", window * cells)
+        got = [oracle.grad_rows(x, labels, rows, np.empty_like(x))
+               for x, (labels, rows) in zip(X, oracle.gathered(samples))]
+        windows = calls.pop()
+        assert len(got) == steps and all(size <= window * cells for size, _ in windows)
+        per = window if cells else 1
+        assert [taken for _, taken in windows] == [per] * (steps // per) + [steps % per] * (
+            steps % per > 0)
+        if cells and len(windows) > 1:
+            seen.add(("grad_rows", f"window cap {window}"))
+        for idx, xs, g, step_margins in zip(samples, X, got, m * scale):
+            want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx.tolist(), xs)])
+            assert g.tobytes() == want.tobytes()
+            seen |= many_row_features("grad_rows", oracle, idx, step_margins)
+        # corrections at one w, scaled so that the stretch's largest margin is a target
+        idx = rng.integers(oracle.n, size=int(rng.integers(1, 40)))
+        w = rng.normal(size=oracle.d)
+        m = np.abs(A[idx] @ w)
+        scale = margin_targets(rng, 1)[0] / (m.max() if m.max() > 0.0 else 1.0)
+        w *= scale
         grad_w = oracle.full_grad(w)
-        idx = rng.integers(n, size=int(rng.integers(1, 3 * n + 2)))
-        want = np.stack([oracle.grad_i(i, w) - grad_w for i in idx])
+        want = np.stack([oracle.grad_i(i, w) - grad_w for i in idx.tolist()])
         assert oracle.corrections(idx, w, grad_w).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("loss", ["logistic", "ridge"])
-@pytest.mark.parametrize("d", [3, 123, 20_000])
-def test_csr_corrections_by_row_length_are_grad_i_less_grad_w_bitwise(loss, d):
-    """CSR stretches that mix empty rows, rows alone at their length and long
-    runs of rows of one length (lengths 1 to min(d, 200)), in shuffled order
-    and with repeated indices, keep every row of corrections bitwise
-    grad_i(idx[s], w) - grad_w."""
-    rng = np.random.default_rng([d, len(loss), 29])
-    top = min(d, 200)
-    long_runs = rng.choice(np.arange(1, top + 1), size=min(top - 1, 3), replace=False)
-    counts = np.concatenate([np.arange(1, top + 1), np.repeat(long_runs, 12)])
-    # enough empty rows to keep the data under a quarter nonzero: CSR storage
-    counts = np.concatenate([counts, np.zeros(4 * int(counts.sum()) // d + 8, dtype=int)])
-    rng.shuffle(counts)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    indices = np.concatenate([np.sort(rng.choice(d, size=c, replace=False)) for c in counts])
-    dataset = Dataset.from_csr(indptr, indices, rng.normal(size=indices.size),
-                               rng.choice([-1.0, 1.0], size=counts.size), d)
-    oracle = quarter_rule_oracle(dataset, loss, 0.3)
-    assert oracle._dense is None
-    rows_of = {c: np.flatnonzero(counts == c) for c in range(top + 1)}
-    for _ in range(4):
-        w = rng.normal(size=d) * rng.choice([1e-3, 1.0, 50.0])
-        grad_w = oracle.full_grad(w)
-        # every long run's rows (some twice), empty rows, and rows alone at
-        # their length, at most 80 rows in all
-        others = np.setdiff1d(np.arange(1, top + 1), long_runs)
-        alone = rng.choice(others, size=min(others.size, 20), replace=False)
-        idx = np.concatenate([*(rows_of[c] for c in long_runs), rows_of[long_runs[0]][:4],
-                              rows_of[0][:5], [rows_of[c][0] for c in alone]])
-        rng.shuffle(idx)
-        want = np.stack([oracle.grad_i(i, w) - grad_w for i in idx])
-        assert oracle.corrections(idx, w, grad_w).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("filler", [0, 20], ids=["csr", "dense"])
-def test_corrections_take_the_scalar_kernel_at_extreme_margins(filler):
-    """Margins where the scalar kernel's math.exp gives 1, a subnormal or 0
-    (|b m| up to 800) keep corrections bitwise grad_i's."""
-    rng = np.random.default_rng(filler + 1)
-    special = np.array([0.0, 30.0, 700.0, 709.8, 745.0, 800.0])
-    bm = np.concatenate([special, -special[1:], rng.uniform(-800.0, 800.0, size=20)])
-    n = bm.size
-    b = rng.choice([-1.0, 1.0], size=n)
-    # row i: the margin b_i bm_i in column 0 (w_0 = 1), a 1 in column 1 + i,
-    # and `filler` ones in shared columns past those
-    A = np.zeros((n, 1 + n + filler))
-    A[:, 0] = b * bm
-    A[np.arange(n), 1 + np.arange(n)] = 1.0
-    A[:, 1 + n:] = 1.0
-    A[3] = 0.0  # an empty row
-    oracle = quarter_rule_oracle(Dataset.from_csr(*_dense_to_csr(A), b, A.shape[1]),
-                                 "logistic", 0.3)
-    assert (oracle._dense is not None) == (filler > 0)
-    w = np.zeros(oracle.d)
-    w[0] = 1.0
-    grad_w = oracle.full_grad(w)
-    idx = np.concatenate([np.arange(n), rng.integers(n, size=10)])
-    want = np.stack([oracle.grad_i(i, w) - grad_w for i in idx])
-    assert oracle.corrections(idx, w, grad_w).tobytes() == want.tobytes()
+        seen |= many_row_features("corrections", oracle, idx, m * scale)
+    features = [f"margin {edge}" for edge in EXP_EDGES] + ["a repeated index", "n = 1"]
+    if data == "csr":
+        features += ["d = 20,000", "an empty row", "a run of one length",
+                     "a row alone at its length"]
+    assert seen == {(form, name) for form in ("grad_rows", "corrections") for name in features
+                    } | {("grad_rows", f"window cap {window}") for window in WINDOWS}
 
 
 def test_full_loss_many_spans_several_blocks():
