@@ -9,7 +9,8 @@ or ones, every diagnostics level, small window caps and budgets that end
 lanes mid-block and on a block's end, and asserts in its seen set that each
 was drawn.  test_oracle.py's test_many_row_gradients_are_grad_i_bitwise
 holds the lane step's gradients, grad_rows on gathered rows, and run()'s
-corrections to grad_i's bits the same way."""
+corrections to grad_i's bits the same way.  The fixed batches kept here are
+instances the lane property draws."""
 
 import copy
 import math
@@ -29,7 +30,7 @@ from loopless.optimizers import (GradientDescent, LKatyusha, LoopyKatyusha,
 from loopless.rng import SplitMix64
 
 from conftest import (dense_rows, quarter_rule_oracle, ridge_instance, serial_step,
-                      spy_windows, walk_lanes)
+                      sparse_logistic_oracle, spy_windows, walk_lanes)
 
 
 def ridge_oracle(n, d=3, kappa=20.0, seed=0):
@@ -168,6 +169,148 @@ def test_a_stack_shares_a_parameter_as_0d_unless_its_lanes_differ(family, differ
         assert "_theta2" not in varied
     for name in stack.lane_state:
         assert getattr(stack, name).shape == (3, oracle.d), name
+
+
+# Fixed batches of test_run_lanes_matches_run_on_random_batches below: each
+# a case it draws at random.
+
+def family_lanes(oracle, family, x0s, rules, params):
+    """A lane per (x0, rule, params): the family's loop where the rule names
+    m, else its coin."""
+    coin, loop = FAMILIES[family]
+    return [(loop if "m" in rule else coin)(oracle, np.full(oracle.d, x0), **param, **rule)
+            for x0, rule, param in zip(x0s, rules, params)]
+
+
+def check_dense_ridge_batch(family):
+    oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
+    eta = 1.0 / (6.0 * oracle.L)
+    preset = LKatyusha.theory_params(oracle)
+    # refreshes on consecutive steps (p = 1), and in the same step as the m = 20 lane
+    rules = [{"p": 0.05 if family == "svrg" else preset.pop("p")}, {"m": 20}, {"p": 1.0},
+             {"m": 1000}, {"p": 0.3}]
+    params = ([{"eta": eta}] * 4 + [{"eta": 2 * eta}] if family == "svrg" else
+              [preset, {"theta1": preset["theta1"], "theta2": 0.5}, {"theta1": 0.4, "theta2": 0.5},
+               {"theta1": 0.2, "theta2": 0.3}, {"theta1": 0.3, "theta2": 0.5}])
+    _, traces = compare_lanes_with_runs(
+        lambda: family_lanes(oracle, family, [0, 0, 0, 0, 1], rules, params),
+        [0, 1, 2, 3, 4], [distance_metrics(ref.x_star)] * 5, epochs=70.0, checkpoint_every=2.5)
+    # past one schedule block, and the lanes end after different numbers of steps
+    assert max(trace[-1]["k"] for trace in traces) > 512
+    assert len({trace[-1]["k"] for trace in traces}) > 1
+
+
+def test_run_lanes_matches_run_on_dense_ridge():
+    check_dense_ridge_batch("svrg")
+
+
+def test_run_lanes_matches_run_for_both_katyusha_classes_on_dense_ridge():
+    check_dense_ridge_batch("katyusha")
+
+
+def check_small_batch(oracle, params):
+    """A coin at p = 0.1 and a loop at m = 7, from x0 = 0, over 30 epochs."""
+    family = "svrg" if "eta" in params else "katyusha"
+    compare_lanes_with_runs(
+        lambda: family_lanes(oracle, family, [0, 0], [{"p": 0.1}, {"m": 7}], [params] * 2),
+        [5, 6], [distance_metrics(np.zeros(oracle.d))] * 2, epochs=30.0, checkpoint_every=3.0)
+
+
+def test_run_lanes_matches_run_on_csr_logistic():
+    check_small_batch(sparse_logistic_oracle(), {"eta": 0.5})
+
+
+def test_run_lanes_matches_run_for_both_katyusha_classes_on_csr_logistic():
+    check_small_batch(sparse_logistic_oracle(), {"theta1": 0.3, "theta2": 0.5})
+
+
+def test_run_lanes_matches_run_bitwise_on_small_sparse_ridge():
+    # 2 of 15 features per row and 360 cells: production storage keeps dense rows
+    oracle = make_oracle(sparse_logistic_oracle().dataset, "ridge", 0.1)
+    assert oracle._dense is not None
+    check_small_batch(oracle, {"eta": 1.0 / (6.0 * oracle.L)})
+
+
+def check_diagnostics_batch(family, level, other, report):
+    """Coin-rule lanes at the theory preset and at `other`, each record
+    carrying the level's `report` column."""
+    oracle, ref = ridge_instance(n=10, d=4, kappa=25.0, seed=2)
+    config = RunConfig(algorithm="l-" + family, synthetic=(10, 4, 25.0), loss="ridge",
+                       mu=1.0, diagnostics=level)
+    coin = FAMILIES[family][0]
+    _, traces = compare_lanes_with_runs(
+        lambda: [coin(oracle, np.zeros(4), **coin.theory_params(oracle)),
+                 coin(oracle, np.zeros(4), **other)],
+        [8, 9], [build_metrics(config, oracle, ref)] * 2, epochs=12.0, checkpoint_every=2.0)
+    assert all(rec[report] is not None for trace in traces for rec in trace)
+
+
+@pytest.mark.parametrize("level", ["lyapunov", "lemmas"])
+def test_run_lanes_matches_run_with_lsvrg_diagnostics(level):
+    check_diagnostics_batch("svrg", level, {"eta": 0.01, "p": 0.5}, "phi")
+
+
+@pytest.mark.parametrize("level", ["lyapunov", "lemmas"])
+def test_run_lanes_matches_run_with_lkatyusha_diagnostics(level):
+    check_diagnostics_batch("katyusha", level, {"theta1": 0.2, "theta2": 0.4, "p": 0.5}, "psi")
+
+
+@pytest.mark.parametrize("family, differ", PARAMETER_CASES)
+def test_lanes_with_shared_or_differing_parameters_match_run_bitwise(family, differ):
+    """Parameters held as shared 0-d arrays or as each lane's own row."""
+    oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
+    compare_lanes_with_runs(lambda: preset_lanes(oracle, family, differ), [0, 1, 2],
+                            [distance_metrics(ref.x_star)] * 3,
+                            epochs=30.0, checkpoint_every=2.5)
+
+
+@pytest.mark.parametrize("family", ["svrg", "katyusha"])
+@pytest.mark.parametrize("window", [1, 3, 7])
+def test_lanes_in_small_windows_match_run_bitwise(monkeypatch, family, window):
+    """Four dense ridge lanes under a window cap of 1, 3 or 7 steps.  The
+    loops refresh on each window's last step (m = window) and on some
+    windows' first (m = window + 1), the p = 1 coin on every step;
+    checkpoints fall inside windows.  No window gathers more than the cap."""
+    oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
+    cap = window * 2 * 4 * oracle.d  # a step gathers 2 rows a lane
+    monkeypatch.setattr(oracle_module, "_WINDOW_CELLS", cap)
+    calls = spy_windows(monkeypatch)
+    params = {k: v for k, v in FAMILIES[family][0].theory_params(oracle).items() if k != "p"}
+    rules = [{"m": window}, {"m": window + 1}, {"p": 1.0}, {"p": 0.3}]
+    compare_lanes_with_runs(
+        lambda: family_lanes(oracle, family, [0, 0, 1, 0], rules, [params] * 4),
+        [0, 1, 2, 3], [distance_metrics(ref.x_star)] * 4, epochs=12.0, checkpoint_every=1.3)
+    windows = [window for call in calls for window in call]
+    assert windows and all(size <= cap for size, _ in windows)
+    assert max(steps for _, steps in windows) == window
+
+
+@pytest.mark.parametrize("data", ["dense", "csr"])
+@pytest.mark.parametrize("loss", ["ridge", "logistic"])
+@pytest.mark.parametrize("window", [1, 3, 7])
+def test_gathered_rows_give_grad_many_bitwise(monkeypatch, data, loss, window):
+    """grad_rows on each step of gathered(samples), in windows of 1, 3 or 7
+    steps, is grad_i on that step's samples, bitwise, on dense and CSR rows
+    (CSR rows of 0 or 2 entries); no window gathers more than the cap."""
+    dataset = sparse_logistic_oracle().dataset
+    oracle = (make_oracle(dataset, loss, 0.1) if data == "dense"
+              else quarter_rule_oracle(dataset, loss, 0.1))
+    assert (oracle._dense is not None) == (data == "dense")
+    rng = np.random.default_rng(window)
+    samples = rng.integers(oracle.n, size=(40, 6))
+    points = rng.normal(size=(40, 6, oracle.d))
+    cap = window * 6 * (oracle.d if data == "dense" else 2)
+    monkeypatch.setattr(oracle_module, "_WINDOW_CELLS", cap)
+    calls = spy_windows(monkeypatch)
+    got = [oracle.grad_rows(X, labels, rows, np.empty_like(X))
+           for X, (labels, rows) in zip(points, oracle.gathered(samples))]
+    [windows] = calls
+    assert len(got) == len(samples) and all(size <= cap for size, _ in windows)
+    for t, (idx, X) in enumerate(zip(samples, points)):
+        want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)])
+        assert got[t].tobytes() == want.tobytes(), t
+    if data == "dense":
+        assert {steps for _, steps in windows} == {window, 40 % window or window}
 
 
 # the block length the block-recording tests hold run_lanes to, so that their

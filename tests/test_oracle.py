@@ -22,6 +22,18 @@ def grad_many(oracle, idx, X) -> np.ndarray:
     return oracle.grad_rows(X, *next(oracle.gathered(idx[np.newaxis])), np.empty_like(X))
 
 
+def grad_i_rows(oracle, idx, X) -> np.ndarray:
+    """grad_i(idx[s], X[s]) for every row s, one grad_i call each."""
+    return np.stack([oracle.grad_i(i, x) for i, x in zip(idx.tolist(), X)])
+
+
+def assert_corrections_are_grad_i(oracle, idx, w):
+    """Row s of corrections(idx, w, grad_w) is grad_i(idx[s], w) - grad_w, bitwise."""
+    grad_w = oracle.full_grad(w)
+    want = np.stack([oracle.grad_i(i, w) - grad_w for i in idx.tolist()])
+    assert oracle.corrections(idx, w, grad_w).tobytes() == want.tobytes()
+
+
 def finite_diff_grads(oracle, x):
     """Central differences of every f_i (scalar_reference's losses), (n, d)."""
     h = 1e-6 * (1.0 + np.linalg.norm(x))
@@ -374,8 +386,7 @@ def test_many_row_gradients_are_grad_i_bitwise(monkeypatch, data, loss):
         if cells and len(windows) > 1:
             seen.add(("grad_rows", f"window cap {window}"))
         for idx, xs, g, step_margins in zip(samples, X, got, m * scale):
-            want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx.tolist(), xs)])
-            assert g.tobytes() == want.tobytes()
+            assert g.tobytes() == grad_i_rows(oracle, idx, xs).tobytes()
             seen |= many_row_features("grad_rows", oracle, idx, step_margins)
         # corrections at one w, scaled so that the stretch's largest margin is a target
         idx = rng.integers(oracle.n, size=int(rng.integers(1, 40)))
@@ -383,9 +394,7 @@ def test_many_row_gradients_are_grad_i_bitwise(monkeypatch, data, loss):
         m = np.abs(A[idx] @ w)
         scale = margin_targets(rng, 1)[0] / (m.max() if m.max() > 0.0 else 1.0)
         w *= scale
-        grad_w = oracle.full_grad(w)
-        want = np.stack([oracle.grad_i(i, w) - grad_w for i in idx.tolist()])
-        assert oracle.corrections(idx, w, grad_w).tobytes() == want.tobytes()
+        assert_corrections_are_grad_i(oracle, idx, w)
         seen |= many_row_features("corrections", oracle, idx, m * scale)
     features = [f"margin {edge}" for edge in EXP_EDGES] + ["a repeated index", "n = 1"]
     if data == "csr":
@@ -393,6 +402,131 @@ def test_many_row_gradients_are_grad_i_bitwise(monkeypatch, data, loss):
                      "a row alone at its length"]
     assert seen == {(form, name) for form in ("grad_rows", "corrections") for name in features
                     } | {("grad_rows", f"window cap {window}") for window in WINDOWS}
+
+
+# Fixed instances of the property above: each a case it draws at random.
+
+@pytest.mark.parametrize("density", [0.1, 0.6])
+@pytest.mark.parametrize("loss", ["logistic", "ridge"])
+@pytest.mark.parametrize("margin", [None, 800.0])
+def test_grad_many_matches_grad_i(loss, density, margin):
+    rng = np.random.default_rng([int(10 * density), len(loss), int(margin or 0)])
+    dataset = property_dataset(rng, 30, d=12, density=density, pad=3)
+    oracle = quarter_rule_oracle(dataset, loss, 0.3)
+    assert (oracle._dense is not None) == (density > 0.25)
+    # every row once (every fourth is empty), then repeats
+    idx = np.concatenate([np.arange(oracle.n), rng.integers(oracle.n, size=10)])
+    X = rng.normal(size=(idx.size, oracle.d))
+    if margin is not None:
+        # scale each point so its sample's |a_i^T x| is the given margin
+        top = np.abs(np.einsum("ij,ij->i", dense_rows(dataset)[idx], X))[:, np.newaxis]
+        X *= margin / np.where(top > 0.0, top, 1.0)
+    with np.errstate(all="raise"):
+        got = grad_many(oracle, idx, X)
+    assert got.tobytes() == grad_i_rows(oracle, idx, X).tobytes()
+
+
+@pytest.mark.parametrize("loss", ["ridge", "logistic"])
+@pytest.mark.parametrize("data", ["dense", "csr"])
+def test_grad_many_is_grad_i_bitwise(data, loss):
+    """grad_rows takes grad_i's row dots and scalar weight, so lanes step as
+    run() does on every data kind: dense rows of 1 to 299 columns, and CSR
+    rows of 0 to 48 real-valued entries (past BLAS ddot's unrolled block),
+    a step's rows often of one length; margins |a_i^T x| up to 800, where
+    the logistic weight's exp gives 1, a subnormal or 0."""
+    rng = np.random.default_rng([2465, len(data), len(loss)])
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        if data == "dense":
+            dataset = property_dataset(rng, n, int(rng.integers(1, 300)), density=1.0, pad=0)
+        else:
+            # each row's length one of three, so that a step holds runs of one length
+            counts = rng.choice(rng.integers(0, 49, size=3), size=n)
+            indices = [np.sort(rng.choice(200, size=c, replace=False)) for c in counts]
+            dataset = Dataset.from_csr(np.concatenate([[0], np.cumsum(counts)]),
+                                       np.concatenate(indices), rng.normal(size=counts.sum()),
+                                       rng.choice([-1.0, 1.0], size=n), 200)
+        oracle = quarter_rule_oracle(dataset, loss, float(rng.uniform(1e-3, 2.0)))
+        assert (oracle._dense is None) == (data == "csr")
+        idx = rng.integers(n, size=int(rng.integers(1, 9)))
+        X = rng.normal(size=(idx.size, oracle.d))
+        margins = np.abs(np.einsum("ij,ij->i", dense_rows(dataset)[idx], X))
+        X *= (800.0 * rng.random(idx.size) ** 4 / np.where(margins > 0.0, margins, 1.0))[:, None]
+        want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)])
+        assert grad_many(oracle, idx, X).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("loss", ["logistic", "ridge"])
+@pytest.mark.parametrize("density", [0.1, 0.6])
+@pytest.mark.parametrize("n, d", [(1, 3), (1, 40), (9, 3), (30, 17), (12, 300)])
+def test_corrections_are_grad_i_less_grad_w_bitwise(loss, density, n, d):
+    """On dense and CSR rows (every fourth row empty), with repeated indices
+    and at n = 1."""
+    rng = np.random.default_rng([n, d, int(10 * density), len(loss), 23])
+    dataset = property_dataset(rng, n, d=d, density=density, pad=2)
+    oracle = quarter_rule_oracle(dataset, loss, 0.3)
+    assert (oracle._dense is not None) == (dataset.nnz >= 0.25 * n * dataset.d)
+    for _ in range(10):
+        w = rng.normal(size=oracle.d) * rng.choice([1e-3, 1.0, 50.0])
+        idx = rng.integers(n, size=int(rng.integers(1, 3 * n + 2)))
+        assert_corrections_are_grad_i(oracle, idx, w)
+
+
+@pytest.mark.parametrize("loss", ["logistic", "ridge"])
+@pytest.mark.parametrize("d", [3, 123, 20_000])
+def test_csr_corrections_by_row_length_are_grad_i_less_grad_w_bitwise(loss, d):
+    """CSR stretches that mix empty rows, rows alone at their length and long
+    runs of rows of one length (lengths 1 to min(d, 200)), in shuffled order
+    and with repeated indices."""
+    rng = np.random.default_rng([d, len(loss), 29])
+    top = min(d, 200)
+    long_runs = rng.choice(np.arange(1, top + 1), size=min(top - 1, 3), replace=False)
+    counts = np.concatenate([np.arange(1, top + 1), np.repeat(long_runs, 12)])
+    # enough empty rows to keep the data under a quarter nonzero: CSR storage
+    counts = np.concatenate([counts, np.zeros(4 * int(counts.sum()) // d + 8, dtype=int)])
+    rng.shuffle(counts)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.concatenate([np.sort(rng.choice(d, size=c, replace=False)) for c in counts])
+    dataset = Dataset.from_csr(indptr, indices, rng.normal(size=indices.size),
+                               rng.choice([-1.0, 1.0], size=counts.size), d)
+    oracle = quarter_rule_oracle(dataset, loss, 0.3)
+    assert oracle._dense is None
+    rows_of = {c: np.flatnonzero(counts == c) for c in range(top + 1)}
+    others = np.setdiff1d(np.arange(1, top + 1), long_runs)
+    for _ in range(4):
+        w = rng.normal(size=d) * rng.choice([1e-3, 1.0, 50.0])
+        # every long run's rows (some twice), empty rows, and rows alone at
+        # their length, at most 80 rows in all
+        alone = rng.choice(others, size=min(others.size, 20), replace=False)
+        idx = np.concatenate([*(rows_of[c] for c in long_runs), rows_of[long_runs[0]][:4],
+                              rows_of[0][:5], [rows_of[c][0] for c in alone]])
+        rng.shuffle(idx)
+        assert_corrections_are_grad_i(oracle, idx, w)
+
+
+@pytest.mark.parametrize("filler", [0, 20], ids=["csr", "dense"])
+def test_corrections_take_the_scalar_kernel_at_extreme_margins(filler):
+    """Margins where the scalar kernel's math.exp gives 1, a subnormal or 0
+    (|b m| at each of EXP_EDGES and up to 800)."""
+    rng = np.random.default_rng(filler + 1)
+    special = np.array(EXP_EDGES)
+    bm = np.concatenate([special, -special[1:], rng.uniform(-800.0, 800.0, size=20)])
+    n = bm.size
+    b = rng.choice([-1.0, 1.0], size=n)
+    # row i: the margin b_i bm_i in column 0 (w_0 = 1), a 1 in column 1 + i,
+    # and `filler` ones in shared columns past those
+    A = np.zeros((n, 1 + n + filler))
+    A[:, 0] = b * bm
+    A[np.arange(n), 1 + np.arange(n)] = 1.0
+    A[:, 1 + n:] = 1.0
+    A[3] = 0.0  # an empty row
+    oracle = quarter_rule_oracle(Dataset.from_csr(*_dense_to_csr(A), b, A.shape[1]),
+                                 "logistic", 0.3)
+    assert (oracle._dense is not None) == (filler > 0)
+    w = np.zeros(oracle.d)
+    w[0] = 1.0
+    idx = np.concatenate([np.arange(n), rng.integers(n, size=10)])
+    assert_corrections_are_grad_i(oracle, idx, w)
 
 
 def test_full_loss_many_spans_several_blocks():
