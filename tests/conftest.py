@@ -19,23 +19,23 @@ def dense_rows(dataset) -> np.ndarray:
 
 
 def spy_windows(monkeypatch) -> list:
-    """The windows of every later Oracle.gathered call that is iterated, a
-    list per call, in order: [the cells it gathered (its dense rows or CSR
-    entry values), its steps] for each window."""
-    calls: list = []
+    """[labels, gathered array, steps] of every window Oracle.gathered
+    gathers, in order: the window's labels, its dense rows or CSR entry
+    values, whose size is the cells it gathered, and how many of its steps
+    were taken."""
+    windows: list = []
 
     def spied(self, samples, gathered=Oracle.gathered):
-        windows, window = [], None
-        calls.append(windows)
         for labels, rows in gathered(self, samples):
-            if labels.base is not window:  # a window's steps are views of its labels
-                window = labels.base
+            if not windows or windows[-1][0] is not labels.base:
+                # dense rows, or CSR (lane, cols, vals, counts)
                 cells = rows.base if self._dense is not None else rows[2].base
-                windows.append([cells.size, len(window)])
+                windows.append([labels.base, cells, 0])
+            windows[-1][2] += 1
             yield labels, rows
 
     monkeypatch.setattr(Oracle, "gathered", spied)
-    return calls
+    return windows
 
 
 def read_lines(path) -> list[str]:

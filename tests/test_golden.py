@@ -241,13 +241,16 @@ def _cell(text: str):
 
 def distance(a, b) -> float | str:
     """How far apart the two sides of a difference are: |a - b| / max(|a|,
-    |b|) when both are numbers of one type, not both zero; else why not."""
+    |b|) when both are finite numbers of one type, not both zero, and inf
+    when one is not finite; else why not."""
     try:
         x, y = float(a), float(b)
     except (TypeError, ValueError):
         return "not numbers"
-    return ("another type" if type(a) is not type(b) else "both zero" if x == y == 0
-            else abs(x - y) / max(abs(x), abs(y)))
+    if type(a) is not type(b) or x == y == 0:
+        return "another type" if type(a) is not type(b) else "both zero"
+    finite = math.isfinite(x) and math.isfinite(y)
+    return abs(x - y) / max(abs(x), abs(y)) if finite else math.inf
 
 
 def describe(where: tuple, a, b) -> str:
@@ -278,6 +281,8 @@ def test_differences_reports_each_planted_change(tmp_path):
     for name, old, new, same, lines in [  # got is want with old replaced by new
             ("t.csv", "0.1", bit, exact, [f"[2, 'dist_sq']: {bit} != 0.1 (rel 1.4e-16)"]),
             ("t.csv", ",0.0,", ",-0.0,", exact, ["[2, 'f_gap']: -0.0 != 0.0 (both zero)"]),
+            ("t.csv", ",0.0,", ",inf,", exact, ["[2, 'f_gap']: inf != 0.0 (rel inf)"]),
+            ("t.csv", "0.1", "nan", exact, ["[2, 'dist_sq']: nan != 0.1 (rel inf)"]),
             ("t.csv", "0,0.1", "0.0,0.1", exact, ["[2, 'k']: 0.0 != 0 (another type)"]),
             ("t.csv", "f_gap", "wall_ns", exact,
              ["[1, 'wall_ns']: 'wall_ns' != 'f_gap' (not numbers)"]),

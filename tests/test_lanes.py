@@ -2,15 +2,18 @@
 the serial draws they replace, and the checkpoint clock and divergence
 guard that run() and run_lanes share.
 
-A lane is its own run(), bitwise, on every data kind: one seeded property,
+A lane is its own run(), bitwise, on every data kind.  Hand-picked
+batches hold it on dense ridge rows at each diagnostics level, with shared
+and differing parameters and in small windows, and on a few small CSR and
+logistic batches.  One seeded property,
 test_run_lanes_matches_run_on_random_batches, draws batches of both
-families and refresh rules with shared or per-lane parameters, x0 of zeros
-or ones, every diagnostics level, small window caps and budgets that end
-lanes mid-block and on a block's end, and asserts in its seen set that each
-was drawn.  test_oracle.py's test_many_row_gradients_are_grad_i_bitwise
-holds the lane step's gradients, grad_rows on gathered rows, and run()'s
-corrections to grad_i's bits the same way.  The fixed batches kept here are
-instances the lane property draws."""
+families and refresh rules on every data kind, with shared or per-lane
+parameters, x0 of zeros or ones, every diagnostics level, small window caps
+and budgets that end lanes mid-block and on a block's end.  Its seen set
+asserts what no hand-picked batch holds: each level, parameter form and
+window cap drawn off dense ridge rows.  test_oracle.py's
+test_grad_many_is_grad_i_bitwise holds the lane step's gradients and run()'s
+corrections to grad_i's bits."""
 
 import copy
 import math
@@ -171,9 +174,6 @@ def test_a_stack_shares_a_parameter_as_0d_unless_its_lanes_differ(family, differ
         assert getattr(stack, name).shape == (3, oracle.d), name
 
 
-# Fixed batches of test_run_lanes_matches_run_on_random_batches below: each
-# a case it draws at random.
-
 def family_lanes(oracle, family, x0s, rules, params):
     """A lane per (x0, rule, params): the family's loop where the rule names
     m, else its coin."""
@@ -257,7 +257,8 @@ def test_run_lanes_matches_run_with_lkatyusha_diagnostics(level):
 
 @pytest.mark.parametrize("family, differ", PARAMETER_CASES)
 def test_lanes_with_shared_or_differing_parameters_match_run_bitwise(family, differ):
-    """Parameters held as shared 0-d arrays or as each lane's own row."""
+    """Each lane of a dense ridge stack is run()'s trace and state bitwise,
+    whether its parameters are shared 0-d arrays or its own column's row."""
     oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
     compare_lanes_with_runs(lambda: preset_lanes(oracle, family, differ), [0, 1, 2],
                             [distance_metrics(ref.x_star)] * 3,
@@ -267,31 +268,32 @@ def test_lanes_with_shared_or_differing_parameters_match_run_bitwise(family, dif
 @pytest.mark.parametrize("family", ["svrg", "katyusha"])
 @pytest.mark.parametrize("window", [1, 3, 7])
 def test_lanes_in_small_windows_match_run_bitwise(monkeypatch, family, window):
-    """Four dense ridge lanes under a window cap of 1, 3 or 7 steps.  The
-    loops refresh on each window's last step (m = window) and on some
-    windows' first (m = window + 1), the p = 1 coin on every step;
-    checkpoints fall inside windows.  No window gathers more than the cap."""
+    """With the window cap shrunk to 1, 3 and 7 steps of four dense ridge
+    lanes, each lane is run()'s trace and state bitwise.  The loops refresh
+    on each window's last step (m = window) and on some windows' first (m =
+    window + 1), the p = 1 coin on every step; checkpoints fall inside
+    windows.  No window gathers more cells than the cap."""
     oracle, ref = ridge_instance(n=20, d=5, kappa=200.0, seed=4)
     cap = window * 2 * 4 * oracle.d  # a step gathers 2 rows a lane
     monkeypatch.setattr(oracle_module, "_WINDOW_CELLS", cap)
-    calls = spy_windows(monkeypatch)
+    windows = spy_windows(monkeypatch)
     params = {k: v for k, v in FAMILIES[family][0].theory_params(oracle).items() if k != "p"}
     rules = [{"m": window}, {"m": window + 1}, {"p": 1.0}, {"p": 0.3}]
     compare_lanes_with_runs(
         lambda: family_lanes(oracle, family, [0, 0, 1, 0], rules, [params] * 4),
         [0, 1, 2, 3], [distance_metrics(ref.x_star)] * 4, epochs=12.0, checkpoint_every=1.3)
-    windows = [window for call in calls for window in call]
-    assert windows and all(size <= cap for size, _ in windows)
-    assert max(steps for _, steps in windows) == window
+    assert windows and all(cells.size <= cap for _, cells, _ in windows)
+    assert max(steps for _, _, steps in windows) == window
 
 
 @pytest.mark.parametrize("data", ["dense", "csr"])
 @pytest.mark.parametrize("loss", ["ridge", "logistic"])
 @pytest.mark.parametrize("window", [1, 3, 7])
 def test_gathered_rows_give_grad_many_bitwise(monkeypatch, data, loss, window):
-    """grad_rows on each step of gathered(samples), in windows of 1, 3 or 7
-    steps, is grad_i on that step's samples, bitwise, on dense and CSR rows
-    (CSR rows of 0 or 2 entries); no window gathers more than the cap."""
+    """grad_rows on each step of gathered(samples), with windows of 1, 3 or
+    7 steps, is grad_i on that step's samples, bitwise, on dense and CSR
+    rows (CSR rows of 0 or 2 entries), and no window gathers more cells
+    than the cap."""
     dataset = sparse_logistic_oracle().dataset
     oracle = (make_oracle(dataset, loss, 0.1) if data == "dense"
               else quarter_rule_oracle(dataset, loss, 0.1))
@@ -301,16 +303,15 @@ def test_gathered_rows_give_grad_many_bitwise(monkeypatch, data, loss, window):
     points = rng.normal(size=(40, 6, oracle.d))
     cap = window * 6 * (oracle.d if data == "dense" else 2)
     monkeypatch.setattr(oracle_module, "_WINDOW_CELLS", cap)
-    calls = spy_windows(monkeypatch)
+    windows = spy_windows(monkeypatch)
     got = [oracle.grad_rows(X, labels, rows, np.empty_like(X))
            for X, (labels, rows) in zip(points, oracle.gathered(samples))]
-    [windows] = calls
-    assert len(got) == len(samples) and all(size <= cap for size, _ in windows)
+    assert len(got) == len(samples) and all(cells.size <= cap for _, cells, _ in windows)
     for t, (idx, X) in enumerate(zip(samples, points)):
         want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)])
         assert got[t].tobytes() == want.tobytes(), t
     if data == "dense":
-        assert {steps for _, steps in windows} == {window, 40 % window or window}
+        assert {steps for _, _, steps in windows} == {window, 40 % window or window}
 
 
 # the block length the block-recording tests hold run_lanes to, so that their
@@ -319,16 +320,15 @@ BLOCK = 1024
 
 
 def record_blocks(monkeypatch) -> dict:
-    """{id(optimizer): [(its k at a block's start, the block's refresh mask),
-    ...]}, filled by every schedule() call: one per lane and block of
-    run_lanes, whose blocks it holds to BLOCK steps."""
+    """{id(optimizer): [(its k at a block's start, the block's steps), ...]},
+    filled by every schedule() call: one per lane and block of run_lanes,
+    whose blocks it holds to BLOCK steps."""
     monkeypatch.setattr(optimizers, "_BLOCK_STEPS", BLOCK)
     blocks: dict = {}
     for rule in (_Coin, _Loop):
         def recorded(self, rng, steps, schedule=rule.schedule):
-            k, drawn = self.k, schedule(self, rng, steps)
-            blocks.setdefault(id(self), []).append((k, drawn[1]))
-            return drawn
+            blocks.setdefault(id(self), []).append((self.k, steps))
+            return schedule(self, rng, steps)
         monkeypatch.setattr(rule, "schedule", recorded)
     return blocks
 
@@ -355,22 +355,6 @@ def batch_oracle(kind, n, seed):
     return quarter_rule_oracle(sparse, loss, 1.0)
 
 
-def window_refreshes(lane, blocks, calls) -> set:
-    """Where lane, a loop, refreshed among its steps: on the first or the
-    last step of a window of more than one step.  blocks is record_blocks'
-    entry for the lane, calls spy_windows' list, a gathered call per block."""
-    where = set()
-    for (k, refresh), windows in zip(blocks, calls):
-        ends = np.cumsum([steps for _, steps in windows])
-        for t in np.flatnonzero(refresh[:lane.k - k]).tolist():
-            w = int(np.searchsorted(ends, t, side="right"))
-            first, steps = int(ends[w]) - windows[w][1], windows[w][1]
-            if steps > 1 and t in (first, first + steps - 1):
-                where.add("a loop refreshing on a window's "
-                          + ("first step" if t == first else "last step"))
-    return where
-
-
 def test_run_lanes_matches_run_on_random_batches(monkeypatch):
     """Seeded random batches of either family and both refresh rules, on
     each data kind, each lane checked against run() by
@@ -380,13 +364,14 @@ def test_run_lanes_matches_run_on_random_batches(monkeypatch):
     each lane's x0, zeros or ones; metrics from build_metrics against a
     certified reference at distance, or for coin-rule lanes alone at
     lyapunov or lemmas, which the loops cannot report; and a window cap of
-    1, 3 or 7 steps of the stack (at least that on CSR rows), with loops
-    that refresh on a window's first and last steps, or the default cap.
-    The batches take intervals below one step's epoch increment (2/n),
-    budgets at which a lane ends on a block's last step (at k = BLOCK, the
-    longest block, among others) or goes past it, and lanes that diverge
-    mid-block (their f_gap turns infinite past a random epoch)."""
-    blocks, calls = record_blocks(monkeypatch), spy_windows(monkeypatch)
+    1, 3 or 7 steps of the stack (at least that on CSR rows), or the
+    default cap.  Each level, parameter form and window cap is drawn off
+    dense ridge rows, where no hand-picked batch takes it.  The batches take
+    intervals below one step's epoch increment (2/n), budgets at which a
+    lane ends on a block's last step (at k = BLOCK, the longest block, among
+    others), and lanes that diverge mid-block (their f_gap turns infinite
+    past a random epoch)."""
+    blocks, windows = record_blocks(monkeypatch), spy_windows(monkeypatch)
     default_cap = oracle_module._WINDOW_CELLS
     rng = np.random.default_rng(11)
     seen = set()
@@ -430,12 +415,6 @@ def test_run_lanes_matches_run_on_random_batches(monkeypatch):
         cap = window * 2 * len(rules) * (oracle.d if oracle._dense is not None
                                          else int(oracle._counts.max()))
         monkeypatch.setattr(oracle_module, "_WINDOW_CELLS", cap or default_cap)
-
-        def make_lanes():
-            return [(loop if "m" in rule else coin)(oracle, np.full(oracle.d, x0), **param,
-                                                    **rule)
-                    for rule, param, x0 in zip(rules, params, x0s)]
-
         report = build_metrics(RunConfig(algorithm="l-" + family, diagnostics=level), oracle,
                                solve_reference(oracle))
 
@@ -443,43 +422,35 @@ def test_run_lanes_matches_run_on_random_batches(monkeypatch):
             return lambda o: {**report(o), **({"f_gap": np.inf} if o.epoch >= cutoff else {})}
 
         blocks.clear()  # keyed by id(), which a later trial's lanes may reuse
-        calls.clear()
+        windows.clear()
         lanes, traces = compare_lanes_with_runs(
-            make_lanes, [100 * trial + s for s in range(len(rules))],
+            lambda: family_lanes(oracle, family, x0s, rules, params),
+            [100 * trial + s for s in range(len(rules))],
             [metrics(cutoff) for cutoff in cutoffs], epochs=epochs, checkpoint_every=every)
         for lane in lanes:
-            lane_blocks = blocks.get(id(lane), [(0, [])])
             # the k after the last step of the lane's last block
-            block_end = lane_blocks[-1][0] + len(lane_blocks[-1][1])
+            block_end = sum(blocks.get(id(lane), [(0, 0)])[-1])
             if lane.diverged_at is not None and lane.diverged_at < block_end:
                 seen.add("diverged mid-block")
             if lane.k == block_end and lane.epoch == epochs:
                 seen.add("ended at a block's last step")
                 if lane.k == BLOCK:
                     seen.add("ended at the longest block's last step")
-            if lane.k > len(lane_blocks[0][1]):
-                seen.add("a lane past one schedule block")
-            if isinstance(lane, _Loop) and window:
-                seen |= window_refreshes(lane, lane_blocks, calls)
         if every < 2 / n and any(len(trace) > 2 for trace in traces):
             seen.add("interval below a step")
-        if len({lane.k for lane in lanes}) > 1:
-            seen.add("lanes that end at different k")
+        assert all(steps <= BLOCK for lane in blocks.values() for _, steps in lane)
+        assert all(cells.size <= (cap or default_cap) for _, cells, _ in windows)
+        if kind == "dense-ridge":
+            continue
+        seen.add((family, level))
         if len(lanes) > 1:
             differs = any(len({getattr(lane, name).tobytes() for lane in lanes}) > 1
                           for name in lanes[0].lane_params)
             seen.add((family, "differing parameters" if differs else "shared parameters"))
-        seen |= {(family, level)} | {f"x0 = {x0:g}" for x0 in x0s}
-        windows = [steps for block in calls for _, steps in block]
-        assert all(size <= (cap or default_cap) for block in calls for size, _ in block)
-        if window and len(windows) > 1 and window in windows:
+        if window and len(windows) > 1 and window in [steps for _, _, steps in windows]:
             seen.add(f"window cap {window}")
-        assert all(len(refresh) <= BLOCK for lane in blocks.values() for _, refresh in lane)
     assert seen == {"diverged mid-block", "ended at a block's last step",
                     "ended at the longest block's last step", "interval below a step",
-                    "a lane past one schedule block", "lanes that end at different k",
-                    "a loop refreshing on a window's first step",
-                    "a loop refreshing on a window's last step", "x0 = 0", "x0 = 1",
                     *(f"window cap {window}" for window in (1, 3, 7)),
                     *((family, feature) for family in FAMILIES for feature in (
                         "distance", "lyapunov", "lemmas", "shared parameters",
@@ -536,7 +507,7 @@ def test_lane_trajectory_regression_pin(monkeypatch, family, epochs, every):
         assert [r["oracle_calls"] for r in trace] == calls
         delta = lane.tracked_point - x_star
         assert float(delta @ delta) == pytest.approx(dist_sq, rel=1e-12)
-    steps = [len(refresh) for _, refresh in blocks[id(lanes[1])]]
+    steps = [steps for _, steps in blocks[id(lanes[1])]]
     if epochs == 8.0:  # one block, as long as the budget allows: 2 calls a step
         assert steps == [math.ceil((epochs * oracle.n - oracle.n) / 2)]
     else:

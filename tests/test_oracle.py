@@ -213,6 +213,26 @@ def test_full_data_paths_match_scalar_reference(loss, density, n, margin):
     assert_close(grad_table, table_x)
 
 
+@pytest.mark.parametrize("density", [0.1, 0.6])
+@pytest.mark.parametrize("loss", ["logistic", "ridge"])
+@pytest.mark.parametrize("margin", [None, 800.0])
+def test_grad_many_matches_grad_i(loss, density, margin):
+    rng = np.random.default_rng([int(10 * density), len(loss), int(margin or 0)])
+    dataset = property_dataset(rng, 30, d=12, density=density, pad=3)
+    oracle = quarter_rule_oracle(dataset, loss, 0.3)
+    assert (oracle._dense is not None) == (density > 0.25)
+    # every row once (every fourth is empty), then repeats
+    idx = np.concatenate([np.arange(oracle.n), rng.integers(oracle.n, size=10)])
+    X = rng.normal(size=(idx.size, oracle.d))
+    if margin is not None:
+        # scale each point so its sample's |a_i^T x| is the given margin
+        top = np.abs(np.einsum("ij,ij->i", dense_rows(dataset)[idx], X))[:, np.newaxis]
+        X *= margin / np.where(top > 0.0, top, 1.0)
+    with np.errstate(all="raise"):
+        got = grad_many(oracle, idx, X)
+    assert got.tobytes() == grad_i_rows(oracle, idx, X).tobytes()
+
+
 def assert_within_ulps(got, want, ulps=4):
     """Elementwise: a few ulp relative where want is a normal double, at most
     the smallest normal double (about 2.2e-308) absolute where it is
@@ -327,39 +347,38 @@ def margin_targets(rng, size):
                     800.0 * rng.random(size) ** 4)
 
 
-def many_row_features(form, oracle, idx, margins):
-    """What one many-row call on the rows idx, at these margins |a_i^T x|,
-    holds: each exp edge a nonempty row's margin is at, a repeated index,
-    n = 1, d = 20,000; and on CSR rows an empty row, two distinct rows of
-    one length and a row alone at its length."""
-    idx = idx.tolist()
+def many_row_features(oracle, idx, margins):
+    """What one grad_rows step on the rows idx, at these margins |a_i^T x|,
+    holds that no hand-picked test below gives grad_rows: each exp edge a
+    nonempty row's margin is at, n = 1, d = 20,000; and on CSR rows two
+    distinct rows of one length and a row alone at its length."""
     counts = oracle._counts.take(idx).tolist()
     nonempty = [m for m, c in zip(margins.tolist(), counts) if c]
-    csr = oracle._dense is None
     rows = Counter(c for c in counts if c)  # of each length
-    distinct = Counter(c for c in dict(zip(idx, counts)).values() if c)
+    distinct = Counter(c for c in dict(zip(idx.tolist(), counts)).values() if c)
+    csr = oracle._dense is None
     features = {
         **{f"margin {edge}": any(abs(m - edge) <= 1e-9 * edge for m in nonempty)
            for edge in EXP_EDGES},
-        "a repeated index": len(set(idx)) < len(idx), "n = 1": oracle.n == 1,
-        "d = 20,000": oracle.d == 20_000, "an empty row": csr and 0 in counts,
+        "n = 1": oracle.n == 1, "d = 20,000": oracle.d == 20_000,
         "a run of one length": csr and max(distinct.values(), default=0) > 1,
         "a row alone at its length": csr and 1 in rows.values()}
-    return {(form, name) for name, hit in features.items() if hit}
+    return {name for name, hit in features.items() if hit}
 
 
 @pytest.mark.parametrize("loss", ["ridge", "logistic"])
 @pytest.mark.parametrize("data", ["dense", "csr"])
-def test_many_row_gradients_are_grad_i_bitwise(monkeypatch, data, loss):
+def test_grad_many_is_grad_i_bitwise(monkeypatch, data, loss):
     """Both many-row forms of the per-sample gradient are grad_i's bits on
-    seeded random instances (many_row_oracle): grad_rows on every step of
-    gathered(samples), each sample row at a point of its own, with the
-    window cap at 1, 3 or 7 steps, which no window passes; and
-    corrections(idx, w, grad_w), whose row s is grad_i(idx[s], w) - grad_w.
-    Samples repeat, and margins |a_i^T x| reach 800, each of EXP_EDGES
-    among them, where the logistic weight's exp gives 1, a subnormal or 0."""
+    seeded random instances (many_row_oracle), so lanes and run() step
+    alike on every data kind: grad_rows on every step of gathered(samples),
+    each sample row at a point of its own, with the window cap at 1, 3 or
+    7 steps, which no window passes; and corrections(idx, w, grad_w), whose
+    row s is grad_i(idx[s], w) - grad_w.  Samples repeat, and margins
+    |a_i^T x| reach 800, each of EXP_EDGES among them, where the logistic
+    weight's exp gives 1, a subnormal or 0."""
     rng = np.random.default_rng([2465, len(data), len(loss)])
-    calls = spy_windows(monkeypatch)
+    windows = spy_windows(monkeypatch)
     seen = set()
     for _ in range(60):
         oracle = many_row_oracle(rng, data, loss)
@@ -376,92 +395,34 @@ def test_many_row_gradients_are_grad_i_bitwise(monkeypatch, data, loss):
                     else samples.shape[1] * oracle.d)
         window = int(rng.choice(WINDOWS))
         monkeypatch.setattr(oracle_module, "_WINDOW_CELLS", window * cells)
+        windows.clear()
         got = [oracle.grad_rows(x, labels, rows, np.empty_like(x))
                for x, (labels, rows) in zip(X, oracle.gathered(samples))]
-        windows = calls.pop()
-        assert len(got) == steps and all(size <= window * cells for size, _ in windows)
+        assert len(got) == steps and all(c.size <= window * cells for _, c, _ in windows)
         per = window if cells else 1
-        assert [taken for _, taken in windows] == [per] * (steps // per) + [steps % per] * (
+        assert [taken for _, _, taken in windows] == [per] * (steps // per) + [steps % per] * (
             steps % per > 0)
-        if cells and len(windows) > 1:
-            seen.add(("grad_rows", f"window cap {window}"))
         for idx, xs, g, step_margins in zip(samples, X, got, m * scale):
             assert g.tobytes() == grad_i_rows(oracle, idx, xs).tobytes()
-            seen |= many_row_features("grad_rows", oracle, idx, step_margins)
+            seen |= many_row_features(oracle, idx, step_margins)
         # corrections at one w, scaled so that the stretch's largest margin is a target
         idx = rng.integers(oracle.n, size=int(rng.integers(1, 40)))
         w = rng.normal(size=oracle.d)
         m = np.abs(A[idx] @ w)
-        scale = margin_targets(rng, 1)[0] / (m.max() if m.max() > 0.0 else 1.0)
-        w *= scale
+        w *= margin_targets(rng, 1)[0] / (m.max() if m.max() > 0.0 else 1.0)
         assert_corrections_are_grad_i(oracle, idx, w)
-        seen |= many_row_features("corrections", oracle, idx, m * scale)
-    features = [f"margin {edge}" for edge in EXP_EDGES] + ["a repeated index", "n = 1"]
-    if data == "csr":
-        features += ["d = 20,000", "an empty row", "a run of one length",
-                     "a row alone at its length"]
-    assert seen == {(form, name) for form in ("grad_rows", "corrections") for name in features
-                    } | {("grad_rows", f"window cap {window}") for window in WINDOWS}
-
-
-# Fixed instances of the property above: each a case it draws at random.
-
-@pytest.mark.parametrize("density", [0.1, 0.6])
-@pytest.mark.parametrize("loss", ["logistic", "ridge"])
-@pytest.mark.parametrize("margin", [None, 800.0])
-def test_grad_many_matches_grad_i(loss, density, margin):
-    rng = np.random.default_rng([int(10 * density), len(loss), int(margin or 0)])
-    dataset = property_dataset(rng, 30, d=12, density=density, pad=3)
-    oracle = quarter_rule_oracle(dataset, loss, 0.3)
-    assert (oracle._dense is not None) == (density > 0.25)
-    # every row once (every fourth is empty), then repeats
-    idx = np.concatenate([np.arange(oracle.n), rng.integers(oracle.n, size=10)])
-    X = rng.normal(size=(idx.size, oracle.d))
-    if margin is not None:
-        # scale each point so its sample's |a_i^T x| is the given margin
-        top = np.abs(np.einsum("ij,ij->i", dense_rows(dataset)[idx], X))[:, np.newaxis]
-        X *= margin / np.where(top > 0.0, top, 1.0)
-    with np.errstate(all="raise"):
-        got = grad_many(oracle, idx, X)
-    assert got.tobytes() == grad_i_rows(oracle, idx, X).tobytes()
-
-
-@pytest.mark.parametrize("loss", ["ridge", "logistic"])
-@pytest.mark.parametrize("data", ["dense", "csr"])
-def test_grad_many_is_grad_i_bitwise(data, loss):
-    """grad_rows takes grad_i's row dots and scalar weight, so lanes step as
-    run() does on every data kind: dense rows of 1 to 299 columns, and CSR
-    rows of 0 to 48 real-valued entries (past BLAS ddot's unrolled block),
-    a step's rows often of one length; margins |a_i^T x| up to 800, where
-    the logistic weight's exp gives 1, a subnormal or 0."""
-    rng = np.random.default_rng([2465, len(data), len(loss)])
-    for _ in range(300):
-        n = int(rng.integers(1, 12))
-        if data == "dense":
-            dataset = property_dataset(rng, n, int(rng.integers(1, 300)), density=1.0, pad=0)
-        else:
-            # each row's length one of three, so that a step holds runs of one length
-            counts = rng.choice(rng.integers(0, 49, size=3), size=n)
-            indices = [np.sort(rng.choice(200, size=c, replace=False)) for c in counts]
-            dataset = Dataset.from_csr(np.concatenate([[0], np.cumsum(counts)]),
-                                       np.concatenate(indices), rng.normal(size=counts.sum()),
-                                       rng.choice([-1.0, 1.0], size=n), 200)
-        oracle = quarter_rule_oracle(dataset, loss, float(rng.uniform(1e-3, 2.0)))
-        assert (oracle._dense is None) == (data == "csr")
-        idx = rng.integers(n, size=int(rng.integers(1, 9)))
-        X = rng.normal(size=(idx.size, oracle.d))
-        margins = np.abs(np.einsum("ij,ij->i", dense_rows(dataset)[idx], X))
-        X *= (800.0 * rng.random(idx.size) ** 4 / np.where(margins > 0.0, margins, 1.0))[:, None]
-        want = np.stack([oracle.grad_i(i, x) for i, x in zip(idx, X)])
-        assert grad_many(oracle, idx, X).tobytes() == want.tobytes()
+    csr = ["d = 20,000", "a run of one length", "a row alone at its length"]
+    assert seen == {f"margin {edge}" for edge in EXP_EDGES} | {"n = 1"} | (
+        set(csr) if data == "csr" else set())
 
 
 @pytest.mark.parametrize("loss", ["logistic", "ridge"])
 @pytest.mark.parametrize("density", [0.1, 0.6])
 @pytest.mark.parametrize("n, d", [(1, 3), (1, 40), (9, 3), (30, 17), (12, 300)])
 def test_corrections_are_grad_i_less_grad_w_bitwise(loss, density, n, d):
-    """On dense and CSR rows (every fourth row empty), with repeated indices
-    and at n = 1."""
+    """Each row of corrections(idx, w, grad_w) is grad_i(idx[s], w) - grad_w
+    bit for bit, on dense and CSR rows (every fourth row empty), with
+    repeated indices and at n = 1."""
     rng = np.random.default_rng([n, d, int(10 * density), len(loss), 23])
     dataset = property_dataset(rng, n, d=d, density=density, pad=2)
     oracle = quarter_rule_oracle(dataset, loss, 0.3)
@@ -477,7 +438,8 @@ def test_corrections_are_grad_i_less_grad_w_bitwise(loss, density, n, d):
 def test_csr_corrections_by_row_length_are_grad_i_less_grad_w_bitwise(loss, d):
     """CSR stretches that mix empty rows, rows alone at their length and long
     runs of rows of one length (lengths 1 to min(d, 200)), in shuffled order
-    and with repeated indices."""
+    and with repeated indices, keep every row of corrections bitwise
+    grad_i(idx[s], w) - grad_w."""
     rng = np.random.default_rng([d, len(loss), 29])
     top = min(d, 200)
     long_runs = rng.choice(np.arange(1, top + 1), size=min(top - 1, 3), replace=False)
@@ -507,7 +469,8 @@ def test_csr_corrections_by_row_length_are_grad_i_less_grad_w_bitwise(loss, d):
 @pytest.mark.parametrize("filler", [0, 20], ids=["csr", "dense"])
 def test_corrections_take_the_scalar_kernel_at_extreme_margins(filler):
     """Margins where the scalar kernel's math.exp gives 1, a subnormal or 0
-    (|b m| at each of EXP_EDGES and up to 800)."""
+    (|b m| at each of EXP_EDGES and up to 800) keep corrections bitwise
+    grad_i's."""
     rng = np.random.default_rng(filler + 1)
     special = np.array(EXP_EDGES)
     bm = np.concatenate([special, -special[1:], rng.uniform(-800.0, 800.0, size=20)])
