@@ -355,7 +355,7 @@ def _katyusha_report(state, ref, oracle, lemmas: bool, table: dict) -> tuple[dic
         # on h and s_i = c_i eta / (L (1 + eta sigma))
         x = state.point()
         h = mu * (x - w) + state.grad_w
-        z_bar, y_bar = state.momentum_step(x, h)
+        z_bar, y_bar = state.momentum_step(x, h.copy())
         grad_x = oracle.full_grad(x)
         u, v, t = z_bar - x_star, z_bar - state.z, h - grad_x
         points, directions = (y, w, x), (u, v, h, t)

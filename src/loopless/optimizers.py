@@ -2,13 +2,14 @@
 
 Five algorithms: gradient descent, SVRG and Katyusha with deterministic
 reference refresh every m inner steps, and their loopless variants where the
-refresh is triggered by a per-step Bernoulli(p) coin.  A family
-(_SVRGFamily, _KatyushaFamily) writes its serial step() as straight-line
-arithmetic; the Katyusha family also splits it into the point the estimator
-is taken at (point()) and the move made with it (momentum_step()), which
-the diagnostics and the lanes use.  The loopy and loopless variants of a
-family differ only in the refresh rule mixed into the class: a coin (_Coin)
-or every m-th step (_Loop).
+refresh is triggered by a per-step Bernoulli(p) coin.  The SVRG family
+(_SVRGFamily) writes its serial step() as straight-line arithmetic.  The
+Katyusha family (_KatyushaFamily) writes the point its estimator is taken at
+once, in point(), and the move made with that estimator once, in
+momentum_step(); its step(), the lanes and the diagnostics' lemma report all
+call these two.  The loopy and loopless variants of a family differ only in
+the refresh rule mixed into the class: a coin (_Coin) or every m-th step
+(_Loop).
 
 Each class carries its own facts, which the harness, CLI and diagnostics read
 instead of restating: its registry `name`, its declared `param_types` table
@@ -49,8 +50,8 @@ lane's grad_i at x and at w, on sample rows Oracle.gathered takes a window
 of steps at a time.  grad_rows writes them into a second (2S, d) buffer
 that the block owns, where g forms in rows :S from the corrections in rows
 S:, views made once a block, so an SVRG-family step allocates no array of
-the lanes' size: x is the point rows and moves in place.  The Katyusha
-family writes its point into them and takes z and y from momentum_step().
+the lanes' size: x is the point rows and moves in place.  A Katyusha-family
+step writes point() into them and takes z and y from momentum_step().
 The walk goes through a block as spans: the steps between two refresh
 steps, which run with no refresh check, and each refresh step alone, after
 which its lanes' w rows take the tracked rows from before it (only within
@@ -166,11 +167,12 @@ class _VarianceReduced(_Optimizer):
     run_lanes can step lanes as (S, d) rows, each constant shared as one 0-d
     array or, where the lanes' values differ, an (S, 1) column.
 
-    One write rule: step(), point() and momentum_step() write only into
-    arrays they allocate, and step() rebinds the state to new arrays, so a
-    refresh stores the pre-update point by reference.  The lanes are the
-    exception: _stack writes its own stacked arrays in place, and hands each
-    lane copies."""
+    One write rule: step() writes only into arrays it allocates, and
+    rebinds the state to new arrays, so a refresh stores the pre-update point
+    by reference.  Katyusha's point() writes only into its result (out, when
+    given), and momentum_step(x, g) only into g, which it scales.  The lanes
+    are the exception: _stack writes its own stacked arrays in place, and
+    hands each lane copies."""
 
     def draws(self, indices: np.ndarray, refresh: np.ndarray):
         """step()'s arguments (i, correction, refresh) for the steps of a
@@ -235,8 +237,9 @@ class _KatyushaFamily(_VarianceReduced):
     The step's constants theta1, theta2, 1 - theta1 - theta2, eta sigma,
     eta / L and 1 + eta sigma are fixed at construction (_theta1, _theta2,
     _y_weight, _eta_sigma, _z_step, _z_scale), so a step computes nothing
-    but the update, in the order its formula gives.  step() forms theta2 w
-    once per w array, kept with the w it was taken from."""
+    but the update, in the order its formula gives.  The update is written
+    once: point() forms x^k, memoizing theta2 w for each w array, and
+    momentum_step() moves z and y with the estimator taken there."""
 
     potential = ("psi", "zk", "yk", "wk")
     lemmas = ("estimator_variance", "z_update", "y_progress",
@@ -281,23 +284,11 @@ class _KatyushaFamily(_VarianceReduced):
     def step(self, i: int, correction: np.ndarray, refresh: bool):
         """One step on sample i, given its correction grad_i(i, w) - grad_w;
         a refresh sets w <- y^k."""
-        z, y, w, oracle = self.z, self.y, self.w, self.oracle
-        if w is not self._theta2_w_of:
-            self._theta2_w_of, self._theta2_w = w, self._theta2 * w
-        x = self._theta1 * z
-        x += self._theta2_w
-        x += self._y_weight * y
+        y, oracle = self.y, self.oracle
+        x = self.point()
         g = oracle.grad_i(i, x)
         g -= correction
-        g *= self._z_step
-        z_next = self._eta_sigma * x
-        z_next += z
-        z_next -= g
-        z_next /= self._z_scale
-        y_next = z_next - z
-        y_next *= self._theta1
-        y_next += x
-        self.z, self.y = z_next, y_next
+        self.z, self.y = self.momentum_step(x, g)
         self.oracle_calls += self.step_calls
         if refresh:
             self.w = y
@@ -305,10 +296,14 @@ class _KatyushaFamily(_VarianceReduced):
             self.oracle_calls += oracle.n
         self.k += 1
 
-    def point(self) -> np.ndarray:
-        """x^k = theta1 z + theta2 w + (1 - theta1 - theta2) y, a new array."""
-        x = self._theta1 * self.z
-        x += self._theta2 * self.w
+    def point(self, out: np.ndarray | None = None) -> np.ndarray:
+        """x^k = theta1 z + theta2 w + (1 - theta1 - theta2) y, written into
+        out or a new array.  theta2 w is formed once per w array and kept
+        with the w it was taken from."""
+        if self.w is not self._theta2_w_of:
+            self._theta2_w_of, self._theta2_w = self.w, self._theta2 * self.w
+        x = np.multiply(self._theta1, self.z, out=out)
+        x += self._theta2_w
         x += self._y_weight * self.y
         return x
 
@@ -316,16 +311,16 @@ class _KatyushaFamily(_VarianceReduced):
         """(z^{k+1}, y^{k+1}) from x^k and the estimator g, as new arrays:
             z^{k+1} = (eta sigma x + z - (eta / L) g) / (1 + eta sigma),
             y^{k+1} = x + theta1 (z^{k+1} - z).
-        Broadcasts over the rows of a (n, d) table of g, one row per sample
-        draw."""
-        z_next = np.multiply(self._z_step, g)
-        moved = self._eta_sigma * x
-        moved += self.z
-        np.subtract(moved, z_next, out=z_next)
+        It scales g by eta / L in place."""
+        g *= self._z_step
+        z_next = self._eta_sigma * x
+        z_next += self.z
+        z_next -= g
         z_next /= self._z_scale
         y_next = z_next - self.z
-        np.multiply(self._theta1, y_next, out=y_next)
-        return z_next, np.add(x, y_next, out=y_next)
+        y_next *= self._theta1
+        y_next += x
+        return z_next, y_next
 
     @property
     def tracked_point(self) -> np.ndarray:
@@ -664,12 +659,13 @@ def _stacked(opts):
 
 def _stack(opts, drawn, calls):
     """The lanes stepping together in place on one _stacked copy (see the
-    module docstring).  A step reads every constant from a local and calls
-    no method but grad_rows and Katyusha's momentum_step(), and full_grad
-    on a refresh.  retire(b) zeroes lane b's rows, where every later step
-    keeps them (g is then exactly 0), and drops its refreshes left in the
-    block: a lane that stopped, diverged or not, is stepped on to the
-    block's end without overflowing."""
+    module docstring).  A step calls no method but grad_rows and, on the
+    Katyusha family, point() (into the point rows) and momentum_step(), and
+    full_grad on a refresh.  A refresh or retire writes w in place, so it
+    drops point()'s theta2 w memo.  retire(b) zeroes lane b's rows, where
+    every later step keeps them (g is then exactly 0), and drops its
+    refreshes left in the block: a lane that stopped, diverged or not, is
+    stepped on to the block's end without overflowing."""
     oracle, width = opts[0].oracle, len(opts)
     refreshes: dict[int, list[int]] = {}  # step -> lanes that refresh in it
     for b, ((_, refresh), planned) in enumerate(zip(drawn, calls)):
@@ -684,10 +680,7 @@ def _stack(opts, drawn, calls):
     gc = np.empty_like(xw)
     g, correction = gc[:width], gc[width:]
     stack.w, katyusha = w, isinstance(stack, _KatyushaFamily)
-    if katyusha:
-        theta1, theta2, y_weight = stack._theta1, stack._theta2, stack._y_weight
-        theta2_w = theta2 * w
-    else:
+    if not katyusha:
         stack.x, eta = x, stack._eta
     # row t: step t's samples for the point rows, then for the w rows
     steps = oracle.gathered(np.tile(np.stack([i for i, _ in drawn], axis=1), 2))
@@ -705,10 +698,8 @@ def _stack(opts, drawn, calls):
             else:
                 end = min(due[-1][0], stop) if due else stop
             for labels, rows in itertools.islice(steps, end - start):
-                if katyusha:  # x = theta1 z + theta2 w + (1 - theta1 - theta2) y
-                    np.multiply(theta1, stack.z, out=x)
-                    np.add(x, theta2_w, out=x)
-                    np.add(x, y_weight * stack.y, out=x)
+                if katyusha:
+                    stack.point(out=x)
                 grad_rows(xw, labels, rows, gc)
                 np.subtract(correction, grad_w, out=correction)
                 np.subtract(g, correction, out=g)
@@ -722,7 +713,7 @@ def _stack(opts, drawn, calls):
                 for b in lanes:
                     grad_w[b] = full_grad(w[b])
                 if katyusha:
-                    np.multiply(theta2, w, out=theta2_w)
+                    stack._theta2_w_of = None
             start = end
 
     def write_back(b: int, t: int):
@@ -736,7 +727,7 @@ def _stack(opts, drawn, calls):
         for name in stack.lane_state:
             getattr(stack, name)[b] = 0.0
         if katyusha:
-            theta2_w[b] = 0.0
+            stack._theta2_w_of = None
         for _, lanes in due:
             if b in lanes:
                 lanes.remove(b)

@@ -34,11 +34,12 @@ one length (_row_dots), and _dphi for the weights (_dphi_rows; ridge's
 m - b gives the same bits elementwise in numpy).
 
 Full-data calls (full_grad, full_loss, grad_table and their batched forms)
-run with numpy: A @ x and r @ A on the dense copy, all rows at once;
-reduceat and add.at on the CSR arrays a row block at a time (data.RowBlock,
-at most data._BLOCK_ENTRIES entries), so full_grad and full_loss hold no
-temporary of the data's size, and each row sum and each add.at
-accumulation keeps the order, and the bits, of one pass over every entry.
+run with numpy: A @ x and r @ A on the dense copy, all rows at once; on the
+CSR arrays a row block at a time (data.RowBlock, at most data._BLOCK_ENTRIES
+entries) by reduceat, add.at and, for grad_table's (n, d) table, one indexed
+add, so none holds a temporary of the data's size beside its result, and
+each row sum, add.at accumulation and table cell keeps the order, and the
+bits, of one pass over every entry.
 Their logistic weight phi'(m) = -b / (1 + e^{b m}) takes one in-place exp
 per margin, with no branch on the margin's sign: where e^{b m} overflows to
 inf the weight is -0, its limit, and where the scalar kernel's e/(1 + e)
@@ -164,7 +165,8 @@ class Oracle:
         density = dataset.nnz / max(1, cells)
         if density >= 0.25 or (cells <= _DENSE_CELLS and density >= 1 / 16):
             self._dense = np.zeros((self.n, self.d))
-            self._dense[self._row_ids(), self._indices] = self._values
+            rows = np.repeat(np.arange(self.n), self._counts)
+            self._dense[rows, self._indices] = self._values
         self._max_row_sq = float(dataset.row_norms_sq().max())
         self.L = self.curvature * self._max_row_sq + self.mu
         if not self.L < math.inf:
@@ -190,10 +192,6 @@ class Oracle:
     def _dphi_rows(self, m: np.ndarray, b: np.ndarray) -> np.ndarray:
         """_dphi of each margin, bitwise: the per-sample weights."""
         return np.fromiter(map(self._dphi, m.tolist(), b.tolist()), float, len(m))
-
-    def _row_ids(self) -> np.ndarray:
-        """The row of every stored entry (nnz,)."""
-        return np.repeat(np.arange(self.n), self._counts)
 
     def grad_i(self, i: int, x: np.ndarray) -> np.ndarray:
         if not 0 <= i < self.n:
@@ -356,12 +354,17 @@ class Oracle:
         return data
 
     def _spread(self, r: np.ndarray, base: np.ndarray) -> np.ndarray:
-        """base + r_i a_i for every row i, (n,) and (d,) -> (n, d)."""
+        """base + r_i a_i for every row i, (n,) and (d,) -> (n, d); CSR rows
+        a row block at a time, each cell written once."""
         if self._dense is not None:
             return r[:, np.newaxis] * self._dense + base
         out = np.tile(base, (self.n, 1))
-        rows = self._row_ids()
-        out[rows, self._indices] += r[rows] * self._values
+        for block in self._blocks:
+            counts = self._counts[block.rows]
+            per_entry = np.repeat(r[block.rows], counts)
+            per_entry *= self._values[block.entries]
+            rows = np.repeat(np.arange(block.rows.start, block.rows.stop), counts)
+            out[rows, self._indices[block.entries]] += per_entry
         return out
 
     @_quiet_range

@@ -5,8 +5,10 @@ report which tests catch it (ROADMAP item 11).
 
 Each mutant is a one-line edit of a paper rule: a text that must occur exactly
 once in its file, and its replacement.  Where a rule is written in more than
-one place (a family's serial step, the lane stepper, the split point() and
-momentum_step() the diagnostics use), each place is its own mutant.  For each
+one place (the SVRG family's serial step and the lane stepper, or a refresh
+in a family's serial step and in the lane stepper), each place is its own
+mutant; Katyusha's point and move are written once, in point() and
+momentum_step(), which its step, the lanes and the diagnostics share.  For each
 mutant the script copies src/, tests/, perfbench/, pyproject.toml and
 README.md to a temporary directory, applies the edit there, and runs tier-1
 without the value pins:
@@ -66,8 +68,8 @@ MUTANTS = [
      "        g -= correction\n        g *= self._eta\n",
      "        g += correction\n        g *= self._eta\n"),
     ("correction sign flipped, Katyusha step", OPT,
-     "        g -= correction\n        g *= self._z_step\n",
-     "        g += correction\n        g *= self._z_step\n"),
+     "        g -= correction\n        self.z, self.y = self.momentum_step(x, g)\n",
+     "        g += correction\n        self.z, self.y = self.momentum_step(x, g)\n"),
     ("the stack takes lane 0's parameters for every lane", OPT,
      "        if len({v.tobytes() for v in values}) > 1:\n",
      "        if False:\n"),
@@ -86,18 +88,12 @@ MUTANTS = [
     ("a lane step reads the next step's rows", ORACLE,
      "            window = samples[lo:lo + steps]\n",
      "            window = samples[lo + 1:lo + steps + 1]\n"),
-    ("Katyusha point weights theta1, theta2 swapped, in step", OPT,
-     "        x += self._theta2_w\n",
-     "        x = self._theta2 * z + self._theta1 * w\n"),
     ("Katyusha point weights theta1, theta2 swapped, in point()", OPT,
-     "        x += self._theta2 * self.w\n",
-     "        x = self._theta2 * self.z + self._theta1 * self.w\n"),
-    ("Katyusha z-step without the 1 + eta sigma scale, in step", OPT,
+     "        x += self._theta2_w\n",
+     "        x[...] = self._theta2 * self.z + self._theta1 * self.w\n"),
+    ("Katyusha z-step without the 1 + eta sigma scale, in momentum_step", OPT,
      "        z_next -= g\n        z_next /= self._z_scale\n",
      "        z_next -= g\n"),
-    ("Katyusha z-step without the 1 + eta sigma scale, in momentum_step", OPT,
-     "        np.subtract(moved, z_next, out=z_next)\n        z_next /= self._z_scale\n",
-     "        np.subtract(moved, z_next, out=z_next)\n"),
     ("grad_w taken at the post-update point, SVRG step", OPT,
      "            self.grad_w = oracle.full_grad(x)\n",
      "            self.grad_w = oracle.full_grad(self.x)\n"),

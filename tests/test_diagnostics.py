@@ -545,10 +545,10 @@ def test_enumeration_guard():
 # ------------------------------------------------------------- table forms
 #
 # The specification of the reports: every per-draw quantity written as an
-# (n, d) table with one row per sample draw, from grad_table, momentum_step
-# and full_loss_many, as the reports once computed them.  The reports sum
-# per-sample scalars instead, a different order of rounding.  Each entry is
-# (lhs, rhs, slack).
+# (n, d) table with one row per sample draw, from grad_table, momentum_step on
+# each row and full_loss_many, as the reports once computed them.  The reports
+# sum per-sample scalars instead, a different order of rounding.  Each entry
+# is (lhs, rhs, slack).
 
 # |report - table form| / max(1, |lhs|, |rhs|) over the grid of
 # test_lemma_reports_are_their_table_forms, measured on numpy 2.4: 1.1e-14 at
@@ -613,7 +613,7 @@ def table_katyusha_bounds(state, ref, oracle):
     cy, cw = 1.0 / theta1, theta2 * (1.0 + theta1) / (p * theta1)
     x = state.point()
     g = oracle.grad_table(x) - (oracle.grad_table(state.w) - state.grad_w)
-    z_next, y_next = state.momentum_step(x, g)
+    z_next, y_next = map(np.stack, zip(*(state.momentum_step(x, row.copy()) for row in g)))
     f_y_next = oracle.full_loss_many(y_next)
     f_x, f_y, f_w = (oracle.full_loss(v) for v in (x, state.y, state.w))
     grad_x = oracle.full_grad(x)

@@ -497,11 +497,12 @@ def katyusha_formulas(opt):
 
 
 def assert_writes_only_its_results(opt, rng):
-    """step() of either family, and the Katyusha family's point() and
-    momentum_step(x, g), write into none of their arguments and the state
-    arrays, give new arrays (step() rebinds the state to them) and their
-    out-of-place formulas bitwise; on a refresh step() stores the pre-update
-    tracked point's own array as w."""
+    """step() of either family writes into none of its arguments and the
+    state arrays, rebinds the state to new arrays that are its out-of-place
+    formulas bitwise, and on a refresh stores the pre-update tracked point's
+    own array as w.  The Katyusha family's point() gives its formula as a new
+    array, or in out, and momentum_step(x, g) gives new arrays and writes
+    only into g, which it scales by eta / L."""
     oracle, katyusha = opt.oracle, opt.potential[0] == "psi"
     arrays = [getattr(opt, name) for name in opt.lane_state]
     frozen = [a.tobytes() for a in arrays]
@@ -522,18 +523,19 @@ def assert_writes_only_its_results(opt, rng):
     if not katyusha:
         return
     point, momentum = katyusha_formulas(opt)
-    assert x.tobytes() == point.tobytes()
-    assert not any(np.shares_memory(x, a) for a in arrays)
+    out = np.empty_like(x)
+    assert opt.point(out) is out
+    for got in (x, out):
+        assert got.tobytes() == point.tobytes()
+        assert not any(np.shares_memory(got, a) for a in arrays)
     assert [a.tobytes() for a in arrays] == frozen
-    x_bytes = x.tobytes()
-    # one estimator, and the diagnostics' table of one per sample
-    for g in (rng.normal(size=x.shape), rng.normal(size=(oracle.n, oracle.d))):
-        g_bytes = g.tobytes()
-        got = opt.momentum_step(x, g)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in momentum(x, g)]
-        assert (x.tobytes(), g.tobytes()) == (x_bytes, g_bytes)
-        assert [a.tobytes() for a in arrays] == frozen
-        assert not any(np.shares_memory(a, b) for a in got for b in (x, g, *arrays))
+    x_bytes, g = x.tobytes(), rng.normal(size=x.shape)
+    want, scaled = momentum(x, g), (opt.eta / oracle.L) * g
+    got = opt.momentum_step(x, g)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert (x.tobytes(), g.tobytes()) == (x_bytes, scaled.tobytes())
+    assert [a.tobytes() for a in arrays] == frozen
+    assert not any(np.shares_memory(a, b) for a in got for b in (x, g, *arrays))
 
 
 def assert_stack_writes_only_its_own(lanes):
@@ -571,8 +573,11 @@ def test_family_updates_write_only_their_results(cls, state):
     lanes as run_lanes stacks them."""
     oracle = dense_ridge_oracle()
     rng = np.random.default_rng(len(cls.name) + len(state))
-    lanes = [cls(oracle, rng.normal(size=oracle.d),
-                 **{**cls.theory_params(oracle), "p": p}) for p in (0.2, 0.5, 0.9)]
+    params = cls.theory_params(oracle)
+    if "theta1" in params:  # the preset's 0.5 is theta2's: point() would not tell them apart
+        params["theta1"] = 0.3
+    lanes = [cls(oracle, rng.normal(size=oracle.d), **{**params, "p": p})
+             for p in (0.2, 0.5, 0.9)]
     if state != "new":
         for s, lane in enumerate(lanes):
             run(lane, SplitMix64(s), epochs=3.0)
@@ -587,9 +592,9 @@ def test_family_updates_write_only_their_results(cls, state):
 def test_step_is_the_diagnostics_branch_and_the_lane_step(cls, data):
     """From a fixed state, step(i, correction, coin) for every sample i and
     both coin sides takes the branch the lemma reports' table forms score
-    for that draw (tests/test_diagnostics.py), bitwise: x - eta g, or the
-    row of momentum_step(point(), g), where g is
-    the draw's estimator grad_i(i, x) - correction; and on heads w <- the
+    for that draw (tests/test_diagnostics.py), bitwise: x - eta g, or
+    momentum_step(point(), g), where g is a copy of the draw's estimator
+    grad_i(i, x) - correction; and on heads w <- the
     pre-update tracked point (x^k or y^k, the same array), on tails w stays.
     A 3-lane _stack step, its lanes on mixed samples and coins, takes the
     same branches, bitwise."""
@@ -606,7 +611,7 @@ def test_step_is_the_diagnostics_branch_and_the_lane_step(cls, data):
     if opt.potential[0] == "phi":
         branch = {"x": opt.x - opt.eta * g}
     else:
-        branch = dict(zip("zy", opt.momentum_step(x, g)))
+        branch = dict(zip("zy", zip(*(opt.momentum_step(x, row.copy()) for row in g))))
     pre, heads_grad_w = opt.tracked_point, oracle.full_grad(opt.tracked_point)
 
     stepped = {}

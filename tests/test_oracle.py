@@ -594,6 +594,15 @@ def one_pass_row_sums(dataset, entries):
     return out
 
 
+def one_pass_table(dataset, r, base):
+    """base + r_i a_i in row i, (n,) and (d,) -> (n, d), by one indexed add
+    over every entry: the table before row blocks."""
+    rows = np.repeat(np.arange(dataset.n), np.diff(dataset.indptr))
+    table = np.tile(base, (dataset.n, 1))
+    table[rows, dataset.indices] += r[rows] * dataset.values
+    return table
+
+
 def one_pass_losses(oracle, Y):
     """f at every row of Y (k, d), from margins taken in one pass."""
     margins = one_pass_row_sums(oracle.dataset, Y[:, oracle._indices] * oracle._values)
@@ -631,21 +640,41 @@ def test_row_blocks_are_bitwise_one_pass(monkeypatch, loss, n, block):
     points = rng.normal(size=(4, oracle.d)) * np.array([[1.0], [3.0], [1e2], [0.0]])
     gamma = rng.normal(size=n)
     values, counts = dataset.values, np.diff(dataset.indptr)
-    rows = np.repeat(np.arange(n), counts)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         row_norms_sq = one_pass_row_sums(dataset, values * values)
         scaled = values / np.repeat(np.sqrt(row_norms_sq), counts)
         for x in points:
             assert oracle.full_grad(x).tobytes() == one_pass_grad(oracle, x).tobytes()
             assert oracle.full_loss(x) == one_pass_losses(oracle, x[np.newaxis])[0]
-            moved = np.tile(x, (n, 1))  # x + gamma_i a_i in row i
-            moved[rows, dataset.indices] += gamma[rows] * values
+            moved = one_pass_table(dataset, gamma, x)  # x + gamma_i a_i in row i
             assert (oracle.loss_along_rows(x, gamma).tobytes()
                     == one_pass_losses(oracle, moved).tobytes())
         assert (oracle.full_loss_many(points).tobytes()
                 == one_pass_losses(oracle, points).tobytes())
     assert oracle.row_norms_sq.tobytes() == row_norms_sq.tobytes()
     assert normalize_rows(dataset).values.tobytes() == scaled.tobytes()
+
+
+@pytest.mark.parametrize("loss", ["logistic", "ridge"])
+def test_csr_grad_table_is_one_pass_a_row_block_at_a_time(monkeypatch, loss):
+    """grad_table on CSR rows that span many row blocks: the one-pass table
+    bitwise, made with no temporary of the data's size beside it."""
+    monkeypatch.setattr(data, "_BLOCK_ENTRIES", 1 << 11)
+    rng = np.random.default_rng([7, len(loss)])
+    n, d = 1000, 500
+    dataset = property_dataset(rng, n, d, density=0.1, pad=0)
+    oracle = make_oracle(dataset, loss, 0.1)
+    assert oracle._dense is None and len(dataset.row_blocks) >= 10
+    x = rng.normal(size=d)
+    margins = one_pass_row_sums(dataset, x[dataset.indices] * dataset.values)
+    want = one_pass_table(dataset, oracle._dphis(margins, oracle.labels), oracle.mu * x)
+    # the table, four of one block's per-entry arrays of 8-byte numbers, and
+    # four per-row and four per-column ones.  One pass over every entry at
+    # once holds three or more arrays of 8 * nnz bytes (300 KB each) instead
+    allowance = want.nbytes + 4 * 8 * data._BLOCK_ENTRIES + 4 * 8 * n + 4 * 8 * d
+    table, peak = traced_peak(lambda: oracle.grad_table(x))
+    assert table.tobytes() == want.tobytes()
+    assert peak <= allowance, peak
 
 
 def rows_of(counts, d):
